@@ -13,7 +13,11 @@
 //! `load_u64`, a `store_u64 + flush + sfence` persist round trip, and a
 //! take/drop of the raw [`pmem::MapRef`] view — and reports per-op
 //! nanoseconds side by side. The delta between the two rows *is* the pin:
-//! the before/after comparison the perf-track lane graphs over time. The
+//! the before/after comparison the perf-track lane graphs over time. Next
+//! to them it times the same load loop on a bare `AtomicU64`
+//! (`raw_load_ns`): the paper's model prices a word access at one cached
+//! load, so the direct row's `load_ns` is gated against twice that figure
+//! (`scripts/compare_bench_json.py`). The
 //! emitted JSON object carries `"lock_free_fast_path": true`, the marker
 //! that these numbers were produced by the epoch scheme rather than the
 //! earlier stop-the-world mapping lock.
@@ -21,6 +25,7 @@
 use std::time::Instant;
 
 use pmem::PmemPool;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use store::{FileConfig, FilePool, SyncPolicy};
 
@@ -70,7 +75,8 @@ pub struct FastpathRow {
     pub mode: &'static str,
     /// The growth step the pool was created with (0 for the direct row).
     pub grow_step: usize,
-    /// Plain `load_u64` (one mapping access, no persistence).
+    /// Plain `load_u64` (one mapping access, no persistence), as a
+    /// dependent chain: the latency of one load, not the throughput of many.
     pub load_ns: f64,
     /// `store_u64 + flush + sfence` round trip.
     pub persist_ns: f64,
@@ -115,10 +121,15 @@ fn time_ns(cfg: &FastpathConfig, mut op: impl FnMut(u64)) -> f64 {
 fn measure(mode: &'static str, grow_step: usize, cfg: &FastpathConfig) -> FastpathRow {
     let pool = bench_pool(mode, cfg, grow_step);
     let off = pool.alloc_raw(64, 64);
-    pool.store_u64(off, 1);
+    // A dependent chain, the way a queue operation chases head -> node ->
+    // next: each load's offset comes from the value the previous one
+    // returned (always 0, which the compiler cannot know).
+    pool.store_u64(off, 0);
+    let mut at = off;
     let load_ns = time_ns(cfg, |_| {
-        std::hint::black_box(pool.load_u64(off));
+        at = off.wrapping_add(pool.load_u64(at) as u32);
     });
+    std::hint::black_box(at);
     let persist_ns = time_ns(cfg, |i| {
         pool.store_u64(off, i);
         pool.flush(0, off);
@@ -137,19 +148,39 @@ fn measure(mode: &'static str, grow_step: usize, cfg: &FastpathConfig) -> Fastpa
     }
 }
 
+/// The measured rows plus the floor they are judged against.
+pub struct FastpathReport {
+    /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
+    pub raw_load_ns: f64,
+    /// One row per mapping mode, direct first.
+    pub rows: Vec<FastpathRow>,
+}
+
 /// Times the direct and epoch-pinned mapping modes over identical pools
-/// and workloads. Returns one row per mode, direct first.
-pub fn run_fastpath(cfg: &FastpathConfig) -> Vec<FastpathRow> {
+/// and workloads, and the raw-atomic floor with the same loop.
+pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
     assert!(cfg.ops > 0 && cfg.trials > 0, "fastpath: empty measurement");
     assert!(cfg.grow_step > 0, "fastpath: the epoch row needs a step");
-    vec![
-        measure("direct", 0, cfg),
-        measure("epoch", cfg.grow_step, cfg),
-    ]
+    // The same dependent chain on bare atomics, bounds-checked by the slice.
+    let words: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
+    let words = std::hint::black_box(&words[..]);
+    let mut at = 0usize;
+    let raw_load_ns = time_ns(cfg, |_| {
+        at = words[at].load(Ordering::Acquire) as usize;
+    });
+    std::hint::black_box(at);
+    FastpathReport {
+        raw_load_ns,
+        rows: vec![
+            measure("direct", 0, cfg),
+            measure("epoch", cfg.grow_step, cfg),
+        ],
+    }
 }
 
 /// Renders the comparison as the verb's report table.
-pub fn render_fastpath(cfg: &FastpathConfig, rows: &[FastpathRow]) -> String {
+pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String {
+    let rows = &report.rows[..];
     let mut out = String::new();
     out.push_str(&format!(
         "\n=== file-pool mapping fast path ({} ops x {} trials, min reported) ===\n",
@@ -175,6 +206,11 @@ pub fn render_fastpath(cfg: &FastpathConfig, rows: &[FastpathRow]) -> String {
                 0.0
             },
         ));
+        out.push_str(&format!(
+            "raw atomic load: {:.1} ns/op (direct load is {:.2}x)\n",
+            report.raw_load_ns,
+            direct.load_ns / report.raw_load_ns,
+        ));
     }
     out
 }
@@ -183,12 +219,13 @@ pub fn render_fastpath(cfg: &FastpathConfig, rows: &[FastpathRow]) -> String {
 /// documented in the README under "Machine-readable results"). The
 /// `lock_free_fast_path` marker distinguishes epoch-scheme numbers from
 /// the earlier mapping-lock implementation in a `BENCH_*.json` trajectory.
-pub fn fastpath_json(cfg: &FastpathConfig, rows: &[FastpathRow]) -> String {
+pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
     let mut obj = crate::jsonio::ExperimentObject::new("fastpath", "file", Some(cfg.sync.key()));
     obj.field("ops", cfg.ops);
     obj.field("trials", cfg.trials);
     obj.field("lock_free_fast_path", true);
-    for row in rows {
+    obj.field("raw_load_ns", format!("{:.3}", report.raw_load_ns));
+    for row in &report.rows {
         obj.row(format!(
             "{{\"mode\": \"{}\", \"grow_step\": {}, \"load_ns\": {:.3}, \
              \"persist_ns\": {:.3}, \"map_ref_ns\": {:.3}}}",
@@ -238,29 +275,33 @@ mod tests {
     #[test]
     fn fastpath_measures_both_mapping_modes() {
         let cfg = tiny();
-        let rows = run_fastpath(&cfg);
+        let report = run_fastpath(&cfg);
+        let rows = &report.rows;
+        assert!(report.raw_load_ns > 0.0 && report.raw_load_ns.is_finite());
         assert_eq!(rows.len(), 2);
         assert_eq!((rows[0].mode, rows[0].grow_step), ("direct", 0));
         assert_eq!((rows[1].mode, rows[1].grow_step), ("epoch", 1 << 20));
-        for row in &rows {
+        for row in rows {
             assert!(row.load_ns > 0.0 && row.load_ns.is_finite());
             assert!(row.persist_ns > 0.0 && row.persist_ns.is_finite());
             assert!(row.map_ref_ns > 0.0 && row.map_ref_ns.is_finite());
         }
-        let rendered = render_fastpath(&cfg, &rows);
+        let rendered = render_fastpath(&cfg, &report);
         assert!(rendered.contains("direct"));
         assert!(rendered.contains("epoch"));
         assert!(rendered.contains("pin cost"));
+        assert!(rendered.contains("raw atomic load"));
     }
 
     #[test]
     fn fastpath_json_is_well_formed_and_carries_the_marker() {
         let cfg = tiny();
-        let rows = run_fastpath(&cfg);
-        let json = fastpath_json(&cfg, &rows);
+        let report = run_fastpath(&cfg);
+        let json = fastpath_json(&cfg, &report);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"experiment\": \"fastpath\""));
         assert!(json.contains("\"lock_free_fast_path\": true"));
+        assert!(json.contains("\"raw_load_ns\": "));
         assert!(json.contains("\"mode\": \"direct\""));
         assert!(json.contains("\"mode\": \"epoch\""));
         assert_eq!(json.matches("\"mode\"").count(), 2);

@@ -494,9 +494,9 @@ fn cmd_lease(flags: &HashMap<String, String>) {
 fn cmd_fastpath(flags: &HashMap<String, String>) {
     let cfg = fastpath::config_from_flags(flags);
     let mut json = JsonSink::from_flags(flags);
-    let rows = run_fastpath(&cfg);
-    print!("{}", render_fastpath(&cfg, &rows));
-    json.push(fastpath_json(&cfg, &rows));
+    let report = run_fastpath(&cfg);
+    print!("{}", render_fastpath(&cfg, &report));
+    json.push(fastpath_json(&cfg, &report));
     json.write();
 }
 

@@ -675,13 +675,17 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     fn reap_locked(&self, group: usize, st: &mut GroupState, tid: usize, now: Instant) -> usize {
         let mut reaped = 0;
         while let Some(&Reverse((deadline, id))) = st.deadlines.peek() {
-            if deadline > now {
+            // Lazy deletion: the heap entry is stale unless the lease is
+            // still in flight with exactly this deadline. A stale top goes
+            // whatever the clock says — otherwise, under a timeout that
+            // outlives the run, every settled grant would stay in the heap.
+            let live = st.inflight.get(&id).is_some_and(|f| f.deadline == deadline);
+            if live && deadline > now {
                 break;
             }
             st.deadlines.pop();
-            match st.inflight.get(&id) {
-                Some(f) if f.deadline == deadline => {}
-                _ => continue, // lazy deletion: stale heap entry
+            if !live {
+                continue;
             }
             let f = st.inflight.remove(&id).unwrap();
             st.stats.expired += 1;
@@ -1007,6 +1011,29 @@ mod tests {
 
     fn no_dlqs(n: usize) -> Vec<Option<Arc<dyn DurableQueue>>> {
         (0..n).map(|_| None).collect()
+    }
+
+    /// Regression: see `settled_leases_do_not_pile_up_in_the_deadline_heap`
+    /// in `queue.rs` — the same heap, per group.
+    #[test]
+    fn settled_leases_do_not_pile_up_in_a_groups_deadline_heap() {
+        let dir = tmp("heap-bound");
+        let config = GroupConfig::new(&dir, ["only"]).with_timeout(Duration::from_secs(24 * 3600));
+        let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), config).unwrap());
+        let group = q.group("only").unwrap();
+        for i in 1..=100_000u64 {
+            q.enqueue(0, i);
+            let lease = group.dequeue(0).unwrap();
+            group.ack(&lease).unwrap();
+            let st = q.groups[0].state.lock();
+            assert!(
+                st.deadlines.len() <= st.inflight.len() + 1,
+                "cycle {i}: {} heap entries for {} leases in flight",
+                st.deadlines.len(),
+                st.inflight.len()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -430,9 +430,11 @@ impl AckLog {
 
     /// Atomically rewrites the log to contain exactly `live` (the snapshot
     /// form of the current lease state), discarding the retired prefix:
-    /// tmp file → fsync → rename → directory fsync, the same discipline as
-    /// the shard manifest, so a crash at any point leaves either the old or
-    /// the new log.
+    /// tmp file → rename, so a killed process leaves either the old or the
+    /// new log. Under [`SyncPolicy::PowerFail`] the tmp file is `fdatasync`ed
+    /// before the rename and the directory after it (the shard manifest's
+    /// discipline); under `ProcessCrash` the page cache is trusted, as it
+    /// is by [`create`](Self::create) and [`append`](Self::append).
     ///
     /// `next_lease_id` is the caller's id high-water mark, persisted in the
     /// rewritten header: the snapshot holds only *live* leases, so without
@@ -454,9 +456,12 @@ impl AckLog {
             n += 1;
         }
         out.write_all(&buf)?;
-        out.sync_data()?;
+        let power_fail = self.sync == SyncPolicy::PowerFail;
+        if power_fail {
+            out.sync_data()?;
+        }
         std::fs::rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
+        if let (true, Some(parent)) = (power_fail, self.path.parent()) {
             File::open(parent)?.sync_data()?;
         }
         self.file = OpenOptions::new()

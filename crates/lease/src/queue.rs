@@ -498,15 +498,17 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     fn reap_locked(&self, st: &mut LeaseState, tid: usize, now: Instant) -> usize {
         let mut reaped = 0;
         while let Some(&Reverse((deadline, id))) = st.deadlines.peek() {
-            if deadline > now {
+            // Lazy deletion: the heap entry is stale unless the lease is
+            // still in flight with exactly this deadline. A stale top goes
+            // whatever the clock says — otherwise, under a timeout that
+            // outlives the run, every settled grant would stay in the heap.
+            let live = st.inflight.get(&id).is_some_and(|f| f.deadline == deadline);
+            if live && deadline > now {
                 break;
             }
             st.deadlines.pop();
-            // Lazy deletion: the heap entry is stale unless the lease is
-            // still in flight with exactly this deadline.
-            match st.inflight.get(&id) {
-                Some(f) if f.deadline == deadline => {}
-                _ => continue,
+            if !live {
+                continue;
             }
             let f = st.inflight.remove(&id).unwrap();
             st.stats.expired += 1;
@@ -888,6 +890,29 @@ mod tests {
 
     fn drain(q: &dyn DurableQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.dequeue(0)).collect()
+    }
+
+    /// Regression: heap entries used to leave only once their deadline had
+    /// passed, so under a timeout that outlives the run every grant left
+    /// 24 bytes behind for good.
+    #[test]
+    fn settled_leases_do_not_pile_up_in_the_deadline_heap() {
+        let dir = tmp("heap-bound");
+        let config = LeaseConfig::new(&dir).with_timeout(Duration::from_secs(24 * 3600));
+        let q = LeasedQueue::create(fresh_base(), None, config).unwrap();
+        for i in 1..=100_000u64 {
+            q.enqueue(0, i);
+            let lease = q.dequeue(0).unwrap();
+            q.ack(&lease).unwrap();
+            let st = q.state.lock();
+            assert!(
+                st.deadlines.len() <= st.inflight.len() + 1,
+                "cycle {i}: {} heap entries for {} leases in flight",
+                st.deadlines.len(),
+                st.inflight.len()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

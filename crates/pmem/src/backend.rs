@@ -19,8 +19,15 @@
 //!
 //! Hot-path dispatch: the simulated backend is a dedicated enum arm inside
 //! `PmemPool` (static dispatch, so the paper-facing benchmarks are
-//! unaffected); external backends pay one virtual call per operation, which
-//! is noise next to a real flush or `msync`.
+//! unaffected). An external backend pays one virtual call per operation
+//! for flushes, fences and everything rarer — noise next to a real `CLWB`
+//! or `msync` — but **not** per word access when it can avoid it: the queue
+//! algorithms touch ~16 words per message, and a virtual call costs several
+//! times the cached load or CAS the paper's model charges for each. A
+//! backend whose mapping never moves says so by returning an *unpinned*
+//! view from [`PoolBackend::map_ref`]; `PmemPool` then serves
+//! load/store/CAS/RMW inline from that mapping (see `map_ref`'s docs for
+//! the contract).
 
 use std::sync::atomic::AtomicU64;
 
@@ -306,6 +313,17 @@ pub trait PoolBackend: Send + Sync {
     /// The returned view stays valid across concurrent growths: an elastic
     /// backend must not unmap a replaced mapping while any `MapRef` pinned
     /// on it is live. See [`MapRef`] for the lifetime rules.
+    ///
+    /// Returning an **unpinned** view ([`MapRef::is_pinned`] false) is a
+    /// promise that the mapping is immutable for the backend's whole
+    /// lifetime: same base, same length, [`len`](Self::len) never changes,
+    /// [`try_grow`](Self::try_grow) never succeeds. [`crate::PmemPool`]
+    /// relies on it: it asks once at construction and, given an unpinned
+    /// view, performs every later `load_u64`/`store_u64`/`cas_u64`/
+    /// `fetch_add_u64`/`swap_u64` directly on that mapping (bounds-checked,
+    /// same orderings) without calling the backend's own word methods. A
+    /// backend that must observe every word access — the simulator's
+    /// accounting, a fault injector — returns `None` or a pinned view.
     fn map_ref(&self) -> Option<MapRef<'_>> {
         None
     }

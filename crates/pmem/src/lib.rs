@@ -67,12 +67,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backend;
+pub(crate) mod ext;
 pub mod hw;
 pub mod latency;
 pub mod layout;
 pub mod pool;
 pub mod pref;
 pub(crate) mod sim;
+pub mod slot;
 pub mod stats;
 
 pub use backend::{FenceHint, MapPin, MapRef, PoolBackend, ROOT_SLOTS};
@@ -80,4 +82,5 @@ pub use latency::LatencyModel;
 pub use layout::{CACHE_LINE, MAX_GROUPS, MAX_THREADS};
 pub use pool::{PmemPool, PoolConfig, PoolExhausted};
 pub use pref::PRef;
+pub use slot::{thread_slot, ThreadSlot, THREAD_SLOTS};
 pub use stats::StatsSnapshot;

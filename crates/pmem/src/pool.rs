@@ -11,9 +11,14 @@
 //!   measurements are unchanged by the abstraction.
 //! * an **external** backend ([`PmemPool::from_backend`]) implementing
 //!   [`PoolBackend`] — e.g. the `store` crate's memory-mapped, file-backed
-//!   pool whose contents survive a real process restart. External backends
-//!   pay one virtual call per operation, which is noise next to a real flush
-//!   or `msync`.
+//!   pool whose contents survive a real process restart. Word accesses
+//!   (load/store/CAS/RMW) on a backend whose mapping can never move are
+//!   served inline from that mapping — no virtual call; everything else,
+//!   and every access on an elastic backend, is one virtual call.
+//!
+//! Either way a word access costs the atomic instruction, a bounds check
+//! and one unlocked add to the calling thread's own statistics row (see
+//! [`PmemPool::stats`]).
 //!
 //! The persistence contract is identical for both: a store is durable once
 //! the containing cache line has been covered by [`PmemPool::flush`] (or the
@@ -21,10 +26,11 @@
 //! the issuing thread.
 
 use crate::backend::{MapRef, PoolBackend, ROOT_SLOTS};
+use crate::ext::ExtPool;
 use crate::latency::LatencyModel;
 use crate::layout::{self, CACHE_LINE};
 use crate::sim::SimPool;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{Counter, StatsSnapshot};
 use std::fmt;
 
 /// Configuration of a simulated pool (see [`PmemPool::new`]).
@@ -135,17 +141,16 @@ impl std::error::Error for PoolExhausted {}
 /// simulated hot path stays statically dispatched. Boxed because the sim
 /// state (per-thread pending slots) is ~1.4 KiB — one indirection at
 /// construction, none on the access paths (the box is matched once).
+/// Each arm owns the pool's counters: the sim counts inside its
+/// access/latency model, the external arm around the backend.
 enum PoolImpl {
     Sim(Box<SimPool>),
-    Ext(Box<dyn PoolBackend>),
+    Ext(ExtPool),
 }
 
 /// The persistent-memory pool. See the [module docs](self).
 pub struct PmemPool {
     inner: PoolImpl,
-    /// Counters for external backends (the sim backend counts internally, as
-    /// part of its access/latency model).
-    ext_stats: Stats,
     config: PoolConfig,
 }
 
@@ -159,7 +164,6 @@ impl PmemPool {
         };
         PmemPool {
             inner: PoolImpl::Sim(Box::new(sim)),
-            ext_stats: Stats::default(),
             config,
         }
     }
@@ -168,6 +172,11 @@ impl PmemPool {
     /// `store` crate). The synthesized [`PoolConfig`] reports the backend's
     /// size with zero simulated latency — external backends pay their real
     /// hardware costs instead.
+    ///
+    /// The backend's [`map_ref`](PoolBackend::map_ref) is consulted once,
+    /// here: if it hands out an unpinned view (a mapping that can never
+    /// move or grow), word accesses are served inline from that mapping for
+    /// the pool's lifetime instead of through the backend.
     pub fn from_backend(backend: Box<dyn PoolBackend>) -> Self {
         let config = PoolConfig {
             size: backend.len(),
@@ -177,8 +186,7 @@ impl PmemPool {
             eviction_seed: 0,
         };
         PmemPool {
-            inner: PoolImpl::Ext(backend),
-            ext_stats: Stats::default(),
+            inner: PoolImpl::Ext(ExtPool::new(backend)),
             config,
         }
     }
@@ -187,7 +195,7 @@ impl PmemPool {
     pub fn len(&self) -> usize {
         match &self.inner {
             PoolImpl::Sim(s) => s.len(),
-            PoolImpl::Ext(b) => b.len(),
+            PoolImpl::Ext(e) => e.backend.len(),
         }
     }
 
@@ -207,7 +215,7 @@ impl PmemPool {
     pub fn backend_kind(&self) -> &'static str {
         match &self.inner {
             PoolImpl::Sim(_) => "sim",
-            PoolImpl::Ext(b) => b.kind(),
+            PoolImpl::Ext(e) => e.backend.kind(),
         }
     }
 
@@ -223,7 +231,7 @@ impl PmemPool {
     pub fn growth_epoch(&self) -> u32 {
         match &self.inner {
             PoolImpl::Sim(_) => 0,
-            PoolImpl::Ext(b) => b.growth_epoch(),
+            PoolImpl::Ext(e) => e.backend.growth_epoch(),
         }
     }
 
@@ -236,7 +244,7 @@ impl PmemPool {
     pub fn fence_hint(&self) -> crate::FenceHint {
         match &self.inner {
             PoolImpl::Sim(_) => crate::FenceHint::PerThread,
-            PoolImpl::Ext(b) => b.fence_hint(),
+            PoolImpl::Ext(e) => e.backend.fence_hint(),
         }
     }
 
@@ -259,7 +267,7 @@ impl PmemPool {
     pub fn map_ref(&self) -> Option<MapRef<'_>> {
         match &self.inner {
             PoolImpl::Sim(_) => None,
-            PoolImpl::Ext(b) => b.map_ref(),
+            PoolImpl::Ext(e) => e.backend.map_ref(),
         }
     }
 
@@ -272,10 +280,7 @@ impl PmemPool {
     pub fn load_u64(&self, off: u32) -> u64 {
         match &self.inner {
             PoolImpl::Sim(s) => s.load_u64(off),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.loads.fetch_add(1, RELAXED);
-                b.load_u64(off)
-            }
+            PoolImpl::Ext(e) => e.load_u64(off),
         }
     }
 
@@ -286,10 +291,7 @@ impl PmemPool {
     pub fn store_u64(&self, off: u32, val: u64) {
         match &self.inner {
             PoolImpl::Sim(s) => s.store_u64(off, val),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.stores.fetch_add(1, RELAXED);
-                b.store_u64(off, val)
-            }
+            PoolImpl::Ext(e) => e.store_u64(off, val),
         }
     }
 
@@ -300,10 +302,7 @@ impl PmemPool {
     pub fn cas_u64(&self, off: u32, current: u64, new: u64) -> Result<u64, u64> {
         match &self.inner {
             PoolImpl::Sim(s) => s.cas_u64(off, current, new),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.cas_ops.fetch_add(1, RELAXED);
-                b.cas_u64(off, current, new)
-            }
+            PoolImpl::Ext(e) => e.cas_u64(off, current, new),
         }
     }
 
@@ -312,10 +311,7 @@ impl PmemPool {
     pub fn fetch_add_u64(&self, off: u32, val: u64) -> u64 {
         match &self.inner {
             PoolImpl::Sim(s) => s.fetch_add_u64(off, val),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.cas_ops.fetch_add(1, RELAXED);
-                b.fetch_add_u64(off, val)
-            }
+            PoolImpl::Ext(e) => e.fetch_add_u64(off, val),
         }
     }
 
@@ -324,10 +320,7 @@ impl PmemPool {
     pub fn swap_u64(&self, off: u32, val: u64) -> u64 {
         match &self.inner {
             PoolImpl::Sim(s) => s.swap_u64(off, val),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.cas_ops.fetch_add(1, RELAXED);
-                b.swap_u64(off, val)
-            }
+            PoolImpl::Ext(e) => e.swap_u64(off, val),
         }
     }
 
@@ -344,9 +337,9 @@ impl PmemPool {
     pub fn flush(&self, tid: usize, off: u32) {
         match &self.inner {
             PoolImpl::Sim(s) => s.flush(tid, off),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.flushes.fetch_add(1, RELAXED);
-                b.flush(tid, off)
+            PoolImpl::Ext(e) => {
+                e.stats.add(Counter::Flushes, 1);
+                e.backend.flush(tid, off)
             }
         }
     }
@@ -369,9 +362,9 @@ impl PmemPool {
     pub fn sfence(&self, tid: usize) {
         match &self.inner {
             PoolImpl::Sim(s) => s.sfence(tid),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.fences.fetch_add(1, RELAXED);
-                b.sfence(tid)
+            PoolImpl::Ext(e) => {
+                e.stats.add(Counter::Fences, 1);
+                e.backend.sfence(tid)
             }
         }
     }
@@ -382,9 +375,9 @@ impl PmemPool {
     pub fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
         match &self.inner {
             PoolImpl::Sim(s) => s.nt_store_u64(tid, off, val),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.nt_stores.fetch_add(1, RELAXED);
-                b.nt_store_u64(tid, off, val)
+            PoolImpl::Ext(e) => {
+                e.stats.add(Counter::NtStores, 1);
+                e.backend.nt_store_u64(tid, off, val)
             }
         }
     }
@@ -395,9 +388,9 @@ impl PmemPool {
     pub fn persist_now(&self, off: u32) {
         match &self.inner {
             PoolImpl::Sim(s) => s.persist_now(off),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.flushes.fetch_add(1, RELAXED);
-                b.persist_now(off)
+            PoolImpl::Ext(e) => {
+                e.stats.add(Counter::Flushes, 1);
+                e.backend.persist_now(off)
             }
         }
     }
@@ -416,7 +409,7 @@ impl PmemPool {
     pub fn mark_line_cached(&self, off: u32) {
         match &self.inner {
             PoolImpl::Sim(s) => s.mark_line_cached(off),
-            PoolImpl::Ext(b) => b.mark_line_cached(off),
+            PoolImpl::Ext(e) => e.backend.mark_line_cached(off),
         }
     }
 
@@ -426,9 +419,9 @@ impl PmemPool {
     pub fn zero_range(&self, off: u32, len: u32) {
         match &self.inner {
             PoolImpl::Sim(s) => s.zero_range(off, len),
-            PoolImpl::Ext(b) => {
-                self.ext_stats.stores.fetch_add((len / 8) as u64, RELAXED);
-                b.zero_range(off, len)
+            PoolImpl::Ext(e) => {
+                e.stats.add(Counter::Stores, (len / 8) as u64);
+                e.backend.zero_range(off, len)
             }
         }
     }
@@ -437,16 +430,16 @@ impl PmemPool {
     /// storage. A no-op for the simulated backend; `msync` + `fsync` for a
     /// file backend. Recovery-facing code calls it at checkpoints.
     pub fn sync(&self) {
-        if let PoolImpl::Ext(b) = &self.inner {
-            b.sync();
+        if let PoolImpl::Ext(e) = &self.inner {
+            e.backend.sync();
         }
     }
 
     /// Records a clean/dirty marker in the backend's durable metadata, if it
     /// has any (see [`PoolBackend::mark_clean`]).
     pub fn mark_clean(&self, clean: bool) {
-        if let PoolImpl::Ext(b) = &self.inner {
-            b.mark_clean(clean);
+        if let PoolImpl::Ext(e) = &self.inner {
+            e.backend.mark_clean(clean);
         }
     }
 
@@ -498,7 +491,7 @@ impl PmemPool {
                     // try_grow(true) guarantees len() >= end afterwards, so
                     // the retry makes progress; false means the backend is
                     // fixed-size or at its ceiling, and the error stands.
-                    PoolImpl::Ext(b) if b.try_grow(end as usize) => continue,
+                    PoolImpl::Ext(e) if e.backend.try_grow(end as usize) => continue,
                     _ => return Err(exhausted(cur)),
                 }
             }
@@ -513,7 +506,7 @@ impl PmemPool {
     fn cas_watermark(&self, current: u32, new: u32) -> Result<u32, u32> {
         match &self.inner {
             PoolImpl::Sim(s) => s.cas_watermark(current, new),
-            PoolImpl::Ext(b) => b.cas_watermark(current, new),
+            PoolImpl::Ext(e) => e.backend.cas_watermark(current, new),
         }
     }
 
@@ -521,7 +514,7 @@ impl PmemPool {
     pub fn watermark(&self) -> u32 {
         match &self.inner {
             PoolImpl::Sim(s) => s.watermark(),
-            PoolImpl::Ext(b) => b.watermark(),
+            PoolImpl::Ext(e) => e.backend.watermark(),
         }
     }
 
@@ -549,7 +542,7 @@ impl PmemPool {
         assert!(slot < ROOT_SLOTS, "root slot {slot} out of range");
         match &self.inner {
             PoolImpl::Sim(s) => s.root_u64(slot),
-            PoolImpl::Ext(b) => b.root_u64(slot),
+            PoolImpl::Ext(e) => e.backend.root_u64(slot),
         }
     }
 
@@ -558,7 +551,7 @@ impl PmemPool {
         assert!(slot < ROOT_SLOTS, "root slot {slot} out of range");
         match &self.inner {
             PoolImpl::Sim(s) => s.set_root_u64(slot, val),
-            PoolImpl::Ext(b) => b.set_root_u64(slot, val),
+            PoolImpl::Ext(e) => e.backend.set_root_u64(slot, val),
         }
     }
 
@@ -566,19 +559,31 @@ impl PmemPool {
     // Statistics
     // ------------------------------------------------------------------
 
-    /// A snapshot of the persistence counters.
+    /// A snapshot of the persistence counters since the last
+    /// [`reset_stats`](Self::reset_stats).
+    ///
+    /// **Exact at quiescence** — when no thread is inside a pool operation,
+    /// e.g. after joining the workers, which is how every experiment in the
+    /// workspace reads it. Each thread counts into a row only it writes, so
+    /// counting costs no locked instruction; the snapshot sums the rows, and
+    /// taken while operations are running it may miss the ones in flight
+    /// (it never over-counts and never goes backwards).
     pub fn stats(&self) -> StatsSnapshot {
         match &self.inner {
             PoolImpl::Sim(s) => s.stats(),
-            PoolImpl::Ext(_) => self.ext_stats.snapshot(),
+            PoolImpl::Ext(e) => e.stats.snapshot(),
         }
     }
 
-    /// Resets all persistence counters to zero.
+    /// Resets all persistence counters to zero, by recording the current
+    /// totals as the baseline that [`stats`](Self::stats) subtracts. No
+    /// thread's row is written, so a reset is safe while other threads are
+    /// operating on the pool and loses none of their counts — but, like
+    /// `stats`, it draws the line exactly only at quiescence.
     pub fn reset_stats(&self) {
         match &self.inner {
             PoolImpl::Sim(s) => s.reset_stats(),
-            PoolImpl::Ext(_) => self.ext_stats.reset(),
+            PoolImpl::Ext(e) => e.stats.reset(),
         }
     }
 
@@ -593,7 +598,7 @@ impl PmemPool {
     pub fn persistent_u64_at(&self, off: u32) -> u64 {
         match &self.inner {
             PoolImpl::Sim(s) => s.persistent_u64_at(off),
-            PoolImpl::Ext(b) => b.persistent_u64_at(off),
+            PoolImpl::Ext(e) => e.backend.persistent_u64_at(off),
         }
     }
 
@@ -624,25 +629,22 @@ impl PmemPool {
                 let sim = s.simulate_crash_with_evictions(probability, seed);
                 PmemPool {
                     inner: PoolImpl::Sim(Box::new(sim)),
-                    ext_stats: Stats::default(),
                     config: self.config,
                 }
             }
-            PoolImpl::Ext(b) => panic!(
+            PoolImpl::Ext(e) => panic!(
                 "simulate_crash is only available on the simulated backend; the '{}' backend \
                  is crashed for real (kill the process, then reopen the pool file)",
-                b.kind()
+                e.backend.kind()
             ),
         }
     }
 }
 
-const RELAXED: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::HEAP_START;
+    use crate::layout::{HEAP_START, MAX_THREADS};
 
     fn pool() -> PmemPool {
         PmemPool::new(PoolConfig::small_test())
@@ -1015,6 +1017,10 @@ mod tests {
         words: Box<[std::sync::atomic::AtomicU64]>,
         watermark: std::sync::atomic::AtomicU32,
         roots: [std::sync::atomic::AtomicU64; ROOT_SLOTS],
+        /// Hand out an unpinned view, like a fixed-size file pool.
+        direct: bool,
+        /// Word operations that reached the backend's own methods.
+        word_calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
     }
 
     impl HeapBackend {
@@ -1025,7 +1031,15 @@ mod tests {
                     .collect(),
                 watermark: std::sync::atomic::AtomicU32::new(HEAP_START),
                 roots: Default::default(),
+                direct: false,
+                word_calls: Default::default(),
             }
+        }
+
+        fn word(&self, off: u32) -> &std::sync::atomic::AtomicU64 {
+            self.word_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            &self.words[off as usize / 8]
         }
     }
 
@@ -1037,13 +1051,14 @@ mod tests {
             self.words.len() * 8
         }
         fn load_u64(&self, off: u32) -> u64 {
-            self.words[off as usize / 8].load(std::sync::atomic::Ordering::Acquire)
+            self.word(off).load(std::sync::atomic::Ordering::Acquire)
         }
         fn store_u64(&self, off: u32, val: u64) {
-            self.words[off as usize / 8].store(val, std::sync::atomic::Ordering::Release)
+            self.word(off)
+                .store(val, std::sync::atomic::Ordering::Release)
         }
         fn cas_u64(&self, off: u32, current: u64, new: u64) -> Result<u64, u64> {
-            self.words[off as usize / 8].compare_exchange(
+            self.word(off).compare_exchange(
                 current,
                 new,
                 std::sync::atomic::Ordering::AcqRel,
@@ -1051,10 +1066,12 @@ mod tests {
             )
         }
         fn fetch_add_u64(&self, off: u32, val: u64) -> u64 {
-            self.words[off as usize / 8].fetch_add(val, std::sync::atomic::Ordering::AcqRel)
+            self.word(off)
+                .fetch_add(val, std::sync::atomic::Ordering::AcqRel)
         }
         fn swap_u64(&self, off: u32, val: u64) -> u64 {
-            self.words[off as usize / 8].swap(val, std::sync::atomic::Ordering::AcqRel)
+            self.word(off)
+                .swap(val, std::sync::atomic::Ordering::AcqRel)
         }
         fn flush(&self, _tid: usize, _off: u32) {}
         fn sfence(&self, _tid: usize) {}
@@ -1084,10 +1101,187 @@ mod tests {
         fn set_root_u64(&self, slot: usize, val: u64) {
             self.roots[slot].store(val, std::sync::atomic::Ordering::Release)
         }
+        fn map_ref(&self) -> Option<MapRef<'_>> {
+            // SAFETY: the boxed words live, unmoved, as long as `self`.
+            self.direct.then(|| unsafe {
+                MapRef::new(self.words.as_ptr() as *mut u8, self.words.len() * 8, None)
+            })
+        }
     }
 
     fn ext_pool() -> PmemPool {
         PmemPool::from_backend(Box::new(HeapBackend::new(1 << 20)))
+    }
+
+    /// A heap pool whose backend offers the unpinned view, so word
+    /// operations take the inline path.
+    fn direct_backend() -> HeapBackend {
+        HeapBackend {
+            direct: true,
+            ..HeapBackend::new(1 << 20)
+        }
+    }
+
+    fn direct_ext_pool() -> PmemPool {
+        PmemPool::from_backend(Box::new(direct_backend()))
+    }
+
+    fn ext_arm(p: &PmemPool) -> &ExtPool {
+        match &p.inner {
+            PoolImpl::Ext(e) => e,
+            PoolImpl::Sim(_) => panic!("not an external pool"),
+        }
+    }
+
+    #[test]
+    fn an_unpinned_view_takes_word_operations_off_the_backend() {
+        let backend = direct_backend();
+        let word_calls = std::sync::Arc::clone(&backend.word_calls);
+        let p = PmemPool::from_backend(Box::new(backend));
+        let off = p.alloc_raw(64, 64);
+        p.store_u64(off, 5);
+        assert_eq!(p.load_u64(off), 5);
+        assert_eq!(p.cas_u64(off, 5, 6), Ok(5));
+        assert_eq!(p.cas_u64(off, 5, 7), Err(6));
+        assert_eq!(p.fetch_add_u64(off, 1), 6);
+        assert_eq!(p.swap_u64(off, 9), 7);
+        // None of that reached the backend's word methods, yet the backend
+        // sees the same memory.
+        assert_eq!(word_calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(p.persistent_u64_at(off), 9);
+        let s = p.stats();
+        assert_eq!((s.loads, s.stores, s.cas_ops), (1, 1, 4));
+        // Everything that is not a word operation still dispatches.
+        p.zero_range(off, 64);
+        p.flush(0, off);
+        p.sfence(0);
+        assert_eq!(p.load_u64(off), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool access out of bounds")]
+    fn the_inline_path_checks_bounds() {
+        let p = direct_ext_pool();
+        p.load_u64(1 << 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool access out of bounds or unaligned")]
+    fn the_inline_path_checks_alignment() {
+        let p = direct_ext_pool();
+        p.store_u64(HEAP_START + 4, 1);
+    }
+
+    /// Waves of threads, each wave holding more threads alive at once than
+    /// a pool has owned statistics rows, run a fixed mix of operations;
+    /// after the joins the counters equal the arithmetic.
+    fn assert_counts_are_exact_under_thread_churn(p: PmemPool) {
+        const WAVES: u64 = 3;
+        const THREADS: u64 = MAX_THREADS as u64 + 8;
+        const ROUNDS: u64 = 300;
+        let base = p.alloc_raw(THREADS as u32 * 64, 64);
+        p.reset_stats();
+        for _ in 0..WAVES {
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS as u32 {
+                    let (p, barrier) = (&p, &barrier);
+                    scope.spawn(move || {
+                        let off = base + t * 64;
+                        p.store_u64(off, 0);
+                        // Every thread of the wave now holds a slot.
+                        barrier.wait();
+                        for i in 0..ROUNDS {
+                            let v = p.load_u64(off);
+                            p.store_u64(off, v + 1);
+                            let _ = p.cas_u64(off, v + 1, i);
+                            p.fetch_add_u64(off + 8, 1);
+                            p.swap_u64(off + 16, i);
+                            // The persist API is per tid, and tids are a
+                            // scarcer resource than threads.
+                            if (t as usize) < MAX_THREADS {
+                                p.nt_store_u64(t as usize, off + 24, i);
+                                p.flush(t as usize, off);
+                                p.sfence(t as usize);
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        let n = WAVES * THREADS;
+        let s = p.stats();
+        assert_eq!(s.loads, n * ROUNDS);
+        assert_eq!(s.stores, n * (ROUNDS + 1));
+        assert_eq!(s.cas_ops, n * ROUNDS * 3);
+        let persisting = WAVES * MAX_THREADS as u64 * ROUNDS;
+        assert_eq!(
+            (s.nt_stores, s.flushes, s.fences),
+            (persisting, persisting, persisting)
+        );
+        p.reset_stats();
+        assert_eq!(p.stats(), StatsSnapshot::default());
+        let _ = p.load_u64(base);
+        assert_eq!(p.stats().loads, 1, "counting resumes from the reset");
+    }
+
+    #[test]
+    fn counts_are_exact_under_thread_churn_on_the_sim() {
+        assert_counts_are_exact_under_thread_churn(pool());
+    }
+
+    #[test]
+    fn counts_are_exact_under_thread_churn_on_an_external_backend() {
+        assert_counts_are_exact_under_thread_churn(ext_pool());
+        assert_counts_are_exact_under_thread_churn(direct_ext_pool());
+    }
+
+    /// A pool touched from a thread-local destructor may find the slot
+    /// lease already destroyed: it must count (into the overflow row), not
+    /// panic. Both registration orders are run; whichever the platform
+    /// destroys lease-first exercises the fallback.
+    #[test]
+    fn a_thread_past_its_slot_lease_falls_back_to_the_overflow_row() {
+        use std::cell::RefCell;
+        use std::sync::Arc;
+
+        struct TouchOnDrop(Arc<PmemPool>, u32);
+        impl Drop for TouchOnDrop {
+            fn drop(&mut self) {
+                for _ in 0..10 {
+                    let _ = self.0.load_u64(self.1);
+                }
+            }
+        }
+        thread_local! {
+            static PROBE: RefCell<Option<TouchOnDrop>> = const { RefCell::new(None) };
+        }
+
+        let mut overflowed = Vec::new();
+        for lease_first in [true, false] {
+            let p = Arc::new(ext_pool());
+            let off = p.alloc_raw(64, 64);
+            let worker = Arc::clone(&p);
+            std::thread::spawn(move || {
+                if lease_first {
+                    let _ = worker.load_u64(off);
+                }
+                PROBE.with(|probe| {
+                    *probe.borrow_mut() = Some(TouchOnDrop(Arc::clone(&worker), off))
+                });
+                if !lease_first {
+                    let _ = worker.load_u64(off);
+                }
+            })
+            .join()
+            .expect("the destructor must not panic");
+            assert_eq!(p.stats().loads, 11, "no access went uncounted");
+            overflowed.push(ext_arm(&p).stats.overflow(Counter::Loads));
+        }
+        assert!(
+            overflowed.contains(&10),
+            "one order destroys the lease before the probe: {overflowed:?}"
+        );
     }
 
     #[test]

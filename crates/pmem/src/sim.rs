@@ -28,7 +28,7 @@ use crate::backend::ROOT_SLOTS;
 use crate::latency::spin_delay;
 use crate::layout::{self, CACHE_LINE, MAX_THREADS};
 use crate::pool::PoolConfig;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{Counter, Stats, StatsSnapshot};
 use crossbeam_utils::CachePadded;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::UnsafeCell;
@@ -104,7 +104,7 @@ pub(crate) struct SimPool {
     roots_persistent: [AtomicU64; ROOT_SLOTS],
     size: usize,
     watermark: AtomicU32,
-    pub(crate) stats: Stats,
+    stats: Stats,
     config: PoolConfig,
     eviction_threshold: u64,
     rng: AtomicU64,
@@ -190,9 +190,7 @@ impl SimPool {
         let state = &self.line_states[line];
         if state.load(Ordering::Relaxed) == LINE_FLUSHED {
             state.store(LINE_CACHED, Ordering::Relaxed);
-            self.stats
-                .post_flush_accesses
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Counter::PostFlushAccesses, 1);
             spin_delay(self.config.latency.nvram_read_ns);
         }
     }
@@ -203,9 +201,7 @@ impl SimPool {
     fn maybe_evict(&self, off: u32) {
         if self.eviction_threshold != 0 && self.next_rand() < self.eviction_threshold {
             self.persist_line(layout::line_of(off));
-            self.stats
-                .implicit_evictions
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Counter::ImplicitEvictions, 1);
         }
     }
 
@@ -229,14 +225,14 @@ impl SimPool {
     #[inline]
     pub(crate) fn load_u64(&self, off: u32) -> u64 {
         self.touch(off);
-        self.stats.loads.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::Loads, 1);
         self.working_u64(off).load(Ordering::Acquire)
     }
 
     #[inline]
     pub(crate) fn store_u64(&self, off: u32, val: u64) {
         self.touch(off);
-        self.stats.stores.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::Stores, 1);
         self.working_u64(off).store(val, Ordering::Release);
         self.maybe_evict(off);
     }
@@ -244,7 +240,7 @@ impl SimPool {
     #[inline]
     pub(crate) fn cas_u64(&self, off: u32, current: u64, new: u64) -> Result<u64, u64> {
         self.touch(off);
-        self.stats.cas_ops.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::CasOps, 1);
         let r = self.working_u64(off).compare_exchange(
             current,
             new,
@@ -260,7 +256,7 @@ impl SimPool {
     #[inline]
     pub(crate) fn fetch_add_u64(&self, off: u32, val: u64) -> u64 {
         self.touch(off);
-        self.stats.cas_ops.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::CasOps, 1);
         let r = self.working_u64(off).fetch_add(val, Ordering::AcqRel);
         self.maybe_evict(off);
         r
@@ -269,7 +265,7 @@ impl SimPool {
     #[inline]
     pub(crate) fn swap_u64(&self, off: u32, val: u64) -> u64 {
         self.touch(off);
-        self.stats.cas_ops.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::CasOps, 1);
         let r = self.working_u64(off).swap(val, Ordering::AcqRel);
         self.maybe_evict(off);
         r
@@ -304,7 +300,7 @@ impl SimPool {
         debug_assert!((off as usize) < self.size);
         let line = layout::line_of(off);
         self.line_states[line as usize].store(LINE_FLUSHED, Ordering::Relaxed);
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::Flushes, 1);
         if self.config.deferred_persist {
             self.with_pending(tid, |pending| pending.flushed_lines.push(line));
         } else {
@@ -314,7 +310,7 @@ impl SimPool {
     }
 
     pub(crate) fn sfence(&self, tid: usize) {
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::Fences, 1);
         let (lines, nt) = self.with_pending(tid, |pending| {
             (
                 std::mem::take(&mut pending.flushed_lines),
@@ -332,7 +328,7 @@ impl SimPool {
 
     #[inline]
     pub(crate) fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
-        self.stats.nt_stores.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::NtStores, 1);
         self.working_u64(off).store(val, Ordering::Release);
         if self.config.deferred_persist {
             self.with_pending(tid, |pending| pending.nt_writes.push((off, val)));
@@ -343,7 +339,7 @@ impl SimPool {
     }
 
     pub(crate) fn persist_now(&self, off: u32) {
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Counter::Flushes, 1);
         let line = layout::line_of(off);
         self.line_states[line as usize].store(LINE_FLUSHED, Ordering::Relaxed);
         self.persist_line(line);
@@ -362,9 +358,7 @@ impl SimPool {
             let o = off + i * 8;
             self.working_u64(o).store(0, Ordering::Release);
         }
-        self.stats
-            .stores
-            .fetch_add((len / 8) as u64, Ordering::Relaxed);
+        self.stats.add(Counter::Stores, (len / 8) as u64);
     }
 
     // ------------------------------------------------------------------

@@ -46,9 +46,13 @@
 //! cache-padded hazard slot, re-checks the pointer, and proceeds — no lock,
 //! no contended write, no syscall. A **fixed-size pool (`grow_step == 0`)
 //! skips even that**: its mapping can never change, so the per-operation
-//! cost is one relaxed load of an immutable pointer — the direct path, and
-//! the reason the file backend's steady-state cost is just the flushes the
-//! algorithm itself issues. Every operation's bounds are enforced against
+//! cost is one relaxed load of an immutable pointer — the direct path.
+//! Word accesses do not even get here: such a pool hands [`PmemPool`] an
+//! unpinned [`MapRef`](pmem::MapRef) once, at `into_pool`, and `PmemPool`
+//! performs loads, stores and CASes inline on the mapping behind its own
+//! release-mode bounds check — the reason the file backend's steady-state
+//! cost is just the flushes the algorithm itself issues. Every operation's
+//! bounds are enforced against
 //! the pinned generation **in release builds**: an op whose offset
 //! postdates the pinned view (possible only nested under an outstanding
 //! [`MapRef`](pmem::MapRef)) re-resolves the current generation under the
@@ -124,9 +128,9 @@
 //! and the `store.msync_batch_pages` histogram expose the batching, and
 //! backends advertise the mode through [`PoolBackend::fence_hint`].
 
-use crate::crc::crc32;
 use crate::mmap::{self, page_size};
 use crossbeam_utils::CachePadded;
+use obs::crc::crc32;
 use obs::flight::EventKind;
 use obs::{LazyCounter, LazyHistogram};
 use pmem::layout::{self, CACHE_LINE};
@@ -142,9 +146,11 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-// Named instruments (see docs/OBSERVABILITY.md for the catalogue). Path
-// counters split mapping accesses by which fast path served them; the
-// histograms time the two syscall-heavy cold paths.
+// Named instruments (see docs/OBSERVABILITY.md for the catalogue). The map
+// counters count mapping views resolved, not words touched: an unpinned
+// view of a fixed-size pool is resolved once per `map_ref` (a `PmemPool`
+// takes one for its lifetime), an elastic pool resolves a pinned view per
+// operation. The histograms time the two syscall-heavy cold paths.
 static MAP_DIRECT: LazyCounter = LazyCounter::new("store.map.direct");
 static MAP_EPOCH: LazyCounter = LazyCounter::new("store.map.epoch");
 static FENCES: LazyCounter = LazyCounter::new("store.fence");
@@ -513,43 +519,26 @@ struct PinSlot {
 // single thread holding the slot's lease (see `reader_slot`).
 unsafe impl Sync for PinSlot {}
 
-/// Reader slots outnumber the pool's `MAX_THREADS` worker tids because any
-/// thread (not just workers with a tid) may touch a pool.
-const PIN_SLOTS: usize = 4 * MAX_THREADS;
+/// One hazard slot per leasable thread slot: the thread → slot lease is
+/// `pmem`'s (the same one the pool's statistics rows use), so the index is
+/// exclusive to the calling thread and recycled when it exits.
+const PIN_SLOTS: usize = pmem::THREAD_SLOTS;
 
-/// The process-wide thread → hazard-slot lease, returned as
-/// `(slot index, lease tenure)`. Slots are recycled through a free list
-/// when threads exit, so long-lived processes that churn threads never
-/// exhaust the `PIN_SLOTS` space; each acquisition — recycled or fresh —
-/// gets a process-unique tenure id, which is how `MapTable::pin` tells a
-/// legitimate same-thread nested pin from a slot inherited dirty from a
-/// dead thread that leaked a `MapRef`. The same slot index is used on
-/// every pool (each pool has its own slot array), which keeps the lease a
-/// single thread-local.
+/// The calling thread's hazard slot, as `(index, lease tenure)`. Each
+/// acquisition — recycled or fresh — has a process-unique tenure, which is
+/// how `MapTable::pin` tells a legitimate same-thread nested pin from a
+/// slot inherited dirty from a dead thread that leaked a `MapRef`.
+///
+/// Unlike a statistic, a hazard announcement has no shared fallback: a
+/// thread without a slot cannot pin an elastic pool.
 fn reader_slot() -> (usize, u64) {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    static TENURE: AtomicU64 = AtomicU64::new(1);
-    static FREE: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    struct Lease(usize, u64);
-    impl Drop for Lease {
-        fn drop(&mut self) {
-            FREE.lock().unwrap().push(self.0);
-        }
-    }
-    thread_local! {
-        static LEASE: Lease = {
-            let idx = FREE.lock().unwrap().pop().unwrap_or_else(|| {
-                let idx = NEXT.fetch_add(1, Ordering::Relaxed);
-                assert!(
-                    idx < PIN_SLOTS,
-                    "more than {PIN_SLOTS} threads concurrently using file pools"
-                );
-                idx
-            });
-            Lease(idx, TENURE.fetch_add(1, Ordering::Relaxed))
-        };
-    }
-    LEASE.with(|l| (l.0, l.1))
+    let slot = pmem::thread_slot().unwrap_or_else(|| {
+        panic!(
+            "no thread slot for an elastic file pool: more than {PIN_SLOTS} threads are using \
+             pools at once, or the pool was touched during this thread's teardown"
+        )
+    });
+    (slot.index, slot.tenure)
 }
 
 /// The lock-free mapping table: the published current descriptor, the
@@ -618,7 +607,6 @@ impl MapTable {
     #[inline]
     fn pin(&self) -> (RawMap, Option<usize>) {
         if self.direct {
-            MAP_DIRECT.incr();
             // Fixed-size pool: the descriptor is immutable for the pool's
             // lifetime, so one relaxed load is the whole fast path.
             let d = self.current.load(Ordering::Relaxed);
@@ -1228,6 +1216,9 @@ impl FilePool {
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn map_ref(&self) -> pmem::MapRef<'_> {
+        if self.maps.direct {
+            MAP_DIRECT.incr();
+        }
         let map = self.map();
         let (raw, slot) = (map.raw, map.slot);
         std::mem::forget(map); // keep the pin; MapRef::drop releases it

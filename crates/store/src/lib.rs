@@ -73,13 +73,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod crc;
 pub mod file_pool;
 pub mod mmap;
 
-pub use crc::crc32;
 pub use file_pool::{
     copy_pool_file, FileConfig, FilePool, PoolGeometry, SyncPolicy, FORMAT_MINOR, FORMAT_VERSION,
     HEADER_LEN, MAGIC,
 };
 pub use mmap::MmapRegion;
+pub use obs::crc::{self, crc32};

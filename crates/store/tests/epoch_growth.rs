@@ -216,6 +216,57 @@ fn a_genuinely_out_of_bounds_op_panics_instead_of_dereferencing() {
     pool.load_u64(len); // one word past the end
 }
 
+/// The same through `PmemPool` on a fixed-size pool, where word accesses
+/// are served inline from the mapping and never reach `FilePool`: the
+/// bounds check there is an `assert!`, so this panics under `--release`
+/// exactly as it does in debug.
+#[test]
+#[should_panic(expected = "pool access out of bounds")]
+fn an_out_of_bounds_op_on_the_inline_word_path_panics() {
+    let path = test_path("oob-inline");
+    let pool = FilePool::create(&path, FileConfig::with_size(256 << 10))
+        .unwrap()
+        .into_pool();
+    let _ = std::fs::remove_file(&path);
+    assert!(!pool.map_ref().unwrap().is_pinned(), "fixed-size: inline");
+    let len = pool.len() as u32;
+    pool.store_u64(len - 8, 1); // the last word is fine
+    pool.store_u64(len, 1); // one word past the end
+}
+
+/// An elastic pool's view is pinned, so `PmemPool` must not keep it: word
+/// accesses go through `FilePool` per operation and therefore reach
+/// offsets that did not exist when the `PmemPool` was built.
+#[test]
+fn an_elastic_pool_is_not_given_the_inline_view_and_follows_growth() {
+    let path = test_path("elastic-not-inline");
+    let pool = FilePool::create(
+        &path,
+        FileConfig::with_size(256 << 10).with_growth(256 << 10),
+    )
+    .unwrap()
+    .into_pool();
+    assert!(pool.map_ref().unwrap().is_pinned());
+    let old_len = pool.len();
+    // Allocate until an offset lands beyond the creation-time mapping.
+    let off = loop {
+        let off = pool.alloc_raw(4096, 64);
+        if off as usize >= old_len {
+            break off;
+        }
+    };
+    assert!(pool.growth_epoch() >= 1 && pool.len() > old_len);
+    pool.store_u64(off, 7);
+    assert_eq!(pool.load_u64(off), 7);
+    assert_eq!(pool.cas_u64(off, 7, 8), Ok(7));
+    assert_eq!(pool.fetch_add_u64(off, 2), 8);
+    assert_eq!(pool.swap_u64(off, 11), 10);
+    let s = pool.stats();
+    assert_eq!((s.loads, s.stores, s.cas_ops), (1, 1, 3));
+    drop(pool);
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// `MapRef::addr` validates the whole access span, not just the first
 /// byte: a multi-byte access starting near the tail is refused.
 #[test]

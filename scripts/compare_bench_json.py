@@ -6,13 +6,17 @@ Baselines live in `bench-baselines/` (same filenames the perf-track CI job
 produces; see bench-baselines/README.md for regeneration). Matching is by
 file basename, then by experiment name, then by per-row identity keys.
 
-Two kinds of bands, chosen per metric:
+Three kinds of bands, chosen per metric:
 
 * **deterministic** — persist/fence counts the algorithms guarantee; they
   must stay within a tight ratio band of the baseline in *both*
   directions (an unexplained improvement is as suspicious as a
   regression: it usually means the experiment stopped measuring what it
   claims to).
+* **within-run ratio** — the fastpath artifact carries its own floor
+  (`raw_load_ns`, the load chain on bare atomics): the direct row's
+  `load_ns` must stay within 2x of it. Both sides come from the current
+  run, so the band is tight without depending on the runner.
 * **throughput/latency** — wall-clock dependent; CI machines are noisy
   and heterogeneous, so only the regression direction is gated, with a
   deliberately loose factor. The trajectory table (printed for every
@@ -84,6 +88,12 @@ RULES = {
     "blackbox": (None, []),
 }
 
+# A direct-mode (fixed-size pool) word access must cost about what the
+# paper's model charges for it: the `load_u64` chain within this factor of
+# the same chain on bare atomics, both measured in the current run, so the
+# bound is independent of the runner's clock.
+MAX_DIRECT_LOAD_VS_RAW = 2.0
+
 # The group-commit layer must keep proving its win: at the highest swept
 # producer count, the best coalesced rate over the per-thread rate. Kept
 # below the ~2x the experiment shows on quiet hardware — this is a cliff
@@ -151,6 +161,14 @@ def compare_experiment(gate, name, base_obj, cur_obj, ctx):
                 gate.fail(f"{rctx}: metric {metric!r} missing")
                 continue
             gate.check(rctx, metric, base_row[metric], cur_row[metric], kind, bound)
+    if name == "fastpath":
+        raw = cur_obj.get("raw_load_ns")
+        direct = cur_rows.get(("direct",), {}).get("load_ns")
+        if not raw or direct is None:
+            gate.fail(f"{ctx}: needs raw_load_ns and a direct row's load_ns")
+        else:
+            gate.check(f"{ctx}[direct]", "load_ns vs raw_load_ns", raw, direct,
+                       "ceil", MAX_DIRECT_LOAD_VS_RAW)
     if name == "group_commit":
         speedup = cur_obj.get("speedup", {})
         gate.check(ctx, "speedup", MIN_GC_SPEEDUP, speedup.get("speedup", 0.0),

@@ -228,6 +228,8 @@ def check_fastpath(obj, ctx):
         "true (the epoch-scheme marker)",
         ctx,
     )
+    # The floor the direct row is gated against (compare_bench_json.py).
+    require(obj, "raw_load_ns", lambda v: is_num(v) and v > 0, "a positive number", ctx)
     check_rows(
         obj,
         ctx,
@@ -408,6 +410,20 @@ def self_test():
                  "post_flush_per_op": 0.0},
             ],
         },
+        {
+            "experiment": "fastpath",
+            "meta": meta(),
+            "ops": 20000,
+            "trials": 3,
+            "lock_free_fast_path": True,
+            "raw_load_ns": 1.7,
+            "rows": [
+                {"mode": "direct", "grow_step": 0, "load_ns": 2.6,
+                 "persist_ns": 300.0, "map_ref_ns": 10.0},
+                {"mode": "epoch", "grow_step": 1048576, "load_ns": 31.0,
+                 "persist_ns": 330.0, "map_ref_ns": 20.0},
+            ],
+        },
     ]
     validate_data(good, "self-test:good")
 
@@ -439,6 +455,7 @@ def self_test():
          mutated(lambda d: d[0]["rows"][0].update(window_us=5))),
         ("string count",
          mutated(lambda d: d[1]["rows"][0].update(enq_fences="2"))),
+        ("fastpath without its raw floor", mutated(del_key([2], "raw_load_ns"))),
         ("non-list document", {"experiment": "counts"}),
     ]
     for what, doc in rejects:

@@ -29,10 +29,7 @@ use crate::group::{GroupConfig, GroupedQueue, GROUPS_DIR};
 use crate::queue::{LeaseConfig, LeasedQueue};
 use crate::segments::DEFAULT_ROTATE_RECORDS;
 use durable_queues::{DurableQueue, QueueConfig, RecoverableQueue};
-use shard::{
-    GroupRecovery, LeaseRecovery, RecoveryOrchestrator, RecoveryReport, ShardConfig, ShardManifest,
-    ShardedQueue,
-};
+use shard::{RecoveryOrchestrator, RecoveryReport, ShardConfig, ShardManifest, ShardedQueue};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -134,13 +131,7 @@ pub fn open_leased_dir<Q: RecoverableQueue + 'static>(
     });
     let (leased, rec) = repaired?;
     report.phases.push(repair_phase);
-    report.lease = Some(LeaseRecovery {
-        unacked: rec.unacked,
-        redelivered: rec.redelivered,
-        dead_lettered: rec.dead_lettered,
-        tx_acked: rec.tx_acked,
-        log_records: rec.log_records,
-    });
+    report.lease = Some(rec);
     Ok((leased, report, manifest))
 }
 
@@ -268,19 +259,7 @@ pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
     });
     let (grouped, recs) = repaired?;
     report.phases.push(repair_phase);
-    report.groups = recs
-        .into_iter()
-        .map(|r| GroupRecovery {
-            name: r.name,
-            unacked: r.unacked,
-            redelivered: r.redelivered,
-            dead_lettered: r.dead_lettered,
-            tx_acked: r.tx_acked,
-            log_records: r.log_records,
-            segments: r.segments,
-            retired_leftovers: r.retired_leftovers,
-        })
-        .collect();
+    report.groups = recs;
     Ok((Arc::new(grouped), report, manifest))
 }
 

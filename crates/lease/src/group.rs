@@ -8,10 +8,10 @@
 //! production broker ships. Each group owns:
 //!
 //! * a **[`SegmentedLog`]** in `groups/<name>/` — the same 40-byte CRC'd
-//!   records as the single-consumer ack log, but rotating segments replace
+//!   records as the single-file ack log, but rotating segments replace
 //!   whole-file compaction (see the [`segments`](crate::segments) docs),
-//! * its **own in-memory lease state behind its own lock** — competing
-//!   consumers of group A never contend with group B's,
+//! * its **own cursor of the crate's settlement engine, behind its own
+//!   lock** — competing consumers of group A never contend with group B's,
 //! * its own dead-letter queue and delivery accounting.
 //!
 //! # Dispatch: the fan-out commit discipline
@@ -24,9 +24,9 @@
 //! upsert that may precede any grant, so the per-group delivery cursor is
 //! implicit in the per-group log, and recovery needs no new machinery. A
 //! crash mid-fan-out loses the in-transit item only for the groups whose
-//! `PEND` had not landed — the same ≤ 1 in-transit item window the
-//! single-consumer layer documents for its pop-to-grant gap, now per
-//! group.
+//! `PEND` had not landed — the same ≤ 1 in-transit item window a
+//! [`LeasedQueue`](crate::LeasedQueue) has between its pop and its
+//! `GRANT`, now per group.
 //!
 //! Grants then always come from the group's pending set (`GRANT` with
 //! `prev` = the pend's lease id), under that group's lock only: the
@@ -38,15 +38,14 @@
 //! `(group, tid)` so the same consumer thread can ack in several groups
 //! without clobbering its repair window.
 
-use crate::log::{Record, RecordKind};
+use crate::engine::{Consumer, Instruments, Settings};
 use crate::queue::{Lease, LeaseError, Redelivery};
 use crate::segments::{SegmentedLog, DEFAULT_ROTATE_RECORDS};
 use durable_queues::{DurableQueue, KeyedQueue};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,11 +53,13 @@ use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
 static DISPATCHES: LazyCounter = LazyCounter::new("lease.group.dispatch");
-static GRANTS: LazyCounter = LazyCounter::new("lease.group.grant");
-static ACKS: LazyCounter = LazyCounter::new("lease.group.ack");
-static NACKS: LazyCounter = LazyCounter::new("lease.group.nack");
-static EXPIRIES: LazyCounter = LazyCounter::new("lease.group.expire");
-static DEAD: LazyCounter = LazyCounter::new("lease.group.dead");
+static INSTRUMENTS: Instruments = Instruments {
+    grant: LazyCounter::new("lease.group.grant"),
+    ack: LazyCounter::new("lease.group.ack"),
+    nack: LazyCounter::new("lease.group.nack"),
+    expire: LazyCounter::new("lease.group.expire"),
+    dead: LazyCounter::new("lease.group.dead"),
+};
 
 /// Directory (inside a grouped deployment) holding one subdirectory per
 /// consumer group.
@@ -129,6 +130,17 @@ impl GroupConfig {
 
     fn group_dir(&self, name: &str) -> PathBuf {
         self.dir.join(GROUPS_DIR).join(name)
+    }
+
+    /// Group `stripe`'s engine settings: the `lease.group.*` instruments
+    /// and its own stripe of the exactly-once cursor.
+    fn settings(&self, stripe: usize) -> Settings {
+        Settings {
+            lease_timeout: self.lease_timeout,
+            max_deliveries: self.max_deliveries,
+            instruments: &INSTRUMENTS,
+            stripe,
+        }
     }
 
     fn validate(&self, dlqs: &[Option<Arc<dyn DurableQueue>>]) -> io::Result<()> {
@@ -212,87 +224,23 @@ pub struct GroupStats {
     pub segments: u32,
 }
 
-/// What grouped recovery reconstructed for one group.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupRecovered {
-    /// The group's name.
-    pub name: String,
-    /// Leases in a consumer's hands at the crash, requeued with an
-    /// incremented delivery count.
-    pub unacked: u64,
-    /// Total items requeued for redelivery in this group.
-    pub redelivered: u64,
-    /// Items dead-lettered during recovery (next delivery would exceed the
-    /// budget).
-    pub dead_lettered: u64,
-    /// Leases retired because the exactly-once cursor stripe proved their
-    /// ack transaction committed.
-    pub tx_acked: u64,
-    /// Valid segment-log records replayed.
-    pub log_records: u64,
-    /// Segment files present after replay.
-    pub segments: u32,
-    /// Already-retired segment files deleted on open (interrupted
-    /// retirement roll-forward).
-    pub retired_leftovers: u32,
-}
-
-struct InFlight {
-    item: u64,
-    delivery_count: u32,
-    deadline: Instant,
-}
-
-struct PendingItem {
-    /// The lease this delivery supersedes (the `GRANT.prev` linkage; for a
-    /// fresh dispatch, the `PEND` record's own id).
-    prev: u64,
-    item: u64,
-    delivery_count: u32,
-}
-
-struct GroupState {
-    log: SegmentedLog,
-    inflight: HashMap<u64, InFlight>,
-    /// Expiry order with lazy deletion, as in the single-consumer layer.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
-    pending: VecDeque<PendingItem>,
-    /// Leases whose exactly-once settlement transaction is running outside
-    /// the lock (see the single-consumer layer's settling discipline).
-    settling: HashSet<u64>,
-    next_id: u64,
-    stats: GroupStats,
-}
-
-impl GroupState {
-    fn fresh(log: SegmentedLog) -> Self {
-        GroupState {
-            log,
-            inflight: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            settling: HashSet::new(),
-            // Id 0 stays reserved, as in the single-consumer layer.
-            next_id: 1,
-            stats: GroupStats::default(),
-        }
-    }
-}
+/// What grouped recovery reconstructed for one group — the same counts
+/// [`open_grouped_dir`](crate::open_grouped_dir) reports through
+/// [`shard::RecoveryReport::groups`].
+pub use shard::GroupRecovery as GroupRecovered;
 
 struct GroupSlot {
     name: String,
-    dlq: Option<Arc<dyn DurableQueue>>,
-    state: Mutex<GroupState>,
+    consumer: Consumer<SegmentedLog>,
 }
 
 /// A queue with consumer groups. See the [module docs](self).
 ///
 /// # Panics
 ///
-/// Like the single-consumer layer, consume-path methods panic if a
-/// segment-log append fails at the I/O level: a write of unknown
-/// durability makes every subsequent transition unsound, so the process
-/// must restart and replay.
+/// Consume-path methods panic if a segment-log append fails at the I/O
+/// level: a write of unknown durability makes every subsequent transition
+/// unsound, so the process must restart and replay.
 pub struct GroupedQueue<Q: DurableQueue> {
     base: Q,
     /// Serialises destructive base pops so each popped item is fanned out
@@ -300,8 +248,7 @@ pub struct GroupedQueue<Q: DurableQueue> {
     /// *entered by settlement paths* — only dispatch takes group locks
     /// under it, one at a time, in stripe order.
     dispatch: Mutex<()>,
-    lease_timeout: Duration,
-    max_deliveries: u32,
+    /// One per group, in stripe order; never empty.
     groups: Vec<GroupSlot>,
 }
 
@@ -317,20 +264,17 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     ) -> io::Result<Self> {
         config.validate(&dlqs)?;
         let mut groups = Vec::with_capacity(config.groups.len());
-        for (name, dlq) in config.groups.iter().zip(dlqs) {
+        for (stripe, (name, dlq)) in config.groups.iter().zip(dlqs).enumerate() {
             let log =
                 SegmentedLog::create(&config.group_dir(name), config.sync, config.rotate_records)?;
             groups.push(GroupSlot {
                 name: name.clone(),
-                dlq,
-                state: Mutex::new(GroupState::fresh(log)),
+                consumer: Consumer::fresh(log, dlq, config.settings(stripe)),
             });
         }
         Ok(GroupedQueue {
             base,
             dispatch: Mutex::new(()),
-            lease_timeout: config.lease_timeout,
-            max_deliveries: config.max_deliveries,
             groups,
         })
     }
@@ -368,85 +312,30 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         }
         let mut groups = Vec::with_capacity(config.groups.len());
         let mut reports = Vec::with_capacity(config.groups.len());
-        for (gi, (name, dlq)) in config.groups.iter().zip(dlqs).enumerate() {
-            let (mut log, gr) =
+        for (stripe, (name, dlq)) in config.groups.iter().zip(dlqs).enumerate() {
+            let (log, gr) =
                 SegmentedLog::replay(&config.group_dir(name), config.sync, config.rotate_records)?;
-            let mut report = GroupRecovered {
-                name: name.clone(),
-                log_records: gr.replay.records,
-                segments: gr.segments,
-                retired_leftovers: gr.retired_leftovers,
-                ..GroupRecovered::default()
-            };
-            let mut live = gr.replay.live;
-            let next_id = gr.replay.next_lease_id.max(1);
-            if let Some(eo) = cursor {
-                for id in eo.acked_ids_in(gi, gr.replay.generation) {
-                    if live.remove(&id).is_some() {
-                        // The consumer's transaction committed; only this
-                        // group's sidecar ack record was lost. Repair it.
-                        log.append(
-                            &Record {
-                                kind: RecordKind::Ack,
-                                delivery_count: 0,
-                                lease_id: id,
-                                item: 0,
-                                prev_lease_id: 0,
-                            },
-                            next_id,
-                        )?;
-                        report.tx_acked += 1;
-                    }
-                }
-            }
-            let mut pending = VecDeque::new();
-            // BTreeMap iteration = lease-id order = grant order.
-            for (id, lease) in live {
-                let next = if lease.granted {
-                    report.unacked += 1;
-                    lease.delivery_count + 1
-                } else {
-                    lease.delivery_count
-                };
-                if config.max_deliveries > 0 && next > config.max_deliveries {
-                    let dlq = dlq.as_ref().expect("checked by validate");
-                    dlq.enqueue(0, lease.item);
-                    log.append(
-                        &Record {
-                            kind: RecordKind::Dead,
-                            delivery_count: 0,
-                            lease_id: id,
-                            item: 0,
-                            prev_lease_id: 0,
-                        },
-                        next_id,
-                    )?;
-                    report.dead_lettered += 1;
-                } else {
-                    pending.push_back(PendingItem {
-                        prev: id,
-                        item: lease.item,
-                        delivery_count: next,
-                    });
-                    report.redelivered += 1;
-                }
-            }
-            let mut state = GroupState::fresh(log);
-            state.pending = pending;
-            state.next_id = next_id;
+            let (consumer, r) =
+                Consumer::recover(log, gr.replay, dlq, config.settings(stripe), cursor)?;
             groups.push(GroupSlot {
                 name: name.clone(),
-                dlq,
-                state: Mutex::new(state),
+                consumer,
             });
-            reports.push(report);
+            reports.push(GroupRecovered {
+                name: name.clone(),
+                unacked: r.unacked,
+                redelivered: r.redelivered,
+                dead_lettered: r.dead_lettered,
+                tx_acked: r.tx_acked,
+                log_records: r.log_records,
+                segments: gr.segments,
+                retired_leftovers: gr.retired_leftovers,
+            });
         }
         Ok((
             GroupedQueue {
                 base,
                 dispatch: Mutex::new(()),
-                lease_timeout: config.lease_timeout,
-                max_deliveries: config.max_deliveries,
                 groups,
             },
             reports,
@@ -498,21 +387,22 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
 
     /// The named group's dead-letter queue, if one is attached.
     pub fn dlq(&self, name: &str) -> Option<&Arc<dyn DurableQueue>> {
-        self.groups.iter().find(|g| g.name == name)?.dlq.as_ref()
+        self.groups.iter().find(|g| g.name == name)?.consumer.dlq()
     }
 
-    /// The configured lease timeout.
+    /// The configured lease timeout (one value for every group).
     pub fn lease_timeout(&self) -> Duration {
-        self.lease_timeout
+        self.groups[0].consumer.settings().lease_timeout
     }
 
-    /// The configured delivery budget (`0` = unlimited).
+    /// The configured delivery budget (`0` = unlimited; one value for
+    /// every group).
     pub fn max_deliveries(&self) -> u32 {
-        self.max_deliveries
+        self.groups[0].consumer.settings().max_deliveries
     }
 
     // ------------------------------------------------------------------
-    // Consume side (via ConsumerGroup)
+    // Dispatch
     // ------------------------------------------------------------------
 
     /// Pops one item from the base queue and durably fans it out: one
@@ -524,27 +414,7 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
             return false;
         };
         for slot in &self.groups {
-            let mut st = slot.state.lock();
-            let id = st.next_id;
-            st.next_id += 1;
-            let next_id = st.next_id;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: 1,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
-            st.pending.push_back(PendingItem {
-                prev: id,
-                item,
-                delivery_count: 1,
-            });
-            st.stats.dispatched += 1;
+            slot.consumer.offer(item);
         }
         DISPATCHES.incr();
         obs::flight::record(EventKind::LeaseDispatch, item, self.groups.len() as u64);
@@ -552,14 +422,11 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     }
 
     fn dequeue_in(&self, group: usize, tid: usize) -> Option<Lease> {
+        let consumer = &self.groups[group].consumer;
         loop {
             let now = Instant::now();
-            {
-                let mut st = self.groups[group].state.lock();
-                self.reap_locked(group, &mut st, tid, now);
-                if let Some(p) = st.pending.pop_front() {
-                    return Some(self.grant_locked(group, &mut st, now, p));
-                }
+            if let Some(lease) = consumer.grant_pending(tid, now) {
+                return Some(lease);
             }
             // Pending is dry: pull one item from the base queue for every
             // group, then loop to compete for our group's copy.
@@ -570,275 +437,9 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
             if !dispatched {
                 // The base is empty, but a racing dispatcher may have
                 // fanned out between our two lock scopes.
-                let mut st = self.groups[group].state.lock();
-                self.reap_locked(group, &mut st, tid, now);
-                let p = st.pending.pop_front()?;
-                return Some(self.grant_locked(group, &mut st, now, p));
+                return consumer.grant_pending(tid, now);
             }
         }
-    }
-
-    fn grant_locked(
-        &self,
-        group: usize,
-        st: &mut GroupState,
-        now: Instant,
-        p: PendingItem,
-    ) -> Lease {
-        let id = st.next_id;
-        st.next_id += 1;
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Grant,
-                delivery_count: p.delivery_count,
-                lease_id: id,
-                item: p.item,
-                prev_lease_id: p.prev,
-            },
-            next_id,
-        );
-        let deadline = now + self.lease_timeout;
-        st.inflight.insert(
-            id,
-            InFlight {
-                item: p.item,
-                delivery_count: p.delivery_count,
-                deadline,
-            },
-        );
-        st.deadlines.push(Reverse((deadline, id)));
-        st.stats.granted += 1;
-        GRANTS.incr();
-        obs::flight::record(EventKind::LeaseGrant, id, p.item);
-        if p.delivery_count > 1 {
-            st.stats.redelivered += 1;
-        }
-        let _ = group;
-        Lease {
-            id,
-            item: p.item,
-            delivery_count: p.delivery_count,
-            deadline,
-        }
-    }
-
-    fn ack_in(&self, group: usize, lease: &Lease) -> Result<(), LeaseError> {
-        let mut st = self.groups[group].state.lock();
-        if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
-            return Err(LeaseError::NotInFlight);
-        }
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-            next_id,
-        );
-        st.stats.acked += 1;
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        Ok(())
-    }
-
-    fn nack_in(&self, group: usize, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
-        let mut st = self.groups[group].state.lock();
-        if st.settling.contains(&lease.id) {
-            return Err(LeaseError::NotInFlight);
-        }
-        let Some(f) = st.inflight.remove(&lease.id) else {
-            return Err(LeaseError::NotInFlight);
-        };
-        st.stats.nacked += 1;
-        NACKS.incr();
-        let outcome = self.settle_returned(group, &mut st, tid, lease.id, f.item, f.delivery_count);
-        if let Redelivery::Requeued {
-            next_delivery_count,
-        } = outcome
-        {
-            obs::flight::record(EventKind::LeaseNack, lease.id, next_delivery_count as u64);
-        }
-        Ok(outcome)
-    }
-
-    fn reap_in(&self, group: usize, tid: usize) -> usize {
-        let mut st = self.groups[group].state.lock();
-        self.reap_locked(group, &mut st, tid, Instant::now())
-    }
-
-    fn reap_locked(&self, group: usize, st: &mut GroupState, tid: usize, now: Instant) -> usize {
-        let mut reaped = 0;
-        while let Some(&Reverse((deadline, id))) = st.deadlines.peek() {
-            // Lazy deletion: the heap entry is stale unless the lease is
-            // still in flight with exactly this deadline. A stale top goes
-            // whatever the clock says — otherwise, under a timeout that
-            // outlives the run, every settled grant would stay in the heap.
-            let live = st.inflight.get(&id).is_some_and(|f| f.deadline == deadline);
-            if live && deadline > now {
-                break;
-            }
-            st.deadlines.pop();
-            if !live {
-                continue;
-            }
-            let f = st.inflight.remove(&id).unwrap();
-            st.stats.expired += 1;
-            EXPIRIES.incr();
-            let outcome = self.settle_returned(group, st, tid, id, f.item, f.delivery_count);
-            if let Redelivery::Requeued {
-                next_delivery_count,
-            } = outcome
-            {
-                obs::flight::record(EventKind::LeaseExpire, id, next_delivery_count as u64);
-            }
-            reaped += 1;
-        }
-        reaped
-    }
-
-    fn settle_returned(
-        &self,
-        group: usize,
-        st: &mut GroupState,
-        tid: usize,
-        id: u64,
-        item: u64,
-        delivery_count: u32,
-    ) -> Redelivery {
-        let next_id = st.next_id;
-        if self.max_deliveries > 0 && delivery_count >= self.max_deliveries {
-            // DLQ enqueue first, DEAD record second — the same duplicate-
-            // not-lose ordering as the single-consumer layer.
-            let dlq = self.groups[group]
-                .dlq
-                .as_ref()
-                .expect("checked by validate");
-            dlq.enqueue(tid, item);
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
-            st.stats.dead_lettered += 1;
-            DEAD.incr();
-            obs::flight::record(EventKind::LeaseDead, id, item);
-            Redelivery::DeadLettered
-        } else {
-            let next = delivery_count + 1;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: next,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
-            st.pending.push_back(PendingItem {
-                prev: id,
-                item,
-                delivery_count: next,
-            });
-            Redelivery::Requeued {
-                next_delivery_count: next,
-            }
-        }
-    }
-
-    fn stats_in(&self, group: usize) -> GroupStats {
-        let st = self.groups[group].state.lock();
-        let mut s = st.stats;
-        s.rotations = st.log.rotations();
-        s.segments_retired = st.log.retired();
-        s.log_records = st.log.records();
-        s.segments = st.log.segments();
-        s
-    }
-
-    fn ack_exactly_once_in<R>(
-        &self,
-        group: usize,
-        tid: usize,
-        lease: &Lease,
-        eo: &crate::tx::ExactlyOnce,
-        body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
-    ) -> Result<R, LeaseError> {
-        // Validate the cursor address before anything runs or is marked
-        // settling (the single-consumer layer's tid fix, plus the stripe
-        // bound the (group, tid) addressing adds).
-        if tid >= pmem::MAX_THREADS {
-            return Err(LeaseError::ThreadOutOfRange {
-                tid,
-                max: pmem::MAX_THREADS,
-            });
-        }
-        if group >= eo.groups() {
-            return Err(LeaseError::GroupOutOfRange {
-                group,
-                groups: eo.groups(),
-            });
-        }
-        let state = &self.groups[group].state;
-        let generation = {
-            let mut st = state.lock();
-            let in_pending = st.pending.iter().any(|p| p.prev == lease.id);
-            if st.settling.contains(&lease.id)
-                || (!st.inflight.contains_key(&lease.id) && !in_pending)
-            {
-                return Err(LeaseError::NotInFlight);
-            }
-            st.settling.insert(lease.id);
-            st.log.generation()
-        };
-        let mut mark = GroupSettlingMark {
-            state,
-            id: lease.id,
-            armed: true,
-        };
-        let out = eo.run(group, tid, lease.id, generation, body);
-        let mut st = state.lock();
-        st.settling.remove(&lease.id);
-        mark.armed = false;
-        if st.inflight.remove(&lease.id).is_some() {
-            st.stats.acked += 1;
-        } else if let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) {
-            // Expired mid-transaction but not regranted: the committed ack
-            // wins, cancel the redelivery.
-            st.pending.remove(pos);
-            st.stats.acked += 1;
-        } else {
-            st.stats.late_acks += 1;
-            return Ok(out);
-        }
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-            next_id,
-        );
-        Ok(out)
     }
 }
 
@@ -847,32 +448,6 @@ impl<Q: KeyedQueue> GroupedQueue<Q> {
     /// a key-hash sharded queue).
     pub fn enqueue_keyed(&self, tid: usize, key: u64, item: u64) {
         self.base.enqueue_keyed(tid, key, item);
-    }
-}
-
-/// Removes a lease's *settling* mark on unwind; disarmed on the normal
-/// path (the group twin of the single-consumer layer's mark).
-struct GroupSettlingMark<'a> {
-    state: &'a Mutex<GroupState>,
-    id: u64,
-    armed: bool,
-}
-
-impl Drop for GroupSettlingMark<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.state.lock().settling.remove(&self.id);
-        }
-    }
-}
-
-fn append_or_die(log: &mut SegmentedLog, rec: &Record, next_lease_id: u64) {
-    if let Err(e) = log.append(rec, next_lease_id) {
-        panic!(
-            "segment log append failed ({}): {e}; the log's durability is now \
-             unknowable, restart and replay",
-            log.dir().display()
-        );
     }
 }
 
@@ -893,6 +468,10 @@ impl<Q: DurableQueue> Clone for ConsumerGroup<Q> {
 }
 
 impl<Q: DurableQueue> ConsumerGroup<Q> {
+    fn consumer(&self) -> &Consumer<SegmentedLog> {
+        &self.shared.groups[self.group].consumer
+    }
+
     /// The group's name.
     pub fn name(&self) -> &str {
         &self.shared.groups[self.group].name
@@ -920,19 +499,19 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
     /// Durably retires `lease` within this group. Other groups' copies of
     /// the item are untouched.
     pub fn ack(&self, lease: &Lease) -> Result<(), LeaseError> {
-        self.shared.ack_in(self.group, lease)
+        self.consumer().ack(lease)
     }
 
     /// Returns `lease` unprocessed: requeued for redelivery within this
     /// group, or dead-lettered past the budget.
     pub fn nack(&self, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
-        self.shared.nack_in(self.group, tid, lease)
+        self.consumer().nack(tid, lease)
     }
 
     /// Reaps this group's expired leases (also runs at the start of every
     /// [`dequeue`](Self::dequeue)). Returns the number reaped.
     pub fn reap_expired(&self, tid: usize) -> usize {
-        self.shared.reap_in(self.group, tid)
+        self.consumer().reap_expired(tid)
     }
 
     /// Acks `lease` and the consumer's own writes in one redo-log
@@ -951,29 +530,41 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
         eo: &crate::tx::ExactlyOnce,
         body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
     ) -> Result<R, LeaseError> {
-        self.shared
-            .ack_exactly_once_in(self.group, tid, lease, eo, body)
+        self.consumer().ack_exactly_once(tid, lease, eo, body)
     }
 
     /// Volatile counters since creation/recovery, segment accounting
     /// included.
     pub fn stats(&self) -> GroupStats {
-        self.shared.stats_in(self.group)
+        self.consumer().observe(|c, log| GroupStats {
+            dispatched: c.offered,
+            granted: c.granted,
+            redelivered: c.redelivered,
+            acked: c.acked,
+            nacked: c.nacked,
+            expired: c.expired,
+            dead_lettered: c.dead_lettered,
+            late_acks: c.late_acks,
+            rotations: log.rotations(),
+            segments_retired: log.retired(),
+            log_records: log.records(),
+            segments: log.segments(),
+        })
     }
 
     /// Leases currently in this group's consumers' hands.
     pub fn in_flight(&self) -> usize {
-        self.shared.groups[self.group].state.lock().inflight.len()
+        self.consumer().in_flight()
     }
 
     /// Items awaiting (re)delivery in this group.
     pub fn pending_redelivery(&self) -> usize {
-        self.shared.groups[self.group].state.lock().pending.len()
+        self.consumer().pending()
     }
 
     /// This group's dead-letter queue, if one is attached.
     pub fn dlq(&self) -> Option<&Arc<dyn DurableQueue>> {
-        self.shared.groups[self.group].dlq.as_ref()
+        self.consumer().dlq()
     }
 }
 
@@ -1011,29 +602,6 @@ mod tests {
 
     fn no_dlqs(n: usize) -> Vec<Option<Arc<dyn DurableQueue>>> {
         (0..n).map(|_| None).collect()
-    }
-
-    /// Regression: see `settled_leases_do_not_pile_up_in_the_deadline_heap`
-    /// in `queue.rs` — the same heap, per group.
-    #[test]
-    fn settled_leases_do_not_pile_up_in_a_groups_deadline_heap() {
-        let dir = tmp("heap-bound");
-        let config = GroupConfig::new(&dir, ["only"]).with_timeout(Duration::from_secs(24 * 3600));
-        let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), config).unwrap());
-        let group = q.group("only").unwrap();
-        for i in 1..=100_000u64 {
-            q.enqueue(0, i);
-            let lease = group.dequeue(0).unwrap();
-            group.ack(&lease).unwrap();
-            let st = q.groups[0].state.lock();
-            assert!(
-                st.deadlines.len() <= st.inflight.len() + 1,
-                "cycle {i}: {} heap entries for {} leases in flight",
-                st.deadlines.len(),
-                st.inflight.len()
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

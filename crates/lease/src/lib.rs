@@ -25,31 +25,40 @@
 //!                          dead-letter queue (DEAD)
 //! ```
 //!
-//! Every transition is one CRC'd record appended to a sidecar ack log
-//! (`LEASES.log`, [`log`] module) — fsync'd per append under the
-//! power-fail tier — so a restart replays the log and every lease without
-//! a terminal record becomes redeliverable with an incremented delivery
-//! count: **at-least-once** delivery. Items that exhaust their delivery
-//! budget overflow to a dead-letter queue, itself a durable queue in the
-//! same directory.
+//! Every transition is one CRC'd 40-byte record appended to a journal —
+//! fsync'd per append under the power-fail tier — *before* it is acted on,
+//! so a restart replays the journal and every lease without a terminal
+//! record becomes redeliverable with an incremented delivery count:
+//! **at-least-once** delivery. Items that exhaust their delivery budget
+//! overflow to a dead-letter queue, itself a durable queue in the same
+//! directory.
+//!
+//! # One state machine, two journals
+//!
+//! The state machine is implemented once, in the crate-private `engine`
+//! module: one delivery cursor (in-flight leases, deadline heap, pending
+//! queue, lease-id counter) behind one lock, generic over the journal it
+//! appends to. Two public surfaces sit on it and differ in nothing else:
+//!
+//! * [`LeasedQueue`] ([`queue`]) — a single cursor over the single-file
+//!   [`AckLog`] (`LEASES.log`, [`log`] module), whose retired prefix is
+//!   reclaimed by whole-file compaction. A fresh item is granted straight
+//!   off the base queue's destructive pop.
+//! * [`GroupedQueue`] ([`group`]) — **consumer groups**: every item is
+//!   fanned out to N groups, each its own cursor behind its own lock over
+//!   its own directory of rotating segments ([`SegmentedLog`],
+//!   [`segments`] module: rotation plus retirement of fully-settled
+//!   segments instead of stop-the-world compaction), while consumers
+//!   *within* a group compete for disjoint subsets. A fresh item is first
+//!   recorded as pending in every group, then granted from there.
 //!
 //! The [`tx`] module upgrades the ack side to **exactly-once handoff**:
-//! [`LeasedQueue::ack_exactly_once`] runs the consumer's own state
+//! `ack_exactly_once` (on either surface) runs the consumer's own state
 //! transition and the ack in a single `crates/ptm` redo-log transaction,
 //! whose commit point settles both atomically; recovery repairs acks whose
-//! sidecar record was lost to the crash instead of redelivering.
-//!
-//! The [`group`] module generalises the consume side to **consumer
-//! groups**: a [`GroupedQueue`] fans every item out to N groups — each
-//! with an independent delivery cursor, so each group sees every item —
-//! while consumers *within* a group compete for disjoint subsets. Each
-//! group's transitions land in its own directory of rotating ack-log
-//! segments ([`segments`] module): same 40-byte records, but segment
-//! rotation plus retirement of fully-settled segments replaces the
-//! single-file log's stop-the-world compaction, and the per-group locks
-//! keep competing consumers of different groups off each other's mutex.
-//! The exactly-once cursor stripes by `(group, tid)` so the same
-//! consumer thread can settle in several groups.
+//! sidecar record was lost to the crash instead of redelivering. The
+//! cursor stripes by `(group, tid)` — a [`LeasedQueue`] is stripe 0 — so
+//! the same consumer thread can settle in several groups.
 //!
 //! [`dir`] packages the whole thing as one directory — sharded base
 //! queue, dead-letter pool(s), ack log or per-group segment directories —
@@ -60,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod dir;
+mod engine;
 pub mod group;
 pub mod log;
 pub mod queue;

@@ -50,11 +50,16 @@
 //! mismatch in the *interior* of the file, which indicate real damage
 //! rather than a mid-append crash.
 
+use crate::engine::Journal;
+use obs::flight::EventKind;
+use obs::LazyCounter;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use store::{crc32, SyncPolicy};
+
+static COMPACTIONS: LazyCounter = LazyCounter::new("lease.compaction");
 
 /// File name of the ack log inside a leased-queue directory.
 pub const LEASE_LOG_FILE: &str = "LEASES.log";
@@ -126,6 +131,54 @@ pub struct Record {
 }
 
 impl Record {
+    /// `GRANT`: lease `id` now owns `item` on its `delivery_count`-th
+    /// delivery, superseding lease `prev` (`0` = none).
+    pub(crate) fn grant(id: u64, item: u64, delivery_count: u32, prev: u64) -> Record {
+        Record {
+            kind: RecordKind::Grant,
+            delivery_count,
+            lease_id: id,
+            item,
+            prev_lease_id: prev,
+        }
+    }
+
+    /// `PEND`: `item` awaits a delivery that will carry `next_count`,
+    /// under lease id `id`.
+    pub(crate) fn pend(id: u64, item: u64, next_count: u32) -> Record {
+        Record {
+            kind: RecordKind::Pend,
+            delivery_count: next_count,
+            lease_id: id,
+            item,
+            prev_lease_id: 0,
+        }
+    }
+
+    /// A terminal record (`ACK` or `DEAD`) for lease `id`.
+    pub(crate) fn terminal(kind: RecordKind, id: u64) -> Record {
+        Record {
+            kind,
+            delivery_count: 0,
+            lease_id: id,
+            item: 0,
+            prev_lease_id: 0,
+        }
+    }
+
+    /// What this record does to the live set.
+    pub(crate) fn effect(&self) -> Effect {
+        let (retired, live) = match self.kind {
+            RecordKind::Grant => (
+                (self.prev_lease_id != 0).then_some(self.prev_lease_id),
+                Some(self.lease_id),
+            ),
+            RecordKind::Pend => (None, Some(self.lease_id)),
+            RecordKind::Ack | RecordKind::Dead => (Some(self.lease_id), None),
+        };
+        Effect { retired, live }
+    }
+
     pub(crate) fn encode(&self) -> [u8; RECORD_LEN] {
         let mut buf = [0u8; RECORD_LEN];
         buf[0..4].copy_from_slice(&(self.kind as u32).to_le_bytes());
@@ -156,6 +209,14 @@ impl Record {
             prev_lease_id: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
         })
     }
+}
+
+/// The change one [`Record`] makes to the live set: the lease it retires,
+/// then the lease it makes (or keeps) live.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Effect {
+    pub retired: Option<u64>,
+    pub live: Option<u64>,
 }
 
 /// A lease that was live (no terminal record) when the log ended.
@@ -197,6 +258,37 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
+impl Replay {
+    /// Folds one valid record into the reconstruction — the one place that
+    /// knows what each [`RecordKind`] means for the live set, shared by
+    /// every log format. Returns the record's [`effect`](Record::effect)
+    /// for callers that track where live leases reside.
+    pub(crate) fn apply(&mut self, rec: &Record) -> Effect {
+        self.records += 1;
+        self.next_lease_id = self.next_lease_id.max(rec.lease_id + 1);
+        let effect = rec.effect();
+        if let Some(id) = effect.retired {
+            self.live.remove(&id);
+        }
+        if let Some(id) = effect.live {
+            self.live.insert(
+                id,
+                LiveLease {
+                    item: rec.item,
+                    delivery_count: rec.delivery_count,
+                    granted: rec.kind == RecordKind::Grant,
+                },
+            );
+        }
+        match rec.kind {
+            RecordKind::Ack => self.acked += 1,
+            RecordKind::Dead => self.dead += 1,
+            RecordKind::Grant | RecordKind::Pend => {}
+        }
+        effect
+    }
+}
+
 fn header_bytes(next_lease_id: u64, generation: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[0..8].copy_from_slice(&LOG_MAGIC);
@@ -233,6 +325,53 @@ pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
     )
 }
 
+/// Decodes the run of records in `body` — the bytes of `path` past its
+/// `header_len`-byte header — handing each to `each`, and returns how many
+/// bytes held valid records. Only the final record of an unsealed file may
+/// be torn (the caller chops that tail): an invalid record anywhere else
+/// would silently drop everything after it, and a `sealed` file was
+/// complete when its successor's header committed, so both are refused as
+/// real damage with an error naming the file.
+pub(crate) fn scan_records(
+    path: &Path,
+    header_len: usize,
+    body: &[u8],
+    sealed: bool,
+    mut each: impl FnMut(&Record),
+) -> io::Result<usize> {
+    let mut consumed = 0usize;
+    while body.len() - consumed >= RECORD_LEN {
+        let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
+            if sealed || body.len() - consumed > RECORD_LEN {
+                return Err(bad_data(
+                    path,
+                    format!(
+                        "corrupt record at byte {} ({}; refusing to drop {} trailing bytes)",
+                        header_len + consumed,
+                        if sealed {
+                            "inside a sealed segment"
+                        } else {
+                            "not at the tail"
+                        },
+                        body.len() - consumed
+                    ),
+                ));
+            }
+            break;
+        };
+        consumed += RECORD_LEN;
+        each(&rec);
+    }
+    let tail = body.len() - consumed;
+    if sealed && tail > 0 {
+        return Err(bad_data(
+            path,
+            format!("torn record of {tail} bytes inside a sealed segment"),
+        ));
+    }
+    Ok(consumed)
+}
+
 /// The append-only ack log. All mutation goes through the owning
 /// `LeasedQueue`'s lock, so the log itself is single-writer.
 #[derive(Debug)]
@@ -246,6 +385,12 @@ pub struct AckLog {
     /// The log's identity, fixed at create time and preserved by
     /// compaction (see the [module docs](self)).
     generation: u64,
+    /// Compact once the file holds more than this many records *and*
+    /// retired records dominate live ones 4:1 (`0` = never; the owner's
+    /// [`LeaseConfig::compact_after`](crate::LeaseConfig::compact_after)).
+    compact_after: u64,
+    /// Compactions performed since open.
+    compactions: u64,
 }
 
 impl AckLog {
@@ -275,6 +420,8 @@ impl AckLog {
             sync,
             records: 0,
             generation,
+            compact_after: 0,
+            compactions: 0,
         })
     }
 
@@ -336,61 +483,9 @@ impl AckLog {
             ..Replay::default()
         };
         let body = &bytes[HEADER_LEN..];
-        let mut consumed = 0usize;
-        while body.len() - consumed >= RECORD_LEN {
-            let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
-                // An invalid record mid-file would silently drop everything
-                // after it, so only the *final* full record may be torn.
-                if body.len() - consumed > RECORD_LEN {
-                    return Err(bad_data(
-                        &path,
-                        format!(
-                            "corrupt record at byte {} (not at the tail; refusing to \
-                             drop {} trailing bytes)",
-                            HEADER_LEN + consumed,
-                            body.len() - consumed
-                        ),
-                    ));
-                }
-                break;
-            };
-            consumed += RECORD_LEN;
-            replay.records += 1;
-            replay.next_lease_id = replay.next_lease_id.max(rec.lease_id + 1);
-            match rec.kind {
-                RecordKind::Grant => {
-                    if rec.prev_lease_id != 0 {
-                        replay.live.remove(&rec.prev_lease_id);
-                    }
-                    replay.live.insert(
-                        rec.lease_id,
-                        LiveLease {
-                            item: rec.item,
-                            delivery_count: rec.delivery_count,
-                            granted: true,
-                        },
-                    );
-                }
-                RecordKind::Ack => {
-                    replay.live.remove(&rec.lease_id);
-                    replay.acked += 1;
-                }
-                RecordKind::Pend => {
-                    replay.live.insert(
-                        rec.lease_id,
-                        LiveLease {
-                            item: rec.item,
-                            delivery_count: rec.delivery_count,
-                            granted: false,
-                        },
-                    );
-                }
-                RecordKind::Dead => {
-                    replay.live.remove(&rec.lease_id);
-                    replay.dead += 1;
-                }
-            }
-        }
+        let consumed = scan_records(&path, HEADER_LEN, body, false, |rec| {
+            replay.apply(rec);
+        })?;
         replay.torn_bytes = (body.len() - consumed) as u64;
         if replay.torn_bytes > 0 {
             // Chop the torn tail so the next append starts on a record
@@ -412,6 +507,8 @@ impl AckLog {
                 sync,
                 records,
                 generation,
+                compact_after: 0,
+                compactions: 0,
             },
             replay,
         ))
@@ -486,6 +583,56 @@ impl AckLog {
     /// The log file's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Arms compaction on the settlement path (`0` = never, the default).
+    pub(crate) fn set_compact_after(&mut self, records: u64) {
+        self.compact_after = records;
+    }
+
+    /// Compactions performed since open.
+    pub(crate) fn compactions(&self) -> u64 {
+        self.compactions
+    }
+}
+
+impl Journal for AckLog {
+    fn append(&mut self, rec: &Record, _next_lease_id: u64) -> io::Result<()> {
+        // The header's id mark is only rewritten by compaction; between
+        // compactions the GRANT records themselves witness it.
+        AckLog::append(self, rec)
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn location(&self) -> &Path {
+        &self.path
+    }
+
+    /// Compacts when retired records dominate the live set 4:1 past the
+    /// configured floor — the "acked prefix dominates" test. `live` only
+    /// holds live leases, so the id high-water mark rides the rewritten
+    /// header — without it, settling the highest-numbered leases and then
+    /// crashing would reuse their ids.
+    fn after_terminal(
+        &mut self,
+        next_lease_id: u64,
+        live_len: usize,
+        live: impl Iterator<Item = Record>,
+    ) -> io::Result<()> {
+        if self.compact_after == 0
+            || self.records <= self.compact_after
+            || self.records <= live_len as u64 * 4
+        {
+            return Ok(());
+        }
+        self.compact(next_lease_id, live)?;
+        self.compactions += 1;
+        COMPACTIONS.incr();
+        obs::flight::record(EventKind::LeaseCompaction, self.records, 0);
+        Ok(())
     }
 }
 

@@ -5,30 +5,28 @@
 //! [ack log](crate::log). Consumers [`ack`](LeasedQueue::ack) to retire,
 //! [`nack`](LeasedQueue::nack) (or let the deadline pass) to redeliver with
 //! an incremented delivery count, and items that exhaust their delivery
-//! budget overflow to a dead-letter queue. See the crate docs for the state
-//! machine and the crash-consistency argument.
+//! budget overflow to a dead-letter queue. The transitions themselves are
+//! the crate's one settlement engine (see the [crate docs](crate)); this
+//! module holds the public lease types and the single-cursor surface over
+//! an [`AckLog`].
 
-use crate::log::{AckLog, Record, RecordKind};
+use crate::engine::{Consumer, Instruments, Settings};
+use crate::log::AckLog;
 use durable_queues::{DurableQueue, KeyedQueue};
-use obs::flight::EventKind;
 use obs::LazyCounter;
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
-// Settlement instruments, mirroring the volatile `LeaseStats` (which reset
-// on recovery) with process-global monotonic counters the exporters read.
-static GRANTS: LazyCounter = LazyCounter::new("lease.grant");
-static ACKS: LazyCounter = LazyCounter::new("lease.ack");
-static NACKS: LazyCounter = LazyCounter::new("lease.nack");
-static EXPIRIES: LazyCounter = LazyCounter::new("lease.expire");
-static DEAD: LazyCounter = LazyCounter::new("lease.dead");
-static COMPACTIONS: LazyCounter = LazyCounter::new("lease.compaction");
+static INSTRUMENTS: Instruments = Instruments {
+    grant: LazyCounter::new("lease.grant"),
+    ack: LazyCounter::new("lease.ack"),
+    nack: LazyCounter::new("lease.nack"),
+    expire: LazyCounter::new("lease.expire"),
+    dead: LazyCounter::new("lease.dead"),
+};
 
 /// Configuration of a [`LeasedQueue`].
 #[derive(Clone, Debug)]
@@ -85,6 +83,28 @@ impl LeaseConfig {
     pub fn with_compact_after(mut self, records: u64) -> Self {
         self.compact_after = records;
         self
+    }
+
+    fn check_dlq(&self, dlq: &Option<Arc<dyn DurableQueue>>) -> io::Result<()> {
+        if self.max_deliveries > 0 && dlq.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_deliveries > 0 requires a dead-letter queue (overflow \
+                 would otherwise drop items)",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The single cursor's engine settings: the `lease.*` instruments and
+    /// stripe 0 of the exactly-once cursor.
+    fn settings(&self) -> Settings {
+        Settings {
+            lease_timeout: self.lease_timeout,
+            max_deliveries: self.max_deliveries,
+            instruments: &INSTRUMENTS,
+            stripe: 0,
+        }
     }
 }
 
@@ -195,56 +215,10 @@ pub struct LeaseStats {
     pub compactions: u64,
 }
 
-/// What [`LeasedQueue::recover`] reconstructed from the ack log.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveredLeases {
-    /// Leases that were in a consumer's hands at the crash and are now
-    /// queued for redelivery with an incremented delivery count.
-    pub unacked: u64,
-    /// Total items queued for redelivery (`unacked` + previously
-    /// nacked/expired items that had not been regranted yet).
-    pub redelivered: u64,
-    /// Items dead-lettered *during recovery* because their next delivery
-    /// would exceed the budget.
-    pub dead_lettered: u64,
-    /// Leases retired at recovery because the exactly-once cursor proved
-    /// their ack transaction committed (the sidecar ack record was the only
-    /// thing the crash swallowed).
-    pub tx_acked: u64,
-    /// Valid ack-log records replayed.
-    pub log_records: u64,
-}
-
-struct InFlight {
-    item: u64,
-    delivery_count: u32,
-    deadline: Instant,
-}
-
-struct PendingItem {
-    /// The lease this redelivery supersedes (its `GRANT.prev` linkage).
-    prev: u64,
-    item: u64,
-    /// Count the next grant will carry.
-    delivery_count: u32,
-}
-
-struct LeaseState {
-    log: AckLog,
-    inflight: HashMap<u64, InFlight>,
-    /// Expiry order with lazy deletion: an entry is live iff the lease is
-    /// still in flight with exactly this deadline.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
-    pending: VecDeque<PendingItem>,
-    /// Leases whose exactly-once settlement transaction is running outside
-    /// the lock: any other settlement attempt (ack, nack, or a second
-    /// exactly-once ack) must see `NotInFlight` instead of racing it.
-    /// Expiry reaping deliberately still applies — the documented late-ack
-    /// window — so a wedged consumer transaction cannot strand the item.
-    settling: HashSet<u64>,
-    next_id: u64,
-    stats: LeaseStats,
-}
+/// What [`LeasedQueue::recover`] reconstructed from the ack log — the
+/// same counts [`open_leased_dir`](crate::open_leased_dir) reports through
+/// [`shard::RecoveryReport::lease`].
+pub use shard::LeaseRecovery as RecoveredLeases;
 
 /// A peek-lock wrapper around any durable queue. See the
 /// [module docs](self) and the crate docs.
@@ -262,11 +236,7 @@ struct LeaseState {
 /// instead, since nothing is in flight yet.
 pub struct LeasedQueue<Q: DurableQueue> {
     base: Q,
-    dlq: Option<Arc<dyn DurableQueue>>,
-    lease_timeout: Duration,
-    max_deliveries: u32,
-    compact_after: u64,
-    state: Mutex<LeaseState>,
+    consumer: Consumer<AckLog>,
 }
 
 impl<Q: DurableQueue> LeasedQueue<Q> {
@@ -281,10 +251,11 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
         dlq: Option<Arc<dyn DurableQueue>>,
         config: LeaseConfig,
     ) -> io::Result<Self> {
-        Self::check_dlq(&config, &dlq)?;
-        let log = AckLog::create(&config.dir, config.sync)?;
-        let state = LeaseState::fresh(log);
-        Ok(Self::assemble(base, dlq, config, state))
+        config.check_dlq(&dlq)?;
+        let mut log = AckLog::create(&config.dir, config.sync)?;
+        log.set_compact_after(config.compact_after);
+        let consumer = Consumer::fresh(log, dlq, config.settings());
+        Ok(LeasedQueue { base, consumer })
     }
 
     /// Wraps `base` around the ack log already in `config.dir`, replaying
@@ -296,104 +267,22 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     ///
     /// `cursor` is the deployment's exactly-once ack engine, when it has
     /// one: leases whose ack transaction is known to have committed
-    /// ([`ExactlyOnce::acked_ids`](crate::tx::ExactlyOnce::acked_ids),
-    /// queried with the replayed log's generation so entries stamped by an
-    /// older or recreated log are ignored) are retired here with repair ack
-    /// records instead of being redelivered. Pass `None` for plain
-    /// at-least-once deployments.
+    /// ([`ExactlyOnce::acked_ids_in`](crate::tx::ExactlyOnce::acked_ids_in)
+    /// on stripe 0, queried with the replayed log's generation so entries
+    /// stamped by an older or recreated log are ignored) are retired here
+    /// with repair ack records instead of being redelivered. Pass `None`
+    /// for plain at-least-once deployments.
     pub fn recover(
         base: Q,
         dlq: Option<Arc<dyn DurableQueue>>,
         config: LeaseConfig,
         cursor: Option<&crate::tx::ExactlyOnce>,
     ) -> io::Result<(Self, RecoveredLeases)> {
-        Self::check_dlq(&config, &dlq)?;
+        config.check_dlq(&dlq)?;
         let (mut log, replay) = AckLog::replay(&config.dir, config.sync)?;
-        let tx_acked = cursor
-            .map(|eo| eo.acked_ids(replay.generation))
-            .unwrap_or_default();
-        let mut pending = VecDeque::new();
-        let mut recovered = RecoveredLeases {
-            log_records: replay.records,
-            ..RecoveredLeases::default()
-        };
-
-        let mut live = replay.live;
-        for &id in &tx_acked {
-            if live.remove(&id).is_some() {
-                // The consumer's transaction committed; only the sidecar
-                // ack record was lost to the crash. Repair it.
-                log.append(&Record {
-                    kind: RecordKind::Ack,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                })?;
-                recovered.tx_acked += 1;
-            }
-        }
-
-        // BTreeMap iteration = lease-id order = grant order, so recovered
-        // redelivery preserves the original delivery order.
-        for (id, lease) in live {
-            let next = if lease.granted {
-                recovered.unacked += 1;
-                lease.delivery_count + 1
-            } else {
-                lease.delivery_count
-            };
-            if config.max_deliveries > 0 && next > config.max_deliveries {
-                let dlq = dlq.as_ref().expect("checked by check_dlq");
-                dlq.enqueue(0, lease.item);
-                log.append(&Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                })?;
-                recovered.dead_lettered += 1;
-            } else {
-                pending.push_back(PendingItem {
-                    prev: id,
-                    item: lease.item,
-                    delivery_count: next,
-                });
-                recovered.redelivered += 1;
-            }
-        }
-        let mut state = LeaseState::fresh(log);
-        state.pending = pending;
-        state.next_id = replay.next_lease_id.max(1);
-        Ok((Self::assemble(base, dlq, config, state), recovered))
-    }
-
-    fn check_dlq(config: &LeaseConfig, dlq: &Option<Arc<dyn DurableQueue>>) -> io::Result<()> {
-        if config.max_deliveries > 0 && dlq.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "max_deliveries > 0 requires a dead-letter queue (overflow \
-                 would otherwise drop items)",
-            ));
-        }
-        Ok(())
-    }
-
-    fn assemble(
-        base: Q,
-        dlq: Option<Arc<dyn DurableQueue>>,
-        config: LeaseConfig,
-        state: LeaseState,
-    ) -> Self {
-        LeasedQueue {
-            base,
-            dlq,
-            lease_timeout: config.lease_timeout,
-            max_deliveries: config.max_deliveries,
-            compact_after: config.compact_after,
-            state: Mutex::new(state),
-        }
+        log.set_compact_after(config.compact_after);
+        let (consumer, recovered) = Consumer::recover(log, replay, dlq, config.settings(), cursor)?;
+        Ok((LeasedQueue { base, consumer }, recovered))
     }
 
     // ------------------------------------------------------------------
@@ -423,42 +312,18 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     /// (peek support), which none of the paper's algorithms have.
     pub fn dequeue(&self, tid: usize) -> Option<Lease> {
         let now = Instant::now();
-        let mut st = self.state.lock();
-        self.reap_locked(&mut st, tid, now);
-        if let Some(p) = st.pending.pop_front() {
-            return Some(self.grant_locked(&mut st, now, p.item, p.delivery_count, p.prev));
+        if let Some(lease) = self.consumer.grant_pending(tid, now) {
+            return Some(lease);
         }
-        drop(st);
         let item = self.base.dequeue(tid)?;
-        let mut st = self.state.lock();
-        Some(self.grant_locked(&mut st, now, item, 1, 0))
+        Some(self.consumer.grant_fresh(now, item))
     }
 
     /// Durably retires `lease`: the item is consumed and will never be
     /// redelivered. Fails with [`LeaseError::NotInFlight`] if the lease
     /// already settled or expired.
     pub fn ack(&self, lease: &Lease) -> Result<(), LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
-            // Settling: an exactly-once transaction owns this lease's
-            // settlement; racing it would double-settle.
-            return Err(LeaseError::NotInFlight);
-        }
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-        );
-        st.stats.acked += 1;
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        self.maybe_compact(&mut st);
-        Ok(())
+        self.consumer.ack(lease)
     }
 
     /// Returns `lease` unprocessed: the item is requeued for redelivery
@@ -466,23 +331,7 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     /// the budget. `tid` is the caller's thread id on the dead-letter
     /// queue.
     pub fn nack(&self, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) {
-            return Err(LeaseError::NotInFlight);
-        }
-        let Some(f) = st.inflight.remove(&lease.id) else {
-            return Err(LeaseError::NotInFlight);
-        };
-        st.stats.nacked += 1;
-        NACKS.incr();
-        let outcome = self.settle_returned(&mut st, tid, lease.id, f.item, f.delivery_count);
-        if let Redelivery::Requeued {
-            next_delivery_count,
-        } = outcome
-        {
-            obs::flight::record(EventKind::LeaseNack, lease.id, next_delivery_count as u64);
-        }
-        Ok(outcome)
+        self.consumer.nack(tid, lease)
     }
 
     /// Reaps every lease whose deadline has passed, requeueing (or
@@ -491,282 +340,9 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     /// call it directly to observe timeouts without consuming. Returns the
     /// number of leases reaped.
     pub fn reap_expired(&self, tid: usize) -> usize {
-        let mut st = self.state.lock();
-        self.reap_locked(&mut st, tid, Instant::now())
+        self.consumer.reap_expired(tid)
     }
 
-    fn reap_locked(&self, st: &mut LeaseState, tid: usize, now: Instant) -> usize {
-        let mut reaped = 0;
-        while let Some(&Reverse((deadline, id))) = st.deadlines.peek() {
-            // Lazy deletion: the heap entry is stale unless the lease is
-            // still in flight with exactly this deadline. A stale top goes
-            // whatever the clock says — otherwise, under a timeout that
-            // outlives the run, every settled grant would stay in the heap.
-            let live = st.inflight.get(&id).is_some_and(|f| f.deadline == deadline);
-            if live && deadline > now {
-                break;
-            }
-            st.deadlines.pop();
-            if !live {
-                continue;
-            }
-            let f = st.inflight.remove(&id).unwrap();
-            st.stats.expired += 1;
-            EXPIRIES.incr();
-            let outcome = self.settle_returned(st, tid, id, f.item, f.delivery_count);
-            if let Redelivery::Requeued {
-                next_delivery_count,
-            } = outcome
-            {
-                obs::flight::record(EventKind::LeaseExpire, id, next_delivery_count as u64);
-            }
-            reaped += 1;
-        }
-        reaped
-    }
-
-    /// An item came back (nack or expiry): requeue it for redelivery, or
-    /// dead-letter it if the next delivery would exceed the budget.
-    fn settle_returned(
-        &self,
-        st: &mut LeaseState,
-        tid: usize,
-        id: u64,
-        item: u64,
-        delivery_count: u32,
-    ) -> Redelivery {
-        if self.max_deliveries > 0 && delivery_count >= self.max_deliveries {
-            // DLQ enqueue first, DEAD record second: a crash between the
-            // two duplicates into the DLQ (at-least-once) instead of
-            // losing the item.
-            let dlq = self.dlq.as_ref().expect("checked at construction");
-            dlq.enqueue(tid, item);
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                },
-            );
-            st.stats.dead_lettered += 1;
-            DEAD.incr();
-            obs::flight::record(EventKind::LeaseDead, id, item);
-            self.maybe_compact(st);
-            Redelivery::DeadLettered
-        } else {
-            let next = delivery_count + 1;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: next,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-            );
-            st.pending.push_back(PendingItem {
-                prev: id,
-                item,
-                delivery_count: next,
-            });
-            Redelivery::Requeued {
-                next_delivery_count: next,
-            }
-        }
-    }
-
-    fn grant_locked(
-        &self,
-        st: &mut LeaseState,
-        now: Instant,
-        item: u64,
-        delivery_count: u32,
-        prev: u64,
-    ) -> Lease {
-        let id = st.next_id;
-        st.next_id += 1;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Grant,
-                delivery_count,
-                lease_id: id,
-                item,
-                prev_lease_id: prev,
-            },
-        );
-        let deadline = now + self.lease_timeout;
-        st.inflight.insert(
-            id,
-            InFlight {
-                item,
-                delivery_count,
-                deadline,
-            },
-        );
-        st.deadlines.push(Reverse((deadline, id)));
-        st.stats.granted += 1;
-        GRANTS.incr();
-        obs::flight::record(EventKind::LeaseGrant, id, item);
-        if delivery_count > 1 {
-            st.stats.redelivered += 1;
-        }
-        Lease {
-            id,
-            item,
-            delivery_count,
-            deadline,
-        }
-    }
-
-    /// Compacts the ack log when retired records dominate the live set
-    /// 4:1 past the configured floor — the "acked prefix dominates" test.
-    fn maybe_compact(&self, st: &mut LeaseState) {
-        if self.compact_after == 0 {
-            return;
-        }
-        let live = (st.inflight.len() + st.pending.len()) as u64;
-        if st.log.records() <= self.compact_after || st.log.records() <= live * 4 {
-            return;
-        }
-        let snapshot: Vec<Record> = st
-            .inflight
-            .iter()
-            .map(|(&id, f)| Record {
-                kind: RecordKind::Grant,
-                delivery_count: f.delivery_count,
-                lease_id: id,
-                item: f.item,
-                prev_lease_id: 0,
-            })
-            .chain(st.pending.iter().map(|p| Record {
-                kind: RecordKind::Pend,
-                delivery_count: p.delivery_count,
-                lease_id: p.prev,
-                item: p.item,
-                prev_lease_id: 0,
-            }))
-            .collect();
-        // The snapshot only holds live leases, so the id high-water mark
-        // rides the rewritten header — without it, settling the
-        // highest-numbered leases and then crashing would reuse their ids.
-        let next_id = st.next_id;
-        let live_records = snapshot.len() as u64;
-        if let Err(e) = st.log.compact(next_id, snapshot) {
-            panic!("ack log compaction failed: {e}");
-        }
-        st.stats.compactions += 1;
-        COMPACTIONS.incr();
-        obs::flight::record(EventKind::LeaseCompaction, live_records, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Introspection
-    // ------------------------------------------------------------------
-
-    /// The wrapped base queue.
-    pub fn base(&self) -> &Q {
-        &self.base
-    }
-
-    /// The dead-letter queue, if one is attached.
-    pub fn dlq(&self) -> Option<&Arc<dyn DurableQueue>> {
-        self.dlq.as_ref()
-    }
-
-    /// Volatile counters since creation/recovery.
-    pub fn stats(&self) -> LeaseStats {
-        self.state.lock().stats
-    }
-
-    /// Leases currently in a consumer's hands.
-    pub fn in_flight(&self) -> usize {
-        self.state.lock().inflight.len()
-    }
-
-    /// Items awaiting redelivery (nacked/expired/recovered, not yet
-    /// regranted).
-    pub fn pending_redelivery(&self) -> usize {
-        self.state.lock().pending.len()
-    }
-
-    /// Records currently in the ack log (drops after compaction).
-    pub fn log_records(&self) -> u64 {
-        self.state.lock().log.records()
-    }
-
-    /// The configured lease timeout.
-    pub fn lease_timeout(&self) -> Duration {
-        self.lease_timeout
-    }
-
-    /// The configured delivery budget (`0` = unlimited).
-    pub fn max_deliveries(&self) -> u32 {
-        self.max_deliveries
-    }
-}
-
-impl<Q: KeyedQueue> LeasedQueue<Q> {
-    /// Key-routed enqueue on the base queue (per-key FIFO when the base is
-    /// a key-hash sharded queue).
-    pub fn enqueue_keyed(&self, tid: usize, key: u64, item: u64) {
-        self.base.enqueue_keyed(tid, key, item);
-    }
-}
-
-impl LeaseState {
-    fn fresh(log: AckLog) -> Self {
-        LeaseState {
-            log,
-            inflight: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            settling: HashSet::new(),
-            // Lease id 0 is reserved: it is the "no previous lease"
-            // sentinel in GRANT records and the "nothing acked" sentinel
-            // in the exactly-once cursor.
-            next_id: 1,
-            stats: LeaseStats::default(),
-        }
-    }
-}
-
-/// Removes a lease's *settling* mark on unwind; disarmed on the normal
-/// path, where [`LeasedQueue::ack_exactly_once`] removes the mark itself
-/// under the settlement lock.
-struct SettlingMark<'a> {
-    state: &'a Mutex<LeaseState>,
-    id: u64,
-    armed: bool,
-}
-
-impl Drop for SettlingMark<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.state.lock().settling.remove(&self.id);
-        }
-    }
-}
-
-fn append_or_die(log: &mut AckLog, rec: &Record) {
-    if let Err(e) = log.append(rec) {
-        panic!(
-            "ack log append failed ({}): {e}; the log's durability is now \
-             unknowable, restart and replay",
-            log.path().display()
-        );
-    }
-}
-
-// ----------------------------------------------------------------------
-// Exactly-once handoff
-// ----------------------------------------------------------------------
-
-impl<Q: DurableQueue> LeasedQueue<Q> {
     /// Acks `lease` and applies the consumer's own writes in **one**
     /// redo-log transaction — the exactly-once handoff. `body` runs inside
     /// the transaction (use [`Tx::write`](ptm::Tx::write) for the
@@ -799,67 +375,69 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
         eo: &crate::tx::ExactlyOnce,
         body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
     ) -> Result<R, LeaseError> {
-        // Validate the cursor address before taking any lock or marking
-        // anything settling: an invalid tid used to surface as an assert
-        // *inside* the transaction, after the caller's body had run.
-        if tid >= pmem::MAX_THREADS {
-            return Err(LeaseError::ThreadOutOfRange {
-                tid,
-                max: pmem::MAX_THREADS,
-            });
-        }
-        let generation = {
-            let mut st = self.state.lock();
-            let in_pending = st.pending.iter().any(|p| p.prev == lease.id);
-            if st.settling.contains(&lease.id)
-                || (!st.inflight.contains_key(&lease.id) && !in_pending)
-            {
-                return Err(LeaseError::NotInFlight);
-            }
-            st.settling.insert(lease.id);
-            st.log.generation()
-        };
-        // The mark must come off even if `body` unwinds, or the lease could
-        // never be settled again; on the normal path it is removed under
-        // the same lock that settles, so no second settlement can slip in
-        // between transaction commit and settlement.
-        let mut mark = SettlingMark {
-            state: &self.state,
-            id: lease.id,
-            armed: true,
-        };
-        let out = eo.run(0, tid, lease.id, generation, body);
-        let mut st = self.state.lock();
-        st.settling.remove(&lease.id);
-        mark.armed = false;
-        if st.inflight.remove(&lease.id).is_some() {
-            st.stats.acked += 1;
-        } else if let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) {
-            // Expired mid-transaction but not yet regranted: the committed
-            // ack wins, cancel the redelivery.
-            st.pending.remove(pos);
-            st.stats.acked += 1;
-        } else {
-            // Regranted to another consumer before our commit: that grant
-            // retired this lease id, so there is nothing left to ack — the
-            // item will be delivered again despite the committed work.
-            st.stats.late_acks += 1;
-            return Ok(out);
-        }
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-        );
-        self.maybe_compact(&mut st);
-        Ok(out)
+        self.consumer.ack_exactly_once(tid, lease, eo, body)
+    }
+
+    // ------------------------------------------------------------------
+    // Introspection
+    // ------------------------------------------------------------------
+
+    /// The wrapped base queue.
+    pub fn base(&self) -> &Q {
+        &self.base
+    }
+
+    /// The dead-letter queue, if one is attached.
+    pub fn dlq(&self) -> Option<&Arc<dyn DurableQueue>> {
+        self.consumer.dlq()
+    }
+
+    /// Volatile counters since creation/recovery.
+    pub fn stats(&self) -> LeaseStats {
+        self.consumer.observe(|c, log| LeaseStats {
+            granted: c.granted,
+            redelivered: c.redelivered,
+            acked: c.acked,
+            nacked: c.nacked,
+            expired: c.expired,
+            dead_lettered: c.dead_lettered,
+            late_acks: c.late_acks,
+            compactions: log.compactions(),
+        })
+    }
+
+    /// Leases currently in a consumer's hands.
+    pub fn in_flight(&self) -> usize {
+        self.consumer.in_flight()
+    }
+
+    /// Items awaiting redelivery (nacked/expired/recovered, not yet
+    /// regranted).
+    pub fn pending_redelivery(&self) -> usize {
+        self.consumer.pending()
+    }
+
+    /// Records currently in the ack log (drops after compaction).
+    pub fn log_records(&self) -> u64 {
+        self.consumer.observe(|_, log| log.records())
+    }
+
+    /// The configured lease timeout.
+    pub fn lease_timeout(&self) -> Duration {
+        self.consumer.settings().lease_timeout
+    }
+
+    /// The configured delivery budget (`0` = unlimited).
+    pub fn max_deliveries(&self) -> u32 {
+        self.consumer.settings().max_deliveries
+    }
+}
+
+impl<Q: KeyedQueue> LeasedQueue<Q> {
+    /// Key-routed enqueue on the base queue (per-key FIFO when the base is
+    /// a key-hash sharded queue).
+    pub fn enqueue_keyed(&self, tid: usize, key: u64, item: u64) {
+        self.base.enqueue_keyed(tid, key, item);
     }
 }
 
@@ -890,29 +468,6 @@ mod tests {
 
     fn drain(q: &dyn DurableQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.dequeue(0)).collect()
-    }
-
-    /// Regression: heap entries used to leave only once their deadline had
-    /// passed, so under a timeout that outlives the run every grant left
-    /// 24 bytes behind for good.
-    #[test]
-    fn settled_leases_do_not_pile_up_in_the_deadline_heap() {
-        let dir = tmp("heap-bound");
-        let config = LeaseConfig::new(&dir).with_timeout(Duration::from_secs(24 * 3600));
-        let q = LeasedQueue::create(fresh_base(), None, config).unwrap();
-        for i in 1..=100_000u64 {
-            q.enqueue(0, i);
-            let lease = q.dequeue(0).unwrap();
-            q.ack(&lease).unwrap();
-            let st = q.state.lock();
-            assert!(
-                st.deadlines.len() <= st.inflight.len() + 1,
-                "cycle {i}: {} heap entries for {} leases in flight",
-                st.deadlines.len(),
-                st.inflight.len()
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

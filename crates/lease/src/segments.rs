@@ -53,7 +53,8 @@
 //! chopped; a torn or corrupt record in a sealed segment is real damage and
 //! is refused with an error naming the file.
 
-use crate::log::{bad_data, fresh_generation, LiveLease, Record, RecordKind, Replay, RECORD_LEN};
+use crate::engine::Journal;
+use crate::log::{bad_data, fresh_generation, scan_records, Record, Replay, RECORD_LEN};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::{BTreeMap, HashMap};
@@ -206,6 +207,20 @@ pub struct GroupReplay {
     pub retired_leftovers: u32,
 }
 
+impl GroupReplay {
+    fn empty(generation: u64, retired_leftovers: u32) -> GroupReplay {
+        GroupReplay {
+            replay: Replay {
+                next_lease_id: 1,
+                generation,
+                ..Replay::default()
+            },
+            segments: 1,
+            retired_leftovers,
+        }
+    }
+}
+
 /// An append-only ack log spread over rotating segment files. Single-writer
 /// (all mutation goes through the owning group's lock), like [`AckLog`].
 ///
@@ -247,9 +262,17 @@ impl SegmentedLog {
         std::fs::create_dir_all(dir)?;
         let generation = fresh_generation();
         write_meta(dir, 0, generation, sync)?;
-        let active = Self::new_segment(dir, 0, 1, generation, sync)?;
-        let mut seg_live = BTreeMap::new();
-        seg_live.insert(0u32, 0u64);
+        Self::start(dir, sync, rotate_records, generation)
+    }
+
+    /// An empty log of the given generation: `segment-0000.log` with
+    /// nothing in it, nothing retired.
+    fn start(
+        dir: &Path,
+        sync: SyncPolicy,
+        rotate_records: u64,
+        generation: u64,
+    ) -> io::Result<SegmentedLog> {
         Ok(SegmentedLog {
             dir: dir.to_path_buf(),
             sync,
@@ -257,11 +280,11 @@ impl SegmentedLog {
             generation,
             retired_below: 0,
             active_seq: 0,
-            active,
+            active: Self::new_segment(dir, 0, 1, generation, sync)?,
             active_records: 0,
             records: 0,
             resident: HashMap::new(),
-            seg_live,
+            seg_live: BTreeMap::from([(0, 0)]),
             rotations: 0,
             retired: 0,
             auto_retire: true,
@@ -315,15 +338,7 @@ impl SegmentedLog {
         let Some(meta) = meta else {
             if seqs.is_empty() {
                 let log = SegmentedLog::create(dir, sync, rotate_records)?;
-                let replay = GroupReplay {
-                    replay: Replay {
-                        next_lease_id: 1,
-                        generation: log.generation,
-                        ..Replay::default()
-                    },
-                    segments: 1,
-                    retired_leftovers: 0,
-                };
+                let replay = GroupReplay::empty(log.generation, 0);
                 return Ok((log, replay));
             }
             return Err(bad_data(
@@ -332,19 +347,42 @@ impl SegmentedLog {
             ));
         };
 
+        // Prefix retirement + unit-increment rotation ⇒ the surviving seqs
+        // run contiguously up from the watermark; anything else means a
+        // sealed segment vanished. Refused before anything is unlinked or
+        // rolled back.
+        let leftovers = seqs.partition_point(|&seq| seq < meta.retired_below);
+        let surviving = &seqs[leftovers..];
+        if surviving.first().is_some_and(|&s| s != meta.retired_below) {
+            return Err(bad_data(
+                dir,
+                format!(
+                    "segment sequence gap: the retirement watermark is {} but the \
+                     first segment found is segment-{:04}.log",
+                    meta.retired_below, surviving[0]
+                ),
+            ));
+        }
+        for pair in surviving.windows(2) {
+            if pair[1] != pair[0] + 1 {
+                return Err(bad_data(
+                    dir,
+                    format!(
+                        "segment sequence gap: segment-{:04}.log is followed by \
+                         segment-{:04}.log",
+                        pair[0], pair[1]
+                    ),
+                ));
+            }
+        }
+
         // Roll forward interrupted retirements and refuse restored retired
         // segments: anything below the watermark was durably declared
         // settled and must not be replayed.
-        let mut retired_leftovers = 0u32;
-        seqs.retain(|&seq| {
-            if seq < meta.retired_below {
-                let _ = std::fs::remove_file(segment_path(dir, seq));
-                retired_leftovers += 1;
-                false
-            } else {
-                true
-            }
-        });
+        for seq in seqs.drain(..leftovers) {
+            let _ = std::fs::remove_file(segment_path(dir, seq));
+        }
+        let retired_leftovers = leftovers as u32;
 
         if seqs.is_empty() {
             if meta.retired_below != 0 {
@@ -360,50 +398,9 @@ impl SegmentedLog {
             }
             // Crash between meta creation and segment-0 creation: finish
             // the create with the durable generation.
-            let active = Self::new_segment(dir, 0, 1, meta.generation, sync)?;
-            let mut seg_live = BTreeMap::new();
-            seg_live.insert(0u32, 0u64);
-            let log = SegmentedLog {
-                dir: dir.to_path_buf(),
-                sync,
-                rotate_records,
-                generation: meta.generation,
-                retired_below: 0,
-                active_seq: 0,
-                active,
-                active_records: 0,
-                records: 0,
-                resident: HashMap::new(),
-                seg_live,
-                rotations: 0,
-                retired: 0,
-                auto_retire: true,
-            };
-            let replay = GroupReplay {
-                replay: Replay {
-                    next_lease_id: 1,
-                    generation: meta.generation,
-                    ..Replay::default()
-                },
-                segments: 1,
-                retired_leftovers,
-            };
+            let log = Self::start(dir, sync, rotate_records, meta.generation)?;
+            let replay = GroupReplay::empty(meta.generation, retired_leftovers);
             return Ok((log, replay));
-        }
-
-        // Prefix retirement + unit-increment rotation ⇒ surviving seqs are
-        // contiguous; a gap means a sealed segment vanished.
-        for pair in seqs.windows(2) {
-            if pair[1] != pair[0] + 1 {
-                return Err(bad_data(
-                    dir,
-                    format!(
-                        "segment sequence gap: segment-{:04}.log is followed by \
-                         segment-{:04}.log",
-                        pair[0], pair[1]
-                    ),
-                ));
-            }
         }
 
         let mut replay = Replay {
@@ -471,77 +468,20 @@ impl SegmentedLog {
             replay.next_lease_id = replay.next_lease_id.max(header_next_id);
 
             let body = &bytes[SEGMENT_HEADER_LEN..];
-            let mut consumed = 0usize;
-            while body.len() - consumed >= RECORD_LEN {
-                let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
-                    if seq != last_seq || body.len() - consumed > RECORD_LEN {
-                        return Err(bad_data(
-                            &path,
-                            format!(
-                                "corrupt record at byte {} ({}; refusing to drop {} \
-                                 trailing bytes)",
-                                SEGMENT_HEADER_LEN + consumed,
-                                if seq != last_seq {
-                                    "inside a sealed segment"
-                                } else {
-                                    "not at the tail"
-                                },
-                                body.len() - consumed
-                            ),
-                        ));
-                    }
-                    break;
-                };
-                consumed += RECORD_LEN;
-                replay.records += 1;
-                replay.next_lease_id = replay.next_lease_id.max(rec.lease_id + 1);
-                match rec.kind {
-                    RecordKind::Grant => {
-                        if rec.prev_lease_id != 0 {
-                            replay.live.remove(&rec.prev_lease_id);
-                            resident.remove(&rec.prev_lease_id);
-                        }
-                        replay.live.insert(
-                            rec.lease_id,
-                            LiveLease {
-                                item: rec.item,
-                                delivery_count: rec.delivery_count,
-                                granted: true,
-                            },
-                        );
-                        resident.insert(rec.lease_id, seq);
-                    }
-                    RecordKind::Ack => {
-                        replay.live.remove(&rec.lease_id);
-                        resident.remove(&rec.lease_id);
-                        replay.acked += 1;
-                    }
-                    RecordKind::Pend => {
-                        replay.live.insert(
-                            rec.lease_id,
-                            LiveLease {
-                                item: rec.item,
-                                delivery_count: rec.delivery_count,
-                                granted: false,
-                            },
-                        );
-                        resident.insert(rec.lease_id, seq);
-                    }
-                    RecordKind::Dead => {
-                        replay.live.remove(&rec.lease_id);
-                        resident.remove(&rec.lease_id);
-                        replay.dead += 1;
-                    }
+            let sealed = seq != last_seq;
+            let consumed = scan_records(&path, SEGMENT_HEADER_LEN, body, sealed, |rec| {
+                // A lease resides in the segment holding its latest live
+                // record.
+                let effect = replay.apply(rec);
+                if let Some(id) = effect.retired {
+                    resident.remove(&id);
                 }
-            }
+                if let Some(id) = effect.live {
+                    resident.insert(id, seq);
+                }
+            })?;
             let tail = (body.len() - consumed) as u64;
             if tail > 0 {
-                if seq != last_seq {
-                    return Err(bad_data(
-                        &path,
-                        format!("torn record of {tail} bytes inside a sealed segment"),
-                    ));
-                }
                 replay.torn_bytes += tail;
                 file.set_len((SEGMENT_HEADER_LEN + consumed) as u64)?;
                 if sync == SyncPolicy::PowerFail {
@@ -619,15 +559,12 @@ impl SegmentedLog {
 
         // Residency bookkeeping mirrors replay: a lease lives in the
         // segment holding its latest live record.
-        match rec.kind {
-            RecordKind::Grant => {
-                if rec.prev_lease_id != 0 {
-                    self.unresident(rec.prev_lease_id);
-                }
-                self.make_resident(rec.lease_id);
-            }
-            RecordKind::Pend => self.make_resident(rec.lease_id),
-            RecordKind::Ack | RecordKind::Dead => self.unresident(rec.lease_id),
+        let effect = rec.effect();
+        if let Some(id) = effect.retired {
+            self.unresident(id);
+        }
+        if let Some(id) = effect.live {
+            self.make_resident(id);
         }
 
         if self.auto_retire {
@@ -745,9 +682,27 @@ impl SegmentedLog {
     }
 }
 
+impl Journal for SegmentedLog {
+    fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
+        SegmentedLog::append(self, rec, next_lease_id)
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn location(&self) -> &Path {
+        &self.dir
+    }
+
+    // `after_terminal` keeps its no-op default: rotation and retirement
+    // already ride `append`.
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::RecordKind;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-seg-{tag}-{}", std::process::id()));
@@ -1035,18 +990,25 @@ mod tests {
 
     #[test]
     fn sequence_gap_is_refused() {
-        let dir = tmp("gap");
-        let mut log = SegmentedLog::create(&dir, SyncPolicy::default(), 1).unwrap();
-        log.disable_auto_retire();
-        for i in 1..=4u64 {
-            log.append(&grant(i, i, 1, 0), i + 1).unwrap();
+        // An interior sealed segment vanished, then the leading one: the
+        // lease each held would be silently lost.
+        for (missing, names) in [(1, "segment-0002.log"), (0, "segment-0001.log")] {
+            let dir = tmp(&format!("gap-{missing}"));
+            let mut log = SegmentedLog::create(&dir, SyncPolicy::default(), 1).unwrap();
+            log.disable_auto_retire();
+            for i in 1..=4u64 {
+                log.append(&grant(i, i, 1, 0), i + 1).unwrap();
+            }
+            assert!(log.active_seq() >= 3);
+            drop(log);
+            std::fs::remove_file(segment_path(&dir, missing)).unwrap();
+            let err = SegmentedLog::replay(&dir, SyncPolicy::default(), 1).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("sequence gap"), "{msg}");
+            assert!(msg.contains(names), "{msg}");
+            assert!(msg.contains(dir.to_str().unwrap()), "{msg}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(log.active_seq() >= 3);
-        drop(log);
-        std::fs::remove_file(segment_path(&dir, 1)).unwrap();
-        let err = SegmentedLog::replay(&dir, SyncPolicy::default(), 1).unwrap_err();
-        assert!(err.to_string().contains("sequence gap"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

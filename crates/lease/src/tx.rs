@@ -17,15 +17,16 @@
 //!    group; single-group deployments (plain
 //!    [`LeasedQueue`](crate::LeasedQueue)) use stripe 0 and are laid out
 //!    exactly as before groups existed.
-//! 2. [`LeasedQueue::ack_exactly_once`](crate::LeasedQueue::ack_exactly_once)
-//!    (and its consumer-group twin) runs the consumer's writes **and** the
-//!    cursor pair update in one [`Ptm::run`] transaction. The persisted
-//!    commit status word is the atomic point: either the consumer's state
-//!    *and* the ack are durable, or neither is.
+//! 2. `ack_exactly_once` — on a
+//!    [`LeasedQueue`](crate::LeasedQueue::ack_exactly_once) or a
+//!    [`ConsumerGroup`](crate::ConsumerGroup::ack_exactly_once), the same
+//!    engine code on a different stripe — runs the consumer's writes
+//!    **and** the cursor pair update in one [`Ptm::run`] transaction. The
+//!    persisted commit status word is the atomic point: either the
+//!    consumer's state *and* the ack are durable, or neither is.
 //! 3. The sidecar ack-log record is appended only after commit. If a crash
 //!    swallows it, recovery reads the cursor
-//!    ([`ExactlyOnce::acked_ids`] /
-//!    [`ExactlyOnce::acked_ids_in`]) and repairs the missing record
+//!    ([`ExactlyOnce::acked_ids_in`]) and repairs the missing record
 //!    instead of redelivering — see
 //!    [`LeasedQueue::recover`](crate::LeasedQueue::recover). Only entries
 //!    stamped with the *current* log's generation count: a cursor paired
@@ -146,12 +147,11 @@ impl ExactlyOnce {
     }
 
     /// Lease ids whose ack transaction committed *under the ack log with
-    /// the given generation*, across every stripe. Single-group recovery
-    /// ([`LeasedQueue::recover`](crate::LeasedQueue::recover)) feeds this
-    /// the replayed log's generation so those leases are repaired instead
-    /// of redelivered; entries stamped by an older or recreated log are
-    /// ignored — their lease-id space is unrelated, and repairing by a
-    /// stale id would silently consume someone else's in-flight item.
+    /// the given generation*, across every stripe. Entries stamped by an
+    /// older or recreated log are ignored — their lease-id space is
+    /// unrelated, and repairing by a stale id would silently consume
+    /// someone else's in-flight item. Recovery itself asks one stripe at a
+    /// time ([`acked_ids_in`](Self::acked_ids_in)).
     pub fn acked_ids(&self, generation: u64) -> Vec<u64> {
         (0..self.groups)
             .flat_map(|g| self.acked_ids_in(g, generation))
@@ -159,10 +159,11 @@ impl ExactlyOnce {
     }
 
     /// Lease ids whose ack transaction committed on stripe `group` under
-    /// the generation — the per-group form grouped recovery uses. Each
-    /// group's segmented log has its own generation, so even a wrong
-    /// `group` here repairs nothing (the stamps cannot match), but the
-    /// stripe filter keeps the scan exact.
+    /// the generation — what recovery feeds the replayed log's generation
+    /// to, so those leases are repaired instead of redelivered. Every log
+    /// has its own generation, so even a wrong `group` here repairs
+    /// nothing (the stamps cannot match), but the stripe filter keeps the
+    /// scan exact.
     ///
     /// # Panics
     /// If `group` is not a stripe of this engine.

@@ -415,28 +415,7 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const PROT_WRITE: i32 = 2;
-    pub const MAP_SHARED: i32 = 1;
-
-    // The offline build has no `libc` crate; declare the two calls the ring
-    // needs directly against the C library `std` already links (the same
-    // pattern as `store::mmap`).
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-}
+use crate::sys;
 
 enum Backing {
     /// Unix: a shared mapping; stores reach the page cache immediately and

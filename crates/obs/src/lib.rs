@@ -20,11 +20,17 @@
 //!   recovery phases).
 //! * [`export`] — Prometheus text exposition and JSON rendering of a
 //!   [`MetricsSnapshot`].
+//!
+//! Being the bottom of the DAG, it also holds the two things every layer
+//! above would otherwise copy: the workspace's one CRC-32 ([`crc`]) and
+//! its one set of extern-C mmap bindings (`sys`, Unix only).
 
 pub mod crc;
 pub mod export;
 pub mod flight;
 pub mod metrics;
+#[cfg(unix)]
+pub mod sys;
 
 pub use metrics::{
     snapshot, Counter, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, MetricsSnapshot,

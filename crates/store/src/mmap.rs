@@ -1,12 +1,12 @@
 //! A minimal shared file mapping.
 //!
-//! The offline build has no `libc` crate, so on Unix the handful of calls a
-//! pool file needs (`mmap`, `munmap`, `msync`, `getpagesize`) are declared
-//! directly against the C library that `std` already links. On other
-//! platforms a heap buffer stands in: the file is read at map time and
-//! written back on [`MmapRegion::msync`]/drop — the API works everywhere,
-//! but only the Unix mapping gives kill-`SIGKILL` durability (stores land in
-//! the OS page cache the moment they retire, so they survive the process).
+//! On Unix the handful of calls a pool file needs (`mmap`, `munmap`,
+//! `msync`, `getpagesize`, Linux `mremap`) are the workspace's one set of
+//! extern-C bindings, [`obs::sys`]. On other platforms a heap buffer
+//! stands in: the file is read at map time and written back on
+//! [`MmapRegion::msync`]/drop — the API works everywhere, but only the Unix
+//! mapping gives kill-`SIGKILL` durability (stores land in the OS page
+//! cache the moment they retire, so they survive the process).
 
 use std::fs::File;
 use std::io;
@@ -28,41 +28,7 @@ unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
 #[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const PROT_WRITE: i32 = 2;
-    pub const MAP_SHARED: i32 = 1;
-    pub const MS_SYNC: i32 = 4;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-        pub fn msync(addr: *mut c_void, len: usize, flags: i32) -> i32;
-        pub fn getpagesize() -> i32;
-    }
-
-    #[cfg(target_os = "linux")]
-    pub const MREMAP_MAYMOVE: i32 = 1;
-
-    #[cfg(target_os = "linux")]
-    extern "C" {
-        pub fn mremap(
-            old_address: *mut c_void,
-            old_size: usize,
-            new_size: usize,
-            flags: i32,
-        ) -> *mut c_void;
-    }
-}
+use obs::sys;
 
 /// The system page size (granularity of [`MmapRegion::msync`] rounding).
 pub fn page_size() -> usize {

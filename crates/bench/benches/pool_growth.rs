@@ -78,7 +78,6 @@ fn run_burst(variant: &Variant, round: u64) -> (Duration, u32) {
     .into_pool();
     // Unlink immediately: the mapping keeps the file alive for the burst and
     // nothing is left behind in $TMPDIR.
-    #[cfg(unix)]
     let _ = std::fs::remove_file(&path);
     let queue = OptUnlinkedQueue::create(std::sync::Arc::clone(&pool), queue_config());
     let start = Instant::now();
@@ -87,8 +86,6 @@ fn run_burst(variant: &Variant, round: u64) -> (Duration, u32) {
     }
     let elapsed = start.elapsed();
     let growths = pool.growth_epoch();
-    #[cfg(not(unix))]
-    let _ = std::fs::remove_file(&path);
     (elapsed, growths)
 }
 

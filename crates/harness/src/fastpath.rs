@@ -17,7 +17,9 @@
 //! to them it times the same load loop on a bare `AtomicU64`
 //! (`raw_load_ns`): the paper's model prices a word access at one cached
 //! load, so the direct row's `load_ns` is gated against twice that figure
-//! (`scripts/compare_bench_json.py`). The
+//! (`scripts/compare_bench_json.py`). The same loop over
+//! [`obs::LazyCounter::incr`] (`counter_incr_ns`) prices the named counters
+//! every instrumented operation bumps, gated at three times that floor. The
 //! emitted JSON object carries `"lock_free_fast_path": true`, the marker
 //! that these numbers were produced by the epoch scheme rather than the
 //! earlier stop-the-world mapping lock.
@@ -98,10 +100,7 @@ fn bench_pool(tag: &str, cfg: &FastpathConfig, grow_step: usize) -> Arc<PmemPool
         .expect("fastpath: create pool file")
         .into_pool();
     // The mapping keeps the file alive; nothing is left behind in $TMPDIR.
-    #[cfg(unix)]
     let _ = std::fs::remove_file(&path);
-    #[cfg(not(unix))]
-    let _ = path;
     pool
 }
 
@@ -152,6 +151,9 @@ fn measure(mode: &'static str, grow_step: usize, cfg: &FastpathConfig) -> Fastpa
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
     pub raw_load_ns: f64,
+    /// One `LazyCounter::incr` after first touch, ns/op (0 when the
+    /// `instrument` feature is off and the call compiles to nothing).
+    pub counter_incr_ns: f64,
     /// One row per mapping mode, direct first.
     pub rows: Vec<FastpathRow>,
 }
@@ -169,8 +171,12 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
         at = words[at].load(Ordering::Acquire) as usize;
     });
     std::hint::black_box(at);
+    static PROBE: obs::LazyCounter = obs::LazyCounter::new("harness.fastpath.probe");
+    PROBE.incr();
+    let counter_incr_ns = time_ns(cfg, |_| PROBE.incr());
     FastpathReport {
         raw_load_ns,
+        counter_incr_ns,
         rows: vec![
             measure("direct", 0, cfg),
             measure("epoch", cfg.grow_step, cfg),
@@ -211,6 +217,10 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
             report.raw_load_ns,
             direct.load_ns / report.raw_load_ns,
         ));
+        out.push_str(&format!(
+            "named counter incr: {:.1} ns/op\n",
+            report.counter_incr_ns
+        ));
     }
     out
 }
@@ -225,6 +235,7 @@ pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
     obj.field("trials", cfg.trials);
     obj.field("lock_free_fast_path", true);
     obj.field("raw_load_ns", format!("{:.3}", report.raw_load_ns));
+    obj.field("counter_incr_ns", format!("{:.3}", report.counter_incr_ns));
     for row in &report.rows {
         obj.row(format!(
             "{{\"mode\": \"{}\", \"grow_step\": {}, \"load_ns\": {:.3}, \
@@ -278,6 +289,7 @@ mod tests {
         let report = run_fastpath(&cfg);
         let rows = &report.rows;
         assert!(report.raw_load_ns > 0.0 && report.raw_load_ns.is_finite());
+        assert!(report.counter_incr_ns >= 0.0 && report.counter_incr_ns.is_finite());
         assert_eq!(rows.len(), 2);
         assert_eq!((rows[0].mode, rows[0].grow_step), ("direct", 0));
         assert_eq!((rows[1].mode, rows[1].grow_step), ("epoch", 1 << 20));
@@ -302,6 +314,7 @@ mod tests {
         assert!(json.contains("\"experiment\": \"fastpath\""));
         assert!(json.contains("\"lock_free_fast_path\": true"));
         assert!(json.contains("\"raw_load_ns\": "));
+        assert!(json.contains("\"counter_incr_ns\": "));
         assert!(json.contains("\"mode\": \"direct\""));
         assert!(json.contains("\"mode\": \"epoch\""));
         assert_eq!(json.matches("\"mode\"").count(), 2);

@@ -91,10 +91,7 @@ fn sweep_pool(tag: &str, cfg: &FsweepConfig, group_commit: Option<u64>) -> Arc<P
     .expect("fsweep: create pool file")
     .into_pool();
     // The mapping keeps the file alive; nothing is left behind in $TMPDIR.
-    #[cfg(unix)]
     let _ = std::fs::remove_file(&path);
-    #[cfg(not(unix))]
-    let _ = path;
     pool
 }
 

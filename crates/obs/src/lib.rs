@@ -4,15 +4,13 @@
 //! Three parts, all dependency-free (this crate sits at the bottom of the
 //! workspace DAG — everything else links against it):
 //!
-//! * [`metrics`] — a process-global registry of cache-padded, per-thread
-//!   striped counters and log₂-bucketed latency histograms. Instruments are
-//!   declared as `static` [`LazyCounter`]/[`LazyHistogram`]s named like
-//!   `"lease.grant"`; two statics with the same name share one instrument.
-//!   Snapshots merge with `Add`/`Sub`, like `pmem::StatsSnapshot`. The whole
-//!   layer is gated behind the default-on `instrument` feature: with it off,
-//!   every method body is empty and the hot paths compile to nothing (the
-//!   [`disabled`] module exposes always-no-op mirrors so a single bench
-//!   binary can measure both).
+//! * [`metrics`] — a process-global registry of named counters and
+//!   log₂-bucketed latency histograms. Instruments are declared as `static`
+//!   [`LazyCounter`]/[`LazyHistogram`]s named like `"lease.grant"`; two
+//!   statics with the same name share one instrument. Snapshots merge with
+//!   `Add`/`Sub`, like `pmem::StatsSnapshot`. The whole layer is gated
+//!   behind the default-on `instrument` feature: with it off, every method
+//!   body is empty and the hot paths compile to nothing.
 //! * [`flight`] — an mmap'd ring of fixed-size CRC'd event records
 //!   (`BLACKBOX.ring`) that survives SIGKILL via the page cache; after a
 //!   crash, [`flight::replay`] reconstructs the last *capacity* lifecycle
@@ -21,25 +19,34 @@
 //! * [`export`] — Prometheus text exposition and JSON rendering of a
 //!   [`MetricsSnapshot`].
 //!
-//! Being the bottom of the DAG, it also holds the two things every layer
-//! above would otherwise copy: the workspace's one CRC-32 ([`crc`]) and
-//! its one set of extern-C mmap bindings (`sys`, Unix only).
+//! Being the bottom of the DAG, it also holds what every layer above would
+//! otherwise copy: the workspace's one per-operation counter ([`rows`]:
+//! cache-padded rows written only by the thread that holds a [`slot`]
+//! lease — a named counter is a column of one, a `pmem` pool's statistics
+//! are another, compiled in every build), its one CRC-32 ([`crc`]) and its
+//! one set of extern-C mmap bindings (`sys`, Unix only).
 
 pub mod crc;
 pub mod export;
 pub mod flight;
 pub mod metrics;
+pub mod rows;
+pub mod slot;
 #[cfg(unix)]
 pub mod sys;
 
 pub use metrics::{
-    snapshot, Counter, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, MetricsSnapshot,
-    Timer,
+    snapshot, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, MetricsSnapshot, Timer,
 };
 
-/// Always-compiled no-op mirrors of the metric types, for benchmarking the
-/// disabled-instrumentation cost without a separate feature-flagged build.
-pub mod disabled;
+/// Locks `mutex`, recovering it if a holder panicked. For the crate's
+/// registries and free sets only, whose every update (one insertion, one
+/// bit) leaves the data valid at every step.
+pub(crate) fn locked<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// The shared wall clock: flight-recorder timestamps and recovery phase
 /// spans both read it, so a `blackbox` dump lines up with a

@@ -1,5 +1,5 @@
-//! Lock-free metrics: striped counters, log₂ histograms, a process-global
-//! name-keyed registry, and mergeable snapshots.
+//! Lock-free metrics: thread-owned counter columns, log₂ histograms, a
+//! process-global name-keyed registry, and mergeable snapshots.
 //!
 //! Instruments are declared where they are used, as statics:
 //!
@@ -17,116 +17,52 @@
 //! diffs with `Sub` exactly like `pmem::StatsSnapshot` — take one before
 //! and one after a phase, subtract, and you have the phase's metrics.
 //!
+//! A named counter is a column of one process-global
+//! [`Rows`](crate::rows::Rows) table: an increment is a plain load and
+//! store in the calling thread's own row, next to the other counters that
+//! thread touches, and a read sums the column over the rows. Like every
+//! row table, the totals are exact at quiescence and a lower bound while
+//! writers run.
+//!
 //! Everything here is gated on the default-on `instrument` feature: with it
 //! off, `incr`/`record`/`start_timer` are empty inline functions (no atomic
 //! touched, no `Instant::now`), and [`snapshot`] returns an empty snapshot.
 
+#[cfg(feature = "instrument")]
+use crate::locked;
+use crate::rows::CachePadded;
 use std::collections::BTreeMap;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "instrument")]
-use std::sync::OnceLock;
+use std::sync::{atomic::AtomicUsize, Mutex, OnceLock};
 
-/// Stripes per counter. Power of two; threads hash onto stripes by a
-/// round-robin-assigned thread index, so up to this many threads increment
-/// without sharing a cache line.
-pub const STRIPES: usize = 16;
+/// The most distinct counter names a process may register (28 exist
+/// today). A column costs 8 bytes in every thread's row whether or not it
+/// is used, so this is a constant, not an option; one name too many panics
+/// at the registration that exceeds it.
+pub const CAP: usize = 64;
 
 /// Buckets per histogram: bucket 0 holds zeros, bucket *i* ≥ 1 holds values
 /// in `[2^(i-1), 2^i)`, and the last bucket is unbounded above.
 pub const BUCKETS: usize = 64;
 
-/// Pads and aligns to 128 bytes so neighbouring stripes never share a cache
-/// line (nor a prefetched pair of lines). Same idea as crossbeam's
-/// `CachePadded`, local so obs stays dependency-free.
-#[repr(align(128))]
-struct CachePadded<T>(T);
-
-/// Round-robin stripe assignment: the first `STRIPES` threads each get their
-/// own stripe, later ones wrap. Assignment happens once per thread.
+/// The table whose columns are the named counters, in registration order.
 #[cfg(feature = "instrument")]
-#[inline]
-fn stripe_index() -> usize {
-    use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let cached = s.get();
-        if cached != usize::MAX {
-            return cached;
-        }
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let idx = NEXT.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-        s.set(idx);
-        idx
-    })
-}
+static NAMED: crate::rows::Rows<CAP> = crate::rows::Rows::new();
 
 // ---------------------------------------------------------------------------
 // Raw instruments
 // ---------------------------------------------------------------------------
 
-/// A monotonic counter, striped across [`STRIPES`] cache-padded atomics.
-///
-/// `add` is one relaxed `fetch_add` on the caller's own stripe; [`value`]
-/// sums the stripes (racy in the usual benign sense: a concurrent reader
-/// may see a sum no thread ever observed, but never loses an increment).
-///
-/// [`value`]: Counter::value
-pub struct Counter {
-    stripes: [CachePadded<AtomicU64>; STRIPES],
-}
-
-impl Counter {
-    /// A zeroed counter, usable in statics.
-    pub const fn new() -> Counter {
-        Counter {
-            stripes: [const { CachePadded(AtomicU64::new(0)) }; STRIPES],
-        }
-    }
-
-    /// Adds `n` on the calling thread's stripe.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        #[cfg(feature = "instrument")]
-        self.stripes[stripe_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "instrument"))]
-        let _ = n;
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// The current total across all stripes.
-    pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Counter {
-        Counter::new()
-    }
-}
-
 /// A log₂-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
-/// `record` is two relaxed `fetch_add`s (bucket + sum); unlike [`Counter`]
-/// the buckets are not striped — the instrumented paths (msync, growth,
-/// recovery phases) record orders of magnitude less often than the counter
-/// hot paths, and 64 padded stripes × 64 buckets would be a page per
-/// instrument.
+/// `record` is two relaxed `fetch_add`s (bucket + sum) on shared lines;
+/// unlike a counter column the buckets are not per thread — nothing on an
+/// operation path records a histogram (msync, growth and recovery spans
+/// only), and a row of 64 buckets per thread per instrument would be half a
+/// kilobyte each.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: CachePadded<AtomicU64>,
@@ -198,40 +134,48 @@ impl Default for Histogram {
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "instrument")]
+#[derive(Default)]
 struct Registry {
-    counters: std::sync::Mutex<BTreeMap<&'static str, &'static Counter>>,
-    histograms: std::sync::Mutex<BTreeMap<&'static str, &'static Histogram>>,
+    /// Counter name → its column of [`NAMED`].
+    counters: Mutex<BTreeMap<&'static str, usize>>,
+    histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
 #[cfg(feature = "instrument")]
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: std::sync::Mutex::new(BTreeMap::new()),
-        histograms: std::sync::Mutex::new(BTreeMap::new()),
-    })
+    REGISTRY.get_or_init(Registry::default)
 }
 
 #[cfg(feature = "instrument")]
 impl Registry {
-    fn counter(&self, name: &'static str) -> &'static Counter {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name).or_insert_with(|| Box::leak(Box::default()))
+    fn counter(&self, name: &'static str) -> usize {
+        let mut map = locked(&self.counters);
+        let next = map.len();
+        *map.entry(name).or_insert_with(|| {
+            assert!(
+                next < CAP,
+                "counter {name:?} is one name past obs::metrics::CAP = {CAP}"
+            );
+            next
+        })
     }
 
     fn histogram(&self, name: &'static str) -> &'static Histogram {
-        let mut map = self.histograms.lock().unwrap();
-        map.entry(name).or_insert_with(|| Box::leak(Box::default()))
+        locked(&self.histograms)
+            .entry(name)
+            .or_insert_with(|| Box::leak(Box::default()))
     }
 }
 
 /// A named counter that registers itself in the process-global registry on
 /// first use. Declare as a `static` next to the code it instruments; two
-/// statics with the same name share one [`Counter`].
+/// statics with the same name share one column.
 pub struct LazyCounter {
     name: &'static str,
+    /// The name's column, or a value `>= CAP` until first use.
     #[cfg(feature = "instrument")]
-    cell: OnceLock<&'static Counter>,
+    column: AtomicUsize,
 }
 
 impl LazyCounter {
@@ -241,7 +185,7 @@ impl LazyCounter {
         LazyCounter {
             name,
             #[cfg(feature = "instrument")]
-            cell: OnceLock::new(),
+            column: AtomicUsize::new(usize::MAX),
         }
     }
 
@@ -250,17 +194,27 @@ impl LazyCounter {
         self.name
     }
 
+    /// The column is the only thing a resolution publishes (the table is a
+    /// static), so relaxed loads and stores of it are enough.
     #[cfg(feature = "instrument")]
-    #[inline]
-    fn resolve(&self) -> &'static Counter {
-        self.cell.get_or_init(|| registry().counter(self.name))
+    #[cold]
+    fn resolve(&self) -> usize {
+        let column = registry().counter(self.name);
+        self.column.store(column, Ordering::Relaxed);
+        column
     }
 
-    /// Adds `n`.
+    /// Adds `n`: one unlocked add in the calling thread's row.
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(feature = "instrument")]
-        self.resolve().add(n);
+        {
+            let mut column = self.column.load(Ordering::Relaxed);
+            if column >= CAP {
+                column = self.resolve();
+            }
+            NAMED.add(column, n);
+        }
         #[cfg(not(feature = "instrument"))]
         let _ = n;
     }
@@ -275,7 +229,7 @@ impl LazyCounter {
     pub fn value(&self) -> u64 {
         #[cfg(feature = "instrument")]
         {
-            self.resolve().value()
+            NAMED.totals()[self.resolve()]
         }
         #[cfg(not(feature = "instrument"))]
         0
@@ -365,17 +319,12 @@ pub fn snapshot() -> MetricsSnapshot {
     #[cfg(feature = "instrument")]
     {
         let reg = registry();
-        let counters = reg
-            .counters
-            .lock()
-            .unwrap()
+        let totals = NAMED.totals();
+        let counters = locked(&reg.counters)
             .iter()
-            .map(|(&name, c)| (name.to_string(), c.value()))
+            .map(|(&name, &column)| (name.to_string(), totals[column]))
             .collect();
-        let histograms = reg
-            .histograms
-            .lock()
-            .unwrap()
+        let histograms = locked(&reg.histograms)
             .iter()
             .map(|(&name, h)| (name.to_string(), h.snapshot()))
             .collect();
@@ -555,24 +504,30 @@ mod tests {
         }
     }
 
+    /// A named counter is exact at quiescence, with fewer live threads than
+    /// there are rows and with more (the surplus shares the overflow row).
     #[cfg(feature = "instrument")]
     #[test]
     fn counter_sums_across_threads() {
-        let c = std::sync::Arc::new(Counter::new());
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.incr();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+        static C: LazyCounter = LazyCounter::new("test.metrics.threads");
+        const OPS: u64 = 10_000;
+        let _alone = crate::slot::burst_lock();
+        for threads in [8, crate::rows::OWNED_ROWS + 8] {
+            let before = C.value();
+            let all_alive = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        C.incr();
+                        all_alive.wait();
+                        for _ in 1..OPS {
+                            C.incr();
+                        }
+                    });
+                }
+            });
+            assert_eq!(C.value(), before + threads as u64 * OPS);
         }
-        assert_eq!(c.value(), 80_000);
     }
 
     #[cfg(feature = "instrument")]
@@ -580,12 +535,73 @@ mod tests {
     fn same_name_statics_share_one_counter() {
         static A: LazyCounter = LazyCounter::new("test.metrics.shared");
         static B: LazyCounter = LazyCounter::new("test.metrics.shared");
+        static OTHER: LazyCounter = LazyCounter::new("test.metrics.other");
         let before = A.value();
+        let other_before = OTHER.value();
         A.add(3);
         B.add(4);
+        OTHER.add(5);
         assert_eq!(A.value(), before + 7);
         assert_eq!(B.value(), before + 7);
-        assert_eq!(snapshot().counter("test.metrics.shared"), before + 7);
+        assert_eq!(
+            OTHER.value(),
+            other_before + 5,
+            "a third name, another column"
+        );
+        let snap = snapshot();
+        assert_eq!(snap.counter("test.metrics.shared"), before + 7);
+        assert_eq!(snap.counter("test.metrics.other"), other_before + 5);
+    }
+
+    #[cfg(feature = "instrument")]
+    #[test]
+    #[should_panic(expected = "one name past obs::metrics::CAP")]
+    fn a_name_past_the_column_cap_fails_at_registration() {
+        let registry = Registry::default();
+        for i in 0..=CAP {
+            let name: &'static str = Box::leak(format!("test.metrics.cap.{i}").into_boxed_str());
+            assert_eq!(registry.counter(name), i);
+        }
+    }
+
+    /// While writers run a snapshot is a lower bound: it never passes the
+    /// final total, and since every cell only grows it never goes back.
+    #[cfg(feature = "instrument")]
+    #[test]
+    fn a_snapshot_under_traffic_is_a_rising_lower_bound() {
+        static C: LazyCounter = LazyCounter::new("test.metrics.traffic");
+        const THREADS: u64 = 4;
+        const OPS: u64 = 200_000;
+        let before = C.value();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| (0..OPS).for_each(|_| C.incr()));
+            }
+            let mut last = before;
+            for _ in 0..200 {
+                let seen = snapshot().counter("test.metrics.traffic");
+                assert!(seen >= last, "{seen} after {last}");
+                assert!(seen <= before + THREADS * OPS, "never over-counts");
+                last = seen;
+            }
+        });
+        assert_eq!(C.value(), before + THREADS * OPS);
+    }
+
+    /// With the feature off a named counter compiles to nothing, while the
+    /// row table under it (a pool's statistics) still counts.
+    #[cfg(not(feature = "instrument"))]
+    #[test]
+    fn without_the_feature_named_counters_are_inert_and_rows_still_count() {
+        static C: LazyCounter = LazyCounter::new("test.metrics.inert");
+        C.incr();
+        C.add(100);
+        assert_eq!(C.value(), 0);
+        assert_eq!(C.name(), "test.metrics.inert");
+        assert!(snapshot().is_empty());
+        let rows = crate::rows::Rows::<2>::new();
+        rows.add(1, 3);
+        assert_eq!(rows.totals(), [0, 3]);
     }
 
     #[cfg(feature = "instrument")]

@@ -97,11 +97,7 @@ pub trait MapPin: Sync {
 /// * A `MapRef` is `!Send`/`!Sync` (it carries a raw pointer and a
 ///   thread-slot pin); keep it on the thread that created it and drop it
 ///   promptly — on backends that pin (see [`is_pinned`](Self::is_pinned)),
-///   a held `MapRef` delays reclamation of replaced mappings. On the
-///   non-Unix fallback it blocks growth from *other* threads, and a growth
-///   attempted by the holding thread itself (e.g. an allocation under the
-///   view that exhausts the pool) fails with an error instead of
-///   deadlocking.
+///   a held `MapRef` delays reclamation of replaced mappings.
 /// * On a fixed-size pool (`grow_step == 0` for the `store` file pool) the
 ///   mapping can never move, so the view is unpinned: creating and
 ///   dropping it is free, and holding it constrains nothing.

@@ -74,7 +74,6 @@ pub mod layout;
 pub mod pool;
 pub mod pref;
 pub(crate) mod sim;
-pub mod slot;
 pub mod stats;
 
 pub use backend::{FenceHint, MapPin, MapRef, PoolBackend, ROOT_SLOTS};
@@ -82,5 +81,4 @@ pub use latency::LatencyModel;
 pub use layout::{CACHE_LINE, MAX_GROUPS, MAX_THREADS};
 pub use pool::{PmemPool, PoolConfig, PoolExhausted};
 pub use pref::PRef;
-pub use slot::{thread_slot, ThreadSlot, THREAD_SLOTS};
 pub use stats::StatsSnapshot;

@@ -1276,7 +1276,7 @@ mod tests {
             .join()
             .expect("the destructor must not panic");
             assert_eq!(p.stats().loads, 11, "no access went uncounted");
-            overflowed.push(ext_arm(&p).stats.overflow(Counter::Loads));
+            overflowed.push(ext_arm(&p).stats.0.overflow(Counter::Loads as usize));
         }
         assert!(
             overflowed.contains(&10),

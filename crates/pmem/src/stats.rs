@@ -8,16 +8,13 @@
 //! one fence per update operation for the four new queues, and zero
 //! post-flush accesses for OptUnlinkedQ and OptLinkedQ.
 
-use crate::layout::MAX_THREADS;
-use crate::slot;
-use crossbeam_utils::CachePadded;
+use obs::rows::Rows;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// The events a pool counts; the discriminant is the counter's index in a
-/// [`Row`].
+/// The events a pool counts; the discriminant is the counter's column in
+/// the pool's [`Rows`].
 #[derive(Clone, Copy)]
 pub(crate) enum Counter {
     Flushes,
@@ -30,122 +27,42 @@ pub(crate) enum Counter {
     ImplicitEvictions,
 }
 
-const COUNTERS: usize = 8;
-
-/// One cache line of counters, indexed by [`Counter`].
-#[derive(Default)]
-struct Row([AtomicU64; COUNTERS]);
-
-/// Rows owned by a thread slot. Slots are handed out lowest-first and
-/// recycled, so only a process with more than this many threads alive in
-/// pools at once sends any of them to the overflow row.
-const OWNED_ROWS: usize = MAX_THREADS;
-
 /// A pool's event counters — the same type behind the simulated and the
-/// external arm of [`crate::PmemPool`].
+/// external arm of [`crate::PmemPool`]: one [`obs::rows`] table per pool,
+/// a cache line of counters per thread, so counting costs an unlocked add.
 ///
-/// Counting must not cost more than the access it counts, so there is no
-/// shared line on the hot path: the counters are rows, one per
-/// [thread slot](crate::slot), and a row is written only by the thread
-/// holding its slot — a plain load and store, no locked instruction.
-/// Threads without a row of their own (slot index past the last row, no
-/// slot at all) share the overflow row and `fetch_add` into it, so the
-/// totals stay exact for any number of threads.
+/// [`snapshot`](Self::snapshot) is therefore exact only at quiescence (no
+/// thread inside a pool operation); while operations run it is a lower
+/// bound that misses at most the operations in flight, and
+/// [`reset`](Self::reset) draws its line the same way.
 ///
-/// [`snapshot`](Self::snapshot) sums the rows and is therefore exact only
-/// at quiescence (no thread inside a pool operation); while operations run
-/// it is a lower bound that misses at most the operations in flight.
-/// [`reset`](Self::reset) never writes a row — a thread may be in the
-/// middle of updating its own — it records the current totals as a
-/// baseline that later snapshots subtract.
-pub(crate) struct Stats(Box<Table>);
-
 /// Boxed so that a pool stays a few words wide; allocated once per pool.
-struct Table {
-    rows: [CachePadded<Row>; OWNED_ROWS],
-    overflow: CachePadded<Row>,
-    /// The totals at the last [`Stats::reset`].
-    baseline: Row,
-}
-
-impl Default for Stats {
-    fn default() -> Self {
-        Stats(Box::new(Table {
-            rows: std::array::from_fn(|_| CachePadded::default()),
-            overflow: CachePadded::default(),
-            baseline: Row::default(),
-        }))
-    }
-}
+#[derive(Default)]
+pub(crate) struct Stats(pub(crate) Box<Rows<8>>);
 
 impl Stats {
     /// Adds `n` to `counter` on behalf of the calling thread.
     #[inline]
     pub(crate) fn add(&self, counter: Counter, n: u64) {
-        match self.0.rows.get(slot::cached_index()) {
-            Some(row) => {
-                // Single writer (the slot's holder), so no read-modify-write
-                // instruction is needed; the atomics only make the
-                // concurrent reads in `totals` well defined.
-                let cell = &row.0[counter as usize];
-                cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
-            }
-            None => self.add_slow(counter, n),
-        }
-    }
-
-    /// First pool access of a thread (no slot leased yet), or a thread with
-    /// no row of its own.
-    #[cold]
-    fn add_slow(&self, counter: Counter, n: u64) {
-        let row = slot::thread_slot().and_then(|s| self.0.rows.get(s.index));
-        match row {
-            // Freshly leased: from now on `add` finds the row itself.
-            Some(row) => row.0[counter as usize].fetch_add(n, Relaxed),
-            None => self.0.overflow.0[counter as usize].fetch_add(n, Relaxed),
-        };
-    }
-
-    /// Sums every row, the overflow row included.
-    fn totals(&self) -> [u64; COUNTERS] {
-        let mut sum = [0u64; COUNTERS];
-        for row in self.0.rows.iter().chain([&self.0.overflow]) {
-            for (total, cell) in sum.iter_mut().zip(&row.0) {
-                *total = total.wrapping_add(cell.load(Relaxed));
-            }
-        }
-        sum
+        self.0.add(counter as usize, n);
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let totals = self.totals();
-        // Every counter only grows and the baseline is an earlier sum of
-        // the same counters, so the difference cannot go negative.
-        let since = |c: Counter| {
-            totals[c as usize].wrapping_sub(self.0.baseline.0[c as usize].load(Relaxed))
-        };
+        let since = self.0.totals();
         StatsSnapshot {
-            flushes: since(Counter::Flushes),
-            fences: since(Counter::Fences),
-            nt_stores: since(Counter::NtStores),
-            post_flush_accesses: since(Counter::PostFlushAccesses),
-            loads: since(Counter::Loads),
-            stores: since(Counter::Stores),
-            cas_ops: since(Counter::CasOps),
-            implicit_evictions: since(Counter::ImplicitEvictions),
+            flushes: since[Counter::Flushes as usize],
+            fences: since[Counter::Fences as usize],
+            nt_stores: since[Counter::NtStores as usize],
+            post_flush_accesses: since[Counter::PostFlushAccesses as usize],
+            loads: since[Counter::Loads as usize],
+            stores: since[Counter::Stores as usize],
+            cas_ops: since[Counter::CasOps as usize],
+            implicit_evictions: since[Counter::ImplicitEvictions as usize],
         }
     }
 
     pub(crate) fn reset(&self) {
-        for (base, total) in self.0.baseline.0.iter().zip(self.totals()) {
-            base.store(total, Relaxed);
-        }
-    }
-
-    /// What the overflow row alone holds for `counter`.
-    #[cfg(test)]
-    pub(crate) fn overflow(&self, counter: Counter) -> u64 {
-        self.0.overflow.0[counter as usize].load(Relaxed)
+        self.0.reset();
     }
 }
 
@@ -390,76 +307,6 @@ mod tests {
         assert_eq!(s.snapshot().flushes, 3);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    /// Holds more threads alive at once than there are owned rows, so some
-    /// of them must count into the overflow row; the totals stay exact.
-    #[test]
-    fn threads_past_the_last_row_share_the_overflow_row_exactly() {
-        const THREADS: usize = OWNED_ROWS + 8;
-        const OPS: u64 = 2_000;
-        let stats = Stats::default();
-        let barrier = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    // Lease a slot, then wait until every thread holds one:
-                    // THREADS distinct slots cannot fit OWNED_ROWS rows.
-                    stats.add(Counter::Fences, 1);
-                    barrier.wait();
-                    for _ in 0..OPS {
-                        stats.add(Counter::Loads, 1);
-                        stats.add(Counter::Stores, 2);
-                    }
-                });
-            }
-        });
-        let snap = stats.snapshot();
-        assert_eq!(snap.fences, THREADS as u64);
-        assert_eq!(snap.loads, THREADS as u64 * OPS);
-        assert_eq!(snap.stores, THREADS as u64 * OPS * 2);
-        let overflowed = stats.overflow(Counter::Loads);
-        assert!(
-            overflowed >= 8 * OPS && overflowed % OPS == 0,
-            "at least 8 whole threads had no row of their own, got {overflowed}"
-        );
-    }
-
-    /// `reset` records a baseline instead of zeroing rows, so resetting
-    /// while writers run loses none of their counts.
-    #[test]
-    fn reset_under_traffic_never_writes_a_row() {
-        const THREADS: usize = 4;
-        const OPS: u64 = 200_000;
-        let stats = Stats::default();
-        let start = std::sync::Barrier::new(THREADS + 1);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    start.wait();
-                    for _ in 0..OPS {
-                        stats.add(Counter::CasOps, 1);
-                    }
-                });
-            }
-            start.wait();
-            for _ in 0..200 {
-                stats.reset();
-                let seen = stats.snapshot().cas_ops;
-                assert!(seen <= THREADS as u64 * OPS, "never over-counts");
-            }
-        });
-        // Had any reset stored into a row, that row's holder would have
-        // lost increments and the raw total would fall short.
-        assert_eq!(
-            stats.totals()[Counter::CasOps as usize],
-            THREADS as u64 * OPS
-        );
-        // At quiescence a reset draws the line exactly.
-        stats.reset();
-        assert_eq!(stats.snapshot(), StatsSnapshot::default());
-        stats.add(Counter::CasOps, 3);
-        assert_eq!(stats.snapshot().cas_ops, 3);
     }
 
     #[test]

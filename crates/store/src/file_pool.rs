@@ -67,7 +67,7 @@
 //! `try_alloc_raw` runs out of space, the backend extends the file by at
 //! least one growth step (`ftruncate`), remaps it, and retries — a queue can
 //! outgrow its creation-time watermark ceiling without ever surfacing
-//! `PoolExhausted`. Growth never blocks readers (on Unix): the file is
+//! `PoolExhausted`. Growth never blocks readers: the file is
 //! extended with `mremap` in place when the kernel allows it (same base
 //! pointer, no second VA range — concurrent readers don't even notice) and
 //! otherwise duplicated via `mremap(old, 0, new_len, MREMAP_MAYMOVE)`, the
@@ -141,8 +141,6 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::ptr;
-#[cfg(not(unix))]
-use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -520,9 +518,9 @@ struct PinSlot {
 unsafe impl Sync for PinSlot {}
 
 /// One hazard slot per leasable thread slot: the thread → slot lease is
-/// `pmem`'s (the same one the pool's statistics rows use), so the index is
+/// `obs::slot` (the same one every counter row uses), so the index is
 /// exclusive to the calling thread and recycled when it exits.
-const PIN_SLOTS: usize = pmem::THREAD_SLOTS;
+const PIN_SLOTS: usize = obs::slot::THREAD_SLOTS;
 
 /// The calling thread's hazard slot, as `(index, lease tenure)`. Each
 /// acquisition — recycled or fresh — has a process-unique tenure, which is
@@ -532,7 +530,7 @@ const PIN_SLOTS: usize = pmem::THREAD_SLOTS;
 /// Unlike a statistic, a hazard announcement has no shared fallback: a
 /// thread without a slot cannot pin an elastic pool.
 fn reader_slot() -> (usize, u64) {
-    let slot = pmem::thread_slot().unwrap_or_else(|| {
+    let slot = obs::slot::thread_slot().unwrap_or_else(|| {
         panic!(
             "no thread slot for an elastic file pool: more than {PIN_SLOTS} threads are using \
              pools at once, or the pool was touched during this thread's teardown"
@@ -557,11 +555,6 @@ struct MapTable {
     retired: Mutex<Vec<Retired>>,
     /// Serializes growth. Readers never take it.
     grow: Mutex<()>,
-    /// Non-Unix only: the heap-buffer mapping stand-in is not coherent
-    /// across two buffers, so growth there briefly gates new pins while
-    /// the old buffer is written back and re-read (see `grow_to`).
-    #[cfg(not(unix))]
-    growing: AtomicBool,
 }
 
 // SAFETY: the raw descriptor pointers are owned by this table (Box);
@@ -591,8 +584,6 @@ impl MapTable {
                 .collect(),
             retired: Mutex::new(Vec::new()),
             grow: Mutex::new(()),
-            #[cfg(not(unix))]
-            growing: AtomicBool::new(false),
         }
     }
 
@@ -642,10 +633,6 @@ impl MapTable {
             slot.pinned.store(ptr::null_mut(), Ordering::Release);
         }
         *owner = tenure;
-        #[cfg(not(unix))]
-        while self.growing.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
         loop {
             let d = self.current.load(Ordering::SeqCst);
             // Hazard announcement: publish which descriptor this thread is
@@ -709,28 +696,6 @@ impl MapTable {
             }
             pinned
         });
-    }
-
-    /// Non-Unix growth only: whether the calling thread's own hazard
-    /// slot is pinned. Growing through `drain_readers` would then spin
-    /// on that slot forever — `grow_to` refuses up front instead.
-    #[cfg(not(unix))]
-    fn self_pinned(&self) -> bool {
-        let (idx, _) = reader_slot();
-        !self.slots[idx].pinned.load(Ordering::Relaxed).is_null()
-    }
-
-    /// Non-Unix growth only: waits until every hazard slot is clear. New
-    /// pins are held off by the `growing` gate and the caller has
-    /// verified its own slot is unpinned (`self_pinned`), so this
-    /// terminates once every *other* thread's in-flight use drains.
-    #[cfg(not(unix))]
-    fn drain_readers(&self) {
-        for slot in self.slots.iter() {
-            while !slot.pinned.load(Ordering::Acquire).is_null() {
-                std::hint::spin_loop();
-            }
-        }
     }
 }
 
@@ -1288,19 +1253,6 @@ impl FilePool {
         if new_size < min_len {
             return Ok(false); // even the offset ceiling cannot satisfy this
         }
-        // The non-Unix fallback must drain every pinned reader before it
-        // can swap heap buffers — including, fatally, a pin held by this
-        // very thread (a growth triggered by an allocation under an
-        // outstanding MapRef would spin on its own hazard slot forever).
-        // Refuse up front, before any durable side effect.
-        #[cfg(not(unix))]
-        if self.maps.self_pinned() {
-            return Err(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                "cannot grow the pool: the calling thread holds a pinned mapping \
-                 view (MapRef); drop it before allocating past the current size",
-            ));
-        }
 
         let _growth_timer = GROWTH_NS.start_timer();
 
@@ -1364,66 +1316,33 @@ impl FilePool {
         //    committed on disk but unpublished: this session keeps serving
         //    the old size and a reopen sees the new one.
         let new_map_len = HEADER_LEN + new_size;
-        #[cfg(unix)]
-        {
-            // Common case: extend the mapping in place — same base, no
-            // second VA range, concurrent readers never notice. Fallback:
-            // duplicate the shared mapping (mremap old_size == 0 on Linux,
-            // a second mmap of the same pages elsewhere); the old mapping
-            // stays intact for still-pinned readers and is epoch-retired.
-            let extended =
-                unsafe { mmap::raw::extend_in_place(cur.raw.base, cur.map_len, new_map_len) };
-            let (base, in_place) = if extended {
-                (cur.raw.base, true)
-            } else {
-                (
-                    // SAFETY: `cur` is the live mapping of this pool's file,
-                    // which step 1 extended past new_map_len bytes.
-                    unsafe { mmap::raw::remap_dup(&self.file, cur.raw.base, new_map_len)? },
-                    false,
-                )
-            };
-            self.maps.install(
-                Box::new(MapDesc {
-                    raw: RawMap {
-                        base,
-                        size: new_size,
-                    },
-                    map_len: new_map_len,
-                }),
-                !in_place,
-            );
-        }
-        #[cfg(not(unix))]
-        {
-            // The heap-buffer stand-in is not coherent across two buffers,
-            // so the fallback platform briefly gates new pins, drains the
-            // hazard slots, writes the old buffer back and re-reads it at
-            // the new length. Unix never takes this path.
-            self.maps.growing.store(true, Ordering::Release);
-            self.maps.drain_readers();
-            let remapped = self
-                .msync_raw(&cur.raw, 0, HEADER_LEN + old_size)
-                .and_then(|()| mmap::raw::map(&self.file, new_map_len));
-            let base = match remapped {
-                Ok(base) => base,
-                Err(e) => {
-                    self.maps.growing.store(false, Ordering::Release);
-                    return Err(e);
-                }
-            };
-            self.maps.install(
-                Box::new(MapDesc {
-                    raw: RawMap {
-                        base,
-                        size: new_size,
-                    },
-                    map_len: new_map_len,
-                }),
-                true,
-            );
-            self.maps.growing.store(false, Ordering::Release);
-        }
+        // Common case: extend the mapping in place — same base, no second
+        // VA range, concurrent readers never notice. Fallback: duplicate
+        // the shared mapping (mremap old_size == 0 on Linux, a second mmap
+        // of the same pages elsewhere); the old mapping stays intact for
+        // still-pinned readers and is epoch-retired.
+        let extended =
+            unsafe { mmap::raw::extend_in_place(cur.raw.base, cur.map_len, new_map_len) };
+        let (base, in_place) = if extended {
+            (cur.raw.base, true)
+        } else {
+            (
+                // SAFETY: `cur` is the live mapping of this pool's file,
+                // which step 1 extended past new_map_len bytes.
+                unsafe { mmap::raw::remap_dup(&self.file, cur.raw.base, new_map_len)? },
+                false,
+            )
+        };
+        self.maps.install(
+            Box::new(MapDesc {
+                raw: RawMap {
+                    base,
+                    size: new_size,
+                },
+                map_len: new_map_len,
+            }),
+            !in_place,
+        );
         self.maps.reclaim();
         Ok(true)
     }
@@ -1540,7 +1459,7 @@ impl FilePool {
         }
         // SAFETY: bounds-checked against the pinned view, whose mapping is
         // live for at least HEADER_LEN + size bytes.
-        unsafe { mmap::raw::msync(&self.file, raw.base, offset, len) }
+        unsafe { mmap::raw::msync(raw.base, offset, len) }
     }
 
     /// Test support (`DQ_TRACK_MSYNC`): every file page number any `msync`

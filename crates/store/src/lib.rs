@@ -73,6 +73,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(not(unix))]
+compile_error!(
+    "store keeps a pool durable through a shared file mapping (mmap) and has no stand-in \
+     for platforms without one: it builds for Unix targets only"
+);
+
 pub mod file_pool;
 pub mod mmap;
 

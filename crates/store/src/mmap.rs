@@ -1,13 +1,13 @@
 //! A minimal shared file mapping.
 //!
-//! On Unix the handful of calls a pool file needs (`mmap`, `munmap`,
-//! `msync`, `getpagesize`, Linux `mremap`) are the workspace's one set of
-//! extern-C bindings, [`obs::sys`]. On other platforms a heap buffer
-//! stands in: the file is read at map time and written back on
-//! [`MmapRegion::msync`]/drop — the API works everywhere, but only the Unix
-//! mapping gives kill-`SIGKILL` durability (stores land in the OS page
-//! cache the moment they retire, so they survive the process).
+//! The handful of calls a pool file needs (`mmap`, `munmap`, `msync`,
+//! `getpagesize`, Linux `mremap`) are the workspace's one set of extern-C
+//! bindings, [`obs::sys`]. A shared mapping is what gives kill-`SIGKILL`
+//! durability (stores land in the OS page cache the moment they retire, so
+//! they survive the process); there is no stand-in for platforms without
+//! one — the crate refuses to build there.
 
+use obs::sys;
 use std::fs::File;
 use std::io;
 
@@ -15,10 +15,6 @@ use std::io;
 pub struct MmapRegion {
     ptr: *mut u8,
     len: usize,
-    #[cfg(not(unix))]
-    file: File,
-    #[cfg(not(unix))]
-    layout: std::alloc::Layout,
 }
 
 // SAFETY: the region is only accessed through atomics (or during
@@ -27,71 +23,17 @@ pub struct MmapRegion {
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
-#[cfg(unix)]
-use obs::sys;
-
 /// The system page size (granularity of [`MmapRegion::msync`] rounding).
 pub fn page_size() -> usize {
-    #[cfg(unix)]
     // SAFETY: getpagesize has no preconditions.
-    unsafe {
-        sys::getpagesize() as usize
-    }
-    #[cfg(not(unix))]
-    4096
+    unsafe { sys::getpagesize() as usize }
 }
 
 impl MmapRegion {
     /// Maps the leading `len` bytes of `file`, shared and read-write. The
     /// file must already be at least `len` bytes long.
     pub fn map(file: &File, len: usize) -> io::Result<MmapRegion> {
-        assert!(len > 0, "cannot map an empty region");
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            // SAFETY: fd is a valid open file descriptor; len > 0; a shared
-            // file mapping has no other preconditions. The kernel validates
-            // the rest and reports failure as MAP_FAILED.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ | sys::PROT_WRITE,
-                    sys::MAP_SHARED,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(MmapRegion {
-                ptr: ptr as *mut u8,
-                len,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
-            let layout = std::alloc::Layout::from_size_align(len, 4096)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            // SAFETY: layout has non-zero size.
-            let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-            if ptr.is_null() {
-                return Err(io::Error::new(io::ErrorKind::OutOfMemory, "alloc failed"));
-            }
-            let mut f = file.try_clone()?;
-            f.seek(SeekFrom::Start(0))?;
-            // SAFETY: ptr is valid for len bytes, exclusively owned here.
-            let buf = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-            f.read_exact(buf)?;
-            Ok(MmapRegion {
-                ptr,
-                len,
-                file: f,
-                layout,
-            })
-        }
+        raw::map(file, len).map(|ptr| MmapRegion { ptr, len })
     }
 
     /// Base pointer of the mapping.
@@ -120,34 +62,8 @@ impl MmapRegion {
             offset.checked_add(len).is_some_and(|end| end <= self.len),
             "msync range out of bounds"
         );
-        #[cfg(unix)]
-        {
-            let page = page_size();
-            let start = offset & !(page - 1);
-            let end = offset + len;
-            // SAFETY: [start, end) is page-rounded and inside the mapping.
-            let rc = unsafe {
-                sys::msync(
-                    self.ptr.add(start) as *mut std::ffi::c_void,
-                    end - start,
-                    sys::MS_SYNC,
-                )
-            };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut f = self.file.try_clone()?;
-            f.seek(SeekFrom::Start(offset as u64))?;
-            // SAFETY: in-bounds read of the owned buffer.
-            let buf = unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) };
-            f.write_all(buf)?;
-            f.flush()
-        }
+        // SAFETY: the range was just checked to lie inside the mapping.
+        unsafe { raw::msync(self.ptr, offset, len) }
     }
 }
 
@@ -156,57 +72,36 @@ impl MmapRegion {
 /// outlive the last reader pinned on it, so RAII ownership à la
 /// [`MmapRegion`] is the wrong shape there).
 ///
-/// On Unix these are thin wrappers over `mmap`/`munmap`/`msync`, plus the
-/// two Linux `mremap` forms growth uses: in-place extension (base pointer
-/// unchanged, no second VA range) and shared-mapping duplication (the old
-/// mapping stays intact for still-pinned readers). On non-Unix platforms
-/// the same API is backed by page-aligned heap buffers with explicit file
-/// write-back, exactly like the [`MmapRegion`] stand-in.
+/// These are thin wrappers over `mmap`/`munmap`/`msync`, plus the two Linux
+/// `mremap` forms growth uses: in-place extension (base pointer unchanged,
+/// no second VA range) and shared-mapping duplication (the old mapping
+/// stays intact for still-pinned readers).
 pub(crate) mod raw {
-    use super::page_size;
+    use super::{page_size, sys};
     use std::fs::File;
     use std::io;
+    use std::os::unix::io::AsRawFd;
 
     /// Maps the leading `len` bytes of `file`, shared and read-write.
     pub fn map(file: &File, len: usize) -> io::Result<*mut u8> {
         assert!(len > 0, "cannot map an empty region");
-        #[cfg(unix)]
-        {
-            use super::sys;
-            use std::os::unix::io::AsRawFd;
-            // SAFETY: fd is a valid open file descriptor; len > 0; a shared
-            // file mapping has no other preconditions.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ | sys::PROT_WRITE,
-                    sys::MAP_SHARED,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(ptr as *mut u8)
+        // SAFETY: fd is a valid open file descriptor; len > 0; a shared
+        // file mapping has no other preconditions. The kernel validates
+        // the rest and reports failure as MAP_FAILED.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_SHARED,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr as isize == -1 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
-            let layout = buf_layout(len)?;
-            // SAFETY: layout has non-zero size.
-            let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-            if ptr.is_null() {
-                return Err(io::Error::new(io::ErrorKind::OutOfMemory, "alloc failed"));
-            }
-            let mut f = file.try_clone()?;
-            f.seek(SeekFrom::Start(0))?;
-            // SAFETY: ptr is valid for len bytes, exclusively owned here.
-            let buf = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-            f.read_exact(buf)?;
-            Ok(ptr)
-        }
+        Ok(ptr as *mut u8)
     }
 
     /// Releases a mapping created by [`map`] (or [`remap_dup`], or extended
@@ -217,60 +112,38 @@ pub(crate) mod raw {
     /// `ptr`/`len` must name exactly one live mapping from this module, and
     /// nothing may reference it afterwards.
     pub unsafe fn unmap(ptr: *mut u8, len: usize) {
-        #[cfg(unix)]
         // SAFETY: per the caller contract.
         unsafe {
-            super::sys::munmap(ptr as *mut std::ffi::c_void, len);
-        }
-        #[cfg(not(unix))]
-        // SAFETY: allocated with exactly this layout in `map`/`remap_dup`.
-        unsafe {
-            std::alloc::dealloc(ptr, buf_layout(len).unwrap());
+            sys::munmap(ptr as *mut std::ffi::c_void, len);
         }
     }
 
     /// Synchronously writes the pages of `[offset, offset + len)` (rounded
-    /// out to page boundaries) back to the file. `file` is the backing file
-    /// — unused on Unix, where the kernel knows it from the mapping.
+    /// out to page boundaries) back to the file the mapping came from.
     ///
     /// # Safety
     ///
     /// `base` must be a live mapping covering `offset + len` bytes.
-    pub unsafe fn msync(file: &File, base: *mut u8, offset: usize, len: usize) -> io::Result<()> {
+    pub unsafe fn msync(base: *mut u8, offset: usize, len: usize) -> io::Result<()> {
         if len == 0 {
             return Ok(());
         }
-        #[cfg(unix)]
-        {
-            let _ = file;
-            let page = page_size();
-            let start = offset & !(page - 1);
-            let end = offset + len;
-            // SAFETY: [start, end) is page-rounded and, per the caller
-            // contract, inside the mapping.
-            let rc = unsafe {
-                super::sys::msync(
-                    base.add(start) as *mut std::ffi::c_void,
-                    end - start,
-                    super::sys::MS_SYNC,
-                )
-            };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
+        let page = page_size();
+        let start = offset & !(page - 1);
+        let end = offset + len;
+        // SAFETY: [start, end) is page-rounded and, per the caller
+        // contract, inside the mapping.
+        let rc = unsafe {
+            sys::msync(
+                base.add(start) as *mut std::ffi::c_void,
+                end - start,
+                sys::MS_SYNC,
+            )
+        };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Seek, SeekFrom, Write};
-            let _ = page_size();
-            let mut f = file.try_clone()?;
-            f.seek(SeekFrom::Start(offset as u64))?;
-            // SAFETY: in-bounds read of the caller's buffer.
-            let buf = unsafe { std::slice::from_raw_parts(base.add(offset), len) };
-            f.write_all(buf)?;
-            f.flush()
-        }
+        Ok(())
     }
 
     /// Attempts to extend a live mapping from `old_len` to `new_len` bytes
@@ -288,8 +161,7 @@ pub(crate) mod raw {
         {
             // SAFETY: per the caller contract; without MREMAP_MAYMOVE the
             // kernel either extends at the same address or fails cleanly.
-            let ptr =
-                unsafe { super::sys::mremap(base as *mut std::ffi::c_void, old_len, new_len, 0) };
+            let ptr = unsafe { sys::mremap(base as *mut std::ffi::c_void, old_len, new_len, 0) };
             ptr as *mut u8 == base && ptr as isize != -1
         }
         #[cfg(not(target_os = "linux"))]
@@ -307,8 +179,7 @@ pub(crate) mod raw {
     /// needs no second walk of the file and is why still-pinned readers of
     /// the old mapping stay valid. Elsewhere it falls back to a fresh
     /// `mmap` of the same file (same pages via the page cache, so the two
-    /// mappings are coherent), or to alloc-and-read on non-Unix (the caller
-    /// must have written the old buffer back first).
+    /// mappings are coherent).
     ///
     /// # Safety
     ///
@@ -320,11 +191,11 @@ pub(crate) mod raw {
             // SAFETY: per the caller contract; old_size 0 + MAYMOVE
             // duplicates a shared mapping without touching the original.
             let ptr = unsafe {
-                super::sys::mremap(
+                sys::mremap(
                     base as *mut std::ffi::c_void,
                     0,
                     new_len,
-                    super::sys::MREMAP_MAYMOVE,
+                    sys::MREMAP_MAYMOVE,
                 )
             };
             if ptr as isize != -1 {
@@ -340,27 +211,12 @@ pub(crate) mod raw {
             map(file, new_len)
         }
     }
-
-    #[cfg(not(unix))]
-    fn buf_layout(len: usize) -> io::Result<std::alloc::Layout> {
-        std::alloc::Layout::from_size_align(len, 4096)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
-    }
 }
 
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        #[cfg(unix)]
         // SAFETY: ptr/len are exactly the mapping created in `map`.
-        unsafe {
-            sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = self.msync(0, self.len);
-            // SAFETY: allocated with exactly this layout in `map`.
-            unsafe { std::alloc::dealloc(self.ptr, self.layout) };
-        }
+        unsafe { raw::unmap(self.ptr, self.len) };
     }
 }
 

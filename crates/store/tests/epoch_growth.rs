@@ -107,9 +107,6 @@ fn readers_race_growth_without_stale_or_torn_reads() {
 /// A `MapRef` taken before a growth pins its mapping generation: the view
 /// keeps its pre-growth bounds and data, growth publishes the larger
 /// mapping around it without waiting, and a fresh view sees the new size.
-/// Unix-only: the non-Unix heap-buffer fallback deliberately drains pinned
-/// readers before swapping buffers, so a held view there blocks growth.
-#[cfg(unix)]
 #[test]
 fn a_map_ref_held_across_growth_stays_valid_and_never_blocks_it() {
     let path = test_path("pin");
@@ -167,7 +164,6 @@ fn a_map_ref_held_across_growth_stays_valid_and_never_blocks_it() {
 /// checked) instead of dereferencing past the pinned mapping — the
 /// nested-pin path would otherwise read/write unmapped memory whenever
 /// growth had moved the base.
-#[cfg(unix)]
 #[test]
 fn pool_ops_past_a_pinned_views_bounds_resolve_the_current_generation() {
     let path = test_path("stale-bounds");
@@ -296,7 +292,6 @@ fn map_ref_addr_validates_the_whole_access_span() {
 /// stale generation announced). The lease-tenure check must detect that
 /// and start clean: the new tenant's ops run against the current
 /// generation, and the dead view's generation becomes reclaimable.
-#[cfg(unix)]
 #[test]
 fn a_leaked_view_from_a_dead_thread_does_not_poison_its_recycled_slot() {
     let path = test_path("leak");

@@ -81,17 +81,12 @@ fn abort_between_batched_msync_and_wakeup_loses_no_acked_value() {
         .env(ENV_DIR, &dir)
         .env(ABORT_VAR, "25")
         .run_to_abort();
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        assert_eq!(
-            status.signal(),
-            Some(libc_sigabrt()),
-            "child must die at the abort point, not elsewhere: {status}"
-        );
-    }
-    #[cfg(not(unix))]
-    let _ = status;
+    use std::os::unix::process::ExitStatusExt;
+    assert_eq!(
+        status.signal(),
+        Some(libc_sigabrt()),
+        "child must die at the abort point, not elsewhere: {status}"
+    );
 
     let pool = FilePool::open(dir.join("pool.dq")).expect("reopen pool file");
     assert!(
@@ -125,7 +120,6 @@ fn abort_between_batched_msync_and_wakeup_loses_no_acked_value() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[cfg(unix)]
 fn libc_sigabrt() -> i32 {
     6
 }

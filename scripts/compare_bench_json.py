@@ -15,8 +15,9 @@ Three kinds of bands, chosen per metric:
   claims to).
 * **within-run ratio** — the fastpath artifact carries its own floor
   (`raw_load_ns`, the load chain on bare atomics): the direct row's
-  `load_ns` must stay within 2x of it. Both sides come from the current
-  run, so the band is tight without depending on the runner.
+  `load_ns` must stay within 2x of it, and one named-counter increment
+  (`counter_incr_ns`) within 3x. Both sides come from the current run, so
+  the band is tight without depending on the runner.
 * **throughput/latency** — wall-clock dependent; CI machines are noisy
   and heterogeneous, so only the regression direction is gated, with a
   deliberately loose factor. The trajectory table (printed for every
@@ -93,6 +94,10 @@ RULES = {
 # the same chain on bare atomics, both measured in the current run, so the
 # bound is independent of the runner's clock.
 MAX_DIRECT_LOAD_VS_RAW = 2.0
+# Counting an operation must cost about one more word access: a named
+# counter's `incr` (a load and a store in the thread's own row) within this
+# factor of the raw load chain. A `lock`-prefixed add measures past 5x.
+MAX_COUNTER_INCR_VS_RAW = 3.0
 
 # The group-commit layer must keep proving its win: at the highest swept
 # producer count, the best coalesced rate over the per-thread rate. Kept
@@ -164,11 +169,14 @@ def compare_experiment(gate, name, base_obj, cur_obj, ctx):
     if name == "fastpath":
         raw = cur_obj.get("raw_load_ns")
         direct = cur_rows.get(("direct",), {}).get("load_ns")
-        if not raw or direct is None:
-            gate.fail(f"{ctx}: needs raw_load_ns and a direct row's load_ns")
+        incr = cur_obj.get("counter_incr_ns")
+        if not raw or direct is None or incr is None:
+            gate.fail(f"{ctx}: needs raw_load_ns, counter_incr_ns and a direct row's load_ns")
         else:
             gate.check(f"{ctx}[direct]", "load_ns vs raw_load_ns", raw, direct,
                        "ceil", MAX_DIRECT_LOAD_VS_RAW)
+            gate.check(ctx, "counter_incr_ns vs raw_load_ns", raw, incr,
+                       "ceil", MAX_COUNTER_INCR_VS_RAW)
     if name == "group_commit":
         speedup = cur_obj.get("speedup", {})
         gate.check(ctx, "speedup", MIN_GC_SPEEDUP, speedup.get("speedup", 0.0),

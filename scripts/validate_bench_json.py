@@ -230,6 +230,9 @@ def check_fastpath(obj, ctx):
     )
     # The floor the direct row is gated against (compare_bench_json.py).
     require(obj, "raw_load_ns", lambda v: is_num(v) and v > 0, "a positive number", ctx)
+    # One named-counter increment, gated against the same floor; 0 in a
+    # build without the `instrument` feature.
+    require(obj, "counter_incr_ns", lambda v: is_num(v) and v >= 0, "a non-negative number", ctx)
     check_rows(
         obj,
         ctx,
@@ -417,6 +420,7 @@ def self_test():
             "trials": 3,
             "lock_free_fast_path": True,
             "raw_load_ns": 1.7,
+            "counter_incr_ns": 2.4,
             "rows": [
                 {"mode": "direct", "grow_step": 0, "load_ns": 2.6,
                  "persist_ns": 300.0, "map_ref_ns": 10.0},
@@ -456,6 +460,7 @@ def self_test():
         ("string count",
          mutated(lambda d: d[1]["rows"][0].update(enq_fences="2"))),
         ("fastpath without its raw floor", mutated(del_key([2], "raw_load_ns"))),
+        ("fastpath without its counter cost", mutated(del_key([2], "counter_incr_ns"))),
         ("non-list document", {"experiment": "counts"}),
     ]
     for what, doc in rejects:

@@ -50,20 +50,34 @@ fn every_figure2_panel_runs_end_to_end_for_every_algorithm() {
 fn second_amendment_outperforms_the_baseline_under_the_latency_model() {
     // The headline comparison of the paper, at the smallest scale that still
     // shows it: with the Optane-like latency model, OptUnlinkedQ beats
-    // DurableMSQ on the random-operations workload.
+    // DurableMSQ on the random-operations workload — because it never
+    // touches a flushed line, which is a count, and therefore in time,
+    // which on two cores shared with the binary's other tests is taken as
+    // the best of three.
     let sweep = SweepConfig {
         threads: vec![2],
         ops_per_thread: 4_000,
         latency: LatencyModel::optane_like(),
         ..tiny_sweep(vec![Algorithm::DurableMsq, Algorithm::OptUnlinked])
     };
-    let rows = run_panel(Workload::RandomOps, &sweep);
-    let ratio = rows[0]
-        .ratio_to_durable_msq(Algorithm::OptUnlinked)
-        .unwrap();
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let rows = run_panel(Workload::RandomOps, &sweep);
+        let post_flush = |alg| rows[0].cell(alg).unwrap().post_flush_per_op;
+        assert_eq!(post_flush(Algorithm::OptUnlinked), 0.0);
+        assert!(post_flush(Algorithm::DurableMsq) > 0.0);
+        best = best.max(
+            rows[0]
+                .ratio_to_durable_msq(Algorithm::OptUnlinked)
+                .unwrap(),
+        );
+        if best > 1.1 {
+            break;
+        }
+    }
     assert!(
-        ratio > 1.1,
-        "OptUnlinkedQ should outperform DurableMSQ (measured ratio {ratio:.2})"
+        best > 1.1,
+        "OptUnlinkedQ should outperform DurableMSQ (best of three ratios {best:.2})"
     );
 }
 

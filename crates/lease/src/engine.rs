@@ -19,13 +19,29 @@
 //! stripe). The engine is monomorphised per journal and never asks which
 //! surface owns it.
 //!
+//! # Append under the lock, force outside it
+//!
+//! Making a record durable is two steps. [`Journal::append`] only
+//! `write(2)`s, under the state lock, so the records of one journal are
+//! totally ordered and the in-memory state always matches the bytes
+//! written. Every transition then releases the lock, forces what it wrote
+//! through a [`Force`] handle on the journal's file (`fdatasync` under
+//! [`SyncPolicy::PowerFail`], nothing under `ProcessCrash`), and only then
+//! returns: no lock is held across a force, and competing consumers'
+//! forces overlap instead of queueing. A thread may act on a transition
+//! whose force is still running — grant an item whose `PEND` another
+//! thread is forcing — but whatever it appends lands later in the same
+//! file, so its own force covers both. The orderings that cross files
+//! (rotation, retirement, compaction) are the journal's to force, under
+//! the lock, once per thousands of records.
+//!
 //! # Panics
 //!
-//! Consume-path methods panic if a journal append fails at the I/O level:
-//! a write of unknown durability would make every subsequent lease
-//! transition unsound, so (like a message store losing its WAL device) the
-//! process must restart and replay. [`Consumer::recover`] returns
-//! `io::Result` instead, since nothing is in flight yet.
+//! Consume-path methods panic if a journal append or force fails at the
+//! I/O level: a record of unknown durability would make every subsequent
+//! lease transition unsound, so (like a message store losing its WAL
+//! device) the process must restart and replay. [`Consumer::recover`]
+//! returns `io::Result` instead, since nothing is in flight yet.
 
 use crate::log::{Record, RecordKind, Replay};
 use crate::queue::{Lease, LeaseError, Redelivery};
@@ -37,19 +53,70 @@ use parking_lot::Mutex;
 use shard::LeaseRecovery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::fs::File;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use store::SyncPolicy;
+
+static FORCES: LazyCounter = LazyCounter::new("lease.force");
+
+/// `fdatasync`s a journal file. Every force of the lease layer, on the
+/// operation path or in maintenance, goes through here.
+pub(crate) fn sync_file(file: &File) -> io::Result<()> {
+    // A force covers what was written before it began, so the shadow of
+    // the forced length reads the file's length first.
+    #[cfg(test)]
+    let written = file.metadata()?.len();
+    file.sync_data()?;
+    #[cfg(test)]
+    crate::powerfail::forced(file, written);
+    Ok(())
+}
+
+/// The second step of making appended records durable: a handle on the
+/// file a [`Journal`] appended to, to be [`run`](Force::run) once the state
+/// lock is released. Forcing a file covers every byte written to it
+/// before the force began, whoever wrote it.
+pub(crate) struct Force(Option<Arc<File>>);
+
+impl Force {
+    /// A force of `file` under [`SyncPolicy::PowerFail`]; nothing under
+    /// `ProcessCrash`, where the page cache is the durability domain.
+    pub(crate) fn of(file: &Arc<File>, sync: SyncPolicy) -> Force {
+        Force((sync == SyncPolicy::PowerFail).then(|| Arc::clone(file)))
+    }
+
+    /// Forces the file; counted as `lease.force`.
+    pub(crate) fn run(self) -> io::Result<()> {
+        if let Some(file) = self.0 {
+            sync_file(&file)?;
+            FORCES.incr();
+        }
+        Ok(())
+    }
+}
 
 /// The durable record of lease transitions, as the engine sees it: an
 /// append-only log with an identity. Single-writer — every call happens
 /// under the owning [`Consumer`]'s lock.
 pub(crate) trait Journal {
-    /// Appends one record, durable per the journal's sync tier before it
-    /// returns. `next_lease_id` is the engine's id high-water mark, for
-    /// journals that persist it on the append path.
+    /// Writes one record at the tail. It is durable once a
+    /// [`force`](Self::force) taken after this call has run.
+    /// `next_lease_id` is the engine's id high-water mark, for journals
+    /// that persist it on the append path.
     fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()>;
+
+    /// Two adjacent appends, each record with the id mark that held when
+    /// it was made. A journal that can put both in one `write` does.
+    fn append_pair(&mut self, first: (&Record, u64), second: (&Record, u64)) -> io::Result<()> {
+        self.append(first.0, first.1)?;
+        self.append(second.0, second.1)
+    }
+
+    /// The force covering everything appended so far.
+    fn force(&self) -> Force;
 
     /// The log's identity, stamped into the exactly-once cursor so a stale
     /// cursor can never repair a recreated log's leases.
@@ -139,6 +206,8 @@ struct State<J> {
     /// `GRANT` records and the "nothing acked" sentinel in the
     /// exactly-once cursor. Ids start at 1.
     next_id: u64,
+    /// Whether a record was appended since a force was last handed out.
+    unforced: bool,
     counters: Counters,
 }
 
@@ -149,13 +218,43 @@ impl<J: Journal> State<J> {
         id
     }
 
+    /// `item` joins the pending queue under its appended `PEND`'s id.
+    fn offered(&mut self, id: u64, item: u64) {
+        self.pending.push_back(PendingItem {
+            prev: id,
+            item,
+            delivery_count: 1,
+        });
+        self.counters.offered += 1;
+    }
+
     fn append(&mut self, rec: &Record) {
-        if let Err(e) = self.log.append(rec, self.next_id) {
-            panic!(
-                "ack log append failed ({}): {e}; the log's durability is now \
-                 unknowable, restart and replay",
-                self.log.location().display()
-            );
+        let appended = self.log.append(rec, self.next_id);
+        self.appended(appended);
+    }
+
+    fn appended(&mut self, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.durability_lost("append", e);
+        }
+        self.unforced = true;
+    }
+
+    fn durability_lost(&self, step: &str, e: io::Error) -> ! {
+        panic!(
+            "ack log {step} failed ({}): {e}; the log's durability is now \
+             unknowable, restart and replay",
+            self.log.location().display()
+        )
+    }
+
+    /// The force the caller owes once it has released the lock: of
+    /// nothing, unless this lock hold appended.
+    fn take_force(&mut self) -> Force {
+        if std::mem::take(&mut self.unforced) {
+            self.log.force()
+        } else {
+            Force(None)
         }
     }
 
@@ -212,10 +311,12 @@ impl<J: Journal> Consumer<J> {
             ..LeaseRecovery::default()
         };
         let mut live = replay.live;
+        let mut repaired = false;
         if let Some(eo) = cursor {
             for id in eo.acked_ids_in(settings.stripe, replay.generation) {
                 if live.remove(&id).is_some() {
                     log.append(&Record::terminal(RecordKind::Ack, id), next_id)?;
+                    repaired = true;
                     report.tx_acked += 1;
                 }
             }
@@ -236,6 +337,7 @@ impl<J: Journal> Consumer<J> {
                     .expect("a finite budget has a dead-letter queue");
                 dlq.enqueue(0, lease.item);
                 log.append(&Record::terminal(RecordKind::Dead, id), next_id)?;
+                repaired = true;
                 report.dead_lettered += 1;
             } else {
                 pending.push_back(PendingItem {
@@ -245,6 +347,9 @@ impl<J: Journal> Consumer<J> {
                 });
                 report.redelivered += 1;
             }
+        }
+        if repaired {
+            log.force().run()?;
         }
         Ok((Self::assemble(log, dlq, settings, pending, next_id), report))
     }
@@ -266,33 +371,78 @@ impl<J: Journal> Consumer<J> {
                 pending,
                 settling: HashSet::new(),
                 next_id,
+                unforced: false,
                 counters: Counters::default(),
             }),
         }
+    }
+
+    /// Runs one transition under the state lock, then — the lock released —
+    /// forces what it appended, and only then hands back its result.
+    fn transition<R>(&self, apply: impl FnOnce(&mut State<J>) -> R) -> R {
+        let (out, force) = {
+            let mut st = self.state.lock();
+            let out = apply(&mut st);
+            (out, st.take_force())
+        };
+        if let Err(e) = force.run() {
+            self.state.lock().durability_lost("force", e);
+        }
+        out
     }
 
     /// Durably records that `item` awaits its first delivery here (`PEND`
     /// under a fresh id) — how a fan-out hands every consumer its own copy
     /// before any of them sees it.
     pub(crate) fn offer(&self, item: u64) {
-        let mut st = self.state.lock();
-        let id = st.take_id();
-        st.append(&Record::pend(id, item, 1));
-        st.pending.push_back(PendingItem {
-            prev: id,
-            item,
-            delivery_count: 1,
-        });
-        st.counters.offered += 1;
+        self.transition(|st| {
+            let id = st.take_id();
+            st.append(&Record::pend(id, item, 1));
+            st.offered(id, item);
+        })
+    }
+
+    /// [`offer`](Self::offer) and the grant that follows it, for the
+    /// consumer that popped `item` itself: one lock hold and one force,
+    /// and — when `item` is the delivery it gets, nothing older being
+    /// owed — `PEND` and `GRANT` in one write. The caller has just seen
+    /// [`grant_pending`](Self::grant_pending) come back empty at `now`.
+    pub(crate) fn offer_and_grant(&self, now: Instant, item: u64) -> Lease {
+        self.transition(|st| {
+            let id = st.take_id();
+            let pend = Record::pend(id, item, 1);
+            if !st.pending.is_empty() {
+                // A racing nack or expiry put an older delivery ahead.
+                st.append(&pend);
+                st.offered(id, item);
+                let head = st.pending.pop_front().expect("checked non-empty");
+                return self.grant(st, now, head);
+            }
+            let after_pend = st.next_id;
+            let grant_id = st.take_id();
+            let grant = Record::grant(grant_id, item, 1, id);
+            let appended = st
+                .log
+                .append_pair((&pend, after_pend), (&grant, st.next_id));
+            st.appended(appended);
+            st.counters.offered += 1;
+            let own = PendingItem {
+                prev: id,
+                item,
+                delivery_count: 1,
+            };
+            self.granted(st, now, grant_id, own)
+        })
     }
 
     /// Reaps expired leases, then grants the head of the pending queue, if
     /// any. The `GRANT` record is durable before the lease is returned.
     pub(crate) fn grant_pending(&self, tid: usize, now: Instant) -> Option<Lease> {
-        let mut st = self.state.lock();
-        self.reap(&mut st, tid, now);
-        let p = st.pending.pop_front()?;
-        Some(self.grant(&mut st, now, p))
+        self.transition(|st| {
+            self.reap(st, tid, now);
+            let p = st.pending.pop_front()?;
+            Some(self.grant(st, now, p))
+        })
     }
 
     /// Grants an item that came straight off a destructive pop: first
@@ -303,12 +453,17 @@ impl<J: Journal> Consumer<J> {
             item,
             delivery_count: 1,
         };
-        self.grant(&mut self.state.lock(), now, fresh)
+        self.transition(|st| self.grant(st, now, fresh))
     }
 
     fn grant(&self, st: &mut State<J>, now: Instant, p: PendingItem) -> Lease {
         let id = st.take_id();
         st.append(&Record::grant(id, p.item, p.delivery_count, p.prev));
+        self.granted(st, now, id, p)
+    }
+
+    /// The in-memory half of a grant whose `GRANT` record is appended.
+    fn granted(&self, st: &mut State<J>, now: Instant, id: u64, p: PendingItem) -> Lease {
         let lease = Lease {
             id,
             item: p.item,
@@ -330,12 +485,13 @@ impl<J: Journal> Consumer<J> {
     /// an exactly-once transaction owns its settlement, which racing would
     /// double-settle.
     pub(crate) fn ack(&self, lease: &Lease) -> Result<(), LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
-            return Err(LeaseError::NotInFlight);
-        }
-        self.retire(&mut st, lease.id);
-        Ok(())
+        self.transition(|st| {
+            if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
+                return Err(LeaseError::NotInFlight);
+            }
+            self.retire(st, lease.id);
+            Ok(())
+        })
     }
 
     /// The `ACK` record, its accounting, and the journal's maintenance.
@@ -350,22 +506,23 @@ impl<J: Journal> Consumer<J> {
     /// Returns `lease` unprocessed; `tid` is the caller's thread id on
     /// the dead-letter queue.
     pub(crate) fn nack(&self, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) {
-            return Err(LeaseError::NotInFlight);
-        }
-        let Some(f) = st.inflight.remove(&lease.id) else {
-            return Err(LeaseError::NotInFlight);
-        };
-        st.counters.nacked += 1;
-        self.settings.instruments.nack.incr();
-        Ok(self.settle_returned(&mut st, tid, f, EventKind::LeaseNack))
+        self.transition(|st| {
+            if st.settling.contains(&lease.id) {
+                return Err(LeaseError::NotInFlight);
+            }
+            let Some(f) = st.inflight.remove(&lease.id) else {
+                return Err(LeaseError::NotInFlight);
+            };
+            st.counters.nacked += 1;
+            self.settings.instruments.nack.incr();
+            Ok(self.settle_returned(st, tid, f, EventKind::LeaseNack))
+        })
     }
 
     /// Reaps every lease whose deadline has passed, exactly as
     /// [`nack`](Self::nack) would settle it. Returns the number reaped.
     pub(crate) fn reap_expired(&self, tid: usize) -> usize {
-        self.reap(&mut self.state.lock(), tid, Instant::now())
+        self.transition(|st| self.reap(st, tid, Instant::now()))
     }
 
     fn reap(&self, st: &mut State<J>, tid: usize, now: Instant) -> usize {
@@ -481,23 +638,24 @@ impl<J: Journal> Consumer<J> {
             armed: true,
         };
         let out = eo.run(self.settings.stripe, tid, lease.id, generation, body);
-        let mut st = self.state.lock();
-        st.settling.remove(&lease.id);
-        mark.armed = false;
-        if st.inflight.remove(&lease.id).is_none() {
-            let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) else {
-                // Regranted to another consumer before our commit: that
-                // grant retired this lease id, so there is nothing left to
-                // ack — the item will be delivered again despite the
-                // committed work.
-                st.counters.late_acks += 1;
-                return Ok(out);
-            };
-            // Expired mid-transaction but not yet regranted: the committed
-            // ack wins, cancel the redelivery.
-            st.pending.remove(pos);
-        }
-        self.retire(&mut st, lease.id);
+        self.transition(|st| {
+            st.settling.remove(&lease.id);
+            mark.armed = false;
+            if st.inflight.remove(&lease.id).is_none() {
+                let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) else {
+                    // Regranted to another consumer before our commit: that
+                    // grant retired this lease id, so there is nothing left
+                    // to ack — the item will be delivered again despite the
+                    // committed work.
+                    st.counters.late_acks += 1;
+                    return;
+                };
+                // Expired mid-transaction but not yet regranted: the
+                // committed ack wins, cancel the redelivery.
+                st.pending.remove(pos);
+            }
+            self.retire(st, lease.id);
+        });
         Ok(out)
     }
 

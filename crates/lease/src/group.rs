@@ -17,21 +17,35 @@
 //! # Dispatch: the fan-out commit discipline
 //!
 //! The base queue consumes destructively, so an item popped for one group
-//! would be lost to the rest on a crash. Dispatch therefore pops under a
-//! dedicated dispatch lock and immediately appends one durable `PEND`
-//! record — "this item awaits its first delivery" — to **each** group's
-//! log before any consumer sees it. Replay already treats `PEND` as an
-//! upsert that may precede any grant, so the per-group delivery cursor is
-//! implicit in the per-group log, and recovery needs no new machinery. A
-//! crash mid-fan-out loses the in-transit item only for the groups whose
+//! would be lost to the rest on a crash. A consumer that finds its group's
+//! pending set dry therefore pops under a dedicated dispatch lock and
+//! records the item in **each** group's log, in stripe order, before
+//! releasing it: a `PEND` — "this item awaits its first delivery" — in
+//! every other group, and in its own group the `PEND` together with the
+//! `GRANT` (`prev` = the pend's lease id) that hands it the lease, in one
+//! lock hold, one 80-byte write and one force. It returns that lease
+//! instead of going back to compete for it. Replay already treats `PEND`
+//! as an upsert that may precede any grant, so the per-group delivery
+//! cursor is implicit in the per-group log, and recovery needs no new
+//! machinery.
+//!
+//! Every one of those forces runs outside the group's state lock (see the
+//! engine's docs) and completes inside the dispatch lock, so a second item
+//! is popped only once the first is durable everywhere. A crash
+//! mid-fan-out thus loses the in-transit item only for the groups whose
 //! `PEND` had not landed — the same ≤ 1 in-transit item window a
 //! [`LeasedQueue`](crate::LeasedQueue) has between its pop and its
-//! `GRANT`, now per group.
+//! `GRANT`, now per group. A message over N groups costs 3N − 1 journal
+//! forces: N − 1 `PEND`s, the dispatcher's `PEND` + `GRANT`, N − 1
+//! `GRANT`s and N `ACK`s.
 //!
-//! Grants then always come from the group's pending set (`GRANT` with
-//! `prev` = the pend's lease id), under that group's lock only: the
-//! dispatch lock serialises base pops, not settlement, so grant/ack
-//! throughput scales with groups instead of flatlining on one mutex.
+//! Every other grant comes from the group's pending set, under that
+//! group's lock only: the dispatch lock serialises base pops, not
+//! settlement, so grant/ack throughput scales with groups instead of
+//! flatlining on one mutex. If a racing nack or expiry put an older
+//! delivery into the dispatcher's own pending set, it is granted that one
+//! (its `PEND` and the older item's `GRANT` are then two writes under the
+//! one force) and the popped item waits its turn.
 //!
 //! Lease ids are **per group** (each group's log is its own id space with
 //! its own generation); the exactly-once cursor addresses stripes by
@@ -238,9 +252,9 @@ struct GroupSlot {
 ///
 /// # Panics
 ///
-/// Consume-path methods panic if a segment-log append fails at the I/O
-/// level: a write of unknown durability makes every subsequent transition
-/// unsound, so the process must restart and replay.
+/// Consume-path methods panic if a segment-log append or force fails at
+/// the I/O level: a record of unknown durability makes every subsequent
+/// transition unsound, so the process must restart and replay.
 pub struct GroupedQueue<Q: DurableQueue> {
     base: Q,
     /// Serialises destructive base pops so each popped item is fanned out
@@ -405,41 +419,34 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     // Dispatch
     // ------------------------------------------------------------------
 
-    /// Pops one item from the base queue and durably fans it out: one
-    /// `PEND` + in-memory pending entry per group, in stripe order.
-    /// Returns `false` when the base queue is empty. Caller holds the
-    /// dispatch lock.
-    fn fan_out_one(&self, tid: usize) -> bool {
+    fn dequeue_in(&self, group: usize, tid: usize) -> Option<Lease> {
+        let consumer = &self.groups[group].consumer;
+        let now = Instant::now();
+        if let Some(lease) = consumer.grant_pending(tid, now) {
+            return Some(lease);
+        }
+        // Pending is dry: pop one item from the base queue and durably fan
+        // it out, one `PEND` per group in stripe order — with our own
+        // group's `GRANT` riding its `PEND`, so the lease is ours without
+        // competing for it.
+        let dispatch = self.dispatch.lock();
         let Some(item) = self.base.dequeue(tid) else {
-            return false;
+            drop(dispatch);
+            // The base is empty, but a racing dispatcher may have fanned
+            // out between our two lock scopes.
+            return consumer.grant_pending(tid, now);
         };
-        for slot in &self.groups {
-            slot.consumer.offer(item);
+        let mut lease = None;
+        for (stripe, slot) in self.groups.iter().enumerate() {
+            if stripe == group {
+                lease = Some(slot.consumer.offer_and_grant(now, item));
+            } else {
+                slot.consumer.offer(item);
+            }
         }
         DISPATCHES.incr();
         obs::flight::record(EventKind::LeaseDispatch, item, self.groups.len() as u64);
-        true
-    }
-
-    fn dequeue_in(&self, group: usize, tid: usize) -> Option<Lease> {
-        let consumer = &self.groups[group].consumer;
-        loop {
-            let now = Instant::now();
-            if let Some(lease) = consumer.grant_pending(tid, now) {
-                return Some(lease);
-            }
-            // Pending is dry: pull one item from the base queue for every
-            // group, then loop to compete for our group's copy.
-            let dispatched = {
-                let _d = self.dispatch.lock();
-                self.fan_out_one(tid)
-            };
-            if !dispatched {
-                // The base is empty, but a racing dispatcher may have
-                // fanned out between our two lock scopes.
-                return consumer.grant_pending(tid, now);
-            }
-        }
+        lease
     }
 }
 

@@ -26,7 +26,8 @@
 //! ```
 //!
 //! Every transition is one CRC'd 40-byte record appended to a journal —
-//! fsync'd per append under the power-fail tier — *before* it is acted on,
+//! and, under the power-fail tier, forced before the operation returns —
+//! *before* it is acted on,
 //! so a restart replays the journal and every lease without a terminal
 //! record becomes redeliverable with an incremented delivery count:
 //! **at-least-once** delivery. Items that exhaust their delivery budget
@@ -72,6 +73,8 @@ pub mod dir;
 mod engine;
 pub mod group;
 pub mod log;
+#[cfg(test)]
+mod powerfail;
 pub mod queue;
 pub mod segments;
 pub mod tx;

@@ -40,23 +40,34 @@
 //!
 //! # Durability
 //!
-//! Appends are a single `write` syscall; under
-//! [`SyncPolicy::PowerFail`] each append is
-//! additionally `fdatasync`'d before the operation returns (the fsync'd
-//! tier of the acceptance contract), while the default process-crash tier
-//! relies on the page cache surviving the process — the same two-tier
-//! contract as the pool files. Replay tolerates a torn final record (the
-//! tail is dropped, never trusted) but refuses a corrupt header or a CRC
-//! mismatch in the *interior* of the file, which indicate real damage
-//! rather than a mid-append crash.
+//! An append is a single `write` syscall. Under
+//! [`SyncPolicy::PowerFail`] it is made durable by a second step, an
+//! `fdatasync` of the file, before the operation that appended returns
+//! (the fsync'd tier of the acceptance contract); the default
+//! process-crash tier relies on the page cache surviving the process —
+//! the same two-tier contract as the pool files. [`AckLog::append`] does
+//! both steps. The lease engine appends under its state lock and forces
+//! after releasing it, through a handle on the file, so that concurrent
+//! operations' forces overlap; a record another thread appended earlier
+//! is covered by any later force of the same file. [`AckLog::compact`] is
+//! the one place where two files are in play: it forces the snapshot
+//! before the rename, under the lock, and from then on hands out handles
+//! on the new file — a force still running on the old one covers only
+//! records whose effect the snapshot already holds.
+//!
+//! Replay tolerates a torn final record (the tail is dropped, never
+//! trusted) but refuses a corrupt header or a CRC mismatch in the
+//! *interior* of the file, which indicate real damage rather than a
+//! mid-append crash.
 
-use crate::engine::Journal;
+use crate::engine::{sync_file, Force, Journal};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use store::{crc32, SyncPolicy};
 
 static COMPACTIONS: LazyCounter = LazyCounter::new("lease.compaction");
@@ -377,7 +388,9 @@ pub(crate) fn scan_records(
 #[derive(Debug)]
 pub struct AckLog {
     path: PathBuf,
-    file: File,
+    /// Shared with the [`Force`]s handed out, which outlive the lock hold
+    /// that appended (and, harmlessly, a compaction away from this file).
+    file: Arc<File>,
     sync: SyncPolicy,
     /// Records in the file since the last create/compaction (valid tail
     /// drops excluded).
@@ -411,12 +424,12 @@ impl AckLog {
         // fresh log's high-water mark is 1.
         file.write_all(&header_bytes(1, generation))?;
         if sync == SyncPolicy::PowerFail {
-            file.sync_data()?;
+            sync_file(&file)?;
             File::open(dir)?.sync_data()?;
         }
         Ok(AckLog {
             path,
-            file,
+            file: Arc::new(file),
             sync,
             records: 0,
             generation,
@@ -496,14 +509,14 @@ impl AckLog {
             file.set_len((HEADER_LEN + consumed) as u64)?;
             file.seek(io::SeekFrom::Start((HEADER_LEN + consumed) as u64))?;
             if sync == SyncPolicy::PowerFail {
-                file.sync_data()?;
+                sync_file(&file)?;
             }
         }
         let records = replay.records;
         Ok((
             AckLog {
                 path,
-                file,
+                file: Arc::new(file),
                 sync,
                 records,
                 generation,
@@ -517,10 +530,14 @@ impl AckLog {
     /// Appends one record (a single `write` syscall; `fdatasync`'d under
     /// [`SyncPolicy::PowerFail`]).
     pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        self.file.write_all(&rec.encode())?;
-        if self.sync == SyncPolicy::PowerFail {
-            self.file.sync_data()?;
-        }
+        self.write(rec)?;
+        Journal::force(self).run()
+    }
+
+    /// The write half of [`append`](Self::append): the record is in the
+    /// page cache, not yet forced.
+    fn write(&mut self, rec: &Record) -> io::Result<()> {
+        (&*self.file).write_all(&rec.encode())?;
         self.records += 1;
         Ok(())
     }
@@ -555,16 +572,21 @@ impl AckLog {
         out.write_all(&buf)?;
         let power_fail = self.sync == SyncPolicy::PowerFail;
         if power_fail {
-            out.sync_data()?;
+            sync_file(&out)?;
         }
         std::fs::rename(&tmp, &self.path)?;
         if let (true, Some(parent)) = (power_fail, self.path.parent()) {
             File::open(parent)?.sync_data()?;
         }
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
+        // From here a force must reach the new file: one still running on
+        // the old file covers records whose effect the snapshot, forced
+        // above, already holds.
+        self.file = Arc::new(
+            OpenOptions::new()
+                .read(true)
+                .append(true)
+                .open(&self.path)?,
+        );
         self.records = n;
         Ok(())
     }
@@ -600,7 +622,11 @@ impl Journal for AckLog {
     fn append(&mut self, rec: &Record, _next_lease_id: u64) -> io::Result<()> {
         // The header's id mark is only rewritten by compaction; between
         // compactions the GRANT records themselves witness it.
-        AckLog::append(self, rec)
+        self.write(rec)
+    }
+
+    fn force(&self) -> Force {
+        Force::of(&self.file, self.sync)
     }
 
     fn generation(&self) -> u64 {

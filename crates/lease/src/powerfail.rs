@@ -1,0 +1,390 @@
+//! What a power failure would keep: a test-only shadow of every journal
+//! file's forced length, and the tests that read it.
+//!
+//! The SIGKILL suites cannot see a missing force — the page cache survives
+//! the process — so [`sync_file`](crate::engine::sync_file) reports every
+//! `fdatasync` here, and the journals report the two moments at which an
+//! unforced tail becomes fatal: a segment was unlinked, or a new segment's
+//! header exists. An *image* is a copy of a group's directory with every
+//! file cut back to its forced length plus a torn half record — the worst
+//! a power failure at that moment could leave, directory operations being
+//! forced as they happen.
+//!
+//! The shadow names files through `/proc/self/fd`, so the tests are
+//! Linux-only.
+
+use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::os::fd::AsRawFd;
+use std::path::{Path, PathBuf};
+
+/// Path → the most bytes of it any completed force covered. Segment names
+/// are never reused within a log's life, so the maximum is the truth even
+/// when two threads' forces of one file complete out of order.
+static FORCED: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
+
+/// `file` was `fdatasync`ed, having been `len` bytes long when the force
+/// began.
+pub(crate) fn forced(file: &File, len: u64) {
+    let Ok(mut path) = std::fs::read_link(format!("/proc/self/fd/{}", file.as_raw_fd())) else {
+        return;
+    };
+    let mut shadow = FORCED.lock();
+    if path.extension().is_some_and(|e| e == "tmp") {
+        // Written whole, forced once, renamed over its target at once.
+        path.set_extension("");
+        shadow.insert(path, len);
+    } else {
+        let seen = shadow.entry(path).or_insert(0);
+        *seen = (*seen).max(len);
+    }
+}
+
+fn forced_len(path: &Path) -> u64 {
+    FORCED.lock().get(path).copied().unwrap_or(0)
+}
+
+type CrashHook = Box<dyn FnMut(&Path)>;
+
+thread_local! {
+    static CRASH_HOOK: RefCell<Option<CrashHook>> = const { RefCell::new(None) };
+}
+
+/// The journal in `dir` just unlinked a segment or created one. Runs the
+/// calling thread's hook, if it set one; journal operations the hook
+/// itself performs do not re-enter it.
+pub(crate) fn crash_point(dir: &Path) {
+    let Some(mut hook) = CRASH_HOOK.with(|h| h.borrow_mut().take()) else {
+        return;
+    };
+    hook(dir);
+    CRASH_HOOK.with(|h| *h.borrow_mut() = Some(hook));
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use crate::log::RECORD_LEN;
+    use crate::segments::SegmentedLog;
+    use crate::{ConsumerGroup, GroupConfig, GroupedQueue, Redelivery, GROUPS_DIR};
+    use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
+    use pmem::{PmemPool, PoolConfig};
+    use std::collections::{BTreeSet, HashMap, HashSet};
+    use std::rc::Rc;
+    use std::sync::Arc;
+    use std::time::Duration;
+    use store::SyncPolicy;
+
+    const ROTATE: u64 = 8;
+    const GROUPS: [&str; 2] = ["a", "b"];
+
+    fn tmp(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lease-pf-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The shadow keys on what `/proc` prints, which is the real path.
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.canonicalize().unwrap()
+    }
+
+    fn grouped(dir: &Path) -> Arc<GroupedQueue<OptUnlinkedQueue>> {
+        let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
+        let base = OptUnlinkedQueue::create(pool, QueueConfig::small_test());
+        let config = GroupConfig::new(dir, GROUPS)
+            .with_sync(SyncPolicy::PowerFail)
+            .with_rotate_records(ROTATE)
+            .with_timeout(Duration::from_secs(3600));
+        Arc::new(GroupedQueue::create(base, vec![None, None], config).unwrap())
+    }
+
+    fn files_of(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect()
+    }
+
+    /// Invariant (a): nothing in the group's directory has an unforced
+    /// tail.
+    fn assert_all_forced(group_dir: &Path, when: &str) {
+        for path in files_of(group_dir) {
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(
+                forced_len(&path),
+                len,
+                "{when}: {} is {len} bytes long",
+                path.display()
+            );
+        }
+    }
+
+    /// Copies `group_dir` as a power failure now would leave it — of every
+    /// unforced tail only a torn half record — and replays the copy;
+    /// returns the items of the leases that survive.
+    fn survivors_of_image(group_dir: &Path) -> BTreeSet<u64> {
+        let image = group_dir.with_extension("image");
+        let _ = std::fs::remove_dir_all(&image);
+        std::fs::create_dir_all(&image).unwrap();
+        for path in files_of(group_dir) {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let forced = forced_len(&path) as usize;
+            bytes.truncate(forced + (bytes.len() - forced).min(RECORD_LEN / 2));
+            std::fs::write(image.join(path.file_name().unwrap()), bytes).unwrap();
+        }
+        let (_, replayed) = SegmentedLog::replay(&image, SyncPolicy::ProcessCrash, ROTATE)
+            .unwrap_or_else(|e| panic!("the image of {} is damaged: {e}", group_dir.display()));
+        std::fs::remove_dir_all(&image).unwrap();
+        replayed.replay.live.values().map(|l| l.item).collect()
+    }
+
+    /// What the script knows of one group between operations, and what the
+    /// operation now running may change.
+    #[derive(Default)]
+    struct Model {
+        /// Items whose dispatch has returned and whose ack has not.
+        live: BTreeSet<u64>,
+        /// The item the running operation may settle.
+        settling: Option<u64>,
+        /// The item the running operation may dispatch.
+        arriving: Option<u64>,
+        images: usize,
+    }
+
+    type Models = Rc<RefCell<HashMap<String, Model>>>;
+
+    /// Invariant (b), checked from inside the journal at every crash point.
+    fn check_image(models: &Models, group_dir: &Path) {
+        let name = group_dir.file_name().unwrap().to_str().unwrap();
+        let mut models = models.borrow_mut();
+        let Some(model) = models.get_mut(name) else {
+            return;
+        };
+        let survivors = survivors_of_image(group_dir);
+        let must: BTreeSet<u64> = model
+            .live
+            .iter()
+            .copied()
+            .filter(|i| Some(*i) != model.settling)
+            .collect();
+        let lost: Vec<_> = must.difference(&survivors).collect();
+        assert!(
+            lost.is_empty(),
+            "group {name}: a power failure loses {lost:?}"
+        );
+        let may: BTreeSet<u64> = model.live.iter().copied().chain(model.arriving).collect();
+        let risen: Vec<_> = survivors.difference(&may).collect();
+        assert!(
+            risen.is_empty(),
+            "group {name}: a power failure resurrects {risen:?}"
+        );
+        model.images += 1;
+    }
+
+    struct Script {
+        q: Arc<GroupedQueue<OptUnlinkedQueue>>,
+        dir: PathBuf,
+        models: Models,
+        /// The next item the base queue will give up.
+        next_fresh: u64,
+    }
+
+    impl Script {
+        fn group_dir(&self, name: &str) -> PathBuf {
+            self.dir.join(GROUPS_DIR).join(name)
+        }
+
+        fn returned(&self, what: &str) {
+            for model in self.models.borrow_mut().values_mut() {
+                model.settling = None;
+                model.arriving = None;
+            }
+            for name in GROUPS {
+                assert_all_forced(&self.group_dir(name), what);
+            }
+        }
+
+        fn dequeue(&mut self, g: &ConsumerGroup<OptUnlinkedQueue>) -> crate::Lease {
+            for model in self.models.borrow_mut().values_mut() {
+                model.arriving = Some(self.next_fresh);
+            }
+            let lease = g.dequeue(0).expect("the script never drains the base");
+            if lease.item == self.next_fresh && lease.delivery_count == 1 {
+                // A dispatch: the item is now every group's.
+                for model in self.models.borrow_mut().values_mut() {
+                    model.live.insert(lease.item);
+                }
+                self.next_fresh += 1;
+            }
+            self.returned("after dequeue");
+            lease
+        }
+
+        fn ack(&mut self, g: &ConsumerGroup<OptUnlinkedQueue>, lease: &crate::Lease) {
+            self.models.borrow_mut().get_mut(g.name()).unwrap().settling = Some(lease.item);
+            g.ack(lease).unwrap();
+            self.models
+                .borrow_mut()
+                .get_mut(g.name())
+                .unwrap()
+                .live
+                .remove(&lease.item);
+            self.returned("after ack");
+        }
+
+        fn nack(&mut self, g: &ConsumerGroup<OptUnlinkedQueue>, lease: &crate::Lease) {
+            assert!(matches!(
+                g.nack(0, lease).unwrap(),
+                Redelivery::Requeued { .. }
+            ));
+            self.returned("after nack");
+        }
+    }
+
+    /// Group `a` dispatches and settles item by item while group `b` lets
+    /// its `PEND`s age across rotations before granting them, so `b`'s
+    /// segments retire on a `GRANT` that lands segments later — with eight
+    /// records to a segment, rotation and retirement both fall between a
+    /// `PEND` and its `GRANT`, again and again.
+    #[test]
+    fn a_power_failure_image_at_any_rotation_or_retirement_loses_no_live_lease() {
+        let dir = tmp("image");
+        let models: Models = Rc::new(RefCell::new(
+            GROUPS
+                .iter()
+                .map(|g| (g.to_string(), Model::default()))
+                .collect(),
+        ));
+        let hook_models = Rc::clone(&models);
+        let q = grouped(&dir);
+        CRASH_HOOK.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move |group_dir: &Path| {
+                check_image(&hook_models, group_dir)
+            }))
+        });
+        let (a, b) = (q.group("a").unwrap(), q.group("b").unwrap());
+        let mut script = Script {
+            q: Arc::clone(&q),
+            dir: dir.clone(),
+            models,
+            next_fresh: 1,
+        };
+        for item in 1..=200u64 {
+            script.q.enqueue(0, item);
+        }
+        for round in 0..60u64 {
+            let lease = script.dequeue(&a);
+            if round % 5 == 4 {
+                script.nack(&a, &lease);
+                let again = script.dequeue(&a);
+                assert_eq!((again.item, again.delivery_count), (lease.item, 2));
+                script.ack(&a, &again);
+            } else {
+                script.ack(&a, &lease);
+            }
+            if round % 4 == 3 {
+                // `b` catches up on the four items it was fanned out.
+                for _ in 0..4 {
+                    let lease = script.dequeue(&b);
+                    if round % 8 == 7 && lease.delivery_count == 1 {
+                        script.nack(&b, &lease);
+                        let again = script.dequeue(&b);
+                        script.ack(&b, &again);
+                    } else {
+                        script.ack(&b, &lease);
+                    }
+                }
+            }
+        }
+        CRASH_HOOK.with(|h| h.borrow_mut().take());
+        for name in GROUPS {
+            let images = script.models.borrow()[name].images;
+            assert!(images >= 20, "group {name}: only {images} crash points");
+            let stats = q.group(name).unwrap().stats();
+            assert!(stats.rotations >= 10 && stats.segments_retired >= 10);
+            assert!(script.models.borrow()[name].live.is_empty());
+        }
+        drop((a, b, script, q));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Competing consumers forcing outside the lock: four threads over two
+    /// groups, one item in twenty nacked once.
+    #[test]
+    fn competing_consumers_under_power_fail_deliver_exactly_once_per_group() {
+        const ITEMS: u64 = 400;
+        let dir = tmp("stress");
+        let q = grouped(&dir);
+        for item in 1..=ITEMS {
+            q.enqueue(0, item);
+        }
+        let handles = q.handles();
+        let per_thread: Vec<Vec<(usize, crate::Lease, bool)>> = std::thread::scope(|s| {
+            (0..4usize)
+                .map(|tid| {
+                    let handles = &handles;
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        let mut idle = 0;
+                        // A group can look empty while another thread
+                        // holds the lease it is about to nack.
+                        while idle < 2 * handles.len() {
+                            let g = &handles[(tid + seen.len() + idle) % handles.len()];
+                            let Some(lease) = g.dequeue(tid) else {
+                                idle += 1;
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            idle = 0;
+                            let nack = lease.item % 20 == 0 && lease.delivery_count == 1;
+                            if nack {
+                                g.nack(tid, &lease).unwrap();
+                            } else {
+                                g.ack(&lease).unwrap();
+                            }
+                            seen.push((g.index(), lease, !nack));
+                        }
+                        seen
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        // Stragglers: a nack that landed after every other thread gave up.
+        let mut all: Vec<(usize, crate::Lease, bool)> = per_thread.into_iter().flatten().collect();
+        for g in &handles {
+            while let Some(lease) = g.dequeue(0) {
+                g.ack(&lease).unwrap();
+                all.push((g.index(), lease, true));
+            }
+        }
+        for (index, g) in handles.iter().enumerate() {
+            let mine = || all.iter().filter(|(g, ..)| *g == index);
+            let mut ids = HashSet::new();
+            assert!(
+                mine().all(|(_, l, _)| ids.insert(l.id)),
+                "group {}: a lease id was granted twice",
+                g.name()
+            );
+            let mut acked: Vec<u64> = mine()
+                .filter(|(.., ack)| *ack)
+                .map(|(_, l, _)| l.item)
+                .collect();
+            acked.sort_unstable();
+            assert_eq!(
+                acked,
+                (1..=ITEMS).collect::<Vec<_>>(),
+                "group {}: lost or doubled deliveries",
+                g.name()
+            );
+            assert_eq!(mine().filter(|(.., ack)| !*ack).count() as u64, ITEMS / 20);
+            assert_eq!((g.in_flight(), g.pending_redelivery()), (0, 0));
+            assert!(g.stats().rotations >= 10 && g.stats().segments_retired >= 10);
+            assert_all_forced(&dir.join(GROUPS_DIR).join(g.name()), "at the end");
+        }
+        drop((handles, q));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -229,11 +229,11 @@ pub use shard::LeaseRecovery as RecoveredLeases;
 ///
 /// # Panics
 ///
-/// Consume-path methods panic if an ack-log append fails at the I/O level:
-/// a write of unknown durability would make every subsequent lease
-/// transition unsound, so (like a message store losing its WAL device) the
-/// process must restart and replay. Constructors return `io::Result`
-/// instead, since nothing is in flight yet.
+/// Consume-path methods panic if an ack-log append or force fails at the
+/// I/O level: a record of unknown durability would make every subsequent
+/// lease transition unsound, so (like a message store losing its WAL
+/// device) the process must restart and replay. Constructors return
+/// `io::Result` instead, since nothing is in flight yet.
 pub struct LeasedQueue<Q: DurableQueue> {
     base: Q,
     consumer: Consumer<AckLog>,

@@ -37,6 +37,24 @@
 //!   a retired segment can never resurrect settled leases, even if a
 //!   backup restores the file.
 //!
+//! # Durability
+//!
+//! As in the single-file log, an append is one `write` and, under
+//! [`SyncPolicy::PowerFail`], an `fdatasync` of the active segment before
+//! the operation that appended returns: [`SegmentedLog::append`] does
+//! both, the lease engine appends under its state lock and forces after
+//! releasing it. Within one segment a later force covers every earlier
+//! record, so nothing more is needed. Across segments it is not so, and
+//! the two maintenance steps force the active segment themselves, under
+//! the lock, once per `rotate_records` records:
+//!
+//! * **rotation** forces the old segment before the new header commits — a
+//!   sealed segment must be complete, since replay refuses a torn one;
+//! * **retirement** forces the active segment before the watermark moves —
+//!   what settled the old segment's last lease may be a record there (a
+//!   `GRANT` superseding a `PEND`), and a power failure must not find the
+//!   `PEND` unlinked and the `GRANT` missing.
+//!
 //! # High-water mark and generation
 //!
 //! Every segment header snapshots the lease-id high-water mark at its
@@ -53,7 +71,7 @@
 //! chopped; a torn or corrupt record in a sealed segment is real damage and
 //! is refused with an error naming the file.
 
-use crate::engine::Journal;
+use crate::engine::{sync_file, Force, Journal};
 use crate::log::{bad_data, fresh_generation, scan_records, Record, Replay, RECORD_LEN};
 use obs::flight::EventKind;
 use obs::LazyCounter;
@@ -61,6 +79,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use store::{crc32, SyncPolicy};
 
 static ROTATIONS: LazyCounter = LazyCounter::new("lease.group.rotation");
@@ -136,7 +155,7 @@ fn write_meta(dir: &Path, retired_below: u32, generation: u64, sync: SyncPolicy)
     let mut f = File::create(&tmp)?;
     f.write_all(&meta_bytes(retired_below, generation))?;
     if sync == SyncPolicy::PowerFail {
-        f.sync_data()?;
+        sync_file(&f)?;
     }
     std::fs::rename(&tmp, dir.join(GROUP_META_FILE))?;
     if sync == SyncPolicy::PowerFail {
@@ -235,7 +254,9 @@ pub struct SegmentedLog {
     generation: u64,
     retired_below: u32,
     active_seq: u32,
-    active: File,
+    /// Shared with the [`Force`]s handed out, which outlive the lock hold
+    /// that appended (and, harmlessly, a rotation away from this file).
+    active: Arc<File>,
     active_records: u64,
     /// Total valid records across all surviving segments (replayed +
     /// appended, minus retired files' contributions — recomputed only at
@@ -297,7 +318,7 @@ impl SegmentedLog {
         next_lease_id: u64,
         generation: u64,
         sync: SyncPolicy,
-    ) -> io::Result<File> {
+    ) -> io::Result<Arc<File>> {
         let path = segment_path(dir, seq);
         let mut f = OpenOptions::new()
             .read(true)
@@ -308,10 +329,12 @@ impl SegmentedLog {
         f.write_all(&segment_header(seq, next_lease_id, generation))?;
         if sync == SyncPolicy::PowerFail {
             // The durable header *is* the rotation commit point.
-            f.sync_data()?;
+            sync_file(&f)?;
             File::open(dir)?.sync_data()?;
         }
-        Ok(f)
+        #[cfg(test)]
+        crate::powerfail::crash_point(dir);
+        Ok(Arc::new(f))
     }
 
     /// Opens and replays the segment directory. A missing directory (or a
@@ -485,7 +508,7 @@ impl SegmentedLog {
                 replay.torn_bytes += tail;
                 file.set_len((SEGMENT_HEADER_LEN + consumed) as u64)?;
                 if sync == SyncPolicy::PowerFail {
-                    file.sync_data()?;
+                    sync_file(&file)?;
                 }
             }
         }
@@ -515,7 +538,7 @@ impl SegmentedLog {
             generation: meta.generation,
             retired_below: meta.retired_below,
             active_seq,
-            active,
+            active: Arc::new(active),
             active_records,
             records,
             resident,
@@ -538,7 +561,8 @@ impl SegmentedLog {
         ))
     }
 
-    /// Appends one record and runs the rotation/retirement maintenance.
+    /// Appends one record, runs the rotation/retirement maintenance, and
+    /// forces the record per the sync tier before returning.
     /// `next_lease_id` is the caller's current id high-water mark — a
     /// rotation triggered by this append snapshots it into the fresh
     /// segment's header.
@@ -547,13 +571,45 @@ impl SegmentedLog {
     /// record arrives, not when the last one lands, so an idle log never
     /// carries an empty trailing segment.
     pub fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
+        self.write(rec, next_lease_id)?;
+        Journal::force(self).run()
+    }
+
+    /// The write half of [`append`](Self::append): the record is in the
+    /// active segment's page cache, not yet forced.
+    fn write(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
+        self.rotate_if_full(next_lease_id)?;
+        (&*self.active).write_all(&rec.encode())?;
+        self.wrote(rec);
+        self.maintain()
+    }
+
+    /// Two records in one `write` — unless the second would open the next
+    /// segment, when they go down one by one as they always did.
+    fn write_pair(&mut self, first: (&Record, u64), second: (&Record, u64)) -> io::Result<()> {
+        self.rotate_if_full(first.1)?;
+        if self.rotate_records > 0 && self.active_records + 2 > self.rotate_records {
+            self.write(first.0, first.1)?;
+            return self.write(second.0, second.1);
+        }
+        let mut both = [0u8; 2 * RECORD_LEN];
+        both[..RECORD_LEN].copy_from_slice(&first.0.encode());
+        both[RECORD_LEN..].copy_from_slice(&second.0.encode());
+        (&*self.active).write_all(&both)?;
+        self.wrote(first.0);
+        self.wrote(second.0);
+        self.maintain()
+    }
+
+    fn rotate_if_full(&mut self, next_lease_id: u64) -> io::Result<()> {
         if self.rotate_records > 0 && self.active_records >= self.rotate_records {
             self.rotate(next_lease_id)?;
         }
-        self.active.write_all(&rec.encode())?;
-        if self.sync == SyncPolicy::PowerFail {
-            self.active.sync_data()?;
-        }
+        Ok(())
+    }
+
+    /// Accounts for one record written to the active segment.
+    fn wrote(&mut self, rec: &Record) {
         self.active_records += 1;
         self.records += 1;
 
@@ -566,7 +622,9 @@ impl SegmentedLog {
         if let Some(id) = effect.live {
             self.make_resident(id);
         }
+    }
 
+    fn maintain(&mut self) -> io::Result<()> {
         if self.auto_retire {
             self.retire_prefix()?;
         }
@@ -592,7 +650,14 @@ impl SegmentedLog {
     /// Seals the active segment and opens the next one. The new header
     /// carries the caller's id high-water mark, so the mark survives even
     /// if every record witnessing it retires with the old segments.
+    ///
+    /// Appends are forced outside the caller's lock, so the tail of the old
+    /// segment may still be unforced here: it is forced first, or a power
+    /// failure could keep the new header and tear the segment it seals.
     fn rotate(&mut self, next_lease_id: u64) -> io::Result<()> {
+        if self.sync == SyncPolicy::PowerFail {
+            sync_file(&self.active)?;
+        }
         let new_seq = self.active_seq + 1;
         self.active = Self::new_segment(
             &self.dir,
@@ -620,14 +685,26 @@ impl SegmentedLog {
     /// watermark first (durable), file second, so a crash in between is
     /// rolled forward by the next replay rather than resurrecting settled
     /// leases.
+    ///
+    /// What settled the segment's last lease may be a record still unforced
+    /// in the active segment — a `GRANT` superseding a `PEND` here — so the
+    /// active segment is forced before the first watermark moves: a power
+    /// failure must never find the `PEND` unlinked and the `GRANT` missing.
     fn retire_prefix(&mut self) -> io::Result<()> {
+        let mut forced = self.sync != SyncPolicy::PowerFail;
         while let Some((&seq, &live)) = self.seg_live.first_key_value() {
             if seq >= self.active_seq || live != 0 {
                 break;
             }
+            if !forced {
+                sync_file(&self.active)?;
+                forced = true;
+            }
             write_meta(&self.dir, seq + 1, self.generation, self.sync)?;
             self.retired_below = seq + 1;
             std::fs::remove_file(segment_path(&self.dir, seq))?;
+            #[cfg(test)]
+            crate::powerfail::crash_point(&self.dir);
             self.seg_live.remove(&seq);
             self.retired += 1;
             RETIREMENTS.incr();
@@ -684,7 +761,15 @@ impl SegmentedLog {
 
 impl Journal for SegmentedLog {
     fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        SegmentedLog::append(self, rec, next_lease_id)
+        self.write(rec, next_lease_id)
+    }
+
+    fn append_pair(&mut self, first: (&Record, u64), second: (&Record, u64)) -> io::Result<()> {
+        self.write_pair(first, second)
+    }
+
+    fn force(&self) -> Force {
+        Force::of(&self.active, self.sync)
     }
 
     fn generation(&self) -> u64 {

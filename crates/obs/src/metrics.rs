@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "instrument")]
 use std::sync::{atomic::AtomicUsize, Mutex, OnceLock};
 
-/// The most distinct counter names a process may register (28 exist
+/// The most distinct counter names a process may register (29 exist
 /// today). A column costs 8 bytes in every thread's row whether or not it
 /// is used, so this is a constant, not an option; one name too many panics
 /// at the registration that exceeds it.

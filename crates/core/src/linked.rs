@@ -338,12 +338,53 @@ mod tests {
         // backward link already cut after at most one hop, so the suffix walk
         // flushes exactly two nodes (the new node and the previous tail) —
         // crucially independent of the queue length, unlike the naive
-        // flush-everything-from-the-head alternative (bench E10).
+        // flush-everything-from-the-head alternative (E10, next test).
         let counts = testkit::persist_counts::<LinkedQueue>(500);
         assert!(
             counts.enqueue.flushes <= 2.05,
             "suffix flushing is not bounded: {}",
             counts.enqueue.flushes
         );
+    }
+
+    /// Flushes issued by 64 enqueues on a queue pre-filled to `prefill`.
+    fn enqueue_flushes_at<Q: crate::RecoverableQueue>(prefill: u64) -> u64 {
+        // One 16 MiB area holds every node of the run, so no measured
+        // enqueue carves (and flushes) a fresh area.
+        let cfg = QueueConfig {
+            max_threads: 1,
+            area_size: 16 << 20,
+        };
+        let (q, pool) = testkit::fresh_with::<Q>(pmem::PoolConfig::test_with_size(40 << 20), cfg);
+        for i in 0..prefill {
+            q.enqueue(0, i + 1);
+        }
+        let before = pool.stats().flushes;
+        for i in 0..64 {
+            q.enqueue(0, prefill + i + 1);
+        }
+        pool.stats().flushes - before
+    }
+
+    #[test]
+    fn enqueue_flushes_do_not_depend_on_the_queue_length() {
+        // Experiment E10 as a count: the backward-link scheme flushes only
+        // the un-persisted suffix, so an enqueue costs the same flushes on a
+        // queue of 10, 1 000 and 100 000 items — for LinkedQ and for
+        // OptLinkedQ, which inherits the scheme. A suffix walk that regressed
+        // to flushing from the head would grow with the pre-fill.
+        fn check<Q: crate::RecoverableQueue>(name: &str) {
+            let short = enqueue_flushes_at::<Q>(10);
+            assert!(short >= 64, "{name}: {short} flushes over 64 enqueues");
+            for prefill in [1_000, 100_000] {
+                assert_eq!(
+                    enqueue_flushes_at::<Q>(prefill),
+                    short,
+                    "{name}: flushes per enqueue changed at pre-fill {prefill}"
+                );
+            }
+        }
+        check::<LinkedQueue>("LinkedQ");
+        check::<crate::OptLinkedQueue>("OptLinkedQ");
     }
 }

@@ -1,12 +1,13 @@
-//! The `harness lease` verb — peek-lock producer/consumer throughput —
-//! plus the consumer-SIGKILL round the `restart` verb runs.
+//! The `harness lease` verb — a peek-lock producer/consumer delivery
+//! drill with a text table; lease throughput is gated by `qbench`'s
+//! `lease-pc`/`group-pf` — plus the consumer-SIGKILL round the `restart`
+//! verb runs.
 //!
 //! ```text
 //! harness lease [--shards 1,2,4] [--ops N] [--nack-percent P]
 //!               [--consumers N] [--groups G] [--work-ns X]
 //!               [--algo A] [--policy rr|keyhash|load]
-//!               [--sync process-crash|power-fail] [--dir PATH]
-//!               [--json PATH] [--quick]
+//!               [--sync process-crash|power-fail] [--dir PATH] [--quick]
 //! ```
 //!
 //! One producer thread enqueues `--ops` items through a file-backed
@@ -247,40 +248,6 @@ pub fn render_lease(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
     out
 }
 
-/// Renders the sweep as one machine-readable JSON experiment object
-/// (schema documented in the README under "Machine-readable results").
-pub fn lease_json(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
-    let mut obj = crate::jsonio::ExperimentObject::new("lease", "file", Some(cfg.sync.key()));
-    obj.str_field("algorithm", cfg.algorithm.name());
-    obj.str_field("policy", cfg.policy.key());
-    obj.str_field("sync", cfg.sync.key());
-    obj.field("ops", cfg.ops);
-    obj.field("nack_percent", cfg.nack_percent);
-    obj.field(
-        "group_commit_us",
-        cfg.group_commit
-            .map(|ns| (ns / 1_000).to_string())
-            .unwrap_or_else(|| String::from("null")),
-    );
-    for r in rows {
-        obj.row(format!(
-            "{{\"shards\": {}, \"wall_ms\": {}, \"acked_per_sec\": {}, \
-             \"granted\": {}, \"redelivered\": {}, \"nacked\": {}, \
-             \"dead_lettered\": {}, \"compactions\": {}, \"log_records\": {}}}",
-            r.shards,
-            r.wall.as_secs_f64() * 1e3,
-            r.acked_per_sec,
-            r.stats.granted,
-            r.stats.redelivered,
-            r.stats.nacked,
-            r.stats.dead_lettered,
-            r.stats.compactions,
-            r.log_records,
-        ));
-    }
-    obj.finish()
-}
-
 // ---------------------------------------------------------------------
 // Consumer-group sweep (`--consumers N --groups G`)
 // ---------------------------------------------------------------------
@@ -472,41 +439,6 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
         ));
     }
     out
-}
-
-/// Renders the consumer-group sweep as one machine-readable JSON
-/// experiment object (`"experiment": "lease_groups"`).
-pub fn lease_groups_json(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> String {
-    let mut obj =
-        crate::jsonio::ExperimentObject::new("lease_groups", "file", Some(cfg.sync.key()));
-    obj.str_field("algorithm", cfg.algorithm.name());
-    obj.str_field("policy", cfg.policy.key());
-    obj.str_field("sync", cfg.sync.key());
-    obj.field("ops", cfg.ops);
-    obj.field("nack_percent", cfg.nack_percent);
-    obj.field("consumers", cfg.consumers);
-    obj.field("groups", cfg.groups);
-    obj.field("work_ns", cfg.work_ns);
-    for r in rows {
-        obj.row(format!(
-            "{{\"shards\": {}, \"wall_ms\": {}, \"acked_per_sec\": {}, \
-             \"granted\": {}, \"redelivered\": {}, \"nacked\": {}, \
-             \"dead_lettered\": {}, \"rotations\": {}, \"segments_retired\": {}, \
-             \"log_records\": {}, \"segments\": {}}}",
-            r.shards,
-            r.wall.as_secs_f64() * 1e3,
-            r.acked_per_sec,
-            r.stats.granted,
-            r.stats.redelivered,
-            r.stats.nacked,
-            r.stats.dead_lettered,
-            r.stats.rotations,
-            r.stats.segments_retired,
-            r.stats.log_records,
-            r.stats.segments,
-        ));
-    }
-    obj.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -859,10 +791,6 @@ mod tests {
         }
         let table = render_lease(&cfg, &rows);
         assert!(table.contains("acked/s"));
-        let json = lease_json(&cfg, &rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"experiment\": \"lease\""));
-        assert_eq!(json.matches("\"shards\"").count(), 2);
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
@@ -893,12 +821,6 @@ mod tests {
         }
         let table = render_lease_groups(&cfg, &rows);
         assert!(table.contains("acked/s (agg)"));
-        let json = lease_groups_json(&cfg, &rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"experiment\": \"lease_groups\""));
-        assert!(json.contains("\"consumers\": 2"));
-        assert!(json.contains("\"groups\": 2"));
-        assert_eq!(json.matches("\"shards\"").count(), 2);
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 

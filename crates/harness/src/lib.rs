@@ -8,8 +8,7 @@
 //! sweep ([`fsweep`]), and a crash/durable-linearizability checker
 //! spanning every implemented queue ([`checker`]).
 //!
-//! The `harness` binary exposes all of it on the command line; the `bench`
-//! crate drives the same code from Criterion benchmarks.
+//! The `harness` binary exposes all of it on the command line.
 
 #![warn(missing_docs)]
 

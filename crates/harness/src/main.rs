@@ -25,8 +25,8 @@ use harness::fastpath::{self, fastpath_json, render_fastpath, run_fastpath};
 use harness::fsweep::{self, fsweep_json, render_fsweep, run_fsweep};
 use harness::jsonio::JsonSink;
 use harness::lease_verb::{
-    lease_groups_json, lease_json, render_lease, render_lease_groups, render_lease_kill_outcome,
-    run_lease, run_lease_child, run_lease_groups, run_lease_kill_round, LeaseVerbConfig,
+    render_lease, render_lease_groups, render_lease_kill_outcome, run_lease, run_lease_child,
+    run_lease_groups, run_lease_kill_round, LeaseVerbConfig,
 };
 use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
@@ -438,6 +438,10 @@ fn cmd_reshard(flags: &HashMap<String, String>) {
 }
 
 fn cmd_lease(flags: &HashMap<String, String>) {
+    if flags.contains_key("json") {
+        eprintln!("lease: takes no --json (a delivery drill; qbench times leases)");
+        exit(2);
+    }
     let mut cfg = if flags.contains_key("quick") {
         LeaseVerbConfig::quick()
     } else {
@@ -478,17 +482,11 @@ fn cmd_lease(flags: &HashMap<String, String>) {
     }
     cfg.sync = parse_sync(flags);
     cfg.group_commit = parse_group_commit(flags);
-    let mut json = JsonSink::from_flags(flags);
     if cfg.is_grouped() {
-        let rows = run_lease_groups(&cfg);
-        print!("{}", render_lease_groups(&cfg, &rows));
-        json.push(lease_groups_json(&cfg, &rows));
+        print!("{}", render_lease_groups(&cfg, &run_lease_groups(&cfg)));
     } else {
-        let rows = run_lease(&cfg);
-        print!("{}", render_lease(&cfg, &rows));
-        json.push(lease_json(&cfg, &rows));
+        print!("{}", render_lease(&cfg, &run_lease(&cfg)));
     }
-    json.write();
 }
 
 fn cmd_fastpath(flags: &HashMap<String, String>) {
@@ -632,8 +630,9 @@ fn main() {
                             msync vs group commit, across producer counts\n\
                             and batch windows (--producers 1,2,4,8\n\
                             --windows 0,50,200 --fences N --pages K)\n\
-                 lease      peek-lock producer/consumer throughput through a\n\
-                            leased deployment (ack rate, redelivery, compaction);\n\
+                 lease      peek-lock producer/consumer delivery drill through a\n\
+                            leased deployment (every item acked once, nacks\n\
+                            redelivered; text table only);\n\
                             --groups G / --consumers N switch to the consumer-\n\
                             group deployment (every group sees every item,\n\
                             consumers within a group compete)\n\
@@ -658,8 +657,8 @@ fn main() {
                  lease:        --ops N --nack-percent P --shards 1,2,4\n\
                                --consumers N --groups G --work-ns X\n\
                  output:       --json PATH   (counts, shards, restart, fastpath,\n\
-                               fsweep, lease, metrics, blackbox: JSON array\n\
-                               of experiment objects; schema in README)\n\
+                               fsweep, metrics, blackbox: JSON array of\n\
+                               experiment objects; schema in README)\n\
                  restart:      --algo A --shards N --min-acks N --pool-bytes N\n\
                                --grow-step N  (undersized pools grow under kill)\n\
                  reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\

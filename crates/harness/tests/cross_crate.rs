@@ -164,7 +164,7 @@ fn a_recovered_queue_can_be_driven_by_the_workload_generators() {
 #[test]
 fn sharded_queues_run_every_workload_through_the_harness() {
     // The sharded composition behind the same dyn DurableQueue front the
-    // benchmarks use: built by algorithm name, driven by the workload
+    // harness sweeps use: built by algorithm name, driven by the workload
     // generators, stats aggregated across all shard pools.
     let queue = Algorithm::OptLinked.create_sharded(shard::ShardConfig {
         shards: 4,

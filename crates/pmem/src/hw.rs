@@ -3,9 +3,9 @@
 //! On actual NVRAM hardware the queues would persist data with the x86-64
 //! instructions the paper names: `CLWB`/`CLFLUSHOPT` (cache-line write-back),
 //! `SFENCE` (store fence) and `movnti` (non-temporal store). This module
-//! wraps the stable subset of those intrinsics so that the persistence-cost
-//! microbenchmarks (`cargo bench -p bench --bench persist_ops`) can measure
-//! them against ordinary DRAM-backed memory, alongside the simulator.
+//! wraps the stable subset of those intrinsics: the file-backed pool
+//! (`store::FilePool`) issues them against its mapping, and `harness
+//! fastpath` prices them alongside the simulator.
 //!
 //! On non-x86-64 targets the functions degrade to plain stores and compiler
 //! fences so the crate still builds everywhere.

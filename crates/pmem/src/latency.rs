@@ -48,16 +48,6 @@ impl LatencyModel {
         }
     }
 
-    /// A model with the post-flush read penalty removed, used by the
-    /// ablation experiment (E9) to emulate a hypothetical platform whose
-    /// flushes do not invalidate cache lines.
-    pub const fn no_invalidation_penalty() -> LatencyModel {
-        LatencyModel {
-            nvram_read_ns: 0,
-            ..Self::optane_like()
-        }
-    }
-
     /// Returns `true` if every delay is zero.
     pub fn is_zero(&self) -> bool {
         self.flush_ns == 0 && self.fence_ns == 0 && self.nvram_read_ns == 0 && self.nt_store_ns == 0
@@ -95,14 +85,6 @@ mod tests {
     fn zero_model_is_zero() {
         assert!(LatencyModel::ZERO.is_zero());
         assert!(!LatencyModel::optane_like().is_zero());
-    }
-
-    #[test]
-    fn ablation_model_keeps_other_costs() {
-        let m = LatencyModel::no_invalidation_penalty();
-        assert_eq!(m.nvram_read_ns, 0);
-        assert_eq!(m.flush_ns, LatencyModel::optane_like().flush_ns);
-        assert_eq!(m.fence_ns, LatencyModel::optane_like().fence_ns);
     }
 
     #[test]

@@ -1,0 +1,550 @@
+#!/usr/bin/env python3
+"""The one gate over `harness ... --json` artifacts: schema, within-run
+invariants, and bands against the checked-in baselines.
+
+Each artifact is a JSON array of experiment objects; every object names its
+shape in "experiment" and carries the shared "meta" block. `EXPERIMENTS`
+below holds one entry per shape — required keys and types, row identity,
+bands, and the few cross-row invariants — so adding a harness verb is adding
+an entry. The schema is additive: unknown keys are allowed, required keys
+keep their meaning and type.
+
+Baselines live in `bench-baselines/` under the file names the perf-track CI
+job produces (regeneration: bench-baselines/README.md). Matching is by file
+basename, then experiment name and ordinal, then the row identity keys.
+
+Three kinds of bands:
+
+* tight — persist/fence counts the algorithms guarantee stay within a ratio
+  band of the baseline in *both* directions (an unexplained improvement
+  usually means the experiment stopped measuring what it claims to).
+* floor / ceil — wall-clock throughput and latency gate only the regression
+  direction, loosely: CI runners are noisy, so this catches cliffs and the
+  printed trajectory table is the instrument for slow drift.
+* within-run — both sides come from the current run, so the band is tight
+  whatever the runner: fastpath's direct `load_ns` and `counter_incr_ns`
+  against its own `raw_load_ns`, group commit's speedup against a floor.
+
+What fails: an experiment with no table entry, an artifact with no baseline
+file, a baseline experiment or row missing from the current run (silently
+dropping coverage is the regression this script exists for), a band.
+
+Usage: bench_gate.py [--baseline-dir bench-baselines] FILE.json ...
+       bench_gate.py --schema-only FILE.json ...   (no baselines consulted)
+       bench_gate.py --self-test
+"""
+
+import argparse
+import copy
+import json
+import numbers
+import os
+import sys
+
+
+class Invalid(Exception):
+    """A document that does not match its experiment's table entry."""
+
+
+# ---- field types: (description, predicate) -------------------------------
+
+def is_num(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+NUM = ("a number", is_num)
+POSITIVE = ("a positive number", lambda v: is_num(v) and v > 0)
+NON_NEGATIVE = ("a non-negative number", lambda v: is_num(v) and v >= 0)
+NUM_OR_NULL = ("a number or null", lambda v: v is None or is_num(v))
+STR = ("a string", lambda v: isinstance(v, str))
+STR_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
+LIST = ("an array", lambda v: isinstance(v, list))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+OBJECT_OR_NULL = ("an object or null", lambda v: v is None or isinstance(v, dict))
+
+
+def one_of(*values):
+    return (f"one of {values!r}", lambda v: v in values)
+
+
+def nums(*keys):
+    return {key: NUM for key in keys}
+
+
+def strs(*keys):
+    return {key: STR for key in keys}
+
+
+def require(obj, fields, ctx):
+    if not isinstance(obj, dict):
+        raise Invalid(f"{ctx}: must be an object")
+    for key, (what, pred) in fields.items():
+        if key not in obj:
+            raise Invalid(f"{ctx}: missing required key {key!r}")
+        if not pred(obj[key]):
+            raise Invalid(f"{ctx}: key {key!r} must be {what}, got {obj[key]!r}")
+
+
+# ---- bands: (kind, bound) ------------------------------------------------
+
+TIGHT = ("tight", (0.90, 1.10))  # current / baseline within [lo, hi]
+FLOOR = ("floor", 0.25)          # bigger is better: current >= 0.25x baseline
+CEIL = ("ceil", 4.0)             # smaller is better: current <= 4x baseline
+
+# A direct-mode (fixed-size pool) word access must cost about what the
+# paper's model charges for it: the `load_u64` chain within this factor of
+# the same chain on bare atomics.
+MAX_DIRECT_LOAD_VS_RAW = 2.0
+# Counting an operation must cost about one more word access: a named
+# counter's `incr` within this factor of the raw load chain (a
+# `lock`-prefixed add measures past 5x).
+MAX_COUNTER_INCR_VS_RAW = 3.0
+# The group-commit layer must keep proving its win: at the highest swept
+# producer count, the best coalesced rate over the per-thread rate. Kept
+# below the ~2x of quiet hardware — a cliff detector for "batching silently
+# stopped batching", not a perf SLO.
+MIN_GC_SPEEDUP = 1.3
+
+META_SCHEMA = 2
+META = {"schema": one_of(META_SCHEMA), "backend": one_of("sim", "file"),
+        "sync": STR_OR_NULL, "metrics": OBJECT}
+
+
+# ---- cross-row invariants: f(obj, ctx, gate) -----------------------------
+# Shape violations raise Invalid; measured ratios go through gate.check so
+# they land in the trajectory table.
+
+def shards_per_shard(obj, ctx, gate):
+    for i, row in enumerate(obj["rows"]):
+        for j, shard in enumerate(row["per_shard"]):
+            require(shard, nums("shard", "fences", "flushes", "recovery_ms"),
+                    f"{ctx} rows[{i}].per_shard[{j}]")
+
+
+def restart_kill_sections(obj, ctx, gate):
+    if obj["reshard_kill"] is not None:
+        require(obj["reshard_kill"],
+                {**nums("completed_reshards", "shards_after", "items"),
+                 "resolution": one_of(None, "rolled-back", "rolled-forward")},
+                f"{ctx} reshard_kill")
+    if obj["lease_kill"] is not None:
+        require(obj["lease_kill"],
+                nums("confirmed_enqueues", "confirmed_acks", "held", "unacked",
+                     "redelivered", "recovery_ms"),
+                f"{ctx} lease_kill")
+
+
+def fastpath_within_run(obj, ctx, gate):
+    direct = [row for row in obj["rows"] if row["mode"] == "direct"]
+    if not direct or not any(row["mode"] == "epoch" for row in obj["rows"]):
+        raise Invalid(f"{ctx}: fastpath needs both a 'direct' and an 'epoch' row")
+    raw = obj["raw_load_ns"]
+    gate.check(f"{ctx}[direct]", "load_ns vs raw_load_ns", raw,
+               direct[0]["load_ns"], "ceil", MAX_DIRECT_LOAD_VS_RAW)
+    gate.check(ctx, "counter_incr_ns vs raw_load_ns", raw,
+               obj["counter_incr_ns"], "ceil", MAX_COUNTER_INCR_VS_RAW)
+
+
+def group_commit_both_modes(obj, ctx, gate):
+    modes = {row["mode"] for row in obj["rows"]}
+    if modes != {"per-thread", "group-commit"}:
+        raise Invalid(f"{ctx}: group_commit needs both fence modes, got {sorted(modes)!r}")
+    for i, row in enumerate(obj["rows"]):
+        if (row["mode"] == "per-thread") != (row["window_us"] is None):
+            raise Invalid(f"{ctx} rows[{i}]: window_us must be null exactly "
+                          f"for per-thread rows")
+    require(obj["speedup"], nums("producers", "speedup", "best_window_us"),
+            f"{ctx} speedup")
+    gate.check(ctx, "speedup", MIN_GC_SPEEDUP, obj["speedup"]["speedup"], "floor", 1.0)
+
+
+def metrics_rows_by_type(obj, ctx, gate):
+    for i, row in enumerate(obj["rows"]):
+        keys = ("value",) if row["type"] == "counter" else ("count", "sum", "p50", "p99")
+        require(row, nums(*keys), f"{ctx} rows[{i}]")
+
+
+def blackbox_ascending_seq(obj, ctx, gate):
+    seqs = [row["seq"] for row in obj["rows"]]
+    if seqs != sorted(seqs):
+        raise Invalid(f"{ctx}: blackbox rows must be in ascending seq order")
+
+
+# ---- the table: one entry per experiment ---------------------------------
+# header/row: required keys and types; identity: the keys that name a row
+# across runs (None = rows are not comparable, only the shape is gated);
+# bands: metric -> band; invariant: the cross-row checks, if any.
+
+EXPERIMENTS = {
+    # harness counts: persist counts per operation (E7/E8), exact.
+    "counts": {
+        "header": {**nums("ops", "shards"), **strs("policy")},
+        "row": {**strs("algorithm"),
+                **nums("enq_fences", "deq_fences", "enq_flushes",
+                       "nt_stores_per_op", "post_flush_per_op")},
+        "identity": ("algorithm",),
+        "bands": {"enq_fences": TIGHT, "deq_fences": TIGHT, "enq_flushes": TIGHT,
+                  "nt_stores_per_op": TIGHT, "post_flush_per_op": TIGHT},
+    },
+    # harness shards: shard-scaling sweep with parallel recovery timing.
+    "shards": {
+        "header": {**strs("algorithm", "workload", "policy"),
+                   **nums("threads", "ops_per_thread", "recovery_threads")},
+        "row": {**nums("shards", "mops", "scaling", "fences_per_op",
+                       "recovered_items", "recovery_wall_ms",
+                       "recovery_critical_path_ms", "recovery_sequential_ms",
+                       "recovery_speedup"),
+                "per_shard": LIST},
+        "identity": ("shards",),
+        "bands": {"mops": FLOOR, "fences_per_op": TIGHT},
+        "invariant": shards_per_shard,
+    },
+    # harness restart: kill timing makes the row metrics non-comparable;
+    # coverage (the row set itself) is still gated by the missing-row rule.
+    "restart": {
+        "header": {"reshard_kill": OBJECT_OR_NULL, "lease_kill": OBJECT_OR_NULL},
+        "row": {**strs("algorithm", "policy", "sync"),
+                **nums("shards", "pool_bytes", "grow_step", "growth_epochs",
+                       "confirmed_enqueues", "confirmed_dequeues", "recovered",
+                       "recovery_ms")},
+        "identity": ("algorithm", "shards"),
+        "bands": {},
+        "invariant": restart_kill_sections,
+    },
+    # harness fastpath: per-op cost of the file pool's two mapping modes,
+    # with its own floor (raw_load_ns) in the artifact.
+    "fastpath": {
+        "header": {**nums("ops", "trials"), "lock_free_fast_path": one_of(True),
+                   "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE},
+        "row": {**strs("mode"), **nums("grow_step", "load_ns", "persist_ns", "map_ref_ns")},
+        "identity": ("mode",),
+        "bands": {"load_ns": CEIL, "persist_ns": CEIL, "map_ref_ns": CEIL},
+        "invariant": fastpath_within_run,
+    },
+    # harness fsweep: power-fail fence throughput, per-thread msync vs
+    # coalesced group commit, across producer counts and batch windows.
+    "group_commit": {
+        "header": {**nums("fences", "pages"), "speedup": OBJECT},
+        "row": {**nums("producers", "wall_ms"),
+                "mode": one_of("per-thread", "group-commit"),
+                "window_us": NUM_OR_NULL, "fences_per_sec": POSITIVE},
+        "identity": ("producers", "mode", "window_us"),
+        "bands": {"fences_per_sec": FLOOR},
+        "invariant": group_commit_both_modes,
+    },
+    # harness metrics: the process-global instruments after a short run.
+    "metrics": {
+        "header": nums("counters", "histograms"),
+        "row": {**strs("instrument"), "type": one_of("counter", "histogram")},
+        "identity": None,
+        "bands": {},
+        "invariant": metrics_rows_by_type,
+    },
+    # harness blackbox: replay of a crash-surviving flight-recorder ring.
+    "blackbox": {
+        "header": {**strs("ring"), **nums("capacity", "torn", "max_seq")},
+        "row": {**strs("kind"), **nums("seq", "raw_kind", "a", "b", "wall_ns")},
+        "identity": None,
+        "bands": {},
+        "invariant": blackbox_ascending_seq,
+    },
+}
+
+
+class Gate:
+    def __init__(self):
+        self.rows = []  # (context, metric, baseline, current, band, ok)
+        self.failures = []
+
+    def check(self, ctx, metric, base, cur, kind, bound):
+        if kind == "tight":
+            lo, hi = bound
+            ok = base == cur or (base != 0 and lo <= cur / base <= hi)
+            band = f"[{lo:.2f}x, {hi:.2f}x]"
+        elif kind == "floor":
+            ok = base == 0 or cur >= bound * base
+            band = f">= {bound:.2f}x"
+        else:  # ceil
+            ok = base == 0 or cur <= bound * base
+            band = f"<= {bound:.2f}x"
+        self.rows.append((ctx, metric, base, cur, band, ok))
+        if not ok:
+            self.fail(f"{ctx}: {metric} {base!r} -> {cur!r} outside {band}")
+
+    def fail(self, message):
+        self.failures.append(message)
+
+    def render(self):
+        if self.rows:
+            wid = max(len(r[0]) for r in self.rows)
+            met = max(len(r[1]) for r in self.rows)
+            print(f"{'where':<{wid}}  {'metric':<{met}}  {'baseline':>12}  "
+                  f"{'current':>12}  {'ratio':>7}  band")
+            for ctx, metric, base, cur, band, ok in self.rows:
+                ratio = f"{cur / base:.3f}" if base else "-"
+                verdict = "" if ok else "  << FAIL"
+                print(f"{ctx:<{wid}}  {metric:<{met}}  {base:>12.4g}  "
+                      f"{cur:>12.4g}  {ratio:>7}  {band}{verdict}")
+        for message in self.failures:
+            print(f"FAIL: {message}")
+
+
+def check_meta(meta, ctx):
+    """The block every experiment object shares: schema version, backend,
+    sync policy, and the embedded metrics snapshot."""
+    require(meta, META, ctx)
+    metrics = meta["metrics"]
+    require(metrics, {"counters": OBJECT, "histograms": OBJECT}, f"{ctx}.metrics")
+    for name, value in metrics["counters"].items():
+        if not is_num(value):
+            raise Invalid(f"{ctx}.metrics: counter {name!r} must be a number")
+    for name, hist in metrics["histograms"].items():
+        require(hist, {**nums("count", "sum", "mean", "p50", "p99"), "buckets": LIST},
+                f"{ctx}.metrics.histograms[{name!r}]")
+
+
+def validate(gate, data, name):
+    """Checks a document against the table (raising Invalid) and runs each
+    object's within-run invariants through the gate."""
+    if not isinstance(data, list) or not data:
+        raise Invalid(f"{name}: must be a non-empty JSON array of experiment objects")
+    seen = {}
+    for n, obj in enumerate(data):
+        ctx = f"{name}[{n}]"
+        if not isinstance(obj, dict):
+            raise Invalid(f"{ctx}: must be an object")
+        experiment = obj.get("experiment")
+        entry = EXPERIMENTS.get(experiment)
+        if entry is None:
+            raise Invalid(f"{ctx}: experiment {experiment!r} has no table entry "
+                          f"(expected one of {sorted(EXPERIMENTS)})")
+        require(obj, {"meta": OBJECT, "rows": LIST, **entry["header"]}, ctx)
+        check_meta(obj["meta"], f"{ctx} meta")
+        for i, row in enumerate(obj["rows"]):
+            require(row, entry["row"], f"{ctx} rows[{i}]")
+        if "invariant" in entry:
+            ordinal = seen.get(experiment, 0)
+            seen[experiment] = ordinal + 1
+            entry["invariant"](obj, label(name, experiment, ordinal), gate)
+
+
+def label(name, experiment, ordinal):
+    return f"{name}:{experiment}" + (f"#{ordinal}" if ordinal else "")
+
+
+def compare(gate, baseline, current, name):
+    """Holds a validated current document to its baseline's bands. Within a
+    file, experiment objects pair up by (experiment, ordinal): the harness
+    emits them in a deterministic order per verb."""
+    by_experiment = {}
+    for obj in current:
+        by_experiment.setdefault(obj["experiment"], []).append(obj)
+    seen = {}
+    for base_obj in baseline:
+        experiment = base_obj.get("experiment")
+        if experiment not in EXPERIMENTS:
+            gate.fail(f"{name}: baseline experiment {experiment!r} has no table entry")
+            continue
+        ordinal = seen.get(experiment, 0)
+        seen[experiment] = ordinal + 1
+        ctx = label(name, experiment, ordinal)
+        candidates = by_experiment.get(experiment, [])
+        if ordinal >= len(candidates):
+            gate.fail(f"{ctx}: experiment in baseline but missing from current run")
+            continue
+        entry = EXPERIMENTS[experiment]
+        identity = entry["identity"]
+        if identity is None:
+            continue
+        cur_rows = {tuple(r.get(k) for k in identity): r for r in candidates[ordinal]["rows"]}
+        for base_row in base_obj.get("rows", []):
+            key = tuple(base_row.get(k) for k in identity)
+            rctx = f"{ctx}[{','.join(str(v) for v in key)}]"
+            cur_row = cur_rows.get(key)
+            if cur_row is None:
+                gate.fail(f"{rctx}: row present in baseline but missing from current run")
+                continue
+            for metric, (kind, bound) in entry["bands"].items():
+                if metric not in base_row:
+                    gate.fail(f"{rctx}: metric {metric!r} missing from baseline")
+                    continue
+                gate.check(rctx, metric, base_row[metric], cur_row[metric], kind, bound)
+
+
+def gate_document(gate, name, current, baseline=None, schema_only=False):
+    """One artifact through the whole gate; `baseline` is None when
+    `bench-baselines/` has no file of that name."""
+    try:
+        validate(gate, current, name)
+    except Invalid as err:
+        gate.fail(str(err))
+        return
+    if schema_only:
+        return
+    if baseline is None:
+        gate.fail(f"{name}: no baseline of that name — an artifact nothing holds "
+                  f"to a band is not gated; check one in")
+        return
+    compare(gate, baseline, current, name)
+
+
+def load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def self_test():
+    """Gates the gate: known-good artifacts must pass against themselves and
+    each targeted mutation — of the schema, of a measured value, of the
+    baseline set — must be rejected, so a refactor that silently stops
+    checking anything fails the build."""
+
+    def meta():
+        return {
+            "schema": META_SCHEMA, "backend": "file", "sync": "power-fail",
+            "metrics": {
+                "counters": {"store.fence": 12},
+                "histograms": {"store.msync_batch_pages": {
+                    "count": 3, "sum": 9.0, "mean": 3.0, "p50": 3.0, "p99": 4.0,
+                    "buckets": []}},
+            },
+        }
+
+    good = {
+        "fsweep": [{
+            "experiment": "group_commit", "meta": meta(), "fences": 150, "pages": 16,
+            "rows": [
+                {"producers": 8, "mode": "per-thread", "window_us": None,
+                 "wall_ms": 700.0, "fences_per_sec": 1700.0},
+                {"producers": 8, "mode": "group-commit", "window_us": 0,
+                 "wall_ms": 230.0, "fences_per_sec": 5200.0},
+            ],
+            "speedup": {"producers": 8, "speedup": 3.05, "best_window_us": 0},
+        }],
+        "counts": [{
+            "experiment": "counts", "meta": meta(), "ops": 2000, "shards": 1,
+            "policy": "rr",
+            "rows": [
+                {"algorithm": "DurableMSQ", "enq_fences": 2.0, "deq_fences": 2.0,
+                 "enq_flushes": 3.0, "nt_stores_per_op": 0.0, "post_flush_per_op": 3.0},
+                {"algorithm": "OptLinkedQ", "enq_fences": 1.0, "deq_fences": 1.0,
+                 "enq_flushes": 2.0, "nt_stores_per_op": 1.0, "post_flush_per_op": 0.0},
+            ],
+        }],
+        "fastpath": [{
+            "experiment": "fastpath", "meta": meta(), "ops": 20000, "trials": 3,
+            "lock_free_fast_path": True, "raw_load_ns": 1.7, "counter_incr_ns": 2.4,
+            "rows": [
+                {"mode": "direct", "grow_step": 0, "load_ns": 2.6,
+                 "persist_ns": 300.0, "map_ref_ns": 10.0},
+                {"mode": "epoch", "grow_step": 1048576, "load_ns": 31.0,
+                 "persist_ns": 330.0, "map_ref_ns": 20.0},
+            ],
+        }],
+    }
+
+    def failures(name, current, **kwargs):
+        kwargs.setdefault("baseline", good[name])
+        gate = Gate()
+        gate_document(gate, f"self-test:{name}", current, **kwargs)
+        return gate.failures
+
+    for experiment, entry in EXPERIMENTS.items():
+        named = set(entry["bands"]) | set(entry["identity"] or ())
+        if not named <= set(entry["row"]):
+            raise SystemExit(f"self-test: {experiment} bands or identifies rows by "
+                             f"keys its row schema does not require")
+    for name, doc in good.items():
+        found = failures(name, doc)
+        if found:
+            raise SystemExit(f"self-test: gate rejected the good {name} document: {found}")
+
+    def mutated(name, apply):
+        doc = copy.deepcopy(good[name])
+        apply(doc[0])
+        return name, doc
+
+    def drop(obj, key):
+        del obj[key]
+
+    rejects = [
+        # the schema half
+        ("an experiment with no table entry",
+         *mutated("fsweep", lambda o: o.update(experiment="nonsense"))),
+        ("missing meta", *mutated("fsweep", lambda o: drop(o, "meta"))),
+        ("wrong meta schema", *mutated("fsweep", lambda o: o["meta"].update(schema=1))),
+        ("missing rows", *mutated("fsweep", lambda o: drop(o, "rows"))),
+        ("missing row key", *mutated("fsweep", lambda o: drop(o["rows"][0], "fences_per_sec"))),
+        ("one-mode sweep", *mutated("fsweep", lambda o: o["rows"].pop())),
+        ("zero throughput", *mutated("fsweep", lambda o: o["rows"][1].update(fences_per_sec=0))),
+        ("window on per-thread row", *mutated("fsweep", lambda o: o["rows"][0].update(window_us=5))),
+        ("string count", *mutated("counts", lambda o: o["rows"][0].update(enq_fences="2"))),
+        ("fastpath without its raw floor", *mutated("fastpath", lambda o: drop(o, "raw_load_ns"))),
+        ("fastpath without its counter cost",
+         *mutated("fastpath", lambda o: drop(o, "counter_incr_ns"))),
+        ("fastpath without an epoch row", *mutated("fastpath", lambda o: o["rows"].pop())),
+        ("non-list document", "counts", {"experiment": "counts"}),
+        # the compare half
+        ("a baseline row missing from the current run",
+         *mutated("counts", lambda o: o["rows"].pop())),
+        ("a baseline experiment missing from the current run", "counts", good["fsweep"]),
+        ("a count outside the tight band",
+         *mutated("counts", lambda o: o["rows"][1].update(enq_fences=1.2))),
+        ("a count that appeared from zero",
+         *mutated("counts", lambda o: o["rows"][1].update(post_flush_per_op=0.5))),
+        ("a throughput under its floor",
+         *mutated("fsweep", lambda o: o["rows"][1].update(fences_per_sec=1200.0))),
+        ("a latency over its ceiling",
+         *mutated("fastpath", lambda o: o["rows"][1].update(persist_ns=1400.0))),
+        ("a direct load_ns over 2x raw_load_ns",
+         *mutated("fastpath", lambda o: o["rows"][0].update(load_ns=3.5))),
+        ("a counter_incr_ns over 3x raw_load_ns",
+         *mutated("fastpath", lambda o: o.update(counter_incr_ns=5.2))),
+        ("a group_commit speedup under 1.3",
+         *mutated("fsweep", lambda o: o["speedup"].update(speedup=1.29))),
+    ]
+    for what, name, doc in rejects:
+        if not failures(name, doc):
+            raise SystemExit(f"self-test: gate accepted {what}")
+    if not failures("counts", good["counts"], baseline=None):
+        raise SystemExit("self-test: gate accepted an artifact with no baseline file")
+    # --schema-only keeps the schema and drops only the baseline lookup.
+    if failures("counts", good["counts"], baseline=None, schema_only=True):
+        raise SystemExit("self-test: --schema-only asked for a baseline")
+    if not failures(*mutated("counts", lambda o: drop(o, "ops")), schema_only=True):
+        raise SystemExit("self-test: --schema-only accepted a missing header key")
+    print(f"self-test: {len(good)} good documents accepted, "
+          f"{len(rejects) + 2} mutations rejected")
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline-dir", default="bench-baselines")
+    parser.add_argument("--schema-only", action="store_true",
+                        help="check shape and within-run invariants; consult no baseline")
+    parser.add_argument("--self-test", action="store_true")
+    parser.add_argument("files", nargs="*")
+    args = parser.parse_args(argv[1:])
+    if args.self_test:
+        self_test()
+        return
+    if not args.files:
+        parser.error("no artifacts given")
+
+    gate = Gate()
+    for path in args.files:
+        name = os.path.basename(path)
+        baseline_path = os.path.join(args.baseline_dir, name)
+        baseline = None
+        if not args.schema_only and os.path.exists(baseline_path):
+            baseline = load(baseline_path)
+        gate_document(gate, name, load(path), baseline, schema_only=args.schema_only)
+    gate.render()
+    if gate.failures:
+        raise SystemExit(1)
+    print(f"bench gate: {len(args.files)} artifact(s) match the table, "
+          f"{len(gate.rows)} metric(s) within bands")
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -2,19 +2,23 @@
 //! group commit.
 //!
 //! Under [`store::SyncPolicy::PowerFail`] every fence `msync`s the fencing
-//! thread's dirty pages — N producers fencing concurrently issue N
-//! independent rounds of syscalls against the same pool file, all
-//! serialized by the kernel on the file's mapping locks. The group-commit
-//! layer ([`store::FileConfig::group_commit`]) batches those rounds: one
-//! leader per commit submits every concurrent producer's pages as minimal
-//! contiguous ranges.
+//! thread's dirty pages, one page per call. The group-commit layer
+//! ([`store::FileConfig::group_commit`]) turns those rounds into batches:
+//! up to two leaders at a time each submit the pages of every fence that
+//! shared their batch, merged into contiguous ranges.
 //!
-//! This sweep measures exactly that amortization: `producers` threads each
-//! dirty `pages` private pages and fence, `fences` times over, and the
-//! aggregate fence rate (`producers * fences / wall`) is reported per
-//! producer count × fence mode (per-thread, plus one group-commit mode per
-//! configured window). The JSON object (`"experiment": "group_commit"`)
-//! feeds the perf-track regression gate.
+//! This sweep measures what that buys: `producers` threads each dirty
+//! `pages` private pages and fence, `fences` times over, and the aggregate
+//! fence rate (`producers * fences / wall`) is reported per producer
+//! count × fence mode (per-thread, plus one group-commit mode per
+//! configured window). Two shares read from the `store.fence.*` counters
+//! say *why* a group-commit row moved: `coalesced` is the fraction of its
+//! fences that shared a batch with another fence, `overlapped` the
+//! fraction of its batches submitted while another was still in flight.
+//! The 1-producer rows have nobody to coalesce with or overlap: what they
+//! gain over per-thread is run-merging alone (docs/PERFORMANCE.md, "Group
+//! commit"). The JSON object (`"experiment": "group_commit"`) feeds the
+//! perf-track regression gate.
 
 use std::sync::Arc;
 use std::sync::Barrier;
@@ -77,6 +81,13 @@ pub struct FsweepRow {
     pub wall: Duration,
     /// Aggregate fence rate: `producers * fences / wall`.
     pub fences_per_sec: f64,
+    /// Share of the point's fences that shared a batch with another fence
+    /// (`store.fence.coalesced` over fences issued; 0 for per-thread rows
+    /// and in builds without `instrument`).
+    pub coalesced_share: f64,
+    /// Share of the point's batches submitted while another batch was in
+    /// flight (`store.fence.overlapped` over `store.fence.leader`).
+    pub overlapped_share: f64,
 }
 
 fn sweep_pool(tag: &str, cfg: &FsweepConfig, group_commit: Option<u64>) -> Arc<PmemPool> {
@@ -113,6 +124,7 @@ fn measure(
     let region = pool.alloc_raw(producers as u32 * cfg.pages as u32 * page, 64);
     let barrier = Barrier::new(producers + 1);
     let mut wall = Duration::ZERO;
+    let before = obs::snapshot();
     std::thread::scope(|scope| {
         for tid in 0..producers {
             let (pool, barrier) = (&pool, &barrier);
@@ -137,6 +149,11 @@ fn measure(
         barrier.wait(); // all producers done
         wall = started.elapsed();
     });
+    // Exact under the verb: the producers have been joined, and nothing
+    // else in the process fences a pool while a point runs.
+    let after = obs::snapshot();
+    let delta = |name: &str| (after.counter(name) - before.counter(name)) as f64;
+    let share = |part: f64, whole: f64| if whole > 0.0 { part / whole } else { 0.0 };
     let total = (producers as u64 * cfg.fences) as f64;
     FsweepRow {
         producers,
@@ -144,6 +161,8 @@ fn measure(
         window_us,
         wall,
         fences_per_sec: total / wall.as_secs_f64(),
+        coalesced_share: share(delta("store.fence.coalesced"), total),
+        overlapped_share: share(delta("store.fence.overlapped"), delta("store.fence.leader")),
     }
 }
 
@@ -185,12 +204,20 @@ pub fn speedup_at_max(rows: &[FsweepRow]) -> Option<(usize, f64, u64)> {
 pub fn render_fsweep(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     let mut out = format!(
         "\n=== fsweep: power-fail fence throughput, {} fences x {} pages per producer ===\n\
-         {:<11}{:<14}{:>11}{:>11}{:>15}\n",
-        cfg.fences, cfg.pages, "producers", "mode", "window us", "wall ms", "fences/s (agg)"
+         {:<11}{:<14}{:>11}{:>11}{:>15}{:>11}{:>12}\n",
+        cfg.fences,
+        cfg.pages,
+        "producers",
+        "mode",
+        "window us",
+        "wall ms",
+        "fences/s (agg)",
+        "coalesced",
+        "overlapped"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<11}{:<14}{:>11}{:>11.1}{:>15.0}\n",
+            "{:<11}{:<14}{:>11}{:>11.1}{:>15.0}{:>11.2}{:>12.2}\n",
             r.producers,
             r.mode,
             r.window_us
@@ -198,6 +225,8 @@ pub fn render_fsweep(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
                 .unwrap_or_else(|| String::from("-")),
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
+            r.coalesced_share,
+            r.overlapped_share,
         ));
     }
     if let Some((producers, speedup, window)) = speedup_at_max(rows) {
@@ -219,7 +248,8 @@ pub fn fsweep_json(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     for r in rows {
         obj.row(format!(
             "{{\"producers\": {}, \"mode\": \"{}\", \"window_us\": {}, \
-             \"wall_ms\": {}, \"fences_per_sec\": {}}}",
+             \"wall_ms\": {}, \"fences_per_sec\": {}, \
+             \"coalesced_share\": {}, \"overlapped_share\": {}}}",
             r.producers,
             r.mode,
             r.window_us
@@ -227,6 +257,8 @@ pub fn fsweep_json(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
                 .unwrap_or_else(|| String::from("null")),
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
+            r.coalesced_share,
+            r.overlapped_share,
         ));
     }
     if let Some((producers, speedup, window)) = speedup_at_max(rows) {
@@ -315,6 +347,8 @@ mod tests {
         assert!(json.contains("\"mode\": \"per-thread\""));
         assert!(json.contains("\"mode\": \"group-commit\""));
         assert!(json.contains("\"window_us\": null"));
+        assert!(json.contains("\"coalesced_share\": "));
+        assert!(json.contains("\"overlapped_share\": "));
         assert!(json.contains("\"speedup\":"));
     }
 

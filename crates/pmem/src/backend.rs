@@ -52,13 +52,14 @@ pub enum FenceHint {
     /// construction).
     #[default]
     PerThread,
-    /// Concurrent fences are coalesced: one leader submits a single
-    /// batched write-back covering every waiter's pages, so N threads
-    /// fencing together pay ~1 submission instead of N.
+    /// Concurrent fences are coalesced: a leader submits one batched
+    /// write-back covering every fence that shared its batch, and a small
+    /// fixed number of batches may be in flight at once, so N threads
+    /// fencing together pay far fewer than N submissions.
     GroupCommit {
         /// Extra nanoseconds a leader holds the batch open for stragglers
-        /// (`0` = submit immediately; arrivals during the submission still
-        /// coalesce into the next batch).
+        /// (`0` = submit immediately; arrivals that find every submission
+        /// slot taken still coalesce into the next batch).
         window_ns: u64,
     },
 }

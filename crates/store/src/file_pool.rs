@@ -107,26 +107,43 @@
 //! ## Group commit
 //!
 //! Under [`SyncPolicy::PowerFail`] every fence pays one `msync` per dirty
-//! page, per thread — N producers fencing concurrently issue N independent
-//! rounds of syscalls against the same file. [`FileConfig::group_commit`]
-//! amortizes that the way write-ahead-log group commit does: a fencing
-//! thread publishes its dirty pages to a pool-wide **open batch** and the
-//! first thread to find no leader active becomes the **leader** for that
-//! batch. The leader (optionally holding the batch open for a configurable
-//! window to catch stragglers) takes every participant's pages, sorts,
-//! dedups and merges adjacent pages into minimal contiguous runs, issues
-//! one `msync` per run, then bumps the pool's **commit sequence** and wakes
-//! the batch — every follower returns from its fence having paid zero
-//! syscalls. Fences that arrive while a leader is submitting accumulate
-//! into the next batch, so even a zero-length window coalesces under load.
+//! page, per thread. [`FileConfig::group_commit`] amortizes that the way
+//! write-ahead-log group commit does, as a pipeline two batches deep
+//! (`PIPELINE_DEPTH`):
 //!
-//! The durability contract is unchanged: a fence returns only once a batch
-//! containing *its* pages has fully `msync`ed (batches commit strictly in
-//! order, and a fence's pages are in the batch that was open when it
-//! published them). What changes is only who performs the syscalls and how
-//! many there are. The `store.fence.{leader,follower,coalesced}` counters
-//! and the `store.msync_batch_pages` histogram expose the batching, and
-//! backends advertise the mode through [`PoolBackend::fence_hint`].
+//! 1. A fencing thread publishes its dirty pages into the pool-wide **open
+//!    batch** under a mutex.
+//! 2. If the open batch has no leader yet and fewer than two batches are
+//!    syncing, the thread **leads** it at once: closes it, sorts and
+//!    dedups everyone's pages, merges adjacent pages into contiguous runs
+//!    and issues one `msync` per run, beside whatever batch another
+//!    leader is syncing. Otherwise it waits, and on every wake-up either
+//!    finds its batch done or leads it when a slot has freed. (A pool
+//!    configured with a window runs one batch at a time: its leader first
+//!    holds the batch open for the window — lock released, stragglers
+//!    keep publishing — and a second leader would only split the batch
+//!    the window is there to gather.)
+//! 3. The leader marks its batch done and wakes everyone; a **follower**
+//!    returns once *its* batch is done, whatever happened to the one
+//!    before — batches complete in any order.
+//!
+//! Two batches, not one, because two threads `msync`ing one file at once
+//! each finish in little more than the time of one alone, while two taking
+//! turns each pay for both (the table in docs/PERFORMANCE.md, "Group
+//! commit"); not more than two, because the fences that queue behind a
+//! full pipeline are what coalesces under load.
+//!
+//! The durability contract is per fence and unchanged: a fence returns only
+//! once a batch containing *its* pages has fully `msync`ed. Nothing ever
+//! ordered one thread's fence after another's (the per-thread arm never
+//! did), and a page that sits in two in-flight batches is synced twice,
+//! each time with contents at least as new as the stores the fence that
+//! published it covers. A batch whose `msync` fails takes the pool down:
+//! its leader panics with the pool's path, and so does every fence that
+//! waits on the pool's group commit then or later. The
+//! `store.fence.{leader,follower,coalesced,overlapped}` counters and the
+//! `store.msync_batch_pages` histogram expose the batching, and backends
+//! advertise the mode through [`PoolBackend::fence_hint`].
 
 use crate::mmap::{self, page_size};
 use crossbeam_utils::CachePadded;
@@ -157,10 +174,14 @@ static GROWTH_NS: LazyHistogram = LazyHistogram::new("store.growth_ns");
 static MSYNC_NS: LazyHistogram = LazyHistogram::new("store.msync_ns");
 // Group-commit accounting: batches led, fences that rode another thread's
 // submission, fences that shared a batch with at least one other fence,
-// and how many pages each batched submission covered.
+// batches submitted while another was still in flight, and how many pages
+// each batched submission covered. `store.msync.error` counts fence-path
+// `msync`s that failed (each one a panic).
 static FENCE_LEADER: LazyCounter = LazyCounter::new("store.fence.leader");
 static FENCE_FOLLOWER: LazyCounter = LazyCounter::new("store.fence.follower");
 static FENCE_COALESCED: LazyCounter = LazyCounter::new("store.fence.coalesced");
+static FENCE_OVERLAPPED: LazyCounter = LazyCounter::new("store.fence.overlapped");
+static MSYNC_ERROR: LazyCounter = LazyCounter::new("store.msync.error");
 static MSYNC_BATCH_PAGES: LazyHistogram = LazyHistogram::new("store.msync_batch_pages");
 
 /// `"DQSTORE1"` in little-endian byte order.
@@ -310,46 +331,69 @@ impl Default for FileConfig {
     }
 }
 
+/// How many group-commit batches may be syncing at once under a zero
+/// window. A constant, not a [`FileConfig`] field: one queues a fence
+/// behind another thread's whole `msync`, and without a bound nothing ever
+/// waits, so nothing coalesces. A pool with a window runs one batch at a
+/// time ([`GroupCommit::depth`]).
+const PIPELINE_DEPTH: usize = 2;
+
 /// Shared state of the power-fail group-commit protocol: one per pool,
 /// present only when [`FileConfig::group_commit`] is set. Fencing threads
-/// publish their dirty pages to the open batch under the mutex; the first
-/// one to find no leader active becomes the leader, coalesces every
-/// participant's pages into minimal contiguous `msync` calls, bumps the
-/// commit sequence and wakes the batch. See the
+/// publish their dirty pages to the open batch under the mutex; up to
+/// [`PIPELINE_DEPTH`] of them at a time lead a batch each, and every
+/// other fence waits on the condvar for its batch. See the
 /// [module docs](self#group-commit).
 struct GroupCommit {
     state: Mutex<GcState>,
     cv: Condvar,
     /// Extra nanoseconds a leader holds the batch open for stragglers
-    /// before submitting. `0` submits immediately (arrivals during the
-    /// leader's `msync` still coalesce into the next batch).
+    /// before submitting. `0` submits immediately (arrivals that find the
+    /// pipeline full still coalesce into the next batch).
     window_ns: u64,
     /// Deterministic crash point (`DQ_FENCE_ABORT_BEFORE_WAKE=N`, read at
     /// pool construction): the process aborts on the `N`th *coalesced*
-    /// batch, after its `msync`s complete but before the commit sequence
-    /// advances — no follower of that batch may have observed durability.
+    /// batch, after its `msync`s complete but before the batch is marked
+    /// done — no follower of that batch may have observed durability.
     abort_before_wake: Option<u64>,
     /// Coalesced (≥ 2 fences) batches submitted so far; drives the crash
     /// point above and the once-per-pool flight-recorder event.
     coalesced_batches: AtomicU64,
+    /// Test support: called by each leader once its `msync`s are through
+    /// and before its batch is marked done, outside the state mutex, with
+    /// the batch's number and how many batches had a leader when it
+    /// closed; an `Err` fails the batch as a failed `msync` would. Lets a
+    /// test stall or fail one chosen batch.
+    #[cfg(test)]
+    on_submit: Mutex<Option<SubmitHook>>,
 }
 
-/// Mutex-protected core of [`GroupCommit`]. Invariant: whenever
-/// `leader_active` is `false`, `commit_seq == open_batch - 1` — so a
-/// waiter that finds no leader and an uncommitted batch is necessarily
-/// part of the *open* batch and can lead it. Batches therefore commit
-/// strictly in order.
+#[cfg(test)]
+type SubmitHook = Arc<dyn Fn(u64, usize) -> io::Result<()> + Send + Sync>;
+
+/// Mutex-protected core of [`GroupCommit`]. Batches are numbered from 1
+/// and closed in order; batch `b` is **done** — every page published into
+/// it has been `msync`ed — exactly when `b < open_batch` and `b` is not in
+/// `leading`, in whatever order the leaders finished. Invariant: an open
+/// batch that holds fences and has no leader has a fence waiting on the
+/// condvar that will lead it once `leading` has room, and every change to
+/// `leading` notifies the condvar.
 struct GcState {
     /// Pages published by fences of the currently open batch.
     pending: Vec<usize>,
     /// Fences participating in the currently open batch.
     fences: u64,
-    /// Number of the currently open batch (first batch is 1).
+    /// Number of the currently open batch.
     open_batch: u64,
-    /// Highest batch number whose batched `msync` has fully completed.
-    commit_seq: u64,
-    /// Whether a leader is currently submitting a batch.
-    leader_active: bool,
+    /// The batches that have a leader and are not done, at most
+    /// [`GroupCommit::depth`]. It holds `open_batch` exactly while a leader
+    /// holds that batch open for its window; every other entry is closed
+    /// and being `msync`ed.
+    leading: Vec<u64>,
+    /// A batch's `msync` failed (its leader is panicking or has): no fence
+    /// of this pool can promise durability any more, so every waiter
+    /// panics as well instead of returning or staying parked.
+    failed: bool,
 }
 
 impl GroupCommit {
@@ -359,8 +403,8 @@ impl GroupCommit {
                 pending: Vec::new(),
                 fences: 0,
                 open_batch: 1,
-                commit_seq: 0,
-                leader_active: false,
+                leading: Vec::with_capacity(PIPELINE_DEPTH),
+                failed: false,
             }),
             cv: Condvar::new(),
             window_ns,
@@ -368,7 +412,56 @@ impl GroupCommit {
                 .ok()
                 .and_then(|v| v.parse().ok()),
             coalesced_batches: AtomicU64::new(0),
+            #[cfg(test)]
+            on_submit: Mutex::new(None),
         }
+    }
+
+    #[cfg(test)]
+    fn run_submit_hook(&self, batch: u64, in_flight: usize) -> io::Result<()> {
+        // Cloned out, so a hook that stalls does not hold the hook's lock.
+        let hook = self.on_submit.lock().unwrap().clone();
+        hook.map_or(Ok(()), |hook| hook(batch, in_flight))
+    }
+
+    /// How many batches may have a leader at once: [`PIPELINE_DEPTH`]
+    /// under a zero window, one under a window. A window asks for the
+    /// largest batch the wait can collect, and a second leader would take
+    /// half of it: at 8 producers x 16 pages and 50 us, two leaders synced
+    /// 7.7-8.5k fences/s where one syncs 10.6-12.4k (docs/PERFORMANCE.md).
+    fn depth(&self) -> usize {
+        if self.window_ns > 0 {
+            1
+        } else {
+            PIPELINE_DEPTH
+        }
+    }
+}
+
+/// A leader's claim on its batch, from the moment the batch is closed.
+/// Dropping it takes the batch out of `leading` and wakes every waiter —
+/// as done if [`synced`](Self::synced) was set, as failed otherwise, which
+/// is what a leader that panics inside its `msync`s leaves behind: its
+/// followers neither stay parked nor return.
+struct Leading<'a> {
+    gc: &'a GroupCommit,
+    batch: u64,
+    synced: bool,
+}
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        // Runs during a panic too, so a poisoned mutex must not panic
+        // again; the state is plain data, valid at every step.
+        let mut st = self
+            .gc
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.leading.retain(|&b| b != self.batch);
+        st.failed |= !self.synced;
+        drop(st);
+        self.gc.cv.notify_all();
     }
 }
 
@@ -1518,79 +1611,141 @@ impl FilePool {
         f(unsafe { &mut *self.pending[tid].0.get() })
     }
 
-    /// The classic power-fail fence tail: the fencing thread `msync`s its
-    /// own dirty pages, one page at a time. `pages` is sorted, deduped and
-    /// non-empty.
-    fn fence_per_thread(&self, pages: Vec<usize>) {
+    /// The one place a fence-path `msync` is issued and its result looked
+    /// at: merges adjacent `pages` (file page numbers, sorted, duplicates
+    /// allowed) into contiguous runs and `msync`s each run once, stopping
+    /// at the first error.
+    fn sync_runs(&self, pages: &[usize]) -> io::Result<()> {
+        debug_assert!(pages.is_sorted());
+        let Some(&last) = pages.last() else {
+            return Ok(());
+        };
         let page = page_size();
-        let last = *pages.last().unwrap();
-        let _msync_timer = MSYNC_NS.start_timer();
-        // The flushed pages may postdate the generation a held
-        // MapRef has pinned; span-check so the msync targets a
-        // mapping that actually covers them.
+        // The pages may postdate the generation a held MapRef has pinned;
+        // span-check so the msync targets a mapping that covers them.
         let state = self.span_checked_map((last + 1) * page);
+        let mut run = (pages[0], pages[0]);
+        for &p in &pages[1..] {
+            if p > run.1 + 1 {
+                state.msync(run.0 * page, (run.1 - run.0 + 1) * page)?;
+                run.0 = p;
+            }
+            run.1 = p;
+        }
+        state.msync(run.0 * page, (run.1 - run.0 + 1) * page)
+    }
+
+    /// [`sync_runs`](Self::sync_runs) for a caller that promises
+    /// durability by returning — a fence, `persist_now`, a watermark move.
+    /// An `msync` that fails (`EIO`, `ENOMEM`) leaves that promise
+    /// unkeepable and, since the kernel may have marked the pages clean,
+    /// unrepairable by retrying: panic with the pool's path, the policy of
+    /// `lease::engine`'s journals.
+    fn sync_or_die(&self, pages: &[usize]) {
+        if let Err(e) = self.sync_runs(pages) {
+            self.durability_lost(e);
+        }
+    }
+
+    fn durability_lost(&self, e: io::Error) -> ! {
+        MSYNC_ERROR.incr();
+        panic!(
+            "msync of pool {} failed: {e}; what the pool holds on the medium \
+             is now unknowable, restart and recover",
+            self.path.display()
+        )
+    }
+
+    /// The classic power-fail fence tail: the fencing thread `msync`s its
+    /// own dirty pages, one page at a time (one run per page: only group
+    /// commit merges runs). `pages` is sorted, deduped and non-empty.
+    fn fence_per_thread(&self, pages: Vec<usize>) {
+        let _msync_timer = MSYNC_NS.start_timer();
         for p in pages {
-            let _ = state.msync(p * page, page);
+            self.sync_or_die(&[p]);
         }
     }
 
     /// The group-commit arm of [`sfence`](PoolBackend::sfence): publishes
-    /// this fence's pages to the pool-wide open batch; one participant per
-    /// batch leads, submitting a single coalesced round of `msync`s for
-    /// everyone. A fence only returns once a batch *containing its pages*
-    /// has fully committed — the durability contract is identical to the
-    /// per-thread path. `pages` is sorted, deduped and non-empty.
+    /// this fence's pages to the pool-wide open batch, then leads that
+    /// batch or waits for whoever does (the three steps of the
+    /// [module docs](self#group-commit)). A fence only returns once a
+    /// batch *containing its pages* has fully `msync`ed — the durability
+    /// contract is identical to the per-thread path. `pages` is non-empty.
     fn fence_grouped(&self, gc: &GroupCommit, pages: Vec<usize>) {
         let mut st = gc.state.lock().unwrap();
         st.pending.extend_from_slice(&pages);
         st.fences += 1;
         let my_batch = st.open_batch;
         loop {
-            if st.commit_seq >= my_batch {
-                // A leader's submission covered this fence's pages.
-                FENCE_FOLLOWER.incr();
-                return;
+            if st.failed {
+                drop(st); // panic without poisoning the other waiters' lock
+                panic!(
+                    "a group-commit batch of pool {} failed to msync; this \
+                     fence's pages may not be durable, restart and recover",
+                    self.path.display()
+                );
             }
-            if !st.leader_active {
-                // GcState's invariant: no leader + my batch uncommitted
-                // means my_batch == open_batch. Lead it.
-                st.leader_active = true;
-                if gc.window_ns > 0 {
-                    // Hold the batch open for stragglers — without the
-                    // lock, so they can publish their pages meanwhile.
-                    drop(st);
-                    std::thread::sleep(std::time::Duration::from_nanos(gc.window_ns));
-                    st = gc.state.lock().unwrap();
+            if my_batch < st.open_batch {
+                if !st.leading.contains(&my_batch) {
+                    // Another fence's submission covered this fence's pages.
+                    FENCE_FOLLOWER.incr();
+                    return;
                 }
-                let batch = std::mem::take(&mut st.pending);
-                let fences = std::mem::take(&mut st.fences);
-                st.open_batch += 1;
-                drop(st);
-                self.submit_batch(gc, batch, fences);
-                let mut st = gc.state.lock().unwrap();
-                st.commit_seq = my_batch;
-                st.leader_active = false;
-                gc.cv.notify_all();
-                return;
+            } else if st.leading.len() < gc.depth() {
+                // Still open, so nobody leads it: a zero-window leader closes
+                // its batch in the lock hold it takes the lead in, and a
+                // leader holding a window fills `leading` by itself.
+                break;
             }
             st = gc.cv.wait(st).unwrap();
         }
+        // Lead the open batch, beside whatever batch is already syncing.
+        st.leading.push(my_batch);
+        if gc.window_ns > 0 {
+            // Hold the batch open for stragglers — without the lock, so
+            // they can publish their pages meanwhile.
+            drop(st);
+            std::thread::sleep(std::time::Duration::from_nanos(gc.window_ns));
+            st = gc.state.lock().unwrap();
+        }
+        let mut batch = std::mem::take(&mut st.pending);
+        let fences = std::mem::take(&mut st.fences);
+        st.open_batch += 1;
+        let in_flight = st.leading.len();
+        drop(st);
+        let mut lead = Leading {
+            gc,
+            batch: my_batch,
+            synced: false,
+        };
+        let synced = self.submit_batch(gc, in_flight, &mut batch, fences);
+        #[cfg(test)]
+        let synced = synced.and_then(|()| gc.run_submit_hook(my_batch, in_flight));
+        if let Err(e) = synced {
+            self.durability_lost(e); // unwinds through `lead`: batch failed
+        }
+        lead.synced = true;
     }
 
-    /// Leader half of group commit: coalesces a batch's pages into minimal
-    /// contiguous runs and `msync`s each run once. Runs outside the batch
-    /// mutex — followers wait on the condvar, new fences accumulate into
-    /// the next batch.
-    fn submit_batch(&self, gc: &GroupCommit, mut pages: Vec<usize>, fences: u64) {
+    /// Leader half of group commit: `msync`s a closed batch's pages as
+    /// merged runs. Runs outside the batch mutex — followers wait on the
+    /// condvar, new fences publish into the next batch and may lead it.
+    /// `in_flight` is how many batches had a leader when this one closed,
+    /// itself included.
+    fn submit_batch(
+        &self,
+        gc: &GroupCommit,
+        in_flight: usize,
+        pages: &mut Vec<usize>,
+        fences: u64,
+    ) -> io::Result<()> {
         FENCE_LEADER.incr();
+        if in_flight > 1 {
+            FENCE_OVERLAPPED.incr();
+        }
         pages.sort_unstable();
         pages.dedup();
-        // The leader itself always contributed pages, so the batch is
-        // never empty.
-        let last = *pages.last().unwrap();
-        let page = page_size();
-        let _msync_timer = MSYNC_NS.start_timer();
-        let state = self.span_checked_map((last + 1) * page);
         MSYNC_BATCH_PAGES.record(pages.len() as u64);
         if fences >= 2 {
             FENCE_COALESCED.add(fences);
@@ -1600,16 +1755,10 @@ impl FilePool {
                 obs::flight::record(EventKind::FenceGroupCommit, fences, pages.len() as u64);
             }
         }
-        let mut run = (pages[0], pages[0]);
-        for &p in &pages[1..] {
-            if p == run.1 + 1 {
-                run.1 = p;
-            } else {
-                let _ = state.msync(run.0 * page, (run.1 - run.0 + 1) * page);
-                run = (p, p);
-            }
+        {
+            let _msync_timer = MSYNC_NS.start_timer();
+            self.sync_runs(pages)?;
         }
-        let _ = state.msync(run.0 * page, (run.1 - run.0 + 1) * page);
         // Deterministic crash point for the power-fail tests: die with the
         // batch synced but its followers still parked — a survivor of this
         // kill must find every page the batch promised already durable,
@@ -1619,6 +1768,7 @@ impl FilePool {
                 std::process::abort();
             }
         }
+        Ok(())
     }
 
     /// A map guaranteed to cover `[0, end)` of the pool file (mapping
@@ -1767,10 +1917,9 @@ impl PoolBackend for FilePool {
         state.check_bounds(off, 8);
         // SAFETY: the line containing `off` is inside the mapping.
         unsafe { pmem::hw::persist_range(state.addr(off), 8) };
+        drop(state);
         if self.policy == SyncPolicy::PowerFail {
-            let page = page_size();
-            let start = (HEADER_LEN + off as usize) & !(page - 1);
-            let _ = state.msync(start, page);
+            self.sync_or_die(&[(HEADER_LEN + off as usize) / page_size()]);
         }
     }
 
@@ -1803,7 +1952,7 @@ impl PoolBackend for FilePool {
             unsafe { pmem::hw::clflush(state.base.add(H_WATERMARK)) };
             pmem::hw::sfence();
             if self.policy == SyncPolicy::PowerFail {
-                let _ = state.msync(0, HEADER_LEN);
+                self.sync_or_die(&[0]); // the header's page
             }
         }
         r
@@ -1907,6 +2056,7 @@ mod tests {
 
     #[test]
     fn group_commit_fences_are_durable_and_advertised() {
+        let _serial = gc_serial();
         let path = temp_path("gc-roundtrip");
         let off;
         {
@@ -1949,6 +2099,7 @@ mod tests {
     #[cfg(feature = "instrument")]
     fn group_commit_coalesces_concurrent_fences() {
         use std::sync::Barrier;
+        let _serial = gc_serial();
         let path = temp_path("gc-coalesce");
         let before = obs::snapshot();
         {
@@ -1989,6 +2140,248 @@ mod tests {
             "4 synchronized producers under a 2 ms window must coalesce \
              (leaders {leaders}, followers {followers})"
         );
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// The `store.fence.*` counters are process-global and this binary's
+    /// tests run in parallel: every test that fences through group commit
+    /// holds this, so the one that checks an exact delta sees only its own.
+    fn gc_serial() -> std::sync::MutexGuard<'static, ()> {
+        static GC_SERIAL: Mutex<()> = Mutex::new(());
+        GC_SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A power-fail group-commit pool of `pages` data pages with the
+    /// synced-page oracle armed (what `DQ_TRACK_MSYNC` does, without
+    /// touching the environment of a multi-threaded test binary) and
+    /// `hook` installed as its submit hook.
+    fn gc_pool(
+        tag: &str,
+        pages: usize,
+        window_ns: u64,
+        hook: impl Fn(u64, usize) -> io::Result<()> + Send + Sync + 'static,
+    ) -> (PathBuf, FilePool) {
+        let path = temp_path(tag);
+        let mut pool = FilePool::create(
+            &path,
+            FileConfig::with_size((pages + 1) * page_size())
+                .with_sync(SyncPolicy::PowerFail)
+                .with_group_commit(Some(window_ns)),
+        )
+        .unwrap();
+        pool.synced = Some(Mutex::new(BTreeSet::new()));
+        *pool.group.as_ref().unwrap().on_submit.lock().unwrap() = Some(Arc::new(hook));
+        (path, pool)
+    }
+
+    /// One store + flush + fence on data page `idx`; returns its file page.
+    fn fence_page(pool: &FilePool, tid: usize, idx: usize) -> usize {
+        let off = (idx * page_size()) as u32;
+        pool.store_u64(off, idx as u64 + 1);
+        pool.flush(tid, off);
+        pool.sfence(tid);
+        (HEADER_LEN + off as usize) / page_size()
+    }
+
+    fn is_synced(pool: &FilePool, file_page: usize) -> bool {
+        let synced = pool.synced.as_ref().unwrap().lock().unwrap();
+        synced.contains(&file_page)
+    }
+
+    /// Spins until `cond` holds. Bounded, and every stall in these tests
+    /// goes through it, so a broken protocol fails an assertion instead of
+    /// hanging the binary.
+    fn wait_until(cond: impl Fn() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !cond() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// The tentpole's claim as an interleaving: while batch 1's leader is
+    /// stalled short of marking it done, a fence that publishes into batch
+    /// 2 leads it and returns; batch 1's fence returns only after the
+    /// release.
+    #[test]
+    fn a_fence_does_not_queue_behind_another_batchs_msync() {
+        use std::sync::atomic::AtomicBool;
+        let _serial = gc_serial();
+        let stalled = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let (path, pool) = gc_pool("gc-pipeline", 2, 0, {
+            let (stalled, release) = (stalled.clone(), release.clone());
+            move |batch, _| {
+                if batch == 1 {
+                    stalled.store(true, Ordering::SeqCst);
+                    wait_until(|| release.load(Ordering::SeqCst));
+                }
+                Ok(())
+            }
+        });
+        let first_returned = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                let page = fence_page(&pool, 0, 0);
+                first_returned.store(true, Ordering::SeqCst);
+                page
+            });
+            assert!(wait_until(|| stalled.load(Ordering::SeqCst)));
+            let second = scope.spawn(|| fence_page(&pool, 1, 1));
+            let overtook = wait_until(|| second.is_finished());
+            let first_was_parked = !first_returned.load(Ordering::SeqCst);
+            release.store(true, Ordering::SeqCst);
+            let second_page = second.join().unwrap();
+            assert!(
+                overtook,
+                "batch 2's fence queued behind batch 1's stalled submission"
+            );
+            assert!(first_was_parked, "batch 1's fence returned while stalled");
+            assert!(is_synced(&pool, second_page));
+            let first_page = first.join().unwrap();
+            assert!(is_synced(&pool, first_page));
+        });
+        drop(pool);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// 8 threads x 500 fences, every fence on a page of its own: never more
+    /// than `PIPELINE_DEPTH` batches in flight (one, under a window), every
+    /// fence either led a batch or followed one, and no fence returns
+    /// before its own page is in the synced-page record.
+    #[test]
+    fn the_pipeline_stays_two_deep_and_every_fence_leads_or_follows() {
+        const THREADS: usize = 8;
+        const FENCES: usize = 500;
+        let _serial = gc_serial();
+        for window_ns in [0, 50_000] {
+            let deepest = Arc::new(AtomicUsize::new(0));
+            let (path, pool) = gc_pool("gc-depth", THREADS * FENCES, window_ns, {
+                let deepest = deepest.clone();
+                move |_, in_flight| {
+                    deepest.fetch_max(in_flight, Ordering::Relaxed);
+                    Ok(())
+                }
+            });
+            let before = obs::snapshot();
+            std::thread::scope(|scope| {
+                for tid in 0..THREADS {
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        for i in 0..FENCES {
+                            let page = fence_page(pool, tid, tid * FENCES + i);
+                            assert!(
+                                is_synced(pool, page),
+                                "tid {tid}'s fence {i} returned before its page synced"
+                            );
+                        }
+                    });
+                }
+            });
+            let after = obs::snapshot();
+            let deepest = deepest.load(Ordering::Relaxed);
+            let depth = if window_ns > 0 { 1 } else { PIPELINE_DEPTH };
+            assert!(
+                (1..=depth).contains(&deepest),
+                "window {window_ns}: {deepest} batches in flight at once"
+            );
+            if cfg!(feature = "instrument") {
+                let delta = |name| after.counter(name) - before.counter(name);
+                assert_eq!(
+                    delta("store.fence.leader") + delta("store.fence.follower"),
+                    (THREADS * FENCES) as u64,
+                    "window {window_ns}: a fence neither led nor followed"
+                );
+            }
+            drop(pool);
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A batch whose `msync` fails (injected) must not pass for durable:
+    /// its leader panics naming the pool, the follower parked in it panics
+    /// too instead of returning or staying parked, and so does every later
+    /// fence of the pool. The batches that synced before it return.
+    #[test]
+    fn a_failed_msync_panics_the_leader_and_its_followers_with_the_pools_path() {
+        use std::sync::atomic::AtomicBool;
+        let _serial = gc_serial();
+        let stalled = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        // Batches 1 and 2 stall and fill the pipeline, so the next two
+        // fences share batch 3; batch 3 is the one that cannot msync.
+        let (path, pool) = gc_pool("gc-eio", 5, 0, {
+            let (stalled, release) = (stalled.clone(), release.clone());
+            move |batch, _| match batch {
+                1 | 2 => {
+                    stalled.fetch_add(1, Ordering::SeqCst);
+                    wait_until(|| release.load(Ordering::SeqCst));
+                    Ok(())
+                }
+                3 => Err(io::Error::from_raw_os_error(5)), // EIO
+                _ => Ok(()),
+            }
+        });
+        let before = obs::snapshot();
+        let message = |r: std::thread::Result<usize>| {
+            let payload = r.expect_err("a fence of the failed batch returned");
+            *payload.downcast::<String>().expect("panic with a message")
+        };
+        std::thread::scope(|scope| {
+            let gc = pool.group.as_ref().unwrap();
+            let synced: Vec<_> = (0..2)
+                .map(|tid| {
+                    let handle = scope.spawn({
+                        let pool = &pool;
+                        move || fence_page(pool, tid, tid)
+                    });
+                    assert!(wait_until(|| stalled.load(Ordering::SeqCst) == tid + 1));
+                    handle
+                })
+                .collect();
+            let failed: Vec<_> = (2..4)
+                .map(|tid| {
+                    let pool = &pool;
+                    scope.spawn(move || fence_page(pool, tid, tid))
+                })
+                .collect();
+            let both_parked = wait_until(|| gc.state.lock().unwrap().fences == 2);
+            release.store(true, Ordering::SeqCst);
+            assert!(both_parked, "two fences must share the batch that fails");
+            for handle in synced {
+                let page = handle.join().expect("batches 1 and 2 synced");
+                assert!(is_synced(&pool, page));
+            }
+            let path = path.display().to_string();
+            let mut messages: Vec<String> = failed.into_iter().map(|h| message(h.join())).collect();
+            messages.push(message(
+                scope.spawn(|| fence_page(&pool, 4, 4)).join(), // a later fence
+            ));
+            assert_eq!(
+                messages
+                    .iter()
+                    .filter(|m| m.contains("Input/output error"))
+                    .count(),
+                1,
+                "exactly the leader reports the errno: {messages:?}"
+            );
+            for m in &messages {
+                assert!(m.contains(&path), "panic must name the pool: {m}");
+            }
+        });
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("store.msync.error") - before.counter("store.msync.error"),
+                1
+            );
+        }
+        drop(pool);
         fs::remove_file(&path).unwrap();
     }
 

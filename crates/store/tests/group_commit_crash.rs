@@ -12,12 +12,20 @@
 //!
 //! Producers ack each sequence to a per-tid log *after* its fence
 //! returns, exactly like the SIGKILL suites.
+//!
+//! Two rounds. Under a 1 ms window the four producers share one batch, so
+//! the abort leaves three followers parked. Under a zero window a batch
+//! coalesces only out of fences that found the two-deep pipeline full, so
+//! the abort lands in a leader that took over a freed slot — typically
+//! with another leader's batch still syncing beside it, whose fence must
+//! not have been acked either unless its own `msync` completed.
 
 use durable_queues::testkit::subprocess::{read_acks, scratch_dir, AckLog, ChildProc};
 use std::path::Path;
 use store::{FileConfig, FilePool, SyncPolicy};
 
 const ENV_DIR: &str = "STORE_GC_ABORT_CHILD_DIR";
+const ENV_WINDOW: &str = "STORE_GC_ABORT_CHILD_WINDOW_NS";
 const ABORT_VAR: &str = "DQ_FENCE_ABORT_BEFORE_WAKE";
 const PRODUCERS: usize = 4;
 
@@ -35,14 +43,17 @@ fn gc_abort_child_entry() {
 }
 
 fn run_child(dir: &Path) {
-    // A wide batch window so the four producers' fences reliably land in
-    // one batch; the abort point (read at pool construction, set by the
-    // parent) fires on the first batch that coalesced ≥ 2 of them.
+    // The abort point (read at pool construction, set by the parent)
+    // counts the batches that coalesced ≥ 2 of the producers' fences.
+    let window_ns = std::env::var(ENV_WINDOW)
+        .expect("child: window")
+        .parse()
+        .expect("child: window");
     let pool = FilePool::create(
         dir.join("pool.dq"),
         FileConfig::with_size(4 << 20)
             .with_sync(SyncPolicy::PowerFail)
-            .with_group_commit(Some(1_000_000)),
+            .with_group_commit(Some(window_ns)),
     )
     .expect("child: create pool")
     .into_pool();
@@ -71,14 +82,28 @@ fn run_child(dir: &Path) {
 // Parent side
 // ---------------------------------------------------------------------
 
+/// A wide batch window, so the four producers' fences reliably land in
+/// one batch.
 #[test]
 fn abort_between_batched_msync_and_wakeup_loses_no_acked_value() {
-    let dir = scratch_dir("store-gc-abort");
+    abort_round("store-gc-abort", 1_000_000);
+}
+
+/// No window: batches coalesce only behind a full pipeline, so the abort
+/// lands while a second batch is in flight.
+#[test]
+fn abort_with_a_second_batch_in_flight_loses_no_acked_value() {
+    abort_round("store-gc-abort-w0", 0);
+}
+
+fn abort_round(tag: &str, window_ns: u64) {
+    let dir = scratch_dir(tag);
     // Arm the abort at the 25th coalesced batch, not the first, so real
     // acked traffic precedes the crash and the cell assertions below have
     // teeth.
     let status = ChildProc::new("gc_abort_child_entry")
         .env(ENV_DIR, &dir)
+        .env(ENV_WINDOW, window_ns.to_string())
         .env(ABORT_VAR, "25")
         .run_to_abort();
     use std::os::unix::process::ExitStatusExt;
@@ -115,7 +140,9 @@ fn abort_between_batched_msync_and_wakeup_loses_no_acked_value() {
         acked_total > 0,
         "no fence ever acked before the abort — the round proved nothing"
     );
-    eprintln!("[gc-abort] {acked_total} acked fences across {PRODUCERS} producers");
+    eprintln!(
+        "[gc-abort] window {window_ns} ns: {acked_total} acked fences across {PRODUCERS} producers"
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

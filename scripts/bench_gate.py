@@ -225,7 +225,7 @@ EXPERIMENTS = {
     # coalesced group commit, across producer counts and batch windows.
     "group_commit": {
         "header": {**nums("fences", "pages"), "speedup": OBJECT},
-        "row": {**nums("producers", "wall_ms"),
+        "row": {**nums("producers", "wall_ms", "coalesced_share", "overlapped_share"),
                 "mode": one_of("per-thread", "group-commit"),
                 "window_us": NUM_OR_NULL, "fences_per_sec": POSITIVE},
         "identity": ("producers", "mode", "window_us"),
@@ -415,9 +415,11 @@ def self_test():
             "experiment": "group_commit", "meta": meta(), "fences": 150, "pages": 16,
             "rows": [
                 {"producers": 8, "mode": "per-thread", "window_us": None,
-                 "wall_ms": 700.0, "fences_per_sec": 1700.0},
+                 "wall_ms": 700.0, "fences_per_sec": 1700.0,
+                 "coalesced_share": 0, "overlapped_share": 0},
                 {"producers": 8, "mode": "group-commit", "window_us": 0,
-                 "wall_ms": 230.0, "fences_per_sec": 5200.0},
+                 "wall_ms": 230.0, "fences_per_sec": 5200.0,
+                 "coalesced_share": 0.9, "overlapped_share": 0.8},
             ],
             "speedup": {"producers": 8, "speedup": 3.05, "best_window_us": 0},
         }],

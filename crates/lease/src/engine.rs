@@ -62,36 +62,39 @@ use store::SyncPolicy;
 
 static FORCES: LazyCounter = LazyCounter::new("lease.force");
 
-/// `fdatasync`s a journal file. Every force of the lease layer, on the
-/// operation path or in maintenance, goes through here.
-pub(crate) fn sync_file(file: &File) -> io::Result<()> {
-    // A force covers what was written before it began, so the shadow of
-    // the forced length reads the file's length first.
-    #[cfg(test)]
-    let written = file.metadata()?.len();
+/// `fdatasync`s a journal file whose contents end at byte `end` — its
+/// logical end, short of the file's length when a zero reserve follows
+/// (see [`segments`](crate::segments)). Every force of the lease layer, on
+/// the operation path or in maintenance, goes through here.
+pub(crate) fn sync_file(
+    file: &File,
+    #[cfg_attr(not(test), allow(unused_variables))] end: u64,
+) -> io::Result<()> {
     file.sync_data()?;
     #[cfg(test)]
-    crate::powerfail::forced(file, written);
+    crate::powerfail::forced(file, end);
     Ok(())
 }
 
 /// The second step of making appended records durable: a handle on the
 /// file a [`Journal`] appended to, to be [`run`](Force::run) once the state
 /// lock is released. Forcing a file covers every byte written to it
-/// before the force began, whoever wrote it.
-pub(crate) struct Force(Option<Arc<File>>);
+/// before the force began, whoever wrote it; the handle promises the
+/// bytes up to the journal's logical end when it was taken.
+pub(crate) struct Force(Option<(Arc<File>, u64)>);
 
 impl Force {
-    /// A force of `file` under [`SyncPolicy::PowerFail`]; nothing under
-    /// `ProcessCrash`, where the page cache is the durability domain.
-    pub(crate) fn of(file: &Arc<File>, sync: SyncPolicy) -> Force {
-        Force((sync == SyncPolicy::PowerFail).then(|| Arc::clone(file)))
+    /// A force of `file` up to `end` under [`SyncPolicy::PowerFail`];
+    /// nothing under `ProcessCrash`, where the page cache is the
+    /// durability domain.
+    pub(crate) fn of(file: &Arc<File>, sync: SyncPolicy, end: u64) -> Force {
+        Force((sync == SyncPolicy::PowerFail).then(|| (Arc::clone(file), end)))
     }
 
     /// Forces the file; counted as `lease.force`.
     pub(crate) fn run(self) -> io::Result<()> {
-        if let Some(file) = self.0 {
-            sync_file(&file)?;
+        if let Some((file, end)) = self.0 {
+            sync_file(&file, end)?;
             FORCES.incr();
         }
         Ok(())

@@ -265,7 +265,8 @@ pub struct Replay {
     /// Terminal `DEAD` records seen.
     pub dead: u64,
     /// Bytes dropped at the tail as a torn final append (0 or a partial /
-    /// corrupt record's worth).
+    /// corrupt record's worth). A segment's zero reserve, chopped with it,
+    /// is not counted.
     pub torn_bytes: u64,
 }
 
@@ -338,11 +339,13 @@ pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
 
 /// Decodes the run of records in `body` — the bytes of `path` past its
 /// `header_len`-byte header — handing each to `each`, and returns how many
-/// bytes held valid records. Only the final record of an unsealed file may
-/// be torn (the caller chops that tail): an invalid record anywhere else
-/// would silently drop everything after it, and a `sealed` file was
-/// complete when its successor's header committed, so both are refused as
-/// real damage with an error naming the file.
+/// bytes held valid records. The records end at the first slot that does
+/// not decode. In an unsealed file everything from there on is the crash
+/// tail, which the caller chops: that slot (a torn record) and nothing but
+/// zeros after it (a segment's unwritten reserve). A non-zero byte past the
+/// slot would mean the chop silently drops a record, and a `sealed` file
+/// was complete when its successor's header committed, so both are refused
+/// as real damage with an error naming the file.
 pub(crate) fn scan_records(
     path: &Path,
     header_len: usize,
@@ -351,33 +354,32 @@ pub(crate) fn scan_records(
     mut each: impl FnMut(&Record),
 ) -> io::Result<usize> {
     let mut consumed = 0usize;
-    while body.len() - consumed >= RECORD_LEN {
-        let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
-            if sealed || body.len() - consumed > RECORD_LEN {
-                return Err(bad_data(
-                    path,
-                    format!(
-                        "corrupt record at byte {} ({}; refusing to drop {} trailing bytes)",
-                        header_len + consumed,
-                        if sealed {
-                            "inside a sealed segment"
-                        } else {
-                            "not at the tail"
-                        },
-                        body.len() - consumed
-                    ),
-                ));
-            }
-            break;
-        };
+    while let Some(rec) = body
+        .get(consumed..consumed + RECORD_LEN)
+        .and_then(Record::decode)
+    {
         consumed += RECORD_LEN;
         each(&rec);
     }
     let tail = body.len() - consumed;
     if sealed && tail > 0 {
+        let what = if tail < RECORD_LEN {
+            format!("torn record of {tail} bytes")
+        } else {
+            format!("corrupt record at byte {}", header_len + consumed)
+        };
+        return Err(bad_data(path, format!("{what} inside a sealed segment")));
+    }
+    let past_slot = (consumed + RECORD_LEN).min(body.len());
+    if let Some(at) = body[past_slot..].iter().position(|&b| b != 0) {
         return Err(bad_data(
             path,
-            format!("torn record of {tail} bytes inside a sealed segment"),
+            format!(
+                "corrupt record at byte {} (not at the tail: byte {} after it is not zero; \
+                 refusing to drop {tail} trailing bytes)",
+                header_len + consumed,
+                header_len + past_slot + at,
+            ),
         ));
     }
     Ok(consumed)
@@ -424,7 +426,7 @@ impl AckLog {
         // fresh log's high-water mark is 1.
         file.write_all(&header_bytes(1, generation))?;
         if sync == SyncPolicy::PowerFail {
-            sync_file(&file)?;
+            sync_file(&file, HEADER_LEN as u64)?;
             File::open(dir)?.sync_data()?;
         }
         Ok(AckLog {
@@ -509,7 +511,7 @@ impl AckLog {
             file.set_len((HEADER_LEN + consumed) as u64)?;
             file.seek(io::SeekFrom::Start((HEADER_LEN + consumed) as u64))?;
             if sync == SyncPolicy::PowerFail {
-                sync_file(&file)?;
+                sync_file(&file, (HEADER_LEN + consumed) as u64)?;
             }
         }
         let records = replay.records;
@@ -572,7 +574,7 @@ impl AckLog {
         out.write_all(&buf)?;
         let power_fail = self.sync == SyncPolicy::PowerFail;
         if power_fail {
-            sync_file(&out)?;
+            sync_file(&out, buf.len() as u64)?;
         }
         std::fs::rename(&tmp, &self.path)?;
         if let (true, Some(parent)) = (power_fail, self.path.parent()) {
@@ -626,7 +628,8 @@ impl Journal for AckLog {
     }
 
     fn force(&self) -> Force {
-        Force::of(&self.file, self.sync)
+        let end = HEADER_LEN as u64 + self.records * RECORD_LEN as u64;
+        Force::of(&self.file, self.sync, end)
     }
 
     fn generation(&self) -> u64 {

@@ -3,12 +3,15 @@
 //!
 //! The SIGKILL suites cannot see a missing force — the page cache survives
 //! the process — so [`sync_file`](crate::engine::sync_file) reports every
-//! `fdatasync` here, and the journals report the two moments at which an
-//! unforced tail becomes fatal: a segment was unlinked, or a new segment's
-//! header exists. An *image* is a copy of a group's directory with every
-//! file cut back to its forced length plus a torn half record — the worst
-//! a power failure at that moment could leave, directory operations being
-//! forced as they happen.
+//! `fdatasync` here, with the logical end the journal promised it, and the
+//! journals report the two moments at which an unforced tail becomes
+//! fatal: a segment was unlinked, or a new segment's header exists. An
+//! *image* is a copy of a group's directory with every file cut back to
+//! its forced length plus a torn half record, and zeros for the rest of
+//! its length — the worst a power failure at that moment could leave of a
+//! segment written into its zero reserve, directory operations being
+//! forced as they happen. The shadow records the promised end, not the
+//! file's length: a reserve makes the file longer than what was forced.
 //!
 //! The shadow names files through `/proc/self/fd`, so the tests are
 //! Linux-only.
@@ -25,8 +28,7 @@ use std::path::{Path, PathBuf};
 /// when two threads' forces of one file complete out of order.
 static FORCED: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
 
-/// `file` was `fdatasync`ed, having been `len` bytes long when the force
-/// began.
+/// `file` was `fdatasync`ed by a force promising its bytes up to `len`.
 pub(crate) fn forced(file: &File, len: u64) {
     let Ok(mut path) = std::fs::read_link(format!("/proc/self/fd/{}", file.as_raw_fd())) else {
         return;
@@ -66,8 +68,8 @@ pub(crate) fn crash_point(dir: &Path) {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::log::RECORD_LEN;
-    use crate::segments::SegmentedLog;
+    use crate::log::{scan_records, RECORD_LEN};
+    use crate::segments::{SegmentedLog, GROUP_META_FILE, SEGMENT_HEADER_LEN};
     use crate::{ConsumerGroup, GroupConfig, GroupedQueue, Redelivery, GROUPS_DIR};
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
@@ -105,31 +107,48 @@ mod tests {
             .collect()
     }
 
+    /// Where a file's contents end: `GROUP.meta` at its length, a segment
+    /// past its last record, its zero reserve following.
+    fn logical_end(path: &Path, bytes: &[u8]) -> usize {
+        if path.file_name() == Some(GROUP_META_FILE.as_ref()) {
+            return bytes.len();
+        }
+        let body = &bytes[SEGMENT_HEADER_LEN..];
+        SEGMENT_HEADER_LEN + scan_records(path, SEGMENT_HEADER_LEN, body, false, |_| ()).unwrap()
+    }
+
     /// Invariant (a): nothing in the group's directory has an unforced
-    /// tail.
+    /// tail — every file was forced up to its logical end, and holds only
+    /// zeros past it.
     fn assert_all_forced(group_dir: &Path, when: &str) {
         for path in files_of(group_dir) {
-            let len = std::fs::metadata(&path).unwrap().len();
+            let bytes = std::fs::read(&path).unwrap();
+            let end = logical_end(&path, &bytes);
             assert_eq!(
                 forced_len(&path),
-                len,
-                "{when}: {} is {len} bytes long",
+                end as u64,
+                "{when}: {} ends at byte {end}",
+                path.display()
+            );
+            assert!(
+                bytes[end..].iter().all(|&b| b == 0),
+                "{when}: {} holds a torn record at byte {end}",
                 path.display()
             );
         }
     }
 
     /// Copies `group_dir` as a power failure now would leave it — of every
-    /// unforced tail only a torn half record — and replays the copy;
-    /// returns the items of the leases that survive.
+    /// unforced tail only a torn half record, then the zero reserve — and
+    /// replays the copy; returns the items of the leases that survive.
     fn survivors_of_image(group_dir: &Path) -> BTreeSet<u64> {
         let image = group_dir.with_extension("image");
         let _ = std::fs::remove_dir_all(&image);
         std::fs::create_dir_all(&image).unwrap();
         for path in files_of(group_dir) {
             let mut bytes = std::fs::read(&path).unwrap();
-            let forced = forced_len(&path) as usize;
-            bytes.truncate(forced + (bytes.len() - forced).min(RECORD_LEN / 2));
+            let torn = (forced_len(&path) as usize + RECORD_LEN / 2).min(bytes.len());
+            bytes[torn..].fill(0);
             std::fs::write(image.join(path.file_name().unwrap()), bytes).unwrap();
         }
         let (_, replayed) = SegmentedLog::replay(&image, SyncPolicy::ProcessCrash, ROTATE)
@@ -246,6 +265,10 @@ mod tests {
     /// segments retire on a `GRANT` that lands segments later — with eight
     /// records to a segment, rotation and retirement both fall between a
     /// `PEND` and its `GRANT`, again and again.
+    ///
+    /// The test is only worth its images if it fails without the forces it
+    /// guards: disabling either the force in `SegmentedLog::rotate` or the
+    /// one in `retire_prefix` must make it fail.
     #[test]
     fn a_power_failure_image_at_any_rotation_or_retirement_loses_no_live_lease() {
         let dir = tmp("image");

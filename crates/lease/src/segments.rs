@@ -39,7 +39,8 @@
 //!
 //! # Durability
 //!
-//! As in the single-file log, an append is one `write` and, under
+//! As in the single-file log, an append is one write — a `pwrite` at the
+//! active segment's logical end — and, under
 //! [`SyncPolicy::PowerFail`], an `fdatasync` of the active segment before
 //! the operation that appended returns: [`SegmentedLog::append`] does
 //! both, the lease engine appends under its state lock and forces after
@@ -55,6 +56,23 @@
 //!   `GRANT` superseding a `PEND`), and a power failure must not find the
 //!   `PEND` unlinked and the `GRANT` missing.
 //!
+//! # The zero reserve
+//!
+//! An `fdatasync` after an append that grew the file must also commit the
+//! inode's new size through the file system's journal; one after a write
+//! inside the file's existing, written blocks flushes data alone. So under
+//! [`SyncPolicy::PowerFail`] the active segment's logical end lies inside a
+//! reserve of zeros, written ahead of the records one 4 KiB page at a
+//! time: only the force right after an extension commits metadata. The
+//! zeros are plainly written: `fallocate` is not in `std`, and an
+//! unwritten extent (or a hole) would only move each page's metadata
+//! commit to the first record written into it (docs/PERFORMANCE.md
+//! measures all three). The last extension is clipped so that a full
+//! segment ends exactly at `SEGMENT_HEADER_LEN + rotate_records ×
+//! RECORD_LEN`, and a sealed segment carries no reserve. Under
+//! `ProcessCrash` nothing is forced and there is no reserve: every file is
+//! exactly its header and records.
+//!
 //! # High-water mark and generation
 //!
 //! Every segment header snapshots the lease-id high-water mark at its
@@ -67,9 +85,10 @@
 //! single-file log.
 //!
 //! Torn-tail handling per segment follows the single-file rules: only the
-//! *active* (highest-numbered) segment may end in a torn record, which is
-//! chopped; a torn or corrupt record in a sealed segment is real damage and
-//! is refused with an error naming the file.
+//! *active* (highest-numbered) segment may end in a crash tail — a torn
+//! record, then nothing but the zero reserve — which is chopped; a torn or
+//! corrupt record in a sealed segment is real damage and is refused with an
+//! error naming the file.
 
 use crate::engine::{sync_file, Force, Journal};
 use crate::log::{bad_data, fresh_generation, scan_records, Record, Replay, RECORD_LEN};
@@ -77,7 +96,8 @@ use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use store::{crc32, SyncPolicy};
@@ -107,6 +127,12 @@ pub const GROUP_META_LEN: usize = 32;
 
 /// Default rotation threshold (records per segment).
 pub const DEFAULT_ROTATE_RECORDS: u64 = 4096;
+
+/// How far ahead of its records a power-fail active segment is filled with
+/// zeros: one page (see [the zero reserve](self#the-zero-reserve)).
+const RESERVE_STEP: u64 = 4096;
+
+static ZEROS: [u8; RESERVE_STEP as usize] = [0; RESERVE_STEP as usize];
 
 fn segment_path(dir: &Path, seq: u32) -> PathBuf {
     dir.join(format!("segment-{seq:04}.log"))
@@ -155,7 +181,7 @@ fn write_meta(dir: &Path, retired_below: u32, generation: u64, sync: SyncPolicy)
     let mut f = File::create(&tmp)?;
     f.write_all(&meta_bytes(retired_below, generation))?;
     if sync == SyncPolicy::PowerFail {
-        sync_file(&f)?;
+        sync_file(&f, GROUP_META_LEN as u64)?;
     }
     std::fs::rename(&tmp, dir.join(GROUP_META_FILE))?;
     if sync == SyncPolicy::PowerFail {
@@ -258,6 +284,9 @@ pub struct SegmentedLog {
     /// that appended (and, harmlessly, a rotation away from this file).
     active: Arc<File>,
     active_records: u64,
+    /// The active segment's length on disk: its records, plus the zero
+    /// reserve under [`SyncPolicy::PowerFail`].
+    active_len: u64,
     /// Total valid records across all surviving segments (replayed +
     /// appended, minus retired files' contributions — recomputed only at
     /// replay, so between opens this only grows).
@@ -303,6 +332,7 @@ impl SegmentedLog {
             active_seq: 0,
             active: Self::new_segment(dir, 0, 1, generation, sync)?,
             active_records: 0,
+            active_len: SEGMENT_HEADER_LEN as u64,
             records: 0,
             resident: HashMap::new(),
             seg_live: BTreeMap::from([(0, 0)]),
@@ -329,7 +359,7 @@ impl SegmentedLog {
         f.write_all(&segment_header(seq, next_lease_id, generation))?;
         if sync == SyncPolicy::PowerFail {
             // The durable header *is* the rotation commit point.
-            sync_file(&f)?;
+            sync_file(&f, SEGMENT_HEADER_LEN as u64)?;
             File::open(dir)?.sync_data()?;
         }
         #[cfg(test)]
@@ -434,6 +464,9 @@ impl SegmentedLog {
         let mut resident: HashMap<u64, u32> = HashMap::new();
         let last_seq = *seqs.last().unwrap();
         let mut rolled_back_last = false;
+        // Where the records of the last segment scanned end: the active
+        // segment's, once the loop is done.
+        let mut active_len = 0u64;
         for &seq in &seqs {
             let path = segment_path(dir, seq);
             let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -503,12 +536,16 @@ impl SegmentedLog {
                     resident.insert(id, seq);
                 }
             })?;
-            let tail = (body.len() - consumed) as u64;
-            if tail > 0 {
-                replay.torn_bytes += tail;
-                file.set_len((SEGMENT_HEADER_LEN + consumed) as u64)?;
+            active_len = (SEGMENT_HEADER_LEN + consumed) as u64;
+            let tail = &body[consumed..];
+            if !tail.is_empty() {
+                // A torn record and the zero reserve: only the record's
+                // bytes count as torn.
+                let torn = tail.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                replay.torn_bytes += torn as u64;
+                file.set_len(active_len)?;
                 if sync == SyncPolicy::PowerFail {
-                    sync_file(&file)?;
+                    sync_file(&file, active_len)?;
                 }
             }
         }
@@ -523,12 +560,11 @@ impl SegmentedLog {
             *seg_live.get_mut(&seq).expect("resident seq exists") += 1;
         }
         let active_path = segment_path(dir, active_seq);
-        let mut active = OpenOptions::new()
+        let active = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&active_path)?;
-        let active_len = active.seek(io::SeekFrom::End(0))?;
-        let active_records = (active_len as usize - SEGMENT_HEADER_LEN) as u64 / RECORD_LEN as u64;
+        let active_records = (active_len - SEGMENT_HEADER_LEN as u64) / RECORD_LEN as u64;
 
         let records = replay.records;
         let mut log = SegmentedLog {
@@ -540,6 +576,7 @@ impl SegmentedLog {
             active_seq,
             active: Arc::new(active),
             active_records,
+            active_len,
             records,
             resident,
             seg_live,
@@ -579,7 +616,7 @@ impl SegmentedLog {
     /// active segment's page cache, not yet forced.
     fn write(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
         self.rotate_if_full(next_lease_id)?;
-        (&*self.active).write_all(&rec.encode())?;
+        self.put(&rec.encode())?;
         self.wrote(rec);
         self.maintain()
     }
@@ -595,10 +632,44 @@ impl SegmentedLog {
         let mut both = [0u8; 2 * RECORD_LEN];
         both[..RECORD_LEN].copy_from_slice(&first.0.encode());
         both[RECORD_LEN..].copy_from_slice(&second.0.encode());
-        (&*self.active).write_all(&both)?;
+        self.put(&both)?;
         self.wrote(first.0);
         self.wrote(second.0);
         self.maintain()
+    }
+
+    /// Writes whole records at the active segment's logical end — under
+    /// [`SyncPolicy::PowerFail`], into the zero reserve, extended first
+    /// when they would not fit (see [the zero reserve](self#the-zero-reserve)).
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let at = self.end();
+        let end = at + bytes.len() as u64;
+        if self.sync == SyncPolicy::PowerFail && end > self.active_len {
+            let reserve = end.next_multiple_of(RESERVE_STEP).min(self.sealed_len());
+            while self.active_len < reserve {
+                let n = (reserve - self.active_len).min(RESERVE_STEP);
+                self.active
+                    .write_all_at(&ZEROS[..n as usize], self.active_len)?;
+                self.active_len += n;
+            }
+        }
+        self.active.write_all_at(bytes, at)?;
+        self.active_len = self.active_len.max(end);
+        Ok(())
+    }
+
+    /// Where the active segment's records end.
+    fn end(&self) -> u64 {
+        SEGMENT_HEADER_LEN as u64 + self.active_records * RECORD_LEN as u64
+    }
+
+    /// The length of a full segment, which rotation seals (unbounded when
+    /// the log never rotates).
+    fn sealed_len(&self) -> u64 {
+        match self.rotate_records {
+            0 => u64::MAX,
+            n => SEGMENT_HEADER_LEN as u64 + n * RECORD_LEN as u64,
+        }
     }
 
     fn rotate_if_full(&mut self, next_lease_id: u64) -> io::Result<()> {
@@ -656,7 +727,7 @@ impl SegmentedLog {
     /// failure could keep the new header and tear the segment it seals.
     fn rotate(&mut self, next_lease_id: u64) -> io::Result<()> {
         if self.sync == SyncPolicy::PowerFail {
-            sync_file(&self.active)?;
+            sync_file(&self.active, self.end())?;
         }
         let new_seq = self.active_seq + 1;
         self.active = Self::new_segment(
@@ -668,6 +739,7 @@ impl SegmentedLog {
         )?;
         self.active_seq = new_seq;
         self.active_records = 0;
+        self.active_len = SEGMENT_HEADER_LEN as u64;
         self.seg_live.insert(new_seq, 0);
         self.rotations += 1;
         ROTATIONS.incr();
@@ -697,7 +769,7 @@ impl SegmentedLog {
                 break;
             }
             if !forced {
-                sync_file(&self.active)?;
+                sync_file(&self.active, self.end())?;
                 forced = true;
             }
             write_meta(&self.dir, seq + 1, self.generation, self.sync)?;
@@ -769,7 +841,7 @@ impl Journal for SegmentedLog {
     }
 
     fn force(&self) -> Force {
-        Force::of(&self.active, self.sync)
+        Force::of(&self.active, self.sync, self.end())
     }
 
     fn generation(&self) -> u64 {
@@ -1116,6 +1188,147 @@ mod tests {
         std::fs::remove_file(&meta).unwrap();
         let err = SegmentedLog::replay(&dir, SyncPolicy::default(), 8).unwrap_err();
         assert!(err.to_string().contains("without GROUP.meta"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_len(dir: &Path, seq: u32) -> u64 {
+        std::fs::metadata(segment_path(dir, seq)).unwrap().len()
+    }
+
+    /// Appends grants 1..=n, every third step a pair, and runs `check`
+    /// after each step.
+    fn append_grants(log: &mut SegmentedLog, n: u64, mut check: impl FnMut(&SegmentedLog)) {
+        let mut id = 1;
+        while id <= n {
+            if id.is_multiple_of(3) && id < n {
+                let (first, second) = (grant(id, id, 1, 0), grant(id + 1, id + 1, 1, 0));
+                Journal::append_pair(log, (&first, id + 1), (&second, id + 2)).unwrap();
+                id += 2;
+            } else {
+                log.append(&grant(id, id, 1, 0), id + 1).unwrap();
+                id += 1;
+            }
+            check(log);
+        }
+    }
+
+    #[test]
+    fn a_torn_record_and_the_zero_reserve_are_chopped_and_the_reserve_regrows() {
+        let dir = tmp("reserve-tail");
+        let mut log = SegmentedLog::create(&dir, SyncPolicy::PowerFail, 0).unwrap();
+        for i in 1..=3u64 {
+            log.append(&grant(i, i * 10, 1, 0), i + 1).unwrap();
+        }
+        let end = log.end();
+        drop(log);
+        assert_eq!(file_len(&dir, 0), RESERVE_STEP);
+        // [records][torn half record][zeros]
+        let f = OpenOptions::new()
+            .write(true)
+            .open(segment_path(&dir, 0))
+            .unwrap();
+        f.write_all_at(&[0xAB; RECORD_LEN / 2], end).unwrap();
+        drop(f);
+
+        let (mut log, gr) = SegmentedLog::replay(&dir, SyncPolicy::PowerFail, 0).unwrap();
+        assert_eq!(gr.replay.records, 3);
+        assert_eq!(
+            gr.replay.live.keys().copied().collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert_eq!(gr.replay.torn_bytes, (RECORD_LEN / 2) as u64);
+        assert_eq!(file_len(&dir, 0), end, "replay left the tail on disk");
+        log.append(&ack(1), 4).unwrap();
+        assert_eq!(
+            file_len(&dir, 0),
+            RESERVE_STEP,
+            "the next append reserved nothing"
+        );
+        drop(log);
+        let (_, gr) = SegmentedLog::replay(&dir, SyncPolicy::PowerFail, 0).unwrap();
+        assert_eq!((gr.replay.records, gr.replay.torn_bytes), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_past_a_zero_slot_is_refused_with_its_byte_offset() {
+        let dir = tmp("reserve-gap");
+        let mut log = SegmentedLog::create(&dir, SyncPolicy::PowerFail, 0).unwrap();
+        log.append(&grant(1, 10, 1, 0), 2).unwrap();
+        drop(log);
+        // [record][zero slot][valid record]: chopping at the zero slot
+        // would drop a record.
+        let f = OpenOptions::new()
+            .write(true)
+            .open(segment_path(&dir, 0))
+            .unwrap();
+        let third = SEGMENT_HEADER_LEN + 2 * RECORD_LEN;
+        f.write_all_at(&grant(2, 20, 1, 0).encode(), third as u64)
+            .unwrap();
+        drop(f);
+
+        let err = SegmentedLog::replay(&dir, SyncPolicy::PowerFail, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("segment-0000.log"), "{msg}");
+        let slot = SEGMENT_HEADER_LEN + RECORD_LEN;
+        assert!(
+            msg.contains(&format!("corrupt record at byte {slot}")),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("byte {third} after it")), "{msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The file's length moving is the metadata a force must commit, so
+    /// under power-fail it moves once per reserved page (and once per
+    /// rotation), not once per append.
+    #[test]
+    fn power_fail_segments_grow_a_page_at_a_time_and_seal_at_their_exact_size() {
+        const ROTATE: u64 = 300;
+        let dir = tmp("reserve-growth");
+        let mut log = SegmentedLog::create(&dir, SyncPolicy::PowerFail, ROTATE).unwrap();
+        let sealed_len = log.sealed_len();
+        assert_eq!(sealed_len, 40 + ROTATE * 40);
+        let mut last = (0, SEGMENT_HEADER_LEN as u64);
+        let mut changes = 0u64;
+        append_grants(&mut log, 3 * ROTATE, |log| {
+            let bytes = std::fs::read(segment_path(&dir, log.active_seq())).unwrap();
+            let (len, end) = (bytes.len() as u64, log.end());
+            assert!(
+                (end..end + RESERVE_STEP).contains(&len),
+                "{len} bytes for records ending at {end}"
+            );
+            assert!(bytes[end as usize..].iter().all(|&b| b == 0));
+            if (log.active_seq(), len) != last {
+                changes += 1;
+                last = (log.active_seq(), len);
+            }
+        });
+        assert_eq!(log.rotations(), 2);
+        let bound = 3 * sealed_len.div_ceil(RESERVE_STEP) + log.rotations();
+        assert!(
+            changes <= bound,
+            "the length changed {changes} times (bound {bound})"
+        );
+        for seq in 0..log.active_seq() {
+            assert_eq!(file_len(&dir, seq), sealed_len, "segment {seq}");
+        }
+        drop(log);
+        let (_, gr) = SegmentedLog::replay(&dir, SyncPolicy::PowerFail, ROTATE).unwrap();
+        assert_eq!(gr.replay.records, 3 * ROTATE);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn process_crash_segments_are_exactly_their_records() {
+        let dir = tmp("no-reserve");
+        let mut log = SegmentedLog::create(&dir, SyncPolicy::ProcessCrash, 5).unwrap();
+        append_grants(&mut log, 20, |log| {
+            let n = log.active_records;
+            assert_eq!(file_len(&dir, log.active_seq()), 40 + n * 40);
+        });
+        assert!(log.rotations() >= 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

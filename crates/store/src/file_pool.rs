@@ -176,7 +176,8 @@ static MSYNC_NS: LazyHistogram = LazyHistogram::new("store.msync_ns");
 // submission, fences that shared a batch with at least one other fence,
 // batches submitted while another was still in flight, and how many pages
 // each batched submission covered. `store.msync.error` counts fence-path
-// `msync`s that failed (each one a panic).
+// `msync`s that failed (each one a panic) and closes whose data sync
+// failed (the pool stays marked dirty; `Drop` does not panic).
 static FENCE_LEADER: LazyCounter = LazyCounter::new("store.fence.leader");
 static FENCE_FOLLOWER: LazyCounter = LazyCounter::new("store.fence.follower");
 static FENCE_COALESCED: LazyCounter = LazyCounter::new("store.fence.coalesced");
@@ -1794,13 +1795,21 @@ fn new_pending() -> Box<[CachePadded<PendingPages>]> {
 
 impl Drop for FilePool {
     /// Orderly close: full durability barrier, then mark the header clean.
-    /// A killed process never gets here, leaving the dirty flag set.
+    /// A killed process never gets here, and a close whose barrier failed
+    /// does not mark it, so either way the next open finds the dirty flag
+    /// set. `Drop` cannot return the error, and must not panic: the failure
+    /// is counted as `store.msync.error`.
     fn drop(&mut self) {
         // SAFETY: &mut self — no pins exist; the current descriptor is
         // live until MapTable::drop unmaps it after this body.
         let raw = unsafe { (*self.maps.current.load(Ordering::Acquire)).raw };
-        let _ = self.msync_raw(&raw, 0, HEADER_LEN + raw.size);
-        let _ = self.file.sync_all();
+        let synced = self.msync_raw(&raw, 0, HEADER_LEN + raw.size);
+        #[cfg(test)]
+        let synced = synced.and_then(|()| tests::close_msync_hook());
+        if synced.and_then(|()| self.file.sync_all()).is_err() {
+            MSYNC_ERROR.incr();
+            return;
+        }
         raw.set_flags(true);
         let _ = self.msync_raw(&raw, 0, HEADER_LEN);
         let _ = self.file.sync_all();
@@ -2398,6 +2407,43 @@ mod tests {
         let third = FilePool::open(&path).unwrap();
         assert!(third.was_clean());
         drop(third);
+        fs::remove_file(&path).unwrap();
+    }
+
+    thread_local! {
+        static FAIL_CLOSE_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Fails the data `msync` of a close on this thread, once armed.
+    pub(super) fn close_msync_hook() -> io::Result<()> {
+        if FAIL_CLOSE_MSYNC.take() {
+            return Err(io::Error::from_raw_os_error(5)); // EIO
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_close_whose_data_sync_fails_leaves_the_pool_dirty() {
+        let _serial = gc_serial(); // `store.msync.error` is process-global
+        let path = temp_path("close-fails");
+        let before = obs::snapshot();
+        let pool = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail)).unwrap();
+        FAIL_CLOSE_MSYNC.set(true);
+        drop(pool);
+        let reopened = FilePool::open(&path).unwrap();
+        assert!(
+            !reopened.was_clean(),
+            "a failed close reopens as cleanly closed"
+        );
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("store.msync.error") - before.counter("store.msync.error"),
+                1
+            );
+        }
+        drop(reopened);
+        assert!(FilePool::open(&path).unwrap().was_clean());
         fs::remove_file(&path).unwrap();
     }
 

@@ -22,7 +22,7 @@
 use crate::api::{DurableQueue, QueueConfig, RecoverableQueue};
 use crate::node;
 use crate::root::{ROOT_HEAD, ROOT_TAIL};
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use pmem::{PRef, PmemPool};
 use ssmem::{Ssmem, SsmemConfig};
 use std::collections::HashSet;

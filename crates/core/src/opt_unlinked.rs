@@ -20,7 +20,7 @@
 use crate::api::{DurableQueue, QueueConfig, RecoverableQueue};
 use crate::node;
 use crate::root;
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use pmem::{PRef, PmemPool, MAX_THREADS};
 use ssmem::{Ssmem, SsmemConfig};
 use std::sync::atomic::{AtomicU64, Ordering};

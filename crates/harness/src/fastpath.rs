@@ -17,16 +17,21 @@
 //! to them it times the same load loop on a bare `AtomicU64`
 //! (`raw_load_ns`): the paper's model prices a word access at one cached
 //! load, so the direct row's `load_ns` is gated against twice that figure
-//! (`scripts/compare_bench_json.py`). The same loop over
+//! (`scripts/bench_gate.py`). The same loop over
 //! [`obs::LazyCounter::incr`] (`counter_incr_ns`) prices the named counters
 //! every instrumented operation bumps, gated at three times that floor. The
 //! emitted JSON object carries `"lock_free_fast_path": true`, the marker
 //! that these numbers were produced by the epoch scheme rather than the
 //! earlier stop-the-world mapping lock.
+//!
+//! Beside the file pool it prices the simulated one: `sim_spin` holds, for
+//! each event [`LatencyModel::optane_like`] charges, the delay requested and
+//! what one [`pmem::latency::spin_delay`] of it costs (`charged_ns`), which
+//! the gate holds to the request within the run.
 
 use std::time::Instant;
 
-use pmem::PmemPool;
+use pmem::{LatencyModel, PmemPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use store::{FileConfig, FilePool, SyncPolicy};
@@ -147,6 +152,36 @@ fn measure(mode: &'static str, grow_step: usize, cfg: &FastpathConfig) -> Fastpa
     }
 }
 
+/// What the simulator charges for one `optane_like` event.
+pub struct SpinRow {
+    /// `"flush"`, `"nt_store"`, `"fence"` or `"nvram_read"`.
+    pub event: &'static str,
+    /// The model's delay for the event, ns.
+    pub requested_ns: u32,
+    /// One `spin_delay(requested_ns)`, ns.
+    pub charged_ns: f64,
+}
+
+/// Times `spin_delay` at each delay of [`LatencyModel::optane_like`].
+fn measure_sim_spin(cfg: &FastpathConfig) -> Vec<SpinRow> {
+    let model = LatencyModel::optane_like();
+    [
+        ("flush", model.flush_ns),
+        ("nt_store", model.nt_store_ns),
+        ("fence", model.fence_ns),
+        ("nvram_read", model.nvram_read_ns),
+    ]
+    .into_iter()
+    .map(|(event, requested_ns)| SpinRow {
+        event,
+        requested_ns,
+        charged_ns: time_ns(cfg, |_| {
+            pmem::latency::spin_delay(std::hint::black_box(requested_ns))
+        }),
+    })
+    .collect()
+}
+
 /// The measured rows plus the floor they are judged against.
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
@@ -156,6 +191,8 @@ pub struct FastpathReport {
     pub counter_incr_ns: f64,
     /// One row per mapping mode, direct first.
     pub rows: Vec<FastpathRow>,
+    /// What the simulated pool charges per event.
+    pub sim_spin: Vec<SpinRow>,
 }
 
 /// Times the direct and epoch-pinned mapping modes over identical pools
@@ -181,6 +218,7 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
             measure("direct", 0, cfg),
             measure("epoch", cfg.grow_step, cfg),
         ],
+        sim_spin: measure_sim_spin(cfg),
     }
 }
 
@@ -222,6 +260,14 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
             report.counter_incr_ns
         ));
     }
+    out.push_str("simulated pool, optane_like (requested -> charged ns):");
+    for spin in &report.sim_spin {
+        out.push_str(&format!(
+            " {} {} -> {:.1};",
+            spin.event, spin.requested_ns, spin.charged_ns
+        ));
+    }
+    out.push('\n');
     out
 }
 
@@ -243,6 +289,17 @@ pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
             row.mode, row.grow_step, row.load_ns, row.persist_ns, row.map_ref_ns,
         ));
     }
+    let spins: Vec<String> = report
+        .sim_spin
+        .iter()
+        .map(|spin| {
+            format!(
+                "{{\"event\": \"{}\", \"requested_ns\": {}, \"charged_ns\": {:.3}}}",
+                spin.event, spin.requested_ns, spin.charged_ns
+            )
+        })
+        .collect();
+    obj.section("sim_spin", format!("[{}]", spins.join(", ")));
     obj.finish()
 }
 
@@ -303,6 +360,13 @@ mod tests {
         assert!(rendered.contains("epoch"));
         assert!(rendered.contains("pin cost"));
         assert!(rendered.contains("raw atomic load"));
+        let events: Vec<_> = report.sim_spin.iter().map(|s| s.event).collect();
+        assert_eq!(events, ["flush", "nt_store", "fence", "nvram_read"]);
+        for spin in &report.sim_spin {
+            assert!(spin.requested_ns > 0);
+            assert!(spin.charged_ns > 0.0 && spin.charged_ns.is_finite());
+        }
+        assert!(rendered.contains("nvram_read 300 -> "));
     }
 
     #[test]
@@ -318,6 +382,8 @@ mod tests {
         assert!(json.contains("\"mode\": \"direct\""));
         assert!(json.contains("\"mode\": \"epoch\""));
         assert_eq!(json.matches("\"mode\"").count(), 2);
+        assert!(json.contains("\"sim_spin\": [{\"event\": \"flush\", \"requested_ns\": 40, "));
+        assert_eq!(json.matches("\"charged_ns\"").count(), 4);
     }
 
     #[test]

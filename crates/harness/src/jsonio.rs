@@ -94,7 +94,7 @@ impl ExperimentObject {
     }
 
     /// Appends a named section after the `rows` array; `value` is raw JSON
-    /// (an object, or `null`).
+    /// (an object, an array, or `null`).
     pub fn section(&mut self, key: &'static str, value: String) {
         self.sections.push((key, value));
     }

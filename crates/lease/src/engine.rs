@@ -49,14 +49,13 @@ use crate::tx::ExactlyOnce;
 use durable_queues::DurableQueue;
 use obs::flight::EventKind;
 use obs::LazyCounter;
-use parking_lot::Mutex;
 use shard::LeaseRecovery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
@@ -384,12 +383,12 @@ impl<J: Journal> Consumer<J> {
     /// forces what it appended, and only then hands back its result.
     fn transition<R>(&self, apply: impl FnOnce(&mut State<J>) -> R) -> R {
         let (out, force) = {
-            let mut st = self.state.lock();
+            let mut st = obs::locked(&self.state);
             let out = apply(&mut st);
             (out, st.take_force())
         };
         if let Err(e) = force.run() {
-            self.state.lock().durability_lost("force", e);
+            obs::locked(&self.state).durability_lost("force", e);
         }
         out
     }
@@ -621,7 +620,7 @@ impl<J: Journal> Consumer<J> {
             });
         }
         let generation = {
-            let mut st = self.state.lock();
+            let mut st = obs::locked(&self.state);
             let in_pending = st.pending.iter().any(|p| p.prev == lease.id);
             if st.settling.contains(&lease.id)
                 || (!st.inflight.contains_key(&lease.id) && !in_pending)
@@ -674,17 +673,17 @@ impl<J: Journal> Consumer<J> {
 
     /// Leases currently in consumers' hands.
     pub(crate) fn in_flight(&self) -> usize {
-        self.state.lock().inflight.len()
+        obs::locked(&self.state).inflight.len()
     }
 
     /// Items awaiting (re)delivery.
     pub(crate) fn pending(&self) -> usize {
-        self.state.lock().pending.len()
+        obs::locked(&self.state).pending.len()
     }
 
     /// Reads the counters and the journal's own accounting under one lock.
     pub(crate) fn observe<R>(&self, f: impl FnOnce(&Counters, &J) -> R) -> R {
-        let st = self.state.lock();
+        let st = obs::locked(&self.state);
         f(&st.counters, &st.log)
     }
 }
@@ -701,7 +700,7 @@ struct SettlingMark<'a, J> {
 impl<J> Drop for SettlingMark<'_, J> {
     fn drop(&mut self) {
         if self.armed {
-            self.state.lock().settling.remove(&self.id);
+            obs::locked(self.state).settling.remove(&self.id);
         }
     }
 }
@@ -752,7 +751,7 @@ mod tests {
             consumer.offer(i);
             let lease = consumer.grant_pending(0, Instant::now()).unwrap();
             consumer.ack(&lease).unwrap();
-            let st = consumer.state.lock();
+            let st = obs::locked(&consumer.state);
             assert!(
                 st.deadlines.len() <= st.inflight.len() + 1,
                 "cycle {i}: {} heap entries for {} leases in flight",

@@ -58,11 +58,10 @@ use crate::segments::{SegmentedLog, DEFAULT_ROTATE_RECORDS};
 use durable_queues::{DurableQueue, KeyedQueue};
 use obs::flight::EventKind;
 use obs::LazyCounter;
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
@@ -429,7 +428,7 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         // it out, one `PEND` per group in stripe order — with our own
         // group's `GRANT` riding its `PEND`, so the lease is ours without
         // competing for it.
-        let dispatch = self.dispatch.lock();
+        let dispatch = obs::locked(&self.dispatch);
         let Some(item) = self.base.dequeue(tid) else {
             drop(dispatch);
             // The base is empty, but a racing dispatcher may have fanned

@@ -16,12 +16,12 @@
 //! The shadow names files through `/proc/self/fd`, so the tests are
 //! Linux-only.
 
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Path → the most bytes of it any completed force covered. Segment names
 /// are never reused within a log's life, so the maximum is the truth even
@@ -33,7 +33,7 @@ pub(crate) fn forced(file: &File, len: u64) {
     let Ok(mut path) = std::fs::read_link(format!("/proc/self/fd/{}", file.as_raw_fd())) else {
         return;
     };
-    let mut shadow = FORCED.lock();
+    let mut shadow = obs::locked(&FORCED);
     if path.extension().is_some_and(|e| e == "tmp") {
         // Written whole, forced once, renamed over its target at once.
         path.set_extension("");
@@ -45,7 +45,7 @@ pub(crate) fn forced(file: &File, len: u64) {
 }
 
 fn forced_len(path: &Path) -> u64 {
-    FORCED.lock().get(path).copied().unwrap_or(0)
+    obs::locked(&FORCED).get(path).copied().unwrap_or(0)
 }
 
 type CrashHook = Box<dyn FnMut(&Path)>;

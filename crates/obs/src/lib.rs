@@ -39,10 +39,12 @@ pub use metrics::{
     snapshot, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, MetricsSnapshot, Timer,
 };
 
-/// Locks `mutex`, recovering it if a holder panicked. For the crate's
-/// registries and free sets only, whose every update (one insertion, one
-/// bit) leaves the data valid at every step.
-pub(crate) fn locked<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `mutex`, recovering it if a holder panicked. For data every
+/// update of which leaves it valid at every step (this crate's registries
+/// and free sets: one insertion, one bit; a lock guarding `()`), or whose
+/// holder's panic already ends the process's claim on it (a lease consumer
+/// whose journal could not be forced).
+pub fn locked<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

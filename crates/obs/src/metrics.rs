@@ -73,7 +73,7 @@ impl Histogram {
     pub const fn new() -> Histogram {
         Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            sum: CachePadded(AtomicU64::new(0)),
+            sum: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -104,7 +104,7 @@ impl Histogram {
         #[cfg(feature = "instrument")]
         {
             self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.0.fetch_add(v, Ordering::Relaxed);
+            self.sum.fetch_add(v, Ordering::Relaxed);
         }
         #[cfg(not(feature = "instrument"))]
         let _ = v;
@@ -118,7 +118,7 @@ impl Histogram {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            sum: self.sum.0.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
         }
     }
 }

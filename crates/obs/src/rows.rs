@@ -23,10 +23,26 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 pub const OWNED_ROWS: usize = 64;
 
 /// Pads and aligns to 128 bytes so neighbouring values never share a cache
-/// line (nor a prefetched pair of lines). Same idea as crossbeam's
-/// `CachePadded`, local so obs stays dependency-free.
+/// line (nor a prefetched pair of lines): the workspace's one per-thread
+/// slot wrapper. Same idea as crossbeam's `CachePadded`, local so obs
+/// stays dependency-free.
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    /// Pads and aligns `value`.
+    pub const fn new(value: T) -> CachePadded<T> {
+        CachePadded(value)
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// One thread's counters, one per column.
 struct Row<const N: usize>([AtomicU64; N]);
@@ -58,8 +74,8 @@ impl<const N: usize> Rows<N> {
     /// box it where that should not sit inline.
     pub const fn new() -> Rows<N> {
         Rows {
-            rows: [const { CachePadded(Row::new()) }; OWNED_ROWS],
-            overflow: CachePadded(Row::new()),
+            rows: [const { CachePadded::new(Row::new()) }; OWNED_ROWS],
+            overflow: CachePadded::new(Row::new()),
             baseline: Row::new(),
         }
     }
@@ -137,6 +153,12 @@ impl<const N: usize> Default for Rows<N> {
 mod tests {
     use super::*;
     use crate::slot::burst_lock;
+
+    #[test]
+    fn alignment_is_at_least_128() {
+        assert!(std::mem::align_of::<CachePadded<u64>>() >= 128);
+        assert_eq!(*CachePadded::new(7u64), 7);
+    }
 
     #[test]
     fn reset_restarts_every_column_from_zero() {

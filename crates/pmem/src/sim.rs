@@ -29,7 +29,7 @@ use crate::latency::spin_delay;
 use crate::layout::{self, CACHE_LINE, MAX_THREADS};
 use crate::pool::PoolConfig;
 use crate::stats::{Counter, Stats, StatsSnapshot};
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -311,18 +311,16 @@ impl SimPool {
 
     pub(crate) fn sfence(&self, tid: usize) {
         self.stats.add(Counter::Fences, 1);
-        let (lines, nt) = self.with_pending(tid, |pending| {
-            (
-                std::mem::take(&mut pending.flushed_lines),
-                std::mem::take(&mut pending.nt_writes),
-            )
+        // Drained in place: the lists keep their capacity for the next
+        // epoch's flushes instead of being freed and reallocated per fence.
+        self.with_pending(tid, |pending| {
+            for line in pending.flushed_lines.drain(..) {
+                self.persist_line(line);
+            }
+            for (off, val) in pending.nt_writes.drain(..) {
+                self.persistent_u64(off).store(val, Ordering::Release);
+            }
         });
-        for line in lines {
-            self.persist_line(line);
-        }
-        for (off, val) in nt {
-            self.persistent_u64(off).store(val, Ordering::Release);
-        }
         spin_delay(self.config.latency.fence_ns);
     }
 

@@ -36,11 +36,10 @@
 //! Recovery replays a committed log (status word non-zero) or discards an
 //! uncommitted one, then clears it.
 
-use parking_lot::Mutex;
 use pmem::layout::QUEUE_ROOT;
 use pmem::PmemPool;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How the redo log is persisted at commit time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,7 +128,7 @@ impl Ptm {
     /// returns its result. The transaction's writes become durable atomically
     /// (all or nothing with respect to crashes).
     pub fn run<R>(&self, tid: usize, body: impl FnOnce(&mut Tx<'_>) -> R) -> R {
-        let _guard = self.lock.lock();
+        let _guard = obs::locked(&self.lock);
         let mut tx = Tx {
             pool: &self.pool,
             writes: Vec::new(),

@@ -5,7 +5,7 @@
 //! in ring order before reporting empty, so routing never loses items — it
 //! only shapes locality and balance).
 
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 /// How traffic is partitioned across shards.

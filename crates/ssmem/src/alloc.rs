@@ -2,7 +2,7 @@
 
 use crate::dir::{self, AreaInfo};
 use crate::epoch::EpochManager;
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use pmem::{PRef, PmemPool};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;

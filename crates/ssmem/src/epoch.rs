@@ -11,7 +11,7 @@
 //! by the volatile-node allocator of the Opt queues, so that a single
 //! pin/unpin per queue operation protects both kinds of nodes.
 
-use crossbeam_utils::CachePadded;
+use obs::rows::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// See the [module documentation](self).

@@ -146,9 +146,9 @@
 //! advertise the mode through [`PoolBackend::fence_hint`].
 
 use crate::mmap::{self, page_size};
-use crossbeam_utils::CachePadded;
 use obs::crc::crc32;
 use obs::flight::EventKind;
+use obs::rows::CachePadded;
 use obs::{LazyCounter, LazyHistogram};
 use pmem::layout::{self, CACHE_LINE};
 use pmem::{MapPin, PmemPool, PoolBackend, MAX_THREADS, ROOT_SLOTS};
@@ -1569,13 +1569,20 @@ impl FilePool {
     }
 
     /// Durably persists the header page when the policy demands it (rare
-    /// path: watermark movement, root-slot writes, clean/dirty marking,
-    /// growth commits).
+    /// path: root-slot writes, growth commits and their home fields). Its
+    /// callers promise durability by returning, so a failed power-fail
+    /// `msync` panics through [`durability_lost`](Self::durability_lost),
+    /// as a fence's does.
     fn persist_header(&self, raw: &RawMap) {
         // SAFETY: the header page is valid readable memory.
         unsafe { pmem::hw::persist_range(raw.base, HEADER_LEN) };
         if self.policy == SyncPolicy::PowerFail {
-            let _ = self.msync_raw(raw, 0, HEADER_LEN);
+            let synced = self.msync_raw(raw, 0, HEADER_LEN);
+            #[cfg(test)]
+            let synced = synced.and_then(|()| tests::header_msync_hook());
+            if let Err(e) = synced {
+                self.durability_lost(e);
+            }
         }
     }
 
@@ -2412,6 +2419,7 @@ mod tests {
 
     thread_local! {
         static FAIL_CLOSE_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static FAIL_HEADER_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     /// Fails the data `msync` of a close on this thread, once armed.
@@ -2420,6 +2428,45 @@ mod tests {
             return Err(io::Error::from_raw_os_error(5)); // EIO
         }
         Ok(())
+    }
+
+    /// Fails the next header `msync` on this thread, once armed.
+    pub(super) fn header_msync_hook() -> io::Result<()> {
+        if FAIL_HEADER_MSYNC.take() {
+            return Err(io::Error::from_raw_os_error(5)); // EIO
+        }
+        Ok(())
+    }
+
+    /// A root-slot write returns as durable, so a header `msync` that fails
+    /// under it must panic naming the pool, counted like a fence's.
+    #[test]
+    fn a_failed_header_sync_panics_with_the_path() {
+        let _serial = gc_serial(); // `store.msync.error` is process-global
+        let path = temp_path("header-fails");
+        let pool = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail)).unwrap();
+        let before = obs::snapshot();
+        FAIL_HEADER_MSYNC.set(true);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.set_root_u64(0, 7);
+        }));
+        let message = *died
+            .expect_err("set_root_u64 returned over a failed header sync")
+            .downcast::<String>()
+            .expect("panic with a message");
+        assert!(
+            message.contains(&path.display().to_string()),
+            "panic must name the pool: {message}"
+        );
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("store.msync.error") - before.counter("store.msync.error"),
+                1
+            );
+        }
+        drop(pool);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -23,7 +23,9 @@ Three kinds of bands:
   printed trajectory table is the instrument for slow drift.
 * within-run — both sides come from the current run, so the band is tight
   whatever the runner: fastpath's direct `load_ns` and `counter_incr_ns`
-  against its own `raw_load_ns`, group commit's speedup against a floor.
+  against its own `raw_load_ns`, what the simulator charges per event
+  (`sim_spin`) against what its latency model requests, group commit's
+  speedup against a floor.
 
 What fails: an experiment with no table entry, an artifact with no baseline
 file, a baseline experiment or row missing from the current run (silently
@@ -99,6 +101,11 @@ MAX_DIRECT_LOAD_VS_RAW = 2.0
 # counter's `incr` within this factor of the raw load chain (a
 # `lock`-prefixed add measures past 5x).
 MAX_COUNTER_INCR_VS_RAW = 3.0
+# The simulated pool must charge its latency model, not its clock: each
+# `sim_spin` event's `charged_ns` within requested + max(25 ns, 25 %).
+SPIN_SLACK_NS = 25.0
+SPIN_SLACK_SHARE = 0.25
+SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read"}
 # The group-commit layer must keep proving its win: at the highest swept
 # producer count, the best coalesced rate over the per-thread rate. Kept
 # below the ~2x of quiet hardware — a cliff detector for "batching silently
@@ -143,6 +150,17 @@ def fastpath_within_run(obj, ctx, gate):
                direct[0]["load_ns"], "ceil", MAX_DIRECT_LOAD_VS_RAW)
     gate.check(ctx, "counter_incr_ns vs raw_load_ns", raw,
                obj["counter_incr_ns"], "ceil", MAX_COUNTER_INCR_VS_RAW)
+    for i, spin in enumerate(obj["sim_spin"]):
+        require(spin, {**strs("event"), "requested_ns": POSITIVE, "charged_ns": POSITIVE},
+                f"{ctx} sim_spin[{i}]")
+    events = {spin["event"] for spin in obj["sim_spin"]}
+    if events != SPIN_EVENTS:
+        raise Invalid(f"{ctx}: sim_spin needs events {sorted(SPIN_EVENTS)}, got {sorted(events)}")
+    for spin in obj["sim_spin"]:
+        requested = spin["requested_ns"]
+        slack = max(SPIN_SLACK_NS / requested, SPIN_SLACK_SHARE)
+        gate.check(f"{ctx}[{spin['event']}]", "charged_ns vs requested_ns", requested,
+                   spin["charged_ns"], "ceil", 1.0 + slack)
 
 
 def group_commit_both_modes(obj, ctx, gate):
@@ -215,7 +233,8 @@ EXPERIMENTS = {
     # with its own floor (raw_load_ns) in the artifact.
     "fastpath": {
         "header": {**nums("ops", "trials"), "lock_free_fast_path": one_of(True),
-                   "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE},
+                   "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE,
+                   "sim_spin": LIST},
         "row": {**strs("mode"), **nums("grow_step", "load_ns", "persist_ns", "map_ref_ns")},
         "identity": ("mode",),
         "bands": {"load_ns": CEIL, "persist_ns": CEIL, "map_ref_ns": CEIL},
@@ -442,6 +461,12 @@ def self_test():
                 {"mode": "epoch", "grow_step": 1048576, "load_ns": 31.0,
                  "persist_ns": 330.0, "map_ref_ns": 20.0},
             ],
+            "sim_spin": [
+                {"event": "flush", "requested_ns": 40, "charged_ns": 37.1},
+                {"event": "nt_store", "requested_ns": 60, "charged_ns": 68.4},
+                {"event": "fence", "requested_ns": 100, "charged_ns": 100.2},
+                {"event": "nvram_read", "requested_ns": 300, "charged_ns": 304.8},
+            ],
         }],
     }
 
@@ -485,6 +510,8 @@ def self_test():
         ("fastpath without its counter cost",
          *mutated("fastpath", lambda o: drop(o, "counter_incr_ns"))),
         ("fastpath without an epoch row", *mutated("fastpath", lambda o: o["rows"].pop())),
+        ("fastpath without sim_spin", *mutated("fastpath", lambda o: drop(o, "sim_spin"))),
+        ("sim_spin without the fence", *mutated("fastpath", lambda o: o["sim_spin"].pop(2))),
         ("non-list document", "counts", {"experiment": "counts"}),
         # the compare half
         ("a baseline row missing from the current run",
@@ -502,6 +529,8 @@ def self_test():
          *mutated("fastpath", lambda o: o["rows"][0].update(load_ns=3.5))),
         ("a counter_incr_ns over 3x raw_load_ns",
          *mutated("fastpath", lambda o: o.update(counter_incr_ns=5.2))),
+        ("a flush charged at the clock's 124 ns, not the model's 40",
+         *mutated("fastpath", lambda o: o["sim_spin"][0].update(charged_ns=124.0))),
         ("a group_commit speedup under 1.3",
          *mutated("fsweep", lambda o: o["speedup"].update(speedup=1.29))),
     ]

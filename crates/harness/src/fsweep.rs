@@ -1,30 +1,27 @@
-//! The `fsweep` experiment: power-fail fence throughput, per-thread vs
-//! group commit.
+//! The `fsweep` experiment: power-fail fence throughput under group
+//! commit, across producer counts and fence windows.
 //!
 //! Under [`store::SyncPolicy::PowerFail`] every fence `msync`s the fencing
-//! thread's dirty pages, one page per call. The group-commit layer
-//! ([`store::FileConfig::group_commit`]) turns those rounds into batches:
-//! up to two leaders at a time each submit the pages of every fence that
-//! shared their batch, merged into contiguous ranges.
+//! thread's dirty pages through the pool's group commit: up to two leaders
+//! at a time each submit the pages of every fence that shared their batch,
+//! merged into contiguous ranges, and a window
+//! ([`store::FileConfig::fence_window_ns`]) holds one batch open for
+//! stragglers instead.
 //!
 //! This sweep measures what that buys: `producers` threads each dirty
 //! `pages` private pages and fence, `fences` times over, and the aggregate
 //! fence rate (`producers * fences / wall`) is reported per producer
-//! count × fence mode (per-thread, plus one group-commit mode per
-//! configured window). Two shares read from the `store.fence.*` counters
-//! say *why* a group-commit row moved: `coalesced` is the fraction of its
-//! fences that shared a batch with another fence, `overlapped` the
-//! fraction of its batches submitted while another was still in flight.
-//! The 1-producer rows have nobody to coalesce with or overlap: what they
-//! gain over per-thread is run-merging alone (docs/PERFORMANCE.md, "Group
-//! commit"). The JSON object (`"experiment": "group_commit"`) feeds the
-//! perf-track regression gate.
+//! count × window. Two shares read from the `store.fence.*` counters say
+//! *why* a row moved: `coalesced` is the fraction of its fences that
+//! shared a batch with another fence, `overlapped` the fraction of its
+//! batches submitted while another was still in flight. The 1-producer
+//! rows have nobody to coalesce with or overlap: what they measure is
+//! run-merging alone (docs/PERFORMANCE.md, "Group commit"). The JSON object
+//! (`"experiment": "group_commit"`) feeds the perf-track regression gate.
 
-use std::sync::Arc;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use pmem::PmemPool;
 use store::{FileConfig, FilePool, SyncPolicy};
 
 /// Configuration for the [`run_fsweep`] measurement.
@@ -36,8 +33,7 @@ pub struct FsweepConfig {
     pub fences: u64,
     /// Distinct private pages each producer dirties before every fence.
     pub pages: usize,
-    /// Group-commit windows to sweep, in microseconds (`0` = submit
-    /// immediately). The per-thread baseline always runs too.
+    /// Fence windows to sweep, in microseconds (`0` = submit immediately).
     pub windows_us: Vec<u64>,
     /// Pool file size in bytes.
     pub pool_bytes: usize,
@@ -68,59 +64,48 @@ impl FsweepConfig {
     }
 }
 
-/// One measured (producer count × fence mode) point.
+/// One measured (producer count × window) point.
 #[derive(Clone, Debug)]
 pub struct FsweepRow {
     /// Concurrent fencing producers.
     pub producers: usize,
-    /// `"per-thread"` or `"group-commit"`.
-    pub mode: &'static str,
-    /// Group-commit window in microseconds (`None` for the per-thread row).
-    pub window_us: Option<u64>,
+    /// Fence window in microseconds.
+    pub window_us: u64,
     /// Wall-clock time of the point.
     pub wall: Duration,
     /// Aggregate fence rate: `producers * fences / wall`.
     pub fences_per_sec: f64,
     /// Share of the point's fences that shared a batch with another fence
-    /// (`store.fence.coalesced` over fences issued; 0 for per-thread rows
-    /// and in builds without `instrument`).
+    /// (`store.fence.coalesced` over fences issued; 0 in builds without
+    /// `instrument`).
     pub coalesced_share: f64,
     /// Share of the point's batches submitted while another batch was in
     /// flight (`store.fence.overlapped` over `store.fence.leader`).
     pub overlapped_share: f64,
 }
 
-fn sweep_pool(tag: &str, cfg: &FsweepConfig, group_commit: Option<u64>) -> Arc<PmemPool> {
-    let path =
-        std::env::temp_dir().join(format!("harness-fsweep-{tag}-{}.pool", std::process::id()));
+/// Runs one point: `producers` threads each flush `pages` private pages
+/// and fence, `fences` times, all against one power-fail pool.
+fn measure(cfg: &FsweepConfig, producers: usize, window_us: u64) -> FsweepRow {
+    let path = std::env::temp_dir().join(format!(
+        "harness-fsweep-{producers}p-{window_us}us-{}.pool",
+        std::process::id()
+    ));
     let pool = FilePool::create(
         &path,
         FileConfig::with_size(cfg.pool_bytes)
             .with_sync(SyncPolicy::PowerFail)
-            .with_group_commit(group_commit),
+            .with_fence_window(window_us * 1_000),
     )
     .expect("fsweep: create pool file")
     .into_pool();
     // The mapping keeps the file alive; nothing is left behind in $TMPDIR.
     let _ = std::fs::remove_file(&path);
-    pool
-}
-
-/// Runs one point: `producers` threads each flush `pages` private pages
-/// and fence, `fences` times, all against one power-fail pool.
-fn measure(
-    cfg: &FsweepConfig,
-    producers: usize,
-    mode: &'static str,
-    window_us: Option<u64>,
-) -> FsweepRow {
-    let tag = format!("{producers}p-{mode}{}", window_us.unwrap_or(0));
-    let pool = sweep_pool(&tag, cfg, window_us.map(|us| us * 1_000));
     let page = store::mmap::page_size() as u32;
     // One contiguous region, producer `t` owning pages [t*K, (t+1)*K) of
     // it: adjacent across producers, so a coalesced batch merges into few
-    // contiguous msync ranges — the geometry the group-commit layer is
-    // built to exploit.
+    // contiguous msync ranges — the geometry group commit is built to
+    // exploit.
     let region = pool.alloc_raw(producers as u32 * cfg.pages as u32 * page, 64);
     let barrier = Barrier::new(producers + 1);
     let mut wall = Duration::ZERO;
@@ -157,7 +142,6 @@ fn measure(
     let total = (producers as u64 * cfg.fences) as f64;
     FsweepRow {
         producers,
-        mode,
         window_us,
         wall,
         fences_per_sec: total / wall.as_secs_f64(),
@@ -166,49 +150,28 @@ fn measure(
     }
 }
 
-/// Runs the full sweep: per producer count, the per-thread baseline plus
-/// one group-commit row per configured window.
+/// Runs the full sweep: one row per producer count × window.
 pub fn run_fsweep(cfg: &FsweepConfig) -> Vec<FsweepRow> {
     assert!(!cfg.producers.is_empty(), "fsweep: no producer counts");
+    assert!(!cfg.windows_us.is_empty(), "fsweep: no windows");
     assert!(cfg.fences > 0 && cfg.pages > 0, "fsweep: empty measurement");
     let mut rows = Vec::new();
     for &producers in &cfg.producers {
-        rows.push(measure(cfg, producers, "per-thread", None));
         for &us in &cfg.windows_us {
-            rows.push(measure(cfg, producers, "group-commit", Some(us)));
+            rows.push(measure(cfg, producers, us));
         }
     }
     rows
-}
-
-/// The headline number: at the highest swept producer count, the best
-/// group-commit rate over the per-thread rate. Returns
-/// `(producers, speedup, best_window_us)`.
-pub fn speedup_at_max(rows: &[FsweepRow]) -> Option<(usize, f64, u64)> {
-    let max_p = rows.iter().map(|r| r.producers).max()?;
-    let base = rows
-        .iter()
-        .find(|r| r.producers == max_p && r.window_us.is_none())?;
-    let best = rows
-        .iter()
-        .filter(|r| r.producers == max_p && r.window_us.is_some())
-        .max_by(|a, b| a.fences_per_sec.total_cmp(&b.fences_per_sec))?;
-    Some((
-        max_p,
-        best.fences_per_sec / base.fences_per_sec,
-        best.window_us.unwrap_or(0),
-    ))
 }
 
 /// Renders the sweep as the verb's report table.
 pub fn render_fsweep(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     let mut out = format!(
         "\n=== fsweep: power-fail fence throughput, {} fences x {} pages per producer ===\n\
-         {:<11}{:<14}{:>11}{:>11}{:>15}{:>11}{:>12}\n",
+         {:<11}{:>11}{:>11}{:>15}{:>11}{:>12}\n",
         cfg.fences,
         cfg.pages,
         "producers",
-        "mode",
         "window us",
         "wall ms",
         "fences/s (agg)",
@@ -217,22 +180,13 @@ pub fn render_fsweep(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<11}{:<14}{:>11}{:>11.1}{:>15.0}{:>11.2}{:>12.2}\n",
+            "{:<11}{:>11}{:>11.1}{:>15.0}{:>11.2}{:>12.2}\n",
             r.producers,
-            r.mode,
-            r.window_us
-                .map(|us| us.to_string())
-                .unwrap_or_else(|| String::from("-")),
+            r.window_us,
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
             r.coalesced_share,
             r.overlapped_share,
-        ));
-    }
-    if let Some((producers, speedup, window)) = speedup_at_max(rows) {
-        out.push_str(&format!(
-            "group-commit speedup at {producers} producers: {speedup:.2}x \
-             (best window {window} us)\n"
         ));
     }
     out
@@ -247,28 +201,15 @@ pub fn fsweep_json(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     obj.field("pages", cfg.pages);
     for r in rows {
         obj.row(format!(
-            "{{\"producers\": {}, \"mode\": \"{}\", \"window_us\": {}, \
-             \"wall_ms\": {}, \"fences_per_sec\": {}, \
-             \"coalesced_share\": {}, \"overlapped_share\": {}}}",
+            "{{\"producers\": {}, \"window_us\": {}, \"wall_ms\": {}, \
+             \"fences_per_sec\": {}, \"coalesced_share\": {}, \"overlapped_share\": {}}}",
             r.producers,
-            r.mode,
-            r.window_us
-                .map(|us| us.to_string())
-                .unwrap_or_else(|| String::from("null")),
+            r.window_us,
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
             r.coalesced_share,
             r.overlapped_share,
         ));
-    }
-    if let Some((producers, speedup, window)) = speedup_at_max(rows) {
-        obj.section(
-            "speedup",
-            format!(
-                "{{\"producers\": {producers}, \"speedup\": {speedup}, \
-                 \"best_window_us\": {window}}}"
-            ),
-        );
     }
     obj.finish()
 }
@@ -313,28 +254,22 @@ mod tests {
             producers: vec![1, 2],
             fences: 20,
             pages: 4,
-            windows_us: vec![0],
+            windows_us: vec![0, 25],
             pool_bytes: 4 << 20,
         }
     }
 
     #[test]
-    fn fsweep_measures_both_modes_per_producer_count() {
+    fn fsweep_measures_every_producer_count_at_every_window() {
         let cfg = tiny();
         let rows = run_fsweep(&cfg);
-        assert_eq!(rows.len(), 4); // 2 producer counts x (baseline + 1 window)
+        let points: Vec<(usize, u64)> = rows.iter().map(|r| (r.producers, r.window_us)).collect();
+        assert_eq!(points, [(1, 0), (1, 25), (2, 0), (2, 25)]);
         for r in &rows {
             assert!(r.fences_per_sec > 0.0 && r.fences_per_sec.is_finite());
         }
-        assert_eq!(rows[0].mode, "per-thread");
-        assert_eq!(rows[1].mode, "group-commit");
-        let (producers, speedup, window) = speedup_at_max(&rows).unwrap();
-        assert_eq!(producers, 2);
-        assert_eq!(window, 0);
-        assert!(speedup > 0.0);
         let rendered = render_fsweep(&cfg, &rows);
-        assert!(rendered.contains("per-thread"));
-        assert!(rendered.contains("group-commit speedup at 2 producers"));
+        assert!(rendered.contains("window us"));
     }
 
     #[test]
@@ -344,12 +279,10 @@ mod tests {
         let json = fsweep_json(&cfg, &rows);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"experiment\": \"group_commit\""));
-        assert!(json.contains("\"mode\": \"per-thread\""));
-        assert!(json.contains("\"mode\": \"group-commit\""));
-        assert!(json.contains("\"window_us\": null"));
+        assert!(json.contains("\"window_us\": 25"));
         assert!(json.contains("\"coalesced_share\": "));
         assert!(json.contains("\"overlapped_share\": "));
-        assert!(json.contains("\"speedup\":"));
+        assert!(!json.contains("null"));
     }
 
     #[test]

@@ -70,9 +70,9 @@ pub struct LeaseVerbConfig {
     pub policy: RoutePolicy,
     /// Per-pool file size in bytes.
     pub pool_bytes: usize,
-    /// Power-fail group-commit window in nanoseconds for the shard pools
-    /// (`None` = per-thread fences); see [`store::FileConfig::group_commit`].
-    pub group_commit: Option<u64>,
+    /// Power-fail group-commit window in nanoseconds for the shard pools;
+    /// see [`store::FileConfig::fence_window_ns`].
+    pub fence_window_ns: u64,
     /// Competing consumers per group (`> 1`, or `groups > 1`, selects the
     /// grouped sweep).
     pub consumers: usize,
@@ -94,7 +94,7 @@ impl Default for LeaseVerbConfig {
             sync: SyncPolicy::ProcessCrash,
             policy: RoutePolicy::RoundRobin,
             pool_bytes: 64 << 20,
-            group_commit: None,
+            fence_window_ns: 0,
             consumers: 1,
             groups: 1,
             work_ns: 20_000,
@@ -171,7 +171,7 @@ fn run_one(cfg: &LeaseVerbConfig, shards: usize) -> LeaseRow {
             },
             FileConfig::with_size(cfg.pool_bytes)
                 .with_sync(cfg.sync)
-                .with_group_commit(cfg.group_commit),
+                .with_fence_window(cfg.fence_window_ns),
             &lease_cfg,
         )
         .expect("lease: create leased dir");
@@ -334,7 +334,7 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
             },
             FileConfig::with_size(cfg.pool_bytes)
                 .with_sync(cfg.sync)
-                .with_group_commit(cfg.group_commit),
+                .with_fence_window(cfg.fence_window_ns),
             &group_cfg,
         )
         .expect("lease-groups: create grouped dir");
@@ -465,12 +465,7 @@ fn kill_lease_config(sync: SyncPolicy) -> LeaseDirConfig {
 /// one poison item, then produces and consumes forever — acking most
 /// deliveries (ack-logged), nacking some, and holding every `item % 7 == 0`
 /// lease un-acked so the parent's SIGKILL strands live leases.
-pub fn run_lease_child(
-    algorithm: Algorithm,
-    dir: &Path,
-    sync: SyncPolicy,
-    group_commit: Option<u64>,
-) {
+pub fn run_lease_child(algorithm: Algorithm, dir: &Path, sync: SyncPolicy, fence_window_ns: u64) {
     std::fs::create_dir_all(dir).expect("lease-child: create dir");
     // Flight recorder next to the pool files: lease grants/acks/settlements
     // land in BLACKBOX.ring so the parent can replay the child's last
@@ -491,7 +486,7 @@ pub fn run_lease_child(
             },
             FileConfig::with_size(32 << 20)
                 .with_sync(sync)
-                .with_group_commit(group_commit),
+                .with_fence_window(fence_window_ns),
             &kill_lease_config(sync),
         )
         .expect("lease-child: create leased dir");
@@ -571,7 +566,7 @@ pub fn run_lease_kill_round(
     algorithm: Algorithm,
     base_dir: &Path,
     sync: SyncPolicy,
-    group_commit: Option<u64>,
+    fence_window_ns: u64,
     min_acks: usize,
 ) -> LeaseKillOutcome {
     let dir = base_dir.join("round-lease");
@@ -579,7 +574,7 @@ pub fn run_lease_kill_round(
     std::fs::create_dir_all(&dir).expect("create lease round dir");
 
     let exe = std::env::current_exe().expect("harness binary path");
-    let mut args: Vec<String> = [
+    let args = [
         "lease-child",
         "--algo",
         algorithm.name(),
@@ -587,13 +582,9 @@ pub fn run_lease_kill_round(
         dir.to_str().expect("utf-8 dir"),
         "--sync",
         sync.key(),
-    ]
-    .map(String::from)
-    .to_vec();
-    if let Some(window_ns) = group_commit {
-        args.push("--group-commit".into());
-        args.push((window_ns / 1_000).to_string());
-    }
+        "--fence-window",
+        &(fence_window_ns / 1_000).to_string(),
+    ];
     let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::null())

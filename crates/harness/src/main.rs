@@ -121,24 +121,28 @@ fn parse_sync(flags: &HashMap<String, String>) -> SyncPolicy {
     }
 }
 
-/// `--group-commit [WINDOW_US]` (file backend, power-fail sync): bare flag
-/// means window 0 (submit the batch as soon as a leader claims it); a value
-/// is the batch window in microseconds. Returned in nanoseconds, the unit
-/// [`store::FileConfig::group_commit`] takes.
-fn parse_group_commit(flags: &HashMap<String, String>) -> Option<u64> {
-    flags.get("group-commit").map(|v| {
-        if v == "true" {
-            0
-        } else {
-            let us: u64 = v.parse().expect("bad --group-commit");
-            us * 1_000
-        }
+/// `--fence-window US` (file backend, power-fail sync): how long a
+/// group-commit leader holds its batch open, in microseconds; absent = 0.
+/// Returned in nanoseconds, the unit [`store::FileConfig::fence_window_ns`]
+/// takes. Unknown flags are ignored, so the flag this one replaced is
+/// refused by name here.
+fn parse_fence_window(flags: &HashMap<String, String>) -> u64 {
+    if flags.contains_key("group-commit") {
+        eprintln!(
+            "--group-commit was replaced by --fence-window US: every power-fail pool \
+             group-commits, and the flag sets only its window"
+        );
+        exit(2);
+    }
+    flags.get("fence-window").map_or(0, |us| {
+        us.parse::<u64>().expect("bad --fence-window") * 1_000
     })
 }
 
 /// `--backend {sim,file}` plus the file backend's `--dir PATH`,
-/// `--sync process-crash|power-fail` and `--group-commit` companions.
+/// `--sync process-crash|power-fail` and `--fence-window` companions.
 fn backend_from_flags(flags: &HashMap<String, String>) -> BackendChoice {
+    let fence_window_ns = parse_fence_window(flags);
     match flags.get("backend").map(|s| s.as_str()) {
         None | Some("sim") => BackendChoice::Sim,
         Some("file") => BackendChoice::File {
@@ -146,7 +150,7 @@ fn backend_from_flags(flags: &HashMap<String, String>) -> BackendChoice {
                 std::env::temp_dir().join(format!("harness-pools-{}", std::process::id()))
             }),
             sync: parse_sync(flags),
-            group_commit: parse_group_commit(flags),
+            fence_window_ns,
         },
         Some(other) => {
             eprintln!("unknown backend '{other}' (expected sim|file)");
@@ -312,7 +316,7 @@ fn restart_config(flags: &HashMap<String, String>) -> RestartConfig {
         cfg.policy = parse_policy(p);
     }
     cfg.sync = parse_sync(flags);
-    cfg.group_commit = parse_group_commit(flags);
+    cfg.fence_window_ns = parse_fence_window(flags);
     if flags.contains_key("quick") {
         cfg.min_acks = cfg.min_acks.min(500);
         cfg.pool_bytes = cfg.pool_bytes.min(64 << 20);
@@ -382,7 +386,7 @@ fn cmd_restart(flags: &HashMap<String, String>) {
             base.algorithm,
             &base.dir,
             base.sync,
-            base.group_commit,
+            base.fence_window_ns,
             base.min_acks.min(1_000),
         );
         print!("{}", render_lease_kill_outcome(base.algorithm, &outcome));
@@ -481,7 +485,7 @@ fn cmd_lease(flags: &HashMap<String, String>) {
         cfg.work_ns = w.parse().expect("bad --work-ns");
     }
     cfg.sync = parse_sync(flags);
-    cfg.group_commit = parse_group_commit(flags);
+    cfg.fence_window_ns = parse_fence_window(flags);
     if cfg.is_grouped() {
         print!("{}", render_lease_groups(&cfg, &run_lease_groups(&cfg)));
     } else {
@@ -589,7 +593,7 @@ fn main() {
         // Hidden: the leased consumer the restart verb SIGKILLs mid-lease.
         "lease-child" => {
             let cfg = restart_config(&flags);
-            run_lease_child(cfg.algorithm, &cfg.dir, cfg.sync, cfg.group_commit);
+            run_lease_child(cfg.algorithm, &cfg.dir, cfg.sync, cfg.fence_window_ns);
         }
         // Hidden: the process the reshard-kill round spawns and kills.
         "reshard-child" => {
@@ -626,10 +630,10 @@ fn main() {
                             (crash-safe two-phase manifest protocol)\n\
                  fastpath   time the file pool's direct vs epoch-pinned mapping\n\
                             modes (per-op load / persist / map_ref costs)\n\
-                 fsweep     power-fail fence throughput sweep: per-thread\n\
-                            msync vs group commit, across producer counts\n\
-                            and batch windows (--producers 1,2,4,8\n\
-                            --windows 0,50,200 --fences N --pages K)\n\
+                 fsweep     power-fail fence throughput sweep: group commit\n\
+                            across producer counts and fence windows\n\
+                            (--producers 1,2,4,8 --windows 0,50,200\n\
+                            --fences N --pages K)\n\
                  lease      peek-lock producer/consumer delivery drill through a\n\
                             leased deployment (every item acked once, nacks\n\
                             redelivered; text table only);\n\
@@ -649,9 +653,9 @@ fn main() {
                                --recovery-threads N --nvram-read-ns N --no-latency\n\
                  backends:     --backend sim|file --dir PATH\n\
                                --sync process-crash|power-fail   (file backend)\n\
-                               --group-commit [WINDOW_US]   (power-fail file\n\
-                               pools: coalesce concurrent fences into one\n\
-                               msync batch; bare flag = 0us window)\n\
+                               --fence-window US   (power-fail file pools:\n\
+                               how long a group-commit batch waits for\n\
+                               more fences; default 0)\n\
                                --pool-bytes N --grow-step N   (file pools grow by\n\
                                >= N bytes on exhaustion; 0 = fixed size)\n\
                  lease:        --ops N --nack-percent P --shards 1,2,4\n\

@@ -45,11 +45,10 @@ pub struct RestartConfig {
     pub grow_step: usize,
     /// Fence durability policy of the file pools.
     pub sync: SyncPolicy,
-    /// Power-fail group-commit window in nanoseconds for the child's pools
-    /// (`None` = per-thread fences). The kill then lands with batched
-    /// `msync` submissions in flight, which is exactly the protocol window
-    /// the round must prove safe.
-    pub group_commit: Option<u64>,
+    /// Power-fail group-commit window in nanoseconds for the child's pools.
+    /// The kill lands with batched `msync` submissions in flight, which is
+    /// exactly the protocol window the round must prove safe.
+    pub fence_window_ns: u64,
     /// Confirmed enqueues to wait for before the kill.
     pub min_acks: usize,
     /// Routing policy for sharded rounds.
@@ -65,7 +64,7 @@ impl Default for RestartConfig {
             pool_bytes: 128 << 20,
             grow_step: 0,
             sync: SyncPolicy::ProcessCrash,
-            group_commit: None,
+            fence_window_ns: 0,
             min_acks: 2_000,
             policy: RoutePolicy::RoundRobin,
         }
@@ -101,7 +100,7 @@ pub fn run_child(cfg: &RestartConfig) {
         let file_cfg = FileConfig::with_size(cfg.pool_bytes)
             .with_sync(cfg.sync)
             .with_growth(cfg.grow_step)
-            .with_group_commit(cfg.group_commit);
+            .with_fence_window(cfg.fence_window_ns);
         if cfg.shards == 1 {
             let pool = FilePool::create(cfg.dir.join(POOL_FILE), file_cfg)
                 .expect("restart-child: create pool")
@@ -206,7 +205,7 @@ pub fn run_round(cfg: &RestartConfig) -> RestartOutcome {
     std::fs::create_dir_all(&cfg.dir).expect("create restart dir");
 
     let exe = std::env::current_exe().expect("harness binary path");
-    let mut args: Vec<String> = [
+    let args = [
         "restart-child",
         "--algo",
         cfg.algorithm.name(),
@@ -222,14 +221,10 @@ pub fn run_round(cfg: &RestartConfig) -> RestartOutcome {
         cfg.sync.key(),
         "--policy",
         cfg.policy.key(),
-    ]
-    .map(String::from)
-    .to_vec();
-    if let Some(window_ns) = cfg.group_commit {
         // The CLI flag speaks microseconds (see `harness --help`).
-        args.push("--group-commit".into());
-        args.push((window_ns / 1_000).to_string());
-    }
+        "--fence-window",
+        &(cfg.fence_window_ns / 1_000).to_string(),
+    ];
     let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::null())
@@ -403,7 +398,7 @@ pub fn restart_json(
     for (cfg, outcome) in rounds {
         obj.row(format!(
             "{{\"algorithm\": \"{}\", \"shards\": {}, \"policy\": \"{}\", \"sync\": \"{}\", \
-             \"pool_bytes\": {}, \"grow_step\": {}, \"group_commit_us\": {}, \"mapping\": \"{}\", \
+             \"pool_bytes\": {}, \"grow_step\": {}, \"fence_window_us\": {}, \"mapping\": \"{}\", \
              \"growth_epochs\": {}, \"blackbox_events\": {}, \
              \"confirmed_enqueues\": {}, \"confirmed_dequeues\": {}, \"recovered\": {}, \
              \"recovery_ms\": {}}}",
@@ -413,9 +408,7 @@ pub fn restart_json(
             cfg.sync.key(),
             cfg.pool_bytes,
             cfg.grow_step,
-            cfg.group_commit
-                .map(|ns| (ns / 1_000).to_string())
-                .unwrap_or_else(|| String::from("null")),
+            cfg.fence_window_ns / 1_000,
             if cfg.grow_step == 0 {
                 "direct"
             } else {
@@ -477,13 +470,10 @@ pub fn render_outcome(cfg: &RestartConfig, outcome: &RestartOutcome) -> String {
     } else {
         ""
     };
-    let mapping = format!(
-        "{mapping}{}",
-        match cfg.group_commit {
-            Some(ns) => format!(" [group-commit {}us]", ns / 1_000),
-            None => String::new(),
-        }
-    );
+    let mapping = match cfg.fence_window_ns {
+        0 => mapping.to_string(),
+        ns => format!("{mapping} [fence window {}us]", ns / 1_000),
+    };
     format!(
         "restart {} x{} [{}{}]: {} confirmed enqueues, {} confirmed dequeues, \
          {} recovered in {:.3} ms — no loss, no duplication, FIFO intact{} \

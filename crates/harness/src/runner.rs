@@ -26,9 +26,9 @@ pub enum BackendChoice {
         dir: PathBuf,
         /// Fence durability policy of the pool files.
         sync: SyncPolicy,
-        /// Power-fail group-commit window in nanoseconds (`None` =
-        /// per-thread fences); see [`store::FileConfig::group_commit`].
-        group_commit: Option<u64>,
+        /// Power-fail group-commit window in nanoseconds; see
+        /// [`store::FileConfig::fence_window_ns`].
+        fence_window_ns: u64,
     },
 }
 
@@ -213,14 +213,14 @@ pub fn measure_point(
             BackendChoice::File {
                 dir,
                 sync,
-                group_commit,
+                fence_window_ns,
             } => {
                 let subdir = dir.join(format!("{}-{}shards", point_tag(), sweep.shards));
                 cleanup = Some((subdir.clone(), true));
                 let file_cfg = FileConfig::with_size(shard_cfg.pool.size)
                     .with_sync(*sync)
                     .with_growth(sweep.grow_step)
-                    .with_group_commit(*group_commit);
+                    .with_fence_window(*fence_window_ns);
                 alg.create_sharded_dir(&subdir, shard_cfg, file_cfg)
             }
         }
@@ -230,7 +230,7 @@ pub fn measure_point(
             BackendChoice::File {
                 dir,
                 sync,
-                group_commit,
+                fence_window_ns,
             } => {
                 std::fs::create_dir_all(dir).expect("create --dir");
                 let path = dir.join(format!("{}.pool", point_tag()));
@@ -240,7 +240,7 @@ pub fn measure_point(
                     FileConfig::with_size(sweep.pool_bytes)
                         .with_sync(*sync)
                         .with_growth(sweep.grow_step)
-                        .with_group_commit(*group_commit),
+                        .with_fence_window(*fence_window_ns),
                 )
                 .expect("create pool file")
                 .into_pool()
@@ -432,7 +432,7 @@ mod tests {
         sweep.backend = BackendChoice::File {
             dir: dir.clone(),
             sync: SyncPolicy::ProcessCrash,
-            group_commit: None,
+            fence_window_ns: 0,
         };
         // Single pool file per point.
         let cell = measure_point(Algorithm::DurableMsq, Workload::Pairs, 1, &sweep);
@@ -467,7 +467,7 @@ mod tests {
         sweep.backend = BackendChoice::File {
             dir: dir.clone(),
             sync: SyncPolicy::ProcessCrash,
-            group_commit: None,
+            fence_window_ns: 0,
         };
         let cell = measure_point(Algorithm::OptUnlinked, Workload::Pairs, 2, &sweep);
         assert!(cell.mops > 0.0, "the point must complete via growth");

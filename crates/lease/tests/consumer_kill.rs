@@ -30,9 +30,6 @@ use store::{FileConfig, SyncPolicy};
 
 const ENV_DIR: &str = "LEASE_KILL_CHILD_DIR";
 const ENV_SYNC: &str = "LEASE_KILL_CHILD_SYNC";
-/// When set, the child's shard pools run group commit at this batch
-/// window (nanoseconds) — only meaningful with the power-fail tier.
-const ENV_GC: &str = "LEASE_KILL_CHILD_GC";
 const SHARDS: usize = 2;
 /// The item nacked past its budget (outside the producer's 1.. sequence).
 const POISON: u64 = u64::MAX - 1;
@@ -75,19 +72,16 @@ fn lease_kill_child_entry() {
         return;
     };
     let sync = parse_sync(&std::env::var(ENV_SYNC).unwrap_or_default());
-    let group_commit = std::env::var(ENV_GC)
-        .ok()
-        .map(|w| w.parse().expect("bad GC window"));
-    run_child(Path::new(&dir), sync, group_commit);
+    run_child(Path::new(&dir), sync);
 }
 
-fn run_child(dir: &Path, sync: SyncPolicy, group_commit: Option<u64>) {
+fn run_child(dir: &Path, sync: SyncPolicy) {
     let orch = RecoveryOrchestrator::new(SHARDS);
     let queue = create_leased_dir::<DurableMsQueue>(
         &orch,
         dir,
         shard_config(),
-        FileConfig::with_size(16 << 20).with_group_commit(group_commit),
+        FileConfig::with_size(16 << 20),
         &lease_config(sync),
     )
     .expect("child: create leased dir");
@@ -139,21 +133,13 @@ fn run_child(dir: &Path, sync: SyncPolicy, group_commit: Option<u64>) {
 // ---------------------------------------------------------------------
 
 fn kill_round(sync_key: &str, min_acks: usize) {
-    kill_round_with(sync_key, min_acks, None)
-}
-
-fn kill_round_with(sync_key: &str, min_acks: usize, group_commit: Option<u64>) {
     let sync = parse_sync(sync_key);
-    let tag = if group_commit.is_some() { "-gc" } else { "" };
-    let dir = scratch_dir(&format!("lease-kill-{sync_key}{tag}"));
+    let dir = scratch_dir(&format!("lease-kill-{sync_key}"));
 
     let mut child = ChildProc::new("lease_kill_child_entry")
         .env(ENV_DIR, &dir)
-        .env(ENV_SYNC, sync_key);
-    if let Some(window_ns) = group_commit {
-        child = child.env(ENV_GC, window_ns.to_string());
-    }
-    let mut child = child.spawn();
+        .env(ENV_SYNC, sync_key)
+        .spawn();
     wait_for_lines(
         &mut child,
         &dir.join("acks.log"),
@@ -268,15 +254,10 @@ fn killed_consumer_redelivers_unacked_leases_process_crash_tier() {
     kill_round("processcrash", 300);
 }
 
+/// The producer's and consumer's fences group-commit here, so coalesced
+/// msyncs across the two threads must not weaken any part of the delivery
+/// contract either.
 #[test]
 fn killed_consumer_redelivers_unacked_leases_power_fail_tier() {
     kill_round("powerfail", 150);
-}
-
-/// The power-fail round with the producer's and consumer's fences riding
-/// the group-commit layer (50 µs window): coalescing msyncs across the
-/// two threads must not weaken any part of the delivery contract.
-#[test]
-fn killed_consumer_redelivers_unacked_leases_power_fail_group_commit() {
-    kill_round_with("powerfail", 150, Some(50_000));
 }

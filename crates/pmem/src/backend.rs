@@ -40,29 +40,12 @@ use std::sync::atomic::AtomicU64;
 /// [`crate::layout::QUEUE_ROOT`] block instead.
 pub const ROOT_SLOTS: usize = 8;
 
-/// How a backend's [`sfence`](PoolBackend::sfence) turns a thread's pending
-/// flushes into durable storage — advisory information for callers that
-/// tune their fence cadence (batching enqueuers, the harness sweeps), not a
-/// behavioural switch: the durability contract of `flush` + `sfence` is
-/// identical under every hint.
+/// Carries no information: every backend has one fence discipline. Kept,
+/// with [`PoolBackend::fence_hint`], only so a decorator backend that
+/// forwards that method still builds.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FenceHint {
-    /// Every fencing thread submits its own write-back (the default, and
-    /// the only mode simulated pools have: their fences are per-thread by
-    /// construction).
-    #[default]
-    PerThread,
-    /// Concurrent fences are coalesced: a leader submits one batched
-    /// write-back covering every fence that shared its batch, and a small
-    /// fixed number of batches may be in flight at once, so N threads
-    /// fencing together pay far fewer than N submissions.
-    GroupCommit {
-        /// Extra nanoseconds a leader holds the batch open for stragglers
-        /// (`0` = submit immediately; arrivals that find every submission
-        /// slot taken still coalesce into the next batch).
-        window_ns: u64,
-    },
-}
+pub struct FenceHint;
 
 /// Release half of the [`MapRef`] capability: a backend that hands out
 /// pinned mapping views implements this so the view can drop its pin
@@ -293,14 +276,10 @@ pub trait PoolBackend: Send + Sync {
         0
     }
 
-    /// How this backend's `sfence` reaches stable storage (see
-    /// [`FenceHint`]). Purely advisory — the flush + fence durability
-    /// contract is the same under every answer. The default is the
-    /// per-thread discipline every backend starts from; the `store` file
-    /// pool reports [`FenceHint::GroupCommit`] when configured to coalesce
-    /// concurrent power-fail fences into one batched `msync`.
+    /// Returns the empty [`FenceHint`]; see there.
+    #[doc(hidden)]
     fn fence_hint(&self) -> FenceHint {
-        FenceHint::default()
+        FenceHint
     }
 
     /// Hands out a pinned direct-pointer view of the pool space, or `None`

@@ -235,19 +235,6 @@ impl PmemPool {
         }
     }
 
-    /// How this pool's fences reach stable storage (see
-    /// [`crate::FenceHint`]). The simulated backend answers statically —
-    /// its fences are per-thread by construction, and the paper-facing
-    /// numbers never pay a virtual call for the question; external
-    /// backends report their configured discipline (the `store` file pool
-    /// returns `GroupCommit` when coalescing is enabled).
-    pub fn fence_hint(&self) -> crate::FenceHint {
-        match &self.inner {
-            PoolImpl::Sim(_) => crate::FenceHint::PerThread,
-            PoolImpl::Ext(e) => e.backend.fence_hint(),
-        }
-    }
-
     /// A pinned direct-pointer view of the pool space, or `None` when the
     /// backend has no stable linear mapping to expose.
     ///

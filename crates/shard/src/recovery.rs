@@ -461,7 +461,8 @@ impl RecoveryOrchestrator {
     /// Pools are reopened under the default (process-crash) fence policy; a
     /// deployment created with [`store::SyncPolicy::PowerFail`] must reopen
     /// with [`open_dir_with_sync`](Self::open_dir_with_sync) to keep its
-    /// power-fail guarantee for post-recovery traffic.
+    /// power-fail guarantee for post-recovery traffic. Its pools then
+    /// group-commit at window 0, like any power-fail pool.
     pub fn open_dir<Q: RecoverableQueue>(
         &self,
         dir: &Path,

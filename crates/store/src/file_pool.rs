@@ -106,9 +106,9 @@
 //!
 //! ## Group commit
 //!
-//! Under [`SyncPolicy::PowerFail`] every fence pays one `msync` per dirty
-//! page, per thread. [`FileConfig::group_commit`] amortizes that the way
-//! write-ahead-log group commit does, as a pipeline two batches deep
+//! Every [`SyncPolicy::PowerFail`] fence reaches the medium through group
+//! commit, the way a write-ahead log's commits do, whether the pool was
+//! created or reopened. It is a pipeline two batches deep
 //! (`PIPELINE_DEPTH`):
 //!
 //! 1. A fencing thread publishes its dirty pages into the pool-wide **open
@@ -119,31 +119,31 @@
 //!    and issues one `msync` per run, beside whatever batch another
 //!    leader is syncing. Otherwise it waits, and on every wake-up either
 //!    finds its batch done or leads it when a slot has freed. (A pool
-//!    configured with a window runs one batch at a time: its leader first
-//!    holds the batch open for the window — lock released, stragglers
-//!    keep publishing — and a second leader would only split the batch
-//!    the window is there to gather.)
+//!    configured with a [`FileConfig::fence_window_ns`] runs one batch at
+//!    a time: its leader first holds the batch open for the window — lock
+//!    released, stragglers keep publishing — and a second leader would
+//!    only split the batch the window is there to gather.)
 //! 3. The leader marks its batch done and wakes everyone; a **follower**
 //!    returns once *its* batch is done, whatever happened to the one
 //!    before — batches complete in any order.
 //!
-//! Two batches, not one, because two threads `msync`ing one file at once
-//! each finish in little more than the time of one alone, while two taking
-//! turns each pay for both (the table in docs/PERFORMANCE.md, "Group
-//! commit"); not more than two, because the fences that queue behind a
-//! full pipeline are what coalesces under load.
+//! A lone fence therefore leads a batch of its own at once and pays only
+//! its own pages' `msync`s, merged into contiguous runs. Two batches, not
+//! one, because two threads `msync`ing one file at once each finish in
+//! little more than the time of one alone, while two taking turns each pay
+//! for both (the table in docs/PERFORMANCE.md, "Group commit"); not more
+//! than two, because the fences that queue behind a full pipeline are what
+//! coalesces under load.
 //!
-//! The durability contract is per fence and unchanged: a fence returns only
-//! once a batch containing *its* pages has fully `msync`ed. Nothing ever
-//! ordered one thread's fence after another's (the per-thread arm never
-//! did), and a page that sits in two in-flight batches is synced twice,
-//! each time with contents at least as new as the stores the fence that
-//! published it covers. A batch whose `msync` fails takes the pool down:
-//! its leader panics with the pool's path, and so does every fence that
-//! waits on the pool's group commit then or later. The
+//! The durability contract is per fence: a fence returns only once a batch
+//! containing *its* pages has fully `msync`ed. Nothing orders one thread's
+//! fence after another's, and a page that sits in two in-flight batches is
+//! synced twice, each time with contents at least as new as the stores the
+//! fence that published it covers. A batch whose `msync` fails takes the
+//! pool down: its leader panics with the pool's path, and so does every
+//! fence that waits on the pool's group commit then or later. The
 //! `store.fence.{leader,follower,coalesced,overlapped}` counters and the
-//! `store.msync_batch_pages` histogram expose the batching, and backends
-//! advertise the mode through [`PoolBackend::fence_hint`].
+//! `store.msync_batch_pages` histogram expose the batching.
 
 use crate::mmap::{self, page_size};
 use obs::crc::crc32;
@@ -244,7 +244,8 @@ pub enum SyncPolicy {
     #[default]
     ProcessCrash,
     /// Durable against power failure on ordinary storage: every fence also
-    /// `msync(MS_SYNC)`s the pages its thread flushed since the last fence.
+    /// `msync(MS_SYNC)`s the pages its thread flushed since the last fence,
+    /// through the pool's [group commit](self#group-commit).
     PowerFail,
 }
 
@@ -284,15 +285,13 @@ pub struct FileConfig {
     /// least this many bytes (more if one allocation needs more) and the
     /// allocation retried. See the [module docs](self#elastic-growth).
     pub grow_step: usize,
-    /// Power-fail group commit: `Some(window_ns)` coalesces concurrent
-    /// threads' fence `msync`s into one batched submission per commit
-    /// (`window_ns` extra nanoseconds a leader holds the batch open for
-    /// stragglers; `0` submits immediately and still coalesces under
-    /// load). `None` (the default) keeps the per-thread discipline: every
-    /// fencing thread `msync`s its own pages. Ignored under
-    /// [`SyncPolicy::ProcessCrash`], whose fences never `msync`. See the
-    /// [module docs](self#group-commit).
-    pub group_commit: Option<u64>,
+    /// Power-fail group-commit window: extra nanoseconds a batch's leader
+    /// holds it open for stragglers before it `msync`s. `0` (the default)
+    /// submits at once, up to two batches in flight, and still coalesces
+    /// the fences that find both taken; a window runs one batch at a time.
+    /// Ignored under [`SyncPolicy::ProcessCrash`], whose fences never
+    /// `msync`. See the [module docs](self#group-commit).
+    pub fence_window_ns: u64,
 }
 
 impl FileConfig {
@@ -302,7 +301,7 @@ impl FileConfig {
             size,
             sync: SyncPolicy::default(),
             grow_step: 0,
-            group_commit: None,
+            fence_window_ns: 0,
         }
     }
 
@@ -318,11 +317,17 @@ impl FileConfig {
         self
     }
 
-    /// Sets the power-fail group-commit window (`Some(window_ns)`) or
-    /// restores the per-thread fence discipline (`None`).
-    pub fn with_group_commit(mut self, group_commit: Option<u64>) -> Self {
-        self.group_commit = group_commit;
+    /// Sets the power-fail group-commit window, in nanoseconds.
+    pub fn with_fence_window(mut self, window_ns: u64) -> Self {
+        self.fence_window_ns = window_ns;
         self
+    }
+
+    /// The former spelling of [`with_fence_window`](Self::with_fence_window);
+    /// `None` means window 0.
+    #[doc(hidden)]
+    pub fn with_group_commit(self, window_ns: Option<u64>) -> Self {
+        self.with_fence_window(window_ns.unwrap_or(0))
     }
 }
 
@@ -339,11 +344,10 @@ impl Default for FileConfig {
 /// time ([`GroupCommit::depth`]).
 const PIPELINE_DEPTH: usize = 2;
 
-/// Shared state of the power-fail group-commit protocol: one per pool,
-/// present only when [`FileConfig::group_commit`] is set. Fencing threads
-/// publish their dirty pages to the open batch under the mutex; up to
-/// [`PIPELINE_DEPTH`] of them at a time lead a batch each, and every
-/// other fence waits on the condvar for its batch. See the
+/// Shared state of the power-fail group-commit protocol, one per pool.
+/// Fencing threads publish their dirty pages to the open batch under the
+/// mutex; up to [`PIPELINE_DEPTH`] of them at a time lead a batch each,
+/// and every other fence waits on the condvar for its batch. See the
 /// [module docs](self#group-commit).
 struct GroupCommit {
     state: Mutex<GcState>,
@@ -858,8 +862,8 @@ pub struct FilePool {
     grow_step: usize,
     was_clean: bool,
     pending: Box<[CachePadded<PendingPages>]>,
-    /// Power-fail group commit; `None` keeps the per-thread fence path.
-    group: Option<GroupCommit>,
+    /// Power-fail group commit: every power-fail fence goes through it.
+    group: GroupCommit,
     /// Test-support `msync` oracle (`DQ_TRACK_MSYNC`, read at pool
     /// construction): every page any `msync` on this pool covered, file
     /// page numbers. See [`synced_pages`](Self::synced_pages).
@@ -1103,7 +1107,7 @@ impl FilePool {
             grow_step: config.grow_step,
             was_clean: true,
             pending: new_pending(),
-            group: config.group_commit.map(GroupCommit::new),
+            group: GroupCommit::new(config.fence_window_ns),
             synced: msync_tracker(),
         };
         pool.write_header(size);
@@ -1121,7 +1125,9 @@ impl FilePool {
         Self::open_with_sync(path, SyncPolicy::default())
     }
 
-    /// [`open`](Self::open) with an explicit fence durability policy.
+    /// [`open`](Self::open) with an explicit fence durability policy. A
+    /// power-fail pool reopened here group-commits at window 0, as one
+    /// created with the default [`FileConfig`] does.
     pub fn open_with_sync(path: impl AsRef<Path>, sync: SyncPolicy) -> io::Result<FilePool> {
         Self::open_with_growth(path, sync, 0)
     }
@@ -1143,7 +1149,7 @@ impl FilePool {
     }
 
     /// [`open`](Self::open) with the full [`FileConfig`] — fence policy,
-    /// growth step and group-commit window. Like growth, group commit is a
+    /// growth step and group-commit window. Like growth, the window is a
     /// runtime property each session chooses for itself; `config.size` is
     /// ignored (an existing pool's geometry comes from its header).
     pub fn open_with_config(path: impl AsRef<Path>, config: FileConfig) -> io::Result<FilePool> {
@@ -1176,7 +1182,7 @@ impl FilePool {
             grow_step: config.grow_step,
             was_clean: geometry.was_clean,
             pending: new_pending(),
-            group: config.group_commit.map(GroupCommit::new),
+            group: GroupCommit::new(config.fence_window_ns),
             synced: msync_tracker(),
         };
         if journal_pending {
@@ -1558,9 +1564,9 @@ impl FilePool {
 
     /// Test support (`DQ_TRACK_MSYNC`): every file page number any `msync`
     /// on this pool has covered, sorted. Empty when the gate was unset at
-    /// construction. The per-thread and group-commit fence paths must
-    /// produce identical sets for identical flush/fence histories — the
-    /// fence-semantics property tests compare exactly this.
+    /// construction. Fences add exactly the pages flushed before them,
+    /// whichever batch carried them — the fence-semantics property tests
+    /// hold the set to a model of the flush/fence history.
     pub fn synced_pages(&self) -> Vec<usize> {
         self.synced
             .as_ref()
@@ -1664,25 +1670,16 @@ impl FilePool {
         )
     }
 
-    /// The classic power-fail fence tail: the fencing thread `msync`s its
-    /// own dirty pages, one page at a time (one run per page: only group
-    /// commit merges runs). `pages` is sorted, deduped and non-empty.
-    fn fence_per_thread(&self, pages: Vec<usize>) {
-        let _msync_timer = MSYNC_NS.start_timer();
-        for p in pages {
-            self.sync_or_die(&[p]);
-        }
-    }
-
-    /// The group-commit arm of [`sfence`](PoolBackend::sfence): publishes
+    /// The power-fail tail of [`sfence`](PoolBackend::sfence): publishes
     /// this fence's pages to the pool-wide open batch, then leads that
     /// batch or waits for whoever does (the three steps of the
     /// [module docs](self#group-commit)). A fence only returns once a
-    /// batch *containing its pages* has fully `msync`ed — the durability
-    /// contract is identical to the per-thread path. `pages` is non-empty.
-    fn fence_grouped(&self, gc: &GroupCommit, pages: Vec<usize>) {
+    /// batch *containing its pages* has fully `msync`ed. `pages` is
+    /// non-empty.
+    fn fence_grouped(&self, pages: &[usize]) {
+        let gc = &self.group;
         let mut st = gc.state.lock().unwrap();
-        st.pending.extend_from_slice(&pages);
+        st.pending.extend_from_slice(pages);
         st.fences += 1;
         let my_batch = st.open_batch;
         loop {
@@ -1727,7 +1724,7 @@ impl FilePool {
             batch: my_batch,
             synced: false,
         };
-        let synced = self.submit_batch(gc, in_flight, &mut batch, fences);
+        let synced = self.submit_batch(in_flight, &mut batch, fences);
         #[cfg(test)]
         let synced = synced.and_then(|()| gc.run_submit_hook(my_batch, in_flight));
         if let Err(e) = synced {
@@ -1743,11 +1740,11 @@ impl FilePool {
     /// itself included.
     fn submit_batch(
         &self,
-        gc: &GroupCommit,
         in_flight: usize,
         pages: &mut Vec<usize>,
         fences: u64,
     ) -> io::Result<()> {
+        let gc = &self.group;
         FENCE_LEADER.incr();
         if in_flight > 1 {
             FENCE_OVERLAPPED.incr();
@@ -1891,25 +1888,11 @@ impl PoolBackend for FilePool {
         FENCES.incr();
         pmem::hw::sfence();
         if self.policy == SyncPolicy::PowerFail {
-            let mut pages = self.with_pending(tid, std::mem::take);
-            pages.sort_unstable();
-            pages.dedup();
-            if pages.is_empty() {
-                return;
+            // Sorted and deduped with the rest of the batch by its leader.
+            let pages = self.with_pending(tid, std::mem::take);
+            if !pages.is_empty() {
+                self.fence_grouped(&pages);
             }
-            match &self.group {
-                Some(gc) => self.fence_grouped(gc, pages),
-                None => self.fence_per_thread(pages),
-            }
-        }
-    }
-
-    fn fence_hint(&self) -> pmem::FenceHint {
-        match &self.group {
-            Some(gc) => pmem::FenceHint::GroupCommit {
-                window_ns: gc.window_ns,
-            },
-            None => pmem::FenceHint::PerThread,
         }
     }
 
@@ -2070,41 +2053,42 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// A power-fail pool group-commits whether it was created or reopened:
+    /// what the first life fenced reads back, and a fence of the second
+    /// life leads a batch of its own.
     #[test]
-    fn group_commit_fences_are_durable_and_advertised() {
+    fn a_reopened_power_fail_pool_still_group_commits() {
         let _serial = gc_serial();
-        let path = temp_path("gc-roundtrip");
+        let path = temp_path("gc-reopen");
         let off;
         {
-            let pool = FilePool::create(
-                &path,
-                small()
-                    .with_sync(SyncPolicy::PowerFail)
-                    .with_group_commit(Some(0)),
-            )
-            .unwrap();
-            assert_eq!(
-                PoolBackend::fence_hint(&pool),
-                pmem::FenceHint::GroupCommit { window_ns: 0 }
-            );
-            let p = pool.into_pool();
-            assert_eq!(
-                p.fence_hint(),
-                pmem::FenceHint::GroupCommit { window_ns: 0 }
-            );
+            let p = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail))
+                .unwrap()
+                .into_pool();
             off = p.alloc_raw(64, 64);
             p.store_u64(off, 0xC0A1E5CE);
             p.flush(0, off);
             p.sfence(0); // a lone fence leads its own batch of one
             p.set_root_u64(0, off as u64);
         }
-        {
-            let pool = FilePool::open(&path).unwrap();
-            assert_eq!(PoolBackend::fence_hint(&pool), pmem::FenceHint::PerThread);
-            let p = pool.into_pool();
-            assert_eq!(p.root_u64(0), off as u64);
-            assert_eq!(p.load_u64(off), 0xC0A1E5CE);
+        let p = FilePool::open_with_sync(&path, SyncPolicy::PowerFail)
+            .unwrap()
+            .into_pool();
+        assert_eq!(p.root_u64(0), off as u64);
+        assert_eq!(p.load_u64(off), 0xC0A1E5CE);
+        let before = obs::snapshot();
+        p.store_u64(off, 0xD0_0D);
+        p.flush(0, off);
+        p.sfence(0);
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("store.fence.leader") - before.counter("store.fence.leader"),
+                1,
+                "a fence of the reopened pool did not lead a batch"
+            );
         }
+        drop(p);
         fs::remove_file(&path).unwrap();
     }
 
@@ -2123,7 +2107,7 @@ mod tests {
                 &path,
                 small()
                     .with_sync(SyncPolicy::PowerFail)
-                    .with_group_commit(Some(2_000_000)),
+                    .with_fence_window(2_000_000),
             )
             .unwrap();
             let p = pool.into_pool();
@@ -2160,8 +2144,8 @@ mod tests {
     }
 
     /// The `store.fence.*` counters are process-global and this binary's
-    /// tests run in parallel: every test that fences through group commit
-    /// holds this, so the one that checks an exact delta sees only its own.
+    /// tests run in parallel: every test that fences a power-fail pool
+    /// holds this, so the ones that check an exact delta see only their own.
     fn gc_serial() -> std::sync::MutexGuard<'static, ()> {
         static GC_SERIAL: Mutex<()> = Mutex::new(());
         GC_SERIAL
@@ -2184,11 +2168,11 @@ mod tests {
             &path,
             FileConfig::with_size((pages + 1) * page_size())
                 .with_sync(SyncPolicy::PowerFail)
-                .with_group_commit(Some(window_ns)),
+                .with_fence_window(window_ns),
         )
         .unwrap();
         pool.synced = Some(Mutex::new(BTreeSet::new()));
-        *pool.group.as_ref().unwrap().on_submit.lock().unwrap() = Some(Arc::new(hook));
+        *pool.group.on_submit.lock().unwrap() = Some(Arc::new(hook));
         (path, pool)
     }
 
@@ -2349,7 +2333,7 @@ mod tests {
             *payload.downcast::<String>().expect("panic with a message")
         };
         std::thread::scope(|scope| {
-            let gc = pool.group.as_ref().unwrap();
+            let gc = &pool.group;
             let synced: Vec<_> = (0..2)
                 .map(|tid| {
                     let handle = scope.spawn({
@@ -2558,6 +2542,7 @@ mod tests {
 
     #[test]
     fn power_fail_policy_msyncs_without_changing_semantics() {
+        let _serial = gc_serial();
         let path = temp_path("powerfail");
         {
             let pool = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail)).unwrap();

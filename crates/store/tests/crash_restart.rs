@@ -34,7 +34,7 @@ use store::{FileConfig, FilePool, SyncPolicy};
 const ENV_DIR: &str = "STORE_CRASH_CHILD_DIR";
 const ENV_ALGO: &str = "STORE_CRASH_CHILD_ALGO";
 /// When set, the child runs the pool under `SyncPolicy::PowerFail` with
-/// group commit at this batch window (nanoseconds).
+/// this group-commit window (nanoseconds).
 const ENV_GC: &str = "STORE_CRASH_CHILD_GC";
 
 fn queue_config() -> QueueConfig {
@@ -64,7 +64,7 @@ fn run_child(dir: &Path, algo: &str) {
     if let Ok(window) = std::env::var(ENV_GC) {
         config = config
             .with_sync(SyncPolicy::PowerFail)
-            .with_group_commit(Some(window.parse().expect("bad GC window")));
+            .with_fence_window(window.parse().expect("bad GC window"));
     }
     let pool = FilePool::create(dir.join("pool.dq"), config)
         .expect("child: create pool")
@@ -104,10 +104,12 @@ fn drive_traffic<Q: DurableQueue>(queue: Q, dir: &Path) {
 // Parent side
 // ---------------------------------------------------------------------
 
-fn spawn_child(dir: &Path, algo: &str, group_commit: Option<u64>) -> Child {
+/// `power_fail`: `None` runs the child's pool under process-crash sync,
+/// `Some(window_ns)` under power-fail with that group-commit window.
+fn spawn_child(dir: &Path, algo: &str, power_fail: Option<u64>) -> Child {
     let mut child = ChildProc::new("crash_child_entry");
     child = child.env(ENV_DIR, dir).env(ENV_ALGO, algo);
-    if let Some(window_ns) = group_commit {
+    if let Some(window_ns) = power_fail {
         child = child.env(ENV_GC, window_ns.to_string());
     }
     child.spawn()
@@ -200,11 +202,11 @@ fn crash_round<Q: RecoverableQueue>(algo: &str) {
     crash_round_with::<Q>(algo, None)
 }
 
-fn crash_round_with<Q: RecoverableQueue>(algo: &str, group_commit: Option<u64>) {
-    let tag = if group_commit.is_some() { "-gc" } else { "" };
+fn crash_round_with<Q: RecoverableQueue>(algo: &str, power_fail: Option<u64>) {
+    let tag = if power_fail.is_some() { "-pf" } else { "" };
     let dir = scratch_dir(&format!("store-crash-{algo}{tag}"));
 
-    let mut child = spawn_child(&dir, algo, group_commit);
+    let mut child = spawn_child(&dir, algo, power_fail);
     wait_for_lines(
         &mut child,
         &dir.join("enq.log"),
@@ -253,19 +255,19 @@ fn killed_opt_unlinked_recovers_without_loss_or_duplication() {
     crash_round::<OptUnlinkedQueue>("opt_unlinked");
 }
 
-/// The same SIGKILL matrix with the child's pool running power-fail sync
-/// behind the group-commit layer: batching fences across the enqueuer and
-/// dequeuer must not weaken the linearizable-suffix contract. Zero window
+/// The same SIGKILL matrix with the child's pool under power-fail sync,
+/// whose fences group-commit: batching fences across the enqueuer and
+/// dequeuer must not weaken the linearizable-suffix contract. Window 0
 /// (batches form only from genuinely concurrent fences) keeps traffic fast.
 #[test]
-fn killed_group_commit_durable_msq_recovers_without_loss_or_duplication() {
+fn killed_power_fail_durable_msq_recovers_without_loss_or_duplication() {
     crash_round_with::<DurableMsQueue>("durable_msq", Some(0));
 }
 
 /// As above with a real batch window, so most fences ride a leader's
 /// coalesced msync rather than their own.
 #[test]
-fn killed_group_commit_opt_unlinked_recovers_without_loss_or_duplication() {
+fn killed_power_fail_opt_unlinked_recovers_without_loss_or_duplication() {
     crash_round_with::<OptUnlinkedQueue>("opt_unlinked", Some(100_000));
 }
 

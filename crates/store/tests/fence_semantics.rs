@@ -1,21 +1,21 @@
-//! Power-fail fence semantics: the group-commit path must sync exactly
-//! what the per-thread path would.
+//! Power-fail fence semantics: group commit must sync exactly the pages
+//! a model of the flush/fence history says it must.
 //!
 //! The contract under test ("synced-page oracle"):
 //!
 //! 1. **Per fence**: when `sfence(tid)` returns, every page that `tid`
-//!    flushed since its previous fence has been `msync`ed. (Group commit
-//!    may sync *more* — other producers' pages riding the same batch —
-//!    never less.)
-//! 2. **In total**: a per-thread pool and a group-commit pool driven
-//!    through the same flush/fence interleaving end up having synced
-//!    exactly the same set of file pages — batching changes *when* pages
-//!    reach the disk, not *which* pages do.
+//!    flushed since its previous fence has been `msync`ed. (A batch may
+//!    sync *more* — other producers' pages riding it — never less.)
+//! 2. **In total**: the pool's synced set equals the model's — every page
+//!    flushed before some fence, plus the header page pool creation syncs.
+//!    Batching changes *when* pages reach the disk, not *which* pages do.
 //!
 //! Observed via the `DQ_TRACK_MSYNC` test-support tracker
 //! ([`FilePool::synced_pages`]), which records the file page numbers of
 //! every `msync` range the pool issues. The sets are read **before** the
-//! pools close (a clean close syncs everything).
+//! pool closes (a clean close syncs everything). Contract (1) is also
+//! checked under real threads, at window 0 — where two batches sync at
+//! once — and under a 50 µs window.
 
 use pmem::PoolBackend;
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ const TIDS: usize = 3;
 /// Op encoding: `0..PAGES` = flush that data page, `PAGES` = fence.
 const FENCE_OP: usize = PAGES;
 
-fn temp_pool(tag: &str, group_commit: Option<u64>) -> (std::path::PathBuf, FilePool) {
+fn temp_pool(tag: &str, window_ns: u64) -> (std::path::PathBuf, FilePool) {
     // Read at pool construction; safe API on edition 2021.
     std::env::set_var("DQ_TRACK_MSYNC", "1");
     let path = std::env::temp_dir().join(format!(
@@ -43,7 +43,7 @@ fn temp_pool(tag: &str, group_commit: Option<u64>) -> (std::path::PathBuf, FileP
         &path,
         FileConfig::with_size((PAGES + 2) * page_size())
             .with_sync(SyncPolicy::PowerFail)
-            .with_group_commit(group_commit),
+            .with_fence_window(window_ns),
     )
     .expect("create fence-semantics pool");
     (path, pool)
@@ -55,7 +55,7 @@ fn file_page(idx: usize) -> usize {
     (HEADER_LEN + idx * page_size()) / page_size()
 }
 
-/// Drives one pool through the interleaving on a single OS thread (the
+/// Drives the pool through the interleaving on a single OS thread (the
 /// per-tid dirty-page slots allow one driver to own several tids), and
 /// checks contract (1) at every fence. Returns the pool's final synced
 /// set and the model's expected set.
@@ -84,7 +84,7 @@ fn drive(
             pending[tid].insert(file_page(op));
         }
     }
-    // Close out every tid so both pools finish with no dirty residue.
+    // Close out every tid so the pool finishes with no dirty residue.
     for (tid, dirty) in pending.iter_mut().enumerate() {
         expected.extend(std::mem::take(dirty));
         pool.sfence(tid);
@@ -96,43 +96,38 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contracts (1) and (2) over arbitrary flush/fence interleavings:
-    /// the group-commit pool (zero window, so batches form only from
-    /// genuinely concurrent fences — here, none) and the per-thread pool
-    /// must sync identical page sets, and both must match the model.
+    /// Contracts (1) and (2) over arbitrary flush/fence interleavings, at
+    /// window 0 (batches form only from genuinely concurrent fences —
+    /// here, none): the pool's synced set must equal the model's.
     #[test]
     fn group_commit_syncs_exactly_the_per_thread_pages(
         ops in proptest::collection::vec((0usize..TIDS, 0usize..FENCE_OP + 1), 1..80),
     ) {
-        let (path_a, per_thread) = temp_pool("per-thread", None);
-        let (path_b, grouped) = temp_pool("grouped", Some(0));
-        let (synced_a, expected_a) = drive(&per_thread, &ops)?;
-        let (synced_b, expected_b) = drive(&grouped, &ops)?;
-        prop_assert_eq!(&expected_a, &expected_b);
+        let (path, pool) = temp_pool("model", 0);
+        let (synced, expected) = drive(&pool, &ops)?;
         prop_assert_eq!(
-            &synced_a,
-            &expected_a,
-            "per-thread pool synced a different page set than the model"
+            &synced,
+            &expected,
+            "the pool synced a different page set than the model"
         );
-        prop_assert_eq!(
-            &synced_b,
-            &expected_b,
-            "group-commit pool synced a different page set than the model"
-        );
-        drop(per_thread);
-        drop(grouped);
-        let _ = std::fs::remove_file(&path_a);
-        let _ = std::fs::remove_file(&path_b);
+        drop(pool);
+        let _ = std::fs::remove_file(&path);
     }
 }
 
 /// Contract (1) under real concurrency: producers with private pages
-/// fence through a windowed group-commit pool from separate OS threads;
-/// every page a returned fence covered must be in the synced set, and no
-/// page outside the flushed universe may appear.
+/// fence from separate OS threads; every page a returned fence covered
+/// must be in the synced set, and no page outside the flushed universe may
+/// appear. Window 0 runs two batches at once; 50 µs runs one, gathered.
 #[test]
 fn concurrent_group_commit_fences_only_sync_flushed_pages() {
-    let (path, pool) = temp_pool("concurrent", Some(50_000));
+    for window_ns in [0, 50_000] {
+        concurrent_fences_only_sync_flushed_pages(window_ns);
+    }
+}
+
+fn concurrent_fences_only_sync_flushed_pages(window_ns: u64) {
+    let (path, pool) = temp_pool(&format!("concurrent-{window_ns}"), window_ns);
     let producers = 4usize;
     let per = PAGES / producers;
     std::thread::scope(|scope| {
@@ -151,7 +146,7 @@ fn concurrent_group_commit_fences_only_sync_flushed_pages() {
                     for k in 0..per {
                         assert!(
                             synced.contains(&file_page(tid * per + k)),
-                            "tid {tid}'s fence returned before its pages synced"
+                            "window {window_ns}: tid {tid}'s fence returned before its pages synced"
                         );
                     }
                 }
@@ -162,7 +157,7 @@ fn concurrent_group_commit_fences_only_sync_flushed_pages() {
     let universe: BTreeSet<usize> = [0].into_iter().chain((0..PAGES).map(file_page)).collect();
     assert_eq!(
         synced, universe,
-        "group commit synced pages nobody flushed (or missed flushed ones)"
+        "window {window_ns}: synced pages nobody flushed (or missed flushed ones)"
     );
     drop(pool);
     let _ = std::fs::remove_file(&path);

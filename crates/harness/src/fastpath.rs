@@ -1,28 +1,24 @@
-//! The `fastpath` experiment: what the lock-free mapping scheme costs.
+//! The `fastpath` experiment: what a file pool's word access costs.
 //!
-//! `store::FilePool` reaches its mapping in one of two modes:
+//! `store::FilePool` maps its file once, at a base that never moves, and
+//! `PmemPool` serves its words inline from that mapping. It does so for
+//! both kinds of pool this experiment times side by side:
 //!
-//! * **direct** (`grow_step == 0`) — the pool can never grow, so every
-//!   access dereferences one immutable pointer with zero mapping
-//!   synchronization,
-//! * **epoch-pinned** (`grow_step > 0`) — every access announces the
-//!   current mapping generation in a per-thread hazard slot so growth can
-//!   retire the old mapping safely.
+//! * **fixed** (`grow_step == 0`) — the mapping is exactly the pool,
+//! * **elastic** (`grow_step > 0`) — the mapping reserves the whole 32-bit
+//!   offset space and growth extends the file underneath it.
 //!
-//! This experiment times both modes over the same primitives — a plain
-//! `load_u64`, a `store_u64 + flush + sfence` persist round trip, and a
-//! take/drop of the raw [`pmem::MapRef`] view — and reports per-op
-//! nanoseconds side by side. The delta between the two rows *is* the pin:
-//! the before/after comparison the perf-track lane graphs over time. Next
-//! to them it times the same load loop on a bare `AtomicU64`
-//! (`raw_load_ns`): the paper's model prices a word access at one cached
-//! load, so the direct row's `load_ns` is gated against twice that figure
-//! (`scripts/bench_gate.py`). The same loop over
-//! [`obs::LazyCounter::incr`] (`counter_incr_ns`) prices the named counters
-//! every instrumented operation bumps, gated at three times that floor. The
-//! emitted JSON object carries `"lock_free_fast_path": true`, the marker
-//! that these numbers were produced by the epoch scheme rather than the
-//! earlier stop-the-world mapping lock.
+//! Each row times the same primitives — a plain `load_u64`, a
+//! `store_u64 + flush + sfence` persist round trip, and a take/drop of the
+//! raw [`pmem::MapRef`] view — in per-op nanoseconds. Next to them it
+//! times the same load loop on a bare `AtomicU64` (`raw_load_ns`): the
+//! paper's model prices a word access at one cached load, so both rows'
+//! `load_ns` are gated against twice that figure (`scripts/bench_gate.py`).
+//! The same loop over [`obs::LazyCounter::incr`] (`counter_incr_ns`)
+//! prices the named counters every instrumented operation bumps, gated at
+//! three times that floor. The emitted JSON object carries
+//! `"lock_free_fast_path": true`: no lock or pin stands between a word
+//! access and the mapping.
 //!
 //! Beside the file pool it prices the simulated one: `sim_spin` holds, for
 //! each event [`LatencyModel::optane_like`] charges, the delay requested and
@@ -45,7 +41,7 @@ pub struct FastpathConfig {
     pub trials: usize,
     /// Pool file size in bytes.
     pub pool_bytes: usize,
-    /// Growth step for the epoch-pinned row (the direct row always uses 0).
+    /// Growth step for the elastic row (the fixed row always uses 0).
     pub grow_step: usize,
     /// `msync` policy for both pools.
     pub sync: SyncPolicy,
@@ -76,19 +72,19 @@ impl FastpathConfig {
     }
 }
 
-/// One mapping mode's measured per-operation costs, in nanoseconds.
+/// One kind of pool's measured per-operation costs, in nanoseconds.
 pub struct FastpathRow {
-    /// `"direct"` or `"epoch"`.
+    /// `"fixed"` or `"elastic"`.
     pub mode: &'static str,
-    /// The growth step the pool was created with (0 for the direct row).
+    /// The growth step the pool was created with (0 for the fixed row).
     pub grow_step: usize,
     /// Plain `load_u64` (one mapping access, no persistence), as a
     /// dependent chain: the latency of one load, not the throughput of many.
     pub load_ns: f64,
     /// `store_u64 + flush + sfence` round trip.
     pub persist_ns: f64,
-    /// Taking and dropping a [`pmem::MapRef`] (pin + unpin in epoch mode;
-    /// a pointer copy in direct mode).
+    /// Taking and dropping a [`pmem::MapRef`] (a size load and a pointer
+    /// copy).
     pub map_ref_ns: f64,
 }
 
@@ -189,17 +185,17 @@ pub struct FastpathReport {
     /// One `LazyCounter::incr` after first touch, ns/op (0 when the
     /// `instrument` feature is off and the call compiles to nothing).
     pub counter_incr_ns: f64,
-    /// One row per mapping mode, direct first.
+    /// One row per kind of pool, fixed first.
     pub rows: Vec<FastpathRow>,
     /// What the simulated pool charges per event.
     pub sim_spin: Vec<SpinRow>,
 }
 
-/// Times the direct and epoch-pinned mapping modes over identical pools
-/// and workloads, and the raw-atomic floor with the same loop.
+/// Times a fixed and an elastic pool over identical workloads, and the
+/// raw-atomic floor with the same loop.
 pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
     assert!(cfg.ops > 0 && cfg.trials > 0, "fastpath: empty measurement");
-    assert!(cfg.grow_step > 0, "fastpath: the epoch row needs a step");
+    assert!(cfg.grow_step > 0, "fastpath: the elastic row needs a step");
     // The same dependent chain on bare atomics, bounds-checked by the slice.
     let words: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
     let words = std::hint::black_box(&words[..]);
@@ -215,8 +211,8 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
         raw_load_ns,
         counter_incr_ns,
         rows: vec![
-            measure("direct", 0, cfg),
-            measure("epoch", cfg.grow_step, cfg),
+            measure("fixed", 0, cfg),
+            measure("elastic", cfg.grow_step, cfg),
         ],
         sim_spin: measure_sim_spin(cfg),
     }
@@ -227,7 +223,7 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
     let rows = &report.rows[..];
     let mut out = String::new();
     out.push_str(&format!(
-        "\n=== file-pool mapping fast path ({} ops x {} trials, min reported) ===\n",
+        "\n=== file-pool word path ({} ops x {} trials, min reported) ===\n",
         cfg.ops, cfg.trials
     ));
     out.push_str(&format!(
@@ -240,20 +236,12 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
             row.mode, row.grow_step, row.load_ns, row.persist_ns, row.map_ref_ns
         ));
     }
-    if let [direct, epoch] = rows {
+    if let [fixed, elastic] = rows {
         out.push_str(&format!(
-            "pin cost on a plain load: {:+.1} ns/op ({:.0}% of the direct path)\n",
-            epoch.load_ns - direct.load_ns,
-            if direct.load_ns > 0.0 {
-                100.0 * epoch.load_ns / direct.load_ns
-            } else {
-                0.0
-            },
-        ));
-        out.push_str(&format!(
-            "raw atomic load: {:.1} ns/op (direct load is {:.2}x)\n",
+            "raw atomic load: {:.1} ns/op (fixed load is {:.2}x, elastic {:.2}x)\n",
             report.raw_load_ns,
-            direct.load_ns / report.raw_load_ns,
+            fixed.load_ns / report.raw_load_ns,
+            elastic.load_ns / report.raw_load_ns,
         ));
         out.push_str(&format!(
             "named counter incr: {:.1} ns/op\n",
@@ -273,8 +261,8 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
 
 /// Renders the rows as one machine-readable JSON experiment object (schema
 /// documented in the README under "Machine-readable results"). The
-/// `lock_free_fast_path` marker distinguishes epoch-scheme numbers from
-/// the earlier mapping-lock implementation in a `BENCH_*.json` trajectory.
+/// `lock_free_fast_path` marker distinguishes lock-free numbers from the
+/// earlier mapping-lock implementation in a `BENCH_*.json` trajectory.
 pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
     let mut obj = crate::jsonio::ExperimentObject::new("fastpath", "file", Some(cfg.sync.key()));
     obj.field("ops", cfg.ops);
@@ -348,17 +336,16 @@ mod tests {
         assert!(report.raw_load_ns > 0.0 && report.raw_load_ns.is_finite());
         assert!(report.counter_incr_ns >= 0.0 && report.counter_incr_ns.is_finite());
         assert_eq!(rows.len(), 2);
-        assert_eq!((rows[0].mode, rows[0].grow_step), ("direct", 0));
-        assert_eq!((rows[1].mode, rows[1].grow_step), ("epoch", 1 << 20));
+        assert_eq!((rows[0].mode, rows[0].grow_step), ("fixed", 0));
+        assert_eq!((rows[1].mode, rows[1].grow_step), ("elastic", 1 << 20));
         for row in rows {
             assert!(row.load_ns > 0.0 && row.load_ns.is_finite());
             assert!(row.persist_ns > 0.0 && row.persist_ns.is_finite());
             assert!(row.map_ref_ns > 0.0 && row.map_ref_ns.is_finite());
         }
         let rendered = render_fastpath(&cfg, &report);
-        assert!(rendered.contains("direct"));
-        assert!(rendered.contains("epoch"));
-        assert!(rendered.contains("pin cost"));
+        assert!(rendered.contains("fixed"));
+        assert!(rendered.contains("elastic"));
         assert!(rendered.contains("raw atomic load"));
         let events: Vec<_> = report.sim_spin.iter().map(|s| s.event).collect();
         assert_eq!(events, ["flush", "nt_store", "fence", "nvram_read"]);
@@ -379,8 +366,8 @@ mod tests {
         assert!(json.contains("\"lock_free_fast_path\": true"));
         assert!(json.contains("\"raw_load_ns\": "));
         assert!(json.contains("\"counter_incr_ns\": "));
-        assert!(json.contains("\"mode\": \"direct\""));
-        assert!(json.contains("\"mode\": \"epoch\""));
+        assert!(json.contains("\"mode\": \"fixed\""));
+        assert!(json.contains("\"mode\": \"elastic\""));
         assert_eq!(json.matches("\"mode\"").count(), 2);
         assert!(json.contains("\"sim_spin\": [{\"event\": \"flush\", \"requested_ns\": 40, "));
         assert_eq!(json.matches("\"charged_ns\"").count(), 4);

@@ -628,8 +628,8 @@ fn main() {
                             SIGKILL-mid-reshard and SIGKILL-mid-lease rounds\n\
                  reshard    split/merge a file-backed shard directory to --to N'\n\
                             (crash-safe two-phase manifest protocol)\n\
-                 fastpath   time the file pool's direct vs epoch-pinned mapping\n\
-                            modes (per-op load / persist / map_ref costs)\n\
+                 fastpath   time a fixed and an elastic file pool's per-op\n\
+                            load / persist / map_ref costs\n\
                  fsweep     power-fail fence throughput sweep: group commit\n\
                             across producer counts and fence windows\n\
                             (--producers 1,2,4,8 --windows 0,50,200\n\

@@ -398,7 +398,7 @@ pub fn restart_json(
     for (cfg, outcome) in rounds {
         obj.row(format!(
             "{{\"algorithm\": \"{}\", \"shards\": {}, \"policy\": \"{}\", \"sync\": \"{}\", \
-             \"pool_bytes\": {}, \"grow_step\": {}, \"fence_window_us\": {}, \"mapping\": \"{}\", \
+             \"pool_bytes\": {}, \"grow_step\": {}, \"fence_window_us\": {}, \
              \"growth_epochs\": {}, \"blackbox_events\": {}, \
              \"confirmed_enqueues\": {}, \"confirmed_dequeues\": {}, \"recovered\": {}, \
              \"recovery_ms\": {}}}",
@@ -409,11 +409,6 @@ pub fn restart_json(
             cfg.pool_bytes,
             cfg.grow_step,
             cfg.fence_window_ns / 1_000,
-            if cfg.grow_step == 0 {
-                "direct"
-            } else {
-                "epoch-pinned"
-            },
             outcome.growth_epochs,
             outcome.blackbox_events,
             outcome.confirmed_enqueues,
@@ -463,16 +458,11 @@ pub fn restart_json(
 pub fn render_outcome(cfg: &RestartConfig, outcome: &RestartOutcome) -> String {
     let growth = match outcome.growth_epochs {
         0 => String::new(),
-        n => format!(" (pool grew x{n} past its creation ceiling, epoch-pinned mapping)"),
+        n => format!(" (pool grew x{n} past its creation ceiling)"),
     };
-    let mapping = if cfg.grow_step == 0 {
-        " [direct mapping]"
-    } else {
-        ""
-    };
-    let mapping = match cfg.fence_window_ns {
-        0 => mapping.to_string(),
-        ns => format!("{mapping} [fence window {}us]", ns / 1_000),
+    let window = match cfg.fence_window_ns {
+        0 => String::new(),
+        ns => format!(" [fence window {}us]", ns / 1_000),
     };
     format!(
         "restart {} x{} [{}{}]: {} confirmed enqueues, {} confirmed dequeues, \
@@ -481,7 +471,7 @@ pub fn render_outcome(cfg: &RestartConfig, outcome: &RestartOutcome) -> String {
         cfg.algorithm.name(),
         cfg.shards,
         cfg.sync.key(),
-        mapping,
+        window,
         outcome.confirmed_enqueues,
         outcome.confirmed_dequeues,
         outcome.recovered,

@@ -102,7 +102,7 @@ impl<const N: usize> Rows<N> {
     /// row of its own.
     #[cold]
     fn add_slow(&self, column: usize, n: u64) {
-        let row = slot::thread_slot().and_then(|s| self.rows.get(s.index));
+        let row = slot::thread_slot().and_then(|index| self.rows.get(index));
         // A freshly leased row is found by `add` itself from now on.
         row.unwrap_or(&self.overflow).0 .0[column].fetch_add(n, Relaxed);
     }

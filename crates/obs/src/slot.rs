@@ -1,15 +1,14 @@
 //! The process-wide thread → slot lease.
 //!
-//! Two things in the workspace want "a small index that belongs to the
-//! calling thread alone": the per-thread [counter rows](crate::rows) behind
-//! every named counter and every pool's statistics, and the `store` file
-//! pool's mapping hazard slots. Both use this one lease. A thread acquires
-//! its slot the first time it asks and keeps it until it exits; an exited
-//! thread's slot goes back to the free set, and the lowest free index is
-//! always the next one handed out, so a long-lived process that churns
-//! threads never runs out and never drifts towards high indices. The same
-//! index is valid on every table (each has its own arrays), which keeps
-//! the lease a single thread-local.
+//! The per-thread [counter rows](crate::rows) behind every named counter
+//! and every pool's statistics want "a small index that belongs to the
+//! calling thread alone", and all of them use this one lease. A thread
+//! acquires its slot the first time it asks and keeps it until it exits;
+//! an exited thread's slot goes back to the free set, and the lowest free
+//! index is always the next one handed out, so a long-lived process that
+//! churns threads never runs out and never drifts towards high indices. The
+//! same index is valid on every table (each has its own arrays), which
+//! keeps the lease a single thread-local.
 //!
 //! Exclusivity is the whole contract: between a thread's first
 //! [`thread_slot`] call and its exit, no other thread is handed the same
@@ -26,31 +25,17 @@
 
 use crate::locked;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of leasable slots: four times `pmem::MAX_THREADS`, because any
-/// thread (not just a pool's workers with a tid) may count or pin.
+/// thread (not just a pool's workers with a tid) may count.
 pub const THREAD_SLOTS: usize = 256;
-
-/// A thread's leased slot. See the [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ThreadSlot {
-    /// The slot index, `< `[`THREAD_SLOTS`], exclusive to the calling
-    /// thread until it exits.
-    pub index: usize,
-    /// A process-unique id of this acquisition. A recycled index comes back
-    /// with a new tenure, which is how per-slot state left behind by a dead
-    /// holder is told from the current holder's own.
-    pub tenure: u64,
-}
 
 /// `CACHED` index before the thread first asks for a slot.
 const UNLEASED: usize = usize::MAX;
 /// `CACHED` index once the thread is known to have no slot.
 const NO_SLOT: usize = usize::MAX - 1;
 
-static TENURE: AtomicU64 = AtomicU64::new(1);
 /// Bit `i` of the set is 1 while slot `i` is leased.
 static LEASED: Mutex<[u64; THREAD_SLOTS / 64]> = Mutex::new([0; THREAD_SLOTS / 64]);
 
@@ -71,10 +56,7 @@ impl Lease {
                     w * 64 + bit
                 })
             });
-        CACHED.set(match index {
-            Some(index) => (index, TENURE.fetch_add(1, Ordering::Relaxed)),
-            None => (NO_SLOT, 0),
-        });
+        CACHED.set(index.unwrap_or(NO_SLOT));
         Lease(index)
     }
 }
@@ -82,8 +64,8 @@ impl Lease {
 impl Drop for Lease {
     fn drop(&mut self) {
         // Stop this thread using the slot before anyone else can get it:
-        // destructors of other thread-locals may still count or pin.
-        CACHED.set((NO_SLOT, 0));
+        // destructors of other thread-locals may still count.
+        CACHED.set(NO_SLOT);
         if let Some(index) = self.0 {
             locked(&LEASED)[index / 64] &= !(1 << (index % 64));
         }
@@ -91,21 +73,22 @@ impl Drop for Lease {
 }
 
 thread_local! {
-    /// `(index, tenure)` of this thread's slot, or a sentinel index. Has no
-    /// destructor and a constant initialiser, so reading it is one
-    /// thread-pointer-relative load and it stays readable while the
-    /// thread's other thread-locals are being destroyed.
-    static CACHED: Cell<(usize, u64)> = const { Cell::new((UNLEASED, 0)) };
+    /// This thread's slot index, or a sentinel. Has no destructor and a
+    /// constant initialiser, so reading it is one thread-pointer-relative
+    /// load and it stays readable while the thread's other thread-locals
+    /// are being destroyed.
+    static CACHED: Cell<usize> = const { Cell::new(UNLEASED) };
     static LEASE: Lease = Lease::acquire();
 }
 
-/// The calling thread's slot, acquired on first use; `None` when the thread
-/// has none (see the [module docs](self)).
+/// The calling thread's slot index (`< `[`THREAD_SLOTS`], exclusive to
+/// the thread until it exits), acquired on first use; `None` when the
+/// thread has none (see the [module docs](self)).
 #[inline]
-pub fn thread_slot() -> Option<ThreadSlot> {
-    let (index, tenure) = CACHED.get();
+pub fn thread_slot() -> Option<usize> {
+    let index = CACHED.get();
     if index < THREAD_SLOTS {
-        Some(ThreadSlot { index, tenure })
+        Some(index)
     } else if index == UNLEASED {
         acquire()
     } else {
@@ -114,14 +97,14 @@ pub fn thread_slot() -> Option<ThreadSlot> {
 }
 
 #[cold]
-fn acquire() -> Option<ThreadSlot> {
+fn acquire() -> Option<usize> {
     // The initialiser fills CACHED. An error means the lease was destroyed
     // before it was ever used: thread exit is under way, so no slot.
     if LEASE.try_with(|_| ()).is_err() {
-        CACHED.set((NO_SLOT, 0));
+        CACHED.set(NO_SLOT);
     }
-    let (index, tenure) = CACHED.get();
-    (index < THREAD_SLOTS).then_some(ThreadSlot { index, tenure })
+    let index = CACHED.get();
+    (index < THREAD_SLOTS).then_some(index)
 }
 
 /// The cached slot index, or a value `>= THREAD_SLOTS` when there is none
@@ -129,7 +112,7 @@ fn acquire() -> Option<ThreadSlot> {
 /// every out-of-range value through [`thread_slot`].
 #[inline]
 pub(crate) fn cached_index() -> usize {
-    CACHED.get().0
+    CACHED.get()
 }
 
 /// Serialises the tests of this crate that hold more threads alive at once
@@ -157,22 +140,15 @@ mod tests {
                 std::thread::spawn(move || {
                     let first = thread_slot().expect("slots are not exhausted");
                     assert_eq!(thread_slot(), Some(first), "stable within a thread");
-                    assert_eq!(cached_index(), first.index);
+                    assert_eq!(cached_index(), first);
                     // Hold the slot until every thread has taken one.
                     barrier.wait();
                     first
                 })
             })
             .collect();
-        let slots: Vec<ThreadSlot> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let indices: HashSet<usize> = slots.iter().map(|s| s.index).collect();
-        let tenures: HashSet<u64> = slots.iter().map(|s| s.tenure).collect();
+        let indices: HashSet<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(indices.len(), THREADS, "live threads never share a slot");
-        assert_eq!(
-            tenures.len(),
-            THREADS,
-            "every acquisition has its own tenure"
-        );
     }
 
     #[test]
@@ -181,7 +157,7 @@ mod tests {
         // returns its index to the free set.
         for _ in 0..2 * THREAD_SLOTS {
             let slot = std::thread::spawn(thread_slot).join().unwrap();
-            assert!(slot.is_some_and(|s| s.index < THREAD_SLOTS));
+            assert!(slot.is_some_and(|index| index < THREAD_SLOTS));
         }
     }
 
@@ -200,7 +176,7 @@ mod tests {
                 let (release, released) = mpsc::channel::<()>();
                 let handle = std::thread::spawn(move || {
                     let slot = thread_slot().expect("slots are not exhausted");
-                    report.send(slot.index).unwrap();
+                    report.send(slot).unwrap();
                     released.recv().unwrap();
                 });
                 (leased.recv().unwrap(), release, handle)
@@ -215,9 +191,8 @@ mod tests {
         for _ in 0..4 {
             let slot = std::thread::spawn(thread_slot).join().unwrap().unwrap();
             assert!(
-                slot.index < crate::rows::OWNED_ROWS,
-                "slot {} has no row of its own while lower ones are free",
-                slot.index
+                slot < crate::rows::OWNED_ROWS,
+                "slot {slot} has no row of its own while lower ones are free"
             );
         }
     }

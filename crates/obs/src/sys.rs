@@ -37,18 +37,3 @@ extern "C" {
     /// `getpagesize(2)`.
     pub fn getpagesize() -> i32;
 }
-
-/// `mremap` may relocate the mapping.
-#[cfg(target_os = "linux")]
-pub const MREMAP_MAYMOVE: i32 = 1;
-
-#[cfg(target_os = "linux")]
-extern "C" {
-    /// `mremap(2)`; fails with `MAP_FAILED` (`-1`).
-    pub fn mremap(
-        old_address: *mut c_void,
-        old_size: usize,
-        new_size: usize,
-        flags: i32,
-    ) -> *mut c_void;
-}

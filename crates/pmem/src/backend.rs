@@ -24,10 +24,9 @@
 //! or `msync` — but **not** per word access when it can avoid it: the queue
 //! algorithms touch ~16 words per message, and a virtual call costs several
 //! times the cached load or CAS the paper's model charges for each. A
-//! backend whose mapping never moves says so by returning an *unpinned*
-//! view from [`PoolBackend::map_ref`]; `PmemPool` then serves
-//! load/store/CAS/RMW inline from that mapping (see `map_ref`'s docs for
-//! the contract).
+//! backend whose mapping never moves says so by returning a view from
+//! [`PoolBackend::map_ref`]; `PmemPool` then serves load/store/CAS/RMW
+//! inline from that mapping (see `map_ref`'s docs for the contract).
 
 use std::sync::atomic::AtomicU64;
 
@@ -47,65 +46,52 @@ pub const ROOT_SLOTS: usize = 8;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FenceHint;
 
-/// Release half of the [`MapRef`] capability: a backend that hands out
-/// pinned mapping views implements this so the view can drop its pin
-/// without `MapRef` knowing anything about the backend's reclamation
-/// scheme. The `token` round-trips opaquely from [`MapRef::new`].
-pub trait MapPin: Sync {
-    /// Releases the pin identified by `token`. Called exactly once, from
-    /// [`MapRef::drop`].
-    fn unpin_map(&self, token: usize);
-}
-
-/// A pinned, direct-pointer view of a backend's mapped pool space.
+/// A direct-pointer view of a backend's mapped pool space.
 ///
 /// The queue hot path goes through [`PoolBackend`]'s per-word operations;
 /// `MapRef` is the capability for callers that want to amortize even that
-/// (bulk scans, checksumming, recovery walks): one pin up front, then raw
-/// pointer arithmetic with zero per-access synchronization. The referenced
-/// mapping is guaranteed valid for the life of the `MapRef` — an elastic
-/// backend defers unmapping a replaced (grown) mapping until every
-/// outstanding `MapRef` on it has dropped.
+/// (bulk scans, checksumming, recovery walks, and `PmemPool`'s own inline
+/// word path): raw pointer arithmetic with zero per-access
+/// synchronization.
 ///
 /// # Lifetime rules
 ///
+/// * The base is fixed for the backend's lifetime, `[0, len())` of the
+///   backend is mapped, and the backend's [`len`](PoolBackend::len) never
+///   shrinks. So a view stays valid for as long as the backend is
+///   borrowed, and taking, holding or dropping one constrains nothing.
 /// * Offsets are pool offsets: `addr(0)` is pool offset 0, the backend's
 ///   header (if any) is not addressable through a `MapRef`.
-/// * `len()` is the pool size *at pin time*. A concurrent growth may make
-///   `PoolBackend::len` larger while this view is live; offsets handed out
-///   by such an allocation may exceed this view's bounds, and this view's
-///   accessors panic on them. Drop and re-pin to observe the grown
-///   mapping. ([`PoolBackend`]'s own per-word operations are not so
-///   limited: called under a held view, they re-resolve the current
-///   mapping for offsets past the view's bounds.)
-/// * A `MapRef` is `!Send`/`!Sync` (it carries a raw pointer and a
-///   thread-slot pin); keep it on the thread that created it and drop it
-///   promptly — on backends that pin (see [`is_pinned`](Self::is_pinned)),
-///   a held `MapRef` delays reclamation of replaced mappings.
-/// * On a fixed-size pool (`grow_step == 0` for the `store` file pool) the
-///   mapping can never move, so the view is unpinned: creating and
-///   dropping it is free, and holding it constrains nothing.
+/// * [`len`](Self::len) is the pool size when the view was taken. A
+///   concurrent growth may make `PoolBackend::len` larger while this view
+///   is live; offsets handed out by such an allocation may exceed this
+///   view's bounds, and this view's accessors panic on them. Take a fresh
+///   view to address the grown space.
+/// * A `MapRef` is `!Send`/`!Sync` (it carries a raw pointer); keep it on
+///   the thread that created it.
 pub struct MapRef<'p> {
     base: *mut u8,
     len: usize,
-    pin: Option<(&'p dyn MapPin, usize)>,
+    _backend: std::marker::PhantomData<&'p ()>,
 }
 
 impl<'p> MapRef<'p> {
-    /// Builds a view over `len` bytes of pool space starting at `base`,
-    /// optionally carrying a pin to release on drop.
+    /// Builds a view over `len` bytes of pool space starting at `base`.
     ///
     /// # Safety
     ///
     /// `base` must be valid for reads and writes of `len` bytes for the
-    /// whole lifetime `'p`, or — when `pin` is `Some` — at least until the
-    /// pin is released.
-    pub unsafe fn new(base: *mut u8, len: usize, pin: Option<(&'p dyn MapPin, usize)>) -> Self {
-        MapRef { base, len, pin }
+    /// whole lifetime `'p`.
+    pub unsafe fn new(base: *mut u8, len: usize) -> Self {
+        MapRef {
+            base,
+            len,
+            _backend: std::marker::PhantomData,
+        }
     }
 
-    /// Pool bytes addressable through this view (the pool size at pin
-    /// time).
+    /// Pool bytes addressable through this view (the pool size when it
+    /// was taken).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -115,18 +101,11 @@ impl<'p> MapRef<'p> {
         self.len == 0
     }
 
-    /// Whether this view holds a reclamation pin. `false` on a direct-path
-    /// (fixed-size) pool, where the mapping is immutable and the view costs
-    /// nothing to hold.
-    pub fn is_pinned(&self) -> bool {
-        self.pin.is_some()
-    }
-
     /// The mapped address of pool offset `off`, validated for an access
     /// of `len` bytes: panics unless the whole span `[off, off + len)`
     /// lies inside the view (`len` must be non-zero). Asserting only the
     /// first byte would let a multi-byte access starting near the tail
-    /// run past the pinned mapping. Dereferencing is `unsafe` and subject
+    /// run past the view. Dereferencing is `unsafe` and subject
     /// to the pool's usual contract (concurrently-written words must be
     /// accessed atomically — see [`atomic_u64`](Self::atomic_u64)).
     #[inline]
@@ -138,7 +117,7 @@ impl<'p> MapRef<'p> {
                     .is_some_and(|end| end <= self.len),
             "MapRef access span out of bounds"
         );
-        // SAFETY: the whole span is in bounds of the pinned mapping.
+        // SAFETY: the whole span is in bounds of the view.
         unsafe { self.base.add(off as usize) }
     }
 
@@ -153,14 +132,6 @@ impl<'p> MapRef<'p> {
         // SAFETY: in bounds, 8-byte aligned (mappings are page aligned),
         // and AtomicU64 accesses are always valid on mapped pool words.
         unsafe { &*(self.base.add(off as usize) as *const AtomicU64) }
-    }
-}
-
-impl Drop for MapRef<'_> {
-    fn drop(&mut self) {
-        if let Some((pin, token)) = self.pin.take() {
-            pin.unpin_map(token);
-        }
     }
 }
 
@@ -259,8 +230,10 @@ pub trait PoolBackend: Send + Sync {
     /// caller re-runs its watermark CAS against the larger pool.
     ///
     /// The default declines: backends are fixed-size unless they opt in
-    /// (the `store` crate's file pool grows by `ftruncate` + remap when
-    /// configured with a growth step). Implementations must be safe to call
+    /// (the `store` crate's file pool grows by `ftruncate` under a mapping
+    /// reserved up front, when configured with a growth step). A growth
+    /// must leave the base of any [`map_ref`](Self::map_ref) view where it
+    /// is. Implementations must be safe to call
     /// concurrently with every other pool operation and must only return
     /// `true` once the new capacity is crash-durably committed, so no
     /// allocation above the old ceiling can outlive a crash that forgets
@@ -282,24 +255,20 @@ pub trait PoolBackend: Send + Sync {
         FenceHint
     }
 
-    /// Hands out a pinned direct-pointer view of the pool space, or `None`
-    /// for backends with no stable linear mapping to expose (the simulated
+    /// Hands out a direct-pointer view of the pool space, or `None` for
+    /// backends with no stable linear mapping to expose (the simulated
     /// backend keeps its persistence accounting honest by refusing).
     ///
-    /// The returned view stays valid across concurrent growths: an elastic
-    /// backend must not unmap a replaced mapping while any `MapRef` pinned
-    /// on it is live. See [`MapRef`] for the lifetime rules.
-    ///
-    /// Returning an **unpinned** view ([`MapRef::is_pinned`] false) is a
-    /// promise that the mapping is immutable for the backend's whole
-    /// lifetime: same base, same length, [`len`](Self::len) never changes,
-    /// [`try_grow`](Self::try_grow) never succeeds. [`crate::PmemPool`]
-    /// relies on it: it asks once at construction and, given an unpinned
-    /// view, performs every later `load_u64`/`store_u64`/`cas_u64`/
-    /// `fetch_add_u64`/`swap_u64` directly on that mapping (bounds-checked,
-    /// same orderings) without calling the backend's own word methods. A
-    /// backend that must observe every word access — the simulator's
-    /// accounting, a fault injector — returns `None` or a pinned view.
+    /// Returning a view is a promise, for the backend's whole lifetime:
+    /// the base never moves, `[0, len())` is always mapped, and
+    /// [`len`](Self::len) never shrinks (see [`MapRef`]).
+    /// [`crate::PmemPool`] relies on it: it asks once at construction and
+    /// performs every later `load_u64`/`store_u64`/`cas_u64`/
+    /// `fetch_add_u64`/`swap_u64` directly on that mapping (bounds-checked
+    /// against the view's length, re-reading [`len`](Self::len) before it
+    /// refuses an offset; same orderings) without calling the backend's
+    /// own word methods. A backend that must observe every word access —
+    /// the simulator's accounting, a fault injector — returns `None`.
     fn map_ref(&self) -> Option<MapRef<'_>> {
         None
     }

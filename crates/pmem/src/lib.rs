@@ -76,7 +76,7 @@ pub mod pref;
 pub(crate) mod sim;
 pub mod stats;
 
-pub use backend::{FenceHint, MapPin, MapRef, PoolBackend, ROOT_SLOTS};
+pub use backend::{FenceHint, MapRef, PoolBackend, ROOT_SLOTS};
 pub use latency::LatencyModel;
 pub use layout::{CACHE_LINE, MAX_GROUPS, MAX_THREADS};
 pub use pool::{PmemPool, PoolConfig, PoolExhausted};

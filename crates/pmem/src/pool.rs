@@ -174,9 +174,9 @@ impl PmemPool {
     /// hardware costs instead.
     ///
     /// The backend's [`map_ref`](PoolBackend::map_ref) is consulted once,
-    /// here: if it hands out an unpinned view (a mapping that can never
-    /// move or grow), word accesses are served inline from that mapping for
-    /// the pool's lifetime instead of through the backend.
+    /// here: if it hands out a view (a mapping whose base never moves),
+    /// word accesses are served inline from that mapping for the pool's
+    /// lifetime instead of through the backend.
     pub fn from_backend(backend: Box<dyn PoolBackend>) -> Self {
         let config = PoolConfig {
             size: backend.len(),
@@ -235,15 +235,14 @@ impl PmemPool {
         }
     }
 
-    /// A pinned direct-pointer view of the pool space, or `None` when the
+    /// A direct-pointer view of the pool space, or `None` when the
     /// backend has no stable linear mapping to expose.
     ///
     /// The simulated backend always refuses — letting callers bypass its
     /// per-access persistence accounting would silently falsify the
-    /// paper-facing figures. The file backend returns a view that stays
-    /// valid across concurrent growth; see [`MapRef`] for the lifetime
-    /// rules and the `store` crate for the `grow_step == 0` zero-cost
-    /// direct path.
+    /// paper-facing figures. The file backend returns a view whose base
+    /// never moves, not even when the pool grows; see [`MapRef`] for the
+    /// lifetime rules.
     ///
     /// ```
     /// use pmem::{PmemPool, PoolConfig};
@@ -1004,7 +1003,11 @@ mod tests {
         words: Box<[std::sync::atomic::AtomicU64]>,
         watermark: std::sync::atomic::AtomicU32,
         roots: [std::sync::atomic::AtomicU64; ROOT_SLOTS],
-        /// Hand out an unpinned view, like a fixed-size file pool.
+        /// Published pool size: `words` is the reservation and this much
+        /// of it is the pool, as an elastic file pool's size is to its
+        /// mapping. `try_grow` raises it up to the reservation.
+        len: std::sync::atomic::AtomicUsize,
+        /// Hand out a view, like a file pool.
         direct: bool,
         /// Word operations that reached the backend's own methods.
         word_calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -1018,6 +1021,7 @@ mod tests {
                     .collect(),
                 watermark: std::sync::atomic::AtomicU32::new(HEAP_START),
                 roots: Default::default(),
+                len: std::sync::atomic::AtomicUsize::new(size / 8 * 8),
                 direct: false,
                 word_calls: Default::default(),
             }
@@ -1035,7 +1039,7 @@ mod tests {
             "heap-test"
         }
         fn len(&self) -> usize {
-            self.words.len() * 8
+            self.len.load(std::sync::atomic::Ordering::Acquire)
         }
         fn load_u64(&self, off: u32) -> u64 {
             self.word(off).load(std::sync::atomic::Ordering::Acquire)
@@ -1088,11 +1092,18 @@ mod tests {
         fn set_root_u64(&self, slot: usize, val: u64) {
             self.roots[slot].store(val, std::sync::atomic::Ordering::Release)
         }
+        fn try_grow(&self, min_len: usize) -> bool {
+            let fits = min_len <= self.words.len() * 8;
+            if fits {
+                self.len
+                    .fetch_max(min_len, std::sync::atomic::Ordering::AcqRel);
+            }
+            fits
+        }
         fn map_ref(&self) -> Option<MapRef<'_>> {
             // SAFETY: the boxed words live, unmoved, as long as `self`.
-            self.direct.then(|| unsafe {
-                MapRef::new(self.words.as_ptr() as *mut u8, self.words.len() * 8, None)
-            })
+            self.direct
+                .then(|| unsafe { MapRef::new(self.words.as_ptr() as *mut u8, self.len()) })
         }
     }
 
@@ -1100,8 +1111,8 @@ mod tests {
         PmemPool::from_backend(Box::new(HeapBackend::new(1 << 20)))
     }
 
-    /// A heap pool whose backend offers the unpinned view, so word
-    /// operations take the inline path.
+    /// A heap pool whose backend offers its view, so word operations take
+    /// the inline path.
     fn direct_backend() -> HeapBackend {
         HeapBackend {
             direct: true,
@@ -1143,6 +1154,33 @@ mod tests {
         p.flush(0, off);
         p.sfence(0);
         assert_eq!(p.load_u64(off), 0);
+    }
+
+    /// A backend that grows after handing out its view: words past the
+    /// view's length are still served inline once the backend's `len`
+    /// covers them, and an offset past even that still panics.
+    #[test]
+    fn the_inline_path_follows_a_backend_that_grows() {
+        let backend = direct_backend();
+        backend
+            .len
+            .store(64 << 10, std::sync::atomic::Ordering::Relaxed);
+        let word_calls = std::sync::Arc::clone(&backend.word_calls);
+        let p = PmemPool::from_backend(Box::new(backend));
+        let off = loop {
+            let off = p.alloc_raw(4096, 64);
+            if off >= 64 << 10 {
+                break off;
+            }
+        };
+        assert!(p.len() > 64 << 10, "the allocation grew the backend");
+        p.store_u64(off, 3);
+        assert_eq!(p.cas_u64(off, 3, 4), Ok(3));
+        assert_eq!(p.load_u64(off), 4);
+        assert_eq!(word_calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        let len = p.len() as u32;
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.load_u64(len)));
+        assert!(past.is_err(), "an offset past the grown pool must panic");
     }
 
     #[test]

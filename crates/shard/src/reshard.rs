@@ -28,7 +28,7 @@
 //!  1. write SHARDS.manifest.reshard        (intent: old + new file lists)
 //!  2. copy sources -> .<src>.reshard-src   (scratch; sources untouched)
 //!  3. recover scratch, drain into <dst>.tmp destination pools
-//!  4. close destinations (full msync+fsync), rename <dst>.tmp -> <dst>
+//!  4. sync destinations (full msync+fsync), close, rename <dst>.tmp -> <dst>
 //!  5. rewrite SHARDS.manifest atomically   <- THE COMMIT POINT
 //!  6. delete sources + scratch, delete the intent record
 //! ```
@@ -386,9 +386,14 @@ impl RecoveryOrchestrator {
             }
         }
         drop(sources);
-        // Orderly close of every destination: full msync + fsync, header
-        // marked clean. The destinations are fully durable BEFORE any
-        // rename makes them visible under their committed names.
+        // Every destination is fully durable (msync + fsync) BEFORE any
+        // rename makes it visible under its committed name. A sync that
+        // fails panics here, with the intent still naming the sources, so
+        // the next open rolls the reshard back. The drop then closes each
+        // destination with its header marked clean.
+        for dest in &dests {
+            dest.pool().sync();
+        }
         drop(dests);
         let drain = drain_started.elapsed();
 

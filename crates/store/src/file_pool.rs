@@ -38,53 +38,44 @@
 //! `grow_epoch`) carries its own CRC and is rewritten only through the
 //! journaled commit protocol described below.
 //!
-//! ## Lock-free mapping access
+//! ## Mapping
 //!
-//! Every pool operation dereferences the mapping through a wait-free pin:
-//! the current mapping generation is published as an atomic descriptor
-//! pointer, a reader announces the descriptor it is about to use in its own
-//! cache-padded hazard slot, re-checks the pointer, and proceeds — no lock,
-//! no contended write, no syscall. A **fixed-size pool (`grow_step == 0`)
-//! skips even that**: its mapping can never change, so the per-operation
-//! cost is one relaxed load of an immutable pointer — the direct path.
-//! Word accesses do not even get here: such a pool hands [`PmemPool`] an
-//! unpinned [`MapRef`](pmem::MapRef) once, at `into_pool`, and `PmemPool`
-//! performs loads, stores and CASes inline on the mapping behind its own
+//! A pool maps its file once, shared, and the base never moves. A
+//! fixed-size pool (`grow_step == 0`) maps exactly its size. An elastic
+//! pool maps `HEADER_LEN + MAX_POOL_SIZE` bytes, the whole 32-bit offset
+//! space: about 4 GiB of address space and no memory, because a shared
+//! file mapping commits nothing and the pages past the end of the file are
+//! never touched. So every file pool hands [`PmemPool`] a
+//! [`MapRef`](pmem::MapRef) once, at `into_pool`, and `PmemPool` performs
+//! loads, stores and CASes inline on the mapping behind its own
 //! release-mode bounds check — the reason the file backend's steady-state
-//! cost is just the flushes the algorithm itself issues. Every operation's
-//! bounds are enforced against
-//! the pinned generation **in release builds**: an op whose offset
-//! postdates the pinned view (possible only nested under an outstanding
-//! [`MapRef`](pmem::MapRef)) re-resolves the current generation under the
-//! growth lock instead of dereferencing past the stale mapping, and a
-//! genuinely out-of-range offset panics. The epoch scheme, its proof
-//! obligations and the measured cost are chaptered in
-//! `docs/PERFORMANCE.md`.
+//! cost is just the flushes the algorithm itself issues. The backend's own
+//! operations check their bounds against the published size in release
+//! builds too: an out-of-range offset panics rather than touching a page
+//! the file does not hold.
 //!
 //! ## Elastic growth
 //!
-//! A pool created (or opened) with a non-zero growth step is **elastic**: when
-//! `try_alloc_raw` runs out of space, the backend extends the file by at
-//! least one growth step (`ftruncate`), remaps it, and retries — a queue can
-//! outgrow its creation-time watermark ceiling without ever surfacing
-//! `PoolExhausted`. Growth never blocks readers: the file is
-//! extended with `mremap` in place when the kernel allows it (same base
-//! pointer, no second VA range — concurrent readers don't even notice) and
-//! otherwise duplicated via `mremap(old, 0, new_len, MREMAP_MAYMOVE)`, the
-//! new descriptor is published atomically, and the replaced mapping is
-//! **epoch-retired**: it is unmapped only once no reader's hazard slot
-//! references it. Growth is also **crash-safe**: the durable commit point is
-//! a self-checksummed journal record in the header page, persisted after
-//! the `ftruncate` and *before* the larger size is published to allocators
-//! — the watermark is persisted eagerly on every allocation, so space above
-//! the old ceiling must never be handed out ahead of the record that makes
-//! the new size survive a crash. A `kill -9` anywhere in the protocol
-//! recovers to either the old size (journal absent or torn) or the new size
-//! (journal intact, rolled forward on open); no allocation is ever lost,
-//! and mapping retirement happens strictly after the commit point, so it
-//! can never delay it. The first committed growth bumps the header's minor
-//! version to 1, which makes readers that predate the grow record reject
-//! the file instead of silently ignoring the grown space.
+//! A pool created (or opened) with a non-zero growth step is **elastic**:
+//! when `try_alloc_raw` runs out of space, the backend extends the file by
+//! at least one growth step (`ftruncate`) underneath the reserved mapping
+//! and retries — a queue can outgrow its creation-time watermark ceiling
+//! without ever surfacing `PoolExhausted`. Nothing is remapped, so growth
+//! neither blocks readers nor waits for them: the larger size is published
+//! (one atomic store) only once the file holds it, and no offset past the
+//! old size exists before then. Growth is also **crash-safe**: the durable
+//! commit point is a self-checksummed journal record in the header page,
+//! persisted after the `ftruncate` and *before* the larger size is
+//! published to allocators — the watermark is persisted eagerly on every
+//! allocation, so space above the old ceiling must never be handed out
+//! ahead of the record that makes the new size survive a crash. A `kill -9`
+//! anywhere in the protocol recovers to either the old size (journal absent
+//! or torn) or the new size (journal intact, rolled forward on open); no
+//! allocation is ever lost. The first committed growth bumps the header's
+//! minor version to 1, which makes readers that predate the grow record
+//! reject the file instead of silently ignoring the grown space. A kernel
+//! that refuses the reservation (a tight `RLIMIT_AS`) fails `create` or
+//! `open` with an error naming the pool's path.
 //!
 //! ## Durability model
 //!
@@ -145,29 +136,26 @@
 //! `store.fence.{leader,follower,coalesced,overlapped}` counters and the
 //! `store.msync_batch_pages` histogram expose the batching.
 
-use crate::mmap::{self, page_size};
+use crate::mmap::{page_size, MmapRegion};
 use obs::crc::crc32;
 use obs::flight::EventKind;
 use obs::rows::CachePadded;
 use obs::{LazyCounter, LazyHistogram};
 use pmem::layout::{self, CACHE_LINE};
-use pmem::{MapPin, PmemPool, PoolBackend, MAX_THREADS, ROOT_SLOTS};
+use pmem::{PmemPool, PoolBackend, MAX_THREADS, ROOT_SLOTS};
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 // Named instruments (see docs/OBSERVABILITY.md for the catalogue). The map
-// counters count mapping views resolved, not words touched: an unpinned
-// view of a fixed-size pool is resolved once per `map_ref` (a `PmemPool`
-// takes one for its lifetime), an elastic pool resolves a pinned view per
-// operation. The histograms time the two syscall-heavy cold paths.
+// counter counts mapping views handed out, not words touched: one per
+// `map_ref` (a `PmemPool` takes one for its lifetime). The histograms time
+// the two syscall-heavy cold paths.
 static MAP_DIRECT: LazyCounter = LazyCounter::new("store.map.direct");
-static MAP_EPOCH: LazyCounter = LazyCounter::new("store.map.epoch");
 static FENCES: LazyCounter = LazyCounter::new("store.fence");
 static GROWTHS: LazyCounter = LazyCounter::new("store.growth");
 static GROWTH_NS: LazyHistogram = LazyHistogram::new("store.growth_ns");
@@ -232,7 +220,8 @@ const GROW_RECORD: std::ops::Range<usize> = H_GROWN_SIZE..H_GROW_CRC;
 const FLAG_CLEAN: u32 = 1;
 
 /// Largest representable pool size: offsets are 32-bit and `align_up`
-/// needs headroom for the cache-line round-up.
+/// needs headroom for the cache-line round-up. An elastic pool reserves a
+/// mapping this large (plus the header) up front.
 const MAX_POOL_SIZE: usize = u32::MAX as usize - CACHE_LINE;
 
 /// What a fence must guarantee. See the [module docs](self#durability-model).
@@ -507,355 +496,18 @@ impl PoolGeometry {
     }
 }
 
-/// A raw view of one mapping generation: base pointer plus the pool size
-/// it was published with. All header/word access goes through these
-/// accessors; validity is guaranteed by whoever produced the view (a
-/// reader pin, the growth lock, or `&mut` exclusivity).
-#[derive(Clone, Copy)]
-struct RawMap {
-    base: *mut u8,
-    /// Pool size in bytes this generation was published with.
-    size: usize,
-}
-
-impl RawMap {
-    /// Debug-only re-check; the release-mode bounds guarantee comes from
-    /// `FilePool::map_for`, which hands out a view only after proving it
-    /// covers the access (re-resolving the current generation if not).
-    #[inline]
-    fn check_bounds(&self, off: u32, bytes: u32) {
-        debug_assert!(
-            off as usize + bytes as usize <= self.size,
-            "pool access out of bounds"
-        );
-        debug_assert_eq!(off % bytes, 0, "unaligned pool access");
-    }
-
-    /// The mapped address of pool offset `off`.
-    #[inline]
-    fn addr(&self, off: u32) -> *mut u8 {
-        // SAFETY: callers stay within HEADER_LEN + size (debug-checked).
-        unsafe { self.base.add(HEADER_LEN + off as usize) }
-    }
-
-    #[inline]
-    fn word(&self, off: u32) -> &AtomicU64 {
-        self.check_bounds(off, 8);
-        // SAFETY: in bounds, 8-byte aligned (the mapping is page aligned),
-        // and only ever accessed atomically.
-        unsafe { &*(self.addr(off) as *const AtomicU64) }
-    }
-
-    #[inline]
-    fn header_u32(&self, off: usize) -> &AtomicU32 {
-        debug_assert!(off + 4 <= HEADER_LEN && off.is_multiple_of(4));
-        // SAFETY: in bounds of the header page, 4-byte aligned.
-        unsafe { &*(self.base.add(off) as *const AtomicU32) }
-    }
-
-    #[inline]
-    fn header_u64(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off + 8 <= HEADER_LEN && off.is_multiple_of(8));
-        // SAFETY: in bounds of the header page, 8-byte aligned.
-        unsafe { &*(self.base.add(off) as *const AtomicU64) }
-    }
-
-    /// A byte slice of the header range `r` (for CRC computation).
-    fn header_bytes(&self, r: std::ops::Range<usize>) -> &[u8] {
-        debug_assert!(r.end <= HEADER_LEN);
-        // SAFETY: the header page is mapped and valid for HEADER_LEN bytes.
-        unsafe { std::slice::from_raw_parts(self.base.add(r.start), r.end - r.start) }
-    }
-
-    fn set_flags(&self, clean: bool) {
-        let flags = if clean { FLAG_CLEAN } else { 0 };
-        self.header_u32(H_FLAGS).store(flags, Ordering::Release);
-        // SAFETY: the header page is valid readable memory.
-        unsafe { pmem::hw::clflush(self.base.add(H_FLAGS)) };
-        pmem::hw::sfence();
-    }
-}
-
-/// One generation of the mapping. Readers pin a descriptor through their
-/// hazard slot; growth publishes a new one and retires the old.
-struct MapDesc {
-    raw: RawMap,
-    /// Bytes mapped at `raw.base` when this generation was created — what
-    /// an unmap of this base must release.
-    map_len: usize,
-}
-
-/// A retired mapping generation awaiting reclamation. `unmap` is false
-/// when the descriptor's base is owned by a newer generation (in-place
-/// extension keeps the base; only the descriptor itself is stale).
-struct Retired {
-    desc: Box<MapDesc>,
-    unmap: bool,
-}
-
-/// Per-thread hazard slot: which descriptor this thread is currently
-/// dereferencing, plus a same-thread nesting depth so a pool operation
-/// running under an outstanding `MapRef` reuses (and never prematurely
-/// clears) the announcement.
-struct PinSlot {
-    pinned: AtomicPtr<MapDesc>,
-    /// Owner-thread only (the slot lease is thread-local).
-    depth: UnsafeCell<u32>,
-    /// Lease tenure that last pinned through this slot (owner-thread
-    /// only; hand-over between successive owners is synchronized by the
-    /// lease free-list mutex). A slot whose `depth` is non-zero under a
-    /// *different* tenure was inherited from a thread that died with a
-    /// leaked (`mem::forget`) `MapRef` still announced — `pin` detects
-    /// that and resets the slot instead of silently running every op of
-    /// the new owner against the dead view's generation.
-    tenure: UnsafeCell<u64>,
-}
-
-// SAFETY: `pinned` is atomic; `depth`/`tenure` are only accessed by the
-// single thread holding the slot's lease (see `reader_slot`).
-unsafe impl Sync for PinSlot {}
-
-/// One hazard slot per leasable thread slot: the thread → slot lease is
-/// `obs::slot` (the same one every counter row uses), so the index is
-/// exclusive to the calling thread and recycled when it exits.
-const PIN_SLOTS: usize = obs::slot::THREAD_SLOTS;
-
-/// The calling thread's hazard slot, as `(index, lease tenure)`. Each
-/// acquisition — recycled or fresh — has a process-unique tenure, which is
-/// how `MapTable::pin` tells a legitimate same-thread nested pin from a
-/// slot inherited dirty from a dead thread that leaked a `MapRef`.
-///
-/// Unlike a statistic, a hazard announcement has no shared fallback: a
-/// thread without a slot cannot pin an elastic pool.
-fn reader_slot() -> (usize, u64) {
-    let slot = obs::slot::thread_slot().unwrap_or_else(|| {
-        panic!(
-            "no thread slot for an elastic file pool: more than {PIN_SLOTS} threads are using \
-             pools at once, or the pool was touched during this thread's teardown"
-        )
-    });
-    (slot.index, slot.tenure)
-}
-
-/// The lock-free mapping table: the published current descriptor, the
-/// readers' hazard slots, and the retirement list. See the
-/// [module docs](self#lock-free-mapping-access).
-struct MapTable {
-    /// The current mapping generation (`Box::into_raw`; owned here).
-    current: AtomicPtr<MapDesc>,
-    /// Pool size of the current generation, mirrored out of it so `len()`
-    /// needs no pin.
-    size: AtomicUsize,
-    /// Fixed-size pool (`grow_step == 0`): the mapping is immutable, so
-    /// readers skip the hazard protocol entirely — the direct path.
-    direct: bool,
-    slots: Box<[CachePadded<PinSlot>]>,
-    retired: Mutex<Vec<Retired>>,
-    /// Serializes growth. Readers never take it.
-    grow: Mutex<()>,
-}
-
-// SAFETY: the raw descriptor pointers are owned by this table (Box);
-// mapped memory is only accessed through atomics, and the hazard protocol
-// (or &mut exclusivity) guarantees no use-after-unmap.
-unsafe impl Send for MapTable {}
-unsafe impl Sync for MapTable {}
-
-impl MapTable {
-    fn new(base: *mut u8, map_len: usize, size: usize, direct: bool) -> MapTable {
-        let desc = Box::new(MapDesc {
-            raw: RawMap { base, size },
-            map_len,
-        });
-        MapTable {
-            current: AtomicPtr::new(Box::into_raw(desc)),
-            size: AtomicUsize::new(size),
-            direct,
-            slots: (0..PIN_SLOTS)
-                .map(|_| {
-                    CachePadded::new(PinSlot {
-                        pinned: AtomicPtr::new(ptr::null_mut()),
-                        depth: UnsafeCell::new(0),
-                        tenure: UnsafeCell::new(0),
-                    })
-                })
-                .collect(),
-            retired: Mutex::new(Vec::new()),
-            grow: Mutex::new(()),
-        }
-    }
-
-    /// Pool size of the current generation (no pin required).
-    #[inline]
-    fn size(&self) -> usize {
-        self.size.load(Ordering::Acquire)
-    }
-
-    /// Pins the current mapping generation for this thread and returns its
-    /// raw view plus the hazard slot to release (None on the direct path).
-    #[inline]
-    fn pin(&self) -> (RawMap, Option<usize>) {
-        if self.direct {
-            // Fixed-size pool: the descriptor is immutable for the pool's
-            // lifetime, so one relaxed load is the whole fast path.
-            let d = self.current.load(Ordering::Relaxed);
-            // SAFETY: never retired or freed while the pool is alive.
-            return (unsafe { (*d).raw }, None);
-        }
-        MAP_EPOCH.incr();
-        let (idx, tenure) = reader_slot();
-        let slot = &self.slots[idx];
-        // SAFETY: `depth`/`tenure` belong to this thread's slot lease
-        // alone (hand-over between leases goes through the free-list
-        // mutex, which orders the accesses).
-        let depth = unsafe { &mut *slot.depth.get() };
-        let owner = unsafe { &mut *slot.tenure.get() };
-        if *depth > 0 {
-            if *owner == tenure {
-                // Nested pin (a pool op under an outstanding MapRef): the
-                // slot already protects a descriptor; reuse it rather
-                // than re-announcing, so the inner unpin cannot strip the
-                // outer pin's protection.
-                *depth += 1;
-                let d = slot.pinned.load(Ordering::Relaxed);
-                // SAFETY: protected by this very slot since the outer pin.
-                return (unsafe { (*d).raw }, Some(idx));
-            }
-            // The slot was inherited from a thread that died with a
-            // leaked (`mem::forget`) `MapRef` still announced. That view
-            // is unreachable forever (a MapRef cannot leave its thread),
-            // so reset the slot: otherwise this thread would run every
-            // op against the dead view's generation and keep it
-            // unreclaimable for the pool's lifetime.
-            *depth = 0;
-            slot.pinned.store(ptr::null_mut(), Ordering::Release);
-        }
-        *owner = tenure;
-        loop {
-            let d = self.current.load(Ordering::SeqCst);
-            // Hazard announcement: publish which descriptor this thread is
-            // about to dereference, then re-check that it is still
-            // current. Once the re-check passes, a grower's reclaim scan —
-            // which runs strictly after its SeqCst publish of the new
-            // descriptor — is guaranteed to observe the announcement.
-            slot.pinned.store(d, Ordering::SeqCst);
-            if self.current.load(Ordering::SeqCst) == d {
-                *depth = 1;
-                // SAFETY: announced-then-rechecked: cannot be reclaimed
-                // while this slot references it.
-                return (unsafe { (*d).raw }, Some(idx));
-            }
-        }
-    }
-
-    /// Releases a pin taken by [`pin`](Self::pin).
-    #[inline]
-    fn unpin(&self, idx: usize) {
-        let slot = &self.slots[idx];
-        // SAFETY: owner thread only.
-        let depth = unsafe { &mut *slot.depth.get() };
-        *depth -= 1;
-        if *depth == 0 {
-            slot.pinned.store(ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    /// Publishes `desc` as the current generation and retires the old one.
-    /// Growth-lock holder only.
-    fn install(&self, desc: Box<MapDesc>, unmap_old: bool) {
-        let size = desc.raw.size;
-        let old = self.current.swap(Box::into_raw(desc), Ordering::SeqCst);
-        self.size.store(size, Ordering::Release);
-        // SAFETY: `old` came from Box::into_raw at its own install (or
-        // `new`) and just became unreachable for new pins.
-        let desc = unsafe { Box::from_raw(old) };
-        self.retired.lock().unwrap().push(Retired {
-            desc,
-            unmap: unmap_old,
-        });
-    }
-
-    /// Frees every retired generation no hazard slot still references.
-    /// Opportunistic: called after each growth; `MapTable::drop` sweeps
-    /// whatever is left.
-    fn reclaim(&self) {
-        let mut retired = self.retired.lock().unwrap();
-        retired.retain(|r| {
-            let p = &*r.desc as *const MapDesc as *mut MapDesc;
-            let pinned = self
-                .slots
-                .iter()
-                .any(|s| s.pinned.load(Ordering::SeqCst) == p);
-            if !pinned && r.unmap {
-                // SAFETY: the descriptor left `current` at retire time and
-                // the scan above saw no announcement of it, so no present
-                // or future reader can reference this mapping.
-                unsafe { mmap::raw::unmap(r.desc.raw.base, r.desc.map_len) };
-            }
-            pinned
-        });
-    }
-}
-
-impl Drop for MapTable {
-    fn drop(&mut self) {
-        // Exclusive access: no pins can exist anymore. The current
-        // generation always owns its base; retired ones only when their
-        // `unmap` flag says so.
-        // SAFETY: `current` is always a live Box::into_raw pointer.
-        let cur = unsafe { Box::from_raw(*self.current.get_mut()) };
-        // SAFETY: the current generation's base/map_len name exactly one
-        // live mapping, and nothing references it after this drop.
-        unsafe { mmap::raw::unmap(cur.raw.base, cur.map_len) };
-        for r in self.retired.get_mut().unwrap().drain(..) {
-            if r.unmap {
-                // SAFETY: as above, for a moved-aside retired mapping.
-                unsafe { mmap::raw::unmap(r.desc.raw.base, r.desc.map_len) };
-            }
-        }
-    }
-}
-
-/// A pinned per-operation view of the mapping — what the old mapping
-/// `RwLock` read guard used to be, now wait-free. Derefs to [`RawMap`]
-/// for all accessors; dropping releases the hazard slot.
-struct Map<'a> {
-    raw: RawMap,
-    pool: &'a FilePool,
-    slot: Option<usize>,
-    /// Slow path only (`FilePool::map_slow`): holding the growth lock is
-    /// what keeps `raw` the current, un-retirable generation.
-    _grow: Option<std::sync::MutexGuard<'a, ()>>,
-}
-
-impl Map<'_> {
-    /// Synchronously writes `[offset, offset + len)` of the mapping
-    /// (mapping-relative, header included) back to the file.
-    fn msync(&self, offset: usize, len: usize) -> io::Result<()> {
-        self.pool.msync_raw(&self.raw, offset, len)
-    }
-}
-
-impl std::ops::Deref for Map<'_> {
-    type Target = RawMap;
-    fn deref(&self) -> &RawMap {
-        &self.raw
-    }
-}
-
-impl Drop for Map<'_> {
-    fn drop(&mut self) {
-        if let Some(idx) = self.slot {
-            self.pool.maps.unpin(idx);
-        }
-    }
-}
-
 /// The file-backed pool. See the [module docs](self).
 pub struct FilePool {
-    /// The lock-free mapping table: current generation, hazard slots,
-    /// retirement list.
-    maps: MapTable,
+    /// Header page plus pool space, at a base fixed for the pool's
+    /// lifetime; an elastic pool's covers the whole offset space (see the
+    /// [module docs](self#mapping)).
+    map: MmapRegion,
+    /// Pool size in bytes: how much of the mapping past the header the
+    /// file holds. Growth raises it (`Release`, after the commit point);
+    /// nothing lowers it.
+    size: AtomicUsize,
+    /// Serializes growth. Readers never take it.
+    grow: Mutex<()>,
     file: File,
     path: PathBuf,
     policy: SyncPolicy,
@@ -1098,20 +750,9 @@ impl FilePool {
             .truncate(true)
             .open(&path)?;
         file.set_len((HEADER_LEN + size) as u64)?;
-        let base = mmap::raw::map(&file, HEADER_LEN + size)?;
-        let pool = FilePool {
-            maps: MapTable::new(base, HEADER_LEN + size, size, config.grow_step == 0),
-            file,
-            path,
-            policy: config.sync,
-            grow_step: config.grow_step,
-            was_clean: true,
-            pending: new_pending(),
-            group: GroupCommit::new(config.fence_window_ns),
-            synced: msync_tracker(),
-        };
+        let pool = FilePool::from_file(file, path, size, config, true)?;
         pool.write_header(size);
-        pool.map().msync(0, HEADER_LEN)?;
+        pool.msync(0, HEADER_LEN)?;
         Ok(pool)
     }
 
@@ -1172,27 +813,53 @@ impl FilePool {
         }
         let (geometry, journal_pending) = validate_header(&header, file_len, &path)?;
 
-        let size = geometry.pool_size;
-        let base = mmap::raw::map(&file, HEADER_LEN + size)?;
-        let pool = FilePool {
-            maps: MapTable::new(base, HEADER_LEN + size, size, config.grow_step == 0),
+        let pool = FilePool::from_file(file, path, geometry.pool_size, config, geometry.was_clean)?;
+        if journal_pending {
+            pool.roll_forward_grow();
+        }
+        pool.set_flags(false); // dirty while open
+        pool.msync(0, HEADER_LEN)?;
+        Ok(pool)
+    }
+
+    /// Maps `file`, which holds a pool of `size` bytes, for the session
+    /// `config` describes: exactly `size` bytes on a fixed-size pool, the
+    /// whole offset space on an elastic one.
+    fn from_file(
+        file: File,
+        path: PathBuf,
+        size: usize,
+        config: FileConfig,
+        was_clean: bool,
+    ) -> io::Result<FilePool> {
+        let reserve = if config.grow_step > 0 {
+            MAX_POOL_SIZE.max(size)
+        } else {
+            size
+        };
+        let map = MmapRegion::map(&file, HEADER_LEN + reserve).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!(
+                    "{}: cannot map {} bytes: {e}",
+                    path.display(),
+                    HEADER_LEN + reserve
+                ),
+            )
+        })?;
+        Ok(FilePool {
+            map,
+            size: AtomicUsize::new(size),
+            grow: Mutex::new(()),
             file,
             path,
             policy: config.sync,
             grow_step: config.grow_step,
-            was_clean: geometry.was_clean,
+            was_clean,
             pending: new_pending(),
             group: GroupCommit::new(config.fence_window_ns),
             synced: msync_tracker(),
-        };
-        if journal_pending {
-            pool.roll_forward_grow();
-        }
-        let map = pool.map();
-        map.set_flags(false); // dirty while open
-        map.msync(0, HEADER_LEN)?;
-        drop(map);
-        Ok(pool)
+        })
     }
 
     /// Reads and validates the header of an existing pool file **without
@@ -1245,57 +912,44 @@ impl FilePool {
     /// The committed growth epoch: how many growths have reached their
     /// commit point over this pool file's lifetime (`0` = never grown).
     pub fn growth_epoch(&self) -> u32 {
-        self.map().header_u32(H_GROW_EPOCH).load(Ordering::Acquire)
+        self.header_u32(H_GROW_EPOCH).load(Ordering::Acquire)
     }
 
     /// A direct-pointer view of the pool space (see [`pmem::MapRef`]).
     ///
-    /// On an elastic pool the view holds a hazard pin: it stays valid
-    /// across concurrent growth (the replaced mapping is not unmapped
-    /// until the view drops), but offsets allocated *after* a growth may
-    /// exceed its pinned bounds — the view's own accessors panic on them;
-    /// drop and re-take the view to observe the grown mapping. (Pool
-    /// operations issued through [`PoolBackend`] while the view is held
-    /// are not so limited: past-the-view offsets re-resolve the current
-    /// mapping.) On a fixed-size pool (`grow_step == 0`) the mapping
-    /// is immutable, so the view is unpinned and free to hold: the
-    /// zero-synchronization direct path.
+    /// The mapping's base never moves, so a view is free to take and to
+    /// hold, on a fixed-size and an elastic pool alike. Its length is the
+    /// pool size when it was taken: offsets an elastic pool hands out after
+    /// a later growth lie past it, and the view's accessors panic on them —
+    /// take a fresh view to address the grown space.
     ///
     /// ```
     /// use pmem::PoolBackend;
     /// use store::{FileConfig, FilePool};
     ///
     /// let path = std::env::temp_dir().join(format!("mapref-doc-{}.pool", std::process::id()));
-    /// // Default FileConfig: grow_step == 0, the direct path.
     /// let pool = FilePool::create(&path, FileConfig::with_size(4 << 20))?.into_pool();
     /// let off = pool.alloc_raw(64, 64);
     /// pool.store_u64(off, 7);
     ///
     /// let view = pool.map_ref().expect("file pools expose their mapping");
-    /// assert!(!view.is_pinned(), "grow_step == 0 hands out the unpinned direct path");
+    /// assert_eq!(view.len(), pool.len());
     /// assert_eq!(view.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire), 7);
     ///
-    /// drop(view);
     /// drop(pool);
     /// std::fs::remove_file(&path)?;
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn map_ref(&self) -> pmem::MapRef<'_> {
-        if self.maps.direct {
-            MAP_DIRECT.incr();
-        }
-        let map = self.map();
-        let (raw, slot) = (map.raw, map.slot);
-        std::mem::forget(map); // keep the pin; MapRef::drop releases it
-                               // SAFETY: the mapping stays valid until the pin is released — or,
-                               // on the unpinned direct path, for the pool's whole lifetime,
-                               // which the returned borrow of `self` covers. Pool offset 0 is the
-                               // first byte after the header.
+        MAP_DIRECT.incr();
+        // SAFETY: the base is fixed and stays mapped until the pool drops,
+        // which the returned borrow of `self` outlasts; the file holds
+        // `[0, size)` of pool space, and the size never shrinks. Pool
+        // offset 0 is the first byte after the header.
         unsafe {
             pmem::MapRef::new(
-                raw.base.add(HEADER_LEN),
-                raw.size,
-                slot.map(|s| (self as &dyn MapPin, s)),
+                self.map.as_ptr().add(HEADER_LEN),
+                self.size.load(Ordering::Acquire),
             )
         }
     }
@@ -1330,16 +984,16 @@ impl FilePool {
     /// now holds `min_len` bytes (including when a concurrent growth already
     /// got there), `Ok(false)` when it cannot (growth disabled, or `min_len`
     /// exceeds the 32-bit offset ceiling). The protocol — `ftruncate`,
-    /// journaled header commit, `mremap` + epoch-retired publish — is
-    /// described in the [module docs](self#elastic-growth); readers are
-    /// never blocked, and a crash at any point recovers to either the old
-    /// or the new size with no allocation lost.
+    /// journaled header commit, then publishing the size — is described in
+    /// the [module docs](self#elastic-growth); readers are never blocked,
+    /// and a crash at any point recovers to either the old or the new size
+    /// with no allocation lost.
     pub fn grow_to(&self, min_len: usize) -> io::Result<bool> {
-        let _grow = self.maps.grow.lock().unwrap();
-        // SAFETY: only the growth-lock holder retires descriptors, so the
-        // current one stays alive (and current) for this whole scope.
-        let cur = unsafe { &*self.maps.current.load(Ordering::Acquire) };
-        let old_size = cur.raw.size;
+        let _grow = self
+            .grow
+            .lock()
+            .expect("a growth panicked while holding the growth lock");
+        let old_size = self.size.load(Ordering::Acquire);
         if old_size >= min_len {
             return Ok(true); // a concurrent growth already satisfied us
         }
@@ -1367,11 +1021,11 @@ impl FilePool {
         //    readers reject the file rather than ignore the grown space.
         let version = FORMAT_VERSION | (FORMAT_MINOR << 16);
         let mut geo = [0u8; GEO_LEN];
-        geo.copy_from_slice(cur.raw.header_bytes(0..GEO_LEN));
+        geo.copy_from_slice(self.header_bytes(0..GEO_LEN));
         geo[H_VERSION..H_VERSION + 4].copy_from_slice(&version.to_le_bytes());
         let mut grow = [0u8; 12];
         grow[0..8].copy_from_slice(&(new_size as u64).to_le_bytes());
-        let epoch = cur.raw.header_u32(H_GROW_EPOCH).load(Ordering::Acquire) + 1;
+        let epoch = self.header_u32(H_GROW_EPOCH).load(Ordering::Acquire) + 1;
         grow[8..12].copy_from_slice(&epoch.to_le_bytes());
         let commit = GrowCommit {
             version,
@@ -1381,24 +1035,24 @@ impl FilePool {
             grow_crc: crc32(&grow),
         };
 
-        // 3. Journal record — the durable commit point — persisted through
-        //    the still-published old mapping, strictly *before* the larger
-        //    size becomes visible to allocators: the watermark is
-        //    persisted eagerly on every allocation, so space above the old
-        //    ceiling must never be handed out ahead of the record that
-        //    makes the new size survive a crash.
+        // 3. Journal record — the durable commit point — persisted
+        //    strictly *before* the larger size becomes visible to
+        //    allocators: the watermark is persisted eagerly on every
+        //    allocation, so space above the old ceiling must never be
+        //    handed out ahead of the record that makes the new size
+        //    survive a crash.
         let record = commit.to_bytes();
         for (i, chunk) in record.chunks(8).enumerate() {
-            cur.raw.header_u64(H_JOURNAL + i * 8).store(
+            self.header_u64(H_JOURNAL + i * 8).store(
                 u64::from_le_bytes(chunk.try_into().unwrap()),
                 Ordering::Release,
             );
         }
-        cur.raw.header_u32(H_JOURNAL + 24).store(
-            crc32(cur.raw.header_bytes(H_JOURNAL..H_JOURNAL + 24)),
+        self.header_u32(H_JOURNAL + 24).store(
+            crc32(self.header_bytes(H_JOURNAL..H_JOURNAL + 24)),
             Ordering::Release,
         );
-        self.persist_header(&cur.raw);
+        self.persist_header();
         // The journal record above is the durable commit point — log it to
         // the flight ring before the crash-injection hook so a kill "right
         // after commit" is visible in a post-mortem `harness blackbox`.
@@ -1407,149 +1061,110 @@ impl FilePool {
         grow_abort_point("DQ_GROW_ABORT_AFTER_COMMIT");
 
         // 4. Home fields (idempotent with open's journal roll-forward),
-        //    then retire the journal — still through the old mapping.
-        self.write_grow_home(&cur.raw, commit);
+        //    then retire the journal.
+        self.write_grow_home(commit);
 
-        // 5. Remap and publish. Mapping retirement happens strictly after
-        //    the commit point, so reclamation can never delay it. Should
-        //    the remap itself fail, the growth is already durably
-        //    committed on disk but unpublished: this session keeps serving
-        //    the old size and a reopen sees the new one.
-        let new_map_len = HEADER_LEN + new_size;
-        // Common case: extend the mapping in place — same base, no second
-        // VA range, concurrent readers never notice. Fallback: duplicate
-        // the shared mapping (mremap old_size == 0 on Linux, a second mmap
-        // of the same pages elsewhere); the old mapping stays intact for
-        // still-pinned readers and is epoch-retired.
-        let extended =
-            unsafe { mmap::raw::extend_in_place(cur.raw.base, cur.map_len, new_map_len) };
-        let (base, in_place) = if extended {
-            (cur.raw.base, true)
-        } else {
-            (
-                // SAFETY: `cur` is the live mapping of this pool's file,
-                // which step 1 extended past new_map_len bytes.
-                unsafe { mmap::raw::remap_dup(&self.file, cur.raw.base, new_map_len)? },
-                false,
-            )
-        };
-        self.maps.install(
-            Box::new(MapDesc {
-                raw: RawMap {
-                    base,
-                    size: new_size,
-                },
-                map_len: new_map_len,
-            }),
-            !in_place,
-        );
-        self.maps.reclaim();
+        // 5. Publish. The file already holds the new bytes under the
+        //    mapping's fixed base, so nothing is remapped and no reader is
+        //    waited for: allocators may hand the space out from here on.
+        self.size.store(new_size, Ordering::Release);
         Ok(true)
     }
 
     /// Writes a grow commit's five home fields and clears the journal; the
     /// tail of [`grow_to`](Self::grow_to) and of the roll-forward in `open`.
-    fn write_grow_home(&self, raw: &RawMap, commit: GrowCommit) {
-        raw.header_u32(H_VERSION)
+    fn write_grow_home(&self, commit: GrowCommit) {
+        self.header_u32(H_VERSION)
             .store(commit.version, Ordering::Release);
-        raw.header_u32(H_GEO_CRC)
+        self.header_u32(H_GEO_CRC)
             .store(commit.geo_crc, Ordering::Release);
-        raw.header_u64(H_GROWN_SIZE)
+        self.header_u64(H_GROWN_SIZE)
             .store(commit.grown_size, Ordering::Release);
-        raw.header_u32(H_GROW_EPOCH)
+        self.header_u32(H_GROW_EPOCH)
             .store(commit.grow_epoch, Ordering::Release);
-        raw.header_u32(H_GROW_CRC)
+        self.header_u32(H_GROW_CRC)
             .store(commit.grow_crc, Ordering::Release);
-        self.persist_header(raw);
+        self.persist_header();
         for off in (H_JOURNAL..H_JOURNAL + JOURNAL_LEN).step_by(8) {
-            raw.header_u64(off).store(0, Ordering::Release);
+            self.header_u64(off).store(0, Ordering::Release);
         }
-        self.persist_header(raw);
+        self.persist_header();
     }
 
     /// Rolls a journaled-but-not-home-written growth forward (open path;
     /// the crash landed between the commit point and the home rewrite).
     fn roll_forward_grow(&self) {
-        let map = self.map();
-        let commit = read_journal(map.header_bytes(0..HEADER_LEN))
+        let commit = read_journal(self.header_bytes(0..HEADER_LEN))
             .expect("roll_forward_grow called without a valid journal");
-        self.write_grow_home(&map, commit);
+        self.write_grow_home(commit);
     }
 
     // ------------------------------------------------------------------
     // Raw access helpers
     // ------------------------------------------------------------------
 
-    /// Pins the current mapping for one operation — the wait-free fast
-    /// path (one relaxed load on fixed-size pools, a hazard announcement
-    /// on elastic ones; see [`MapTable::pin`]).
     #[inline]
-    fn map(&self) -> Map<'_> {
-        let (raw, slot) = self.maps.pin();
-        Map {
-            raw,
-            pool: self,
-            slot,
-            _grow: None,
-        }
+    fn header_u32(&self, off: usize) -> &AtomicU32 {
+        debug_assert!(off + 4 <= HEADER_LEN && off.is_multiple_of(4));
+        // SAFETY: in bounds of the header page, 4-byte aligned.
+        unsafe { &*(self.map.as_ptr().add(off) as *const AtomicU32) }
     }
 
-    /// Pins a mapping view guaranteed to cover the pool-space access
-    /// `[off, off + bytes)`, enforcing the bound in release builds. A
-    /// top-level pin always covers every allocated offset (sizes are
-    /// monotonic and the pinned generation is current at announce time),
-    /// so the check only fails on the nested-pin path — a pool op running
-    /// under an outstanding [`MapRef`](pmem::MapRef) whose generation
-    /// predates a growth — and the op then re-resolves through the
-    /// current generation ([`map_slow`](Self::map_slow)) instead of
-    /// dereferencing past the stale mapping. A genuinely out-of-bounds
-    /// offset panics rather than touching unmapped memory.
     #[inline]
-    fn map_for(&self, off: u32, bytes: u32) -> Map<'_> {
-        let map = self.map();
-        if off as usize + bytes as usize <= map.size {
-            map
-        } else {
-            drop(map);
-            self.map_slow(off as usize + bytes as usize)
-        }
+    fn header_u64(&self, off: usize) -> &AtomicU64 {
+        debug_assert!(off + 8 <= HEADER_LEN && off.is_multiple_of(8));
+        // SAFETY: in bounds of the header page, 8-byte aligned.
+        unsafe { &*(self.map.as_ptr().add(off) as *const AtomicU64) }
     }
 
-    /// The re-resolution slow path of [`map_for`](Self::map_for): a view
-    /// of the *current* generation, kept current (and un-retired) by
-    /// holding the growth lock for the view's lifetime. Only reached
-    /// when an offset allocated after a growth is accessed under a
-    /// `MapRef` pinned before it — rare enough that serializing against
-    /// growth costs nothing.
-    #[cold]
-    fn map_slow(&self, end: usize) -> Map<'_> {
-        let guard = self.maps.grow.lock().unwrap();
-        // SAFETY: under the growth lock the current descriptor can be
-        // neither replaced nor retired.
-        let raw = unsafe { (*self.maps.current.load(Ordering::Acquire)).raw };
+    /// A byte slice of the header range `r` (for CRC computation).
+    fn header_bytes(&self, r: std::ops::Range<usize>) -> &[u8] {
+        debug_assert!(r.end <= HEADER_LEN);
+        // SAFETY: the header page is mapped and valid for HEADER_LEN bytes.
+        unsafe { std::slice::from_raw_parts(self.map.as_ptr().add(r.start), r.end - r.start) }
+    }
+
+    fn set_flags(&self, clean: bool) {
+        let flags = if clean { FLAG_CLEAN } else { 0 };
+        self.header_u32(H_FLAGS).store(flags, Ordering::Release);
+        // SAFETY: the header page is valid readable memory.
+        unsafe { pmem::hw::clflush(self.map.as_ptr().add(H_FLAGS)) };
+        pmem::hw::sfence();
+    }
+
+    /// The mapped address of pool offset `off`, for an access of `bytes`
+    /// bytes. The bound is checked in release builds too: past the
+    /// published size the mapping has no file under it.
+    #[inline]
+    fn addr(&self, off: u32, bytes: u32) -> *mut u8 {
+        let size = self.size.load(Ordering::Acquire);
         assert!(
-            end <= raw.size,
-            "pool access out of bounds (access end {end}, pool size {})",
-            raw.size
+            off as usize + bytes as usize <= size,
+            "pool access out of bounds (offset {off}, pool size {size})"
         );
-        Map {
-            raw,
-            pool: self,
-            slot: None,
-            _grow: Some(guard),
-        }
+        // SAFETY: in bounds of the pool space the file holds.
+        unsafe { self.map.as_ptr().add(HEADER_LEN + off as usize) }
     }
 
-    /// Synchronously writes `[offset, offset + len)` of `raw`'s mapping
-    /// (mapping-relative, header included) back to the file.
-    fn msync_raw(&self, raw: &RawMap, offset: usize, len: usize) -> io::Result<()> {
+    #[inline]
+    fn word(&self, off: u32) -> &AtomicU64 {
+        let addr = self.addr(off, 8);
+        debug_assert!(off.is_multiple_of(8), "unaligned pool access");
+        // SAFETY: in bounds, 8-byte aligned (the mapping is page aligned),
+        // and only ever accessed atomically.
+        unsafe { &*(addr as *const AtomicU64) }
+    }
+
+    /// Synchronously writes `[offset, offset + len)` of the mapping
+    /// (header included) back to the file.
+    fn msync(&self, offset: usize, len: usize) -> io::Result<()> {
         if len == 0 {
             return Ok(());
         }
         assert!(
             offset
                 .checked_add(len)
-                .is_some_and(|end| end <= HEADER_LEN + raw.size),
+                .is_some_and(|end| end <= HEADER_LEN + self.size.load(Ordering::Acquire)),
             "msync range out of bounds"
         );
         if let Some(tracker) = &self.synced {
@@ -1557,9 +1172,7 @@ impl FilePool {
             let mut synced = tracker.lock().unwrap();
             synced.extend(offset / page..(offset + len).div_ceil(page));
         }
-        // SAFETY: bounds-checked against the pinned view, whose mapping is
-        // live for at least HEADER_LEN + size bytes.
-        unsafe { mmap::raw::msync(raw.base, offset, len) }
+        self.map.msync(offset, len)
     }
 
     /// Test support (`DQ_TRACK_MSYNC`): every file page number any `msync`
@@ -1579,11 +1192,11 @@ impl FilePool {
     /// callers promise durability by returning, so a failed power-fail
     /// `msync` panics through [`durability_lost`](Self::durability_lost),
     /// as a fence's does.
-    fn persist_header(&self, raw: &RawMap) {
+    fn persist_header(&self) {
         // SAFETY: the header page is valid readable memory.
-        unsafe { pmem::hw::persist_range(raw.base, HEADER_LEN) };
+        unsafe { pmem::hw::persist_range(self.map.as_ptr(), HEADER_LEN) };
         if self.policy == SyncPolicy::PowerFail {
-            let synced = self.msync_raw(raw, 0, HEADER_LEN);
+            let synced = self.msync(0, HEADER_LEN);
             #[cfg(test)]
             let synced = synced.and_then(|()| tests::header_msync_hook());
             if let Err(e) = synced {
@@ -1594,27 +1207,19 @@ impl FilePool {
 
     /// Fills in a fresh header (create path; the mapping is zeroed).
     fn write_header(&self, size: usize) {
-        let state = self.map();
-        state.header_u64(H_MAGIC).store(MAGIC, Ordering::Relaxed);
-        state
-            .header_u32(H_VERSION)
+        self.header_u64(H_MAGIC).store(MAGIC, Ordering::Relaxed);
+        self.header_u32(H_VERSION)
             .store(FORMAT_VERSION, Ordering::Relaxed); // minor 0 until grown
-        state
-            .header_u32(H_HEADER_LEN)
+        self.header_u32(H_HEADER_LEN)
             .store(HEADER_LEN as u32, Ordering::Relaxed);
-        state
-            .header_u64(H_POOL_SIZE)
+        self.header_u64(H_POOL_SIZE)
             .store(size as u64, Ordering::Relaxed);
-        state
-            .header_u32(H_ROOT_SLOTS)
+        self.header_u32(H_ROOT_SLOTS)
             .store(ROOT_SLOTS as u32, Ordering::Relaxed);
-        let geo_crc = crc32(state.header_bytes(0..GEO_LEN));
-        state
-            .header_u32(H_GEO_CRC)
-            .store(geo_crc, Ordering::Relaxed);
-        state.header_u32(H_FLAGS).store(0, Ordering::Relaxed); // dirty
-        state
-            .header_u32(H_WATERMARK)
+        let geo_crc = crc32(self.header_bytes(0..GEO_LEN));
+        self.header_u32(H_GEO_CRC).store(geo_crc, Ordering::Relaxed);
+        self.header_u32(H_FLAGS).store(0, Ordering::Relaxed); // dirty
+        self.header_u32(H_WATERMARK)
             .store(layout::HEAP_START, Ordering::Release);
     }
 
@@ -1631,22 +1236,19 @@ impl FilePool {
     /// at the first error.
     fn sync_runs(&self, pages: &[usize]) -> io::Result<()> {
         debug_assert!(pages.is_sorted());
-        let Some(&last) = pages.last() else {
+        let Some(&first) = pages.first() else {
             return Ok(());
         };
         let page = page_size();
-        // The pages may postdate the generation a held MapRef has pinned;
-        // span-check so the msync targets a mapping that covers them.
-        let state = self.span_checked_map((last + 1) * page);
-        let mut run = (pages[0], pages[0]);
+        let mut run = (first, first);
         for &p in &pages[1..] {
             if p > run.1 + 1 {
-                state.msync(run.0 * page, (run.1 - run.0 + 1) * page)?;
+                self.msync(run.0 * page, (run.1 - run.0 + 1) * page)?;
                 run.0 = p;
             }
             run.1 = p;
         }
-        state.msync(run.0 * page, (run.1 - run.0 + 1) * page)
+        self.msync(run.0 * page, (run.1 - run.0 + 1) * page)
     }
 
     /// [`sync_runs`](Self::sync_runs) for a caller that promises
@@ -1664,7 +1266,7 @@ impl FilePool {
     fn durability_lost(&self, e: io::Error) -> ! {
         MSYNC_ERROR.incr();
         panic!(
-            "msync of pool {} failed: {e}; what the pool holds on the medium \
+            "syncing pool {} failed: {e}; what the pool holds on the medium \
              is now unknowable, restart and recover",
             self.path.display()
         )
@@ -1775,20 +1377,6 @@ impl FilePool {
         }
         Ok(())
     }
-
-    /// A map guaranteed to cover `[0, end)` of the pool file (mapping
-    /// coordinates, header included): flushed pages may postdate the
-    /// generation a held MapRef pinned, so fences span-check before
-    /// `msync`ing.
-    fn span_checked_map(&self, end: usize) -> Map<'_> {
-        let state = self.map();
-        if end <= HEADER_LEN + state.size {
-            state
-        } else {
-            drop(state);
-            self.map_slow(end - HEADER_LEN)
-        }
-    }
 }
 
 fn new_pending() -> Box<[CachePadded<PendingPages>]> {
@@ -1804,25 +1392,16 @@ impl Drop for FilePool {
     /// set. `Drop` cannot return the error, and must not panic: the failure
     /// is counted as `store.msync.error`.
     fn drop(&mut self) {
-        // SAFETY: &mut self — no pins exist; the current descriptor is
-        // live until MapTable::drop unmaps it after this body.
-        let raw = unsafe { (*self.maps.current.load(Ordering::Acquire)).raw };
-        let synced = self.msync_raw(&raw, 0, HEADER_LEN + raw.size);
+        let synced = self.msync(0, HEADER_LEN + self.len());
         #[cfg(test)]
         let synced = synced.and_then(|()| tests::close_msync_hook());
         if synced.and_then(|()| self.file.sync_all()).is_err() {
             MSYNC_ERROR.incr();
             return;
         }
-        raw.set_flags(true);
-        let _ = self.msync_raw(&raw, 0, HEADER_LEN);
+        self.set_flags(true);
+        let _ = self.msync(0, HEADER_LEN);
         let _ = self.file.sync_all();
-    }
-}
-
-impl MapPin for FilePool {
-    fn unpin_map(&self, token: usize) {
-        self.maps.unpin(token);
     }
 }
 
@@ -1832,48 +1411,39 @@ impl PoolBackend for FilePool {
     }
 
     fn len(&self) -> usize {
-        self.maps.size()
+        self.size.load(Ordering::Acquire)
     }
 
     #[inline]
     fn load_u64(&self, off: u32) -> u64 {
-        self.map_for(off, 8).word(off).load(Ordering::Acquire)
+        self.word(off).load(Ordering::Acquire)
     }
 
     #[inline]
     fn store_u64(&self, off: u32, val: u64) {
-        self.map_for(off, 8).word(off).store(val, Ordering::Release)
+        self.word(off).store(val, Ordering::Release)
     }
 
     #[inline]
     fn cas_u64(&self, off: u32, current: u64, new: u64) -> Result<u64, u64> {
-        self.map_for(off, 8).word(off).compare_exchange(
-            current,
-            new,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        )
+        self.word(off)
+            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
     #[inline]
     fn fetch_add_u64(&self, off: u32, val: u64) -> u64 {
-        self.map_for(off, 8)
-            .word(off)
-            .fetch_add(val, Ordering::AcqRel)
+        self.word(off).fetch_add(val, Ordering::AcqRel)
     }
 
     #[inline]
     fn swap_u64(&self, off: u32, val: u64) -> u64 {
-        self.map_for(off, 8).word(off).swap(val, Ordering::AcqRel)
+        self.word(off).swap(val, Ordering::AcqRel)
     }
 
     #[inline]
     fn flush(&self, tid: usize, off: u32) {
-        let state = self.map_for(off, 8);
-        state.check_bounds(off, 8);
         // SAFETY: the line containing `off` is inside the mapping.
-        unsafe { pmem::hw::clflush(state.addr(off)) };
-        drop(state);
+        unsafe { pmem::hw::clflush(self.addr(off, 8)) };
         if self.policy == SyncPolicy::PowerFail {
             let page = (HEADER_LEN + off as usize) / page_size();
             self.with_pending(tid, |pending| {
@@ -1898,13 +1468,10 @@ impl PoolBackend for FilePool {
 
     #[inline]
     fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
-        let state = self.map_for(off, 8);
-        state.check_bounds(off, 8);
         // SAFETY: in bounds, 8-byte aligned; concurrent access to pool words
         // is atomic by contract (a racing movnti would be the caller's
         // single-writer-per-word violation, same as on real hardware).
-        unsafe { pmem::hw::nt_store_u64(state.addr(off) as *mut u64, val) };
-        drop(state);
+        unsafe { pmem::hw::nt_store_u64(self.word(off).as_ptr(), val) };
         if self.policy == SyncPolicy::PowerFail {
             let page = (HEADER_LEN + off as usize) / page_size();
             self.with_pending(tid, |pending| pending.push(page));
@@ -1912,11 +1479,8 @@ impl PoolBackend for FilePool {
     }
 
     fn persist_now(&self, off: u32) {
-        let state = self.map_for(off, 8);
-        state.check_bounds(off, 8);
         // SAFETY: the line containing `off` is inside the mapping.
-        unsafe { pmem::hw::persist_range(state.addr(off), 8) };
-        drop(state);
+        unsafe { pmem::hw::persist_range(self.addr(off, 8), 8) };
         if self.policy == SyncPolicy::PowerFail {
             self.sync_or_die(&[(HEADER_LEN + off as usize) / page_size()]);
         }
@@ -1925,19 +1489,17 @@ impl PoolBackend for FilePool {
     fn zero_range(&self, off: u32, len: u32) {
         assert_eq!(off % 8, 0);
         assert_eq!(len % 8, 0);
-        let state = self.map_for(off, len);
         for i in 0..(len / 8) {
-            state.word(off + i * 8).store(0, Ordering::Release);
+            self.word(off + i * 8).store(0, Ordering::Release);
         }
     }
 
     fn watermark(&self) -> u32 {
-        self.map().header_u32(H_WATERMARK).load(Ordering::Acquire)
+        self.header_u32(H_WATERMARK).load(Ordering::Acquire)
     }
 
     fn cas_watermark(&self, current: u32, new: u32) -> Result<u32, u32> {
-        let state = self.map();
-        let r = state.header_u32(H_WATERMARK).compare_exchange(
+        let r = self.header_u32(H_WATERMARK).compare_exchange(
             current,
             new,
             Ordering::AcqRel,
@@ -1948,7 +1510,7 @@ impl PoolBackend for FilePool {
             // areas); persist the moved watermark eagerly so a reopened pool
             // never re-hands-out reserved space.
             // SAFETY: the header page is valid readable memory.
-            unsafe { pmem::hw::clflush(state.base.add(H_WATERMARK)) };
+            unsafe { pmem::hw::clflush(self.map.as_ptr().add(H_WATERMARK)) };
             pmem::hw::sfence();
             if self.policy == SyncPolicy::PowerFail {
                 self.sync_or_die(&[0]); // the header's page
@@ -1980,30 +1542,38 @@ impl PoolBackend for FilePool {
 
     fn root_u64(&self, slot: usize) -> u64 {
         debug_assert!(slot < ROOT_SLOTS);
-        self.map()
-            .header_u64(H_ROOTS + slot * 8)
-            .load(Ordering::Acquire)
+        self.header_u64(H_ROOTS + slot * 8).load(Ordering::Acquire)
     }
 
     fn set_root_u64(&self, slot: usize, val: u64) {
         debug_assert!(slot < ROOT_SLOTS);
-        let state = self.map();
-        state
-            .header_u64(H_ROOTS + slot * 8)
+        self.header_u64(H_ROOTS + slot * 8)
             .store(val, Ordering::Release);
-        self.persist_header(&state);
+        self.persist_header();
     }
 
+    /// A full checkpoint. A caller that asked for one relies on it, so a
+    /// failed `msync` or `fsync` panics naming the pool's path, counted as
+    /// `store.msync.error`, as a fence's does.
     fn sync(&self) {
-        let state = self.map();
-        let _ = state.msync(0, HEADER_LEN + state.size);
-        let _ = self.file.sync_all();
+        let synced = self
+            .msync(0, HEADER_LEN + self.len())
+            .and_then(|()| self.file.sync_all());
+        #[cfg(test)]
+        let synced = synced.and_then(|()| tests::sync_hook());
+        if let Err(e) = synced {
+            self.durability_lost(e);
+        }
     }
 
     fn mark_clean(&self, clean: bool) {
-        let state = self.map();
-        state.set_flags(clean);
-        let _ = state.msync(0, HEADER_LEN);
+        self.set_flags(clean);
+        let synced = self.msync(0, HEADER_LEN);
+        #[cfg(test)]
+        let synced = synced.and_then(|()| tests::sync_hook());
+        if let Err(e) = synced {
+            self.durability_lost(e);
+        }
     }
 
     fn map_ref(&self) -> Option<pmem::MapRef<'_>> {
@@ -2404,6 +1974,7 @@ mod tests {
     thread_local! {
         static FAIL_CLOSE_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
         static FAIL_HEADER_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static FAIL_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     /// Fails the data `msync` of a close on this thread, once armed.
@@ -2420,6 +1991,50 @@ mod tests {
             return Err(io::Error::from_raw_os_error(5)); // EIO
         }
         Ok(())
+    }
+
+    /// Fails the next `sync` or `mark_clean` on this thread, once armed.
+    pub(super) fn sync_hook() -> io::Result<()> {
+        if FAIL_SYNC.take() {
+            return Err(io::Error::from_raw_os_error(5)); // EIO
+        }
+        Ok(())
+    }
+
+    /// A checkpoint (`sync`) and a clean/dirty mark (`mark_clean`) return
+    /// as durable, so a sync that fails under either must panic naming the
+    /// pool, counted like a fence's — under either policy.
+    #[test]
+    fn a_failed_sync_panics_with_the_path() {
+        let _serial = gc_serial(); // `store.msync.error` is process-global
+        let path = temp_path("sync-fails");
+        let pool = FilePool::create(&path, small()).unwrap();
+        let before = obs::snapshot();
+        let calls: [(&str, &dyn Fn()); 2] = [
+            ("sync", &|| pool.sync()),
+            ("mark_clean", &|| pool.mark_clean(false)),
+        ];
+        for (name, call) in calls {
+            FAIL_SYNC.set(true);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+            let Err(payload) = died else {
+                panic!("{name} returned over a failed sync");
+            };
+            let message = *payload.downcast::<String>().expect("panic with a message");
+            assert!(
+                message.contains(&path.display().to_string()),
+                "{name}: panic must name the pool: {message}"
+            );
+        }
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("store.msync.error") - before.counter("store.msync.error"),
+                2
+            );
+        }
+        drop(pool);
+        fs::remove_file(&path).unwrap();
     }
 
     /// A root-slot write returns as durable, so a header `msync` that fails
@@ -2702,7 +2317,7 @@ mod tests {
         }
         assert!(p.len() > base, "pool must have grown");
         assert_eq!(p.growth_epoch(), 1);
-        assert_eq!(p.load_u64(off), 0xDA7A, "pre-growth data survives remap");
+        assert_eq!(p.load_u64(off), 0xDA7A, "pre-growth data survives growth");
         p.store_u64(last, 0x600D);
         assert_eq!(p.load_u64(last), 0x600D, "grown space is addressable");
 
@@ -2915,7 +2530,7 @@ mod tests {
     #[test]
     fn growth_is_safe_under_concurrent_traffic() {
         // Writers hammer already-allocated words while other threads force
-        // repeated growths: the remap-and-retire protocol must never lose
+        // repeated growths: growing under the fixed mapping must never lose
         // a committed store or hand out overlapping space.
         let path = temp_path("grow-race");
         let pool = FilePool::create(

@@ -20,17 +20,16 @@
 //!   and the queue's ordinary `RecoverableQueue::recover` procedure
 //!   reconstructs the structure — exercised end to end by this crate's
 //!   subprocess crash test and the `harness restart` verb,
-//! * pools configured with a growth step are **elastic**: exhaustion grows
-//!   the file (`ftruncate` + `mremap` behind a journaled, crash-atomic
+//! * pools configured with a growth step are **elastic**: they map the
+//!   whole 32-bit offset space once, and exhaustion grows the file
+//!   underneath that mapping (`ftruncate` behind a journaled, crash-atomic
 //!   header commit) instead of failing, so a long-lived queue outgrows its
 //!   creation-time ceiling — see [`file_pool`](self::file_pool#elastic-growth)
 //!   and the grow-under-`SIGKILL` subprocess test,
-//! * mapping access is **lock-free**: fixed-size pools dereference one
-//!   immutable direct pointer, elastic pools pin the current mapping
-//!   generation in a per-thread hazard slot and growth epoch-retires the
-//!   superseded mapping — see
-//!   [`file_pool`](self::file_pool#lock-free-mapping-access) and the
-//!   repository's `docs/PERFORMANCE.md` chapter.
+//! * mapping access is **lock-free**: the mapping's base never moves, so
+//!   every pool's words are served inline from one pointer — see
+//!   [`file_pool`](self::file_pool#mapping) and the repository's
+//!   `docs/PERFORMANCE.md` chapter.
 //!
 //! ```
 //! use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};

@@ -1,6 +1,6 @@
 //! Crash-safe elastic growth, end to end: a child process drives an
 //! enqueue-only workload on a **deliberately tiny** pool whose growth step
-//! forces repeated `ftruncate` + remap + header-commit cycles, and the
+//! forces repeated `ftruncate` + header-commit cycles, and the
 //! parent crashes it at three different points:
 //!
 //! * a real `SIGKILL` mid-growth-traffic (nondeterministic landing point),

@@ -40,39 +40,87 @@
 //! Consume-path methods panic if a journal append or force fails at the
 //! I/O level: a record of unknown durability would make every subsequent
 //! lease transition unsound, so (like a message store losing its WAL
-//! device) the process must restart and replay. [`Consumer::recover`]
-//! returns `io::Result` instead, since nothing is in flight yet.
+//! device) the process must restart and replay: the panic is
+//! `obs::sys::durable::durability_lost`'s, naming the file.
+//! [`Consumer::recover`] returns `io::Result` instead, since nothing is in
+//! flight yet.
 
 use crate::log::{Record, RecordKind, Replay};
 use crate::queue::{Lease, LeaseError, Redelivery};
 use crate::tx::ExactlyOnce;
 use durable_queues::DurableQueue;
 use obs::flight::EventKind;
+use obs::sys::durable;
 use obs::LazyCounter;
 use shard::LeaseRecovery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::fs::File;
-use std::io;
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Seek};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
 static FORCES: LazyCounter = LazyCounter::new("lease.force");
 
-/// `fdatasync`s a journal file whose contents end at byte `end` — its
-/// logical end, short of the file's length when a zero reserve follows
-/// (see [`segments`](crate::segments)). Every force of the lease layer, on
-/// the operation path or in maintenance, goes through here.
+/// `fdatasync`s the journal file at `path`, whose contents end at byte
+/// `end` — its logical end, short of the file's length when a zero reserve
+/// follows (see [`segments`](crate::segments)). Every force of a journal
+/// file, on the operation path or in maintenance, goes through here.
 pub(crate) fn sync_file(
     file: &File,
+    path: &Path,
     #[cfg_attr(not(test), allow(unused_variables))] end: u64,
 ) -> io::Result<()> {
-    file.sync_data()?;
+    durable::fdatasync(file, path)?;
     #[cfg(test)]
-    crate::powerfail::forced(file, end);
+    crate::powerfail::forced(path, end);
     Ok(())
+}
+
+/// Atomically replaces `dir/name` with `bytes` (a new journal file,
+/// `GROUP.meta`, a compacted `LEASES.log`): forced under
+/// [`SyncPolicy::PowerFail`], trusted to the page cache under
+/// `ProcessCrash`.
+pub(crate) fn replace_file(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    sync: SyncPolicy,
+) -> io::Result<()> {
+    let forced = sync == SyncPolicy::PowerFail;
+    durable::replace_file(dir, name, bytes, forced)?;
+    #[cfg(test)]
+    if forced {
+        crate::powerfail::replaced(&dir.join(name), bytes.len() as u64);
+    }
+    Ok(())
+}
+
+/// A journal's append target and where it lives: shared with the
+/// [`Force`]s handed out, which outlive the lock hold that appended.
+#[derive(Debug)]
+pub(crate) struct JournalFile {
+    pub(crate) file: File,
+    pub(crate) path: PathBuf,
+}
+
+impl JournalFile {
+    /// Creates the journal file `dir/name` holding `header` — whole, through
+    /// [`replace_file`] — and opens it, positioned at its end.
+    pub(crate) fn create(
+        dir: &Path,
+        name: &str,
+        header: &[u8],
+        sync: SyncPolicy,
+    ) -> io::Result<Arc<Self>> {
+        replace_file(dir, name, header, sync)?;
+        let path = dir.join(name);
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        file.seek(io::SeekFrom::End(0))?;
+        Ok(Arc::new(JournalFile { file, path }))
+    }
 }
 
 /// The second step of making appended records durable: a handle on the
@@ -80,20 +128,20 @@ pub(crate) fn sync_file(
 /// lock is released. Forcing a file covers every byte written to it
 /// before the force began, whoever wrote it; the handle promises the
 /// bytes up to the journal's logical end when it was taken.
-pub(crate) struct Force(Option<(Arc<File>, u64)>);
+pub(crate) struct Force(Option<(Arc<JournalFile>, u64)>);
 
 impl Force {
     /// A force of `file` up to `end` under [`SyncPolicy::PowerFail`];
     /// nothing under `ProcessCrash`, where the page cache is the
     /// durability domain.
-    pub(crate) fn of(file: &Arc<File>, sync: SyncPolicy, end: u64) -> Force {
+    pub(crate) fn of(file: &Arc<JournalFile>, sync: SyncPolicy, end: u64) -> Force {
         Force((sync == SyncPolicy::PowerFail).then(|| (Arc::clone(file), end)))
     }
 
     /// Forces the file; counted as `lease.force`.
-    pub(crate) fn run(self) -> io::Result<()> {
-        if let Some((file, end)) = self.0 {
-            sync_file(&file, end)?;
+    pub(crate) fn run(&self) -> io::Result<()> {
+        if let Some((file, end)) = &self.0 {
+            sync_file(&file.file, &file.path, *end)?;
             FORCES.incr();
         }
         Ok(())
@@ -124,7 +172,8 @@ pub(crate) trait Journal {
     /// cursor can never repair a recreated log's leases.
     fn generation(&self) -> u64;
 
-    /// Where the log lives, for the append-failure panic message.
+    /// Where the log lives, for the append- and maintenance-failure panic
+    /// messages.
     fn location(&self) -> &Path;
 
     /// Maintenance after a terminal record (`ACK`/`DEAD`) — the moment the
@@ -237,17 +286,9 @@ impl<J: Journal> State<J> {
 
     fn appended(&mut self, result: io::Result<()>) {
         if let Err(e) = result {
-            self.durability_lost("append", e);
+            durable::durability_lost(self.log.location(), "journal append", e);
         }
         self.unforced = true;
-    }
-
-    fn durability_lost(&self, step: &str, e: io::Error) -> ! {
-        panic!(
-            "ack log {step} failed ({}): {e}; the log's durability is now \
-             unknowable, restart and replay",
-            self.log.location().display()
-        )
     }
 
     /// The force the caller owes once it has released the lock: of
@@ -272,10 +313,7 @@ impl<J: Journal> State<J> {
                     .map(|p| Record::pend(p.prev, p.item, p.delivery_count)),
             );
         if let Err(e) = self.log.after_terminal(self.next_id, live_len, live) {
-            panic!(
-                "ack log maintenance failed ({}): {e}",
-                self.log.location().display()
-            );
+            durable::durability_lost(self.log.location(), "journal maintenance", e);
         }
     }
 }
@@ -387,8 +425,8 @@ impl<J: Journal> Consumer<J> {
             let out = apply(&mut st);
             (out, st.take_force())
         };
-        if let Err(e) = force.run() {
-            obs::locked(&self.state).durability_lost("force", e);
+        if let (Err(e), Some((file, _))) = (force.run(), &force.0) {
+            durable::durability_lost(&file.path, "journal force", e);
         }
         out
     }

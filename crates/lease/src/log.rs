@@ -60,13 +60,13 @@
 //! *interior* of the file, which indicate real damage rather than a
 //! mid-append crash.
 
-use crate::engine::{sync_file, Force, Journal};
+use crate::engine::{replace_file, sync_file, Force, Journal, JournalFile};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use store::{crc32, SyncPolicy};
 
@@ -389,10 +389,9 @@ pub(crate) fn scan_records(
 /// `LeasedQueue`'s lock, so the log itself is single-writer.
 #[derive(Debug)]
 pub struct AckLog {
-    path: PathBuf,
     /// Shared with the [`Force`]s handed out, which outlive the lock hold
     /// that appended (and, harmlessly, a compaction away from this file).
-    file: Arc<File>,
+    file: Arc<JournalFile>,
     sync: SyncPolicy,
     /// Records in the file since the last create/compaction (valid tail
     /// drops excluded).
@@ -414,24 +413,12 @@ impl AckLog {
     /// directory entry are fsync'd before returning.
     pub fn create(dir: &Path, sync: SyncPolicy) -> io::Result<AckLog> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(LEASE_LOG_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
         let generation = fresh_generation();
         // Ids start at 1 (0 is the "no previous lease" sentinel), so a
         // fresh log's high-water mark is 1.
-        file.write_all(&header_bytes(1, generation))?;
-        if sync == SyncPolicy::PowerFail {
-            sync_file(&file, HEADER_LEN as u64)?;
-            File::open(dir)?.sync_data()?;
-        }
+        let header = header_bytes(1, generation);
         Ok(AckLog {
-            path,
-            file: Arc::new(file),
+            file: JournalFile::create(dir, LEASE_LOG_FILE, &header, sync)?,
             sync,
             records: 0,
             generation,
@@ -511,14 +498,13 @@ impl AckLog {
             file.set_len((HEADER_LEN + consumed) as u64)?;
             file.seek(io::SeekFrom::Start((HEADER_LEN + consumed) as u64))?;
             if sync == SyncPolicy::PowerFail {
-                sync_file(&file, (HEADER_LEN + consumed) as u64)?;
+                sync_file(&file, &path, (HEADER_LEN + consumed) as u64)?;
             }
         }
         let records = replay.records;
         Ok((
             AckLog {
-                path,
-                file: Arc::new(file),
+                file: Arc::new(JournalFile { file, path }),
                 sync,
                 records,
                 generation,
@@ -539,18 +525,17 @@ impl AckLog {
     /// The write half of [`append`](Self::append): the record is in the
     /// page cache, not yet forced.
     fn write(&mut self, rec: &Record) -> io::Result<()> {
-        (&*self.file).write_all(&rec.encode())?;
+        (&self.file.file).write_all(&rec.encode())?;
         self.records += 1;
         Ok(())
     }
 
     /// Atomically rewrites the log to contain exactly `live` (the snapshot
-    /// form of the current lease state), discarding the retired prefix:
-    /// tmp file → rename, so a killed process leaves either the old or the
-    /// new log. Under [`SyncPolicy::PowerFail`] the tmp file is `fdatasync`ed
-    /// before the rename and the directory after it (the shard manifest's
-    /// discipline); under `ProcessCrash` the page cache is trusted, as it
-    /// is by [`create`](Self::create) and [`append`](Self::append).
+    /// form of the current lease state), discarding the retired prefix, so
+    /// a killed process leaves either the old or the new log. Under
+    /// [`SyncPolicy::PowerFail`] the replacement is forced, like the shard
+    /// manifest's; under `ProcessCrash` the page cache is trusted, as it is
+    /// by [`create`](Self::create) and [`append`](Self::append).
     ///
     /// `next_lease_id` is the caller's id high-water mark, persisted in the
     /// rewritten header: the snapshot holds only *live* leases, so without
@@ -563,32 +548,20 @@ impl AckLog {
         next_lease_id: u64,
         live: impl IntoIterator<Item = Record>,
     ) -> io::Result<()> {
-        let tmp = self.path.with_extension("log.tmp");
-        let mut out = File::create(&tmp)?;
         let mut buf: Vec<u8> = header_bytes(next_lease_id, self.generation).to_vec();
         let mut n = 0u64;
         for rec in live {
             buf.extend_from_slice(&rec.encode());
             n += 1;
         }
-        out.write_all(&buf)?;
-        let power_fail = self.sync == SyncPolicy::PowerFail;
-        if power_fail {
-            sync_file(&out, buf.len() as u64)?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let (true, Some(parent)) = (power_fail, self.path.parent()) {
-            File::open(parent)?.sync_data()?;
-        }
+        let path = self.file.path.clone();
+        let dir = path.parent().expect("a journal lives in a directory");
+        replace_file(dir, LEASE_LOG_FILE, &buf, self.sync)?;
         // From here a force must reach the new file: one still running on
         // the old file covers records whose effect the snapshot, forced
         // above, already holds.
-        self.file = Arc::new(
-            OpenOptions::new()
-                .read(true)
-                .append(true)
-                .open(&self.path)?,
-        );
+        let file = OpenOptions::new().read(true).append(true).open(&path)?;
+        self.file = Arc::new(JournalFile { file, path });
         self.records = n;
         Ok(())
     }
@@ -606,7 +579,7 @@ impl AckLog {
 
     /// The log file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// Arms compaction on the settlement path (`0` = never, the default).
@@ -637,7 +610,7 @@ impl Journal for AckLog {
     }
 
     fn location(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// Compacts when retired records dominate the live set 4:1 past the
@@ -668,6 +641,7 @@ impl Journal for AckLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-log-{tag}-{}", std::process::id()));

@@ -3,23 +3,19 @@
 //!
 //! The SIGKILL suites cannot see a missing force — the page cache survives
 //! the process — so [`sync_file`](crate::engine::sync_file) reports every
-//! `fdatasync` here, with the logical end the journal promised it, and the
-//! journals report the two moments at which an unforced tail becomes
-//! fatal: a segment was unlinked, or a new segment's header exists. An
+//! `fdatasync` of a journal file here, with the logical end the journal
+//! promised it, [`replace_file`](crate::engine::replace_file) every forced
+//! replacement, and the journals the two moments at which an unforced tail
+//! becomes fatal: a segment was unlinked, or a new segment's header exists. An
 //! *image* is a copy of a group's directory with every file cut back to
 //! its forced length plus a torn half record, and zeros for the rest of
 //! its length — the worst a power failure at that moment could leave of a
 //! segment written into its zero reserve, directory operations being
 //! forced as they happen. The shadow records the promised end, not the
 //! file's length: a reserve makes the file longer than what was forced.
-//!
-//! The shadow names files through `/proc/self/fd`, so the tests are
-//! Linux-only.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -28,20 +24,17 @@ use std::sync::Mutex;
 /// when two threads' forces of one file complete out of order.
 static FORCED: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
 
-/// `file` was `fdatasync`ed by a force promising its bytes up to `len`.
-pub(crate) fn forced(file: &File, len: u64) {
-    let Ok(mut path) = std::fs::read_link(format!("/proc/self/fd/{}", file.as_raw_fd())) else {
-        return;
-    };
+/// The file at `path` was `fdatasync`ed by a force promising its bytes up
+/// to `len`.
+pub(crate) fn forced(path: &Path, len: u64) {
     let mut shadow = obs::locked(&FORCED);
-    if path.extension().is_some_and(|e| e == "tmp") {
-        // Written whole, forced once, renamed over its target at once.
-        path.set_extension("");
-        shadow.insert(path, len);
-    } else {
-        let seen = shadow.entry(path).or_insert(0);
-        *seen = (*seen).max(len);
-    }
+    let seen = shadow.entry(path.to_path_buf()).or_insert(0);
+    *seen = (*seen).max(len);
+}
+
+/// `path` was durably replaced by a file of `len` bytes, written whole.
+pub(crate) fn replaced(path: &Path, len: u64) {
+    obs::locked(&FORCED).insert(path.to_path_buf(), len);
 }
 
 fn forced_len(path: &Path) -> u64 {
@@ -65,7 +58,7 @@ pub(crate) fn crash_point(dir: &Path) {
     CRASH_HOOK.with(|h| *h.borrow_mut() = Some(hook));
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::log::{scan_records, RECORD_LEN};
@@ -85,9 +78,8 @@ mod tests {
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-pf-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // The shadow keys on what `/proc` prints, which is the real path.
         std::fs::create_dir_all(&dir).unwrap();
-        dir.canonicalize().unwrap()
+        dir
     }
 
     fn grouped(dir: &Path) -> Arc<GroupedQueue<OptUnlinkedQueue>> {

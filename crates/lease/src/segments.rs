@@ -24,14 +24,14 @@
 //!
 //! # Commit points
 //!
-//! * **Rotation** commits when the new segment's header is durable (written
-//!   and, under [`SyncPolicy::PowerFail`], fsync'd along with the
-//!   directory). A crash before that leaves the old segment active; a crash
-//!   after replays both. A torn header is only ever possible in the
-//!   highest-numbered segment and is rolled back (the file is deleted) on
-//!   replay.
+//! * **Rotation** commits when the new segment's header is durable: the
+//!   segment is born whole, as an atomic replacement, forced under
+//!   [`SyncPolicy::PowerFail`]. A crash before that leaves the old segment
+//!   active; a crash after replays both. A torn header (damage) is only
+//!   ever accepted in the highest-numbered segment, and is rolled back
+//!   (the file is deleted) on replay.
 //! * **Retirement** writes the meta file's `retired_below` watermark
-//!   (tmp + rename, like the shard manifest) *before* unlinking the
+//!   (an atomic replacement, like the shard manifest) *before* unlinking the
 //!   segment. A crash between the two leaves a segment below the watermark
 //!   on disk; replay refuses to read it and completes the unlink instead —
 //!   a retired segment can never resurrect settled leases, even if a
@@ -90,13 +90,13 @@
 //! corrupt record in a sealed segment is real damage and is refused with an
 //! error naming the file.
 
-use crate::engine::{sync_file, Force, Journal};
+use crate::engine::{replace_file, sync_file, Force, Journal, JournalFile};
 use crate::log::{bad_data, fresh_generation, scan_records, Record, Replay, RECORD_LEN};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::OpenOptions;
+use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -134,8 +134,12 @@ const RESERVE_STEP: u64 = 4096;
 
 static ZEROS: [u8; RESERVE_STEP as usize] = [0; RESERVE_STEP as usize];
 
+fn segment_name(seq: u32) -> String {
+    format!("segment-{seq:04}.log")
+}
+
 fn segment_path(dir: &Path, seq: u32) -> PathBuf {
-    dir.join(format!("segment-{seq:04}.log"))
+    dir.join(segment_name(seq))
 }
 
 /// Parses `segment-NNNN.log` back to `NNNN` (any decimal width ≥ 1, so
@@ -171,23 +175,6 @@ fn meta_bytes(retired_below: u32, generation: u64) -> [u8; GROUP_META_LEN] {
     m[24..28].copy_from_slice(&crc.to_le_bytes());
     // m[28..32] stays zero (pad).
     m
-}
-
-/// Atomically (re)writes `GROUP.meta`: tmp → fsync → rename → dir fsync
-/// under the power-fail tier, plain rename under process-crash (the page
-/// cache survives the process either way).
-fn write_meta(dir: &Path, retired_below: u32, generation: u64, sync: SyncPolicy) -> io::Result<()> {
-    let tmp = dir.join("GROUP.meta.tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&meta_bytes(retired_below, generation))?;
-    if sync == SyncPolicy::PowerFail {
-        sync_file(&f, GROUP_META_LEN as u64)?;
-    }
-    std::fs::rename(&tmp, dir.join(GROUP_META_FILE))?;
-    if sync == SyncPolicy::PowerFail {
-        File::open(dir)?.sync_data()?;
-    }
-    Ok(())
 }
 
 struct Meta {
@@ -282,7 +269,7 @@ pub struct SegmentedLog {
     active_seq: u32,
     /// Shared with the [`Force`]s handed out, which outlive the lock hold
     /// that appended (and, harmlessly, a rotation away from this file).
-    active: Arc<File>,
+    active: Arc<JournalFile>,
     active_records: u64,
     /// The active segment's length on disk: its records, plus the zero
     /// reserve under [`SyncPolicy::PowerFail`].
@@ -311,7 +298,7 @@ impl SegmentedLog {
     pub fn create(dir: &Path, sync: SyncPolicy, rotate_records: u64) -> io::Result<SegmentedLog> {
         std::fs::create_dir_all(dir)?;
         let generation = fresh_generation();
-        write_meta(dir, 0, generation, sync)?;
+        replace_file(dir, GROUP_META_FILE, &meta_bytes(0, generation), sync)?;
         Self::start(dir, sync, rotate_records, generation)
     }
 
@@ -348,23 +335,13 @@ impl SegmentedLog {
         next_lease_id: u64,
         generation: u64,
         sync: SyncPolicy,
-    ) -> io::Result<Arc<File>> {
-        let path = segment_path(dir, seq);
-        let mut f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        f.write_all(&segment_header(seq, next_lease_id, generation))?;
-        if sync == SyncPolicy::PowerFail {
-            // The durable header *is* the rotation commit point.
-            sync_file(&f, SEGMENT_HEADER_LEN as u64)?;
-            File::open(dir)?.sync_data()?;
-        }
+    ) -> io::Result<Arc<JournalFile>> {
+        // The durable header *is* the rotation commit point.
+        let header = segment_header(seq, next_lease_id, generation);
+        let active = JournalFile::create(dir, &segment_name(seq), &header, sync)?;
         #[cfg(test)]
         crate::powerfail::crash_point(dir);
-        Ok(Arc::new(f))
+        Ok(active)
     }
 
     /// Opens and replays the segment directory. A missing directory (or a
@@ -545,7 +522,7 @@ impl SegmentedLog {
                 replay.torn_bytes += torn as u64;
                 file.set_len(active_len)?;
                 if sync == SyncPolicy::PowerFail {
-                    sync_file(&file, active_len)?;
+                    sync_file(&file, &path, active_len)?;
                 }
             }
         }
@@ -559,11 +536,11 @@ impl SegmentedLog {
         for &seq in resident.values() {
             *seg_live.get_mut(&seq).expect("resident seq exists") += 1;
         }
-        let active_path = segment_path(dir, active_seq);
-        let active = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&active_path)?;
+        let path = segment_path(dir, active_seq);
+        let active = JournalFile {
+            file: OpenOptions::new().read(true).write(true).open(&path)?,
+            path,
+        };
         let active_records = (active_len - SEGMENT_HEADER_LEN as u64) / RECORD_LEN as u64;
 
         let records = replay.records;
@@ -649,11 +626,12 @@ impl SegmentedLog {
             while self.active_len < reserve {
                 let n = (reserve - self.active_len).min(RESERVE_STEP);
                 self.active
+                    .file
                     .write_all_at(&ZEROS[..n as usize], self.active_len)?;
                 self.active_len += n;
             }
         }
-        self.active.write_all_at(bytes, at)?;
+        self.active.file.write_all_at(bytes, at)?;
         self.active_len = self.active_len.max(end);
         Ok(())
     }
@@ -727,7 +705,7 @@ impl SegmentedLog {
     /// failure could keep the new header and tear the segment it seals.
     fn rotate(&mut self, next_lease_id: u64) -> io::Result<()> {
         if self.sync == SyncPolicy::PowerFail {
-            sync_file(&self.active, self.end())?;
+            sync_file(&self.active.file, &self.active.path, self.end())?;
         }
         let new_seq = self.active_seq + 1;
         self.active = Self::new_segment(
@@ -769,10 +747,11 @@ impl SegmentedLog {
                 break;
             }
             if !forced {
-                sync_file(&self.active, self.end())?;
+                sync_file(&self.active.file, &self.active.path, self.end())?;
                 forced = true;
             }
-            write_meta(&self.dir, seq + 1, self.generation, self.sync)?;
+            let meta = meta_bytes(seq + 1, self.generation);
+            replace_file(&self.dir, GROUP_META_FILE, &meta, self.sync)?;
             self.retired_below = seq + 1;
             std::fs::remove_file(segment_path(&self.dir, seq))?;
             #[cfg(test)]
@@ -860,6 +839,7 @@ impl Journal for SegmentedLog {
 mod tests {
     use super::*;
     use crate::log::RecordKind;
+    use std::io::Write;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-seg-{tag}-{}", std::process::id()));

@@ -22,8 +22,9 @@
 //! Unlike the ack log, *interior* CRC failures are also dropped rather than
 //! refused — a lossy ring is forensics, not a source of truth, and a lapped
 //! writer tearing an old slot must not render the whole ring unreadable.
-//! The file itself is created tmp+rename+dir-fsync, like `SHARDS.manifest`,
-//! so a crash during creation leaves either no ring or a whole one.
+//! The file itself is created through `obs::sys::durable::replace_file`,
+//! like `SHARDS.manifest`, so a crash during creation leaves either no ring
+//! or a whole one.
 //!
 //! ## On-disk format
 //!
@@ -54,6 +55,7 @@
 
 use crate::clock;
 use crate::crc::crc32;
+use crate::sys::{durable, MmapRegion};
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -414,30 +416,12 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
 // Writer
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
-use crate::sys;
-
-enum Backing {
-    /// Unix: a shared mapping; stores reach the page cache immediately and
-    /// survive SIGKILL.
-    #[cfg(unix)]
-    Map { ptr: *mut u8, len: usize },
-    /// Elsewhere: plain positioned writes per record. Works, but a kill can
-    /// lose the records buffered in the process — non-Unix platforms get a
-    /// best-effort ring only.
-    #[allow(dead_code)]
-    File(std::sync::Mutex<File>),
-}
-
-// SAFETY: the mapping is written only through atomic stores (see
-// `write_slot`); the raw pointer itself is safe to share.
-unsafe impl Send for Backing {}
-unsafe impl Sync for Backing {}
-
 /// An open ring, ready to record. Cheap to share (`Arc`); `record` is
-/// lock-free on Unix.
+/// lock-free.
 pub struct FlightRecorder {
-    backing: Backing,
+    /// A shared mapping: stores reach the page cache immediately and
+    /// survive SIGKILL.
+    map: MmapRegion,
     capacity: u32,
     next_seq: AtomicU64,
     path: PathBuf,
@@ -449,25 +433,18 @@ impl FlightRecorder {
         dir.join(RING_FILE)
     }
 
-    /// Opens the ring in `dir`, creating it (tmp + rename + dir fsync, so a
-    /// crash leaves no half-written ring) with `capacity` slots if absent.
-    /// When the ring already exists its own header capacity wins, and the
-    /// sequence counter resumes past the highest replayed event so history
-    /// keeps appending across restarts.
+    /// Opens the ring in `dir`, creating it (through
+    /// [`durable::replace_file`], so a crash leaves no half-written ring)
+    /// with `capacity` slots if absent. When the ring already exists its own
+    /// header capacity wins, and the sequence counter resumes past the
+    /// highest replayed event so history keeps appending across restarts.
     pub fn create_or_open(dir: &Path, capacity: u32) -> io::Result<Arc<FlightRecorder>> {
         assert!(capacity > 0, "ring capacity must be positive");
         let path = Self::ring_path(dir);
         if !path.exists() {
-            let tmp = dir.join(format!("{RING_FILE}.tmp"));
-            {
-                use std::io::Write;
-                let mut f = File::create(&tmp)?;
-                f.write_all(&encode_header(capacity))?;
-                f.set_len((HEADER_LEN + capacity as usize * RECORD_LEN) as u64)?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, &path)?;
-            File::open(dir)?.sync_all()?;
+            let mut ring = vec![0; HEADER_LEN + capacity as usize * RECORD_LEN];
+            ring[..HEADER_LEN].copy_from_slice(&encode_header(capacity));
+            durable::replace_file(dir, RING_FILE, &ring, true)?;
         }
         Self::open(&path)
     }
@@ -476,37 +453,10 @@ impl FlightRecorder {
     pub fn open(path: &Path) -> io::Result<Arc<FlightRecorder>> {
         let replayed = replay(path)?;
         let capacity = replayed.capacity;
-        let len = HEADER_LEN + capacity as usize * RECORD_LEN;
         let file = File::options().read(true).write(true).open(path)?;
-        let backing = {
-            #[cfg(unix)]
-            {
-                use std::os::unix::io::AsRawFd;
-                // SAFETY: fd is open; len > 0; a shared file mapping has no
-                // other preconditions — the kernel reports failure.
-                let ptr = unsafe {
-                    sys::mmap(
-                        std::ptr::null_mut(),
-                        len,
-                        sys::PROT_READ | sys::PROT_WRITE,
-                        sys::MAP_SHARED,
-                        file.as_raw_fd(),
-                        0,
-                    )
-                };
-                if ptr as isize == -1 {
-                    return Err(io::Error::last_os_error());
-                }
-                Backing::Map {
-                    ptr: ptr as *mut u8,
-                    len,
-                }
-            }
-            #[cfg(not(unix))]
-            Backing::File(std::sync::Mutex::new(file))
-        };
+        let map = MmapRegion::map(&file, HEADER_LEN + capacity as usize * RECORD_LEN)?;
         Ok(Arc::new(FlightRecorder {
-            backing,
+            map,
             capacity,
             next_seq: AtomicU64::new(replayed.max_seq() + 1),
             path: path.to_path_buf(),
@@ -523,7 +473,7 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Records one event. Lock-free on Unix: claim a sequence number, then
+    /// Records one event. Lock-free: claim a sequence number, then
     /// store the 64-byte record into its slot word by word (payload first,
     /// CRC last), so a kill mid-store leaves a slot that fails its CRC and
     /// is dropped at replay rather than misread.
@@ -537,55 +487,16 @@ impl FlightRecorder {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let slot = ((seq - 1) % self.capacity as u64) as usize;
         let bytes = encode_record(seq, kind, a, b, clock::wall_ns());
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map { ptr, len } => {
-                let at = HEADER_LEN + slot * RECORD_LEN;
-                debug_assert!(at + RECORD_LEN <= *len);
-                // SAFETY: `at` is 8-aligned and in bounds; going through
-                // AtomicU64 makes concurrent writes to a lapped slot a race
-                // in values (caught by the CRC) instead of UB.
-                unsafe {
-                    let words = ptr.add(at) as *const AtomicU64;
-                    for w in 0..RECORD_LEN / 8 {
-                        let v = u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap());
-                        (*words.add(w)).store(v, Ordering::Release);
-                    }
-                }
-            }
-            #[allow(unused_variables)]
-            Backing::File(file) => {
-                #[cfg(not(unix))]
-                {
-                    use std::io::{Seek, SeekFrom, Write};
-                    let mut f = file.lock().unwrap();
-                    let at = (HEADER_LEN + slot * RECORD_LEN) as u64;
-                    let _ = f
-                        .seek(SeekFrom::Start(at))
-                        .and_then(|_| f.write_all(&bytes));
-                }
-                #[cfg(unix)]
-                unreachable!("File backing is never constructed on Unix");
-            }
-        }
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map { ptr, len } => {
-                // SAFETY: exactly the mapping created in `open`; nothing
-                // references it past drop.
-                unsafe {
-                    sys::munmap(*ptr as *mut std::ffi::c_void, *len);
-                }
-            }
-            Backing::File(file) => {
-                if let Ok(f) = file.lock() {
-                    let _ = f.sync_all();
-                }
+        let at = HEADER_LEN + slot * RECORD_LEN;
+        debug_assert!(at + RECORD_LEN <= self.map.len());
+        // SAFETY: `at` is 8-aligned and in bounds; going through AtomicU64
+        // makes concurrent writes to a lapped slot a race in values (caught
+        // by the CRC) instead of UB.
+        unsafe {
+            let words = self.map.as_ptr().add(at) as *const AtomicU64;
+            for w in 0..RECORD_LEN / 8 {
+                let v = u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap());
+                (*words.add(w)).store(v, Ordering::Release);
             }
         }
     }

@@ -23,8 +23,15 @@
 //! otherwise copy: the workspace's one per-operation counter ([`rows`]:
 //! cache-padded rows written only by the thread that holds a [`slot`]
 //! lease — a named counter is a column of one, a `pmem` pool's statistics
-//! are another, compiled in every build), its one CRC-32 ([`crc`]) and its
-//! one set of extern-C mmap bindings (`sys`, Unix only).
+//! are another, compiled in every build), its one CRC-32 ([`crc`]), and its
+//! one door to the kernel for mapped and durable files ([`sys`]: the file
+//! mapping, and [`sys::durable`], every sync with its one failure policy).
+
+#[cfg(not(unix))]
+compile_error!(
+    "the stack keeps its files durable through shared file mappings (mmap) and has no \
+     stand-in for platforms without one: it builds for Unix targets only"
+);
 
 pub mod crc;
 pub mod export;
@@ -32,7 +39,6 @@ pub mod flight;
 pub mod metrics;
 pub mod rows;
 pub mod slot;
-#[cfg(unix)]
 pub mod sys;
 
 pub use metrics::{

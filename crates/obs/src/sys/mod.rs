@@ -1,21 +1,42 @@
-//! A minimal shared file mapping.
-//!
-//! The handful of calls a pool file needs (`mmap`, `munmap`, `msync`,
-//! `getpagesize`) are the workspace's one set of extern-C bindings,
-//! [`obs::sys`]. A shared mapping is what gives kill-`SIGKILL` durability
-//! (stores land in the OS page cache the moment they retire, so they
-//! survive the process); there is no stand-in for platforms without one —
-//! the crate refuses to build there.
+//! The workspace's one door to the kernel for mapped and durable files,
+//! at the bottom of the DAG: the file mapping the flight recorder's ring
+//! and `store`'s pools live in ([`MmapRegion`]), every sync ([`durable`]),
+//! and the crash tests' abort point ([`crash_point`]). The offline build
+//! has no `libc` crate, so the few C calls are declared here against the C
+//! library `std` links; their safety contract is the man page's.
 
-use obs::sys;
+pub mod durable;
+
+use std::ffi::c_void;
 use std::fs::File;
 use std::io;
 use std::os::unix::io::AsRawFd;
+use std::path::Path;
 
-/// A writable shared mapping of the leading `len` bytes of a file. The
-/// mapping may be longer than the file: bytes past the end of the file
-/// are address space only, and touching them faults, until the file is
-/// extended under them (how an elastic `FilePool` grows).
+const PROT_READ: i32 = 1;
+const PROT_WRITE: i32 = 2;
+const MAP_SHARED: i32 = 1;
+
+extern "C" {
+    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+        -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> i32;
+    /// Called by [`durable::msync`] only.
+    fn msync(addr: *mut c_void, len: usize, flags: i32) -> i32;
+    fn getpagesize() -> i32;
+}
+
+/// The system page size (granularity of [`durable::msync`] rounding).
+pub fn page_size() -> usize {
+    // SAFETY: getpagesize has no preconditions.
+    unsafe { getpagesize() as usize }
+}
+
+/// A writable shared mapping of the leading `len` bytes of a file: stores
+/// land in the page cache as they retire, so they survive a `SIGKILL`. The
+/// mapping may be longer than the file: bytes past its end are address
+/// space only, and fault, until the file is extended under them (how an
+/// elastic pool grows).
 pub struct MmapRegion {
     ptr: *mut u8,
     len: usize,
@@ -27,12 +48,6 @@ pub struct MmapRegion {
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
-/// The system page size (granularity of [`MmapRegion::msync`] rounding).
-pub fn page_size() -> usize {
-    // SAFETY: getpagesize has no preconditions.
-    unsafe { sys::getpagesize() as usize }
-}
-
 impl MmapRegion {
     /// Maps `len` bytes of `file` from its start, shared and read-write.
     pub fn map(file: &File, len: usize) -> io::Result<MmapRegion> {
@@ -41,11 +56,11 @@ impl MmapRegion {
         // file mapping has no other preconditions. The kernel validates
         // the rest and reports failure as MAP_FAILED.
         let ptr = unsafe {
-            sys::mmap(
+            mmap(
                 std::ptr::null_mut(),
                 len,
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_SHARED,
+                PROT_READ | PROT_WRITE,
+                MAP_SHARED,
                 file.as_raw_fd(),
                 0,
             )
@@ -74,31 +89,10 @@ impl MmapRegion {
         self.len == 0
     }
 
-    /// Synchronously writes the pages overlapping `[offset, offset + len)`
-    /// back to the file (`msync(MS_SYNC)`); the range is rounded out to page
-    /// boundaries.
+    /// [`durable::msync`] of a mapping whose file goes unnamed (no fault
+    /// can target it).
     pub fn msync(&self, offset: usize, len: usize) -> io::Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= self.len),
-            "msync range out of bounds"
-        );
-        let start = offset & !(page_size() - 1);
-        // SAFETY: [start, offset + len) is page-rounded and was just
-        // checked to lie inside the mapping.
-        let rc = unsafe {
-            sys::msync(
-                self.ptr.add(start) as *mut std::ffi::c_void,
-                offset + len - start,
-                sys::MS_SYNC,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        durable::msync(self, offset, len, Path::new(""))
     }
 }
 
@@ -106,7 +100,15 @@ impl Drop for MmapRegion {
     fn drop(&mut self) {
         // SAFETY: ptr/len are exactly the mapping created in `map`, and
         // the region's borrowers are gone.
-        unsafe { sys::munmap(self.ptr as *mut std::ffi::c_void, self.len) };
+        unsafe { munmap(self.ptr as *mut c_void, self.len) };
+    }
+}
+
+/// The crash tests' abort point (`DQ_GROW_ABORT_*`, `DQ_RESHARD_ABORT_*`):
+/// with the named variable set, the process dies here, like a `kill -9`.
+pub fn crash_point(name: &str) {
+    if std::env::var_os(name).is_some() {
+        std::process::abort();
     }
 }
 
@@ -117,7 +119,7 @@ mod tests {
 
     fn temp_file(len: u64) -> (std::path::PathBuf, File) {
         let path = std::env::temp_dir().join(format!(
-            "store-mmap-test-{}-{:?}",
+            "obs-mmap-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));

@@ -25,8 +25,8 @@
 //!
 //! The trailing `crc` line holds the CRC-32 of every byte before it, so a
 //! torn or corrupted manifest is detected at read time. Rewrites go through
-//! a temporary file, `fsync`, and an atomic `rename`, followed by a
-//! directory `fsync` — a reader sees either the old manifest or the new
+//! `obs::sys::durable::replace_file` (temporary file, force, `rename`,
+//! directory `fsync`) — a reader sees either the old manifest or the new
 //! one, never a mixture.
 //!
 //! ## Reshard intent records
@@ -43,8 +43,9 @@
 //! names the destinations). See `crate::reshard` for the full protocol.
 
 use crate::route::RoutePolicy;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use obs::sys::durable;
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use store::crc32;
 
@@ -60,26 +61,15 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// Reshard-intent format version this build reads and writes.
 pub const INTENT_VERSION: u32 = 1;
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Atomically writes `body` + a trailing `crc` line as `dir/name`:
-/// temporary file, `fsync`, `rename`, directory `fsync`. Shared by the
-/// manifest and the reshard intent record.
+/// Durably and atomically writes `body` + a trailing `crc` line as
+/// `dir/name`. Shared by the manifest and the reshard intent record.
 fn write_checked(dir: &Path, name: &str, body: &str) -> io::Result<()> {
     let content = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join(name))?;
-    // Persist the rename itself (the directory entry).
-    #[cfg(unix)]
-    File::open(dir)?.sync_all()?;
-    Ok(())
+    durable::replace_file(dir, name, content.as_bytes(), true)
 }
 
 /// Reads `path` and validates its trailing `crc` line, returning the body
@@ -179,8 +169,7 @@ impl ShardManifest {
         out
     }
 
-    /// Atomically (re)writes the manifest into `dir`: temporary file,
-    /// `fsync`, `rename`, directory `fsync`.
+    /// Durably and atomically (re)writes the manifest into `dir`.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
         write_checked(dir, MANIFEST_FILE, &self.body())
     }
@@ -306,9 +295,8 @@ impl ReshardIntent {
         out
     }
 
-    /// Atomically writes the intent record into `dir` (temporary file,
-    /// `fsync`, `rename`, directory `fsync`) — the write-ahead step of the
-    /// reshard protocol.
+    /// Durably and atomically writes the intent record into `dir` — the
+    /// write-ahead step of the reshard protocol.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
         write_checked(dir, INTENT_FILE, &self.body())
     }
@@ -383,9 +371,7 @@ impl ReshardIntent {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         }
-        #[cfg(unix)]
-        File::open(dir)?.sync_all()?;
-        Ok(())
+        durable::sync_dir(dir)
     }
 }
 

@@ -27,10 +27,11 @@
 //! ```text
 //!  1. write SHARDS.manifest.reshard        (intent: old + new file lists)
 //!  2. copy sources -> .<src>.reshard-src   (scratch; sources untouched)
-//!  3. recover scratch, drain into <dst>.tmp destination pools
-//!  4. sync destinations (full msync+fsync), close, rename <dst>.tmp -> <dst>
+//!  3. recover scratch, drain into <dst>.tmp destination pools, delete scratch
+//!  4. close destinations (full msync+fsync, header marked clean), check
+//!     each closed clean, rename <dst>.tmp -> <dst>
 //!  5. rewrite SHARDS.manifest atomically   <- THE COMMIT POINT
-//!  6. delete sources + scratch, delete the intent record
+//!  6. delete sources, delete the intent record
 //! ```
 //!
 //! A crash (or `kill -9`) at any point leaves a directory
@@ -43,39 +44,17 @@
 //! (**roll-forward**, the destinations were fully durable before the
 //! commit rename). Either way the resident items are exactly preserved.
 
-use crate::manifest::{ReshardIntent, ShardManifest};
+use crate::manifest::{invalid, ReshardIntent, ShardManifest};
 use crate::recovery::{par_map_shards, RecoveryOrchestrator};
 use crate::route::{mix, RoutePolicy};
 use durable_queues::{QueueConfig, RecoverableQueue};
 use obs::flight::EventKind;
+use obs::sys::{self, durable::sync_dir};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use store::{copy_pool_file, FileConfig, FilePool};
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Persists a directory's entries (renames/unlinks) on platforms where
-/// directories are fsyncable.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Fault-injection hook for the crash tests: aborts the process (no
-/// destructors, like a `kill -9`) when the named environment variable is
-/// set. The two points — right after the intent write and right after the
-/// manifest commit — pin down the rollback and roll-forward sides of the
-/// protocol deterministically; random mid-drain kills cover the rest.
-fn crash_point(name: &str) {
-    if std::env::var_os(name).is_some() {
-        std::process::abort();
-    }
-}
 
 /// The scratch-copy name a reshard uses for source pool `src`.
 fn scratch_name(src: &str) -> String {
@@ -334,7 +313,10 @@ impl RecoveryOrchestrator {
             from_shards as u64,
             to_shards as u64,
         );
-        crash_point("DQ_RESHARD_ABORT_AFTER_INTENT");
+        // The two crash points, right after the intent write and right after
+        // the manifest commit, pin down the rollback and roll-forward sides
+        // deterministically; random mid-drain kills cover the rest.
+        sys::crash_point("DQ_RESHARD_ABORT_AFTER_INTENT");
 
         // ---- Phase 1: the data plane. Sources are never mutated; every
         // write goes to a scratch copy or a `.tmp` destination.
@@ -385,16 +367,24 @@ impl RecoveryOrchestrator {
                 items_moved += 1;
             }
         }
-        drop(sources);
-        // Every destination is fully durable (msync + fsync) BEFORE any
-        // rename makes it visible under its committed name. A sync that
-        // fails panics here, with the intent still naming the sources, so
-        // the next open rolls the reshard back. The drop then closes each
-        // destination with its header marked clean.
-        for dest in &dests {
-            dest.pool().sync();
+        // The scratch copies are garbage from here on: unlinked first, they
+        // close without syncing a byte.
+        for f in &scratch {
+            fs::remove_file(f)?;
         }
+        drop(sources);
+        // Every destination is fully durable BEFORE any rename makes it
+        // visible under its committed name: its close msyncs and fsyncs it
+        // whole, then marks and syncs its header clean. A destination that
+        // reads dirty after the close had one of those syncs fail; the
+        // reshard stops here, with the intent still naming the sources, so
+        // the next open rolls it back.
         drop(dests);
+        for tmp in &dest_tmp {
+            if !FilePool::read_geometry(tmp)?.was_clean {
+                return Err(invalid(format!("{}: did not close clean", tmp.display())));
+            }
+        }
         let drain = drain_started.elapsed();
 
         // ---- Phase 2: commit. The manifest rewrite is the atomic switch;
@@ -410,10 +400,9 @@ impl RecoveryOrchestrator {
         }
         .write(dir)?;
         obs::flight::record(EventKind::ReshardCommit, to_shards as u64, items_moved);
-        crash_point("DQ_RESHARD_ABORT_AFTER_COMMIT");
-        for (path, f) in old_paths.iter().zip(&manifest.pool_files) {
+        sys::crash_point("DQ_RESHARD_ABORT_AFTER_COMMIT");
+        for path in &old_paths {
             fs::remove_file(path)?;
-            let _ = fs::remove_file(dir.join(scratch_name(f)));
         }
         sync_dir(dir)?;
         ReshardIntent::remove(dir)?;

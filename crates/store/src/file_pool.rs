@@ -136,10 +136,10 @@
 //! `store.fence.{leader,follower,coalesced,overlapped}` counters and the
 //! `store.msync_batch_pages` histogram expose the batching.
 
-use crate::mmap::{page_size, MmapRegion};
 use obs::crc::crc32;
 use obs::flight::EventKind;
 use obs::rows::CachePadded;
+use obs::sys::{self, durable, page_size, MmapRegion};
 use obs::{LazyCounter, LazyHistogram};
 use pmem::layout::{self, CACHE_LINE};
 use pmem::{PmemPool, PoolBackend, MAX_THREADS, ROOT_SLOTS};
@@ -147,8 +147,9 @@ use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io;
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 // Named instruments (see docs/OBSERVABILITY.md for the catalogue). The map
@@ -163,14 +164,12 @@ static MSYNC_NS: LazyHistogram = LazyHistogram::new("store.msync_ns");
 // Group-commit accounting: batches led, fences that rode another thread's
 // submission, fences that shared a batch with at least one other fence,
 // batches submitted while another was still in flight, and how many pages
-// each batched submission covered. `store.msync.error` counts fence-path
-// `msync`s that failed (each one a panic) and closes whose data sync
-// failed (the pool stays marked dirty; `Drop` does not panic).
+// each batched submission covered. A failed sync is `obs::sys::durable`'s
+// `sync.error`.
 static FENCE_LEADER: LazyCounter = LazyCounter::new("store.fence.leader");
 static FENCE_FOLLOWER: LazyCounter = LazyCounter::new("store.fence.follower");
 static FENCE_COALESCED: LazyCounter = LazyCounter::new("store.fence.coalesced");
 static FENCE_OVERLAPPED: LazyCounter = LazyCounter::new("store.fence.overlapped");
-static MSYNC_ERROR: LazyCounter = LazyCounter::new("store.msync.error");
 static MSYNC_BATCH_PAGES: LazyHistogram = LazyHistogram::new("store.msync_batch_pages");
 
 /// `"DQSTORE1"` in little-endian byte order.
@@ -356,14 +355,13 @@ struct GroupCommit {
     /// Test support: called by each leader once its `msync`s are through
     /// and before its batch is marked done, outside the state mutex, with
     /// the batch's number and how many batches had a leader when it
-    /// closed; an `Err` fails the batch as a failed `msync` would. Lets a
-    /// test stall or fail one chosen batch.
+    /// closed. Lets a test stall one chosen batch.
     #[cfg(test)]
     on_submit: Mutex<Option<SubmitHook>>,
 }
 
 #[cfg(test)]
-type SubmitHook = Arc<dyn Fn(u64, usize) -> io::Result<()> + Send + Sync>;
+type SubmitHook = Arc<dyn Fn(u64, usize) + Send + Sync>;
 
 /// Mutex-protected core of [`GroupCommit`]. Batches are numbered from 1
 /// and closed in order; batch `b` is **done** — every page published into
@@ -409,13 +407,6 @@ impl GroupCommit {
             #[cfg(test)]
             on_submit: Mutex::new(None),
         }
-    }
-
-    #[cfg(test)]
-    fn run_submit_hook(&self, batch: u64, in_flight: usize) -> io::Result<()> {
-        // Cloned out, so a hook that stalls does not hold the hook's lock.
-        let hook = self.on_submit.lock().unwrap().clone();
-        hook.map_or(Ok(()), |hook| hook(batch, in_flight))
     }
 
     /// How many batches may have a leader at once: [`PIPELINE_DEPTH`]
@@ -513,6 +504,11 @@ pub struct FilePool {
     policy: SyncPolicy,
     grow_step: usize,
     was_clean: bool,
+    /// Whether `Drop` may mark the header clean: set once `create`/`open`
+    /// has finished, cleared for good by a [lost](Self::lost) sync.
+    /// `Relaxed`: whatever ends the other threads' use of the pool (the
+    /// last `Arc`'s drop, a join) orders their stores before `Drop`.
+    closes_clean: AtomicBool,
     pending: Box<[CachePadded<PendingPages>]>,
     /// Power-fail group commit: every power-fail fence goes through it.
     group: GroupCommit,
@@ -520,11 +516,6 @@ pub struct FilePool {
     /// construction): every page any `msync` on this pool covered, file
     /// page numbers. See [`synced_pages`](Self::synced_pages).
     synced: Option<Mutex<BTreeSet<usize>>>,
-}
-
-/// Reads the `DQ_TRACK_MSYNC` test-support gate at pool construction.
-fn msync_tracker() -> Option<Mutex<BTreeSet<usize>>> {
-    std::env::var_os("DQ_TRACK_MSYNC").map(|_| Mutex::new(BTreeSet::new()))
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -572,28 +563,30 @@ fn read_journal(header: &[u8]) -> Option<GrowCommit> {
     (rec.grow_epoch > 0).then_some(rec)
 }
 
-/// Env-gated deterministic crash point for the grow protocol's subprocess
-/// tests (same pattern as `shard`'s `DQ_RESHARD_ABORT_AFTER_*` points):
-/// when the named variable is set, the process dies on the spot — no
-/// unwinding, no destructors — exactly like a `kill -9` landing there.
-fn grow_abort_point(name: &str) {
-    if std::env::var_os(name).is_some() {
-        std::process::abort();
-    }
-}
-
-/// Validates a pool-file header (magic, format version, geometry CRC,
-/// grow record, size-vs-file-length, watermark) and returns the decoded
-/// geometry plus whether a grow-commit journal record is pending (the crash
-/// landed between a growth's commit point and its home-field rewrite; the
+/// Reads and validates the header of the pool file `file` at `path`
+/// (length, magic, format version, geometry CRC, grow record,
+/// size-vs-file-length, watermark) and returns the decoded geometry plus
+/// whether a grow-commit journal record is pending (the crash landed
+/// between a growth's commit point and its home-field rewrite; the
 /// journal's values supersede the home fields and `open` rolls them
 /// forward). Shared by [`FilePool::open_with_growth`] and
 /// [`FilePool::read_geometry`].
-fn validate_header(header: &[u8], file_len: u64, path: &Path) -> io::Result<(PoolGeometry, bool)> {
+fn validate_header(file: &File, path: &Path) -> io::Result<(PoolGeometry, bool)> {
+    use std::io::Read;
+    let file_len = file.metadata()?.len();
+    if file_len < HEADER_LEN as u64 {
+        return Err(invalid(format!(
+            "{}: {} bytes is too short to hold a pool-file header",
+            path.display(),
+            file_len
+        )));
+    }
+    let mut header = [0u8; HEADER_LEN];
+    (&*file).read_exact(&mut header)?;
     // Splice a pending commit's values over the home fields before
     // validating, so a journal-committed growth reads exactly like a fully
     // home-written one.
-    let journal = read_journal(header);
+    let journal = read_journal(&header);
     let mut image = [0u8; H_JOURNAL];
     image.copy_from_slice(&header[..H_JOURNAL]);
     if let Some(rec) = journal {
@@ -717,15 +710,15 @@ fn validate_header(header: &[u8], file_len: u64, path: &Path) -> io::Result<(Poo
 /// shards from scratch copies without mutating the originals.
 pub fn copy_pool_file(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Result<u64> {
     use std::io::Read;
-    let src = src.as_ref();
+    let (src, dst) = (src.as_ref(), dst.as_ref());
     let geometry = FilePool::read_geometry(src)?;
     let len = std::fs::metadata(src)?.len();
     let live = (HEADER_LEN + geometry.watermark as usize) as u64;
     let mut from = File::open(src)?;
-    let mut to = File::create(dst.as_ref())?;
+    let mut to = File::create(dst)?;
     io::copy(&mut (&mut from).take(live.min(len)), &mut to)?;
     to.set_len(len)?;
-    to.sync_all()?;
+    durable::fsync(&to, dst)?;
     Ok(len)
 }
 
@@ -753,7 +746,7 @@ impl FilePool {
         let pool = FilePool::from_file(file, path, size, config, true)?;
         pool.write_header(size);
         pool.msync(0, HEADER_LEN)?;
-        Ok(pool)
+        Ok(pool.opened())
     }
 
     /// Opens an existing pool file, validating magic, format version,
@@ -796,22 +789,9 @@ impl FilePool {
     pub fn open_with_config(path: impl AsRef<Path>, config: FileConfig) -> io::Result<FilePool> {
         let path = path.as_ref().to_path_buf();
         let file = File::options().read(true).write(true).open(&path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < HEADER_LEN as u64 {
-            return Err(invalid(format!(
-                "{}: {} bytes is too short to hold a pool-file header",
-                path.display(),
-                file_len
-            )));
-        }
-        // Read the header page first: geometry must be validated before the
-        // pool size is trusted for the full mapping.
-        let mut header = vec![0u8; HEADER_LEN];
-        {
-            use std::io::Read;
-            (&file).read_exact(&mut header)?;
-        }
-        let (geometry, journal_pending) = validate_header(&header, file_len, &path)?;
+        // Geometry must be validated before the pool size is trusted for
+        // the full mapping.
+        let (geometry, journal_pending) = validate_header(&file, &path)?;
 
         let pool = FilePool::from_file(file, path, geometry.pool_size, config, geometry.was_clean)?;
         if journal_pending {
@@ -819,7 +799,7 @@ impl FilePool {
         }
         pool.set_flags(false); // dirty while open
         pool.msync(0, HEADER_LEN)?;
-        Ok(pool)
+        Ok(pool.opened())
     }
 
     /// Maps `file`, which holds a pool of `size` bytes, for the session
@@ -856,10 +836,19 @@ impl FilePool {
             policy: config.sync,
             grow_step: config.grow_step,
             was_clean,
+            closes_clean: AtomicBool::new(false),
             pending: new_pending(),
             group: GroupCommit::new(config.fence_window_ns),
-            synced: msync_tracker(),
+            synced: std::env::var_os("DQ_TRACK_MSYNC").map(|_| Mutex::new(BTreeSet::new())),
         })
+    }
+
+    /// The end of `create` and `open`: a `?` before it drops a pool that
+    /// closes dirty, so a crashed session stays unrecovered until an open
+    /// completes.
+    fn opened(self) -> FilePool {
+        self.closes_clean.store(true, Ordering::Relaxed);
+        self
     }
 
     /// Reads and validates the header of an existing pool file **without
@@ -870,20 +859,8 @@ impl FilePool {
     /// journal is honoured virtually (the reported size is the committed
     /// grown size) but not rolled forward.
     pub fn read_geometry(path: impl AsRef<Path>) -> io::Result<PoolGeometry> {
-        use std::io::Read;
         let path = path.as_ref();
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < HEADER_LEN as u64 {
-            return Err(invalid(format!(
-                "{}: {} bytes is too short to hold a pool-file header",
-                path.display(),
-                file_len
-            )));
-        }
-        let mut header = vec![0u8; HEADER_LEN];
-        file.read_exact(&mut header)?;
-        validate_header(&header, file_len, path).map(|(geometry, _)| geometry)
+        validate_header(&File::open(path)?, path).map(|(geometry, _)| geometry)
     }
 
     /// Whether the previous session closed this pool cleanly. `true` for a
@@ -1013,8 +990,8 @@ impl FilePool {
         // 1. Extend the file. Its new length must be durable before the
         //    commit record can claim space inside it.
         self.file.set_len((HEADER_LEN + new_size) as u64)?;
-        self.file.sync_all()?;
-        grow_abort_point("DQ_GROW_ABORT_AFTER_TRUNCATE");
+        durable::fsync(&self.file, &self.path)?;
+        sys::crash_point("DQ_GROW_ABORT_AFTER_TRUNCATE");
 
         // 2. Compose the commit: the grow record, plus the minor-version
         //    bump (with its re-covered geometry CRC) that makes pre-growth
@@ -1058,7 +1035,7 @@ impl FilePool {
         // after commit" is visible in a post-mortem `harness blackbox`.
         GROWTHS.incr();
         obs::flight::record(EventKind::PoolGrowthCommit, epoch as u64, new_size as u64);
-        grow_abort_point("DQ_GROW_ABORT_AFTER_COMMIT");
+        sys::crash_point("DQ_GROW_ABORT_AFTER_COMMIT");
 
         // 4. Home fields (idempotent with open's journal roll-forward),
         //    then retire the journal.
@@ -1156,15 +1133,11 @@ impl FilePool {
     }
 
     /// Synchronously writes `[offset, offset + len)` of the mapping
-    /// (header included) back to the file.
+    /// (header included) back to the file, through [`durable::msync`].
     fn msync(&self, offset: usize, len: usize) -> io::Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
+        let end = HEADER_LEN + self.size.load(Ordering::Acquire);
         assert!(
-            offset
-                .checked_add(len)
-                .is_some_and(|end| end <= HEADER_LEN + self.size.load(Ordering::Acquire)),
+            offset.checked_add(len).is_some_and(|e| e <= end),
             "msync range out of bounds"
         );
         if let Some(tracker) = &self.synced {
@@ -1172,7 +1145,13 @@ impl FilePool {
             let mut synced = tracker.lock().unwrap();
             synced.extend(offset / page..(offset + len).div_ceil(page));
         }
-        self.map.msync(offset, len)
+        durable::msync(&self.map, offset, len, &self.path)
+    }
+
+    /// `msync`s the first `len` bytes of the mapping, then `fsync`s the file.
+    fn checkpoint(&self, len: usize) -> io::Result<()> {
+        self.msync(0, len)
+            .and_then(|()| durable::fsync(&self.file, &self.path))
     }
 
     /// Test support (`DQ_TRACK_MSYNC`): every file page number any `msync`
@@ -1190,17 +1169,13 @@ impl FilePool {
     /// Durably persists the header page when the policy demands it (rare
     /// path: root-slot writes, growth commits and their home fields). Its
     /// callers promise durability by returning, so a failed power-fail
-    /// `msync` panics through [`durability_lost`](Self::durability_lost),
-    /// as a fence's does.
+    /// `msync` is [lost](Self::lost), as a fence's is.
     fn persist_header(&self) {
         // SAFETY: the header page is valid readable memory.
         unsafe { pmem::hw::persist_range(self.map.as_ptr(), HEADER_LEN) };
         if self.policy == SyncPolicy::PowerFail {
-            let synced = self.msync(0, HEADER_LEN);
-            #[cfg(test)]
-            let synced = synced.and_then(|()| tests::header_msync_hook());
-            if let Err(e) = synced {
-                self.durability_lost(e);
+            if let Err(e) = self.msync(0, HEADER_LEN) {
+                self.lost("header msync", e);
             }
         }
     }
@@ -1252,24 +1227,20 @@ impl FilePool {
     }
 
     /// [`sync_runs`](Self::sync_runs) for a caller that promises
-    /// durability by returning — a fence, `persist_now`, a watermark move.
-    /// An `msync` that fails (`EIO`, `ENOMEM`) leaves that promise
-    /// unkeepable and, since the kernel may have marked the pages clean,
-    /// unrepairable by retrying: panic with the pool's path, the policy of
-    /// `lease::engine`'s journals.
+    /// durability by returning — `persist_now`, a watermark move.
     fn sync_or_die(&self, pages: &[usize]) {
         if let Err(e) = self.sync_runs(pages) {
-            self.durability_lost(e);
+            self.lost("msync", e);
         }
     }
 
-    fn durability_lost(&self, e: io::Error) -> ! {
-        MSYNC_ERROR.incr();
-        panic!(
-            "syncing pool {} failed: {e}; what the pool holds on the medium \
-             is now unknowable, restart and recover",
-            self.path.display()
-        )
+    /// A sync this pool promised failed (`EIO`, `ENOMEM`): the promise is
+    /// unkeepable and, since the kernel may have marked the pages clean,
+    /// unrepairable by retrying. The pool never closes clean again, and
+    /// the process panics through [`durable::durability_lost`].
+    fn lost(&self, what: &str, e: io::Error) -> ! {
+        self.closes_clean.store(false, Ordering::Relaxed);
+        durable::durability_lost(&self.path, what, e)
     }
 
     /// The power-fail tail of [`sfence`](PoolBackend::sfence): publishes
@@ -1326,11 +1297,16 @@ impl FilePool {
             batch: my_batch,
             synced: false,
         };
-        let synced = self.submit_batch(in_flight, &mut batch, fences);
+        if let Err(e) = self.submit_batch(in_flight, &mut batch, fences) {
+            self.lost("group-commit msync", e); // unwinds through `lead`: batch failed
+        }
         #[cfg(test)]
-        let synced = synced.and_then(|()| gc.run_submit_hook(my_batch, in_flight));
-        if let Err(e) = synced {
-            self.durability_lost(e); // unwinds through `lead`: batch failed
+        {
+            // Cloned out, so a hook that stalls does not hold the hook's lock.
+            let hook = gc.on_submit.lock().unwrap().clone();
+            if let Some(hook) = hook {
+                hook(my_batch, in_flight);
+            }
         }
         lead.synced = true;
     }
@@ -1386,22 +1362,25 @@ fn new_pending() -> Box<[CachePadded<PendingPages>]> {
 }
 
 impl Drop for FilePool {
-    /// Orderly close: full durability barrier, then mark the header clean.
-    /// A killed process never gets here, and a close whose barrier failed
-    /// does not mark it, so either way the next open finds the dirty flag
-    /// set. `Drop` cannot return the error, and must not panic: the failure
-    /// is counted as `store.msync.error`.
+    /// Orderly close: full durability barrier, then a durable clean mark.
+    /// A killed process never gets here, and a close whose barrier or mark
+    /// fails (counted as `sync.error`; `Drop` must not panic) leaves the
+    /// header dirty, as does a pool that never finished opening or lost a
+    /// sync: the next open recovers. An unlinked file (a reshard's scratch
+    /// copy) is not synced at all: no open will ever read it.
     fn drop(&mut self) {
-        let synced = self.msync(0, HEADER_LEN + self.len());
-        #[cfg(test)]
-        let synced = synced.and_then(|()| tests::close_msync_hook());
-        if synced.and_then(|()| self.file.sync_all()).is_err() {
-            MSYNC_ERROR.incr();
+        if !self.closes_clean.load(Ordering::Relaxed)
+            || self.file.metadata().is_ok_and(|m| m.nlink() == 0)
+        {
+            return;
+        }
+        if self.checkpoint(HEADER_LEN + self.len()).is_err() {
             return;
         }
         self.set_flags(true);
-        let _ = self.msync(0, HEADER_LEN);
-        let _ = self.file.sync_all();
+        if self.checkpoint(HEADER_LEN).is_err() {
+            self.set_flags(false);
+        }
     }
 }
 
@@ -1553,26 +1532,17 @@ impl PoolBackend for FilePool {
     }
 
     /// A full checkpoint. A caller that asked for one relies on it, so a
-    /// failed `msync` or `fsync` panics naming the pool's path, counted as
-    /// `store.msync.error`, as a fence's does.
+    /// failed `msync` or `fsync` panics naming the pool, as a fence's does.
     fn sync(&self) {
-        let synced = self
-            .msync(0, HEADER_LEN + self.len())
-            .and_then(|()| self.file.sync_all());
-        #[cfg(test)]
-        let synced = synced.and_then(|()| tests::sync_hook());
-        if let Err(e) = synced {
-            self.durability_lost(e);
+        if let Err(e) = self.checkpoint(HEADER_LEN + self.len()) {
+            self.lost("checkpoint", e);
         }
     }
 
     fn mark_clean(&self, clean: bool) {
         self.set_flags(clean);
-        let synced = self.msync(0, HEADER_LEN);
-        #[cfg(test)]
-        let synced = synced.and_then(|()| tests::sync_hook());
-        if let Err(e) = synced {
-            self.durability_lost(e);
+        if let Err(e) = self.msync(0, HEADER_LEN) {
+            self.lost("header msync", e);
         }
     }
 
@@ -1731,7 +1701,7 @@ mod tests {
         tag: &str,
         pages: usize,
         window_ns: u64,
-        hook: impl Fn(u64, usize) -> io::Result<()> + Send + Sync + 'static,
+        hook: impl Fn(u64, usize) + Send + Sync + 'static,
     ) -> (PathBuf, FilePool) {
         let path = temp_path(tag);
         let mut pool = FilePool::create(
@@ -1791,7 +1761,6 @@ mod tests {
                     stalled.store(true, Ordering::SeqCst);
                     wait_until(|| release.load(Ordering::SeqCst));
                 }
-                Ok(())
             }
         });
         let first_returned = AtomicBool::new(false);
@@ -1835,7 +1804,6 @@ mod tests {
                 let deepest = deepest.clone();
                 move |_, in_flight| {
                     deepest.fetch_max(in_flight, Ordering::Relaxed);
-                    Ok(())
                 }
             });
             let before = obs::snapshot();
@@ -1884,19 +1852,18 @@ mod tests {
         let stalled = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
         // Batches 1 and 2 stall and fill the pipeline, so the next two
-        // fences share batch 3; batch 3 is the one that cannot msync.
+        // fences share batch 3, whose one run is the third msync: the one
+        // that fails.
         let (path, pool) = gc_pool("gc-eio", 5, 0, {
             let (stalled, release) = (stalled.clone(), release.clone());
-            move |batch, _| match batch {
-                1 | 2 => {
+            move |batch, _| {
+                if batch <= 2 {
                     stalled.fetch_add(1, Ordering::SeqCst);
                     wait_until(|| release.load(Ordering::SeqCst));
-                    Ok(())
                 }
-                3 => Err(io::Error::from_raw_os_error(5)), // EIO
-                _ => Ok(()),
             }
         });
+        let fault = durable::fail_nth(&path, durable::SyncKind::Msync, 3);
         let before = obs::snapshot();
         let message = |r: std::thread::Result<usize>| {
             let payload = r.expect_err("a fence of the failed batch returned");
@@ -1944,13 +1911,8 @@ mod tests {
                 assert!(m.contains(&path), "panic must name the pool: {m}");
             }
         });
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("store.msync.error") - before.counter("store.msync.error"),
-                1
-            );
-        }
+        assert!(fault.fired());
+        assert_sync_errors(&before, 1);
         drop(pool);
         fs::remove_file(&path).unwrap();
     }
@@ -1971,34 +1933,33 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    thread_local! {
-        static FAIL_CLOSE_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-        static FAIL_HEADER_MSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-        static FAIL_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// `sync.error` rose by exactly `n` since `before` (with counters
+    /// compiled in). It is process-global: the tests that fail syncs hold
+    /// `gc_serial()`.
+    fn assert_sync_errors(before: &obs::MetricsSnapshot, n: u64) {
+        if cfg!(feature = "instrument") {
+            let after = obs::snapshot();
+            assert_eq!(
+                after.counter("sync.error") - before.counter("sync.error"),
+                n
+            );
+        }
     }
 
-    /// Fails the data `msync` of a close on this thread, once armed.
-    pub(super) fn close_msync_hook() -> io::Result<()> {
-        if FAIL_CLOSE_MSYNC.take() {
-            return Err(io::Error::from_raw_os_error(5)); // EIO
-        }
-        Ok(())
-    }
-
-    /// Fails the next header `msync` on this thread, once armed.
-    pub(super) fn header_msync_hook() -> io::Result<()> {
-        if FAIL_HEADER_MSYNC.take() {
-            return Err(io::Error::from_raw_os_error(5)); // EIO
-        }
-        Ok(())
-    }
-
-    /// Fails the next `sync` or `mark_clean` on this thread, once armed.
-    pub(super) fn sync_hook() -> io::Result<()> {
-        if FAIL_SYNC.take() {
-            return Err(io::Error::from_raw_os_error(5)); // EIO
-        }
-        Ok(())
+    /// Runs `call` with the `nth` sync of `kind` on `path` failing, and
+    /// returns its panic message, which must name `path`.
+    fn panic_of(path: &Path, kind: durable::SyncKind, nth: u64, call: impl FnOnce()) -> String {
+        let _fault = durable::fail_nth(path, kind, nth);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+        let message = *died
+            .expect_err("returned over a failed sync")
+            .downcast::<String>()
+            .expect("panic with a message");
+        assert!(
+            message.contains(&path.display().to_string()),
+            "panic must name the pool: {message}"
+        );
+        message
     }
 
     /// A checkpoint (`sync`) and a clean/dirty mark (`mark_clean`) return
@@ -2006,34 +1967,17 @@ mod tests {
     /// pool, counted like a fence's — under either policy.
     #[test]
     fn a_failed_sync_panics_with_the_path() {
-        let _serial = gc_serial(); // `store.msync.error` is process-global
+        use durable::SyncKind::{Fsync, Msync};
+        let _serial = gc_serial(); // `sync.error` is process-global
         let path = temp_path("sync-fails");
         let pool = FilePool::create(&path, small()).unwrap();
         let before = obs::snapshot();
-        let calls: [(&str, &dyn Fn()); 2] = [
-            ("sync", &|| pool.sync()),
-            ("mark_clean", &|| pool.mark_clean(false)),
-        ];
-        for (name, call) in calls {
-            FAIL_SYNC.set(true);
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
-            let Err(payload) = died else {
-                panic!("{name} returned over a failed sync");
-            };
-            let message = *payload.downcast::<String>().expect("panic with a message");
-            assert!(
-                message.contains(&path.display().to_string()),
-                "{name}: panic must name the pool: {message}"
-            );
-        }
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("store.msync.error") - before.counter("store.msync.error"),
-                2
-            );
-        }
+        panic_of(&path, Msync, 1, || pool.sync());
+        panic_of(&path, Fsync, 1, || pool.sync());
+        panic_of(&path, Msync, 1, || pool.mark_clean(false));
+        assert_sync_errors(&before, 3);
         drop(pool);
+        assert!(!FilePool::open(&path).unwrap().was_clean());
         fs::remove_file(&path).unwrap();
     }
 
@@ -2041,55 +1985,57 @@ mod tests {
     /// under it must panic naming the pool, counted like a fence's.
     #[test]
     fn a_failed_header_sync_panics_with_the_path() {
-        let _serial = gc_serial(); // `store.msync.error` is process-global
+        let _serial = gc_serial(); // `sync.error` is process-global
         let path = temp_path("header-fails");
         let pool = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail)).unwrap();
         let before = obs::snapshot();
-        FAIL_HEADER_MSYNC.set(true);
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.set_root_u64(0, 7);
-        }));
-        let message = *died
-            .expect_err("set_root_u64 returned over a failed header sync")
-            .downcast::<String>()
-            .expect("panic with a message");
-        assert!(
-            message.contains(&path.display().to_string()),
-            "panic must name the pool: {message}"
-        );
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("store.msync.error") - before.counter("store.msync.error"),
-                1
-            );
-        }
+        panic_of(&path, durable::SyncKind::Msync, 1, || {
+            pool.set_root_u64(0, 7)
+        });
+        assert_sync_errors(&before, 1);
         drop(pool);
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn a_close_whose_data_sync_fails_leaves_the_pool_dirty() {
-        let _serial = gc_serial(); // `store.msync.error` is process-global
+        let _serial = gc_serial(); // `sync.error` is process-global
         let path = temp_path("close-fails");
         let before = obs::snapshot();
         let pool = FilePool::create(&path, small().with_sync(SyncPolicy::PowerFail)).unwrap();
-        FAIL_CLOSE_MSYNC.set(true);
+        let fault = durable::fail_nth(&path, durable::SyncKind::Msync, 1);
         drop(pool);
+        assert!(fault.fired());
         let reopened = FilePool::open(&path).unwrap();
         assert!(
             !reopened.was_clean(),
             "a failed close reopens as cleanly closed"
         );
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("store.msync.error") - before.counter("store.msync.error"),
-                1
-            );
-        }
+        assert_sync_errors(&before, 1);
         drop(reopened);
         assert!(FilePool::open(&path).unwrap().was_clean());
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: an open that failed after mapping the pool dropped it
+    /// half-opened, and the drop marked the header clean — so a crashed,
+    /// never-recovered session reopened as cleanly closed.
+    #[test]
+    fn a_failed_open_leaves_a_crashed_pool_dirty() {
+        let _serial = gc_serial(); // `sync.error` is process-global
+        let path = temp_path("open-fails");
+        std::mem::forget(FilePool::create(&path, small()).unwrap()); // a crash
+        {
+            let _fault = durable::fail_nth(&path, durable::SyncKind::Msync, 1);
+            let err = FilePool::open(&path).map(|_| ()).unwrap_err();
+            assert_eq!(err.raw_os_error(), Some(5), "{err}");
+        }
+        let pool = FilePool::open(&path).unwrap();
+        assert!(
+            !pool.was_clean(),
+            "a failed open marked a crashed pool clean"
+        );
+        drop(pool);
         fs::remove_file(&path).unwrap();
     }
 

@@ -72,14 +72,13 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(not(unix))]
-compile_error!(
-    "store keeps a pool durable through a shared file mapping (mmap) and has no stand-in \
-     for platforms without one: it builds for Unix targets only"
-);
-
 pub mod file_pool;
-pub mod mmap;
+
+/// The shared file mapping a pool lives in: `obs::sys`'s, the one the
+/// flight recorder's ring uses too.
+pub mod mmap {
+    pub use obs::sys::{page_size, MmapRegion};
+}
 
 pub use file_pool::{
     copy_pool_file, FileConfig, FilePool, PoolGeometry, SyncPolicy, FORMAT_MINOR, FORMAT_VERSION,

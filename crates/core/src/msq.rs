@@ -8,6 +8,7 @@
 
 use crate::api::{DurableQueue, QueueConfig, RecoverableQueue};
 use crate::node;
+use obs::rows::CachePadded;
 use pmem::{PRef, PmemPool};
 use ssmem::{Ssmem, SsmemConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,8 +24,8 @@ mod f {
 pub struct MsQueue {
     pool: Arc<PmemPool>,
     nodes: Ssmem,
-    head: AtomicU64,
-    tail: AtomicU64,
+    head: CachePadded<AtomicU64>,
+    tail: CachePadded<AtomicU64>,
     config: QueueConfig,
 }
 
@@ -45,8 +46,8 @@ impl MsQueue {
         MsQueue {
             pool,
             nodes,
-            head: AtomicU64::new(dummy.to_u64()),
-            tail: AtomicU64::new(dummy.to_u64()),
+            head: CachePadded::new(AtomicU64::new(dummy.to_u64())),
+            tail: CachePadded::new(AtomicU64::new(dummy.to_u64())),
             config,
         }
     }
@@ -151,6 +152,25 @@ impl RecoverableQueue for MsQueue {
 mod tests {
     use super::*;
     use crate::testkit;
+
+    /// Head and tail are written by every enqueue and dequeue: each sits on
+    /// its own cache lines, as the durable queues' pool roots do (see
+    /// [`crate::root`]).
+    #[test]
+    fn head_and_tail_sit_on_their_own_cache_lines() {
+        let (q, _) = testkit::fresh::<MsQueue>();
+        testkit::check_own_cache_lines(
+            &[
+                testkit::field_lines("head", &q.head),
+                testkit::field_lines("tail", &q.tail),
+            ],
+            &[
+                testkit::field_lines("pool", &q.pool),
+                testkit::field_lines("nodes", &q.nodes),
+                testkit::field_lines("config", &q.config),
+            ],
+        );
+    }
 
     #[test]
     fn sequential_fifo() {

@@ -80,8 +80,8 @@ pub struct OptLinkedQueue {
     pool: Arc<PmemPool>,
     pnodes: Ssmem,
     vnodes: Ssmem,
-    head: AtomicU64,
-    tail: AtomicU64,
+    head: CachePadded<AtomicU64>,
+    tail: CachePadded<AtomicU64>,
     local_data: u32,
     threads: Box<[CachePadded<ThreadState>]>,
     config: QueueConfig,
@@ -308,8 +308,8 @@ impl RecoverableQueue for OptLinkedQueue {
             pool,
             pnodes,
             vnodes,
-            head: AtomicU64::new(vdummy.to_u64()),
-            tail: AtomicU64::new(vdummy.to_u64()),
+            head: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
+            tail: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
             local_data,
             threads: Self::thread_states(&config),
             config,
@@ -476,8 +476,8 @@ impl RecoverableQueue for OptLinkedQueue {
             pool,
             pnodes,
             vnodes,
-            head: AtomicU64::new(vdummy.to_u64()),
-            tail: AtomicU64::new(prev.to_u64()),
+            head: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
+            tail: CachePadded::new(AtomicU64::new(prev.to_u64())),
             local_data,
             threads,
             config,
@@ -489,6 +489,27 @@ impl RecoverableQueue for OptLinkedQueue {
 mod tests {
     use super::*;
     use crate::testkit;
+
+    /// Head and tail are written by every enqueue and dequeue: each sits on
+    /// its own cache lines, as the pool roots do (see [`crate::root`]).
+    #[test]
+    fn head_and_tail_sit_on_their_own_cache_lines() {
+        let (q, _) = testkit::fresh::<OptLinkedQueue>();
+        testkit::check_own_cache_lines(
+            &[
+                testkit::field_lines("head", &q.head),
+                testkit::field_lines("tail", &q.tail),
+            ],
+            &[
+                testkit::field_lines("pool", &q.pool),
+                testkit::field_lines("pnodes", &q.pnodes),
+                testkit::field_lines("vnodes", &q.vnodes),
+                testkit::field_lines("local_data", &q.local_data),
+                testkit::field_lines("threads", &q.threads),
+                testkit::field_lines("config", &q.config),
+            ],
+        );
+    }
 
     #[test]
     fn apply_bit_matches_the_papers_definition() {

@@ -53,9 +53,9 @@ pub struct OptUnlinkedQueue {
     /// Volatile allocator for `Volatile` objects (invisible to recovery).
     vnodes: Ssmem,
     /// Queue head: a `Volatile` reference. Purely volatile state.
-    head: AtomicU64,
+    head: CachePadded<AtomicU64>,
     /// Queue tail: a `Volatile` reference. Purely volatile state.
-    tail: AtomicU64,
+    tail: CachePadded<AtomicU64>,
     /// Pool offset of the per-thread persistent head-index array.
     local_data: u32,
     /// Per-thread volatile record of the dummy to retire on the next
@@ -225,8 +225,8 @@ impl RecoverableQueue for OptUnlinkedQueue {
             pool,
             pnodes,
             vnodes,
-            head: AtomicU64::new(vdummy.to_u64()),
-            tail: AtomicU64::new(vdummy.to_u64()),
+            head: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
+            tail: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
             local_data,
             node_to_retire: Self::retire_slots(&config),
             config,
@@ -293,8 +293,8 @@ impl RecoverableQueue for OptUnlinkedQueue {
             pool,
             pnodes,
             vnodes,
-            head: AtomicU64::new(vdummy.to_u64()),
-            tail: AtomicU64::new(prev.to_u64()),
+            head: CachePadded::new(AtomicU64::new(vdummy.to_u64())),
+            tail: CachePadded::new(AtomicU64::new(prev.to_u64())),
             local_data,
             node_to_retire: Self::retire_slots(&config),
             config,
@@ -306,6 +306,27 @@ impl RecoverableQueue for OptUnlinkedQueue {
 mod tests {
     use super::*;
     use crate::testkit;
+
+    /// Head and tail are written by every enqueue and dequeue: each sits on
+    /// its own cache lines, as the pool roots do (see [`crate::root`]).
+    #[test]
+    fn head_and_tail_sit_on_their_own_cache_lines() {
+        let (q, _) = testkit::fresh::<OptUnlinkedQueue>();
+        testkit::check_own_cache_lines(
+            &[
+                testkit::field_lines("head", &q.head),
+                testkit::field_lines("tail", &q.tail),
+            ],
+            &[
+                testkit::field_lines("pool", &q.pool),
+                testkit::field_lines("pnodes", &q.pnodes),
+                testkit::field_lines("vnodes", &q.vnodes),
+                testkit::field_lines("local_data", &q.local_data),
+                testkit::field_lines("node_to_retire", &q.node_to_retire),
+                testkit::field_lines("config", &q.config),
+            ],
+        );
+    }
 
     #[test]
     fn sequential_fifo() {

@@ -5,6 +5,14 @@
 //! offsets inside the pool's queue-root block
 //! ([`pmem::layout::QUEUE_ROOT`]). Head and tail live on separate cache
 //! lines, as in the paper's implementation, to avoid false sharing.
+//!
+//! The rule covers the volatile heads and tails too. OptUnlinkedQ,
+//! OptLinkedQ and the volatile MSQ keep theirs in the queue struct, not in
+//! the pool, and wrap each in [`obs::rows::CachePadded`]. Otherwise a
+//! dequeuer's head CAS would invalidate the enqueuer's tail, and the
+//! opt-to-DurableMSQ ratio would charge that false sharing to one side.
+//! Each of the three has a `head_and_tail_sit_on_their_own_cache_lines`
+//! test.
 
 use pmem::layout::{CACHE_LINE, QUEUE_ROOT};
 use pmem::{PmemPool, MAX_THREADS};

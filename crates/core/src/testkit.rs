@@ -11,8 +11,10 @@
 pub mod subprocess;
 
 use crate::api::{DurableQueue, QueueConfig, RecoverableQueue};
+use pmem::layout::CACHE_LINE;
 use pmem::{PmemPool, PoolConfig, StatsSnapshot};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -66,6 +68,35 @@ pub fn encode(producer: usize, seq: u64) -> u64 {
 /// Decodes a value produced by [`encode`] into `(producer, seq)`.
 pub fn decode(value: u64) -> (usize, u64) {
     ((value >> 40) as usize, (value & 0xFF_FFFF_FFFF) - 1)
+}
+
+// ---------------------------------------------------------------------------
+// Layout
+// ---------------------------------------------------------------------------
+
+/// A struct field's name and the cache lines it occupies, first to last.
+pub type FieldLines = (&'static str, RangeInclusive<usize>);
+
+/// The cache lines `field` occupies, named `name`.
+pub fn field_lines<T>(name: &'static str, field: &T) -> FieldLines {
+    let start = field as *const T as usize;
+    let end = start + std::mem::size_of::<T>().max(1) - 1;
+    (name, start / CACHE_LINE..=end / CACHE_LINE)
+}
+
+/// The layout rule of [`crate::root`] applied to a queue's volatile struct:
+/// each `hot` field (a word the threads write on every operation) shares
+/// no cache line with another hot field or with any `cold` (read-mostly)
+/// one.
+pub fn check_own_cache_lines(hot: &[FieldLines], cold: &[FieldLines]) {
+    for (i, (name, lines)) in hot.iter().enumerate() {
+        for (other, other_lines) in hot[i + 1..].iter().chain(cold) {
+            assert!(
+                lines.end() < other_lines.start() || other_lines.end() < lines.start(),
+                "{name} (lines {lines:?}) shares a cache line with {other} (lines {other_lines:?})"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

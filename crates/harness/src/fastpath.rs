@@ -23,11 +23,14 @@
 //! Beside the file pool it prices the simulated one: `sim_spin` holds, for
 //! each event [`LatencyModel::optane_like`] charges, the delay requested and
 //! what one [`pmem::latency::spin_delay`] of it costs (`charged_ns`), which
-//! the gate holds to the request within the run.
+//! the gate holds to the request within the run. `sim_pool` times creating
+//! a 1 MiB and a 256 MiB simulated pool (`new_us`): their images are zeroed
+//! by the kernel as a run touches them, so the gate holds the large pool's
+//! cost to within a small factor of the small one's.
 
 use std::time::Instant;
 
-use pmem::{LatencyModel, PmemPool};
+use pmem::{LatencyModel, PmemPool, PoolConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use store::{FileConfig, FilePool, SyncPolicy};
@@ -178,6 +181,38 @@ fn measure_sim_spin(cfg: &FastpathConfig) -> Vec<SpinRow> {
     .collect()
 }
 
+/// The sizes of the simulated pools `sim_pool` creates.
+const SIM_POOL_BYTES: [usize; 2] = [1 << 20, 256 << 20];
+
+/// What creating one simulated pool costs.
+pub struct SimPoolRow {
+    /// The pool's size in bytes.
+    pub size_bytes: usize,
+    /// One `PmemPool::new`, best of the trials, µs.
+    pub new_us: f64,
+}
+
+/// Times `PmemPool::new` at each of [`SIM_POOL_BYTES`]; dropping the pool
+/// is not timed.
+fn measure_sim_pool(cfg: &FastpathConfig) -> Vec<SimPoolRow> {
+    SIM_POOL_BYTES
+        .into_iter()
+        .map(|size_bytes| {
+            let mut best = f64::INFINITY;
+            for _ in 0..cfg.trials {
+                let start = Instant::now();
+                let pool = std::hint::black_box(PmemPool::new(PoolConfig::bench(size_bytes)));
+                best = best.min(start.elapsed().as_secs_f64() * 1e6);
+                drop(pool);
+            }
+            SimPoolRow {
+                size_bytes,
+                new_us: best,
+            }
+        })
+        .collect()
+}
+
 /// The measured rows plus the floor they are judged against.
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
@@ -189,6 +224,8 @@ pub struct FastpathReport {
     pub rows: Vec<FastpathRow>,
     /// What the simulated pool charges per event.
     pub sim_spin: Vec<SpinRow>,
+    /// What creating a simulated pool costs, small pool first.
+    pub sim_pool: Vec<SimPoolRow>,
 }
 
 /// Times a fixed and an elastic pool over identical workloads, and the
@@ -215,6 +252,7 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
             measure("elastic", cfg.grow_step, cfg),
         ],
         sim_spin: measure_sim_spin(cfg),
+        sim_pool: measure_sim_pool(cfg),
     }
 }
 
@@ -255,6 +293,14 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
             spin.event, spin.requested_ns, spin.charged_ns
         ));
     }
+    out.push_str("\nsimulated pool creation (best of the trials):");
+    for pool in &report.sim_pool {
+        out.push_str(&format!(
+            " {} MiB {:.1} us;",
+            pool.size_bytes >> 20,
+            pool.new_us
+        ));
+    }
     out.push('\n');
     out
 }
@@ -288,6 +334,17 @@ pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
         })
         .collect();
     obj.section("sim_spin", format!("[{}]", spins.join(", ")));
+    let pools: Vec<String> = report
+        .sim_pool
+        .iter()
+        .map(|pool| {
+            format!(
+                "{{\"size_bytes\": {}, \"new_us\": {:.3}}}",
+                pool.size_bytes, pool.new_us
+            )
+        })
+        .collect();
+    obj.section("sim_pool", format!("[{}]", pools.join(", ")));
     obj.finish()
 }
 
@@ -354,6 +411,12 @@ mod tests {
             assert!(spin.charged_ns > 0.0 && spin.charged_ns.is_finite());
         }
         assert!(rendered.contains("nvram_read 300 -> "));
+        let sizes: Vec<_> = report.sim_pool.iter().map(|p| p.size_bytes).collect();
+        assert_eq!(sizes, SIM_POOL_BYTES);
+        for pool in &report.sim_pool {
+            assert!(pool.new_us > 0.0 && pool.new_us.is_finite());
+        }
+        assert!(rendered.contains(" 256 MiB "));
     }
 
     #[test]
@@ -371,6 +434,8 @@ mod tests {
         assert_eq!(json.matches("\"mode\"").count(), 2);
         assert!(json.contains("\"sim_spin\": [{\"event\": \"flush\", \"requested_ns\": 40, "));
         assert_eq!(json.matches("\"charged_ns\"").count(), 4);
+        assert!(json.contains("\"sim_pool\": [{\"size_bytes\": 1048576, \"new_us\": "));
+        assert_eq!(json.matches("\"new_us\"").count(), 2);
     }
 
     #[test]

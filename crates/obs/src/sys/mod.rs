@@ -1,7 +1,8 @@
 //! The workspace's one door to the kernel for mapped and durable files,
 //! at the bottom of the DAG: the file mapping the flight recorder's ring
-//! and `store`'s pools live in ([`MmapRegion`]), every sync ([`durable`]),
-//! and the crash tests' abort point ([`crash_point`]). The offline build
+//! and `store`'s pools live in and the anonymous one a simulated pool's
+//! images live in ([`MmapRegion`]), every sync ([`durable`]), and the crash
+//! tests' abort point ([`crash_point`]). The offline build
 //! has no `libc` crate, so the few C calls are declared here against the C
 //! library `std` links; their safety contract is the man page's.
 
@@ -16,6 +17,17 @@ use std::path::Path;
 const PROT_READ: i32 = 1;
 const PROT_WRITE: i32 = 2;
 const MAP_SHARED: i32 = 1;
+const MAP_PRIVATE: i32 = 2;
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: i32 = 0x20;
+#[cfg(not(target_os = "linux"))]
+const MAP_ANONYMOUS: i32 = 0x1000;
+/// Reserve no swap for the mapping: its pages are committed as they are
+/// touched, not when it is made.
+#[cfg(target_os = "linux")]
+const MAP_NORESERVE: i32 = 0x4000;
+#[cfg(not(target_os = "linux"))]
+const MAP_NORESERVE: i32 = 0;
 
 extern "C" {
     fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
@@ -32,11 +44,16 @@ pub fn page_size() -> usize {
     unsafe { getpagesize() as usize }
 }
 
-/// A writable shared mapping of the leading `len` bytes of a file: stores
-/// land in the page cache as they retire, so they survive a `SIGKILL`. The
-/// mapping may be longer than the file: bytes past its end are address
-/// space only, and fault, until the file is extended under them (how an
-/// elastic pool grows).
+/// A writable mapping of `len` bytes, page-aligned, in one of two kinds:
+///
+/// * [`MmapRegion::map`]: the leading bytes of a file, shared, so stores
+///   land in the page cache as they retire and survive a `SIGKILL`. The
+///   mapping may be longer than the file: bytes past its end are address
+///   space only, and fault, until the file is extended under them (how an
+///   elastic pool grows).
+/// * [`MmapRegion::anonymous`]: private memory the kernel zeroes page by
+///   page on first touch, so an untouched byte costs address space only
+///   (how a simulated pool's images cost what a run touches).
 pub struct MmapRegion {
     ptr: *mut u8,
     len: usize,
@@ -51,17 +68,29 @@ unsafe impl Sync for MmapRegion {}
 impl MmapRegion {
     /// Maps `len` bytes of `file` from its start, shared and read-write.
     pub fn map(file: &File, len: usize) -> io::Result<MmapRegion> {
+        MmapRegion::new(len, MAP_SHARED, file.as_raw_fd())
+    }
+
+    /// Maps `len` bytes of zeroed, private, read-write memory backed by no
+    /// file and reserving no swap: a page is committed when it is first
+    /// touched.
+    pub fn anonymous(len: usize) -> io::Result<MmapRegion> {
+        MmapRegion::new(len, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1)
+    }
+
+    fn new(len: usize, flags: i32, fd: i32) -> io::Result<MmapRegion> {
         assert!(len > 0, "cannot map an empty region");
-        // SAFETY: fd is a valid open file descriptor; len > 0; a shared
-        // file mapping has no other preconditions. The kernel validates
-        // the rest and reports failure as MAP_FAILED.
+        // SAFETY: len > 0, and fd is either a valid open file descriptor
+        // or -1 with MAP_ANONYMOUS; neither mapping has other
+        // preconditions. The kernel validates the rest and reports failure
+        // as MAP_FAILED.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_SHARED,
-                file.as_raw_fd(),
+                flags,
+                fd,
                 0,
             )
         };
@@ -84,7 +113,8 @@ impl MmapRegion {
         self.len
     }
 
-    /// Returns `true` if the mapping is empty (never: `map` rejects len 0).
+    /// Returns `true` if the mapping is empty (never: both constructors
+    /// reject len 0).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -98,7 +128,7 @@ impl MmapRegion {
 
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        // SAFETY: ptr/len are exactly the mapping created in `map`, and
+        // SAFETY: ptr/len are exactly the mapping created in `new`, and
         // the region's borrowers are gone.
         unsafe { munmap(self.ptr as *mut c_void, self.len) };
     }
@@ -175,6 +205,21 @@ mod tests {
         assert_eq!(back[2 * 4096 + 1], 0x5A);
         drop(region);
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// An anonymous region reads zero everywhere, is page-aligned, keeps
+    /// what is stored, and may be far larger than what it ever touches.
+    #[test]
+    fn an_anonymous_region_is_zeroed_and_aligned() {
+        let region = MmapRegion::anonymous(1 << 32).unwrap();
+        assert_eq!(region.as_ptr() as usize % page_size(), 0);
+        // SAFETY: in bounds of the mapping; first and last page only.
+        unsafe {
+            let last = region.as_ptr().add(region.len() - 1);
+            assert_eq!((*region.as_ptr(), *last), (0, 0));
+            *last = 0x5A;
+            assert_eq!(*last, 0x5A);
+        }
     }
 
     #[test]

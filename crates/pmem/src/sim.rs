@@ -21,6 +21,14 @@
 //! counts as a [post-flush access](crate::StatsSnapshot::post_flush_accesses)
 //! and pays the configured NVRAM read latency.
 //!
+//! What the simulator itself costs stays outside that model. Both images
+//! and the per-line state bytes are private anonymous mappings
+//! ([`obs::sys::MmapRegion::anonymous`]) that the kernel zeroes page by page
+//! on first touch, so creating a pool writes nothing and a run pays for the
+//! pages it touches, not for the pool's size. A simulated crash copies
+//! every line of both images into a fresh pool, with one eviction draw per
+//! line, so a recovered pool is fully resident by design.
+//!
 //! This module is the "sim" arm of [`crate::PmemPool`]; the public API and
 //! its documentation live there.
 
@@ -30,7 +38,7 @@ use crate::layout::{self, CACHE_LINE, MAX_THREADS};
 use crate::pool::PoolConfig;
 use crate::stats::{Counter, Stats, StatsSnapshot};
 use obs::rows::CachePadded;
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use obs::sys::MmapRegion;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -40,37 +48,13 @@ const LINE_CACHED: u8 = 0;
 /// the NVRAM read latency.
 const LINE_FLUSHED: u8 = 1;
 
-/// A cache-line-aligned, zero-initialised raw memory arena.
-struct RawArena {
-    ptr: *mut u8,
-    layout: Layout,
+/// Maps one of a pool's zeroed arrays: an image, or the line states (zero
+/// is [`LINE_CACHED`]). The kernel zeroes each page when it is first
+/// touched, so a pool costs the memory a run touches, not its size.
+fn zeroed(len: usize) -> MmapRegion {
+    MmapRegion::anonymous(len)
+        .unwrap_or_else(|e| panic!("pmem: cannot map a {len}-byte simulated image: {e}"))
 }
-
-impl RawArena {
-    fn new(size: usize) -> Self {
-        let layout = Layout::from_size_align(size, CACHE_LINE).expect("invalid arena layout");
-        // SAFETY: layout has non-zero size (callers guarantee size > 0).
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(
-            !ptr.is_null(),
-            "pmem arena allocation failed ({size} bytes)"
-        );
-        RawArena { ptr, layout }
-    }
-}
-
-impl Drop for RawArena {
-    fn drop(&mut self) {
-        // SAFETY: `ptr` was allocated with exactly this layout in `new`.
-        unsafe { dealloc(self.ptr, self.layout) };
-    }
-}
-
-// SAFETY: the arena is only ever accessed through atomic operations (see the
-// accessors on `SimPool`), so concurrent access from multiple threads cannot
-// produce data races.
-unsafe impl Send for RawArena {}
-unsafe impl Sync for RawArena {}
 
 /// Per-thread record of persistence work that has been issued but not yet
 /// ordered by a fence: lines with outstanding asynchronous flushes, and the
@@ -95,9 +79,10 @@ unsafe impl Sync for PendingCell {}
 
 /// The simulated persistent-memory backend. See the [module docs](self).
 pub(crate) struct SimPool {
-    working: RawArena,
-    persistent: RawArena,
-    line_states: Box<[AtomicU8]>,
+    working: MmapRegion,
+    persistent: MmapRegion,
+    /// One state byte per cache line.
+    line_states: MmapRegion,
     pending: Box<[CachePadded<PendingCell>]>,
     /// Durable root slots: working value and the value a crash preserves.
     roots_working: [AtomicU64; ROOT_SLOTS],
@@ -119,16 +104,14 @@ impl SimPool {
         );
         let min = layout::HEAP_START as usize + CACHE_LINE;
         let size = layout::align_up(config.size.max(min) as u32, CACHE_LINE as u32) as usize;
-        let lines = size / CACHE_LINE;
-        let line_states = (0..lines).map(|_| AtomicU8::new(LINE_CACHED)).collect();
         let pending = (0..MAX_THREADS)
             .map(|_| CachePadded::new(PendingCell(UnsafeCell::new(PendingPersists::default()))))
             .collect();
         let eviction_threshold = probability_to_threshold(config.eviction_probability);
         SimPool {
-            working: RawArena::new(size),
-            persistent: RawArena::new(size),
-            line_states,
+            working: zeroed(size),
+            persistent: zeroed(size),
+            line_states: zeroed(size / CACHE_LINE),
             pending,
             roots_working: Default::default(),
             roots_persistent: Default::default(),
@@ -166,16 +149,27 @@ impl SimPool {
     #[inline]
     fn working_u64(&self, off: u32) -> &AtomicU64 {
         self.check_bounds(off, 8);
-        // SAFETY: in bounds, 8-byte aligned, and the arena lives as long as
-        // `self`; the arena is only accessed through atomics.
-        unsafe { &*(self.working.ptr.add(off as usize) as *const AtomicU64) }
+        // SAFETY: in bounds, 8-byte aligned (the mapping is page-aligned),
+        // and the mapping lives as long as `self`; it is only accessed
+        // through atomics.
+        unsafe { &*(self.working.as_ptr().add(off as usize) as *const AtomicU64) }
     }
 
     #[inline]
     fn persistent_u64(&self, off: u32) -> &AtomicU64 {
         self.check_bounds(off, 8);
         // SAFETY: as above.
-        unsafe { &*(self.persistent.ptr.add(off as usize) as *const AtomicU64) }
+        unsafe { &*(self.persistent.as_ptr().add(off as usize) as *const AtomicU64) }
+    }
+
+    #[inline]
+    fn line_state(&self, off: u32) -> &AtomicU8 {
+        let line = layout::line_of(off) as usize;
+        assert!(line < self.line_states.len(), "pmem access out of bounds");
+        // SAFETY: `line` is in bounds (checked above), and a byte needs no
+        // alignment; the mapping lives as long as `self` and is only
+        // accessed through atomics.
+        unsafe { &*(self.line_states.as_ptr().add(line) as *const AtomicU8) }
     }
 
     // ------------------------------------------------------------------
@@ -186,8 +180,7 @@ impl SimPool {
     /// containing `off`, then (re)marks it as cached.
     #[inline]
     fn touch(&self, off: u32) {
-        let line = layout::line_of(off) as usize;
-        let state = &self.line_states[line];
+        let state = self.line_state(off);
         if state.load(Ordering::Relaxed) == LINE_FLUSHED {
             state.store(LINE_CACHED, Ordering::Relaxed);
             self.stats.add(Counter::PostFlushAccesses, 1);
@@ -297,9 +290,8 @@ impl SimPool {
 
     #[inline]
     pub(crate) fn flush(&self, tid: usize, off: u32) {
-        debug_assert!((off as usize) < self.size);
         let line = layout::line_of(off);
-        self.line_states[line as usize].store(LINE_FLUSHED, Ordering::Relaxed);
+        self.line_state(off).store(LINE_FLUSHED, Ordering::Relaxed);
         self.stats.add(Counter::Flushes, 1);
         if self.config.deferred_persist {
             self.with_pending(tid, |pending| pending.flushed_lines.push(line));
@@ -338,14 +330,19 @@ impl SimPool {
 
     pub(crate) fn persist_now(&self, off: u32) {
         self.stats.add(Counter::Flushes, 1);
-        let line = layout::line_of(off);
-        self.line_states[line as usize].store(LINE_FLUSHED, Ordering::Relaxed);
-        self.persist_line(line);
+        self.line_state(off).store(LINE_FLUSHED, Ordering::Relaxed);
+        self.persist_line(layout::line_of(off));
     }
 
+    /// Stores only on a change of state, like [`SimPool::touch`]: a store
+    /// to a line's state byte on every allocation would pull that byte's
+    /// cache line away from the threads reading their neighbouring nodes'
+    /// states.
     pub(crate) fn mark_line_cached(&self, off: u32) {
-        let line = layout::line_of(off) as usize;
-        self.line_states[line].store(LINE_CACHED, Ordering::Relaxed);
+        let state = self.line_state(off);
+        if state.load(Ordering::Relaxed) != LINE_CACHED {
+            state.store(LINE_CACHED, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn zero_range(&self, off: u32, len: u32) {

@@ -24,8 +24,9 @@ Three kinds of bands:
 * within-run — both sides come from the current run, so the band is tight
   whatever the runner: fastpath's fixed and elastic `load_ns` and
   `counter_incr_ns` against its own `raw_load_ns`, what the simulator charges per event
-  (`sim_spin`) against what its latency model requests, group commit's
-  coalesced share at 8 producers against a floor.
+  (`sim_spin`) against what its latency model requests, what creating a
+  256 MiB simulated pool costs (`sim_pool`) against a 1 MiB one, group
+  commit's coalesced share at 8 producers against a floor.
 
 What fails: an experiment with no table entry, an artifact with no baseline
 file, a baseline experiment or row missing from the current run (silently
@@ -106,6 +107,11 @@ MAX_COUNTER_INCR_VS_RAW = 3.0
 SPIN_SLACK_NS = 25.0
 SPIN_SLACK_SHARE = 0.25
 SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read"}
+# A simulated pool must cost what a run touches, not its size: creating the
+# 256 MiB pool within this factor of the 1 MiB one (`sim_pool` `new_us`).
+# Recorded at ~1x; images zeroed up front cost hundreds of times more.
+SIM_POOL_SMALL, SIM_POOL_LARGE = 1 << 20, 256 << 20
+MAX_SIM_POOL_NEW_VS_SMALL = 4.0
 # Group commit must keep batching: at 8 producers and window 0 the share of
 # fences that shared a batch with another. Recorded at 0.91-0.92; a
 # pipeline that never fills reads 0. A cliff detector, not a perf SLO.
@@ -162,6 +168,14 @@ def fastpath_within_run(obj, ctx, gate):
         slack = max(SPIN_SLACK_NS / requested, SPIN_SLACK_SHARE)
         gate.check(f"{ctx}[{spin['event']}]", "charged_ns vs requested_ns", requested,
                    spin["charged_ns"], "ceil", 1.0 + slack)
+    for i, pool in enumerate(obj["sim_pool"]):
+        require(pool, {"size_bytes": POSITIVE, "new_us": POSITIVE}, f"{ctx} sim_pool[{i}]")
+    new_us = {pool["size_bytes"]: pool["new_us"] for pool in obj["sim_pool"]}
+    if not {SIM_POOL_SMALL, SIM_POOL_LARGE} <= set(new_us):
+        raise Invalid(f"{ctx}: sim_pool needs a {SIM_POOL_SMALL}- and a "
+                      f"{SIM_POOL_LARGE}-byte pool, got {sorted(new_us)}")
+    gate.check(f"{ctx}[sim_pool]", "new_us 256 MiB vs 1 MiB", new_us[SIM_POOL_SMALL],
+               new_us[SIM_POOL_LARGE], "ceil", MAX_SIM_POOL_NEW_VS_SMALL)
 
 
 def group_commit_coalesces(obj, ctx, gate):
@@ -232,7 +246,7 @@ EXPERIMENTS = {
     "fastpath": {
         "header": {**nums("ops", "trials"), "lock_free_fast_path": one_of(True),
                    "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE,
-                   "sim_spin": LIST},
+                   "sim_spin": LIST, "sim_pool": LIST},
         "row": {**strs("mode"), **nums("grow_step", "load_ns", "persist_ns", "map_ref_ns")},
         "identity": ("mode",),
         "bands": {"load_ns": CEIL, "persist_ns": CEIL, "map_ref_ns": CEIL},
@@ -462,6 +476,10 @@ def self_test():
                 {"event": "fence", "requested_ns": 100, "charged_ns": 100.2},
                 {"event": "nvram_read", "requested_ns": 300, "charged_ns": 304.8},
             ],
+            "sim_pool": [
+                {"size_bytes": 1048576, "new_us": 9.8},
+                {"size_bytes": 268435456, "new_us": 10.4},
+            ],
         }],
     }
 
@@ -508,6 +526,9 @@ def self_test():
         ("fastpath without an elastic row", *mutated("fastpath", lambda o: o["rows"].pop())),
         ("fastpath without sim_spin", *mutated("fastpath", lambda o: drop(o, "sim_spin"))),
         ("sim_spin without the fence", *mutated("fastpath", lambda o: o["sim_spin"].pop(2))),
+        ("fastpath without sim_pool", *mutated("fastpath", lambda o: drop(o, "sim_pool"))),
+        ("sim_pool without the 256 MiB pool",
+         *mutated("fastpath", lambda o: o["sim_pool"].pop())),
         ("non-list document", "counts", {"experiment": "counts"}),
         # the compare half
         ("a baseline row missing from the current run",
@@ -529,6 +550,8 @@ def self_test():
          *mutated("fastpath", lambda o: o.update(counter_incr_ns=5.2))),
         ("a flush charged at the clock's 124 ns, not the model's 40",
          *mutated("fastpath", lambda o: o["sim_spin"][0].update(charged_ns=124.0))),
+        ("a 256 MiB pool whose images are zeroed up front (45 ms vs 9.8 us)",
+         *mutated("fastpath", lambda o: o["sim_pool"][1].update(new_us=45000.0))),
         ("a coalesced_share under the floor",
          *mutated("fsweep", lambda o: o["rows"][0].update(coalesced_share=0.49))),
     ]

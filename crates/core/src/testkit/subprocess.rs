@@ -1,25 +1,24 @@
-//! Shared scaffolding for subprocess crash tests.
+//! Process plumbing for SIGKILL crash rounds.
 //!
-//! The workspace's restart tests all follow the same protocol: a hidden
-//! `#[test]` child entry point (a no-op unless parent-set env vars are
-//! present) is re-executed from `std::env::current_exe()`, drives traffic
-//! against a file-backed pool while acknowledging every completed operation
-//! with one `<tag> <value>\n` write syscall, and is SIGKILLed (or aborts at
-//! an env-gated crash point) mid-traffic; the parent then reopens the files
-//! and validates a linearizable suffix against the ack log. This module
-//! holds the process plumbing every such test shares — spawn, progress
-//! wait, kill/reap, and the torn-tail-tolerant ack-log reader — so each
-//! test file contributes only its workload and its invariants.
+//! Every crash round above `core` follows one protocol, driven by
+//! `harness::crash`: the parent spawns the harness binary's hidden
+//! `crash-child` verb, which drives traffic against file-backed pools while
+//! acknowledging every completed operation with one `<tag> <value>\n`
+//! write syscall; the parent SIGKILLs it mid-traffic (or the child aborts
+//! at an env-gated crash point), reopens the files and checks the
+//! recovered state against the ack logs. The SIGKILL table in
+//! `crates/harness/tests/` runs every scenario through it. This
+//! module holds the pieces that need nothing above `core` — progress wait,
+//! kill/reap, and the ack log with its torn-tail-tolerant reader.
 //!
 //! An ack line that reached the kernel survives the kill exactly like the
 //! pool's page-cache writes do; a torn trailing line (the kill can land
 //! mid-write) is an unacknowledged operation and is ignored.
 
 use std::collections::BTreeSet;
-use std::ffi::OsStr;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
 /// A fresh scratch directory under the system temp dir, unique per process
@@ -33,60 +32,6 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
-}
-
-/// Builder for re-executing the current test binary as a crash-test child.
-///
-/// The child process runs exactly one hidden `#[test]` entry point
-/// (`--exact`), inherits the given env vars (which is how the entry point
-/// knows it is the child and where its files live), and has its stdio
-/// nulled so the parent's test output stays clean.
-pub struct ChildProc {
-    cmd: Command,
-}
-
-impl ChildProc {
-    /// Targets the hidden `#[test]` entry named `entry` in this binary.
-    pub fn new(entry: &str) -> Self {
-        let mut cmd = Command::new(std::env::current_exe().expect("test binary path"));
-        cmd.args([entry, "--exact", "--nocapture"])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        ChildProc { cmd }
-    }
-
-    /// Passes an env var to the child (the gate that activates the entry).
-    pub fn env(mut self, key: &str, value: impl AsRef<OsStr>) -> Self {
-        self.cmd.env(key, value);
-        self
-    }
-
-    /// Passes an env-gated abort point (`env(var, "1")`) when `Some`; the
-    /// child will crash itself there instead of waiting for a SIGKILL.
-    pub fn abort_at(self, var: Option<&str>) -> Self {
-        match var {
-            Some(var) => self.env(var, "1"),
-            None => self,
-        }
-    }
-
-    /// Spawns the child.
-    pub fn spawn(mut self) -> Child {
-        self.cmd.spawn().expect("spawn crash-test child")
-    }
-
-    /// Spawns the child and waits for it to exit on its own — the shape of
-    /// deterministic abort-point rounds. Panics if the child exits
-    /// successfully (the abort point must have fired).
-    pub fn run_to_abort(self) -> ExitStatus {
-        let mut child = self.spawn();
-        let status = child.wait().expect("reap aborting child");
-        assert!(
-            !status.success(),
-            "the abort point must have fired: {status}"
-        );
-        status
-    }
 }
 
 /// Number of complete lines in `path` (0 when absent). Cheap enough to
@@ -122,51 +67,35 @@ pub fn wait_until(
     }
 }
 
-/// Waits until the ack log at `path` holds at least `min_lines` complete
-/// lines, so a kill always lands mid-traffic, never before traffic.
-pub fn wait_for_lines(child: &mut Child, path: &Path, min_lines: usize, timeout: Duration) {
-    wait_until(child, timeout, &format!("{min_lines} ack lines"), || {
-        count_lines(path) >= min_lines
-    });
-}
-
 /// SIGKILLs the child and reaps it — the crash under test.
 pub fn kill_and_reap(child: &mut Child) {
     child.kill().expect("SIGKILL crash-test child");
     child.wait().expect("reap crash-test child");
 }
 
-/// Parses complete `<tag> <number>` lines from an ack log, in written
-/// order. A torn trailing line (no final newline) is ignored, exactly like
-/// the unacknowledged operation it is; a malformed *complete* line is a
-/// test bug and panics. Returns the empty vec when the file is absent (the
-/// kill can land before the child created it).
-pub fn read_acks(path: &Path, tag: &str) -> Vec<u64> {
+/// Parses the complete `<tag> <number>` lines of an ack log. A torn
+/// trailing line (no final newline) is ignored, exactly like the
+/// unacknowledged operation it is. Each value may be acknowledged at most
+/// once (one ack per completed operation): a duplicate panics, as does a
+/// complete line that is malformed or carries another tag. Returns the
+/// empty set when the file is absent (the kill can land before the child
+/// created it).
+pub fn read_unique_acks(path: &Path, tag: &str) -> BTreeSet<u64> {
     let Ok(raw) = std::fs::read(path) else {
-        return Vec::new();
+        return BTreeSet::new();
     };
     let text = String::from_utf8_lossy(&raw);
-    let mut out = Vec::new();
+    let mut out = BTreeSet::new();
     for line in text.split_inclusive('\n') {
         let Some(body) = line.strip_suffix('\n') else {
             break; // torn tail
         };
-        let Some(num) = body.strip_prefix(tag).map(str::trim) else {
-            panic!("malformed ack line {body:?}");
-        };
-        out.push(num.parse::<u64>().unwrap_or_else(|_| {
-            panic!("malformed ack number in {body:?}");
-        }));
-    }
-    out
-}
-
-/// [`read_acks`] with a uniqueness guarantee: each value may be
-/// acknowledged at most once (one ack per completed operation).
-pub fn read_unique_acks(path: &Path, tag: &str) -> BTreeSet<u64> {
-    let mut out = BTreeSet::new();
-    for num in read_acks(path, tag) {
-        assert!(out.insert(num), "duplicate ack {num}");
+        let num = body
+            .strip_prefix(tag)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .and_then(|num| num.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("malformed {tag:?} ack line {body:?} in {path:?}"));
+        assert!(out.insert(num), "duplicate ack {num} in {path:?}");
     }
     out
 }
@@ -191,5 +120,28 @@ impl AckLog {
         self.file
             .write_all(format!("{tag} {value}\n").as_bytes())
             .expect("write ack line");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ack_logs_ignore_a_torn_tail_and_refuse_duplicates_and_foreign_tags() {
+        let dir = scratch_dir("testkit-ack-log");
+        let path = dir.join("acks.log");
+        let read = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            std::panic::catch_unwind(|| read_unique_acks(&path, "A"))
+        };
+        let torn = read("A 1\nA 2\nA 3").expect("a torn tail is not an error");
+        assert_eq!(torn.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert!(
+            read("A 1\nA 2\nA 1\n").is_err(),
+            "a duplicate ack must panic"
+        );
+        assert!(read("A 1\nH 2\n").is_err(), "a foreign tag must panic");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

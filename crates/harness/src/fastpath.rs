@@ -92,9 +92,11 @@ pub struct FastpathRow {
 }
 
 fn bench_pool(tag: &str, cfg: &FastpathConfig, grow_step: usize) -> Arc<PmemPool> {
+    // Unique per thread too: parallel tests must not share a pool file.
     let path = std::env::temp_dir().join(format!(
-        "harness-fastpath-{tag}-{}.pool",
-        std::process::id()
+        "harness-fastpath-{tag}-{}-{:?}.pool",
+        std::process::id(),
+        std::thread::current().id()
     ));
     let mut file_config = FileConfig::with_size(cfg.pool_bytes).with_sync(cfg.sync);
     if grow_step > 0 {

@@ -87,9 +87,11 @@ pub struct FsweepRow {
 /// Runs one point: `producers` threads each flush `pages` private pages
 /// and fence, `fences` times, all against one power-fail pool.
 fn measure(cfg: &FsweepConfig, producers: usize, window_us: u64) -> FsweepRow {
+    // Unique per thread too: parallel tests must not share a pool file.
     let path = std::env::temp_dir().join(format!(
-        "harness-fsweep-{producers}p-{window_us}us-{}.pool",
-        std::process::id()
+        "harness-fsweep-{producers}p-{window_us}us-{}-{:?}.pool",
+        std::process::id(),
+        std::thread::current().id()
     ));
     let pool = FilePool::create(
         &path,

@@ -1,7 +1,6 @@
 //! The `harness lease` verb — a peek-lock producer/consumer delivery
 //! drill with a text table; lease throughput is gated by `qbench`'s
-//! `lease-pc`/`group-pf` — plus the consumer-SIGKILL round the `restart`
-//! verb runs.
+//! `lease-pc`/`group-pf`.
 //!
 //! ```text
 //! harness lease [--shards 1,2,4] [--ops N] [--nack-percent P]
@@ -29,25 +28,18 @@
 //! (`G * ops / wall`) plus the per-group segment rotation/retirement
 //! counters summed across groups.
 //!
-//! The SIGKILL round ([`run_lease_kill_round`]) spawns this same binary
-//! as a `lease-child`, kills it while it holds live leases, reopens the
-//! directory in-process and validates the delivery contract: unacked
-//! leases redeliver exactly once with a bumped delivery count, confirmed
-//! acks never resurface, and the child's deliberately-poisoned item sits
-//! alone in the dead-letter queue.
+//! The consumer-SIGKILL round `harness restart` ends with is the leased
+//! shape of the crash driver ([`crate::crash`]), whose table also kills
+//! grouped consumers (`crates/harness/tests/group_kill.rs`).
 
 use crate::algorithms::Algorithm;
 use crate::with_recoverable;
 use durable_queues::QueueConfig;
 use lease::{
-    create_grouped_dir, create_leased_dir, open_leased_dir, GroupDirConfig, GroupStats,
-    LeaseDirConfig, LeaseStats, Redelivery,
+    create_grouped_dir, create_leased_dir, GroupDirConfig, GroupStats, LeaseDirConfig, LeaseStats,
 };
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig};
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use store::{FileConfig, SyncPolicy};
 
@@ -441,323 +433,6 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
     out
 }
 
-// ---------------------------------------------------------------------
-// Consumer-SIGKILL round (run by `harness restart`)
-// ---------------------------------------------------------------------
-
-const KILL_SHARDS: usize = 2;
-/// The item the child nacks past its budget (outside the `1..` sequence),
-/// so the kill always finds exactly one known item in the DLQ.
-const POISON: u64 = u64::MAX - 1;
-
-fn kill_lease_config(sync: SyncPolicy) -> LeaseDirConfig {
-    LeaseDirConfig {
-        // Nothing may expire during the round: redelivery must come from
-        // the crash, not from timeouts.
-        lease_timeout: Duration::from_secs(300),
-        max_deliveries: 3,
-        sync,
-        ..LeaseDirConfig::default()
-    }
-}
-
-/// The hidden `lease-child` verb: creates a leased deployment, dead-letters
-/// one poison item, then produces and consumes forever — acking most
-/// deliveries (ack-logged), nacking some, and holding every `item % 7 == 0`
-/// lease un-acked so the parent's SIGKILL strands live leases.
-pub fn run_lease_child(algorithm: Algorithm, dir: &Path, sync: SyncPolicy, fence_window_ns: u64) {
-    std::fs::create_dir_all(dir).expect("lease-child: create dir");
-    // Flight recorder next to the pool files: lease grants/acks/settlements
-    // land in BLACKBOX.ring so the parent can replay the child's last
-    // moments after the SIGKILL (`harness blackbox <dir>` does the same).
-    let recorder = obs::flight::FlightRecorder::create_or_open(dir, obs::flight::DEFAULT_CAPACITY)
-        .expect("lease-child: create flight recorder");
-    obs::flight::install(recorder);
-    let orch = RecoveryOrchestrator::new(KILL_SHARDS);
-    with_recoverable!(algorithm, Q => {
-        let queue = create_leased_dir::<Q>(
-            &orch,
-            dir,
-            ShardConfig {
-                shards: KILL_SHARDS,
-                queue: queue_config(),
-                pool: pmem::PoolConfig::test_with_size(32 << 20),
-                policy: RoutePolicy::RoundRobin,
-            },
-            FileConfig::with_size(32 << 20)
-                .with_sync(sync)
-                .with_fence_window(fence_window_ns),
-            &kill_lease_config(sync),
-        )
-        .expect("lease-child: create leased dir");
-
-        // Poison dance before any other traffic: nack one item past its
-        // budget so the parent always finds it in the dead-letter queue.
-        queue.enqueue(0, POISON);
-        loop {
-            let l = queue.dequeue(1).expect("lease-child: poison visible");
-            assert_eq!(l.item, POISON);
-            match queue.nack(1, &l).expect("lease-child: nack poison") {
-                Redelivery::Requeued { .. } => continue,
-                Redelivery::DeadLettered => break,
-            }
-        }
-
-        let mut enq_log = ack_file(dir, "enq.log");
-        let mut ack_log = ack_file(dir, "acks.log");
-        let mut held_log = ack_file(dir, "held.log");
-        std::thread::scope(|scope| {
-            let q = &queue;
-            scope.spawn(move || {
-                // Bounded so the 32 MiB shard pools can never exhaust while
-                // the consumer lags; the consumer still runs forever, so
-                // the kill always lands mid-consumption.
-                for seq in 1..=50_000u64 {
-                    q.enqueue(0, seq);
-                    writeln!(enq_log, "E {seq}").expect("lease-child: enq ack");
-                }
-            });
-            scope.spawn(move || loop {
-                let Some(l) = q.dequeue(1) else { continue };
-                if l.item % 7 == 0 && l.delivery_count == 1 {
-                    // Hold forever: the kill strands these in flight.
-                    writeln!(held_log, "H {}", l.item).expect("lease-child: held ack");
-                } else if l.item % 11 == 3 && l.delivery_count == 1 {
-                    q.nack(1, &l).expect("lease-child: nack");
-                } else {
-                    q.ack(&l).expect("lease-child: ack");
-                    writeln!(ack_log, "A {}", l.item).expect("lease-child: ack ack");
-                }
-            });
-        });
-    });
-}
-
-fn ack_file(dir: &Path, name: &str) -> std::fs::File {
-    std::fs::File::options()
-        .create(true)
-        .append(true)
-        .open(dir.join(name))
-        .unwrap_or_else(|e| panic!("lease-child: open {name}: {e}"))
-}
-
-/// Outcome of one consumer-SIGKILL round.
-#[derive(Clone, Debug)]
-pub struct LeaseKillOutcome {
-    /// Confirmed (ack-logged) enqueues at kill time.
-    pub confirmed_enqueues: usize,
-    /// Confirmed consumer acks at kill time.
-    pub confirmed_acks: usize,
-    /// Leases the child deliberately held un-acked.
-    pub held: usize,
-    /// Unacked leases recovery turned back into deliverable items.
-    pub unacked: u64,
-    /// Redeliveries observed in the post-recovery drain (all with a
-    /// bumped delivery count).
-    pub redelivered: u64,
-    /// Wall-clock reopen + recovery time.
-    pub recovery: Duration,
-}
-
-/// Spawns a `lease-child`, SIGKILLs it while it holds live leases, then
-/// reopens the leased directory in-process and validates the delivery
-/// contract. Panics on any violation.
-pub fn run_lease_kill_round(
-    algorithm: Algorithm,
-    base_dir: &Path,
-    sync: SyncPolicy,
-    fence_window_ns: u64,
-    min_acks: usize,
-) -> LeaseKillOutcome {
-    let dir = base_dir.join("round-lease");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create lease round dir");
-
-    let exe = std::env::current_exe().expect("harness binary path");
-    let args = [
-        "lease-child",
-        "--algo",
-        algorithm.name(),
-        "--dir",
-        dir.to_str().expect("utf-8 dir"),
-        "--sync",
-        sync.key(),
-        "--fence-window",
-        &(fence_window_ns / 1_000).to_string(),
-    ];
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn lease child");
-
-    let count_lines = |path: &Path| {
-        std::fs::read(path)
-            .map(|raw| raw.iter().filter(|&&b| b == b'\n').count())
-            .unwrap_or(0)
-    };
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while count_lines(&dir.join("acks.log")) < min_acks || count_lines(&dir.join("held.log")) < 1 {
-        if let Some(status) = child.try_wait().expect("poll lease child") {
-            panic!("lease child exited prematurely ({status}) before reaching traffic");
-        }
-        assert!(
-            Instant::now() < deadline,
-            "lease child reached no traffic within 120s"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    child.kill().expect("SIGKILL lease child");
-    child.wait().expect("reap lease child");
-
-    // The child's flight recorder must have survived the kill with its
-    // pre-crash lease traffic intact: grants are the densest event in the
-    // ring, so a valid replay with zero grants means the ring lost data.
-    let ring = obs::flight::replay(&obs::flight::FlightRecorder::ring_path(&dir))
-        .expect("replay BLACKBOX.ring after lease SIGKILL");
-    assert!(
-        ring.of_kind(obs::flight::EventKind::LeaseGrant).count() > 0,
-        "blackbox replay has no pre-crash lease grants ({} events, {} torn)",
-        ring.events.len(),
-        ring.torn,
-    );
-
-    let enq = read_tagged(&dir.join("enq.log"));
-    let acked = read_tagged(&dir.join("acks.log"));
-    let held = read_tagged(&dir.join("held.log"));
-    assert!(!held.is_empty(), "kill stranded no live leases");
-
-    let orch = RecoveryOrchestrator::new(KILL_SHARDS);
-    let begun = Instant::now();
-    let (queue, report) = with_recoverable!(algorithm, Q => {
-        let (queue, report, manifest) =
-            open_leased_dir::<Q>(&orch, &dir, queue_config(), &kill_lease_config(sync), None)
-                .expect("recover leased dir");
-        assert_eq!(manifest.shards(), KILL_SHARDS, "manifest shard count");
-        let queue: Box<dyn LeaseDrain> = Box::new(queue);
-        (queue, report)
-    });
-    let recovery = begun.elapsed();
-    let lease_rec = report.lease.expect("lease recovery counts in the report");
-
-    // Drain everything the recovered deployment will grant and check the
-    // contract (mirrors crates/lease/tests/consumer_kill.rs).
-    let mut seen: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut redelivered = 0u64;
-    while let Some((item, delivery_count)) = queue.grant_and_ack() {
-        assert!(
-            seen.insert(item, delivery_count).is_none(),
-            "item {item} delivered twice after recovery"
-        );
-        if delivery_count >= 2 {
-            redelivered += 1;
-        }
-    }
-    assert_eq!(redelivered, lease_rec.redelivered, "redelivery count drift");
-    assert!(
-        lease_rec.unacked as usize >= held.len(),
-        "report lost held leases: {} < {}",
-        lease_rec.unacked,
-        held.len()
-    );
-    for &h in &held {
-        assert_eq!(
-            seen.get(&h),
-            Some(&2),
-            "held item {h} not redelivered with delivery_count 2"
-        );
-    }
-    let resurrected: Vec<u64> = acked
-        .iter()
-        .filter(|v| seen.contains_key(v))
-        .copied()
-        .collect();
-    assert!(resurrected.is_empty(), "resurrected acks: {resurrected:?}");
-    assert_eq!(lease_rec.dead_lettered, 0, "recovery dead-lettered items");
-    let dead = queue.drain_dlq();
-    assert_eq!(dead, vec![POISON], "dead-letter queue contents");
-    let missing: Vec<u64> = enq
-        .iter()
-        .filter(|v| !acked.contains(v) && !seen.contains_key(v))
-        .copied()
-        .collect();
-    assert!(missing.len() <= 1, "confirmed items lost: {missing:?}");
-    let extras: Vec<u64> = seen.keys().filter(|v| !enq.contains(v)).copied().collect();
-    assert!(extras.len() <= 1, "unconfirmed extras: {extras:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-    LeaseKillOutcome {
-        confirmed_enqueues: enq.len(),
-        confirmed_acks: acked.len(),
-        held: held.len(),
-        unacked: lease_rec.unacked,
-        redelivered,
-        recovery,
-    }
-}
-
-/// Object-safe drain interface over `LeasedQueue<ShardedQueue<Q>>`, so the
-/// kill round's validation runs outside the `with_recoverable!` expansion.
-trait LeaseDrain {
-    /// Dequeues one lease, acks it, returns `(item, delivery_count)`.
-    fn grant_and_ack(&self) -> Option<(u64, u32)>;
-    /// Destructively drains the dead-letter queue.
-    fn drain_dlq(&self) -> Vec<u64>;
-}
-
-impl<Q: durable_queues::RecoverableQueue + 'static> LeaseDrain
-    for lease::LeasedQueue<shard::ShardedQueue<Q>>
-{
-    fn grant_and_ack(&self) -> Option<(u64, u32)> {
-        let l = self.dequeue(0)?;
-        self.ack(&l).expect("lease kill round: ack");
-        Some((l.item, l.delivery_count))
-    }
-
-    fn drain_dlq(&self) -> Vec<u64> {
-        let dlq = self.dlq().expect("deployment has a DLQ");
-        std::iter::from_fn(|| dlq.dequeue(0)).collect()
-    }
-}
-
-/// Parses complete `<tag> <number>` lines; a torn trailing line counts as
-/// unacknowledged.
-fn read_tagged(path: &Path) -> std::collections::BTreeSet<u64> {
-    let Ok(raw) = std::fs::read(path) else {
-        return Default::default();
-    };
-    let text = String::from_utf8_lossy(&raw);
-    let mut out = std::collections::BTreeSet::new();
-    for line in text.split_inclusive('\n') {
-        let Some(body) = line.strip_suffix('\n') else {
-            break;
-        };
-        let num = body
-            .get(1..)
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("malformed ack line {body:?}"));
-        out.insert(num);
-    }
-    out
-}
-
-/// Renders one consumer-SIGKILL round's outcome as the verb's report line.
-pub fn render_lease_kill_outcome(algorithm: Algorithm, outcome: &LeaseKillOutcome) -> String {
-    format!(
-        "lease-kill {}: SIGKILL with {} leases held ({} acked, {} enqueued); \
-         {} unacked redelivered ({} with bumped delivery count) in {:.3} ms — \
-         no resurrection, poison dead-lettered\n",
-        algorithm.name(),
-        outcome.held,
-        outcome.confirmed_acks,
-        outcome.confirmed_enqueues,
-        outcome.unacked,
-        outcome.redelivered,
-        outcome.recovery.as_secs_f64() * 1e3,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,16 +488,5 @@ mod tests {
         let table = render_lease_groups(&cfg, &rows);
         assert!(table.contains("acked/s (agg)"));
         let _ = std::fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn tagged_lines_ignore_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("lease-verb-tag-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tags.log");
-        std::fs::write(&path, "A 1\nA 2\nA 3").unwrap(); // torn last line
-        let tags = read_tagged(&path);
-        assert_eq!(tags.into_iter().collect::<Vec<_>>(), vec![1, 2]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,8 +5,9 @@
 //! ratio-to-DurableMSQ tables ([`runner`]), the per-operation
 //! persistence-count experiment ([`counts`]), the file-pool mapping
 //! fast-path comparison ([`fastpath`]), the group-commit fence-throughput
-//! sweep ([`fsweep`]), and a crash/durable-linearizability checker
-//! spanning every implemented queue ([`checker`]).
+//! sweep ([`fsweep`]), a crash/durable-linearizability checker
+//! spanning every implemented queue ([`checker`]), and the one SIGKILL
+//! driver every real process-crash round runs through ([`crash`]).
 //!
 //! The `harness` binary exposes all of it on the command line.
 
@@ -15,6 +16,7 @@
 pub mod algorithms;
 pub mod checker;
 pub mod counts;
+pub mod crash;
 pub mod fastpath;
 pub mod fsweep;
 pub mod jsonio;

@@ -21,20 +21,18 @@ use harness::checker::{check_all, CrashCheckConfig};
 use harness::counts::{
     counts_json, persist_counts_table, persist_counts_table_sharded, render_counts,
 };
+use harness::crash::{self, Scenario};
 use harness::fastpath::{self, fastpath_json, render_fastpath, run_fastpath};
 use harness::fsweep::{self, fsweep_json, render_fsweep, run_fsweep};
 use harness::jsonio::JsonSink;
 use harness::lease_verb::{
-    render_lease, render_lease_groups, render_lease_kill_outcome, run_lease, run_lease_child,
-    run_lease_groups, run_lease_kill_round, LeaseVerbConfig,
+    render_lease, render_lease_groups, run_lease, run_lease_groups, LeaseVerbConfig,
 };
 use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
 };
-use harness::reshard::{
-    render_kill_outcome, run_reshard, run_reshard_child, run_reshard_kill_round, ReshardVerbConfig,
-};
-use harness::restart::{render_outcome, restart_json, run_child, run_round, RestartConfig};
+use harness::reshard::{run_reshard, ReshardVerbConfig};
+use harness::restart::{plan, render, restart_json};
 use harness::runner::{render_panel, run_panel, BackendChoice, SweepConfig};
 use harness::shard_sweep::{
     render_shard_sweep, run_shard_sweep, shard_sweep_json, ShardSweepConfig,
@@ -289,114 +287,65 @@ fn cmd_shards(flags: &HashMap<String, String>) {
     json.write();
 }
 
-/// Builds a [`RestartConfig`] from the shared flag map (used by both the
-/// parent `restart` verb and the hidden `restart-child`).
-fn restart_config(flags: &HashMap<String, String>) -> RestartConfig {
-    let mut cfg = RestartConfig::default();
-    if let Some(a) = flags.get("algo").or_else(|| flags.get("algorithm")) {
-        cfg.algorithm = Algorithm::parse(a).unwrap_or_else(|| panic!("unknown algorithm {a}"));
+/// Builds the `restart` verb's base queue scenario from its flags.
+fn restart_scenario(flags: &HashMap<String, String>) -> Scenario {
+    let num = |flag: &str, default: usize| -> usize {
+        let value = flags.get(flag).map(|v| v.parse());
+        value.map_or(default, |v| v.unwrap_or_else(|_| panic!("bad --{flag}")))
+    };
+    let algorithm = flags.get("algo").or_else(|| flags.get("algorithm"));
+    let algorithm = algorithm.map_or(Algorithm::DurableMsq, |a| {
+        Algorithm::parse(a).unwrap_or_else(|| panic!("unknown algorithm {a}"))
+    });
+    let shards = num("shards", 1);
+    assert!(shards >= 1, "--shards must be >= 1");
+    // --quick caps the confirmed enqueues and the pool size.
+    let (acks_cap, pool_cap) = match flags.contains_key("quick") {
+        true => (500, 64 << 20),
+        false => (usize::MAX, usize::MAX),
+    };
+    Scenario {
+        policy: flags
+            .get("policy")
+            .map_or(RoutePolicy::RoundRobin, |p| parse_policy(p)),
+        sync: parse_sync(flags),
+        fence_window_ns: parse_fence_window(flags),
+        pool_bytes: num("pool-bytes", 128 << 20).min(pool_cap),
+        grow_step: num("grow-step", 0),
+        min_acks: num("min-acks", 2_000).min(acks_cap),
+        dir: flags.get("dir").map_or_else(
+            || std::env::temp_dir().join(format!("harness-restart-{}", std::process::id())),
+            PathBuf::from,
+        ),
+        ..Scenario::queue(algorithm, shards)
     }
-    if let Some(s) = flags.get("shards") {
-        cfg.shards = s.parse().expect("bad --shards");
-        assert!(cfg.shards >= 1, "--shards must be >= 1");
-    }
-    if let Some(d) = flags.get("dir") {
-        cfg.dir = PathBuf::from(d);
-    }
-    if let Some(p) = flags.get("pool-bytes") {
-        cfg.pool_bytes = p.parse().expect("bad --pool-bytes");
-    }
-    if let Some(g) = flags.get("grow-step") {
-        cfg.grow_step = g.parse().expect("bad --grow-step");
-    }
-    if let Some(m) = flags.get("min-acks") {
-        cfg.min_acks = m.parse().expect("bad --min-acks");
-    }
-    if let Some(p) = flags.get("policy") {
-        cfg.policy = parse_policy(p);
-    }
-    cfg.sync = parse_sync(flags);
-    cfg.fence_window_ns = parse_fence_window(flags);
-    if flags.contains_key("quick") {
-        cfg.min_acks = cfg.min_acks.min(500);
-        cfg.pool_bytes = cfg.pool_bytes.min(64 << 20);
-    }
-    cfg
 }
 
 fn cmd_restart(flags: &HashMap<String, String>) {
-    let base = restart_config(flags);
+    let base = restart_scenario(flags);
     // Default plan: the ratio baseline and one second-amendment queue, each
-    // as a single pool and as a 4-shard manifest directory — the full
-    // kill-and-reopen matrix, capped by a SIGKILL-mid-reshard round.
-    // `--algo`/`--shards` narrow it to one kill-and-reopen round.
+    // as a single pool and as a 4-shard manifest directory, then the
+    // SIGKILL-mid-reshard and SIGKILL-mid-lease rounds. `--algo`/`--shards`
+    // narrow it to one kill-and-reopen round.
     let narrowed = flags.contains_key("algo")
         || flags.contains_key("algorithm")
         || flags.contains_key("shards");
-    let rounds: Vec<RestartConfig> = if narrowed {
-        vec![base.clone()]
-    } else {
-        // run_round namespaces each round under a `round-<algo>-<N>shards`
-        // subdirectory of `dir`, so the rounds share `base.dir` safely.
-        [Algorithm::DurableMsq, Algorithm::OptUnlinked]
-            .into_iter()
-            .flat_map(|algorithm| {
-                [1usize, 4].map(|shards| RestartConfig {
-                    algorithm,
-                    shards,
-                    ..base.clone()
-                })
-            })
-            .collect()
-    };
+    let rounds = plan(&base, narrowed);
     println!(
         "=== restart: SIGKILL mid-traffic, reopen pool file(s), recover, validate ===\n\
-         ({} round(s), {} confirmed enqueues before each kill{})",
+         ({} round(s), {} confirmed enqueues before each queue kill)",
         rounds.len(),
         base.min_acks,
-        if narrowed {
-            ""
-        } else {
-            ", plus reshard and leased-consumer kills"
-        }
     );
-    let mut json = JsonSink::from_flags(flags);
+    let exe = std::env::current_exe().expect("harness binary path");
     let mut outcomes = Vec::new();
-    for cfg in &rounds {
-        let outcome = run_round(cfg);
-        print!("{}", render_outcome(cfg, &outcome));
-        outcomes.push((cfg.clone(), outcome));
+    for s in rounds {
+        let outcome = crash::run(&exe, &s);
+        print!("{}", render(&s, &outcome));
+        outcomes.push((s, outcome));
     }
-    // The structural-rewrite coverage: kill a child inside reshard_dir and
-    // recover the directory to a consistent pre- or post-reshard state.
-    let reshard_outcome = if narrowed {
-        None
-    } else {
-        let outcome =
-            run_reshard_kill_round(base.algorithm, &base.dir, base.sync, base.min_acks as u64);
-        print!("{}", render_kill_outcome(base.algorithm, &outcome));
-        Some(outcome)
-    };
-    // The peek-lock coverage: SIGKILL a consumer holding live leases and
-    // validate redelivery, ack retirement and the dead-letter queue.
-    let lease_outcome = if narrowed {
-        None
-    } else {
-        let outcome = run_lease_kill_round(
-            base.algorithm,
-            &base.dir,
-            base.sync,
-            base.fence_window_ns,
-            base.min_acks.min(1_000),
-        );
-        print!("{}", render_lease_kill_outcome(base.algorithm, &outcome));
-        Some(outcome)
-    };
-    json.push(restart_json(
-        &outcomes,
-        reshard_outcome.as_ref(),
-        lease_outcome.as_ref(),
-    ));
+    let mut json = JsonSink::from_flags(flags);
+    json.push(restart_json(&outcomes));
     json.write();
     println!("restart: all rounds passed");
 }
@@ -588,22 +537,8 @@ fn main() {
                 .map(String::as_str),
             &flags,
         ),
-        // Hidden: the process `restart` spawns, kills and recovers from.
-        "restart-child" => run_child(&restart_config(&flags)),
-        // Hidden: the leased consumer the restart verb SIGKILLs mid-lease.
-        "lease-child" => {
-            let cfg = restart_config(&flags);
-            run_lease_child(cfg.algorithm, &cfg.dir, cfg.sync, cfg.fence_window_ns);
-        }
-        // Hidden: the process the reshard-kill round spawns and kills.
-        "reshard-child" => {
-            let cfg = restart_config(&flags);
-            let items = flags
-                .get("items")
-                .map(|s| s.parse().expect("bad --items"))
-                .unwrap_or(2_000);
-            run_reshard_child(cfg.algorithm, &cfg.dir, cfg.sync, items);
-        }
+        // Hidden: the child every crash round spawns and kills.
+        "crash-child" => crash::run_child(&Scenario::from_flags(&flags)),
         "all" => {
             // `--json` is per-experiment; with `all` the sweeps would race
             // for one file, so require an explicit subcommand for it.

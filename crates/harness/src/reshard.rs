@@ -1,6 +1,7 @@
 //! The `harness reshard` verb: split or merge a file-backed shard
-//! directory on the command line, plus the SIGKILL-mid-reshard round the
-//! `restart` verb runs.
+//! directory on the command line. The SIGKILL-mid-reshard round
+//! `harness restart` ends with, and the reshard abort points, are the
+//! reshard shape of the crash driver ([`crate::crash`]).
 //!
 //! ```text
 //! harness reshard --dir D --to N' [--algo A] [--create N --items M]
@@ -23,14 +24,9 @@
 use crate::algorithms::Algorithm;
 use crate::with_recoverable;
 use durable_queues::{DurableQueue, QueueConfig, RecoverableQueue};
-use shard::{
-    resolve_reshard, RecoveryOrchestrator, ReshardReport, RoutePolicy, ShardConfig, ShardedQueue,
-};
+use shard::{RecoveryOrchestrator, ReshardReport, RoutePolicy, ShardConfig, ShardedQueue};
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
 use store::{FileConfig, SyncPolicy};
 
 /// Configuration of one `harness reshard` invocation.
@@ -207,189 +203,6 @@ pub fn run_reshard(cfg: &ReshardVerbConfig) -> ReshardReport {
         );
     }
     report
-}
-
-// ---------------------------------------------------------------------
-// The SIGKILL-mid-reshard round of `harness restart`
-// ---------------------------------------------------------------------
-
-const KEYS: u64 = 8;
-
-fn encode(key: u64, seq: u64) -> u64 {
-    (key << 32) | seq
-}
-
-/// The hidden `reshard-child` verb: seeds a 4-shard key-hash directory
-/// (keys encoded in the items), then reshards it in an endless
-/// 4 -> 2 -> 8 -> 4 cycle until killed, acknowledging every completed
-/// reshard with one line in `reshard.log`.
-pub fn run_reshard_child(algorithm: Algorithm, dir: &Path, sync: SyncPolicy, items: u64) {
-    std::fs::create_dir_all(dir).expect("reshard-child: create dir");
-    let orch = RecoveryOrchestrator::new(4);
-    let per_key = (items / KEYS).max(1);
-    with_recoverable!(algorithm, Q => {
-        if !dir.join(shard::MANIFEST_FILE).exists() {
-            let queue: ShardedQueue<Q> = orch
-                .create_dir(
-                    dir,
-                    ShardConfig {
-                        shards: 4,
-                        queue: queue_config(),
-                        pool: pmem::PoolConfig::test_with_size(32 << 20),
-                        policy: RoutePolicy::KeyHash,
-                    },
-                    FileConfig::with_size(32 << 20).with_sync(sync),
-                )
-                .expect("reshard-child: create dir");
-            use durable_queues::KeyedQueue;
-            for seq in 1..=per_key {
-                for key in 0..KEYS {
-                    queue.enqueue_keyed(0, key, encode(key, seq));
-                }
-            }
-            drop(queue);
-            std::fs::write(dir.join("seeded"), b"ok").expect("reshard-child: seeded marker");
-        }
-        let mut progress = std::fs::File::options()
-            .create(true)
-            .append(true)
-            .open(dir.join("reshard.log"))
-            .expect("reshard-child: progress log");
-        for to in [2usize, 8, 4].into_iter().cycle() {
-            let report = orch
-                .reshard_dir_with::<Q>(dir, to, queue_config(), None, |v| v >> 32)
-                .expect("reshard-child: reshard");
-            progress
-                .write_all(format!("R {} {}\n", report.from, report.to).as_bytes())
-                .expect("reshard-child: progress ack");
-        }
-    });
-}
-
-/// Outcome of one SIGKILL-mid-reshard round.
-#[derive(Clone, Debug)]
-pub struct ReshardKillOutcome {
-    /// Completed reshards before the kill.
-    pub completed_reshards: usize,
-    /// How the interrupted reshard was resolved, if one was in flight.
-    pub resolved: Option<shard::ReshardResolution>,
-    /// Shard count the directory recovered to.
-    pub shards_after: usize,
-    /// Items validated after recovery.
-    pub items: u64,
-}
-
-/// Spawns a `reshard-child`, SIGKILLs it at an unpredictable point inside
-/// a reshard, then recovers the directory in-process and validates that
-/// the item set and per-key FIFO order survived. Panics on any violation.
-pub fn run_reshard_kill_round(
-    algorithm: Algorithm,
-    base_dir: &Path,
-    sync: SyncPolicy,
-    items: u64,
-) -> ReshardKillOutcome {
-    let dir = base_dir.join("round-reshard");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create reshard round dir");
-    let per_key = (items / KEYS).max(1);
-
-    let exe = std::env::current_exe().expect("harness binary path");
-    let mut child = Command::new(exe)
-        .args([
-            "reshard-child",
-            "--algo",
-            algorithm.name(),
-            "--dir",
-            dir.to_str().expect("utf-8 dir"),
-            "--sync",
-            sync.key(),
-            "--items",
-            &items.to_string(),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn reshard child");
-
-    let count_lines = |path: &Path| {
-        std::fs::read(path)
-            .map(|raw| raw.iter().filter(|&&b| b == b'\n').count())
-            .unwrap_or(0)
-    };
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !dir.join("seeded").exists() || count_lines(&dir.join("reshard.log")) < 1 {
-        if let Some(status) = child.try_wait().expect("poll reshard child") {
-            panic!("reshard child exited prematurely ({status}) before resharding");
-        }
-        assert!(
-            Instant::now() < deadline,
-            "reshard child made no progress within 120s"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Land the kill at an unpredictable point inside the next reshard.
-    std::thread::sleep(Duration::from_millis(std::process::id() as u64 % 13));
-    child.kill().expect("SIGKILL reshard child");
-    child.wait().expect("reap reshard child");
-    let completed_reshards = count_lines(&dir.join("reshard.log"));
-
-    let resolved = resolve_reshard(&dir).expect("resolve interrupted reshard");
-    let orch = RecoveryOrchestrator::new(4);
-    let (shards_after, drained) = with_recoverable!(algorithm, Q => {
-        let (queue, _, manifest) = orch
-            .open_dir_with_sync::<Q>(&dir, queue_config(), sync)
-            .expect("recover resharded directory");
-        (manifest.shards(), drain_and_restore(&queue))
-    });
-    assert!(
-        [2usize, 4, 8].contains(&shards_after),
-        "unexpected shard count {shards_after}"
-    );
-
-    // Exact multiset + per-key FIFO: the kill must never lose, duplicate
-    // or reorder a key's items, whichever way the reshard resolved.
-    let mut last_seq = std::collections::HashMap::new();
-    let mut counts = std::collections::HashMap::new();
-    for v in &drained {
-        let (key, seq) = (v >> 32, v & 0xFFFF_FFFF);
-        if let Some(prev) = last_seq.insert(key, seq) {
-            assert!(
-                seq > prev,
-                "per-key FIFO violated for key {key} across the reshard kill"
-            );
-        }
-        *counts.entry(key).or_insert(0u64) += 1;
-    }
-    for key in 0..KEYS {
-        assert_eq!(
-            counts.get(&key).copied().unwrap_or(0),
-            per_key,
-            "key {key} lost or duplicated items across the reshard kill"
-        );
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    ReshardKillOutcome {
-        completed_reshards,
-        resolved,
-        shards_after,
-        items: drained.len() as u64,
-    }
-}
-
-/// Renders one reshard-kill round's outcome as the verb's report line.
-pub fn render_kill_outcome(algorithm: Algorithm, outcome: &ReshardKillOutcome) -> String {
-    format!(
-        "reshard-kill {}: {} completed reshards, then SIGKILL mid-reshard; {} -> {} shards, \
-         {} items intact, per-key FIFO preserved\n",
-        algorithm.name(),
-        outcome.completed_reshards,
-        outcome
-            .resolved
-            .map_or("no reshard in flight".to_string(), |r| r.summary()),
-        outcome.shards_after,
-        outcome.items,
-    )
 }
 
 #[cfg(test)]

@@ -308,9 +308,10 @@ mod tests {
             }
             let a = q.dequeue(1).unwrap();
             q.ack(&a).unwrap();
-            let _b = q.dequeue(1).unwrap(); // in flight at "crash"
-                                            // Orderly drop; a SIGKILL recovers identically (see
-                                            // tests/consumer_kill.rs for the real thing).
+            // In flight at the "crash": an orderly drop recovers like a
+            // SIGKILL (the rows of crates/harness/tests/consumer_kill.rs
+            // are the real thing).
+            let _b = q.dequeue(1).unwrap();
         }
 
         let (q, report, manifest) = open_leased_dir::<DurableMsQueue>(

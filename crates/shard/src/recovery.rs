@@ -338,21 +338,22 @@ impl RecoveryOrchestrator {
         let (recovered, replay_phase) = PhaseSpan::time("shard-replay", 2, || {
             par_map_shards(n, self.threads, |i| {
                 let pool = Arc::clone(&pools[i]);
+                let epoch = pool.growth_epoch();
                 let begun = Instant::now();
                 let queue = Q::recover(Arc::clone(&pool), config.queue);
-                (Shard { queue, pool }, begun.elapsed())
+                (Shard { queue, pool }, begun.elapsed(), epoch)
             })
         });
         let wall = started.elapsed();
         let mut shards = Vec::with_capacity(n);
         let mut per_shard = Vec::with_capacity(n);
-        for (i, (shard, latency)) in recovered.into_iter().enumerate() {
+        for (i, (shard, latency, growth_epoch)) in recovered.into_iter().enumerate() {
             RECOVER_SHARD_NS.record(latency.as_nanos() as u64);
             per_shard.push(ShardRecovery {
                 shard: i,
                 latency,
                 pool_bytes: shard.pool.len(),
-                growth_epoch: shard.pool.growth_epoch(),
+                growth_epoch,
             });
             shards.push(shard);
         }
@@ -506,19 +507,27 @@ impl RecoveryOrchestrator {
         let n = manifest.shards();
         obs::flight::record(EventKind::RecoveryStart, n as u64, 0);
         let (recovered, replay_phase) = PhaseSpan::time("shard-replay", 2, || {
-            par_map_shards(n, self.threads, |i| -> io::Result<(Shard<Q>, Duration)> {
-                // Each shard's header is the authority on its own effective
-                // size — shards grow independently, so neither the manifest
-                // nor the siblings can know it. `open_with_growth` validates
-                // the header (magic, versions, CRCs, grown size, watermark
-                // bounds) before mapping.
-                let pool = FilePool::open_with_growth(&paths[i], sync, grow_step)?.into_pool();
-                let begun = Instant::now();
-                let q = Q::recover(Arc::clone(&pool), queue);
-                Ok((Shard { queue: q, pool }, begun.elapsed()))
-            })
+            par_map_shards(
+                n,
+                self.threads,
+                |i| -> io::Result<(Shard<Q>, Duration, u32)> {
+                    // Each shard's header is the authority on its own effective
+                    // size — shards grow independently, so neither the manifest
+                    // nor the siblings can know it. `open_with_growth` validates
+                    // the header (magic, versions, CRCs, grown size, watermark
+                    // bounds) before mapping.
+                    let pool = FilePool::open_with_growth(&paths[i], sync, grow_step)?.into_pool();
+                    // The epoch the header committed, read before `Q::recover`,
+                    // whose volatile rebuild of a large residue may grow the
+                    // pool again in this process.
+                    let epoch = pool.growth_epoch();
+                    let begun = Instant::now();
+                    let q = Q::recover(Arc::clone(&pool), queue);
+                    Ok((Shard { queue: q, pool }, begun.elapsed(), epoch))
+                },
+            )
             .into_iter()
-            .collect::<io::Result<Vec<(Shard<Q>, Duration)>>>()
+            .collect::<io::Result<Vec<(Shard<Q>, Duration, u32)>>>()
         });
         let recovered = recovered?;
         let wall = started.elapsed();
@@ -529,19 +538,19 @@ impl RecoveryOrchestrator {
             // Sizes may diverge across grown shards; size the (sim-facing)
             // config from the largest so derived pools are never smaller.
             pool: PoolConfig::test_with_size(
-                recovered.iter().map(|(s, _)| s.pool.len()).max().unwrap(),
+                recovered.iter().map(|(s, ..)| s.pool.len()).max().unwrap(),
             ),
             policy: manifest.policy,
         };
         let mut shards = Vec::with_capacity(n);
         let mut per_shard = Vec::with_capacity(n);
-        for (i, (shard, latency)) in recovered.into_iter().enumerate() {
+        for (i, (shard, latency, growth_epoch)) in recovered.into_iter().enumerate() {
             RECOVER_SHARD_NS.record(latency.as_nanos() as u64);
             per_shard.push(ShardRecovery {
                 shard: i,
                 latency,
                 pool_bytes: shard.pool.len(),
-                growth_epoch: shard.pool.growth_epoch(),
+                growth_epoch,
             });
             shards.push(shard);
         }

@@ -1,28 +1,15 @@
-//! Real process-restart recovery of a **4-shard directory**: a child
-//! process creates a file-backed sharded queue through
-//! `RecoveryOrchestrator::create_dir`, drives traffic, is SIGKILLed
-//! mid-traffic, and the parent recovers the whole deployment from nothing
-//! but the directory — manifest first, then every shard's pool file in
-//! parallel — checking a linearizable suffix.
-//!
-//! Ack protocol and checks are the single-pool crash test's (see
-//! `crates/store/tests/crash_restart.rs`), adapted to the sharded contract:
-//! the global drain is not FIFO (shards are independent), but each shard's
-//! residue must replay the single producer's sequence in increasing order.
+//! Recovery of a **shard directory** from nothing but its files: a clean
+//! create → drop → reopen round-trips exactly, with the manifest (not the
+//! caller) dictating shard count and policy, and a torn, bit-flipped or
+//! missing manifest is refused with an error naming it. The SIGKILL
+//! rounds of a 4-shard directory live in the crash driver's table
+//! (`crates/harness/tests/dir_restart.rs`).
 
-use durable_queues::testkit::subprocess::{
-    kill_and_reap, read_unique_acks, scratch_dir, wait_for_lines, AckLog, ChildProc,
-};
-use durable_queues::QueueConfig;
-use durable_queues::{DurableMsQueue, DurableQueue, OptUnlinkedQueue, RecoverableQueue};
+use durable_queues::testkit::subprocess::scratch_dir;
+use durable_queues::{DurableMsQueue, DurableQueue, QueueConfig};
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardManifest};
-use std::collections::BTreeSet;
-use std::path::Path;
-use std::time::Duration;
 use store::FileConfig;
 
-const ENV_DIR: &str = "SHARD_CRASH_CHILD_DIR";
-const ENV_ALGO: &str = "SHARD_CRASH_CHILD_ALGO";
 const SHARDS: usize = 4;
 
 fn queue_config() -> QueueConfig {
@@ -39,137 +26,6 @@ fn shard_config() -> ShardConfig {
         pool: pmem::PoolConfig::test_with_size(32 << 20),
         policy: RoutePolicy::RoundRobin,
     }
-}
-
-// ---------------------------------------------------------------------
-// Child side
-// ---------------------------------------------------------------------
-
-/// Hidden child entry point (no-op unless the parent re-executes this test
-/// binary with the env vars set).
-#[test]
-fn shard_crash_child_entry() {
-    let Ok(dir) = std::env::var(ENV_DIR) else {
-        return;
-    };
-    let algo = std::env::var(ENV_ALGO).unwrap_or_else(|_| "durable_msq".into());
-    let dir = Path::new(&dir);
-    match algo.as_str() {
-        "durable_msq" => run_child::<DurableMsQueue>(dir),
-        "opt_unlinked" => run_child::<OptUnlinkedQueue>(dir),
-        other => panic!("child: unknown algorithm {other}"),
-    }
-}
-
-fn run_child<Q: RecoverableQueue>(dir: &Path) {
-    let orch = RecoveryOrchestrator::new(SHARDS);
-    let queue: shard::ShardedQueue<Q> = orch
-        .create_dir(dir, shard_config(), FileConfig::with_size(32 << 20))
-        .expect("child: create shard dir");
-    let mut enq_log = AckLog::create(dir.join("enq.log"));
-    let mut deq_log = AckLog::create(dir.join("deq.log"));
-    std::thread::scope(|scope| {
-        let q = &queue;
-        scope.spawn(move || {
-            for seq in 1..=2_000_000u64 {
-                q.enqueue(0, seq);
-                enq_log.record("E", seq);
-            }
-        });
-        scope.spawn(move || loop {
-            if let Some(v) = q.dequeue(1) {
-                deq_log.record("D", v);
-            }
-        });
-    });
-}
-
-// ---------------------------------------------------------------------
-// Parent side
-// ---------------------------------------------------------------------
-
-fn crash_round<Q: RecoverableQueue>(algo: &str) {
-    let dir = scratch_dir(&format!("shard-dir-crash-{algo}"));
-
-    let mut child = ChildProc::new("shard_crash_child_entry")
-        .env(ENV_DIR, &dir)
-        .env(ENV_ALGO, algo)
-        .spawn();
-    wait_for_lines(
-        &mut child,
-        &dir.join("enq.log"),
-        500,
-        Duration::from_secs(60),
-    );
-    kill_and_reap(&mut child);
-
-    // A fresh "process": recover the whole deployment from the directory.
-    let orch = RecoveryOrchestrator::new(SHARDS);
-    let (queue, report, manifest) = orch
-        .open_dir::<Q>(&dir, queue_config())
-        .expect("recover from directory");
-    assert_eq!(manifest.shards(), SHARDS);
-    assert_eq!(manifest.policy, RoutePolicy::RoundRobin);
-    assert_eq!(report.per_shard.len(), SHARDS);
-    assert_eq!(queue.shard_count(), SHARDS);
-
-    let acked_e = read_unique_acks(&dir.join("enq.log"), "E");
-    let acked_d = read_unique_acks(&dir.join("deq.log"), "D");
-
-    // Drain shard by shard: stronger than a global drain, because each
-    // shard's residue must replay the producer's sequence in order.
-    let mut drained = Vec::new();
-    for i in 0..SHARDS {
-        let mut last = None;
-        while let Some(v) = queue.shard(i).dequeue(0) {
-            if let Some(prev) = last {
-                assert!(v > prev, "shard {i}: FIFO violated ({v} after {prev})");
-            }
-            last = Some(v);
-            drained.push(v);
-        }
-    }
-    let r_set: BTreeSet<u64> = drained.iter().copied().collect();
-    assert_eq!(r_set.len(), drained.len(), "duplicated item in the residue");
-
-    let resurrected: Vec<u64> = r_set.intersection(&acked_d).copied().collect();
-    assert!(
-        resurrected.is_empty(),
-        "resurrected dequeues: {resurrected:?}"
-    );
-    let missing: Vec<u64> = acked_e
-        .iter()
-        .filter(|v| !acked_d.contains(v) && !r_set.contains(v))
-        .copied()
-        .collect();
-    assert!(missing.len() <= 1, "confirmed items lost: {missing:?}");
-    let extras: Vec<u64> = r_set.difference(&acked_e).copied().collect();
-    assert!(extras.len() <= 1, "unconfirmed extras: {extras:?}");
-
-    eprintln!(
-        "[{algo} x{SHARDS}] confirmed enqueues {}, confirmed dequeues {}, recovered {} ({})",
-        acked_e.len(),
-        acked_d.len(),
-        drained.len(),
-        report.summary()
-    );
-    assert!(acked_e.len() >= 500, "kill landed before real traffic");
-
-    // The recovered sharded queue serves post-restart traffic.
-    queue.enqueue(2, u64::MAX);
-    assert_eq!(queue.dequeue(2), Some(u64::MAX));
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn killed_4_shard_durable_msq_recovers_via_manifest() {
-    crash_round::<DurableMsQueue>("durable_msq");
-}
-
-#[test]
-fn killed_4_shard_opt_unlinked_recovers_via_manifest() {
-    crash_round::<OptUnlinkedQueue>("opt_unlinked");
 }
 
 /// Clean create → drop → reopen: the directory round-trips exactly, and the
@@ -210,70 +66,45 @@ fn clean_dir_restart_recovers_exact_content() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A valid directory whose manifest was truncated (torn write) is refused
-/// by `open_dir` with an error naming the file and the truncation — not an
-/// opaque parse failure.
-#[test]
-fn open_dir_with_truncated_manifest_names_the_file_and_the_tear() {
-    let dir = scratch_dir("shard-dir-truncated");
+/// Creates a 2-shard directory, rewrites its manifest through `corrupt`,
+/// and returns the message `open_dir` refuses it with — an `InvalidData`
+/// error naming the manifest file, not an opaque parse failure.
+fn refusal_of_corrupt_manifest(tag: &str, corrupt: impl FnOnce(String) -> String) -> String {
+    let dir = scratch_dir(tag);
     let orch = RecoveryOrchestrator::new(2);
-    drop(
-        orch.create_dir::<DurableMsQueue>(
-            &dir,
-            ShardConfig {
-                shards: 2,
-                ..shard_config()
-            },
-            FileConfig::with_size(8 << 20),
-        )
-        .unwrap(),
-    );
+    let config = ShardConfig {
+        shards: 2,
+        ..shard_config()
+    };
+    let created = orch.create_dir::<DurableMsQueue>(&dir, config, FileConfig::with_size(8 << 20));
+    drop(created.unwrap());
     let path = dir.join(shard::MANIFEST_FILE);
-    let good = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &good[..good.len() - 6]).unwrap();
-
-    let err = orch
-        .open_dir::<DurableMsQueue>(&dir, queue_config())
-        .map(|_| ())
-        .unwrap_err();
+    std::fs::write(&path, corrupt(std::fs::read_to_string(&path).unwrap())).unwrap();
+    let opened = orch.open_dir::<DurableMsQueue>(&dir, queue_config());
+    let err = opened.map(|_| ()).unwrap_err();
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let msg = err.to_string();
     assert!(msg.contains(shard::MANIFEST_FILE), "{msg}");
-    assert!(msg.contains("truncated"), "{msg}");
-    std::fs::remove_dir_all(&dir).unwrap();
+    msg
 }
 
-/// A bit-flipped manifest is refused by `open_dir` with the expected and
-/// found CRC values in the error.
+/// A torn (truncated) manifest is refused naming the truncation.
+#[test]
+fn open_dir_with_truncated_manifest_names_the_file_and_the_tear() {
+    let msg = refusal_of_corrupt_manifest("shard-dir-truncated", |good| {
+        good[..good.len() - 6].to_string()
+    });
+    assert!(msg.contains("truncated"), "{msg}");
+}
+
+/// A bit-flipped manifest is refused with the expected and found CRCs.
 #[test]
 fn open_dir_with_crc_mismatched_manifest_reports_both_crcs() {
-    let dir = scratch_dir("shard-dir-crcflip");
-    let orch = RecoveryOrchestrator::new(2);
-    drop(
-        orch.create_dir::<DurableMsQueue>(
-            &dir,
-            ShardConfig {
-                shards: 2,
-                ..shard_config()
-            },
-            FileConfig::with_size(8 << 20),
-        )
-        .unwrap(),
-    );
-    let path = dir.join(shard::MANIFEST_FILE);
-    let good = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, good.replace("policy", "Policy")).unwrap();
-
-    let err = orch
-        .open_dir::<DurableMsQueue>(&dir, queue_config())
-        .map(|_| ())
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let msg = err.to_string();
-    assert!(msg.contains(shard::MANIFEST_FILE), "{msg}");
+    let msg =
+        refusal_of_corrupt_manifest("shard-dir-crcflip", |good| good.replace("policy", "Policy"));
     assert!(msg.contains("CRC mismatch"), "{msg}");
     assert!(msg.contains("expected") && msg.contains("found"), "{msg}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A directory without a manifest is refused with a useful error.

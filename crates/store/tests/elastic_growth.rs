@@ -2,7 +2,7 @@
 //!
 //! An elastic `store::FilePool` maps its whole offset space once and grows
 //! by extending the file underneath a base that never moves, then
-//! publishing the larger size. These tests attack the three claims that
+//! publishing the larger size. These tests attack the two claims that
 //! design makes:
 //!
 //! * **readers race growth safely** — threads hammer loads/stores/flushes
@@ -10,18 +10,15 @@
 //!   growth; no torn value, no lost store, no out-of-thin-air read,
 //! * **a `MapRef` survives growth** — a view taken before a growth still
 //!   reads correct data afterwards, keeps its bounds, and growth never
-//!   waits for it; `PmemPool`'s inline word path follows the growth,
-//! * **held views never delay the commit point** — a child process holds
-//!   views *forever* and then grows; killed at the commit record, the
-//!   reopened pool still rolls the growth forward.
+//!   waits for it; `PmemPool`'s inline word path follows the growth.
+//!
+//! A growth that commits and rolls forward while a process holds views is
+//! a row of the crash driver's table (`crates/harness/tests/elastic_growth.rs`).
 
 use pmem::PoolBackend;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use store::{FileConfig, FilePool, SyncPolicy};
-
-const ENV_DIR: &str = "STORE_HELD_VIEWS_CHILD_DIR";
+use store::{FileConfig, FilePool};
 
 fn test_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -251,73 +248,4 @@ fn map_ref_addr_validates_the_whole_access_span() {
     assert!(empty.is_err(), "zero-length spans must panic");
     drop(pool);
     std::fs::remove_file(&path).unwrap();
-}
-
-/// Hidden child entry point for the held-views-vs-commit round: takes
-/// reader views that are never dropped, then grows. The parent sets
-/// `DQ_GROW_ABORT_AFTER_COMMIT`, so the process dies at the journal's
-/// persist — before the new size is published.
-#[test]
-fn held_views_child_entry() {
-    let Ok(dir) = std::env::var(ENV_DIR) else {
-        return;
-    };
-    let pool = Arc::new(
-        FilePool::create(
-            Path::new(&dir).join("pool.dq"),
-            FileConfig::with_size(256 << 10).with_growth(256 << 10),
-        )
-        .expect("child: create pool"),
-    );
-    // Four reader threads take a view of the mapping and hold it forever.
-    let held = Arc::new(Barrier::new(5));
-    for _ in 0..4 {
-        let (pool, held) = (Arc::clone(&pool), Arc::clone(&held));
-        std::thread::spawn(move || {
-            let _view = pool.map_ref();
-            held.wait();
-            loop {
-                std::thread::park(); // hold the view until the abort
-            }
-        });
-    }
-    held.wait();
-    // All four views are live. The growth must reach (and die at) its
-    // commit point regardless — if a held view gated the commit, this call
-    // would instead wait on the readers and the parent would time out
-    // waiting for the abort.
-    let want = pool.len() + 1;
-    let _ = pool.grow_to(want);
-    unreachable!("DQ_GROW_ABORT_AFTER_COMMIT must abort inside grow_to");
-}
-
-/// The SIGKILL round: with views held forever, the growth's journal record
-/// still commits durably (the child dies exactly there), and a reopen rolls
-/// it forward — held views never delay the commit point.
-#[test]
-fn pinned_readers_never_delay_the_grow_commit_point() {
-    let dir = durable_queues::testkit::subprocess::scratch_dir("store-held-views-commit");
-    durable_queues::testkit::subprocess::ChildProc::new("held_views_child_entry")
-        .env(ENV_DIR, &dir)
-        .abort_at(Some("DQ_GROW_ABORT_AFTER_COMMIT"))
-        .run_to_abort();
-
-    // The journal record was persisted with four views held: the commit
-    // happened — and recovery honours it.
-    let geo = FilePool::read_geometry(dir.join("pool.dq")).unwrap();
-    assert_eq!(
-        geo.growth_epoch, 1,
-        "commit point reached despite held views"
-    );
-    assert!(
-        geo.pool_size >= geo.base_size + (256 << 10),
-        "journaled growth recovers to the new size"
-    );
-    let pool =
-        FilePool::open_with_growth(dir.join("pool.dq"), SyncPolicy::default(), 256 << 10).unwrap();
-    assert!(!pool.was_clean());
-    assert_eq!(pool.growth_epoch(), 1);
-    assert_eq!(pool.len(), geo.pool_size);
-    drop(pool);
-    let _ = std::fs::remove_dir_all(&dir);
 }

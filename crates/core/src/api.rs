@@ -127,6 +127,13 @@ impl_keyed_for!(
 /// Construction and crash recovery, kept separate from [`DurableQueue`] so
 /// trait objects of the latter stay object-safe.
 pub trait RecoverableQueue: DurableQueue + Sized {
+    /// The algorithm's tag, an ASCII code NUL-padded to 8 bytes:
+    /// [`create`](Self::create) records it in the pool, and a file-backed
+    /// reopen checks it before `recover` runs, so a pool is never recovered
+    /// by an algorithm that did not write it. All zeros, the default, is no
+    /// tag: nothing is recorded, and any pool passes.
+    const TAG: [u8; 8] = [0; 8];
+
     /// Creates a fresh, empty queue on a fresh pool.
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self;
 

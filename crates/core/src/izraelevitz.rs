@@ -159,7 +159,14 @@ impl<const FENCE_AFTER_READ_FLUSH: bool> DurableQueue
 impl<const FENCE_AFTER_READ_FLUSH: bool> RecoverableQueue
     for TransformedMsQueue<FENCE_AFTER_READ_FLUSH>
 {
+    const TAG: [u8; 8] = if FENCE_AFTER_READ_FLUSH {
+        *b"IzraelQ\0"
+    } else {
+        *b"NVTravQ\0"
+    };
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         let nodes = Ssmem::new(Arc::clone(&pool), Self::ssmem_config(&config));
         let dummy = nodes.alloc(0);
         pool.store_u64(dummy.offset() + f::ITEM, 0);

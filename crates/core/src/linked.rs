@@ -169,7 +169,10 @@ impl DurableQueue for LinkedQueue {
 }
 
 impl RecoverableQueue for LinkedQueue {
+    const TAG: [u8; 8] = *b"LinkedQ\0";
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         let nodes = Ssmem::new(Arc::clone(&pool), Self::ssmem_config(&config));
         let dummy = nodes.alloc(0);
         pool.store_u64(dummy.offset() + f::ITEM, 0);

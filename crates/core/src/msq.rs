@@ -138,7 +138,10 @@ impl DurableQueue for MsQueue {
 }
 
 impl RecoverableQueue for MsQueue {
+    const TAG: [u8; 8] = *b"MSQ\0\0\0\0\0";
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         Self::init(pool, config)
     }
 

@@ -286,7 +286,10 @@ impl DurableQueue for OptLinkedQueue {
 }
 
 impl RecoverableQueue for OptLinkedQueue {
+    const TAG: [u8; 8] = *b"OptLinkQ";
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         let pnodes = Ssmem::new(Arc::clone(&pool), Self::ssmem_config(&config));
         let vnodes = Ssmem::new_volatile(
             Arc::clone(&pool),

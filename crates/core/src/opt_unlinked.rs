@@ -202,7 +202,10 @@ impl DurableQueue for OptUnlinkedQueue {
 }
 
 impl RecoverableQueue for OptUnlinkedQueue {
+    const TAG: [u8; 8] = *b"OptUnlQ\0";
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         let pnodes = Ssmem::new(Arc::clone(&pool), Self::ssmem_config(&config));
         let vnodes = Ssmem::new_volatile(
             Arc::clone(&pool),

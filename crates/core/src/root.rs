@@ -14,8 +14,36 @@
 //! Each of the three has a `head_and_tail_sit_on_their_own_cache_lines`
 //! test.
 
+use crate::RecoverableQueue;
 use pmem::layout::{CACHE_LINE, QUEUE_ROOT};
 use pmem::{PmemPool, MAX_THREADS};
+
+/// Pool root slot holding the [`RecoverableQueue::TAG`] of the algorithm
+/// that created the pool, little-endian; `0` in an untagged pool, such as
+/// one written before tags existed. (Slot 7 is lease's ack cursor.)
+pub const TAG_ROOT_SLOT: usize = 6;
+
+/// Records `Q`'s tag in a fresh pool: the first thing every
+/// [`RecoverableQueue::create`] in the workspace does.
+pub fn record_tag<Q: RecoverableQueue>(pool: &PmemPool) {
+    pool.set_root_u64(TAG_ROOT_SLOT, u64::from_le_bytes(Q::TAG));
+}
+
+/// Checks the tag a pool recorded at creation (root slot
+/// [`TAG_ROOT_SLOT`]) against `Q`'s. An untagged pool, or a `Q` without a
+/// tag, passes; a mismatch is described naming both algorithms.
+pub fn check_tag<Q: RecoverableQueue>(recorded: u64) -> Result<(), String> {
+    let expected = u64::from_le_bytes(Q::TAG);
+    if recorded == 0 || expected == 0 || recorded == expected {
+        return Ok(());
+    }
+    let name = |tag: u64| String::from_utf8_lossy(&tag.to_le_bytes()).replace('\0', "");
+    Err(format!(
+        "the pool was created by {}, not {} (algorithm tag in root slot {TAG_ROOT_SLOT})",
+        name(recorded),
+        name(expected)
+    ))
+}
 
 /// Offset of the queue head word (one cache line).
 pub const ROOT_HEAD: u32 = QUEUE_ROOT;
@@ -76,6 +104,16 @@ mod tests {
     fn root_lines_are_distinct() {
         assert_ne!(ROOT_HEAD / 64, ROOT_TAIL / 64);
         assert_ne!(ROOT_TAIL / 64, ROOT_META / 64);
+    }
+
+    #[test]
+    fn a_tag_check_passes_untagged_pools_and_names_both_algorithms() {
+        use crate::{DurableMsQueue, OptUnlinkedQueue};
+        let own = u64::from_le_bytes(OptUnlinkedQueue::TAG);
+        assert_eq!(check_tag::<OptUnlinkedQueue>(own), Ok(()));
+        assert_eq!(check_tag::<OptUnlinkedQueue>(0), Ok(()), "untagged");
+        let err = check_tag::<DurableMsQueue>(own).unwrap_err();
+        assert!(err.contains("OptUnlQ") && err.contains("DurMSQ"), "{err}");
     }
 
     #[test]

@@ -105,7 +105,9 @@ pub fn check_own_cache_lines(hot: &[FieldLines], cold: &[FieldLines]) {
 
 /// Basic single-threaded FIFO behaviour: order, emptiness, refill.
 pub fn check_sequential_fifo<Q: RecoverableQueue>() {
-    let (q, _pool) = fresh::<Q>();
+    let (q, pool) = fresh::<Q>();
+    let tag = pool.root_u64(crate::root::TAG_ROOT_SLOT).to_le_bytes();
+    assert_eq!(tag, Q::TAG, "create records the tag");
     assert_eq!(q.dequeue(0), None, "fresh queue must be empty");
     for i in 1..=100u64 {
         q.enqueue(0, i);

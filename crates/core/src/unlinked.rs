@@ -171,7 +171,10 @@ impl DurableQueue for UnlinkedQueue {
 }
 
 impl RecoverableQueue for UnlinkedQueue {
+    const TAG: [u8; 8] = *b"UnlinkQ\0";
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        crate::root::record_tag::<Self>(&pool);
         let nodes = Ssmem::new(Arc::clone(&pool), Self::ssmem_config(&config));
         let dummy = nodes.alloc(0);
         pool.store_u64(dummy.offset() + f::ITEM, 0);

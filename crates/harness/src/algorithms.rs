@@ -233,6 +233,19 @@ mod tests {
         assert!(!set.contains(&Algorithm::Msq));
     }
 
+    /// Every algorithm records a tag of its own, so no pool can be
+    /// recovered by another.
+    #[test]
+    fn every_algorithm_has_a_distinct_tag() {
+        let tags: Vec<[u8; 8]> = Algorithm::all()
+            .into_iter()
+            .map(|alg| with_recoverable!(alg, Q => Q::TAG))
+            .collect();
+        let distinct: std::collections::BTreeSet<_> = tags.iter().collect();
+        assert_eq!(distinct.len(), tags.len(), "{tags:?}");
+        assert!(!distinct.contains(&[0; 8]), "{tags:?}");
+    }
+
     #[test]
     fn every_algorithm_builds_and_works() {
         for alg in Algorithm::all() {

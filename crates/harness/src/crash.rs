@@ -17,17 +17,20 @@
 use crate::algorithms::Algorithm;
 use crate::restart::check_suffix;
 use crate::with_recoverable;
+use durable_queues::root::TAG_ROOT_SLOT;
 use durable_queues::testkit::subprocess::{
     count_lines, kill_and_reap, read_unique_acks, wait_until, AckLog,
 };
 use durable_queues::{DurableQueue, KeyedQueue, QueueConfig, RecoverableQueue};
 use lease::{
     create_grouped_dir, create_leased_dir, open_grouped_dir, open_leased_dir, ConsumerGroup,
-    GroupDirConfig, Lease, LeaseDirConfig, LeasedQueue, Redelivery,
+    GroupDirConfig, Lease, LeaseDirConfig, LeasedQueue, Redelivery, DLQ_POOL_FILE, GROUPS_DIR,
 };
 use obs::flight::{EventKind, FlightRecorder};
 use pmem::PmemPool;
-use shard::{resolve_reshard, RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardedQueue};
+use shard::{
+    check_pool, resolve_reshard, RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardedQueue,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
@@ -288,6 +291,11 @@ impl Scenario {
             .with_fence_window(self.fence_window_ns)
     }
 
+    /// What a reopen chooses: only the grow step. The tier is the pools'.
+    fn session(&self) -> FileConfig {
+        FileConfig::default().with_growth(self.grow_step)
+    }
+
     fn shard_config(&self) -> ShardConfig {
         ShardConfig {
             shards: self.shards,
@@ -431,6 +439,16 @@ fn keeps_growing(queue: &impl DurableQueue, pool: &PmemPool) {
     assert_eq!(pool.growth_epoch(), recovered + 1);
 }
 
+/// Every pool file of the reopened deployment still carries the tier the
+/// scenario created it under and the algorithm tag `tag` (zeros: none).
+fn check_recorded(s: &Scenario, tag: [u8; 8], pools: &[PathBuf]) {
+    for path in pools {
+        let g = FilePool::read_geometry(path).expect("read a reopened pool's header");
+        let recorded = (g.sync, g.roots[TAG_ROOT_SLOT].to_le_bytes());
+        assert_eq!(recorded, (s.sync, tag), "{}: tier and tag", path.display());
+    }
+}
+
 fn serves_fresh_traffic(queue: &impl DurableQueue) {
     queue.enqueue(2, u64::MAX);
     assert_eq!(queue.dequeue(2), Some(u64::MAX), "no post-recovery traffic");
@@ -442,7 +460,7 @@ fn serves_fresh_traffic(queue: &impl DurableQueue) {
 fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
     let (residues, recovery, growth_epochs) = if s.shards == 1 {
         let path = s.dir.join(POOL_FILE);
-        let geometry = FilePool::read_geometry(&path).expect("read the pool header");
+        let geometry = check_pool::<Q>(&path).expect("check the pool header");
         if let Some((var, _)) = s.abort {
             check_grow_abort(s, var, &geometry);
         }
@@ -450,7 +468,7 @@ fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
         // Only the growth in flight at a SIGKILL may be uncommitted.
         assert!(s.abort.is_some() || epoch + 1 >= s.growths, "growths lost");
         let begun = Instant::now();
-        let pool = FilePool::open_with_growth(&path, s.sync, s.grow_step).expect("reopen pool");
+        let pool = FilePool::open_with_config(&path, s.session()).expect("reopen pool");
         assert!(!pool.was_clean(), "a crashed child leaves the pool dirty");
         let pool = pool.into_pool();
         let reopened = (pool.growth_epoch(), pool.len());
@@ -463,11 +481,12 @@ fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
         if s.grow_step > 0 {
             keeps_growing(&queue, &pool);
         }
+        check_recorded(s, Q::TAG, &[path]);
         (vec![residue], recovery, epoch as u64)
     } else {
         let begun = Instant::now();
         let (queue, report, manifest) = RecoveryOrchestrator::new(s.shards)
-            .open_dir_with_growth::<Q>(&s.dir, s.queue_config(), s.sync, s.grow_step)
+            .open_dir_with_config::<Q>(&s.dir, s.queue_config(), s.session())
             .expect("recover the shard directory");
         let recovery = begun.elapsed();
         assert!(report.wall <= recovery, "the report covers recover()");
@@ -475,6 +494,7 @@ fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
         assert_eq!(deployed, (s.shards, s.policy, s.shards), "manifest");
         let residues = (0..s.shards).map(|i| drain(queue.shard(i))).collect();
         serves_fresh_traffic(&queue);
+        check_recorded(s, Q::TAG, &manifest.pool_paths(&s.dir));
         (residues, recovery, report.total_growth_epochs())
     };
     let acked_e = read_unique_acks(&s.dir.join("enq.log"), "E");
@@ -522,6 +542,8 @@ fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
             open_leased_dir::<Q>(&orch, &s.dir, s.queue_config(), &s.lease_config(), None)
                 .expect("recover the leased dir");
         let recovery = begun.elapsed();
+        let pools = [manifest.pool_paths(&s.dir), vec![s.dir.join(DLQ_POOL_FILE)]];
+        check_recorded(s, Q::TAG, &pools.concat());
         let r = report.lease.expect("lease recovery counts in the report");
         let dlq = queue.dlq().expect("a DLQ").as_ref();
         let counts = (r.unacked, r.redelivered, r.dead_lettered);
@@ -534,6 +556,11 @@ fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
                 .expect("recover the grouped dir");
         let recovery = begun.elapsed();
         let handles = queue.handles();
+        let mut pools = manifest.pool_paths(&s.dir);
+        let dlq_of =
+            |h: &ConsumerGroup<_>| s.dir.join(GROUPS_DIR).join(h.name()).join(DLQ_POOL_FILE);
+        pools.extend(handles.iter().map(dlq_of));
+        check_recorded(s, Q::TAG, &pools);
         let recovered: Vec<Recovered> = (handles.iter().zip(&report.groups))
             .map(|(h, r)| {
                 assert_eq!(h.name(), r.name, "report order");
@@ -655,11 +682,12 @@ fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
     assert!(completed >= s.min_acks, "the crash landed before a reshard");
     let resolved = resolve_reshard(&s.dir).expect("resolve the interrupted reshard");
     let orch = RecoveryOrchestrator::new(s.shards);
-    let reopen = || orch.open_dir_with_sync::<Q>(&s.dir, s.queue_config(), s.sync);
+    let reopen = || orch.open_dir::<Q>(&s.dir, s.queue_config());
     let begun = Instant::now();
     let (queue, _, manifest) = reopen().expect("recover the resharded directory");
     let recovery = begun.elapsed();
     let shards = manifest.shards();
+    check_recorded(s, Q::TAG, &manifest.pool_paths(&s.dir));
     // The child's first reshard goes to 2 shards.
     let expected: &[usize] = match s.abort {
         None => &[2, 4, 8],
@@ -697,8 +725,10 @@ fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
 
 /// Each producer's cell reads at or past its last acked fence.
 fn fence_oracle(s: &Scenario) -> Outcome {
-    let pool = FilePool::open(s.dir.join(POOL_FILE)).expect("reopen pool file");
+    let path = s.dir.join(POOL_FILE);
+    let pool = FilePool::open(&path).expect("reopen pool file");
     assert!(!pool.was_clean(), "an aborted child leaves the pool dirty");
+    check_recorded(s, [0; 8], &[path]); // a raw pool: no algorithm
     let pool = pool.into_pool();
     let region = pool.root_u64(0) as u32;
     assert_ne!(region, 0, "the child died before publishing its cells");

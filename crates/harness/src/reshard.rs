@@ -177,7 +177,7 @@ pub fn run_reshard(cfg: &ReshardVerbConfig) -> ReshardReport {
     if seeded || cfg.verify {
         let drained = with_recoverable!(cfg.algorithm, Q => {
             let (queue, _, manifest) = orch
-                .open_dir_with_sync::<Q>(&cfg.dir, queue_config(), cfg.sync)
+                .open_dir::<Q>(&cfg.dir, queue_config())
                 .expect("reopen resharded directory");
             assert_eq!(manifest.shards(), cfg.to, "manifest must record the new count");
             drain_and_restore(&queue)

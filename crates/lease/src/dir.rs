@@ -19,7 +19,8 @@
 //!
 //! [`open_leased_dir`] recovers in dependency order — shards in parallel
 //! via [`RecoveryOrchestrator`], then the DLQ pool, then the ack-log
-//! replay — and reports the lease counts through
+//! replay, each under the tier its pool recorded at creation — and reports
+//! the lease counts through
 //! [`RecoveryReport::lease`], so one report covers the whole restart.
 //! [`open_grouped_dir`] does the same for consumer-group deployments,
 //! replaying every group's segment chain and reporting each one through
@@ -48,8 +49,9 @@ pub struct LeaseDirConfig {
     /// Delivery budget before dead-lettering (`0` = unlimited; the DLQ
     /// file is created either way).
     pub max_deliveries: u32,
-    /// Durability tier applied uniformly to the shard pools (on reopen),
-    /// the DLQ pool, and the ack log.
+    /// Durability tier of the DLQ pool and the ack log, applied at creation
+    /// only: a reopen takes every tier from the pools, the ack log's from
+    /// the DLQ pool it was created beside.
     pub sync: SyncPolicy,
     /// Ack-log compaction floor (see [`LeaseConfig::compact_after`]).
     pub compact_after: u64,
@@ -70,13 +72,34 @@ impl Default for LeaseDirConfig {
 }
 
 impl LeaseDirConfig {
-    fn lease_config(&self, dir: &Path) -> LeaseConfig {
+    fn lease_config(&self, dir: &Path, sync: SyncPolicy) -> LeaseConfig {
         LeaseConfig::new(dir)
             .with_timeout(self.lease_timeout)
             .with_max_deliveries(self.max_deliveries)
-            .with_sync(self.sync)
+            .with_sync(sync)
             .with_compact_after(self.compact_after)
     }
+}
+
+/// The dead-letter queue whose pool is `path`: created with `fresh`, or
+/// else reopened, after [`shard::check_pool`], under the tier the pool
+/// recorded. Returns it with that tier, which the journal beside it shares.
+fn dlq<Q: RecoverableQueue + 'static>(
+    path: &Path,
+    queue: QueueConfig,
+    fresh: Option<FileConfig>,
+) -> io::Result<(Arc<dyn DurableQueue>, SyncPolicy)> {
+    let pool = match fresh {
+        Some(file) => FilePool::create(path, file)?,
+        None => shard::check_pool::<Q>(path).and_then(|_| FilePool::open(path))?,
+    };
+    let sync = pool.sync_policy();
+    let pool = pool.into_pool();
+    let dlq: Arc<dyn DurableQueue> = match fresh {
+        Some(_) => Arc::new(Q::create(pool, queue)),
+        None => Arc::new(Q::recover(pool, queue)),
+    };
+    Ok((dlq, sync))
 }
 
 /// Creates a fresh leased deployment in `dir`: the sharded base queue
@@ -91,20 +114,18 @@ pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
 ) -> io::Result<LeasedQueue<ShardedQueue<Q>>> {
     let queue_config = shard.queue;
     let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let dlq_pool = FilePool::create(
-        dir.join(DLQ_POOL_FILE),
-        FileConfig::with_size(lease.dlq_bytes).with_sync(lease.sync),
-    )?
-    .into_pool();
-    let dlq: Arc<dyn DurableQueue> = Arc::new(Q::create(dlq_pool, queue_config));
-    LeasedQueue::create(base, Some(dlq), lease.lease_config(dir))
+    let file = FileConfig::with_size(lease.dlq_bytes).with_sync(lease.sync);
+    let (dlq, sync) = dlq::<Q>(&dir.join(DLQ_POOL_FILE), queue_config, Some(file))?;
+    LeasedQueue::create(base, Some(dlq), lease.lease_config(dir, sync))
 }
 
 /// Reopens a leased deployment after a restart: shards in parallel (the
 /// manifest is the authority on count and policy), then the DLQ pool,
 /// then the ack-log replay — in-flight leases become redeliverable with
 /// bumped delivery counts, and the counts land in
-/// [`RecoveryReport::lease`].
+/// [`RecoveryReport::lease`]. Every pool reopens under the tier it was
+/// created with, and the ack log under the DLQ pool's; `lease.sync` is
+/// not read.
 ///
 /// `cursor` is the deployment's exactly-once ack engine
 /// ([`ExactlyOnce`](crate::tx::ExactlyOnce), recovered from the consumer's
@@ -120,20 +141,22 @@ pub fn open_leased_dir<Q: RecoverableQueue + 'static>(
     lease: &LeaseDirConfig,
     cursor: Option<&crate::tx::ExactlyOnce>,
 ) -> io::Result<(LeasedQueue<ShardedQueue<Q>>, RecoveryReport, ShardManifest)> {
-    let (base, mut report, manifest) = orch.open_dir_with_sync::<Q>(dir, queue, lease.sync)?;
+    let (base, mut report, manifest) = orch.open_dir::<Q>(dir, queue)?;
     // The DLQ pool + ack-log replay are the lease layer's own recovery
     // work; time them as a third phase on the same clock as the report's
     // manifest-resolution and shard-replay spans.
     let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let dlq_pool = FilePool::open_with_sync(dir.join(DLQ_POOL_FILE), lease.sync)?.into_pool();
-        let dlq: Arc<dyn DurableQueue> = Arc::new(Q::recover(dlq_pool, queue));
-        LeasedQueue::recover(base, Some(dlq), lease.lease_config(dir), cursor)
+        let (dlq, sync) = dlq::<Q>(&dir.join(DLQ_POOL_FILE), queue, None)?;
+        LeasedQueue::recover(base, Some(dlq), lease.lease_config(dir, sync), cursor)
     });
     let (leased, rec) = repaired?;
     report.phases.push(repair_phase);
     report.lease = Some(rec);
     Ok((leased, report, manifest))
 }
+
+/// Per-group dead-letter queues, in group order.
+type Dlqs = Vec<Option<Arc<dyn DurableQueue>>>;
 
 /// Lease-layer options of a *grouped* deployment: consumer groups fanning
 /// out over one sharded base queue, each with its own segment directory
@@ -148,8 +171,9 @@ pub struct GroupDirConfig {
     /// Delivery budget before dead-lettering, per group (`0` = unlimited;
     /// each group's DLQ file is created either way).
     pub max_deliveries: u32,
-    /// Durability tier applied uniformly to the shard pools (on reopen),
-    /// the per-group DLQ pools, and the segment logs.
+    /// Durability tier of the per-group DLQ pools and the segment logs,
+    /// applied at creation only: a reopen takes every tier from the pools,
+    /// the segment logs' from the DLQ pools they were created beside.
     pub sync: SyncPolicy,
     /// Records per segment before rotation (`0` = never rotate).
     pub rotate_records: u64,
@@ -172,41 +196,35 @@ impl GroupDirConfig {
         }
     }
 
-    fn group_config(&self, dir: &Path) -> GroupConfig {
+    fn group_config(&self, dir: &Path, sync: SyncPolicy) -> GroupConfig {
         GroupConfig::new(dir, self.groups.iter().cloned())
             .with_timeout(self.lease_timeout)
             .with_max_deliveries(self.max_deliveries)
-            .with_sync(self.sync)
+            .with_sync(sync)
             .with_rotate_records(self.rotate_records)
     }
 
     /// Creates (or opens, for recovery) the per-group DLQ pools, in group
-    /// order.
+    /// order, and returns them with their tier: `self.sync` when fresh,
+    /// the one they recorded otherwise.
     fn dlqs<Q: RecoverableQueue + 'static>(
         &self,
         dir: &Path,
         queue: QueueConfig,
         fresh: bool,
-    ) -> io::Result<Vec<Option<Arc<dyn DurableQueue>>>> {
+    ) -> io::Result<(Dlqs, SyncPolicy)> {
         let mut dlqs = Vec::with_capacity(self.groups.len());
+        let mut sync = self.sync;
         for name in &self.groups {
             let group_dir = dir.join(GROUPS_DIR).join(name);
             std::fs::create_dir_all(&group_dir)?;
-            let path = group_dir.join(DLQ_POOL_FILE);
-            let dlq: Arc<dyn DurableQueue> = if fresh {
-                let pool = FilePool::create(
-                    path,
-                    FileConfig::with_size(self.dlq_bytes).with_sync(self.sync),
-                )?
-                .into_pool();
-                Arc::new(Q::create(pool, queue))
-            } else {
-                let pool = FilePool::open_with_sync(path, self.sync)?.into_pool();
-                Arc::new(Q::recover(pool, queue))
-            };
+            let file = FileConfig::with_size(self.dlq_bytes).with_sync(self.sync);
+            let (dlq, recorded) =
+                dlq::<Q>(&group_dir.join(DLQ_POOL_FILE), queue, fresh.then_some(file))?;
+            sync = recorded;
             dlqs.push(Some(dlq));
         }
-        Ok(dlqs)
+        Ok((dlqs, sync))
     }
 }
 
@@ -222,11 +240,11 @@ pub fn create_grouped_dir<Q: RecoverableQueue + 'static>(
 ) -> io::Result<Arc<GroupedQueue<ShardedQueue<Q>>>> {
     let queue_config = shard.queue;
     let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let dlqs = group.dlqs::<Q>(dir, queue_config, true)?;
+    let (dlqs, sync) = group.dlqs::<Q>(dir, queue_config, true)?;
     Ok(Arc::new(GroupedQueue::create(
         base,
         dlqs,
-        group.group_config(dir),
+        group.group_config(dir, sync),
     )?))
 }
 
@@ -238,7 +256,9 @@ pub type OpenedGroupedDir<Q> = (Arc<GroupedQueue<Q>>, RecoveryReport, ShardManif
 /// every group's DLQ pool and segment-directory replay — each group's
 /// in-flight leases become redeliverable with bumped delivery counts,
 /// independently of the other groups — with per-group counts landing in
-/// [`RecoveryReport::groups`].
+/// [`RecoveryReport::groups`]. Every pool reopens under the tier it was
+/// created with, and the segment logs under the DLQ pools'; `group.sync`
+/// is not read.
 ///
 /// `cursor` is the deployment's exactly-once ack engine, recovered from
 /// the consumer's pool *before* this call and created with at least as
@@ -252,10 +272,10 @@ pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
     group: &GroupDirConfig,
     cursor: Option<&crate::tx::ExactlyOnce>,
 ) -> io::Result<OpenedGroupedDir<ShardedQueue<Q>>> {
-    let (base, mut report, manifest) = orch.open_dir_with_sync::<Q>(dir, queue, group.sync)?;
+    let (base, mut report, manifest) = orch.open_dir::<Q>(dir, queue)?;
     let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let dlqs = group.dlqs::<Q>(dir, queue, false)?;
-        GroupedQueue::recover(base, dlqs, group.group_config(dir), cursor)
+        let (dlqs, sync) = group.dlqs::<Q>(dir, queue, false)?;
+        GroupedQueue::recover(base, dlqs, group.group_config(dir, sync), cursor)
     });
     let (grouped, recs) = repaired?;
     report.phases.push(repair_phase);

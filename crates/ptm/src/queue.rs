@@ -139,7 +139,10 @@ impl<const EAGER: bool> DurableQueue for PtmQueue<EAGER> {
 impl<const EAGER: bool> KeyedQueue for PtmQueue<EAGER> {}
 
 impl<const EAGER: bool> RecoverableQueue for PtmQueue<EAGER> {
+    const TAG: [u8; 8] = if EAGER { *b"OneFileQ" } else { *b"RedoOptQ" };
+
     fn create(pool: Arc<PmemPool>, config: QueueConfig) -> Self {
+        durable_queues::root::record_tag::<Self>(&pool);
         let ptm = Ptm::new(Arc::clone(&pool), Self::policy());
         let capacity = Self::capacity_nodes(&config);
         let region = pool.alloc_raw(capacity * 64, 64);

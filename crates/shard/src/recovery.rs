@@ -8,18 +8,54 @@
 //! scale down with core count. Each recovery is timed individually so the
 //! report can show the parallel speedup and spot straggler shards.
 
-use crate::manifest::ShardManifest;
+use crate::manifest::{invalid, ShardManifest};
 use crate::sharded::{Shard, ShardConfig, ShardedQueue};
+use durable_queues::root::{check_tag, TAG_ROOT_SLOT};
 use durable_queues::{QueueConfig, RecoverableQueue};
 use obs::flight::EventKind;
 use obs::LazyHistogram;
 use pmem::{PmemPool, PoolConfig};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use store::{FileConfig, FilePool};
+use store::{FileConfig, FilePool, PoolGeometry};
+
+/// The one check every file-backed queue open in the workspace runs before
+/// `Q::recover`: reads and validates the header of the pool file at `path`
+/// without opening it, and checks the algorithm tag its creator recorded
+/// against `Q`'s ([`check_tag`]). A mismatch is an `InvalidData` error
+/// naming the file and both algorithms; an untagged pool passes. Returns
+/// the pool's geometry, its durability tier included.
+pub fn check_pool<Q: RecoverableQueue>(path: &Path) -> io::Result<PoolGeometry> {
+    let geometry = FilePool::read_geometry(path)?;
+    check_tag::<Q>(geometry.roots[TAG_ROOT_SLOT])
+        .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+    Ok(geometry)
+}
+
+/// [`check_pool`] over the pools of one directory, which must also share
+/// the tier they were created under: a pool whose tier differs from the
+/// first's is an `InvalidData` error naming it.
+pub(crate) fn check_dir_pools<Q: RecoverableQueue>(
+    paths: &[PathBuf],
+) -> io::Result<Vec<PoolGeometry>> {
+    let geometries: Vec<PoolGeometry> = paths
+        .iter()
+        .map(|p| check_pool::<Q>(p))
+        .collect::<io::Result<_>>()?;
+    if let Some(i) = geometries.iter().position(|g| g.sync != geometries[0].sync) {
+        return Err(invalid(format!(
+            "{}: created {}, but {} was created {}; a directory's pools share one tier",
+            paths[i].display(),
+            geometries[i].sync.key(),
+            paths[0].display(),
+            geometries[0].sync.key()
+        )));
+    }
+    Ok(geometries)
+}
 
 /// Runs `f(shard_index)` for every shard on a bounded pool of scoped
 /// workers (work-stealing via an atomic claim counter) and returns the
@@ -333,17 +369,36 @@ impl RecoveryOrchestrator {
         config: ShardConfig,
     ) -> (ShardedQueue<Q>, RecoveryReport) {
         assert_eq!(pools.len(), config.shards, "one crashed image per shard");
-        let n = pools.len();
+        let replayed = self.replay::<Q>(config, |i| Ok(Arc::clone(&pools[i])));
+        replayed.expect("handing out a crashed image cannot fail")
+    }
+
+    /// The shard-replay phase of [`recover`](Self::recover) and
+    /// [`open_dir`](Self::open_dir): on the worker pool, takes each shard's
+    /// pool from `open` and runs `Q::recover` on it, timing each shard, and
+    /// assembles the queue and its report.
+    fn replay<Q: RecoverableQueue>(
+        &self,
+        config: ShardConfig,
+        open: impl Fn(usize) -> io::Result<Arc<PmemPool>> + Sync,
+    ) -> io::Result<(ShardedQueue<Q>, RecoveryReport)> {
+        let n = config.shards;
         let started = Instant::now();
         let (recovered, replay_phase) = PhaseSpan::time("shard-replay", 2, || {
-            par_map_shards(n, self.threads, |i| {
-                let pool = Arc::clone(&pools[i]);
+            par_map_shards(n, self.threads, |i| -> io::Result<_> {
+                let pool = open(i)?;
+                // The epoch the header committed, read before `Q::recover`,
+                // whose volatile rebuild of a large residue may grow the
+                // pool again in this process.
                 let epoch = pool.growth_epoch();
                 let begun = Instant::now();
                 let queue = Q::recover(Arc::clone(&pool), config.queue);
-                (Shard { queue, pool }, begun.elapsed(), epoch)
+                Ok((Shard { queue, pool }, begun.elapsed(), epoch))
             })
+            .into_iter()
+            .collect::<io::Result<Vec<_>>>()
         });
+        let recovered = recovered?;
         let wall = started.elapsed();
         let mut shards = Vec::with_capacity(n);
         let mut per_shard = Vec::with_capacity(n);
@@ -366,7 +421,7 @@ impl RecoveryOrchestrator {
             groups: Vec::new(),
             phases: vec![replay_phase],
         };
-        (queue, report)
+        Ok((queue, report))
     }
 
     /// Convenience: [`crash`](Self::crash) followed by
@@ -412,13 +467,17 @@ impl RecoveryOrchestrator {
 
     /// Reopens a file-backed sharded queue from `dir` after a restart: reads
     /// the [`ShardManifest`] (the manifest, not the caller, is the authority
-    /// on shard count and routing policy), validates every shard's pool-file
-    /// header — each shard's effective size comes from its own header, so
-    /// shards that grew independently reopen at their grown sizes — opens
-    /// the pools and runs the per-shard `Q::recover` procedures in parallel
-    /// on the worker pool, timing each shard exactly like
+    /// on shard count and routing policy), [checks](check_pool) every
+    /// shard's pool-file header — each shard's effective size comes from its
+    /// own header, so shards that grew independently reopen at their grown
+    /// sizes; its algorithm tag must be `Q`'s; and all shards must share the
+    /// durability tier they were created under, which they reopen under —
+    /// then opens the pools and runs the per-shard `Q::recover` procedures
+    /// in parallel on the worker pool, timing each shard exactly like
     /// [`recover`](Self::recover). Per-shard sizes and inherited growth
-    /// epochs are reported in the [`RecoveryReport`].
+    /// epochs are reported in the [`RecoveryReport`]. The pools are
+    /// fixed-size and group-commit at window 0; choose otherwise with
+    /// [`open_dir_with_config`](Self::open_dir_with_config).
     ///
     /// Works identically after a clean shutdown and after a `kill -9`; the
     /// returned manifest tells the caller what was recovered. A reshard
@@ -458,43 +517,27 @@ impl RecoveryOrchestrator {
     /// std::fs::remove_dir_all(&dir)?;
     /// # Ok::<(), std::io::Error>(())
     /// ```
-    ///
-    /// Pools are reopened under the default (process-crash) fence policy; a
-    /// deployment created with [`store::SyncPolicy::PowerFail`] must reopen
-    /// with [`open_dir_with_sync`](Self::open_dir_with_sync) to keep its
-    /// power-fail guarantee for post-recovery traffic. Its pools then
-    /// group-commit at window 0, like any power-fail pool.
     pub fn open_dir<Q: RecoverableQueue>(
         &self,
         dir: &Path,
         queue: QueueConfig,
     ) -> io::Result<(ShardedQueue<Q>, RecoveryReport, ShardManifest)> {
-        self.open_dir_with_sync(dir, queue, store::SyncPolicy::default())
+        self.open_dir_with_config(dir, queue, FileConfig::default())
     }
 
-    /// [`open_dir`](Self::open_dir) with an explicit fence durability
-    /// policy for the reopened pool files.
-    pub fn open_dir_with_sync<Q: RecoverableQueue>(
+    /// [`open_dir`](Self::open_dir) with the session's knobs for every
+    /// reopened pool, as [`FilePool::open_with_config`] takes them: the
+    /// growth step and the group-commit window (`session.size` and
+    /// `session.sync` are ignored). A directory whose shards grew past their
+    /// creation ceiling in a previous life is usually still under the
+    /// traffic that grew them — and its pools are near-full, so even
+    /// `Q::recover`'s own allocator areas may need room; reopen it elastic
+    /// to keep going.
+    pub fn open_dir_with_config<Q: RecoverableQueue>(
         &self,
         dir: &Path,
         queue: QueueConfig,
-        sync: store::SyncPolicy,
-    ) -> io::Result<(ShardedQueue<Q>, RecoveryReport, ShardManifest)> {
-        self.open_dir_with_growth(dir, queue, sync, 0)
-    }
-
-    /// [`open_dir`](Self::open_dir) with an explicit fence durability
-    /// policy and growth step (`0` = fixed-size) for the reopened pool
-    /// files. A directory whose shards grew past their creation ceiling in
-    /// a previous life is usually still under the traffic that grew them —
-    /// and its pools are near-full, so even `Q::recover`'s own allocator
-    /// areas may need room; reopen it elastic to keep going.
-    pub fn open_dir_with_growth<Q: RecoverableQueue>(
-        &self,
-        dir: &Path,
-        queue: QueueConfig,
-        sync: store::SyncPolicy,
-        grow_step: usize,
+        session: FileConfig,
     ) -> io::Result<(ShardedQueue<Q>, RecoveryReport, ShardManifest)> {
         let started = Instant::now();
         // A crash may have interrupted a reshard: roll it back or forward
@@ -504,65 +547,27 @@ impl RecoveryOrchestrator {
         });
         let manifest = resolved?;
         let paths = manifest.pool_paths(dir);
-        let n = manifest.shards();
-        obs::flight::record(EventKind::RecoveryStart, n as u64, 0);
-        let (recovered, replay_phase) = PhaseSpan::time("shard-replay", 2, || {
-            par_map_shards(
-                n,
-                self.threads,
-                |i| -> io::Result<(Shard<Q>, Duration, u32)> {
-                    // Each shard's header is the authority on its own effective
-                    // size — shards grow independently, so neither the manifest
-                    // nor the siblings can know it. `open_with_growth` validates
-                    // the header (magic, versions, CRCs, grown size, watermark
-                    // bounds) before mapping.
-                    let pool = FilePool::open_with_growth(&paths[i], sync, grow_step)?.into_pool();
-                    // The epoch the header committed, read before `Q::recover`,
-                    // whose volatile rebuild of a large residue may grow the
-                    // pool again in this process.
-                    let epoch = pool.growth_epoch();
-                    let begun = Instant::now();
-                    let q = Q::recover(Arc::clone(&pool), queue);
-                    Ok((Shard { queue: q, pool }, begun.elapsed(), epoch))
-                },
-            )
-            .into_iter()
-            .collect::<io::Result<Vec<(Shard<Q>, Duration, u32)>>>()
-        });
-        let recovered = recovered?;
-        let wall = started.elapsed();
-        obs::flight::record(EventKind::RecoveryDone, n as u64, wall.as_nanos() as u64);
+        // Refused before any pool is opened (and marked dirty) or recovered.
+        // Each shard's header is the authority on its own effective size —
+        // shards grow independently, so neither the manifest nor the
+        // siblings can know it — and the open validates it again.
+        let geometries = check_dir_pools::<Q>(&paths)?;
+        obs::flight::record(EventKind::RecoveryStart, paths.len() as u64, 0);
         let config = ShardConfig {
-            shards: n,
+            shards: paths.len(),
             queue,
             // Sizes may diverge across grown shards; size the (sim-facing)
             // config from the largest so derived pools are never smaller.
-            pool: PoolConfig::test_with_size(
-                recovered.iter().map(|(s, ..)| s.pool.len()).max().unwrap(),
-            ),
+            pool: PoolConfig::test_with_size(geometries.iter().map(|g| g.pool_size).max().unwrap()),
             policy: manifest.policy,
         };
-        let mut shards = Vec::with_capacity(n);
-        let mut per_shard = Vec::with_capacity(n);
-        for (i, (shard, latency, growth_epoch)) in recovered.into_iter().enumerate() {
-            RECOVER_SHARD_NS.record(latency.as_nanos() as u64);
-            per_shard.push(ShardRecovery {
-                shard: i,
-                latency,
-                pool_bytes: shard.pool.len(),
-                growth_epoch,
-            });
-            shards.push(shard);
-        }
-        let queue = ShardedQueue::from_shards(shards.into_boxed_slice(), config);
-        let report = RecoveryReport {
-            per_shard,
-            wall,
-            threads: self.threads.min(n).max(1),
-            lease: None,
-            groups: Vec::new(),
-            phases: vec![resolution_phase, replay_phase],
-        };
+        let (queue, mut report) = self.replay::<Q>(config, |i| {
+            FilePool::open_with_config(&paths[i], session).map(FilePool::into_pool)
+        })?;
+        report.wall = started.elapsed();
+        report.phases.insert(0, resolution_phase);
+        let wall = report.wall.as_nanos() as u64;
+        obs::flight::record(EventKind::RecoveryDone, paths.len() as u64, wall);
         Ok((queue, report, manifest))
     }
 }

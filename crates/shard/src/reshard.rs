@@ -45,7 +45,7 @@
 //! commit rename). Either way the resident items are exactly preserved.
 
 use crate::manifest::{invalid, ReshardIntent, ShardManifest};
-use crate::recovery::{par_map_shards, RecoveryOrchestrator};
+use crate::recovery::{check_dir_pools, par_map_shards, RecoveryOrchestrator};
 use crate::route::{mix, RoutePolicy};
 use durable_queues::{QueueConfig, RecoverableQueue};
 use obs::flight::EventKind;
@@ -243,7 +243,9 @@ impl RecoveryOrchestrator {
 
     /// [`reshard_dir`](Self::reshard_dir) with an explicit destination pool
     /// configuration (`None` sizes destinations from the sources' persisted
-    /// watermarks) and a key extractor used to re-route items under the
+    /// watermarks; either way the destinations inherit the tier the sources
+    /// were created under, and sources of mixed tiers are refused) and a key
+    /// extractor used to re-route items under the
     /// key-hash policy. `key_of` must return, for every resident item, the
     /// key it was originally enqueued with — the reshard routes each item
     /// to `mix(key) % to_shards`, exactly where the reopened queue's
@@ -266,6 +268,9 @@ impl RecoveryOrchestrator {
         let policy = manifest.policy;
         let old_paths = manifest.pool_paths(dir);
 
+        // The sources' headers: `Q`'s tag on each, and one tier, which the
+        // destinations inherit — a reshard never changes a directory's tier.
+        let sources = check_dir_pools::<Q>(&old_paths)?;
         // Destination sizing, unless overridden: every destination can hold
         // the entire resident data set (skew-proof — key hashing may route
         // every item to one shard) plus allocator slack, and is never
@@ -275,17 +280,13 @@ impl RecoveryOrchestrator {
         let file = match dest_file {
             Some(f) => f,
             None => {
-                let mut total_used = 0usize;
-                let mut max_size = 0usize;
-                for p in &old_paths {
-                    let g = FilePool::read_geometry(p)?;
-                    total_used += g.used_bytes();
-                    max_size = max_size.max(g.pool_size);
-                }
+                let total_used: usize = sources.iter().map(|g| g.used_bytes()).sum();
+                let max_size = sources.iter().map(|g| g.pool_size).max().unwrap_or(0);
                 let slack = queue.max_threads * queue.area_size as usize * 2 + (8 << 20);
                 FileConfig::with_size(max_size.max(total_used + slack))
             }
-        };
+        }
+        .with_sync(sources[0].sync);
 
         let generation = next_generation(&manifest.pool_files);
         let new_files: Vec<String> = (0..to_shards)
@@ -337,7 +338,7 @@ impl RecoveryOrchestrator {
         // enough step for the allocator's per-thread areas.
         let scratch_grow = (queue.max_threads * queue.area_size as usize).max(1 << 20);
         let sources: Vec<Q> = par_map_shards(from_shards, self.threads(), |i| {
-            FilePool::open_with_growth(&scratch[i], store::SyncPolicy::default(), scratch_grow)
+            FilePool::open_with_config(&scratch[i], FileConfig::default().with_growth(scratch_grow))
                 .map(|p| Q::recover(p.into_pool(), queue))
         })
         .into_iter()

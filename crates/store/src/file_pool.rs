@@ -19,7 +19,8 @@
 //! │  16  pool_size  u64  (creation size) │ root block and the ssmem    │
 //! │  24  root_slots u32  = 8             │ directory sit at the fixed  │
 //! │  28  geo_crc    u32  CRC-32 of [0,28)│ pmem::layout offsets, the   │
-//! │  32  flags      u32  bit0 = clean    │ heap above HEAP_START       │
+//! │  32  flags      u32  bit0 clean,     │ heap above HEAP_START       │
+//! │                      bit1 power-fail │                             │
 //! │  36  watermark  u32  (atomic)        │                             │
 //! │  40  grown_size u64  (minor ≥ 1)     │ `size` is `pool_size` until │
 //! │  48  grow_epoch u32  (minor ≥ 1)     │ the pool grows, then the    │
@@ -34,7 +35,9 @@
 //! root-slot count, including the version word): the mutable words below it
 //! — flags, watermark, roots — are each a single naturally-aligned word
 //! updated atomically in place, so they are always self-consistent and
-//! deliberately outside the checksum. The grow record (`grown_size`,
+//! deliberately outside the checksum. The flags word also records the
+//! pool's [durability tier](self#durability-model), once, at creation:
+//! every open takes it from there. The grow record (`grown_size`,
 //! `grow_epoch`) carries its own CRC and is rewritten only through the
 //! journaled commit protocol described below.
 //!
@@ -90,6 +93,8 @@
 //! file-system analogue of the paper's flush+SFENCE discipline. On DAX
 //! mounts (real NVRAM mapped cache-coherently) the `CLWB`+`SFENCE` path
 //! alone is the durability barrier, and `ProcessCrash` is the right mode.
+//! The policy is chosen once, at [`FilePool::create`], and recorded in the
+//! header's flags word; every open runs the pool under the recorded one.
 //! Either way [`PmemPool::sync`] performs a full `msync` + `fsync`
 //! checkpoint, and an orderly drop marks the header clean; a killed process
 //! leaves the dirty flag set, which [`FilePool::was_clean`] reports on
@@ -218,6 +223,11 @@ const GROW_RECORD: std::ops::Range<usize> = H_GROWN_SIZE..H_GROW_CRC;
 /// `flags` bit: the pool was closed in an orderly fashion.
 const FLAG_CLEAN: u32 = 1;
 
+/// `flags` bit: the pool was created under [`SyncPolicy::PowerFail`]. Set
+/// once, at creation; pools written before the bit existed read as
+/// process-crash. Every higher bit is reserved and must be zero.
+const FLAG_POWER_FAIL: u32 = 2;
+
 /// Largest representable pool size: offsets are 32-bit and `align_up`
 /// needs headroom for the cache-line round-up. An elastic pool reserves a
 /// mapping this large (plus the header) up front.
@@ -265,7 +275,8 @@ pub struct FileConfig {
     /// header). Rounded up to a whole number of cache lines; must leave room
     /// for the fixed layout regions.
     pub size: usize,
-    /// Fence durability policy.
+    /// Fence durability policy. Recorded in the header at creation and
+    /// ignored on open, like `size`: a reopened pool runs under its own.
     pub sync: SyncPolicy,
     /// Growth step in bytes. `0` (the default) keeps the pool fixed-size:
     /// exhaustion surfaces as `PoolExhausted` exactly as before. Non-zero
@@ -477,6 +488,11 @@ pub struct PoolGeometry {
     pub watermark: u32,
     /// Whether the last session closed the pool cleanly.
     pub was_clean: bool,
+    /// The durability tier the pool was created under, which every open
+    /// runs it under.
+    pub sync: SyncPolicy,
+    /// The header's root slots, read without opening the pool.
+    pub roots: [u64; ROOT_SLOTS],
 }
 
 impl PoolGeometry {
@@ -569,7 +585,7 @@ fn read_journal(header: &[u8]) -> Option<GrowCommit> {
 /// whether a grow-commit journal record is pending (the crash landed
 /// between a growth's commit point and its home-field rewrite; the
 /// journal's values supersede the home fields and `open` rolls them
-/// forward). Shared by [`FilePool::open_with_growth`] and
+/// forward). Shared by [`FilePool::open_with_config`] and
 /// [`FilePool::read_geometry`].
 fn validate_header(file: &File, path: &Path) -> io::Result<(PoolGeometry, bool)> {
     use std::io::Read;
@@ -676,6 +692,13 @@ fn validate_header(file: &File, path: &Path) -> io::Result<(PoolGeometry, bool)>
     } else {
         (base_size, 0)
     };
+    let flags = read_u32(H_FLAGS);
+    if flags & !(FLAG_CLEAN | FLAG_POWER_FAIL) != 0 {
+        return Err(invalid(format!(
+            "{}: reserved bits set in the header flags word {flags:#010x} at offset {H_FLAGS}",
+            path.display()
+        )));
+    }
     let watermark = read_u32(H_WATERMARK);
     if watermark < layout::HEAP_START || watermark as usize > size {
         return Err(invalid(format!(
@@ -692,7 +715,13 @@ fn validate_header(file: &File, path: &Path) -> io::Result<(PoolGeometry, bool)>
             base_size,
             growth_epoch,
             watermark,
-            was_clean: read_u32(H_FLAGS) & FLAG_CLEAN != 0,
+            was_clean: flags & FLAG_CLEAN != 0,
+            sync: if flags & FLAG_POWER_FAIL != 0 {
+                SyncPolicy::PowerFail
+            } else {
+                SyncPolicy::ProcessCrash
+            },
+            roots: std::array::from_fn(|i| read_u64(H_ROOTS + i * 8)),
         },
         journal.is_some(),
     ))
@@ -725,7 +754,7 @@ pub fn copy_pool_file(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Resul
 impl FilePool {
     /// Creates (or overwrites) a pool file at `path` and opens it. The pool
     /// starts zeroed with the watermark at [`layout::HEAP_START`], dirty
-    /// until dropped cleanly.
+    /// until dropped cleanly, and records `config.sync` in its header.
     pub fn create(path: impl AsRef<Path>, config: FileConfig) -> io::Result<FilePool> {
         let path = path.as_ref().to_path_buf();
         let min = layout::HEAP_START as usize + CACHE_LINE;
@@ -750,42 +779,28 @@ impl FilePool {
     }
 
     /// Opens an existing pool file, validating magic, format version,
-    /// geometry CRC, grow record, size and watermark. The previous session's
-    /// clean flag is captured in [`was_clean`](Self::was_clean), then the
-    /// pool is marked dirty for the new session. A growth whose commit was
+    /// geometry CRC, flags, grow record, size and watermark, under the
+    /// durability tier its header records. The previous session's clean
+    /// flag is captured in [`was_clean`](Self::was_clean), then the pool is
+    /// marked dirty for the new session. A growth whose commit was
     /// journaled but not home-written when the last session died is rolled
-    /// forward here.
+    /// forward here. The pool is fixed-size and group-commits at window 0.
     pub fn open(path: impl AsRef<Path>) -> io::Result<FilePool> {
-        Self::open_with_sync(path, SyncPolicy::default())
+        Self::open_with_config(path, FileConfig::default())
     }
 
-    /// [`open`](Self::open) with an explicit fence durability policy. A
-    /// power-fail pool reopened here group-commits at window 0, as one
-    /// created with the default [`FileConfig`] does.
-    pub fn open_with_sync(path: impl AsRef<Path>, sync: SyncPolicy) -> io::Result<FilePool> {
-        Self::open_with_growth(path, sync, 0)
+    /// The former spelling of [`open`](Self::open); the tier comes from the
+    /// header and `_sync` is ignored.
+    #[doc(hidden)]
+    pub fn open_with_sync(path: impl AsRef<Path>, _sync: SyncPolicy) -> io::Result<FilePool> {
+        Self::open(path)
     }
 
-    /// [`open`](Self::open) with an explicit fence durability policy and
-    /// growth step (`0` = fixed-size; growth is a runtime property, not
-    /// recorded in the file, so each session chooses its own step).
-    pub fn open_with_growth(
-        path: impl AsRef<Path>,
-        sync: SyncPolicy,
-        grow_step: usize,
-    ) -> io::Result<FilePool> {
-        Self::open_with_config(
-            path,
-            FileConfig::with_size(0)
-                .with_sync(sync)
-                .with_growth(grow_step),
-        )
-    }
-
-    /// [`open`](Self::open) with the full [`FileConfig`] — fence policy,
-    /// growth step and group-commit window. Like growth, the window is a
-    /// runtime property each session chooses for itself; `config.size` is
-    /// ignored (an existing pool's geometry comes from its header).
+    /// [`open`](Self::open) with the session's knobs: the growth step and
+    /// the group-commit window. Neither is recorded in the file, so each
+    /// session chooses its own; they change speed, not promises.
+    /// `config.size` and `config.sync` are ignored: an existing pool's
+    /// geometry and tier come from its header.
     pub fn open_with_config(path: impl AsRef<Path>, config: FileConfig) -> io::Result<FilePool> {
         let path = path.as_ref().to_path_buf();
         let file = File::options().read(true).write(true).open(&path)?;
@@ -793,6 +808,7 @@ impl FilePool {
         // the full mapping.
         let (geometry, journal_pending) = validate_header(&file, &path)?;
 
+        let config = config.with_sync(geometry.sync);
         let pool = FilePool::from_file(file, path, geometry.pool_size, config, geometry.was_clean)?;
         if journal_pending {
             pool.roll_forward_grow();
@@ -1101,8 +1117,13 @@ impl FilePool {
         unsafe { std::slice::from_raw_parts(self.map.as_ptr().add(r.start), r.end - r.start) }
     }
 
+    /// Marks the pool clean or dirty, keeping its tier bit.
     fn set_flags(&self, clean: bool) {
-        let flags = if clean { FLAG_CLEAN } else { 0 };
+        let tier = match self.policy {
+            SyncPolicy::PowerFail => FLAG_POWER_FAIL,
+            SyncPolicy::ProcessCrash => 0,
+        };
+        let flags = tier | if clean { FLAG_CLEAN } else { 0 };
         self.header_u32(H_FLAGS).store(flags, Ordering::Release);
         // SAFETY: the header page is valid readable memory.
         unsafe { pmem::hw::clflush(self.map.as_ptr().add(H_FLAGS)) };
@@ -1193,9 +1214,9 @@ impl FilePool {
             .store(ROOT_SLOTS as u32, Ordering::Relaxed);
         let geo_crc = crc32(self.header_bytes(0..GEO_LEN));
         self.header_u32(H_GEO_CRC).store(geo_crc, Ordering::Relaxed);
-        self.header_u32(H_FLAGS).store(0, Ordering::Relaxed); // dirty
         self.header_u32(H_WATERMARK)
             .store(layout::HEAP_START, Ordering::Release);
+        self.set_flags(false);
     }
 
     fn with_pending<R>(&self, tid: usize, f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
@@ -1593,9 +1614,10 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    /// A power-fail pool group-commits whether it was created or reopened:
-    /// what the first life fenced reads back, and a fence of the second
-    /// life leads a batch of its own.
+    /// A power-fail pool group-commits whether it was created or reopened,
+    /// and a plain open takes the tier from the header: what the first life
+    /// fenced reads back, and a fence of the second life leads a batch of
+    /// its own.
     #[test]
     fn a_reopened_power_fail_pool_still_group_commits() {
         let _serial = gc_serial();
@@ -1611,9 +1633,7 @@ mod tests {
             p.sfence(0); // a lone fence leads its own batch of one
             p.set_root_u64(0, off as u64);
         }
-        let p = FilePool::open_with_sync(&path, SyncPolicy::PowerFail)
-            .unwrap()
-            .into_pool();
+        let p = FilePool::open(&path).unwrap().into_pool();
         assert_eq!(p.root_u64(0), off as u64);
         assert_eq!(p.load_u64(off), 0xC0A1E5CE);
         let before = obs::snapshot();
@@ -2077,6 +2097,70 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// The tier bit survives every flags write: created, closed clean,
+    /// reopened, crashed and reopened again, the header keeps the creation
+    /// tier, and every open runs under it whatever its config asks for.
+    #[test]
+    fn the_tier_bit_survives_clean_close_crash_and_reopen() {
+        for (sync, other) in [
+            (SyncPolicy::PowerFail, SyncPolicy::ProcessCrash),
+            (SyncPolicy::ProcessCrash, SyncPolicy::PowerFail),
+        ] {
+            let path = temp_path(&format!("tier-{}", sync.key()));
+            let header = || {
+                let g = FilePool::read_geometry(&path).unwrap();
+                (g.sync, g.was_clean)
+            };
+            drop(FilePool::create(&path, small().with_sync(sync)).unwrap());
+            assert_eq!(header(), (sync, true), "after a clean close");
+            let crashed = FilePool::open_with_config(&path, small().with_sync(other)).unwrap();
+            assert_eq!(crashed.sync_policy(), sync, "the config's tier won");
+            std::mem::forget(crashed); // a crash
+            assert_eq!(header(), (sync, false), "after a crash");
+            let reopened = FilePool::open(&path).unwrap();
+            assert_eq!(
+                (reopened.sync_policy(), reopened.was_clean()),
+                (sync, false)
+            );
+            drop(reopened);
+            assert_eq!(header(), (sync, true), "after the recovery's close");
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A flags word with a reserved bit set is refused, naming the file and
+    /// the word's offset; the two defined bits together are fine.
+    #[test]
+    fn open_refuses_reserved_flag_bits() {
+        use std::io::{Seek, SeekFrom, Write};
+        let path = temp_path("flags");
+        drop(FilePool::create(&path, small()).unwrap());
+        let write_flags = |flags: u32| {
+            let mut f = File::options().write(true).open(&path).unwrap();
+            f.seek(SeekFrom::Start(H_FLAGS as u64)).unwrap();
+            f.write_all(&flags.to_le_bytes()).unwrap();
+        };
+        for hostile in [FLAG_POWER_FAIL << 1, 1 << 31, u32::MAX] {
+            write_flags(hostile);
+            let opened = FilePool::open(&path).map(|_| ()).unwrap_err();
+            let read = FilePool::read_geometry(&path).map(|_| ()).unwrap_err();
+            for err in [opened, read] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                let msg = err.to_string();
+                let located = msg.contains(&*path.to_string_lossy()) && msg.contains("offset 32");
+                assert!(located, "{msg}");
+            }
+        }
+        write_flags(FLAG_CLEAN | FLAG_POWER_FAIL);
+        let pool = FilePool::open(&path).unwrap();
+        assert_eq!(
+            (pool.sync_policy(), pool.was_clean()),
+            (SyncPolicy::PowerFail, true)
+        );
+        drop(pool);
+        fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn open_rejects_truncated_files_and_corrupt_watermarks() {
         let path = temp_path("truncate");
@@ -2122,7 +2206,9 @@ mod tests {
             assert_eq!(p.load_u64(off), 999);
             assert_eq!(p.load_u64(off + 8), 2);
         }
-        drop(FilePool::open_with_sync(&path, SyncPolicy::PowerFail).unwrap());
+        let reopened = FilePool::open(&path).unwrap();
+        assert_eq!(reopened.sync_policy(), SyncPolicy::PowerFail);
+        drop(reopened);
         fs::remove_file(&path).unwrap();
     }
 
@@ -2355,7 +2441,8 @@ mod tests {
             let pool = if expected == 0 {
                 FilePool::create(&path, tiny_elastic()).unwrap()
             } else {
-                FilePool::open_with_growth(&path, SyncPolicy::default(), 256 << 10).unwrap()
+                FilePool::open_with_config(&path, FileConfig::default().with_growth(256 << 10))
+                    .unwrap()
             };
             assert_eq!(pool.growth_epoch(), expected);
             let want = pool.len() + 1;

@@ -8,9 +8,9 @@
 //! process restart:
 //!
 //! * a **versioned pool-file header** (magic, format version, pool size,
-//!   clean/dirty flag, CRC-checked geometry, persistent watermark, root
-//!   slots) lets a fresh process validate and reopen a pool with nothing but
-//!   the file,
+//!   clean/dirty flag, the durability tier it was created under,
+//!   CRC-checked geometry, persistent watermark, root slots) lets a fresh
+//!   process validate and reopen a pool with nothing but the file,
 //! * flush/fence map to the **real x86-64 persistence instructions**
 //!   (`CLWB`/`CLFLUSHOPT`-style flushes and `SFENCE` via [`pmem::hw`]), and
 //!   the [`SyncPolicy`] decides whether fences additionally `msync` for

@@ -202,15 +202,6 @@ impl Algorithm {
                 .expect("create file-backed shard directory")
         ))
     }
-
-    /// Whether the paper evaluates the algorithm on every workload. The PTM
-    /// baselines are evaluated only on the first two workloads ("we had
-    /// problems running it on the other workloads" — Section 10); we follow
-    /// suit because their fixed node region is not sized for the
-    /// multi-million-element pre-fills.
-    pub fn supports_large_prefill(&self) -> bool {
-        !matches!(self, Algorithm::OneFileLite | Algorithm::RedoOptLite)
-    }
 }
 
 #[cfg(test)]

@@ -310,7 +310,6 @@ impl Scenario {
             // Nothing may expire: redelivery must come from the crash.
             lease_timeout: Duration::from_secs(300),
             max_deliveries: 3,
-            sync: self.sync,
             ..LeaseDirConfig::default()
         }
     }
@@ -319,7 +318,6 @@ impl Scenario {
         GroupDirConfig {
             lease_timeout: Duration::from_secs(300),
             max_deliveries: 3,
-            sync: self.sync,
             // Small segments, so the crash lands with rotations (and
             // usually retirements) behind it.
             rotate_records: 512,

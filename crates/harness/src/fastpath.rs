@@ -219,8 +219,7 @@ fn measure_sim_pool(cfg: &FastpathConfig) -> Vec<SimPoolRow> {
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
     pub raw_load_ns: f64,
-    /// One `LazyCounter::incr` after first touch, ns/op (0 when the
-    /// `instrument` feature is off and the call compiles to nothing).
+    /// One `LazyCounter::incr` after first touch, ns/op.
     pub counter_incr_ns: f64,
     /// One row per kind of pool, fixed first.
     pub rows: Vec<FastpathRow>,

@@ -76,8 +76,7 @@ pub struct FsweepRow {
     /// Aggregate fence rate: `producers * fences / wall`.
     pub fences_per_sec: f64,
     /// Share of the point's fences that shared a batch with another fence
-    /// (`store.fence.coalesced` over fences issued; 0 in builds without
-    /// `instrument`).
+    /// (`store.fence.coalesced` over fences issued).
     pub coalesced_share: f64,
     /// Share of the point's batches submitted while another batch was in
     /// flight (`store.fence.overlapped` over `store.fence.leader`).

@@ -148,7 +148,6 @@ fn run_one(cfg: &LeaseVerbConfig, shards: usize) -> LeaseRow {
         // comes from the nacks, not from timeouts.
         lease_timeout: Duration::from_secs(600),
         max_deliveries: 8,
-        sync: cfg.sync,
         ..LeaseDirConfig::default()
     };
     let (wall, stats, log_records) = with_recoverable!(cfg.algorithm, Q => {
@@ -308,7 +307,6 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
         // Long enough that nothing expires mid-run: redelivery traffic
         // comes from the nacks, not from timeouts.
         lease_timeout: Duration::from_secs(600),
-        sync: cfg.sync,
         // Low enough that every run rotates and retires segments, so the
         // reported rotation counters always carry signal.
         rotate_records: 8_192,

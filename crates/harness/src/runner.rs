@@ -185,7 +185,6 @@ pub fn measure_point(
     let pool_cfg = PoolConfig {
         size: sweep.pool_bytes,
         latency: sweep.latency,
-        deferred_persist: true,
         eviction_probability: 0.0,
         eviction_seed: sweep.seed,
     };

@@ -113,7 +113,6 @@ fn measure_shard_point<Q: RecoverableQueue + 'static>(
         PoolConfig {
             size: cfg.pool_bytes,
             latency: cfg.latency,
-            deferred_persist: true,
             eviction_probability: 0.0,
             eviction_seed: cfg.seed,
         },

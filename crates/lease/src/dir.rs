@@ -17,6 +17,11 @@
 //!       dead-letter.pool# that group's own DLQ pool
 //! ```
 //!
+//! Every pool of a directory, the dead-letter pools included, is created
+//! under the shards' tier ([`FileConfig::sync`]), and every journal runs
+//! under it too: a `GRANT` can only be as durable as the dequeue it
+//! records.
+//!
 //! [`open_leased_dir`] recovers in dependency order — shards in parallel
 //! via [`RecoveryOrchestrator`], then the DLQ pool, then the ack-log
 //! replay, each under the tier its pool recorded at creation — and reports
@@ -32,7 +37,7 @@ use crate::segments::DEFAULT_ROTATE_RECORDS;
 use durable_queues::{DurableQueue, QueueConfig, RecoverableQueue};
 use shard::{RecoveryOrchestrator, RecoveryReport, ShardConfig, ShardManifest, ShardedQueue};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use store::{FileConfig, FilePool, SyncPolicy};
@@ -49,9 +54,9 @@ pub struct LeaseDirConfig {
     /// Delivery budget before dead-lettering (`0` = unlimited; the DLQ
     /// file is created either way).
     pub max_deliveries: u32,
-    /// Durability tier of the DLQ pool and the ack log, applied at creation
-    /// only: a reopen takes every tier from the pools, the ack log's from
-    /// the DLQ pool it was created beside.
+    /// Ignored: the DLQ pool and the ack log take the shards' tier
+    /// ([`FileConfig::sync`]). Kept so that struct literals naming it still
+    /// build.
     pub sync: SyncPolicy,
     /// Ack-log compaction floor (see [`LeaseConfig::compact_after`]).
     pub compact_after: u64,
@@ -81,25 +86,51 @@ impl LeaseDirConfig {
     }
 }
 
-/// The dead-letter queue whose pool is `path`: created with `fresh`, or
-/// else reopened, after [`shard::check_pool`], under the tier the pool
-/// recorded. Returns it with that tier, which the journal beside it shares.
-fn dlq<Q: RecoverableQueue + 'static>(
-    path: &Path,
+/// Creates the dead-letter queues whose pools are `paths`, `bytes` each,
+/// under the tier of the shards beside them (`file.sync`).
+fn create_dlqs<Q: RecoverableQueue + 'static>(
+    paths: &[PathBuf],
     queue: QueueConfig,
-    fresh: Option<FileConfig>,
-) -> io::Result<(Arc<dyn DurableQueue>, SyncPolicy)> {
-    let pool = match fresh {
-        Some(file) => FilePool::create(path, file)?,
-        None => shard::check_pool::<Q>(path).and_then(|_| FilePool::open(path))?,
-    };
-    let sync = pool.sync_policy();
-    let pool = pool.into_pool();
-    let dlq: Arc<dyn DurableQueue> = match fresh {
-        Some(_) => Arc::new(Q::create(pool, queue)),
-        None => Arc::new(Q::recover(pool, queue)),
-    };
-    Ok((dlq, sync))
+    file: FileConfig,
+    bytes: usize,
+) -> io::Result<Dlqs> {
+    let file = FileConfig::with_size(bytes).with_sync(file.sync);
+    paths
+        .iter()
+        .map(|path| {
+            std::fs::create_dir_all(path.parent().expect("a pool file has a directory"))?;
+            let dlq: Arc<dyn DurableQueue> =
+                Arc::new(Q::create(FilePool::create(path, file)?.into_pool(), queue));
+            Ok(Some(dlq))
+        })
+        .collect()
+}
+
+/// Reopens the dead-letter queues whose pools are `paths` once they and
+/// the first shard pool of the directory `manifest` maps pass
+/// [`shard::check_dir_pools`] together: one algorithm, and one tier, so a
+/// dead-letter pool created under another tier than the shards' is an
+/// `InvalidData` error naming it. Returns them with that tier, which the
+/// journals beside them share.
+fn open_dlqs<Q: RecoverableQueue + 'static>(
+    dir: &Path,
+    manifest: &ShardManifest,
+    paths: &[PathBuf],
+    queue: QueueConfig,
+) -> io::Result<(Dlqs, SyncPolicy)> {
+    let mut pools = manifest.pool_paths(dir);
+    pools.truncate(1);
+    pools.extend_from_slice(paths);
+    let sync = shard::check_dir_pools::<Q>(&pools)?[0].sync;
+    let dlqs = paths
+        .iter()
+        .map(|path| {
+            let dlq: Arc<dyn DurableQueue> =
+                Arc::new(Q::recover(FilePool::open(path)?.into_pool(), queue));
+            Ok(Some(dlq))
+        })
+        .collect::<io::Result<_>>()?;
+    Ok((dlqs, sync))
 }
 
 /// Creates a fresh leased deployment in `dir`: the sharded base queue
@@ -114,9 +145,10 @@ pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
 ) -> io::Result<LeasedQueue<ShardedQueue<Q>>> {
     let queue_config = shard.queue;
     let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let file = FileConfig::with_size(lease.dlq_bytes).with_sync(lease.sync);
-    let (dlq, sync) = dlq::<Q>(&dir.join(DLQ_POOL_FILE), queue_config, Some(file))?;
-    LeasedQueue::create(base, Some(dlq), lease.lease_config(dir, sync))
+    let paths = [dir.join(DLQ_POOL_FILE)];
+    let mut dlqs = create_dlqs::<Q>(&paths, queue_config, file, lease.dlq_bytes)?;
+    let config = lease.lease_config(dir, file.sync);
+    LeasedQueue::create(base, dlqs.pop().flatten(), config)
 }
 
 /// Reopens a leased deployment after a restart: shards in parallel (the
@@ -124,8 +156,9 @@ pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
 /// then the ack-log replay — in-flight leases become redeliverable with
 /// bumped delivery counts, and the counts land in
 /// [`RecoveryReport::lease`]. Every pool reopens under the tier it was
-/// created with, and the ack log under the DLQ pool's; `lease.sync` is
-/// not read.
+/// created with, and the ack log under the same; a DLQ pool whose tier
+/// differs from the shards' is refused with an `InvalidData` error naming
+/// it.
 ///
 /// `cursor` is the deployment's exactly-once ack engine
 /// ([`ExactlyOnce`](crate::tx::ExactlyOnce), recovered from the consumer's
@@ -146,8 +179,10 @@ pub fn open_leased_dir<Q: RecoverableQueue + 'static>(
     // work; time them as a third phase on the same clock as the report's
     // manifest-resolution and shard-replay spans.
     let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let (dlq, sync) = dlq::<Q>(&dir.join(DLQ_POOL_FILE), queue, None)?;
-        LeasedQueue::recover(base, Some(dlq), lease.lease_config(dir, sync), cursor)
+        let paths = [dir.join(DLQ_POOL_FILE)];
+        let (mut dlqs, sync) = open_dlqs::<Q>(dir, &manifest, &paths, queue)?;
+        let dlq = dlqs.pop().flatten();
+        LeasedQueue::recover(base, dlq, lease.lease_config(dir, sync), cursor)
     });
     let (leased, rec) = repaired?;
     report.phases.push(repair_phase);
@@ -171,9 +206,9 @@ pub struct GroupDirConfig {
     /// Delivery budget before dead-lettering, per group (`0` = unlimited;
     /// each group's DLQ file is created either way).
     pub max_deliveries: u32,
-    /// Durability tier of the per-group DLQ pools and the segment logs,
-    /// applied at creation only: a reopen takes every tier from the pools,
-    /// the segment logs' from the DLQ pools they were created beside.
+    /// Ignored: the per-group DLQ pools and the segment logs take the
+    /// shards' tier ([`FileConfig::sync`]). Kept so that struct literals
+    /// naming it still build.
     pub sync: SyncPolicy,
     /// Records per segment before rotation (`0` = never rotate).
     pub rotate_records: u64,
@@ -183,8 +218,8 @@ pub struct GroupDirConfig {
 
 impl GroupDirConfig {
     /// A configuration with the given group names and the defaults: 30 s
-    /// lease timeout, budget of 8 deliveries, process-crash durability,
-    /// rotation every [`DEFAULT_ROTATE_RECORDS`] records, 8 MiB DLQ pools.
+    /// lease timeout, budget of 8 deliveries, rotation every
+    /// [`DEFAULT_ROTATE_RECORDS`] records, 8 MiB DLQ pools.
     pub fn new(groups: impl IntoIterator<Item = impl Into<String>>) -> Self {
         GroupDirConfig {
             groups: groups.into_iter().map(Into::into).collect(),
@@ -204,27 +239,13 @@ impl GroupDirConfig {
             .with_rotate_records(self.rotate_records)
     }
 
-    /// Creates (or opens, for recovery) the per-group DLQ pools, in group
-    /// order, and returns them with their tier: `self.sync` when fresh,
-    /// the one they recorded otherwise.
-    fn dlqs<Q: RecoverableQueue + 'static>(
-        &self,
-        dir: &Path,
-        queue: QueueConfig,
-        fresh: bool,
-    ) -> io::Result<(Dlqs, SyncPolicy)> {
-        let mut dlqs = Vec::with_capacity(self.groups.len());
-        let mut sync = self.sync;
-        for name in &self.groups {
-            let group_dir = dir.join(GROUPS_DIR).join(name);
-            std::fs::create_dir_all(&group_dir)?;
-            let file = FileConfig::with_size(self.dlq_bytes).with_sync(self.sync);
-            let (dlq, recorded) =
-                dlq::<Q>(&group_dir.join(DLQ_POOL_FILE), queue, fresh.then_some(file))?;
-            sync = recorded;
-            dlqs.push(Some(dlq));
-        }
-        Ok((dlqs, sync))
+    /// The per-group DLQ pools' paths, in group order.
+    fn dlq_paths(&self, dir: &Path) -> Vec<PathBuf> {
+        let groups = dir.join(GROUPS_DIR);
+        self.groups
+            .iter()
+            .map(|name| groups.join(name).join(DLQ_POOL_FILE))
+            .collect()
     }
 }
 
@@ -240,11 +261,11 @@ pub fn create_grouped_dir<Q: RecoverableQueue + 'static>(
 ) -> io::Result<Arc<GroupedQueue<ShardedQueue<Q>>>> {
     let queue_config = shard.queue;
     let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let (dlqs, sync) = group.dlqs::<Q>(dir, queue_config, true)?;
+    let dlqs = create_dlqs::<Q>(&group.dlq_paths(dir), queue_config, file, group.dlq_bytes)?;
     Ok(Arc::new(GroupedQueue::create(
         base,
         dlqs,
-        group.group_config(dir, sync),
+        group.group_config(dir, file.sync),
     )?))
 }
 
@@ -257,8 +278,9 @@ pub type OpenedGroupedDir<Q> = (Arc<GroupedQueue<Q>>, RecoveryReport, ShardManif
 /// in-flight leases become redeliverable with bumped delivery counts,
 /// independently of the other groups — with per-group counts landing in
 /// [`RecoveryReport::groups`]. Every pool reopens under the tier it was
-/// created with, and the segment logs under the DLQ pools'; `group.sync`
-/// is not read.
+/// created with, and the segment logs under the same; a DLQ pool whose
+/// tier differs from the shards' is refused with an `InvalidData` error
+/// naming it.
 ///
 /// `cursor` is the deployment's exactly-once ack engine, recovered from
 /// the consumer's pool *before* this call and created with at least as
@@ -274,7 +296,7 @@ pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
 ) -> io::Result<OpenedGroupedDir<ShardedQueue<Q>>> {
     let (base, mut report, manifest) = orch.open_dir::<Q>(dir, queue)?;
     let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let (dlqs, sync) = group.dlqs::<Q>(dir, queue, false)?;
+        let (dlqs, sync) = open_dlqs::<Q>(dir, &manifest, &group.dlq_paths(dir), queue)?;
         GroupedQueue::recover(base, dlqs, group.group_config(dir, sync), cursor)
     });
     let (grouped, recs) = repaired?;

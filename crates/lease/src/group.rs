@@ -60,7 +60,7 @@ use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::HashSet;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
@@ -572,11 +572,6 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
     pub fn dlq(&self) -> Option<&Arc<dyn DurableQueue>> {
         self.consumer().dlq()
     }
-}
-
-/// The group directory of a grouped deployment rooted at `dir`.
-pub fn groups_dir(dir: &Path) -> PathBuf {
-    dir.join(GROUPS_DIR)
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 //! `lease.force` is a process-global counter, so this file holds one test
 //! and nothing runs beside it.
 
-#![cfg(feature = "instrument")]
-
 use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
 use lease::{GroupConfig, GroupedQueue};
 use pmem::{PmemPool, PoolConfig};

@@ -91,10 +91,8 @@ fn sweep<S>(
                 outcome
             };
             drop(state);
-            if cfg!(feature = "instrument") {
-                let errors = obs::snapshot().counter("sync.error") - before.counter("sync.error");
-                assert_eq!(errors, 1, "{case}: sync.error rose by {errors}");
-            }
+            let errors = obs::snapshot().counter("sync.error") - before.counter("sync.error");
+            assert_eq!(errors, 1, "{case}: sync.error rose by {errors}");
             judge(&dir, &case, outcome);
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -8,9 +8,8 @@
 //!   log₂-bucketed latency histograms. Instruments are declared as `static`
 //!   [`LazyCounter`]/[`LazyHistogram`]s named like `"lease.grant"`; two
 //!   statics with the same name share one instrument. Snapshots merge with
-//!   `Add`/`Sub`, like `pmem::StatsSnapshot`. The whole layer is gated
-//!   behind the default-on `instrument` feature: with it off, every method
-//!   body is empty and the hot paths compile to nothing.
+//!   `Add`/`Sub`, like `pmem::StatsSnapshot`. Every build counts: an
+//!   increment costs what a pool's own fence count does.
 //! * [`flight`] — an mmap'd ring of fixed-size CRC'd event records
 //!   (`BLACKBOX.ring`) that survives SIGKILL via the page cache; after a
 //!   crash, [`flight::replay`] reconstructs the last *capacity* lifecycle

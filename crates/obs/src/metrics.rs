@@ -22,21 +22,17 @@
 //! store in the calling thread's own row, next to the other counters that
 //! thread touches, and a read sums the column over the rows. Like every
 //! row table, the totals are exact at quiescence and a lower bound while
-//! writers run.
-//!
-//! Everything here is gated on the default-on `instrument` feature: with it
-//! off, `incr`/`record`/`start_timer` are empty inline functions (no atomic
-//! touched, no `Instant::now`), and [`snapshot`] returns an empty snapshot.
+//! writers run. That price, the one a pool's statistics pay, is why every
+//! build counts: `harness fastpath` holds an increment to its budget
+//! (`counter_incr_ns`) instead of a build leaving it out.
 
-#[cfg(feature = "instrument")]
 use crate::locked;
 use crate::rows::CachePadded;
 use std::collections::BTreeMap;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "instrument")]
-use std::sync::{atomic::AtomicUsize, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// The most distinct counter names a process may register (29 exist
 /// today). A column costs 8 bytes in every thread's row whether or not it
@@ -49,7 +45,6 @@ pub const CAP: usize = 64;
 pub const BUCKETS: usize = 64;
 
 /// The table whose columns are the named counters, in registration order.
-#[cfg(feature = "instrument")]
 static NAMED: crate::rows::Rows<CAP> = crate::rows::Rows::new();
 
 // ---------------------------------------------------------------------------
@@ -101,13 +96,8 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = v;
+        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the buckets and sum.
@@ -133,7 +123,6 @@ impl Default for Histogram {
 // Named (registered) instruments
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "instrument")]
 #[derive(Default)]
 struct Registry {
     /// Counter name → its column of [`NAMED`].
@@ -141,13 +130,11 @@ struct Registry {
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
-#[cfg(feature = "instrument")]
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::default)
 }
 
-#[cfg(feature = "instrument")]
 impl Registry {
     fn counter(&self, name: &'static str) -> usize {
         let mut map = locked(&self.counters);
@@ -174,7 +161,6 @@ impl Registry {
 pub struct LazyCounter {
     name: &'static str,
     /// The name's column, or a value `>= CAP` until first use.
-    #[cfg(feature = "instrument")]
     column: AtomicUsize,
 }
 
@@ -184,7 +170,6 @@ impl LazyCounter {
     pub const fn new(name: &'static str) -> LazyCounter {
         LazyCounter {
             name,
-            #[cfg(feature = "instrument")]
             column: AtomicUsize::new(usize::MAX),
         }
     }
@@ -196,7 +181,6 @@ impl LazyCounter {
 
     /// The column is the only thing a resolution publishes (the table is a
     /// static), so relaxed loads and stores of it are enough.
-    #[cfg(feature = "instrument")]
     #[cold]
     fn resolve(&self) -> usize {
         let column = registry().counter(self.name);
@@ -207,16 +191,11 @@ impl LazyCounter {
     /// Adds `n`: one unlocked add in the calling thread's row.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            let mut column = self.column.load(Ordering::Relaxed);
-            if column >= CAP {
-                column = self.resolve();
-            }
-            NAMED.add(column, n);
+        let mut column = self.column.load(Ordering::Relaxed);
+        if column >= CAP {
+            column = self.resolve();
         }
-        #[cfg(not(feature = "instrument"))]
-        let _ = n;
+        NAMED.add(column, n);
     }
 
     /// Adds 1.
@@ -225,14 +204,9 @@ impl LazyCounter {
         self.add(1);
     }
 
-    /// The current total (0 when instrumentation is disabled).
+    /// The current total.
     pub fn value(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            NAMED.totals()[self.resolve()]
-        }
-        #[cfg(not(feature = "instrument"))]
-        0
+        NAMED.totals()[self.resolve()]
     }
 }
 
@@ -240,7 +214,6 @@ impl LazyCounter {
 /// [`LazyCounter`] for the registration contract.
 pub struct LazyHistogram {
     name: &'static str,
-    #[cfg(feature = "instrument")]
     cell: OnceLock<&'static Histogram>,
 }
 
@@ -250,7 +223,6 @@ impl LazyHistogram {
     pub const fn new(name: &'static str) -> LazyHistogram {
         LazyHistogram {
             name,
-            #[cfg(feature = "instrument")]
             cell: OnceLock::new(),
         }
     }
@@ -260,7 +232,6 @@ impl LazyHistogram {
         self.name
     }
 
-    #[cfg(feature = "instrument")]
     #[inline]
     fn resolve(&self) -> &'static Histogram {
         self.cell.get_or_init(|| registry().histogram(self.name))
@@ -269,24 +240,15 @@ impl LazyHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "instrument")]
         self.resolve().record(v);
-        #[cfg(not(feature = "instrument"))]
-        let _ = v;
     }
 
     /// Starts a timer whose drop records the elapsed nanoseconds here.
-    /// When instrumentation is disabled the timer is a zero-sized no-op —
-    /// `Instant::now` is never called.
     #[inline]
     pub fn start_timer(&self) -> Timer<'_> {
         Timer {
-            #[cfg(feature = "instrument")]
             hist: self.resolve(),
-            #[cfg(feature = "instrument")]
             start: std::time::Instant::now(),
-            #[cfg(not(feature = "instrument"))]
-            _marker: std::marker::PhantomData,
         }
     }
 }
@@ -294,15 +256,10 @@ impl LazyHistogram {
 /// Records elapsed wall time into a histogram on drop; see
 /// [`LazyHistogram::start_timer`].
 pub struct Timer<'a> {
-    #[cfg(feature = "instrument")]
     hist: &'a Histogram,
-    #[cfg(feature = "instrument")]
     start: std::time::Instant,
-    #[cfg(not(feature = "instrument"))]
-    _marker: std::marker::PhantomData<&'a ()>,
 }
 
-#[cfg(feature = "instrument")]
 impl Drop for Timer<'_> {
     fn drop(&mut self) {
         self.hist.record(self.start.elapsed().as_nanos() as u64);
@@ -313,28 +270,22 @@ impl Drop for Timer<'_> {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A point-in-time copy of every registered instrument. Empty when the
-/// `instrument` feature is off.
+/// A point-in-time copy of every registered instrument.
 pub fn snapshot() -> MetricsSnapshot {
-    #[cfg(feature = "instrument")]
-    {
-        let reg = registry();
-        let totals = NAMED.totals();
-        let counters = locked(&reg.counters)
-            .iter()
-            .map(|(&name, &column)| (name.to_string(), totals[column]))
-            .collect();
-        let histograms = locked(&reg.histograms)
-            .iter()
-            .map(|(&name, h)| (name.to_string(), h.snapshot()))
-            .collect();
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
+    let reg = registry();
+    let totals = NAMED.totals();
+    let counters = locked(&reg.counters)
+        .iter()
+        .map(|(&name, &column)| (name.to_string(), totals[column]))
+        .collect();
+    let histograms = locked(&reg.histograms)
+        .iter()
+        .map(|(&name, h)| (name.to_string(), h.snapshot()))
+        .collect();
+    MetricsSnapshot {
+        counters,
+        histograms,
     }
-    #[cfg(not(feature = "instrument"))]
-    MetricsSnapshot::default()
 }
 
 /// A point-in-time copy of one histogram's buckets and sum. Merges with
@@ -422,8 +373,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// True when no instrument has been registered (always true with the
-    /// `instrument` feature off).
+    /// True when no instrument has been registered.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
@@ -506,7 +456,6 @@ mod tests {
 
     /// A named counter is exact at quiescence, with fewer live threads than
     /// there are rows and with more (the surplus shares the overflow row).
-    #[cfg(feature = "instrument")]
     #[test]
     fn counter_sums_across_threads() {
         static C: LazyCounter = LazyCounter::new("test.metrics.threads");
@@ -530,7 +479,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn same_name_statics_share_one_counter() {
         static A: LazyCounter = LazyCounter::new("test.metrics.shared");
@@ -553,7 +501,6 @@ mod tests {
         assert_eq!(snap.counter("test.metrics.other"), other_before + 5);
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     #[should_panic(expected = "one name past obs::metrics::CAP")]
     fn a_name_past_the_column_cap_fails_at_registration() {
@@ -566,7 +513,6 @@ mod tests {
 
     /// While writers run a snapshot is a lower bound: it never passes the
     /// final total, and since every cell only grows it never goes back.
-    #[cfg(feature = "instrument")]
     #[test]
     fn a_snapshot_under_traffic_is_a_rising_lower_bound() {
         static C: LazyCounter = LazyCounter::new("test.metrics.traffic");
@@ -588,23 +534,6 @@ mod tests {
         assert_eq!(C.value(), before + THREADS * OPS);
     }
 
-    /// With the feature off a named counter compiles to nothing, while the
-    /// row table under it (a pool's statistics) still counts.
-    #[cfg(not(feature = "instrument"))]
-    #[test]
-    fn without_the_feature_named_counters_are_inert_and_rows_still_count() {
-        static C: LazyCounter = LazyCounter::new("test.metrics.inert");
-        C.incr();
-        C.add(100);
-        assert_eq!(C.value(), 0);
-        assert_eq!(C.name(), "test.metrics.inert");
-        assert!(snapshot().is_empty());
-        let rows = crate::rows::Rows::<2>::new();
-        rows.add(1, 3);
-        assert_eq!(rows.totals(), [0, 3]);
-    }
-
-    #[cfg(feature = "instrument")]
     #[test]
     fn timer_records_into_histogram() {
         static H: LazyHistogram = LazyHistogram::new("test.metrics.timer_ns");
@@ -628,16 +557,12 @@ mod tests {
             h.record(v);
         }
         let s = h.snapshot();
-        if cfg!(feature = "instrument") {
-            assert_eq!(s.count(), 6);
-            assert_eq!(s.sum, 1_000_203);
-            // p50 falls in the bucket of 1; p99 in the bucket of 1_000_000.
-            assert_eq!(s.quantile(0.5), 1);
-            assert!(s.quantile(0.99) >= 1_000_000);
-            assert_eq!(s.mean(), 1_000_203 / 6);
-        } else {
-            assert_eq!(s.count(), 0);
-        }
+        assert_eq!(s.count(), 6);
+        assert_eq!(s.sum, 1_000_203);
+        // p50 falls in the bucket of 1; p99 in the bucket of 1_000_000.
+        assert_eq!(s.quantile(0.5), 1);
+        assert!(s.quantile(0.99) >= 1_000_000);
+        assert_eq!(s.mean(), 1_000_203 / 6);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //!
 //! Two tables exist: one per `pmem` pool (`Rows<8>`, the pool's
 //! persistence statistics) and the process-global one whose columns are
-//! the named counters of [`crate::metrics`]. The type is compiled whatever
-//! the `instrument` feature says, because a pool's fence count is part of
-//! every build's results.
+//! the named counters of [`crate::metrics`].
 
 use crate::slot;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

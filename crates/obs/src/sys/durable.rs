@@ -218,13 +218,11 @@ mod tests {
         let counting = fail_nth(&dir, SyncKind::Dir, 0);
         sync_dir(&dir).unwrap();
         assert_eq!((counting.seen(), counting.fired()), (1, false));
-        if cfg!(feature = "instrument") {
-            let after = crate::snapshot();
-            assert_eq!(
-                after.counter("sync.error") - before.counter("sync.error"),
-                1
-            );
-        }
+        let after = crate::snapshot();
+        assert_eq!(
+            after.counter("sync.error") - before.counter("sync.error"),
+            1
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,11 +40,6 @@ pub struct PoolConfig {
     pub size: usize,
     /// Latency charged for persistence events.
     pub latency: LatencyModel,
-    /// If `true` (the default), an explicit flush only reaches the persistent
-    /// image once the issuing thread executes a fence — exactly the
-    /// asynchronous-flush-plus-SFENCE discipline of the paper. If `false`,
-    /// flushes persist immediately (a legal, stronger behaviour).
-    pub deferred_persist: bool,
     /// Probability, per store/CAS, that the touched cache line is implicitly
     /// written back to the persistent image (a simulated cache eviction).
     /// `0.0` disables the adversary; crash tests sweep this.
@@ -59,7 +54,6 @@ impl PoolConfig {
         PoolConfig {
             size: 1 << 20,
             latency: LatencyModel::ZERO,
-            deferred_persist: true,
             eviction_probability: 0.0,
             eviction_seed: 0x5EED,
         }
@@ -78,16 +72,9 @@ impl PoolConfig {
         PoolConfig {
             size,
             latency: LatencyModel::optane_like(),
-            deferred_persist: true,
             eviction_probability: 0.0,
             eviction_seed: 0x5EED,
         }
-    }
-
-    /// Overrides the latency model.
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
     }
 
     /// Overrides the implicit-eviction probability.
@@ -181,7 +168,6 @@ impl PmemPool {
         let config = PoolConfig {
             size: backend.len(),
             latency: LatencyModel::ZERO,
-            deferred_persist: true,
             eviction_probability: 0.0,
             eviction_seed: 0,
         };
@@ -753,17 +739,6 @@ mod tests {
         assert_eq!(p.persistent_u64_at(off), 7);
         let r = p.simulate_crash();
         assert_eq!(r.load_u64(off), 7);
-    }
-
-    #[test]
-    fn eager_persist_mode_persists_at_flush() {
-        let mut cfg = PoolConfig::small_test();
-        cfg.deferred_persist = false;
-        let p = PmemPool::new(cfg);
-        let off = p.alloc_raw(64, 64);
-        p.store_u64(off, 9);
-        p.flush(0, off);
-        assert_eq!(p.persistent_u64_at(off), 9);
     }
 
     #[test]

@@ -293,11 +293,7 @@ impl SimPool {
         let line = layout::line_of(off);
         self.line_state(off).store(LINE_FLUSHED, Ordering::Relaxed);
         self.stats.add(Counter::Flushes, 1);
-        if self.config.deferred_persist {
-            self.with_pending(tid, |pending| pending.flushed_lines.push(line));
-        } else {
-            self.persist_line(line);
-        }
+        self.with_pending(tid, |pending| pending.flushed_lines.push(line));
         spin_delay(self.config.latency.flush_ns);
     }
 
@@ -320,11 +316,7 @@ impl SimPool {
     pub(crate) fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
         self.stats.add(Counter::NtStores, 1);
         self.working_u64(off).store(val, Ordering::Release);
-        if self.config.deferred_persist {
-            self.with_pending(tid, |pending| pending.nt_writes.push((off, val)));
-        } else {
-            self.persistent_u64(off).store(val, Ordering::Release);
-        }
+        self.with_pending(tid, |pending| pending.nt_writes.push((off, val)));
         spin_delay(self.config.latency.nt_store_ns);
     }
 

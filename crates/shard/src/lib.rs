@@ -69,8 +69,8 @@ pub mod sharded;
 
 pub use manifest::{ReshardIntent, ShardManifest, INTENT_FILE, MANIFEST_FILE, MANIFEST_VERSION};
 pub use recovery::{
-    check_pool, GroupRecovery, LeaseRecovery, PhaseSpan, RecoveryOrchestrator, RecoveryReport,
-    ShardRecovery,
+    check_dir_pools, check_pool, GroupRecovery, LeaseRecovery, PhaseSpan, RecoveryOrchestrator,
+    RecoveryReport, ShardRecovery,
 };
 pub use reshard::{resolve_reshard, ReshardReport, ReshardResolution};
 pub use route::RoutePolicy;

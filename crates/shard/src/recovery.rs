@@ -37,10 +37,8 @@ pub fn check_pool<Q: RecoverableQueue>(path: &Path) -> io::Result<PoolGeometry> 
 
 /// [`check_pool`] over the pools of one directory, which must also share
 /// the tier they were created under: a pool whose tier differs from the
-/// first's is an `InvalidData` error naming it.
-pub(crate) fn check_dir_pools<Q: RecoverableQueue>(
-    paths: &[PathBuf],
-) -> io::Result<Vec<PoolGeometry>> {
+/// first's is an `InvalidData` error naming it and both tiers.
+pub fn check_dir_pools<Q: RecoverableQueue>(paths: &[PathBuf]) -> io::Result<Vec<PoolGeometry>> {
     let geometries: Vec<PoolGeometry> = paths
         .iter()
         .map(|p| check_pool::<Q>(p))

@@ -77,18 +77,6 @@ impl ShardConfig {
         self.policy = policy;
         self
     }
-
-    /// Overrides the inner queue configuration.
-    pub fn with_queue(mut self, queue: QueueConfig) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Overrides the per-shard pool configuration.
-    pub fn with_pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = pool;
-        self
-    }
 }
 
 /// One shard: its pool, its queue, nothing shared with any other shard.

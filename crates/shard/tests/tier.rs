@@ -59,14 +59,11 @@ fn reopens_power_fail(dir: &Path) {
     pool.flush(0, off);
     let before = obs::snapshot();
     pool.sfence(0);
-    if cfg!(feature = "instrument") {
-        let led =
-            obs::snapshot().counter("store.fence.leader") - before.counter("store.fence.leader");
-        assert_eq!(
-            led, 1,
-            "a fence of the reopened directory did not lead a batch"
-        );
-    }
+    let led = obs::snapshot().counter("store.fence.leader") - before.counter("store.fence.leader");
+    assert_eq!(
+        led, 1,
+        "a fence of the reopened directory did not lead a batch"
+    );
     let mut items: Vec<u64> = std::iter::from_fn(|| queue.dequeue(0)).collect();
     items.sort_unstable();
     assert_eq!(items, (1..=ITEMS).collect::<Vec<_>>());

@@ -1640,14 +1640,12 @@ mod tests {
         p.store_u64(off, 0xD0_0D);
         p.flush(0, off);
         p.sfence(0);
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("store.fence.leader") - before.counter("store.fence.leader"),
-                1,
-                "a fence of the reopened pool did not lead a batch"
-            );
-        }
+        let after = obs::snapshot();
+        assert_eq!(
+            after.counter("store.fence.leader") - before.counter("store.fence.leader"),
+            1,
+            "a fence of the reopened pool did not lead a batch"
+        );
         drop(p);
         fs::remove_file(&path).unwrap();
     }
@@ -1656,7 +1654,6 @@ mod tests {
     /// least one fence must ride another thread's submission. (Counter
     /// deltas are `>=` because instruments are process-global.)
     #[test]
-    #[cfg(feature = "instrument")]
     fn group_commit_coalesces_concurrent_fences() {
         use std::sync::Barrier;
         let _serial = gc_serial();
@@ -1848,14 +1845,12 @@ mod tests {
                 (1..=depth).contains(&deepest),
                 "window {window_ns}: {deepest} batches in flight at once"
             );
-            if cfg!(feature = "instrument") {
-                let delta = |name| after.counter(name) - before.counter(name);
-                assert_eq!(
-                    delta("store.fence.leader") + delta("store.fence.follower"),
-                    (THREADS * FENCES) as u64,
-                    "window {window_ns}: a fence neither led nor followed"
-                );
-            }
+            let delta = |name| after.counter(name) - before.counter(name);
+            assert_eq!(
+                delta("store.fence.leader") + delta("store.fence.follower"),
+                (THREADS * FENCES) as u64,
+                "window {window_ns}: a fence neither led nor followed"
+            );
             drop(pool);
             fs::remove_file(&path).unwrap();
         }
@@ -1953,17 +1948,14 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    /// `sync.error` rose by exactly `n` since `before` (with counters
-    /// compiled in). It is process-global: the tests that fail syncs hold
-    /// `gc_serial()`.
+    /// `sync.error` rose by exactly `n` since `before`. It is
+    /// process-global: the tests that fail syncs hold `gc_serial()`.
     fn assert_sync_errors(before: &obs::MetricsSnapshot, n: u64) {
-        if cfg!(feature = "instrument") {
-            let after = obs::snapshot();
-            assert_eq!(
-                after.counter("sync.error") - before.counter("sync.error"),
-                n
-            );
-        }
+        let after = obs::snapshot();
+        assert_eq!(
+            after.counter("sync.error") - before.counter("sync.error"),
+            n
+        );
     }
 
     /// Runs `call` with the `nth` sync of `kind` on `path` failing, and

@@ -10,12 +10,8 @@
 use crate::algorithms::Algorithm;
 use crate::with_recoverable;
 use durable_queues::testkit::{self, persist_counts, PersistCounts};
-use durable_queues::{
-    DurableMsQueue, IzraelevitzQueue, LinkedQueue, MsQueue, NvTraverseQueue, OptLinkedQueue,
-    OptUnlinkedQueue, QueueConfig, RecoverableQueue, UnlinkedQueue,
-};
+use durable_queues::{QueueConfig, RecoverableQueue};
 use pmem::PoolConfig;
-use ptm::{OneFileLiteQueue, RedoOptLiteQueue};
 use shard::{RoutePolicy, ShardConfig, ShardedQueue};
 
 /// Per-operation persistence profile of one algorithm.
@@ -33,18 +29,7 @@ pub fn persist_counts_table(ops: u64) -> Vec<CountsRow> {
         .into_iter()
         .map(|algorithm| CountsRow {
             algorithm,
-            counts: match algorithm {
-                Algorithm::Msq => persist_counts::<MsQueue>(ops),
-                Algorithm::DurableMsq => persist_counts::<DurableMsQueue>(ops),
-                Algorithm::Izraelevitz => persist_counts::<IzraelevitzQueue>(ops),
-                Algorithm::NvTraverse => persist_counts::<NvTraverseQueue>(ops),
-                Algorithm::Unlinked => persist_counts::<UnlinkedQueue>(ops),
-                Algorithm::Linked => persist_counts::<LinkedQueue>(ops),
-                Algorithm::OptUnlinked => persist_counts::<OptUnlinkedQueue>(ops),
-                Algorithm::OptLinked => persist_counts::<OptLinkedQueue>(ops),
-                Algorithm::OneFileLite => persist_counts::<OneFileLiteQueue>(ops),
-                Algorithm::RedoOptLite => persist_counts::<RedoOptLiteQueue>(ops),
-            },
+            counts: with_recoverable!(algorithm, Q => persist_counts::<Q>(ops)),
         })
         .collect()
 }
@@ -137,6 +122,7 @@ pub fn render_counts(rows: &[CountsRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use durable_queues::OptUnlinkedQueue;
 
     #[test]
     fn counts_table_reproduces_the_papers_analytic_claims() {

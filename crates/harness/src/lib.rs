@@ -20,7 +20,6 @@ pub mod crash;
 pub mod fastpath;
 pub mod fsweep;
 pub mod jsonio;
-pub mod lease_verb;
 pub mod obs_verbs;
 pub mod reshard;
 pub mod restart;

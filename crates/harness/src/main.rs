@@ -25,9 +25,6 @@ use harness::crash::{self, Scenario};
 use harness::fastpath::{self, fastpath_json, render_fastpath, run_fastpath};
 use harness::fsweep::{self, fsweep_json, render_fsweep, run_fsweep};
 use harness::jsonio::JsonSink;
-use harness::lease_verb::{
-    render_lease, render_lease_groups, run_lease, run_lease_groups, LeaseVerbConfig,
-};
 use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
 };
@@ -45,7 +42,13 @@ use std::path::PathBuf;
 use std::process::exit;
 use store::SyncPolicy;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags whose value names a file or directory: given without one, the
+/// path would be the literal `true`.
+const PATH_FLAGS: [&str; 2] = ["json", "dir"];
+
+/// Parses `--name value` pairs; a flag without a value reads `"true"`,
+/// except that a valueless path flag ([`PATH_FLAGS`]) is an error naming it.
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -53,6 +56,8 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
+            } else if PATH_FLAGS.contains(&name) {
+                return Err(format!("--{name} needs a path"));
             } else {
                 String::from("true")
             };
@@ -60,7 +65,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         }
         i += 1;
     }
-    flags
+    Ok(flags)
 }
 
 fn sweep_from_flags(flags: &HashMap<String, String>) -> SweepConfig {
@@ -390,58 +395,6 @@ fn cmd_reshard(flags: &HashMap<String, String>) {
     run_reshard(&cfg);
 }
 
-fn cmd_lease(flags: &HashMap<String, String>) {
-    if flags.contains_key("json") {
-        eprintln!("lease: takes no --json (a delivery drill; qbench times leases)");
-        exit(2);
-    }
-    let mut cfg = if flags.contains_key("quick") {
-        LeaseVerbConfig::quick()
-    } else {
-        LeaseVerbConfig::default()
-    };
-    if flags.contains_key("shards") {
-        cfg.shard_counts = shards_from_flags(flags);
-    }
-    if let Some(o) = flags.get("ops") {
-        cfg.ops = o.parse().expect("bad --ops");
-    }
-    if let Some(n) = flags.get("nack-percent") {
-        cfg.nack_percent = n.parse().expect("bad --nack-percent");
-        assert!(cfg.nack_percent <= 100, "--nack-percent must be <= 100");
-    }
-    if let Some(a) = flags.get("algo").or_else(|| flags.get("algorithm")) {
-        cfg.algorithm = Algorithm::parse(a).unwrap_or_else(|| panic!("unknown algorithm {a}"));
-    }
-    if let Some(d) = flags.get("dir") {
-        cfg.dir = PathBuf::from(d);
-    }
-    if let Some(p) = flags.get("policy") {
-        cfg.policy = parse_policy(p);
-    }
-    if let Some(p) = flags.get("pool-bytes") {
-        cfg.pool_bytes = p.parse().expect("bad --pool-bytes");
-    }
-    if let Some(c) = flags.get("consumers") {
-        cfg.consumers = c.parse().expect("bad --consumers");
-        assert!(cfg.consumers >= 1, "--consumers must be >= 1");
-    }
-    if let Some(g) = flags.get("groups") {
-        cfg.groups = g.parse().expect("bad --groups");
-        assert!(cfg.groups >= 1, "--groups must be >= 1");
-    }
-    if let Some(w) = flags.get("work-ns") {
-        cfg.work_ns = w.parse().expect("bad --work-ns");
-    }
-    cfg.sync = parse_sync(flags);
-    cfg.fence_window_ns = parse_fence_window(flags);
-    if cfg.is_grouped() {
-        print!("{}", render_lease_groups(&cfg, &run_lease_groups(&cfg)));
-    } else {
-        print!("{}", render_lease(&cfg, &run_lease(&cfg)));
-    }
-}
-
 fn cmd_fastpath(flags: &HashMap<String, String>) {
     let cfg = fastpath::config_from_flags(flags);
     let mut json = JsonSink::from_flags(flags);
@@ -519,7 +472,10 @@ fn cmd_crashtest(flags: &HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let flags = parse_flags(&args[1.min(args.len())..]);
+    let flags = parse_flags(&args[1.min(args.len())..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
     match command {
         "fig2" => cmd_fig2(&flags),
         "counts" => cmd_counts(&flags),
@@ -529,7 +485,6 @@ fn main() {
         "reshard" => cmd_reshard(&flags),
         "fastpath" => cmd_fastpath(&flags),
         "fsweep" => cmd_fsweep(&flags),
-        "lease" => cmd_lease(&flags),
         "metrics" => cmd_metrics(&flags),
         "blackbox" => cmd_blackbox(
             args.get(1)
@@ -550,7 +505,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: harness <fig2|counts|crashtest|shards|restart|reshard|fastpath|fsweep|lease|metrics|blackbox|all> [flags]\n\
+                "usage: harness <fig2|counts|crashtest|shards|restart|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
                  \n\
                  fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
                  counts     per-operation persistence counts (experiments E7/E8)\n\
@@ -569,12 +524,6 @@ fn main() {
                             across producer counts and fence windows\n\
                             (--producers 1,2,4,8 --windows 0,50,200\n\
                             --fences N --pages K)\n\
-                 lease      peek-lock producer/consumer delivery drill through a\n\
-                            leased deployment (every item acked once, nacks\n\
-                            redelivered; text table only);\n\
-                            --groups G / --consumers N switch to the consumer-\n\
-                            group deployment (every group sees every item,\n\
-                            consumers within a group compete)\n\
                  metrics    drive a short leased workload, then dump the\n\
                             process-global instruments (Prometheus text, or a\n\
                             metrics experiment object with --json)\n\
@@ -593,8 +542,6 @@ fn main() {
                                more fences; default 0)\n\
                                --pool-bytes N --grow-step N   (file pools grow by\n\
                                >= N bytes on exhaustion; 0 = fixed size)\n\
-                 lease:        --ops N --nack-percent P --shards 1,2,4\n\
-                               --consumers N --groups G --work-ns X\n\
                  output:       --json PATH   (counts, shards, restart, fastpath,\n\
                                fsweep, metrics, blackbox: JSON array of\n\
                                experiment objects; schema in README)\n\
@@ -606,5 +553,28 @@ fn main() {
             );
             exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_path_flag_without_a_value_is_refused_by_name() {
+        for flag in PATH_FLAGS {
+            let bare = format!("--{flag}");
+            for args in [vec![bare.as_str()], vec![bare.as_str(), "--quick"]] {
+                assert_eq!(parse(&args), Err(format!("--{flag} needs a path")));
+            }
+        }
+        let flags = parse(&["--json", "out.json", "--quick", "--dir", "d"]).unwrap();
+        assert_eq!(flags["json"], "out.json");
+        assert_eq!(flags["dir"], "d");
+        assert_eq!(flags["quick"], "true");
     }
 }

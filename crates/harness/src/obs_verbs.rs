@@ -20,15 +20,22 @@
 //! file itself.
 
 use crate::jsonio::ExperimentObject;
-use crate::lease_verb::{run_lease, LeaseVerbConfig};
+use durable_queues::{OptUnlinkedQueue, QueueConfig};
+use lease::{create_leased_dir, LeaseDirConfig};
 use obs::flight::{FlightRecorder, Replay};
 use obs::MetricsSnapshot;
+use pmem::PoolConfig;
+use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig};
 use std::path::{Path, PathBuf};
-use store::SyncPolicy;
+use std::time::Duration;
+use store::{FileConfig, SyncPolicy};
 
 /// Drives the warm-up workload for `harness metrics` and returns the
 /// process-global snapshot. `ops` items flow through a 2-shard leased
-/// deployment under `dir` (removed again afterwards by the sweep itself).
+/// deployment in `dir/leased` (removed again afterwards): one producer
+/// thread enqueues them while one consumer acks each, except that 5 % are
+/// nacked on their first delivery and acked on redelivery, so the lease
+/// instruments see grant, ack, nack and compaction traffic.
 ///
 /// A flight recorder is installed in `dir` first, so the run leaves a
 /// `BLACKBOX.ring` of its lifecycle events behind — `harness blackbox DIR`
@@ -39,16 +46,50 @@ pub fn warmed_snapshot(ops: u64, dir: PathBuf, sync: SyncPolicy) -> MetricsSnaps
     let recorder = FlightRecorder::create_or_open(&dir, obs::flight::DEFAULT_CAPACITY)
         .expect("metrics: create flight recorder");
     obs::flight::install(recorder);
-    let cfg = LeaseVerbConfig {
-        shard_counts: vec![2],
-        ops,
-        nack_percent: 5,
-        dir,
-        sync,
-        pool_bytes: 16 << 20,
-        ..LeaseVerbConfig::default()
-    };
-    let _rows = run_lease(&cfg);
+    let dir = dir.join("leased");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("metrics: create deployment dir");
+    let pool_bytes = 16 << 20;
+    let queue = create_leased_dir::<OptUnlinkedQueue>(
+        &RecoveryOrchestrator::new(2),
+        &dir,
+        ShardConfig {
+            shards: 2,
+            queue: QueueConfig {
+                max_threads: 8,
+                area_size: 1 << 20,
+            },
+            pool: PoolConfig::test_with_size(pool_bytes),
+            policy: RoutePolicy::RoundRobin,
+        },
+        FileConfig::with_size(pool_bytes).with_sync(sync),
+        &LeaseDirConfig {
+            // Long enough that nothing expires mid-run: redelivery traffic
+            // comes from the nacks, not from timeouts.
+            lease_timeout: Duration::from_secs(600),
+            ..LeaseDirConfig::default()
+        },
+    )
+    .expect("metrics: create leased dir");
+    std::thread::scope(|scope| {
+        let q = &queue;
+        scope.spawn(move || (1..=ops).for_each(|seq| q.enqueue(0, seq)));
+        let mut acked = 0;
+        while acked < ops {
+            let Some(l) = q.dequeue(1) else {
+                std::hint::spin_loop();
+                continue;
+            };
+            if l.delivery_count == 1 && l.item % 100 < 5 {
+                q.nack(1, &l).expect("metrics: nack");
+            } else {
+                q.ack(&l).expect("metrics: ack");
+                acked += 1;
+            }
+        }
+    });
+    drop(queue);
+    let _ = std::fs::remove_dir_all(&dir);
     obs::snapshot()
 }
 

@@ -284,8 +284,8 @@ pub type OpenedGroupedDir<Q> = (Arc<GroupedQueue<Q>>, RecoveryReport, ShardManif
 ///
 /// `cursor` is the deployment's exactly-once ack engine, recovered from
 /// the consumer's pool *before* this call and created with at least as
-/// many stripes as there are groups ([`ExactlyOnce::create_for_groups`](
-/// crate::tx::ExactlyOnce::create_for_groups)); pass `None` for plain
+/// many stripes as there are groups ([`ExactlyOnce::create`](
+/// crate::tx::ExactlyOnce::create)); pass `None` for plain
 /// at-least-once deployments.
 pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
     orch: &RecoveryOrchestrator,

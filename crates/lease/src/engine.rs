@@ -751,7 +751,6 @@ mod tests {
     use crate::{GroupConfig, GroupedQueue, LeaseConfig, LeasedQueue, GROUPS_DIR};
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
-    use ptm::FlushPolicy;
     use std::path::PathBuf;
     use store::SyncPolicy;
 
@@ -866,7 +865,7 @@ mod tests {
         let timeout = Duration::ZERO;
         let cursor = || {
             let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-            ExactlyOnce::create(pool, FlushPolicy::BatchedCommit)
+            ExactlyOnce::create(pool, 1)
         };
         let dlq = || -> Option<Arc<dyn DurableQueue>> { Some(Arc::new(fresh_base())) };
 

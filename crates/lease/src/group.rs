@@ -580,7 +580,6 @@ mod tests {
     use crate::tx::ExactlyOnce;
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
-    use ptm::FlushPolicy;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-group-{tag}-{}", std::process::id()));
@@ -795,7 +794,7 @@ mod tests {
         let dir = tmp("eo");
         let cfg = GroupConfig::new(&dir, ["a", "b"]);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create_for_groups(Arc::clone(&pool), FlushPolicy::BatchedCommit, 2);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 2);
         let word = pool.alloc_raw(8, 8);
         {
             let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(2), cfg.clone()).unwrap());
@@ -839,7 +838,7 @@ mod tests {
         // A one-stripe engine paired with a two-group deployment: group
         // b's handle must fail loudly instead of clobbering stripe 0.
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         q.enqueue(0, 1);
         let b = q.group("b").unwrap();
         let l = b.dequeue(0).unwrap();

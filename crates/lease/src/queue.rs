@@ -143,7 +143,7 @@ pub enum LeaseError {
     /// The consumer-group index does not fit the exactly-once cursor: the
     /// engine was created with fewer stripes than this deployment has
     /// groups (see
-    /// [`ExactlyOnce::create_for_groups`](crate::tx::ExactlyOnce::create_for_groups)).
+    /// [`ExactlyOnce::create`](crate::tx::ExactlyOnce::create)).
     GroupOutOfRange {
         /// The offending group index.
         group: usize,
@@ -448,7 +448,6 @@ mod tests {
     use crate::tx::ExactlyOnce;
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
-    use ptm::FlushPolicy;
     use std::fs::OpenOptions;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -621,27 +620,66 @@ mod tests {
 
     #[test]
     fn compaction_keeps_live_leases_and_shrinks_the_log() {
-        let dir = tmp("compact");
-        let cfg = LeaseConfig::new(&dir).with_compact_after(16);
-        let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
-        let keeper_item = 777u64;
-        q.enqueue(0, keeper_item);
-        let keeper = q.dequeue(0).unwrap(); // stays in flight throughout
-        for i in 1..=40u64 {
-            q.enqueue(0, i);
-            let l = q.dequeue(0).unwrap();
-            q.ack(&l).unwrap();
-        }
-        assert!(q.stats().compactions >= 1, "compaction never triggered");
-        assert!(q.log_records() < 40, "log did not shrink");
-        drop(q);
+        // Two traffic shapes around one lease held throughout: one thread
+        // enqueueing and acking in turn, and a producer thread racing a
+        // consumer that nacks every tenth item once and acks it on
+        // redelivery, until every item is acked.
+        for (tag, items, racing) in [("compact", 40u64, false), ("compact-racing", 2_000, true)] {
+            let dir = tmp(tag);
+            let cfg = LeaseConfig::new(&dir).with_compact_after(16);
+            let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
+            let keeper_item = 1u64 << 40;
+            q.enqueue(0, keeper_item);
+            let keeper = q.dequeue(0).unwrap(); // stays in flight throughout
+            let mut acked = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            std::thread::scope(|scope| {
+                let q = &q;
+                if racing {
+                    scope.spawn(move || (1..=items).for_each(|i| q.enqueue(0, i)));
+                }
+                for i in 1..=items {
+                    if !racing {
+                        q.enqueue(0, i);
+                    }
+                    let l = loop {
+                        match q.dequeue(1) {
+                            Some(l) if l.item % 10 == 0 && l.delivery_count == 1 && racing => {
+                                q.nack(1, &l).unwrap();
+                            }
+                            Some(l) => break l,
+                            None => {
+                                let late = std::time::Instant::now() > deadline;
+                                assert!(!late, "{tag}: {} of {items} acked", i - 1);
+                                std::thread::yield_now();
+                            }
+                        }
+                    };
+                    q.ack(&l).unwrap();
+                    acked.push(l.item);
+                }
+            });
+            acked.sort_unstable();
+            assert_eq!(
+                acked,
+                (1..=items).collect::<Vec<_>>(),
+                "{tag}: lost or doubled"
+            );
+            let s = q.stats();
+            let nacked = if racing { items / 10 } else { 0 };
+            assert_eq!((s.acked, s.nacked, s.redelivered), (items, nacked, nacked));
+            assert_eq!((s.dead_lettered, q.in_flight()), (0, 1));
+            assert!(s.compactions >= 1, "{tag}: compaction never triggered");
+            assert!(q.log_records() < 40, "{tag}: log did not shrink");
+            drop(q);
 
-        let (q, rec) = LeasedQueue::recover(fresh_base(), None, cfg, None).unwrap();
-        assert_eq!(rec.redelivered, 1, "live lease lost by compaction");
-        let r = q.dequeue(0).unwrap();
-        assert_eq!((r.item, r.delivery_count), (keeper_item, 2));
-        assert!(r.id > keeper.id);
-        std::fs::remove_dir_all(&dir).unwrap();
+            let (q, rec) = LeasedQueue::recover(fresh_base(), None, cfg, None).unwrap();
+            assert_eq!(rec.redelivered, 1, "{tag}: live lease lost by compaction");
+            let r = q.dequeue(0).unwrap();
+            assert_eq!((r.item, r.delivery_count), (keeper_item, 2));
+            assert!(r.id > keeper.id);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -714,7 +752,7 @@ mod tests {
         let dir = tmp("settling");
         let q = LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap();
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         q.enqueue(0, 11);
         let l = q.dequeue(0).unwrap();
         let word = pool.alloc_raw(8, 8);
@@ -744,7 +782,7 @@ mod tests {
         let dir = tmp("bad-tid");
         let q = LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap();
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         q.enqueue(0, 3);
         let l = q.dequeue(0).unwrap();
         let mut body_ran = false;
@@ -770,7 +808,7 @@ mod tests {
         let dir = tmp("tx-repair");
         let cfg = LeaseConfig::new(&dir);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         let consumer_state = pool.alloc_raw(8, 8);
         {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
@@ -804,7 +842,7 @@ mod tests {
         let dir = tmp("stale-cursor");
         let cfg = LeaseConfig::new(&dir);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
             q.enqueue(0, 1);

@@ -77,23 +77,17 @@ pub struct ExactlyOnce {
 }
 
 impl ExactlyOnce {
-    /// Creates a fresh single-group engine on `pool` — the layout every
-    /// plain [`LeasedQueue`](crate::LeasedQueue) deployment uses. See
-    /// [`create_for_groups`](Self::create_for_groups).
-    pub fn create(pool: Arc<PmemPool>, policy: FlushPolicy) -> Self {
-        Self::create_for_groups(pool, policy, 1)
-    }
-
-    /// Creates a fresh engine with one cursor stripe per consumer group:
-    /// allocates and zeroes the `groups × MAX_THREADS` entry area,
-    /// publishes it (with the stripe count) in root slot
-    /// [`CURSOR_ROOT_SLOT`], and starts a fresh [`Ptm`].
+    /// Creates a fresh engine with one cursor stripe per consumer group
+    /// (`1` for a plain [`LeasedQueue`](crate::LeasedQueue)): allocates and
+    /// zeroes the `groups × MAX_THREADS` entry area, publishes it (with the
+    /// stripe count) in root slot [`CURSOR_ROOT_SLOT`], and starts a fresh
+    /// batched-commit [`Ptm`].
     ///
     /// # Panics
     /// If `groups` is `0` or exceeds [`MAX_GROUPS`] — a sizing decision
     /// made once at deployment creation, so misconfiguration should fail
     /// loudly before anything is in flight.
-    pub fn create_for_groups(pool: Arc<PmemPool>, policy: FlushPolicy, groups: usize) -> Self {
+    pub fn create(pool: Arc<PmemPool>, groups: usize) -> Self {
         assert!(
             (1..=MAX_GROUPS).contains(&groups),
             "exactly-once cursor needs 1..={MAX_GROUPS} groups, got {groups}"
@@ -108,7 +102,7 @@ impl ExactlyOnce {
             ((groups as u64 - 1) << 32) | cursor as u64,
         );
         ExactlyOnce {
-            ptm: Ptm::new(pool, policy),
+            ptm: Ptm::new(pool, FlushPolicy::BatchedCommit),
             cursor,
             groups,
         }
@@ -121,11 +115,10 @@ impl ExactlyOnce {
     /// bare offset (zero high half) and recover as one-stripe engines.
     ///
     /// # Panics
-    /// If the pool was never initialised with [`create`](Self::create) /
-    /// [`create_for_groups`](Self::create_for_groups) (root slot 7 is
-    /// zero).
-    pub fn recover(pool: Arc<PmemPool>, policy: FlushPolicy) -> Self {
-        let ptm = Ptm::recover(pool, policy);
+    /// If the pool was never initialised with [`create`](Self::create)
+    /// (root slot 7 is zero).
+    pub fn recover(pool: Arc<PmemPool>) -> Self {
+        let ptm = Ptm::recover(pool, FlushPolicy::BatchedCommit);
         let word = ptm.pool().root_u64(CURSOR_ROOT_SLOT);
         let cursor = word as u32;
         let groups = (word >> 32) as usize + 1;
@@ -235,7 +228,7 @@ mod tests {
     fn cursor_survives_crash_and_reports_committed_acks() {
         let generation = 7777u64;
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 1);
         assert!(eo.acked_ids(generation).is_empty());
 
         let consumer_state = pool.alloc_raw(8, 8);
@@ -248,7 +241,7 @@ mod tests {
         // Crash: the committed transaction must survive into the cursor
         // and the consumer's own word, atomically.
         let crashed = Arc::new(pool.simulate_crash());
-        let eo2 = ExactlyOnce::recover(Arc::clone(&crashed), FlushPolicy::BatchedCommit);
+        let eo2 = ExactlyOnce::recover(Arc::clone(&crashed));
         assert_eq!(eo2.groups(), 1);
         assert_eq!(eo2.acked_ids(generation), vec![41]);
         assert!(eo2.acked_ids(generation + 1).is_empty());
@@ -260,7 +253,7 @@ mod tests {
         let gen_a = 111u64;
         let gen_b = 222u64;
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let eo = ExactlyOnce::create_for_groups(Arc::clone(&pool), FlushPolicy::BatchedCommit, 3);
+        let eo = ExactlyOnce::create(Arc::clone(&pool), 3);
         assert_eq!(eo.groups(), 3);
         let word = pool.alloc_raw(8, 8);
         // The same tid acks different leases in different groups; the
@@ -273,7 +266,7 @@ mod tests {
         assert!(eo.acked_ids_in(2, gen_a).is_empty());
 
         let crashed = Arc::new(pool.simulate_crash());
-        let eo2 = ExactlyOnce::recover(crashed, FlushPolicy::BatchedCommit);
+        let eo2 = ExactlyOnce::recover(crashed);
         assert_eq!(eo2.groups(), 3);
         assert_eq!(eo2.acked_ids_in(0, gen_a), vec![10]);
         assert_eq!(eo2.acked_ids_in(1, gen_b), vec![20]);
@@ -286,13 +279,13 @@ mod tests {
         // A Ptm exists but no cursor was ever published.
         drop(Ptm::new(Arc::clone(&pool), FlushPolicy::BatchedCommit));
         let crashed = Arc::new(pool.simulate_crash());
-        let _ = ExactlyOnce::recover(crashed, FlushPolicy::BatchedCommit);
+        let _ = ExactlyOnce::recover(crashed);
     }
 
     #[test]
     #[should_panic(expected = "1..=")]
     fn zero_groups_is_refused_at_creation() {
         let pool = Arc::new(PmemPool::new(PoolConfig::small_test()));
-        let _ = ExactlyOnce::create_for_groups(pool, FlushPolicy::BatchedCommit, 0);
+        let _ = ExactlyOnce::create(pool, 0);
     }
 }

@@ -10,12 +10,10 @@
 //! applies the shape's oracle. The child
 //! ([`run_child`]) confirms every completed operation with one [`AckLog`]
 //! line written after the operation returned; the oracles read each log
-//! with [`read_unique_acks`]. `harness restart` runs its rounds through
-//! here with its own binary; the suites of `crates/harness/tests/` run
-//! the whole table with the built one.
+//! with [`read_unique_acks`]. The suites of `crates/harness/tests/` are
+//! the table: one row per scenario, run with the built harness binary.
 
 use crate::algorithms::Algorithm;
-use crate::restart::check_suffix;
 use crate::with_recoverable;
 use durable_queues::root::TAG_ROOT_SLOT;
 use durable_queues::testkit::subprocess::{
@@ -29,7 +27,8 @@ use lease::{
 use obs::flight::{EventKind, FlightRecorder};
 use pmem::PmemPool;
 use shard::{
-    check_pool, resolve_reshard, RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardedQueue,
+    check_pool, resolve_reshard, RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardManifest,
+    ShardedQueue,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::os::unix::process::ExitStatusExt;
@@ -110,25 +109,6 @@ pub struct Scenario {
     pub abort: Option<(&'static str, u32)>,
     /// Working directory; [`run`] empties it before and removes it after.
     pub dir: PathBuf,
-}
-
-/// What a round observed, for reports; a field a shape has no use for
-/// stays 0. `consumed` counts confirmed dequeues, consumer acks or
-/// completed reshards; `recovery` is the reopen plus `recover()` time;
-/// `resolved` and `shards_after` say how an interrupted reshard resolved.
-#[derive(Clone, Debug, Default)]
-pub struct Outcome {
-    pub(crate) enqueued: usize,
-    pub(crate) consumed: usize,
-    pub(crate) held: usize,
-    pub(crate) recovered: usize,
-    pub(crate) recovery: Duration,
-    pub(crate) growth_epochs: u64,
-    pub(crate) blackbox_events: u64,
-    pub(crate) unacked: u64,
-    pub(crate) redelivered: u64,
-    pub(crate) resolved: Option<shard::ReshardResolution>,
-    pub(crate) shards_after: usize,
 }
 
 impl Scenario {
@@ -325,8 +305,18 @@ impl Scenario {
         }
     }
 
+    /// The queue shape's pool files: one, or a directory's under their
+    /// manifest names.
+    fn pool_paths(&self) -> Vec<PathBuf> {
+        match self.shards {
+            1 => vec![self.dir.join(POOL_FILE)],
+            n => ShardManifest::new(n, self.policy).pool_paths(&self.dir),
+        }
+    }
+
     /// Whether the SIGKILL may land: enough confirmed traffic (a dequeuer's
-    /// first dequeue included), and the pool file extended `growths` times.
+    /// first dequeue included), and every pool file extended `growths`
+    /// times.
     fn ready(&self) -> bool {
         let at = |name: &str, min: usize| count_lines(&self.dir.join(name)) >= min;
         let min = self.min_acks;
@@ -338,9 +328,9 @@ impl Scenario {
             Shape::Reshard => at("reshard.log", min),
             Shape::FenceCells => at("ack-0.log", min),
         };
-        let grown = HEADER_LEN + self.pool_bytes + self.growths as usize * self.grow_step;
-        let pool_len = || std::fs::metadata(self.dir.join(POOL_FILE)).map_or(0, |m| m.len());
-        traffic && (self.growths == 0 || pool_len() >= grown as u64)
+        let grown = (HEADER_LEN + self.pool_bytes + self.growths as usize * self.grow_step) as u64;
+        let len = |path: &PathBuf| std::fs::metadata(path).map_or(0, |m| m.len());
+        traffic && (self.growths == 0 || self.pool_paths().iter().all(|p| len(p) >= grown))
     }
 }
 
@@ -349,7 +339,7 @@ impl Scenario {
 /// Runs one crash round with `exe` (a harness binary) as the child: spawn,
 /// wait, SIGKILL or run to the abort point, reopen, apply the shape's
 /// oracle. Panics on any violated guarantee.
-pub fn run(exe: &Path, s: &Scenario) -> Outcome {
+pub fn run(exe: &Path, s: &Scenario) {
     let _ = std::fs::remove_dir_all(&s.dir);
     std::fs::create_dir_all(&s.dir).expect("create crash round dir");
     let mut cmd = Command::new(exe);
@@ -380,14 +370,13 @@ pub fn run(exe: &Path, s: &Scenario) -> Outcome {
         std::thread::sleep(Duration::from_millis(s.jitter_ms));
         kill_and_reap(&mut child);
     }
-    let outcome = with_recoverable!(s.algorithm, Q => match s.shape {
+    with_recoverable!(s.algorithm, Q => match s.shape {
         Shape::Queue => queue_oracle::<Q>(s),
         Shape::Leased | Shape::Grouped => lease_oracle::<Q>(s),
         Shape::Reshard => reshard_oracle::<Q>(s),
         Shape::FenceCells => fence_oracle(s),
     });
     let _ = std::fs::remove_dir_all(&s.dir);
-    outcome
 }
 
 fn drain(queue: &(impl DurableQueue + ?Sized)) -> Vec<u64> {
@@ -447,40 +436,76 @@ fn check_recorded(s: &Scenario, tag: [u8; 8], pools: &[PathBuf]) {
     }
 }
 
+/// At most the growth in flight at a SIGKILL is uncommitted, and
+/// recovery kept the growth the header `committed`.
+fn check_committed(s: &Scenario, committed: u32, pool: &PmemPool) {
+    let lost = s.abort.is_none() && committed + 1 < s.growths;
+    assert!(!lost, "growths lost");
+    let shrank = pool.growth_epoch() < committed;
+    assert!(!shrank, "recovery shrank the epoch");
+}
+
 fn serves_fresh_traffic(queue: &impl DurableQueue) {
     queue.enqueue(2, u64::MAX);
     assert_eq!(queue.dequeue(2), Some(u64::MAX), "no post-recovery traffic");
 }
 
-/// The reopened pool is dirty at its committed size (a grow abort point
-/// fixes which), [`check_suffix`] holds, the ring kept every inherited
-/// growth, and the queue serves fresh traffic and, if elastic, grows.
-fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
-    let (residues, recovery, growth_epochs) = if s.shards == 1 {
+/// The linearizable-suffix rule of a crashed queue, from its confirmed
+/// enqueues and dequeues and each shard's residue in drain order: nothing
+/// duplicated, each shard FIFO, no confirmed dequeue resurrected, every
+/// confirmed enqueue recovered or dequeued up to one in-flight dequeue per
+/// dequeuer, and at most one unconfirmed enqueue per enqueuer.
+fn check_suffix(
+    acked_e: &BTreeSet<u64>,
+    acked_d: &BTreeSet<u64>,
+    residues: &[Vec<u64>],
+    enqueuers: usize,
+    dequeuers: usize,
+) {
+    let mut recovered = BTreeSet::new();
+    for (shard, residue) in residues.iter().enumerate() {
+        let mut last = None;
+        for &v in residue {
+            assert!(recovered.insert(v), "item {v} duplicated in the residue");
+            assert!(last < Some(v), "shard {shard} not FIFO: {v} after {last:?}");
+            last = Some(v);
+        }
+    }
+    let back: Vec<&u64> = recovered.intersection(acked_d).collect();
+    assert!(back.is_empty(), "dequeues resurrected: {back:?}");
+    let gone = |v: &&u64| !acked_d.contains(v) && !recovered.contains(v);
+    let lost: Vec<&u64> = acked_e.iter().filter(gone).take(10).collect();
+    let extra: Vec<&u64> = recovered.difference(acked_e).take(10).collect();
+    assert!(lost.len() <= dequeuers, "confirmed items lost: {lost:?}");
+    assert!(extra.len() <= enqueuers, "unconfirmed items: {extra:?}");
+}
+
+/// Every reopened pool is dirty at its committed size (a grow abort point
+/// fixes which) and kept its committed growth, [`check_suffix`] holds, the
+/// ring kept every inherited growth, and the queue serves fresh traffic
+/// and, if elastic, every pool still grows.
+fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) {
+    let (residues, growth_epochs) = if s.shards == 1 {
         let path = s.dir.join(POOL_FILE);
         let geometry = check_pool::<Q>(&path).expect("check the pool header");
         if let Some((var, _)) = s.abort {
             check_grow_abort(s, var, &geometry);
         }
         let epoch = geometry.growth_epoch;
-        // Only the growth in flight at a SIGKILL may be uncommitted.
-        assert!(s.abort.is_some() || epoch + 1 >= s.growths, "growths lost");
-        let begun = Instant::now();
         let pool = FilePool::open_with_config(&path, s.session()).expect("reopen pool");
         assert!(!pool.was_clean(), "a crashed child leaves the pool dirty");
         let pool = pool.into_pool();
         let reopened = (pool.growth_epoch(), pool.len());
         assert_eq!(reopened, (epoch, geometry.pool_size), "committed geometry");
         let queue = Q::recover(Arc::clone(&pool), s.queue_config());
-        let recovery = begun.elapsed();
-        assert!(pool.growth_epoch() >= epoch, "recovery shrank the epoch");
+        check_committed(s, epoch, &pool);
         let residue = drain(&queue);
         serves_fresh_traffic(&queue);
         if s.grow_step > 0 {
             keeps_growing(&queue, &pool);
         }
         check_recorded(s, Q::TAG, &[path]);
-        (vec![residue], recovery, epoch as u64)
+        (vec![residue], epoch as u64)
     } else {
         let begun = Instant::now();
         let (queue, report, manifest) = RecoveryOrchestrator::new(s.shards)
@@ -490,10 +515,16 @@ fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
         assert!(report.wall <= recovery, "the report covers recover()");
         let deployed = (manifest.shards(), manifest.policy, report.per_shard.len());
         assert_eq!(deployed, (s.shards, s.policy, s.shards), "manifest");
+        for r in &report.per_shard {
+            check_committed(s, r.growth_epoch, queue.shard_pool(r.shard));
+        }
         let residues = (0..s.shards).map(|i| drain(queue.shard(i))).collect();
         serves_fresh_traffic(&queue);
+        if s.grow_step > 0 {
+            (0..s.shards).for_each(|i| keeps_growing(queue.shard(i), queue.shard_pool(i)));
+        }
         check_recorded(s, Q::TAG, &manifest.pool_paths(&s.dir));
-        (residues, recovery, report.total_growth_epochs())
+        (residues, report.total_growth_epochs())
     };
     let acked_e = read_unique_acks(&s.dir.join("enq.log"), "E");
     let acked_d = read_unique_acks(&s.dir.join("deq.log"), "D");
@@ -508,15 +539,6 @@ fn queue_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
         commits + in_flight >= growth_epochs,
         "ring has {commits} growths"
     );
-    Outcome {
-        enqueued: acked_e.len(),
-        consumed: acked_d.len(),
-        recovered: residues.iter().map(Vec::len).sum(),
-        recovery,
-        growth_epochs,
-        blackbox_events: ring.events.len() as u64,
-        ..Outcome::default()
-    }
 }
 
 /// The consumer groups of the leased or grouped shape: (name, competing
@@ -532,14 +554,12 @@ fn groups(shape: Shape) -> &'static [(&'static str, usize, bool)] {
 /// recovery report's (unacked, redelivered, dead-lettered) counts.
 type Recovered<'a> = (&'a dyn PeekLock, &'a dyn DurableQueue, (u64, u64, u64));
 
-fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
+fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) {
     let orch = RecoveryOrchestrator::new(s.shards);
-    let begun = Instant::now();
     if s.shape == Shape::Leased {
         let (queue, report, manifest) =
             open_leased_dir::<Q>(&orch, &s.dir, s.queue_config(), &s.lease_config(), None)
                 .expect("recover the leased dir");
-        let recovery = begun.elapsed();
         let pools = [manifest.pool_paths(&s.dir), vec![s.dir.join(DLQ_POOL_FILE)]];
         check_recorded(s, Q::TAG, &pools.concat());
         let r = report.lease.expect("lease recovery counts in the report");
@@ -547,12 +567,11 @@ fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
         let counts = (r.unacked, r.redelivered, r.dead_lettered);
         let recovered: [Recovered; 1] = [(&queue, dlq, counts)];
         let enqueue = |v| queue.enqueue(2, v);
-        check_groups(s, manifest.shards(), recovery, &enqueue, &recovered)
+        check_groups(s, manifest.shards(), &enqueue, &recovered)
     } else {
         let (queue, report, manifest) =
             open_grouped_dir::<Q>(&orch, &s.dir, s.queue_config(), &s.group_config(), None)
                 .expect("recover the grouped dir");
-        let recovery = begun.elapsed();
         let handles = queue.handles();
         let mut pools = manifest.pool_paths(&s.dir);
         let dlq_of =
@@ -568,7 +587,7 @@ fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
             })
             .collect();
         let enqueue = |v| queue.enqueue(2, v);
-        check_groups(s, manifest.shards(), recovery, &enqueue, &recovered)
+        check_groups(s, manifest.shards(), &enqueue, &recovered)
     }
 }
 
@@ -577,13 +596,7 @@ fn lease_oracle<Q: RecoverableQueue + 'static>(s: &Scenario) -> Outcome {
 /// poison never do, the poison sits alone in the holding group's
 /// dead-letter queue, confirmed enqueues survive up to the in-transit
 /// window, and a fresh grant follows.
-fn check_groups(
-    s: &Scenario,
-    shards: usize,
-    recovery: Duration,
-    enqueue: &dyn Fn(u64),
-    recovered: &[Recovered],
-) -> Outcome {
+fn check_groups(s: &Scenario, shards: usize, enqueue: &dyn Fn(u64), recovered: &[Recovered]) {
     // Grants are the ring's densest event: a valid replay without one
     // lost the pre-crash lease traffic.
     let ring = replay_ring(&s.dir);
@@ -591,12 +604,7 @@ fn check_groups(
     assert!(grants > 0, "no pre-crash grant ({torn} torn)");
     assert_eq!(shards, s.shards, "manifest shard count");
     let enq = read_unique_acks(&s.dir.join("enq.log"), "E");
-    let mut out = Outcome {
-        enqueued: enq.len(),
-        recovery,
-        blackbox_events: ring.events.len() as u64,
-        ..Outcome::default()
-    };
+    let mut consumed = 0;
     let specs = groups(s.shape);
     assert_eq!(specs.len(), recovered.len(), "groups");
     for (&(name, consumers, holds), &(queue, dlq, counts)) in specs.iter().zip(recovered) {
@@ -635,13 +643,9 @@ fn check_groups(
         assert!(extras.len() <= 1, "{name}: unconfirmed extras: {extras:?}");
         let dead = drain(dlq);
         assert_eq!(dead, &[POISON][..holds as usize], "{name}: dead letters");
-        out.consumed += acked.len();
-        out.held += held.len();
-        out.recovered += seen.len();
-        out.unacked += unacked;
-        out.redelivered += bumped;
+        consumed += acked.len();
     }
-    assert!(out.consumed >= s.min_acks, "crashed before traffic");
+    assert!(consumed >= s.min_acks, "crashed before traffic");
     // The recovered deployment grants fresh traffic to every group.
     enqueue(u64::MAX);
     for (queue, ..) in recovered {
@@ -649,7 +653,6 @@ fn check_groups(
         assert_eq!((l.item, l.delivery_count), (u64::MAX, 1), "fresh grant");
         queue.ack(&l);
     }
-    out
 }
 
 /// Drains `queue` with `drainers` competing threads, acking everything:
@@ -673,7 +676,7 @@ fn drain_leases(queue: &dyn PeekLock, drainers: usize) -> BTreeMap<u64, u32> {
 
 /// The directory resolves to a consistent shard count (fixed by an abort
 /// point), holds every key's items once and in order, and reopens empty.
-fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
+fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) {
     let log = s.dir.join("reshard.log");
     assert!(log.exists(), "the child died before it finished seeding");
     let completed = read_unique_acks(&log, "R").len();
@@ -681,9 +684,7 @@ fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
     let resolved = resolve_reshard(&s.dir).expect("resolve the interrupted reshard");
     let orch = RecoveryOrchestrator::new(s.shards);
     let reopen = || orch.open_dir::<Q>(&s.dir, s.queue_config());
-    let begun = Instant::now();
     let (queue, _, manifest) = reopen().expect("recover the resharded directory");
-    let recovery = begun.elapsed();
     let shards = manifest.shards();
     check_recorded(s, Q::TAG, &manifest.pool_paths(&s.dir));
     // The child's first reshard goes to 2 shards.
@@ -711,18 +712,10 @@ fn reshard_oracle<Q: RecoverableQueue>(s: &Scenario) -> Outcome {
     drop(queue);
     let (queue, ..) = reopen().expect("reopen the drained directory");
     assert_eq!(queue.dequeue(0), None, "a drained directory reopens empty");
-    Outcome {
-        consumed: completed,
-        recovered: last.iter().sum::<u64>() as usize,
-        recovery,
-        resolved,
-        shards_after: shards,
-        ..Outcome::default()
-    }
 }
 
 /// Each producer's cell reads at or past its last acked fence.
-fn fence_oracle(s: &Scenario) -> Outcome {
+fn fence_oracle(s: &Scenario) {
     let path = s.dir.join(POOL_FILE);
     let pool = FilePool::open(&path).expect("reopen pool file");
     assert!(!pool.was_clean(), "an aborted child leaves the pool dirty");
@@ -741,10 +734,6 @@ fn fence_oracle(s: &Scenario) -> Outcome {
         assert!(cell >= last, "producer {tid} acked {last}, pool has {cell}");
     }
     assert!(acked >= s.min_acks, "no fence acked before the abort");
-    Outcome {
-        enqueued: acked,
-        ..Outcome::default()
-    }
 }
 
 // ---- Child side: build the deployment, drive traffic, confirm. -------
@@ -946,14 +935,80 @@ fn fence_cells(s: &Scenario) {
 mod tests {
     use super::*;
 
+    fn check(e: impl IntoIterator<Item = u64>, d: &[u64], residues: &[Vec<u64>]) {
+        let e = e.into_iter().collect();
+        check_suffix(&e, &d.iter().copied().collect(), residues, 1, 1);
+    }
+
+    #[test]
+    fn suffix_validation_accepts_legal_windows() {
+        // 3 is an in-flight dequeue's loss, 11 an unconfirmed enqueue.
+        check(1..=10, &[1, 2], &[(4..=11).collect()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "resurrected")]
+    fn suffix_validation_rejects_resurrection() {
+        check(1..=5, &[1], &[vec![1, 2, 3, 4, 5]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lost")]
+    fn suffix_validation_rejects_loss() {
+        check(1..=10, &[], &[vec![9, 10]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicated")]
+    fn suffix_validation_rejects_duplication() {
+        check(1..=5, &[], &[vec![1, 2], vec![2, 3, 4, 5]]);
+    }
+
     #[test]
     fn scenarios_round_trip_through_the_child_flags() {
+        let power_fail = SyncPolicy::PowerFail;
         for s in [
             Scenario::fence_cells(500),
             Scenario::reshard(96, 1, 0),
-            Scenario::leased(Shape::Grouped, SyncPolicy::PowerFail),
+            Scenario::leased(Shape::Grouped, power_fail),
             Scenario {
                 held_views: 4,
+                ..Scenario::growing(Algorithm::OptUnlinked)
+            },
+            // The rows over 4-shard power-fail directories, DurableMSQ
+            // reshards on each tier, and growth racing a dequeuer over 4
+            // shards and on power-fail.
+            Scenario {
+                sync: power_fail,
+                ..Scenario::queue(Algorithm::DurableMsq, 4)
+            },
+            Scenario {
+                sync: power_fail,
+                ..Scenario::queue(Algorithm::OptUnlinked, 4)
+            },
+            Scenario {
+                algorithm: Algorithm::DurableMsq,
+                ..Scenario::reshard(1_200, 1, 5)
+            },
+            Scenario {
+                algorithm: Algorithm::DurableMsq,
+                sync: power_fail,
+                ..Scenario::reshard(1_200, 1, 5)
+            },
+            Scenario {
+                shards: 4,
+                dequeue: true,
+                ..Scenario::growing(Algorithm::OptUnlinked)
+            },
+            Scenario {
+                sync: power_fail,
+                dequeue: true,
+                ..Scenario::growing(Algorithm::OptUnlinked)
+            },
+            Scenario {
+                shards: 4,
+                sync: power_fail,
+                dequeue: true,
                 ..Scenario::growing(Algorithm::OptUnlinked)
             },
         ] {

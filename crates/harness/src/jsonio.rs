@@ -5,7 +5,7 @@
 //! time. [`ExperimentObject`] is the one place that shape lives now: every
 //! experiment object opens with the `experiment` tag and a shared `meta`
 //! block, then the verb-specific header fields, a `rows` array, and any
-//! trailing sections (the restart verb's `reshard_kill`/`lease_kill`).
+//! trailing sections (the fastpath verb's `sim_spin`/`sim_pool`).
 //!
 //! The `meta` block stamps what every downstream consumer of a
 //! `BENCH_*.json` trajectory wants but no verb used to carry:

@@ -22,7 +22,6 @@ pub mod fsweep;
 pub mod jsonio;
 pub mod obs_verbs;
 pub mod reshard;
-pub mod restart;
 pub mod runner;
 pub mod shard_sweep;
 pub mod workloads;

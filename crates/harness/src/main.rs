@@ -29,7 +29,6 @@ use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
 };
 use harness::reshard::{run_reshard, ReshardVerbConfig};
-use harness::restart::{plan, render, restart_json};
 use harness::runner::{render_panel, run_panel, BackendChoice, SweepConfig};
 use harness::shard_sweep::{
     render_shard_sweep, run_shard_sweep, shard_sweep_json, ShardSweepConfig,
@@ -292,69 +291,6 @@ fn cmd_shards(flags: &HashMap<String, String>) {
     json.write();
 }
 
-/// Builds the `restart` verb's base queue scenario from its flags.
-fn restart_scenario(flags: &HashMap<String, String>) -> Scenario {
-    let num = |flag: &str, default: usize| -> usize {
-        let value = flags.get(flag).map(|v| v.parse());
-        value.map_or(default, |v| v.unwrap_or_else(|_| panic!("bad --{flag}")))
-    };
-    let algorithm = flags.get("algo").or_else(|| flags.get("algorithm"));
-    let algorithm = algorithm.map_or(Algorithm::DurableMsq, |a| {
-        Algorithm::parse(a).unwrap_or_else(|| panic!("unknown algorithm {a}"))
-    });
-    let shards = num("shards", 1);
-    assert!(shards >= 1, "--shards must be >= 1");
-    // --quick caps the confirmed enqueues and the pool size.
-    let (acks_cap, pool_cap) = match flags.contains_key("quick") {
-        true => (500, 64 << 20),
-        false => (usize::MAX, usize::MAX),
-    };
-    Scenario {
-        policy: flags
-            .get("policy")
-            .map_or(RoutePolicy::RoundRobin, |p| parse_policy(p)),
-        sync: parse_sync(flags),
-        fence_window_ns: parse_fence_window(flags),
-        pool_bytes: num("pool-bytes", 128 << 20).min(pool_cap),
-        grow_step: num("grow-step", 0),
-        min_acks: num("min-acks", 2_000).min(acks_cap),
-        dir: flags.get("dir").map_or_else(
-            || std::env::temp_dir().join(format!("harness-restart-{}", std::process::id())),
-            PathBuf::from,
-        ),
-        ..Scenario::queue(algorithm, shards)
-    }
-}
-
-fn cmd_restart(flags: &HashMap<String, String>) {
-    let base = restart_scenario(flags);
-    // Default plan: the ratio baseline and one second-amendment queue, each
-    // as a single pool and as a 4-shard manifest directory, then the
-    // SIGKILL-mid-reshard and SIGKILL-mid-lease rounds. `--algo`/`--shards`
-    // narrow it to one kill-and-reopen round.
-    let narrowed = flags.contains_key("algo")
-        || flags.contains_key("algorithm")
-        || flags.contains_key("shards");
-    let rounds = plan(&base, narrowed);
-    println!(
-        "=== restart: SIGKILL mid-traffic, reopen pool file(s), recover, validate ===\n\
-         ({} round(s), {} confirmed enqueues before each queue kill)",
-        rounds.len(),
-        base.min_acks,
-    );
-    let exe = std::env::current_exe().expect("harness binary path");
-    let mut outcomes = Vec::new();
-    for s in rounds {
-        let outcome = crash::run(&exe, &s);
-        print!("{}", render(&s, &outcome));
-        outcomes.push((s, outcome));
-    }
-    let mut json = JsonSink::from_flags(flags);
-    json.push(restart_json(&outcomes));
-    json.write();
-    println!("restart: all rounds passed");
-}
-
 fn cmd_reshard(flags: &HashMap<String, String>) {
     let mut cfg = ReshardVerbConfig::default();
     let Some(to) = flags.get("to") else {
@@ -481,7 +417,6 @@ fn main() {
         "counts" => cmd_counts(&flags),
         "crashtest" => cmd_crashtest(&flags),
         "shards" => cmd_shards(&flags),
-        "restart" => cmd_restart(&flags),
         "reshard" => cmd_reshard(&flags),
         "fastpath" => cmd_fastpath(&flags),
         "fsweep" => cmd_fsweep(&flags),
@@ -505,17 +440,13 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: harness <fig2|counts|crashtest|shards|restart|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
+                "usage: harness <fig2|counts|crashtest|shards|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
                  \n\
                  fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
                  counts     per-operation persistence counts (experiments E7/E8)\n\
                  crashtest  durable-linearizability crash checks for every queue\n\
                  shards     shard-scaling sweep: aggregate throughput, per-shard\n\
                             persist counts and parallel crash-recovery latency\n\
-                 restart    spawn a child on file-backed pool(s), SIGKILL it\n\
-                            mid-traffic, reopen + recover() in-process and\n\
-                            validate no loss / no duplication / FIFO; ends with\n\
-                            SIGKILL-mid-reshard and SIGKILL-mid-lease rounds\n\
                  reshard    split/merge a file-backed shard directory to --to N'\n\
                             (crash-safe two-phase manifest protocol)\n\
                  fastpath   time a fixed and an elastic file pool's per-op\n\
@@ -542,11 +473,9 @@ fn main() {
                                more fences; default 0)\n\
                                --pool-bytes N --grow-step N   (file pools grow by\n\
                                >= N bytes on exhaustion; 0 = fixed size)\n\
-                 output:       --json PATH   (counts, shards, restart, fastpath,\n\
+                 output:       --json PATH   (counts, shards, fastpath,\n\
                                fsweep, metrics, blackbox: JSON array of\n\
                                experiment objects; schema in README)\n\
-                 restart:      --algo A --shards N --min-acks N --pool-bytes N\n\
-                               --grow-step N  (undersized pools grow under kill)\n\
                  reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\
                                [--verify] [--expect M] [--key-shift B]\n\
                                [--policy P] [--sync S]"

@@ -13,7 +13,7 @@
 //! experiment object with `--json`.
 //!
 //! `blackbox` replays a crash-surviving `BLACKBOX.ring` left behind by a
-//! killed process (the restart verb's children write one; so does any
+//! killed process (every crash child writes one; so does any
 //! deployment that installs a [`obs::flight::FlightRecorder`]) and
 //! pretty-prints the lifecycle events that survived, torn tail included in
 //! the accounting. Point it at the deployment directory or at the ring
@@ -88,6 +88,10 @@ pub fn warmed_snapshot(ops: u64, dir: PathBuf, sync: SyncPolicy) -> MetricsSnaps
             }
         }
     });
+    // A scan of the drained shards finds nothing, so `shard.dequeue.miss`
+    // counts in every run, not only when the consumer outran the producer.
+    let missed = queue.dequeue(1).is_none();
+    assert!(missed, "metrics: the drained deployment is empty");
     drop(queue);
     let _ = std::fs::remove_dir_all(&dir);
     obs::snapshot()

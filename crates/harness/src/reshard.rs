@@ -1,7 +1,7 @@
 //! The `harness reshard` verb: split or merge a file-backed shard
-//! directory on the command line. The SIGKILL-mid-reshard round
-//! `harness restart` ends with, and the reshard abort points, are the
-//! reshard shape of the crash driver ([`crate::crash`]).
+//! directory on the command line. The SIGKILL-mid-reshard rows and the
+//! reshard abort points are the reshard shape of the crash driver
+//! ([`crate::crash`]).
 //!
 //! ```text
 //! harness reshard --dir D --to N' [--algo A] [--create N --items M]

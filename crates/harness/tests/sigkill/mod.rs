@@ -3,6 +3,7 @@
 //! (`crash_restart`, `grow_restart`, `elastic_growth`, `group_commit_crash`,
 //! `dir_restart`, `reshard`, `consumer_kill`, `group_kill`), run end to end
 //! by `harness::crash::run` with the built harness binary as the child.
+//! There is no other entry point: a new crash round is a new row.
 
 use harness::crash::{run, Scenario};
 use std::path::Path;
@@ -11,8 +12,7 @@ use std::path::Path;
 pub fn run_row(name: &str, scenario: Scenario) {
     let dir = std::env::temp_dir().join(format!("sigkill-{name}-{}", std::process::id()));
     let exe = Path::new(env!("CARGO_BIN_EXE_harness"));
-    let outcome = run(exe, &Scenario { dir, ..scenario });
-    eprintln!("[{name}] {outcome:?}");
+    run(exe, &Scenario { dir, ..scenario });
 }
 
 /// One `#[test]` per `name: scenario;` row, so a failure names its

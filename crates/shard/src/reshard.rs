@@ -108,20 +108,6 @@ pub enum ReshardResolution {
     },
 }
 
-impl ReshardResolution {
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        match self {
-            ReshardResolution::RolledBack { from, to } => {
-                format!("rolled interrupted reshard {from} -> {to} back to {from} shards")
-            }
-            ReshardResolution::RolledForward { from, to } => {
-                format!("rolled interrupted reshard {from} -> {to} forward to {to} shards")
-            }
-        }
-    }
-}
-
 /// The outcome of one completed resharding operation.
 #[derive(Clone, Copy, Debug)]
 pub struct ReshardReport {
@@ -698,7 +684,6 @@ mod tests {
             resolution,
             ReshardResolution::RolledForward { from: 2, to: 4 }
         );
-        assert!(resolution.summary().contains("forward"));
         for f in &old.pool_files {
             assert!(!dir.join(f).exists(), "stale source {f} must be swept");
         }

@@ -19,7 +19,7 @@
 //!   retired store, the header's dirty flag records the unclean shutdown,
 //!   and the queue's ordinary `RecoverableQueue::recover` procedure
 //!   reconstructs the structure — exercised end to end by this crate's
-//!   subprocess crash test and the `harness restart` verb,
+//!   subprocess crash test and the SIGKILL table of `crates/harness/tests`,
 //! * pools configured with a growth step are **elastic**: they map the
 //!   whole 32-bit offset space once, and exhaustion grows the file
 //!   underneath that mapping (`ftruncate` behind a journaled, crash-atomic

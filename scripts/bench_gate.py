@@ -62,7 +62,6 @@ STR = ("a string", lambda v: isinstance(v, str))
 STR_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
 LIST = ("an array", lambda v: isinstance(v, list))
 OBJECT = ("an object", lambda v: isinstance(v, dict))
-OBJECT_OR_NULL = ("an object or null", lambda v: v is None or isinstance(v, dict))
 
 
 def one_of(*values):
@@ -132,19 +131,6 @@ def shards_per_shard(obj, ctx, gate):
         for j, shard in enumerate(row["per_shard"]):
             require(shard, nums("shard", "fences", "flushes", "recovery_ms"),
                     f"{ctx} rows[{i}].per_shard[{j}]")
-
-
-def restart_kill_sections(obj, ctx, gate):
-    if obj["reshard_kill"] is not None:
-        require(obj["reshard_kill"],
-                {**nums("completed_reshards", "shards_after", "items"),
-                 "resolution": one_of(None, "rolled-back", "rolled-forward")},
-                f"{ctx} reshard_kill")
-    if obj["lease_kill"] is not None:
-        require(obj["lease_kill"],
-                nums("confirmed_enqueues", "confirmed_acks", "held", "unacked",
-                     "redelivered", "recovery_ms"),
-                f"{ctx} lease_kill")
 
 
 def fastpath_within_run(obj, ctx, gate):
@@ -229,18 +215,6 @@ EXPERIMENTS = {
         "bands": {"mops": FLOOR, "fences_per_op": TIGHT},
         "invariant": shards_per_shard,
     },
-    # harness restart: kill timing makes the row metrics non-comparable;
-    # coverage (the row set itself) is still gated by the missing-row rule.
-    "restart": {
-        "header": {"reshard_kill": OBJECT_OR_NULL, "lease_kill": OBJECT_OR_NULL},
-        "row": {**strs("algorithm", "policy", "sync"),
-                **nums("shards", "pool_bytes", "grow_step", "fence_window_us",
-                       "growth_epochs", "confirmed_enqueues", "confirmed_dequeues",
-                       "recovered", "recovery_ms")},
-        "identity": ("algorithm", "shards"),
-        "bands": {},
-        "invariant": restart_kill_sections,
-    },
     # harness fastpath: per-op cost of a fixed and an elastic file pool,
     # with its own floor (raw_load_ns) in the artifact.
     "fastpath": {
@@ -264,10 +238,12 @@ EXPERIMENTS = {
         "invariant": group_commit_coalesces,
     },
     # harness metrics: the process-global instruments after a short run.
+    # Their values swing with scheduling, so nothing is banded; the set of
+    # instruments is gated by the missing-row rule.
     "metrics": {
         "header": nums("counters", "histograms"),
         "row": {**strs("instrument"), "type": one_of("counter", "histogram")},
-        "identity": None,
+        "identity": ("instrument",),
         "bands": {},
         "invariant": metrics_rows_by_type,
     },
@@ -481,6 +457,15 @@ def self_test():
                 {"size_bytes": 268435456, "new_us": 10.4},
             ],
         }],
+        "metrics": [{
+            "experiment": "metrics", "meta": meta(), "counters": 2, "histograms": 1,
+            "rows": [
+                {"instrument": "core.enqueue", "type": "counter", "value": 10000},
+                {"instrument": "shard.dequeue.miss", "type": "counter", "value": 1},
+                {"instrument": "store.msync_ns", "type": "histogram", "count": 412,
+                 "sum": 9100000, "p50": 16384, "p99": 65536},
+            ],
+        }],
     }
 
     def failures(name, current, **kwargs):
@@ -533,6 +518,8 @@ def self_test():
         # the compare half
         ("a baseline row missing from the current run",
          *mutated("counts", lambda o: o["rows"].pop())),
+        ("a baseline instrument missing from the current run",
+         *mutated("metrics", lambda o: o["rows"].pop(1))),
         ("a baseline experiment missing from the current run", "counts", good["fsweep"]),
         ("a count outside the tight band",
          *mutated("counts", lambda o: o["rows"][1].update(enq_fences=1.2))),

@@ -2,9 +2,9 @@
 //! [`Scenario`] run by [`run`].
 //!
 //! A scenario names a deployment [`Shape`], the algorithm, sync tier,
-//! fence window, pool/area/growth sizes, how much confirmed traffic to
-//! wait for, and how the child dies: a SIGKILL, or an env-gated abort
-//! point inside the stack. [`run`] spawns the hidden `crash-child` verb of
+//! pool/area/growth sizes, how much confirmed traffic to wait for, and
+//! how the child dies: a SIGKILL, or an env-gated abort point inside the
+//! stack. [`run`] spawns the hidden `crash-child` verb of
 //! a harness binary (the caller names the executable), waits, kills it or
 //! lets it run to its abort point, reopens its files in this process and
 //! applies the shape's oracle. The child
@@ -90,8 +90,6 @@ pub struct Scenario {
     pub items: u64,
     /// Fence durability of every pool file and journal.
     pub sync: SyncPolicy,
-    /// Power-fail group-commit window, nanoseconds.
-    pub fence_window_ns: u64,
     /// Per-pool file size.
     pub pool_bytes: usize,
     /// The node allocator's designated-area size.
@@ -124,7 +122,6 @@ impl Scenario {
             held_views: 0,
             items: 0,
             sync: SyncPolicy::ProcessCrash,
-            fence_window_ns: 0,
             pool_bytes: 128 << 20,
             area_bytes: 1 << 20,
             grow_step: 0,
@@ -175,14 +172,12 @@ impl Scenario {
         }
     }
 
-    /// Four producers fencing on a power-fail pool with window
-    /// `window_ns`, aborted inside the 25th coalesced batch — after its
-    /// `msync`, before the followers wake.
-    pub fn fence_cells(window_ns: u64) -> Self {
+    /// Four producers fencing on a power-fail pool, aborted inside the
+    /// 25th coalesced batch — after its `msync`, before the followers wake.
+    pub fn fence_cells() -> Self {
         Scenario {
             shape: Shape::FenceCells,
             sync: SyncPolicy::PowerFail,
-            fence_window_ns: window_ns,
             pool_bytes: 4 << 20,
             min_acks: 1,
             abort: Some(("DQ_FENCE_ABORT_BEFORE_WAKE", 25)),
@@ -209,7 +204,6 @@ impl Scenario {
             ("held-views", self.held_views.to_string()),
             ("items", self.items.to_string()),
             ("sync", self.sync.key().to_string()),
-            ("fence-window-ns", self.fence_window_ns.to_string()),
             ("pool-bytes", self.pool_bytes.to_string()),
             ("area-bytes", self.area_bytes.to_string()),
             ("grow-step", self.grow_step.to_string()),
@@ -248,7 +242,6 @@ impl Scenario {
             held_views: num("held-views") as usize,
             items: num("items"),
             sync: SyncPolicy::parse(get("sync")).expect("crash-child: bad --sync"),
-            fence_window_ns: num("fence-window-ns"),
             pool_bytes: num("pool-bytes") as usize,
             area_bytes: num("area-bytes") as u32,
             grow_step: num("grow-step") as usize,
@@ -268,7 +261,6 @@ impl Scenario {
         FileConfig::with_size(self.pool_bytes)
             .with_sync(self.sync)
             .with_growth(self.grow_step)
-            .with_fence_window(self.fence_window_ns)
     }
 
     /// What a reopen chooses: only the grow step. The tier is the pools'.
@@ -968,7 +960,7 @@ mod tests {
     fn scenarios_round_trip_through_the_child_flags() {
         let power_fail = SyncPolicy::PowerFail;
         for s in [
-            Scenario::fence_cells(500),
+            Scenario::fence_cells(),
             Scenario::reshard(96, 1, 0),
             Scenario::leased(Shape::Grouped, power_fail),
             Scenario {

@@ -1,17 +1,15 @@
 //! The `fsweep` experiment: power-fail fence throughput under group
-//! commit, across producer counts and fence windows.
+//! commit, across producer counts.
 //!
 //! Under [`store::SyncPolicy::PowerFail`] every fence `msync`s the fencing
 //! thread's dirty pages through the pool's group commit: up to two leaders
 //! at a time each submit the pages of every fence that shared their batch,
-//! merged into contiguous ranges, and a window
-//! ([`store::FileConfig::fence_window_ns`]) holds one batch open for
-//! stragglers instead.
+//! merged into contiguous ranges.
 //!
 //! This sweep measures what that buys: `producers` threads each dirty
 //! `pages` private pages and fence, `fences` times over, and the aggregate
 //! fence rate (`producers * fences / wall`) is reported per producer
-//! count × window. Two shares read from the `store.fence.*` counters say
+//! count. Two shares read from the `store.fence.*` counters say
 //! *why* a row moved: `coalesced` is the fraction of its fences that
 //! shared a batch with another fence, `overlapped` the fraction of its
 //! batches submitted while another was still in flight. The 1-producer
@@ -27,14 +25,12 @@ use store::{FileConfig, FilePool, SyncPolicy};
 /// Configuration for the [`run_fsweep`] measurement.
 #[derive(Clone, Debug)]
 pub struct FsweepConfig {
-    /// Producer counts to sweep (one table block each).
+    /// Producer counts to sweep (one row each).
     pub producers: Vec<usize>,
     /// Fences each producer performs per measured point.
     pub fences: u64,
     /// Distinct private pages each producer dirties before every fence.
     pub pages: usize,
-    /// Fence windows to sweep, in microseconds (`0` = submit immediately).
-    pub windows_us: Vec<u64>,
     /// Pool file size in bytes.
     pub pool_bytes: usize,
 }
@@ -45,7 +41,6 @@ impl Default for FsweepConfig {
             producers: vec![1, 2, 4, 8],
             fences: 400,
             pages: 16,
-            windows_us: vec![0, 50, 200],
             pool_bytes: 16 << 20,
         }
     }
@@ -57,20 +52,17 @@ impl FsweepConfig {
         FsweepConfig {
             producers: vec![1, 2, 4, 8],
             fences: 150,
-            windows_us: vec![0, 100],
             pool_bytes: 8 << 20,
             ..FsweepConfig::default()
         }
     }
 }
 
-/// One measured (producer count × window) point.
+/// One measured producer count.
 #[derive(Clone, Debug)]
 pub struct FsweepRow {
     /// Concurrent fencing producers.
     pub producers: usize,
-    /// Fence window in microseconds.
-    pub window_us: u64,
     /// Wall-clock time of the point.
     pub wall: Duration,
     /// Aggregate fence rate: `producers * fences / wall`.
@@ -85,18 +77,16 @@ pub struct FsweepRow {
 
 /// Runs one point: `producers` threads each flush `pages` private pages
 /// and fence, `fences` times, all against one power-fail pool.
-fn measure(cfg: &FsweepConfig, producers: usize, window_us: u64) -> FsweepRow {
+fn measure(cfg: &FsweepConfig, producers: usize) -> FsweepRow {
     // Unique per thread too: parallel tests must not share a pool file.
     let path = std::env::temp_dir().join(format!(
-        "harness-fsweep-{producers}p-{window_us}us-{}-{:?}.pool",
+        "harness-fsweep-{producers}p-{}-{:?}.pool",
         std::process::id(),
         std::thread::current().id()
     ));
     let pool = FilePool::create(
         &path,
-        FileConfig::with_size(cfg.pool_bytes)
-            .with_sync(SyncPolicy::PowerFail)
-            .with_fence_window(window_us * 1_000),
+        FileConfig::with_size(cfg.pool_bytes).with_sync(SyncPolicy::PowerFail),
     )
     .expect("fsweep: create pool file")
     .into_pool();
@@ -143,7 +133,6 @@ fn measure(cfg: &FsweepConfig, producers: usize, window_us: u64) -> FsweepRow {
     let total = (producers as u64 * cfg.fences) as f64;
     FsweepRow {
         producers,
-        window_us,
         wall,
         fences_per_sec: total / wall.as_secs_f64(),
         coalesced_share: share(delta("store.fence.coalesced"), total),
@@ -151,39 +140,24 @@ fn measure(cfg: &FsweepConfig, producers: usize, window_us: u64) -> FsweepRow {
     }
 }
 
-/// Runs the full sweep: one row per producer count × window.
+/// Runs the full sweep: one row per producer count.
 pub fn run_fsweep(cfg: &FsweepConfig) -> Vec<FsweepRow> {
     assert!(!cfg.producers.is_empty(), "fsweep: no producer counts");
-    assert!(!cfg.windows_us.is_empty(), "fsweep: no windows");
     assert!(cfg.fences > 0 && cfg.pages > 0, "fsweep: empty measurement");
-    let mut rows = Vec::new();
-    for &producers in &cfg.producers {
-        for &us in &cfg.windows_us {
-            rows.push(measure(cfg, producers, us));
-        }
-    }
-    rows
+    cfg.producers.iter().map(|&p| measure(cfg, p)).collect()
 }
 
 /// Renders the sweep as the verb's report table.
 pub fn render_fsweep(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     let mut out = format!(
         "\n=== fsweep: power-fail fence throughput, {} fences x {} pages per producer ===\n\
-         {:<11}{:>11}{:>11}{:>15}{:>11}{:>12}\n",
-        cfg.fences,
-        cfg.pages,
-        "producers",
-        "window us",
-        "wall ms",
-        "fences/s (agg)",
-        "coalesced",
-        "overlapped"
+         {:<11}{:>11}{:>15}{:>11}{:>12}\n",
+        cfg.fences, cfg.pages, "producers", "wall ms", "fences/s (agg)", "coalesced", "overlapped"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<11}{:>11}{:>11.1}{:>15.0}{:>11.2}{:>12.2}\n",
+            "{:<11}{:>11.1}{:>15.0}{:>11.2}{:>12.2}\n",
             r.producers,
-            r.window_us,
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
             r.coalesced_share,
@@ -202,10 +176,9 @@ pub fn fsweep_json(cfg: &FsweepConfig, rows: &[FsweepRow]) -> String {
     obj.field("pages", cfg.pages);
     for r in rows {
         obj.row(format!(
-            "{{\"producers\": {}, \"window_us\": {}, \"wall_ms\": {}, \
-             \"fences_per_sec\": {}, \"coalesced_share\": {}, \"overlapped_share\": {}}}",
+            "{{\"producers\": {}, \"wall_ms\": {}, \"fences_per_sec\": {}, \
+             \"coalesced_share\": {}, \"overlapped_share\": {}}}",
             r.producers,
-            r.window_us,
             r.wall.as_secs_f64() * 1e3,
             r.fences_per_sec,
             r.coalesced_share,
@@ -234,12 +207,6 @@ pub fn config_from_flags(flags: &std::collections::HashMap<String, String>) -> F
     if let Some(p) = flags.get("pages") {
         cfg.pages = p.parse().expect("bad --pages");
     }
-    if let Some(w) = flags.get("windows") {
-        cfg.windows_us = w
-            .split(',')
-            .map(|s| s.trim().parse().expect("bad --windows"))
-            .collect();
-    }
     if let Some(p) = flags.get("pool-bytes") {
         cfg.pool_bytes = p.parse().expect("bad --pool-bytes");
     }
@@ -255,22 +222,21 @@ mod tests {
             producers: vec![1, 2],
             fences: 20,
             pages: 4,
-            windows_us: vec![0, 25],
             pool_bytes: 4 << 20,
         }
     }
 
     #[test]
-    fn fsweep_measures_every_producer_count_at_every_window() {
+    fn fsweep_measures_every_producer_count() {
         let cfg = tiny();
         let rows = run_fsweep(&cfg);
-        let points: Vec<(usize, u64)> = rows.iter().map(|r| (r.producers, r.window_us)).collect();
-        assert_eq!(points, [(1, 0), (1, 25), (2, 0), (2, 25)]);
+        let points: Vec<usize> = rows.iter().map(|r| r.producers).collect();
+        assert_eq!(points, [1, 2]);
         for r in &rows {
             assert!(r.fences_per_sec > 0.0 && r.fences_per_sec.is_finite());
         }
         let rendered = render_fsweep(&cfg, &rows);
-        assert!(rendered.contains("window us"));
+        assert!(rendered.contains("producers"));
     }
 
     #[test]
@@ -280,7 +246,7 @@ mod tests {
         let json = fsweep_json(&cfg, &rows);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"experiment\": \"group_commit\""));
-        assert!(json.contains("\"window_us\": 25"));
+        assert!(json.contains("\"producers\": 2"));
         assert!(json.contains("\"coalesced_share\": "));
         assert!(json.contains("\"overlapped_share\": "));
         assert!(!json.contains("null"));
@@ -291,11 +257,9 @@ mod tests {
         let mut flags = std::collections::HashMap::new();
         flags.insert("quick".into(), "true".into());
         flags.insert("producers".into(), "1,4".into());
-        flags.insert("windows".into(), "0,25".into());
         flags.insert("fences".into(), "33".into());
         let cfg = config_from_flags(&flags);
         assert_eq!(cfg.producers, vec![1, 4]);
-        assert_eq!(cfg.windows_us, vec![0, 25]);
         assert_eq!(cfg.fences, 33);
         assert_eq!(cfg.pages, FsweepConfig::quick().pages);
     }

@@ -41,17 +41,62 @@ use std::path::PathBuf;
 use std::process::exit;
 use store::SyncPolicy;
 
+/// Every flag some verb reads, the hidden `crash-child`'s included. Any
+/// other name is refused: a misspelt or retired flag would otherwise run
+/// the verb with its default without a word.
+const FLAGS: [&str; 35] = [
+    "algo",
+    "algorithm",
+    "algorithms",
+    "area-bytes",
+    "backend",
+    "create",
+    "dequeue",
+    "dir",
+    "expect",
+    "fences",
+    "grow-step",
+    "held-views",
+    "initial-size",
+    "items",
+    "json",
+    "key-shift",
+    "no-latency",
+    "nvram-read-ns",
+    "ops",
+    "pages",
+    "policy",
+    "pool-bytes",
+    "prefill",
+    "producers",
+    "quick",
+    "recovery-threads",
+    "rounds",
+    "shape",
+    "shards",
+    "sync",
+    "threads",
+    "to",
+    "trials",
+    "verify",
+    "workload",
+];
+
 /// Flags whose value names a file or directory: given without one, the
 /// path would be the literal `true`.
 const PATH_FLAGS: [&str; 2] = ["json", "dir"];
 
-/// Parses `--name value` pairs; a flag without a value reads `"true"`,
-/// except that a valueless path flag ([`PATH_FLAGS`]) is an error naming it.
+/// Parses `--name value` pairs; a flag without a value reads `"true"`. A
+/// name outside [`FLAGS`] and a valueless path flag ([`PATH_FLAGS`]) are
+/// errors naming the flag.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if !FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name} (run harness for the usage)"));
+            }
             let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
@@ -123,28 +168,9 @@ fn parse_sync(flags: &HashMap<String, String>) -> SyncPolicy {
     }
 }
 
-/// `--fence-window US` (file backend, power-fail sync): how long a
-/// group-commit leader holds its batch open, in microseconds; absent = 0.
-/// Returned in nanoseconds, the unit [`store::FileConfig::fence_window_ns`]
-/// takes. Unknown flags are ignored, so the flag this one replaced is
-/// refused by name here.
-fn parse_fence_window(flags: &HashMap<String, String>) -> u64 {
-    if flags.contains_key("group-commit") {
-        eprintln!(
-            "--group-commit was replaced by --fence-window US: every power-fail pool \
-             group-commits, and the flag sets only its window"
-        );
-        exit(2);
-    }
-    flags.get("fence-window").map_or(0, |us| {
-        us.parse::<u64>().expect("bad --fence-window") * 1_000
-    })
-}
-
-/// `--backend {sim,file}` plus the file backend's `--dir PATH`,
-/// `--sync process-crash|power-fail` and `--fence-window` companions.
+/// `--backend {sim,file}` plus the file backend's `--dir PATH` and
+/// `--sync process-crash|power-fail` companions.
 fn backend_from_flags(flags: &HashMap<String, String>) -> BackendChoice {
-    let fence_window_ns = parse_fence_window(flags);
     match flags.get("backend").map(|s| s.as_str()) {
         None | Some("sim") => BackendChoice::Sim,
         Some("file") => BackendChoice::File {
@@ -152,7 +178,6 @@ fn backend_from_flags(flags: &HashMap<String, String>) -> BackendChoice {
                 std::env::temp_dir().join(format!("harness-pools-{}", std::process::id()))
             }),
             sync: parse_sync(flags),
-            fence_window_ns,
         },
         Some(other) => {
             eprintln!("unknown backend '{other}' (expected sim|file)");
@@ -452,9 +477,8 @@ fn main() {
                  fastpath   time a fixed and an elastic file pool's per-op\n\
                             load / persist / map_ref costs\n\
                  fsweep     power-fail fence throughput sweep: group commit\n\
-                            across producer counts and fence windows\n\
-                            (--producers 1,2,4,8 --windows 0,50,200\n\
-                            --fences N --pages K)\n\
+                            across producer counts\n\
+                            (--producers 1,2,4,8 --fences N --pages K)\n\
                  metrics    drive a short leased workload, then dump the\n\
                             process-global instruments (Prometheus text, or a\n\
                             metrics experiment object with --json)\n\
@@ -468,9 +492,6 @@ fn main() {
                                --recovery-threads N --nvram-read-ns N --no-latency\n\
                  backends:     --backend sim|file --dir PATH\n\
                                --sync process-crash|power-fail   (file backend)\n\
-                               --fence-window US   (power-fail file pools:\n\
-                               how long a group-commit batch waits for\n\
-                               more fences; default 0)\n\
                                --pool-bytes N --grow-step N   (file pools grow by\n\
                                >= N bytes on exhaustion; 0 = fixed size)\n\
                  output:       --json PATH   (counts, shards, fastpath,\n\
@@ -505,5 +526,19 @@ mod tests {
         assert_eq!(flags["json"], "out.json");
         assert_eq!(flags["dir"], "d");
         assert_eq!(flags["quick"], "true");
+    }
+
+    /// Retired flags would otherwise run at their old default silently.
+    #[test]
+    fn a_flag_no_verb_reads_is_refused_by_name() {
+        for flag in ["fence-window", "windows", "group-commit", "min-acks"] {
+            let bare = format!("--{flag}");
+            for args in [vec![bare.as_str(), "50"], vec!["--quick", bare.as_str()]] {
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains(&format!("unknown flag --{flag} ")), "{err}");
+            }
+        }
+        let flags = parse(&["--quick", "--json", "out.json", "--dir", "d"]).unwrap();
+        assert_eq!(flags.len(), 3);
     }
 }

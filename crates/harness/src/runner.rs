@@ -26,9 +26,6 @@ pub enum BackendChoice {
         dir: PathBuf,
         /// Fence durability policy of the pool files.
         sync: SyncPolicy,
-        /// Power-fail group-commit window in nanoseconds; see
-        /// [`store::FileConfig::fence_window_ns`].
-        fence_window_ns: u64,
     },
 }
 
@@ -209,28 +206,19 @@ pub fn measure_point(
         );
         match &sweep.backend {
             BackendChoice::Sim => alg.create_sharded(shard_cfg),
-            BackendChoice::File {
-                dir,
-                sync,
-                fence_window_ns,
-            } => {
+            BackendChoice::File { dir, sync } => {
                 let subdir = dir.join(format!("{}-{}shards", point_tag(), sweep.shards));
                 cleanup = Some((subdir.clone(), true));
                 let file_cfg = FileConfig::with_size(shard_cfg.pool.size)
                     .with_sync(*sync)
-                    .with_growth(sweep.grow_step)
-                    .with_fence_window(*fence_window_ns);
+                    .with_growth(sweep.grow_step);
                 alg.create_sharded_dir(&subdir, shard_cfg, file_cfg)
             }
         }
     } else {
         let pool = match &sweep.backend {
             BackendChoice::Sim => Arc::new(PmemPool::new(pool_cfg)),
-            BackendChoice::File {
-                dir,
-                sync,
-                fence_window_ns,
-            } => {
+            BackendChoice::File { dir, sync } => {
                 std::fs::create_dir_all(dir).expect("create --dir");
                 let path = dir.join(format!("{}.pool", point_tag()));
                 cleanup = Some((path.clone(), false));
@@ -238,8 +226,7 @@ pub fn measure_point(
                     &path,
                     FileConfig::with_size(sweep.pool_bytes)
                         .with_sync(*sync)
-                        .with_growth(sweep.grow_step)
-                        .with_fence_window(*fence_window_ns),
+                        .with_growth(sweep.grow_step),
                 )
                 .expect("create pool file")
                 .into_pool()
@@ -431,7 +418,6 @@ mod tests {
         sweep.backend = BackendChoice::File {
             dir: dir.clone(),
             sync: SyncPolicy::ProcessCrash,
-            fence_window_ns: 0,
         };
         // Single pool file per point.
         let cell = measure_point(Algorithm::DurableMsq, Workload::Pairs, 1, &sweep);
@@ -466,7 +452,6 @@ mod tests {
         sweep.backend = BackendChoice::File {
             dir: dir.clone(),
             sync: SyncPolicy::ProcessCrash,
-            fence_window_ns: 0,
         };
         let cell = measure_point(Algorithm::OptUnlinked, Workload::Pairs, 2, &sweep);
         assert!(cell.mops > 0.0, "the point must complete via growth");

@@ -13,15 +13,14 @@ table! {
     killed_durable_msq_recovers_without_loss_or_duplication: Scenario::queue(DurableMsq, 1);
     killed_opt_unlinked_recovers_without_loss_or_duplication: Scenario::queue(OptUnlinked, 1);
 
-    // Power-fail tier: window 0 batches only genuinely concurrent fences.
+    // Power-fail tier: the enqueuer's and the dequeuer's fences share the
+    // two-deep group-commit pipeline.
     killed_power_fail_durable_msq_recovers_without_loss_or_duplication: Scenario {
         sync: PowerFail,
         ..Scenario::queue(DurableMsq, 1)
     };
-    // A 100 µs window: most fences ride a leader's coalesced msync.
     killed_power_fail_opt_unlinked_recovers_without_loss_or_duplication: Scenario {
         sync: PowerFail,
-        fence_window_ns: 100_000,
         ..Scenario::queue(OptUnlinked, 1)
     };
 }

@@ -1,15 +1,13 @@
-//! Group-commit crash rows: four producers fence raw cells on a power-fail
-//! pool, and the child aborts (SIGABRT) inside the 25th coalesced batch,
-//! after its `msync` and before its followers wake; every acked fence's
-//! cell must survive.
+//! The group-commit crash row: four producers fence raw cells on a
+//! power-fail pool, and the child aborts (SIGABRT) inside the 25th
+//! coalesced batch, after its `msync` and before its followers wake; every
+//! acked fence's cell must survive.
 
 mod sigkill;
 
 use harness::crash::Scenario;
 
 table! {
-    // A 1 ms window: four producers share a batch, three followers park.
-    abort_between_batched_msync_and_wakeup_loses_no_acked_value: Scenario::fence_cells(1_000_000);
-    // No window: the abort lands while a second batch is in flight.
-    abort_with_a_second_batch_in_flight_loses_no_acked_value: Scenario::fence_cells(0);
+    // The abort lands while a second batch is in flight.
+    abort_with_a_second_batch_in_flight_loses_no_acked_value: Scenario::fence_cells();
 }

@@ -474,7 +474,7 @@ impl RecoveryOrchestrator {
     /// in parallel on the worker pool, timing each shard exactly like
     /// [`recover`](Self::recover). Per-shard sizes and inherited growth
     /// epochs are reported in the [`RecoveryReport`]. The pools are
-    /// fixed-size and group-commit at window 0; choose otherwise with
+    /// fixed-size; choose a growth step with
     /// [`open_dir_with_config`](Self::open_dir_with_config).
     ///
     /// Works identically after a clean shutdown and after a `kill -9`; the
@@ -523,10 +523,9 @@ impl RecoveryOrchestrator {
         self.open_dir_with_config(dir, queue, FileConfig::default())
     }
 
-    /// [`open_dir`](Self::open_dir) with the session's knobs for every
-    /// reopened pool, as [`FilePool::open_with_config`] takes them: the
-    /// growth step and the group-commit window (`session.size` and
-    /// `session.sync` are ignored). A directory whose shards grew past their
+    /// [`open_dir`](Self::open_dir) with the session's growth step for
+    /// every reopened pool, as [`FilePool::open_with_config`] takes it
+    /// (`session.size` and `session.sync` are ignored). A directory whose shards grew past their
     /// creation ceiling in a previous life is usually still under the
     /// traffic that grew them — and its pools are near-full, so even
     /// `Q::recover`'s own allocator areas may need room; reopen it elastic

@@ -114,11 +114,7 @@
 //!    dedups everyone's pages, merges adjacent pages into contiguous runs
 //!    and issues one `msync` per run, beside whatever batch another
 //!    leader is syncing. Otherwise it waits, and on every wake-up either
-//!    finds its batch done or leads it when a slot has freed. (A pool
-//!    configured with a [`FileConfig::fence_window_ns`] runs one batch at
-//!    a time: its leader first holds the batch open for the window — lock
-//!    released, stragglers keep publishing — and a second leader would
-//!    only split the batch the window is there to gather.)
+//!    finds its batch done or leads it when a slot has freed.
 //! 3. The leader marks its batch done and wakes everyone; a **follower**
 //!    returns once *its* batch is done, whatever happened to the one
 //!    before — batches complete in any order.
@@ -284,13 +280,6 @@ pub struct FileConfig {
     /// least this many bytes (more if one allocation needs more) and the
     /// allocation retried. See the [module docs](self#elastic-growth).
     pub grow_step: usize,
-    /// Power-fail group-commit window: extra nanoseconds a batch's leader
-    /// holds it open for stragglers before it `msync`s. `0` (the default)
-    /// submits at once, up to two batches in flight, and still coalesces
-    /// the fences that find both taken; a window runs one batch at a time.
-    /// Ignored under [`SyncPolicy::ProcessCrash`], whose fences never
-    /// `msync`. See the [module docs](self#group-commit).
-    pub fence_window_ns: u64,
 }
 
 impl FileConfig {
@@ -300,7 +289,6 @@ impl FileConfig {
             size,
             sync: SyncPolicy::default(),
             grow_step: 0,
-            fence_window_ns: 0,
         }
     }
 
@@ -316,17 +304,13 @@ impl FileConfig {
         self
     }
 
-    /// Sets the power-fail group-commit window, in nanoseconds.
-    pub fn with_fence_window(mut self, window_ns: u64) -> Self {
-        self.fence_window_ns = window_ns;
-        self
-    }
-
-    /// The former spelling of [`with_fence_window`](Self::with_fence_window);
-    /// `None` means window 0.
+    /// The former group-commit window setter, kept for callers that still
+    /// pass one: every power-fail pool runs the one pipeline, so
+    /// `_window_ns` is ignored, as `FilePool::open_with_sync` ignores its
+    /// tier.
     #[doc(hidden)]
-    pub fn with_group_commit(self, window_ns: Option<u64>) -> Self {
-        self.with_fence_window(window_ns.unwrap_or(0))
+    pub fn with_group_commit(self, _window_ns: Option<u64>) -> Self {
+        self
     }
 }
 
@@ -336,11 +320,9 @@ impl Default for FileConfig {
     }
 }
 
-/// How many group-commit batches may be syncing at once under a zero
-/// window. A constant, not a [`FileConfig`] field: one queues a fence
-/// behind another thread's whole `msync`, and without a bound nothing ever
-/// waits, so nothing coalesces. A pool with a window runs one batch at a
-/// time ([`GroupCommit::depth`]).
+/// How many group-commit batches may be syncing at once. A constant, not a
+/// [`FileConfig`] field: one queues a fence behind another thread's whole
+/// `msync`, and without a bound nothing ever waits, so nothing coalesces.
 const PIPELINE_DEPTH: usize = 2;
 
 /// Shared state of the power-fail group-commit protocol, one per pool.
@@ -351,10 +333,6 @@ const PIPELINE_DEPTH: usize = 2;
 struct GroupCommit {
     state: Mutex<GcState>,
     cv: Condvar,
-    /// Extra nanoseconds a leader holds the batch open for stragglers
-    /// before submitting. `0` submits immediately (arrivals that find the
-    /// pipeline full still coalesce into the next batch).
-    window_ns: u64,
     /// Deterministic crash point (`DQ_FENCE_ABORT_BEFORE_WAKE=N`, read at
     /// pool construction): the process aborts on the `N`th *coalesced*
     /// batch, after its `msync`s complete but before the batch is marked
@@ -389,9 +367,7 @@ struct GcState {
     /// Number of the currently open batch.
     open_batch: u64,
     /// The batches that have a leader and are not done, at most
-    /// [`GroupCommit::depth`]. It holds `open_batch` exactly while a leader
-    /// holds that batch open for its window; every other entry is closed
-    /// and being `msync`ed.
+    /// [`PIPELINE_DEPTH`]; each is closed and being `msync`ed.
     leading: Vec<u64>,
     /// A batch's `msync` failed (its leader is panicking or has): no fence
     /// of this pool can promise durability any more, so every waiter
@@ -400,7 +376,7 @@ struct GcState {
 }
 
 impl GroupCommit {
-    fn new(window_ns: u64) -> GroupCommit {
+    fn new() -> GroupCommit {
         GroupCommit {
             state: Mutex::new(GcState {
                 pending: Vec::new(),
@@ -410,26 +386,12 @@ impl GroupCommit {
                 failed: false,
             }),
             cv: Condvar::new(),
-            window_ns,
             abort_before_wake: std::env::var("DQ_FENCE_ABORT_BEFORE_WAKE")
                 .ok()
                 .and_then(|v| v.parse().ok()),
             coalesced_batches: AtomicU64::new(0),
             #[cfg(test)]
             on_submit: Mutex::new(None),
-        }
-    }
-
-    /// How many batches may have a leader at once: [`PIPELINE_DEPTH`]
-    /// under a zero window, one under a window. A window asks for the
-    /// largest batch the wait can collect, and a second leader would take
-    /// half of it: at 8 producers x 16 pages and 50 us, two leaders synced
-    /// 7.7-8.5k fences/s where one syncs 10.6-12.4k (docs/PERFORMANCE.md).
-    fn depth(&self) -> usize {
-        if self.window_ns > 0 {
-            1
-        } else {
-            PIPELINE_DEPTH
         }
     }
 }
@@ -784,7 +746,7 @@ impl FilePool {
     /// flag is captured in [`was_clean`](Self::was_clean), then the pool is
     /// marked dirty for the new session. A growth whose commit was
     /// journaled but not home-written when the last session died is rolled
-    /// forward here. The pool is fixed-size and group-commits at window 0.
+    /// forward here. The pool is fixed-size.
     pub fn open(path: impl AsRef<Path>) -> io::Result<FilePool> {
         Self::open_with_config(path, FileConfig::default())
     }
@@ -796,9 +758,8 @@ impl FilePool {
         Self::open(path)
     }
 
-    /// [`open`](Self::open) with the session's knobs: the growth step and
-    /// the group-commit window. Neither is recorded in the file, so each
-    /// session chooses its own; they change speed, not promises.
+    /// [`open`](Self::open) with the session's growth step. It is not
+    /// recorded in the file, so each session chooses its own.
     /// `config.size` and `config.sync` are ignored: an existing pool's
     /// geometry and tier come from its header.
     pub fn open_with_config(path: impl AsRef<Path>, config: FileConfig) -> io::Result<FilePool> {
@@ -854,7 +815,7 @@ impl FilePool {
             was_clean,
             closes_clean: AtomicBool::new(false),
             pending: new_pending(),
-            group: GroupCommit::new(config.fence_window_ns),
+            group: GroupCommit::new(),
             synced: std::env::var_os("DQ_TRACK_MSYNC").map(|_| Mutex::new(BTreeSet::new())),
         })
     }
@@ -1291,23 +1252,15 @@ impl FilePool {
                     FENCE_FOLLOWER.incr();
                     return;
                 }
-            } else if st.leading.len() < gc.depth() {
-                // Still open, so nobody leads it: a zero-window leader closes
-                // its batch in the lock hold it takes the lead in, and a
-                // leader holding a window fills `leading` by itself.
+            } else if st.leading.len() < PIPELINE_DEPTH {
+                // Still open, so nobody leads it: a leader closes its batch
+                // in the lock hold it takes the lead in.
                 break;
             }
             st = gc.cv.wait(st).unwrap();
         }
         // Lead the open batch, beside whatever batch is already syncing.
         st.leading.push(my_batch);
-        if gc.window_ns > 0 {
-            // Hold the batch open for stragglers — without the lock, so
-            // they can publish their pages meanwhile.
-            drop(st);
-            std::thread::sleep(std::time::Duration::from_nanos(gc.window_ns));
-            st = gc.state.lock().unwrap();
-        }
         let mut batch = std::mem::take(&mut st.pending);
         let fences = std::mem::take(&mut st.fences);
         st.open_batch += 1;
@@ -1650,56 +1603,6 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    /// With a 2 ms batch window and barrier-synchronized producers, at
-    /// least one fence must ride another thread's submission. (Counter
-    /// deltas are `>=` because instruments are process-global.)
-    #[test]
-    fn group_commit_coalesces_concurrent_fences() {
-        use std::sync::Barrier;
-        let _serial = gc_serial();
-        let path = temp_path("gc-coalesce");
-        let before = obs::snapshot();
-        {
-            let pool = FilePool::create(
-                &path,
-                small()
-                    .with_sync(SyncPolicy::PowerFail)
-                    .with_fence_window(2_000_000),
-            )
-            .unwrap();
-            let p = pool.into_pool();
-            let threads = 4;
-            let fences = 16u64;
-            let barrier = Barrier::new(threads);
-            std::thread::scope(|s| {
-                for tid in 0..threads {
-                    let (p, barrier) = (&p, &barrier);
-                    s.spawn(move || {
-                        let base = p.alloc_raw(fences as u32 * 64, 64);
-                        barrier.wait();
-                        for i in 0..fences {
-                            let off = base + i as u32 * 64;
-                            p.store_u64(off, ((tid as u64) << 32) | i);
-                            p.flush(tid, off);
-                            p.sfence(tid);
-                        }
-                    });
-                }
-            });
-        }
-        let after = obs::snapshot();
-        let leaders = after.counter("store.fence.leader") - before.counter("store.fence.leader");
-        let followers =
-            after.counter("store.fence.follower") - before.counter("store.fence.follower");
-        assert!(leaders >= 1, "some fence must have led a batch");
-        assert!(
-            followers >= 1,
-            "4 synchronized producers under a 2 ms window must coalesce \
-             (leaders {leaders}, followers {followers})"
-        );
-        fs::remove_file(&path).unwrap();
-    }
-
     /// The `store.fence.*` counters are process-global and this binary's
     /// tests run in parallel: every test that fences a power-fail pool
     /// holds this, so the ones that check an exact delta see only their own.
@@ -1717,15 +1620,12 @@ mod tests {
     fn gc_pool(
         tag: &str,
         pages: usize,
-        window_ns: u64,
         hook: impl Fn(u64, usize) + Send + Sync + 'static,
     ) -> (PathBuf, FilePool) {
         let path = temp_path(tag);
         let mut pool = FilePool::create(
             &path,
-            FileConfig::with_size((pages + 1) * page_size())
-                .with_sync(SyncPolicy::PowerFail)
-                .with_fence_window(window_ns),
+            FileConfig::with_size((pages + 1) * page_size()).with_sync(SyncPolicy::PowerFail),
         )
         .unwrap();
         pool.synced = Some(Mutex::new(BTreeSet::new()));
@@ -1771,7 +1671,7 @@ mod tests {
         let _serial = gc_serial();
         let stalled = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
-        let (path, pool) = gc_pool("gc-pipeline", 2, 0, {
+        let (path, pool) = gc_pool("gc-pipeline", 2, {
             let (stalled, release) = (stalled.clone(), release.clone());
             move |batch, _| {
                 if batch == 1 {
@@ -1806,54 +1706,127 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// Fence threads of a test scope, each returning its file page.
+    type Fences<'scope> = Vec<std::thread::ScopedJoinHandle<'scope, usize>>;
+
+    /// Fences on pages 0 and 1 lead batches 1 and 2, which the pool's
+    /// submit hook stalls (counting each stall in `stalled`); then fences
+    /// on pages 2 and 3 publish into batch 3 behind the full pipeline.
+    /// Returns the first two fences, the two sharing batch 3 and whether
+    /// both of those had published before the deadline.
+    fn fill_the_pipeline<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        pool: &'scope FilePool,
+        stalled: &AtomicUsize,
+    ) -> (Fences<'scope>, Fences<'scope>, bool) {
+        let stalls = (0..2)
+            .map(|tid| {
+                let handle = scope.spawn(move || fence_page(pool, tid, tid));
+                assert!(wait_until(|| stalled.load(Ordering::SeqCst) == tid + 1));
+                handle
+            })
+            .collect();
+        let sharers = (2..4)
+            .map(|tid| scope.spawn(move || fence_page(pool, tid, tid)))
+            .collect();
+        let both_parked = wait_until(|| pool.group.state.lock().unwrap().fences == 2);
+        (stalls, sharers, both_parked)
+    }
+
+    /// Coalescing without timing: batches 1 and 2 stall and fill the
+    /// pipeline, two more fences publish into batch 3 meanwhile, and once
+    /// the stalls are released exactly one of them leads batch 3 and the
+    /// other follows it.
+    #[test]
+    fn group_commit_coalesces_concurrent_fences() {
+        use std::sync::atomic::AtomicBool;
+        use std::thread::ThreadId;
+        let _serial = gc_serial();
+        let stalled = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let third_leader: Arc<Mutex<Option<ThreadId>>> = Arc::default();
+        let (path, pool) = gc_pool("gc-coalesce", 4, {
+            let (stalled, release) = (stalled.clone(), release.clone());
+            let third_leader = third_leader.clone();
+            move |batch, _| {
+                if batch <= 2 {
+                    stalled.fetch_add(1, Ordering::SeqCst);
+                    wait_until(|| release.load(Ordering::SeqCst));
+                } else if batch == 3 {
+                    *third_leader.lock().unwrap() = Some(std::thread::current().id());
+                }
+            }
+        });
+        let before = obs::snapshot();
+        std::thread::scope(|scope| {
+            let (stalls, sharers, both_parked) = fill_the_pipeline(scope, &pool, &stalled);
+            release.store(true, Ordering::SeqCst);
+            assert!(both_parked, "two fences must publish into batch 3");
+            let ids: Vec<ThreadId> = sharers.iter().map(|h| h.thread().id()).collect();
+            for handle in stalls.into_iter().chain(sharers) {
+                let page = handle.join().unwrap();
+                assert!(is_synced(&pool, page));
+            }
+            let leader = third_leader.lock().unwrap().expect("batch 3 had a leader");
+            assert!(
+                ids.contains(&leader),
+                "batch 3 was led by a fence outside it"
+            );
+        });
+        let after = obs::snapshot();
+        let delta = |name| after.counter(name) - before.counter(name);
+        assert_eq!(delta("store.fence.leader"), 3, "batches 1, 2 and 3");
+        assert_eq!(delta("store.fence.follower"), 1, "batch 3's second fence");
+        assert_eq!(delta("store.fence.coalesced"), 2, "batch 3's two fences");
+        drop(pool);
+        fs::remove_file(&path).unwrap();
+    }
+
     /// 8 threads x 500 fences, every fence on a page of its own: never more
-    /// than `PIPELINE_DEPTH` batches in flight (one, under a window), every
-    /// fence either led a batch or followed one, and no fence returns
+    /// than `PIPELINE_DEPTH` batches in flight and that many at least once,
+    /// every fence either led a batch or followed one, and no fence returns
     /// before its own page is in the synced-page record.
     #[test]
     fn the_pipeline_stays_two_deep_and_every_fence_leads_or_follows() {
         const THREADS: usize = 8;
         const FENCES: usize = 500;
         let _serial = gc_serial();
-        for window_ns in [0, 50_000] {
-            let deepest = Arc::new(AtomicUsize::new(0));
-            let (path, pool) = gc_pool("gc-depth", THREADS * FENCES, window_ns, {
-                let deepest = deepest.clone();
-                move |_, in_flight| {
-                    deepest.fetch_max(in_flight, Ordering::Relaxed);
-                }
-            });
-            let before = obs::snapshot();
-            std::thread::scope(|scope| {
-                for tid in 0..THREADS {
-                    let pool = &pool;
-                    scope.spawn(move || {
-                        for i in 0..FENCES {
-                            let page = fence_page(pool, tid, tid * FENCES + i);
-                            assert!(
-                                is_synced(pool, page),
-                                "tid {tid}'s fence {i} returned before its page synced"
-                            );
-                        }
-                    });
-                }
-            });
-            let after = obs::snapshot();
-            let deepest = deepest.load(Ordering::Relaxed);
-            let depth = if window_ns > 0 { 1 } else { PIPELINE_DEPTH };
-            assert!(
-                (1..=depth).contains(&deepest),
-                "window {window_ns}: {deepest} batches in flight at once"
-            );
-            let delta = |name| after.counter(name) - before.counter(name);
-            assert_eq!(
-                delta("store.fence.leader") + delta("store.fence.follower"),
-                (THREADS * FENCES) as u64,
-                "window {window_ns}: a fence neither led nor followed"
-            );
-            drop(pool);
-            fs::remove_file(&path).unwrap();
-        }
+        let deepest = Arc::new(AtomicUsize::new(0));
+        let (path, pool) = gc_pool("gc-depth", THREADS * FENCES, {
+            let deepest = deepest.clone();
+            move |_, in_flight| {
+                deepest.fetch_max(in_flight, Ordering::Relaxed);
+            }
+        });
+        let before = obs::snapshot();
+        std::thread::scope(|scope| {
+            for tid in 0..THREADS {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for i in 0..FENCES {
+                        let page = fence_page(pool, tid, tid * FENCES + i);
+                        assert!(
+                            is_synced(pool, page),
+                            "tid {tid}'s fence {i} returned before its page synced"
+                        );
+                    }
+                });
+            }
+        });
+        let after = obs::snapshot();
+        assert_eq!(
+            deepest.load(Ordering::Relaxed),
+            PIPELINE_DEPTH,
+            "the most batches in flight at once"
+        );
+        let delta = |name| after.counter(name) - before.counter(name);
+        assert_eq!(
+            delta("store.fence.leader") + delta("store.fence.follower"),
+            (THREADS * FENCES) as u64,
+            "a fence neither led nor followed"
+        );
+        drop(pool);
+        fs::remove_file(&path).unwrap();
     }
 
     /// A batch whose `msync` fails (injected) must not pass for durable:
@@ -1869,7 +1842,7 @@ mod tests {
         // Batches 1 and 2 stall and fill the pipeline, so the next two
         // fences share batch 3, whose one run is the third msync: the one
         // that fails.
-        let (path, pool) = gc_pool("gc-eio", 5, 0, {
+        let (path, pool) = gc_pool("gc-eio", 5, {
             let (stalled, release) = (stalled.clone(), release.clone());
             move |batch, _| {
                 if batch <= 2 {
@@ -1885,24 +1858,7 @@ mod tests {
             *payload.downcast::<String>().expect("panic with a message")
         };
         std::thread::scope(|scope| {
-            let gc = &pool.group;
-            let synced: Vec<_> = (0..2)
-                .map(|tid| {
-                    let handle = scope.spawn({
-                        let pool = &pool;
-                        move || fence_page(pool, tid, tid)
-                    });
-                    assert!(wait_until(|| stalled.load(Ordering::SeqCst) == tid + 1));
-                    handle
-                })
-                .collect();
-            let failed: Vec<_> = (2..4)
-                .map(|tid| {
-                    let pool = &pool;
-                    scope.spawn(move || fence_page(pool, tid, tid))
-                })
-                .collect();
-            let both_parked = wait_until(|| gc.state.lock().unwrap().fences == 2);
+            let (synced, failed, both_parked) = fill_the_pipeline(scope, &pool, &stalled);
             release.store(true, Ordering::SeqCst);
             assert!(both_parked, "two fences must share the batch that fails");
             for handle in synced {

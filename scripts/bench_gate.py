@@ -111,8 +111,8 @@ SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read"}
 # Recorded at ~1x; images zeroed up front cost hundreds of times more.
 SIM_POOL_SMALL, SIM_POOL_LARGE = 1 << 20, 256 << 20
 MAX_SIM_POOL_NEW_VS_SMALL = 4.0
-# Group commit must keep batching: at 8 producers and window 0 the share of
-# fences that shared a batch with another. Recorded at 0.91-0.92; a
+# Group commit must keep batching: at 8 producers the share of fences that
+# shared a batch with another. Recorded at 0.91-0.92; a
 # pipeline that never fills reads 0. A cliff detector, not a perf SLO.
 GC_FLOOR_PRODUCERS = 8
 MIN_GC_COALESCED_SHARE = 0.5
@@ -165,12 +165,10 @@ def fastpath_within_run(obj, ctx, gate):
 
 
 def group_commit_coalesces(obj, ctx, gate):
-    floor = [row for row in obj["rows"]
-             if row["producers"] == GC_FLOOR_PRODUCERS and row["window_us"] == 0]
+    floor = [row for row in obj["rows"] if row["producers"] == GC_FLOOR_PRODUCERS]
     if not floor:
-        raise Invalid(f"{ctx}: group_commit needs its {GC_FLOOR_PRODUCERS}-producer, "
-                      f"window-0 row")
-    gate.check(f"{ctx}[{GC_FLOOR_PRODUCERS},0]", "coalesced_share", MIN_GC_COALESCED_SHARE,
+        raise Invalid(f"{ctx}: group_commit needs its {GC_FLOOR_PRODUCERS}-producer row")
+    gate.check(f"{ctx}[{GC_FLOOR_PRODUCERS}]", "coalesced_share", MIN_GC_COALESCED_SHARE,
                floor[0]["coalesced_share"], "floor", 1.0)
 
 
@@ -227,13 +225,12 @@ EXPERIMENTS = {
         "invariant": fastpath_within_run,
     },
     # harness fsweep: power-fail fence throughput under group commit,
-    # across producer counts and fence windows.
+    # across producer counts.
     "group_commit": {
         "header": nums("fences", "pages"),
-        "row": {**nums("producers", "window_us", "wall_ms", "coalesced_share",
-                       "overlapped_share"),
+        "row": {**nums("producers", "wall_ms", "coalesced_share", "overlapped_share"),
                 "fences_per_sec": POSITIVE},
-        "identity": ("producers", "window_us"),
+        "identity": ("producers",),
         "bands": {"fences_per_sec": FLOOR},
         "invariant": group_commit_coalesces,
     },
@@ -421,10 +418,10 @@ def self_test():
         "fsweep": [{
             "experiment": "group_commit", "meta": meta(), "fences": 150, "pages": 16,
             "rows": [
-                {"producers": 8, "window_us": 0, "wall_ms": 230.0,
-                 "fences_per_sec": 5200.0, "coalesced_share": 0.9, "overlapped_share": 0.8},
-                {"producers": 8, "window_us": 100, "wall_ms": 100.0,
-                 "fences_per_sec": 12000.0, "coalesced_share": 1.0, "overlapped_share": 0},
+                {"producers": 8, "wall_ms": 230.0, "fences_per_sec": 5200.0,
+                 "coalesced_share": 0.9, "overlapped_share": 0.8},
+                {"producers": 1, "wall_ms": 30.0, "fences_per_sec": 5000.0,
+                 "coalesced_share": 0, "overlapped_share": 0},
             ],
         }],
         "counts": [{
@@ -500,10 +497,9 @@ def self_test():
         ("wrong meta schema", *mutated("fsweep", lambda o: o["meta"].update(schema=1))),
         ("missing rows", *mutated("fsweep", lambda o: drop(o, "rows"))),
         ("missing row key", *mutated("fsweep", lambda o: drop(o["rows"][0], "fences_per_sec"))),
-        ("a sweep without its 8-producer, window-0 row",
+        ("a sweep without its 8-producer row",
          *mutated("fsweep", lambda o: o["rows"].pop(0))),
         ("zero throughput", *mutated("fsweep", lambda o: o["rows"][1].update(fences_per_sec=0))),
-        ("a null window", *mutated("fsweep", lambda o: o["rows"][1].update(window_us=None))),
         ("string count", *mutated("counts", lambda o: o["rows"][0].update(enq_fences="2"))),
         ("fastpath without its raw floor", *mutated("fastpath", lambda o: drop(o, "raw_load_ns"))),
         ("fastpath without its counter cost",

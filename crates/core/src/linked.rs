@@ -353,7 +353,7 @@ mod tests {
     /// Flushes issued by 64 enqueues on a queue pre-filled to `prefill`.
     fn enqueue_flushes_at<Q: crate::RecoverableQueue>(prefill: u64) -> u64 {
         // One 16 MiB area holds every node of the run, so no measured
-        // enqueue carves (and flushes) a fresh area.
+        // enqueue carves a fresh area (and flushes its directory entry).
         let cfg = QueueConfig {
             max_threads: 1,
             area_size: 16 << 20,

@@ -64,14 +64,15 @@ pub const META_LOCALDATA_STRIDE: u32 = ROOT_META + 8;
 /// persistent local-data array of `stride` bytes per thread, recording its
 /// offset and stride in the root metadata line. Returns the array's offset.
 ///
-/// The array space is zeroed and persisted, so recovery can rely on
-/// never-written records reading as zero.
+/// The array comes from [`PmemPool::alloc_zeroed`], so recovery can rely on
+/// never-written records reading as zero: free on a pool that vouches for
+/// its never-allocated space (simulated, or a file pool created in this
+/// session), zeroed, flushed and fenced on one that does not (a reopened
+/// file pool).
 pub fn create_local_data(pool: &PmemPool, stride: u32) -> u32 {
     assert_eq!(stride % CACHE_LINE as u32, 0);
     let len = stride * MAX_THREADS as u32;
-    let off = pool.alloc_raw(len, CACHE_LINE as u32);
-    pool.zero_range(off, len);
-    pool.flush_range(0, off, len);
+    let off = pool.alloc_zeroed(0, len, CACHE_LINE as u32);
     pool.store_u64(META_LOCALDATA, off as u64);
     pool.store_u64(META_LOCALDATA_STRIDE, stride as u64);
     pool.flush(0, ROOT_META);

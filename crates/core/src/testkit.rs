@@ -599,7 +599,9 @@ pub struct PersistCounts {
 /// before measurement starts, as in the paper's steady-state runs).
 pub fn persist_counts<Q: RecoverableQueue>(ops: u64) -> PersistCounts {
     // A large designated area so that the measured phases never carve a new
-    // one: area carving legitimately flushes the whole area, but that is an
+    // one: carving costs its directory entry's flush and fence on a pool
+    // that vouches for its fresh space (this simulated one does), and a
+    // flush per line of the area on one that does not, either way an
     // allocator cost the paper's per-operation analysis amortises away.
     let cfg = QueueConfig {
         max_threads: 8,

@@ -26,10 +26,18 @@
 //! the gate holds to the request within the run. `sim_pool` times creating
 //! a 1 MiB and a 256 MiB simulated pool (`new_us`): their images are zeroed
 //! by the kernel as a run touches them, so the gate holds the large pool's
-//! cost to within a small factor of the small one's.
+//! cost to within a small factor of the small one's. `sim_queue` times the
+//! set-up `paper-pairs` pays before its first pair: a [`PoolConfig::bench`]
+//! pool, [`OptUnlinkedQueue::create`] with 128 KiB areas and ten enqueues
+//! (`setup_us`), with the flushes and fences it issued. A simulated pool's
+//! fresh space is durable zero already, so carving an area costs its
+//! directory entry's one flush and one fence: the gate holds the set-up's
+//! flushes below one area's lines and its time below what flushing one
+//! area would charge.
 
 use std::time::Instant;
 
+use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};
 use pmem::{LatencyModel, PmemPool, PoolConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -215,6 +223,51 @@ fn measure_sim_pool(cfg: &FastpathConfig) -> Vec<SimPoolRow> {
         .collect()
 }
 
+/// The pool size, area size and prefill of the set-up `sim_queue` times:
+/// `paper-pairs`' shape.
+const SIM_QUEUE_POOL_BYTES: usize = 8 << 20;
+const SIM_QUEUE_AREA_BYTES: u32 = 128 << 10;
+const SIM_QUEUE_PREFILL: u64 = 10;
+
+/// What setting up `paper-pairs`' queue on a simulated pool costs.
+pub struct SimQueueRow {
+    /// The queue's designated-area size in bytes.
+    pub area_bytes: u32,
+    /// Pool creation, `OptUnlinkedQueue::create` and the prefill, best of
+    /// the trials, µs.
+    pub setup_us: f64,
+    /// Flushes the set-up issued.
+    pub flushes: u64,
+    /// Fences the set-up issued.
+    pub fences: u64,
+}
+
+/// Times [`SimQueueRow`]'s set-up; dropping the queue is not timed.
+fn measure_sim_queue(cfg: &FastpathConfig) -> SimQueueRow {
+    let config = QueueConfig {
+        max_threads: 2,
+        area_size: SIM_QUEUE_AREA_BYTES,
+    };
+    let mut best = f64::INFINITY;
+    let mut stats = pmem::StatsSnapshot::default();
+    for _ in 0..cfg.trials {
+        let start = Instant::now();
+        let pool = Arc::new(PmemPool::new(PoolConfig::bench(SIM_QUEUE_POOL_BYTES)));
+        let q = OptUnlinkedQueue::create(pool, config);
+        for item in 1..=SIM_QUEUE_PREFILL {
+            q.enqueue(0, item);
+        }
+        best = best.min(start.elapsed().as_secs_f64() * 1e6);
+        stats = q.stats();
+    }
+    SimQueueRow {
+        area_bytes: SIM_QUEUE_AREA_BYTES,
+        setup_us: best,
+        flushes: stats.flushes,
+        fences: stats.fences,
+    }
+}
+
 /// The measured rows plus the floor they are judged against.
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
@@ -227,6 +280,8 @@ pub struct FastpathReport {
     pub sim_spin: Vec<SpinRow>,
     /// What creating a simulated pool costs, small pool first.
     pub sim_pool: Vec<SimPoolRow>,
+    /// What setting up `paper-pairs`' queue costs.
+    pub sim_queue: SimQueueRow,
 }
 
 /// Times a fixed and an elastic pool over identical workloads, and the
@@ -254,6 +309,7 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
         ],
         sim_spin: measure_sim_spin(cfg),
         sim_pool: measure_sim_pool(cfg),
+        sim_queue: measure_sim_queue(cfg),
     }
 }
 
@@ -302,7 +358,15 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
             pool.new_us
         ));
     }
-    out.push('\n');
+    let queue = &report.sim_queue;
+    out.push_str(&format!(
+        "\nsimulated queue set-up ({} KiB areas, {} enqueues): {:.1} us, {} flushes, {} fences\n",
+        queue.area_bytes >> 10,
+        SIM_QUEUE_PREFILL,
+        queue.setup_us,
+        queue.flushes,
+        queue.fences
+    ));
     out
 }
 
@@ -346,6 +410,14 @@ pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
         })
         .collect();
     obj.section("sim_pool", format!("[{}]", pools.join(", ")));
+    let queue = &report.sim_queue;
+    obj.section(
+        "sim_queue",
+        format!(
+            "{{\"area_bytes\": {}, \"setup_us\": {:.3}, \"flushes\": {}, \"fences\": {}}}",
+            queue.area_bytes, queue.setup_us, queue.flushes, queue.fences
+        ),
+    );
     obj.finish()
 }
 
@@ -418,6 +490,13 @@ mod tests {
             assert!(pool.new_us > 0.0 && pool.new_us.is_finite());
         }
         assert!(rendered.contains(" 256 MiB "));
+        let queue = &report.sim_queue;
+        assert!(queue.setup_us > 0.0 && queue.setup_us.is_finite());
+        // Carving the two areas the set-up touches (local data, the first
+        // node's) flushes neither of them.
+        assert!(queue.flushes < (SIM_QUEUE_AREA_BYTES / 64) as u64 / 16);
+        assert!(queue.fences >= SIM_QUEUE_PREFILL);
+        assert!(rendered.contains("simulated queue set-up (128 KiB areas, 10 enqueues)"));
     }
 
     #[test]
@@ -437,6 +516,7 @@ mod tests {
         assert_eq!(json.matches("\"charged_ns\"").count(), 4);
         assert!(json.contains("\"sim_pool\": [{\"size_bytes\": 1048576, \"new_us\": "));
         assert_eq!(json.matches("\"new_us\"").count(), 2);
+        assert!(json.contains("\"sim_queue\": {\"area_bytes\": 131072, \"setup_us\": "));
     }
 
     #[test]

@@ -41,61 +41,132 @@ use std::path::PathBuf;
 use std::process::exit;
 use store::SyncPolicy;
 
-/// Every flag some verb reads, the hidden `crash-child`'s included. Any
-/// other name is refused: a misspelt or retired flag would otherwise run
-/// the verb with its default without a word.
-const FLAGS: [&str; 35] = [
-    "algo",
-    "algorithm",
+/// The flags `fig2` reads (`sweep_from_flags`, its shard counts and
+/// workloads); `all` forwards its one flag map to fig2, counts and shards.
+const FIG2_FLAGS: &[&str] = &[
     "algorithms",
-    "area-bytes",
     "backend",
-    "create",
-    "dequeue",
     "dir",
-    "expect",
-    "fences",
     "grow-step",
-    "held-views",
     "initial-size",
-    "items",
-    "json",
-    "key-shift",
     "no-latency",
     "nvram-read-ns",
     "ops",
-    "pages",
     "policy",
     "pool-bytes",
     "prefill",
-    "producers",
     "quick",
-    "recovery-threads",
-    "rounds",
-    "shape",
     "shards",
     "sync",
     "threads",
-    "to",
-    "trials",
-    "verify",
     "workload",
 ];
+const COUNTS_FLAGS: &[&str] = &["json", "ops", "policy", "shards"];
+const SHARDS_FLAGS: &[&str] = &[
+    "algorithm",
+    "json",
+    "no-latency",
+    "ops",
+    "policy",
+    "quick",
+    "recovery-threads",
+    "shards",
+    "threads",
+    "workload",
+];
+
+/// Each verb and every flag it reads, the hidden `crash-child`'s included.
+/// Any other flag is refused: a misspelt, retired or other verb's flag
+/// would otherwise run the verb with its default without a word.
+const VERBS: &[(&str, &[&str])] = &[
+    ("fig2", FIG2_FLAGS),
+    ("counts", COUNTS_FLAGS),
+    ("crashtest", &["ops", "rounds", "threads"]),
+    ("shards", SHARDS_FLAGS),
+    (
+        "reshard",
+        &[
+            "algo",
+            "algorithm",
+            "create",
+            "dir",
+            "expect",
+            "items",
+            "key-shift",
+            "policy",
+            "pool-bytes",
+            "sync",
+            "to",
+            "verify",
+        ],
+    ),
+    (
+        "fastpath",
+        &["grow-step", "json", "ops", "pool-bytes", "quick", "trials"],
+    ),
+    (
+        "fsweep",
+        &[
+            "fences",
+            "json",
+            "pages",
+            "pool-bytes",
+            "producers",
+            "quick",
+        ],
+    ),
+    ("metrics", &["dir", "json", "ops", "sync"]),
+    ("blackbox", &["dir", "json"]),
+    (
+        "crash-child",
+        &[
+            "algo",
+            "area-bytes",
+            "dequeue",
+            "dir",
+            "grow-step",
+            "held-views",
+            "items",
+            "policy",
+            "pool-bytes",
+            "shape",
+            "shards",
+            "sync",
+        ],
+    ),
+    // Everything fig2, counts and shards read but `--json`: the three
+    // sweeps would race for one file.
+    ("all", &[]),
+];
+
+/// Whether `verb` reads `--name`.
+fn reads(verb: &str, name: &str) -> bool {
+    if verb == "all" {
+        return name != "json" && ["fig2", "counts", "shards"].iter().any(|v| reads(v, name));
+    }
+    VERBS
+        .iter()
+        .any(|(v, flags)| *v == verb && flags.contains(&name))
+}
 
 /// Flags whose value names a file or directory: given without one, the
 /// path would be the literal `true`.
 const PATH_FLAGS: [&str; 2] = ["json", "dir"];
 
-/// Parses `--name value` pairs; a flag without a value reads `"true"`. A
-/// name outside [`FLAGS`] and a valueless path flag ([`PATH_FLAGS`]) are
-/// errors naming the flag.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `verb`'s `--name value` pairs; a flag without a value reads
+/// `"true"`. A flag no verb reads, a flag `verb` does not read and a
+/// valueless path flag ([`PATH_FLAGS`]) are errors naming the flag.
+fn parse_flags(verb: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if !FLAGS.contains(&name) {
-                return Err(format!("unknown flag --{name} (run harness for the usage)"));
+            if !reads(verb, name) {
+                return Err(if VERBS.iter().any(|(v, _)| reads(v, name)) {
+                    format!("harness {verb} does not read --{name} (run harness for the usage)")
+                } else {
+                    format!("unknown flag --{name} (run harness for the usage)")
+                });
             }
             let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
@@ -430,10 +501,55 @@ fn cmd_crashtest(flags: &HashMap<String, String>) {
     check_all(&cfg);
 }
 
+/// Prints the usage text and exits 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: harness <fig2|counts|crashtest|shards|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
+         \n\
+         fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
+         counts     per-operation persistence counts (experiments E7/E8)\n\
+         crashtest  durable-linearizability crash checks for every queue\n\
+         shards     shard-scaling sweep: aggregate throughput, per-shard\n\
+                    persist counts and parallel crash-recovery latency\n\
+         reshard    split/merge a file-backed shard directory to --to N'\n\
+                    (crash-safe two-phase manifest protocol)\n\
+         fastpath   time a fixed and an elastic file pool's per-op\n\
+                    load / persist / map_ref costs\n\
+         fsweep     power-fail fence throughput sweep: group commit\n\
+                    across producer counts\n\
+                    (--producers 1,2,4,8 --fences N --pages K)\n\
+         metrics    drive a short leased workload, then dump the\n\
+                    process-global instruments (Prometheus text, or a\n\
+                    metrics experiment object with --json)\n\
+         blackbox   replay a crash-surviving BLACKBOX.ring and\n\
+                    pretty-print the lifecycle events that survived\n\
+         all        counts, every fig2 panel, then the shard sweep\n\
+         \n\
+         common flags: --quick --workload W --threads 1,2,4 --ops N\n\
+                       --initial-size N --prefill N --algorithms A,B\n\
+                       --shards 1,2,4,8 --policy rr|keyhash|load\n\
+                       --recovery-threads N --nvram-read-ns N --no-latency\n\
+         backends:     --backend sim|file --dir PATH\n\
+                       --sync process-crash|power-fail   (file backend)\n\
+                       --pool-bytes N --grow-step N   (file pools grow by\n\
+                       >= N bytes on exhaustion; 0 = fixed size)\n\
+         output:       --json PATH   (counts, shards, fastpath,\n\
+                       fsweep, metrics, blackbox: JSON array of\n\
+                       experiment objects; schema in README)\n\
+         reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\
+                       [--verify] [--expect M] [--key-shift B]\n\
+                       [--policy P] [--sync S]"
+    );
+    exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let flags = parse_flags(&args[1.min(args.len())..]).unwrap_or_else(|e| {
+    if !VERBS.iter().any(|(verb, _)| *verb == command) {
+        usage();
+    }
+    let flags = parse_flags(command, &args[1..]).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });
@@ -455,54 +571,11 @@ fn main() {
         // Hidden: the child every crash round spawns and kills.
         "crash-child" => crash::run_child(&Scenario::from_flags(&flags)),
         "all" => {
-            // `--json` is per-experiment; with `all` the sweeps would race
-            // for one file, so require an explicit subcommand for it.
-            let mut flags = flags;
-            flags.remove("json");
             cmd_counts(&flags);
             cmd_fig2(&flags);
             cmd_shards(&flags);
         }
-        _ => {
-            eprintln!(
-                "usage: harness <fig2|counts|crashtest|shards|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
-                 \n\
-                 fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
-                 counts     per-operation persistence counts (experiments E7/E8)\n\
-                 crashtest  durable-linearizability crash checks for every queue\n\
-                 shards     shard-scaling sweep: aggregate throughput, per-shard\n\
-                            persist counts and parallel crash-recovery latency\n\
-                 reshard    split/merge a file-backed shard directory to --to N'\n\
-                            (crash-safe two-phase manifest protocol)\n\
-                 fastpath   time a fixed and an elastic file pool's per-op\n\
-                            load / persist / map_ref costs\n\
-                 fsweep     power-fail fence throughput sweep: group commit\n\
-                            across producer counts\n\
-                            (--producers 1,2,4,8 --fences N --pages K)\n\
-                 metrics    drive a short leased workload, then dump the\n\
-                            process-global instruments (Prometheus text, or a\n\
-                            metrics experiment object with --json)\n\
-                 blackbox   replay a crash-surviving BLACKBOX.ring and\n\
-                            pretty-print the lifecycle events that survived\n\
-                 all        counts, every fig2 panel, then the shard sweep\n\
-                 \n\
-                 common flags: --quick --workload W --threads 1,2,4 --ops N\n\
-                               --initial-size N --prefill N --algorithms A,B\n\
-                               --shards 1,2,4,8 --policy rr|keyhash|load\n\
-                               --recovery-threads N --nvram-read-ns N --no-latency\n\
-                 backends:     --backend sim|file --dir PATH\n\
-                               --sync process-crash|power-fail   (file backend)\n\
-                               --pool-bytes N --grow-step N   (file pools grow by\n\
-                               >= N bytes on exhaustion; 0 = fixed size)\n\
-                 output:       --json PATH   (counts, shards, fastpath,\n\
-                               fsweep, metrics, blackbox: JSON array of\n\
-                               experiment objects; schema in README)\n\
-                 reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\
-                               [--verify] [--expect M] [--key-shift B]\n\
-                               [--policy P] [--sync S]"
-            );
-            exit(2);
-        }
+        _ => unreachable!("every verb of VERBS has an arm"),
     }
 }
 
@@ -510,22 +583,28 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<HashMap<String, String>, String> {
-        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn parse(verb: &str, args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(
+            verb,
+            &args.iter().map(|a| a.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn a_path_flag_without_a_value_is_refused_by_name() {
         for flag in PATH_FLAGS {
             let bare = format!("--{flag}");
-            for args in [vec![bare.as_str()], vec![bare.as_str(), "--quick"]] {
-                assert_eq!(parse(&args), Err(format!("--{flag} needs a path")));
+            for args in [vec![bare.as_str()], vec![bare.as_str(), "--ops"]] {
+                assert_eq!(
+                    parse("metrics", &args),
+                    Err(format!("--{flag} needs a path"))
+                );
             }
         }
-        let flags = parse(&["--json", "out.json", "--quick", "--dir", "d"]).unwrap();
+        let flags = parse("metrics", &["--json", "out.json", "--ops", "--dir", "d"]).unwrap();
         assert_eq!(flags["json"], "out.json");
         assert_eq!(flags["dir"], "d");
-        assert_eq!(flags["quick"], "true");
+        assert_eq!(flags["ops"], "true");
     }
 
     /// Retired flags would otherwise run at their old default silently.
@@ -533,12 +612,56 @@ mod tests {
     fn a_flag_no_verb_reads_is_refused_by_name() {
         for flag in ["fence-window", "windows", "group-commit", "min-acks"] {
             let bare = format!("--{flag}");
-            for args in [vec![bare.as_str(), "50"], vec!["--quick", bare.as_str()]] {
-                let err = parse(&args).unwrap_err();
+            for (verb, _) in VERBS {
+                let err = parse(verb, &[bare.as_str(), "50"]).unwrap_err();
                 assert!(err.contains(&format!("unknown flag --{flag} ")), "{err}");
             }
+            let err = parse("fsweep", &["--quick", bare.as_str()]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag --{flag} ")), "{err}");
         }
-        let flags = parse(&["--quick", "--json", "out.json", "--dir", "d"]).unwrap();
+        let flags = parse("fsweep", &["--quick", "--json", "out.json", "--pages", "4"]).unwrap();
         assert_eq!(flags.len(), 3);
+    }
+
+    /// A flag another verb reads means nothing here: `fsweep` used to run
+    /// its sweep and exit 0 ignoring `--threads` and `--workload`.
+    #[test]
+    fn a_flag_only_another_verb_reads_is_refused_by_name() {
+        let err = parse(
+            "fsweep",
+            &[
+                "--quick",
+                "--producers",
+                "1",
+                "--threads",
+                "4",
+                "--workload",
+                "pairs",
+            ],
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("harness fsweep does not read --threads "),
+            "{err}"
+        );
+        for (verb, flag) in [
+            ("counts", "quick"),
+            ("fastpath", "sync"),
+            ("crashtest", "json"),
+            ("blackbox", "ops"),
+            ("all", "json"),
+        ] {
+            let err = parse(verb, &[&format!("--{flag}"), "x"]).unwrap_err();
+            assert!(
+                err.contains(&format!("harness {verb} does not read --{flag} ")),
+                "{err}"
+            );
+        }
+        // `all` reads whatever fig2, counts or shards reads, but `--json`.
+        let flags = parse(
+            "all",
+            &["--quick", "--backend", "file", "--recovery-threads", "2"],
+        );
+        assert_eq!(flags.unwrap().len(), 3);
     }
 }

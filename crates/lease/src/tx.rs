@@ -78,8 +78,9 @@ pub struct ExactlyOnce {
 
 impl ExactlyOnce {
     /// Creates a fresh engine with one cursor stripe per consumer group
-    /// (`1` for a plain [`LeasedQueue`](crate::LeasedQueue)): allocates and
-    /// zeroes the `groups × MAX_THREADS` entry area, publishes it (with the
+    /// (`1` for a plain [`LeasedQueue`](crate::LeasedQueue)): allocates the
+    /// `groups × MAX_THREADS` entry area durable-zero
+    /// ([`PmemPool::alloc_zeroed`]), publishes it (with the
     /// stripe count) in root slot [`CURSOR_ROOT_SLOT`], and starts a fresh
     /// batched-commit [`Ptm`].
     ///
@@ -93,10 +94,7 @@ impl ExactlyOnce {
             "exactly-once cursor needs 1..={MAX_GROUPS} groups, got {groups}"
         );
         let len = (groups * MAX_THREADS * CURSOR_ENTRY_LEN) as u32;
-        let cursor = pool.alloc_raw(len, 64);
-        pool.zero_range(cursor, len);
-        pool.flush_range(0, cursor, len);
-        pool.sfence(0);
+        let cursor = pool.alloc_zeroed(0, len, 64);
         pool.set_root_u64(
             CURSOR_ROOT_SLOT,
             ((groups as u64 - 1) << 32) | cursor as u64,

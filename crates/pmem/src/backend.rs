@@ -213,6 +213,19 @@ pub trait PoolBackend: Send + Sync {
     /// they need the zeroes durable).
     fn zero_range(&self, off: u32, len: u32);
 
+    /// Whether the backend vouches for its never-allocated tail: every byte
+    /// at or above the [`watermark`](Self::watermark) reads zero now and
+    /// after any crash, so [`crate::PmemPool::alloc_zeroed`] may hand it out
+    /// without zeroing, flushing or fencing it.
+    ///
+    /// The default declines. A backend may vouch only if nothing ever
+    /// writes above its watermark and a crash cannot surface bytes there —
+    /// in particular not bytes a previous session wrote into space whose
+    /// watermark never reached stable storage.
+    fn vouches_zero_tail(&self) -> bool {
+        false
+    }
+
     /// Current allocation watermark (first never-reserved byte offset).
     /// Backends with durable storage persist the watermark so a reopened
     /// pool never re-hands-out space that pre-crash data occupies.

@@ -385,10 +385,10 @@ impl PmemPool {
         }
     }
 
-    /// Zeroes `[off, off + len)` with plain stores (callers that need the
-    /// zeroes to be durable must flush + fence afterwards, as ssmem does
-    /// when it prepares a designated area).
-    pub fn zero_range(&self, off: u32, len: u32) {
+    /// Zeroes `[off, off + len)` with plain stores: the first step of
+    /// [`alloc_zeroed`](Self::alloc_zeroed) on a pool that does not vouch for
+    /// its fresh space, the one way to get durably zeroed space.
+    pub(crate) fn zero_range(&self, off: u32, len: u32) {
         match &self.inner {
             PoolImpl::Sim(s) => s.zero_range(off, len),
             PoolImpl::Ext(e) => {
@@ -472,6 +472,33 @@ impl PmemPool {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Reserves `len` bytes like [`alloc_raw`](Self::alloc_raw) and returns
+    /// space that reads zero now and after any crash — what a recovery that
+    /// treats "never written" as zero needs of a fresh area.
+    ///
+    /// Fresh pool space is usually durable zero already: the simulated
+    /// backend never writes above its watermark and a simulated crash
+    /// carries zeros there, and a file pool created in this session has a
+    /// hole for a tail, made durable by its creation (see
+    /// [`PoolBackend::vouches_zero_tail`]). Then this is plain `alloc_raw`.
+    /// Otherwise — a reopened file pool, where an earlier session's bytes
+    /// may have reached stable storage ahead of the watermark covering
+    /// them — it zeroes the range, flushes every line of it and fences
+    /// once on behalf of `tid`.
+    pub fn alloc_zeroed(&self, tid: usize, len: u32, align: u32) -> u32 {
+        let off = self.alloc_raw(len, align);
+        let vouched = match &self.inner {
+            PoolImpl::Sim(_) => true,
+            PoolImpl::Ext(e) => e.backend.vouches_zero_tail(),
+        };
+        if !vouched {
+            self.zero_range(off, len);
+            self.flush_range(tid, off, len);
+            self.sfence(tid);
+        }
+        off
     }
 
     #[inline]
@@ -910,6 +937,42 @@ mod tests {
         assert_eq!(p.load_u64(off + 120), 0);
     }
 
+    /// The simulated backend's vouching rule: nothing writes above the
+    /// watermark, not even under the eviction adversary, and a crash (with
+    /// or without evictions) carries the watermark and zeros above it. So
+    /// `alloc_zeroed` costs no store, flush or fence, before or after a
+    /// crash, and what it returns reads zero in both images.
+    #[test]
+    fn a_simulated_pool_vouches_for_its_tail_across_traffic_and_crashes() {
+        let p = PmemPool::new(PoolConfig::small_test().with_evictions(1.0, 7));
+        let mut live = Vec::new();
+        for round in 0..3u64 {
+            let before = p.stats();
+            let off = p.alloc_zeroed(0, 4096, 64);
+            assert_eq!(p.stats(), before, "vouched space costs nothing");
+            for i in 0..512 {
+                assert_eq!(p.load_u64(off + i * 8), 0);
+                assert_eq!(p.persistent_u64_at(off + i * 8), 0);
+                p.store_u64(off + i * 8, round * 1000 + i as u64 + 1);
+            }
+            p.flush_range(0, off, 4096);
+            p.sfence(0);
+            live.push(off);
+        }
+        for crashed in [p.simulate_crash(), p.simulate_crash_with_evictions(1.0, 3)] {
+            let w = crashed.watermark();
+            assert!(live.iter().all(|&off| off + 4096 <= w));
+            for off in (w..crashed.len() as u32).step_by(8) {
+                assert_eq!(crashed.load_u64(off), 0, "working image above {w}");
+                assert_eq!(crashed.persistent_u64_at(off), 0, "persistent above {w}");
+            }
+            let before = crashed.stats();
+            let fresh = crashed.alloc_zeroed(1, 4096, 64);
+            assert!(fresh >= w);
+            assert_eq!(crashed.stats(), before);
+        }
+    }
+
     #[test]
     fn flush_range_covers_every_line() {
         let p = pool();
@@ -1129,6 +1192,24 @@ mod tests {
         p.flush(0, off);
         p.sfence(0);
         assert_eq!(p.load_u64(off), 0);
+    }
+
+    /// A backend that does not vouch for its tail (the default) gets its
+    /// fresh space zeroed, every line flushed and one fence.
+    #[test]
+    fn alloc_zeroed_zeroes_and_persists_an_unvouched_tail() {
+        let backend = HeapBackend::new(1 << 20);
+        let tail = backend.watermark();
+        for i in 0..64 {
+            backend.store_u64(tail + i * 8, 0xDEAD);
+        }
+        let p = PmemPool::from_backend(Box::new(backend));
+        let before = p.stats();
+        let off = p.alloc_zeroed(3, 512, 64);
+        let cost = p.stats() - before;
+        assert_eq!(off, tail);
+        assert_eq!((cost.stores, cost.flushes, cost.fences), (64, 8, 1));
+        assert!((0..64).all(|i| p.load_u64(off + i * 8) == 0));
     }
 
     /// A backend that grows after handing out its view: words past the

@@ -145,9 +145,7 @@ impl<const EAGER: bool> RecoverableQueue for PtmQueue<EAGER> {
         durable_queues::root::record_tag::<Self>(&pool);
         let ptm = Ptm::new(Arc::clone(&pool), Self::policy());
         let capacity = Self::capacity_nodes(&config);
-        let region = pool.alloc_raw(capacity * 64, 64);
-        pool.zero_range(region, capacity * 64);
-        pool.flush_range(0, region, capacity * 64);
+        let region = pool.alloc_zeroed(0, capacity * 64, 64);
         // Slot 0 is the initial dummy node.
         pool.store_u64(ROOT_HEAD, region as u64);
         pool.store_u64(ROOT_TAIL, region as u64);

@@ -74,11 +74,9 @@ impl Ptm {
     /// Creates a fresh engine on a fresh pool, allocating and publishing its
     /// persistent log area.
     pub fn new(pool: Arc<PmemPool>, policy: FlushPolicy) -> Self {
-        let log_area = pool.alloc_raw((MAX_TX_WRITES as u32) * 16, 64);
-        pool.zero_range(log_area, (MAX_TX_WRITES as u32) * 16);
+        let log_area = pool.alloc_zeroed(0, (MAX_TX_WRITES as u32) * 16, 64);
         pool.store_u64(ROOT_LOG_STATUS, 0);
         pool.store_u64(ROOT_LOG_AREA, log_area as u64);
-        pool.flush_range(0, log_area, (MAX_TX_WRITES as u32) * 16);
         pool.flush(0, ROOT_LOG_STATUS);
         pool.flush(0, ROOT_LOG_AREA);
         pool.sfence(0);
@@ -220,8 +218,7 @@ mod tests {
 
     fn setup(policy: FlushPolicy) -> (Arc<PmemPool>, Ptm, u32) {
         let pool = Arc::new(PmemPool::new(PoolConfig::small_test()));
-        let data = pool.alloc_raw(1024, 64);
-        pool.zero_range(data, 1024);
+        let data = pool.alloc_zeroed(0, 1024, 64);
         let ptm = Ptm::new(Arc::clone(&pool), policy);
         (pool, ptm, data)
     }

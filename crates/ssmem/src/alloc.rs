@@ -190,10 +190,13 @@ impl Ssmem {
 
     /// Allocates one object slot for thread `tid`.
     ///
-    /// Slots taken from a freshly carved area are persistently zeroed (the
-    /// area is zeroed, flushed and fenced before its directory entry is
-    /// published). Slots recycled from the free list keep whatever content
-    /// their previous user left; the queues rely on their own discipline
+    /// Slots taken from a freshly carved area are persistently zeroed: the
+    /// area comes from [`PmemPool::alloc_zeroed`] before its directory entry
+    /// is published, so it reads zero now and after any crash — for free
+    /// where the pool vouches for its never-allocated space (a simulated
+    /// pool, a file pool created in this session), zeroed, flushed and
+    /// fenced once where it does not (a reopened file pool). Slots recycled
+    /// from the free list keep whatever content their previous user left; the queues rely on their own discipline
     /// (piggybacked flag clearing, head-index comparison) for those, exactly
     /// as in the paper.
     pub fn alloc(&self, tid: usize) -> PRef {
@@ -267,17 +270,17 @@ impl Ssmem {
         }
     }
 
-    /// Carves a new designated area out of the pool for thread `tid`: zeroes
-    /// it, persists the zeroes, and publishes it in the persistent directory.
+    /// Carves a new designated area out of the pool for thread `tid` and
+    /// publishes it in the persistent directory. A durable area comes from
+    /// [`PmemPool::alloc_zeroed`], so it is durable zero before its entry
+    /// is; on a pool that vouches for its fresh space that costs nothing,
+    /// and the entry's own flush and fence are the whole price.
     fn new_area(&self, tid: usize, inner: &mut PerThread) {
         let num_objects = self.config.objects_per_area();
         let len = num_objects * self.config.obj_size;
-        let offset = self.pool.alloc_raw(len, 64);
-        if self.durable {
+        let offset = if self.durable {
+            let offset = self.pool.alloc_zeroed(tid, len, 64);
             let slot = self.next_dir_slot.fetch_add(1, Ordering::AcqRel);
-            self.pool.zero_range(offset, len);
-            self.pool.flush_range(tid, offset, len);
-            self.pool.sfence(tid);
             let area = AreaInfo {
                 offset,
                 obj_size: self.config.obj_size,
@@ -285,7 +288,10 @@ impl Ssmem {
                 owner_tid: tid as u32,
             };
             dir::publish_entry(&self.pool, tid, slot, &area);
-        }
+            offset
+        } else {
+            self.pool.alloc_raw(len, 64)
+        };
         inner.bump = offset;
         inner.area_end = offset + len;
     }
@@ -465,6 +471,48 @@ mod tests {
             }
         }
         assert_eq!(all.len(), 2000);
+    }
+
+    /// Carves thread `tid`'s next area and returns its persistence cost as
+    /// (flushes, fences), after checking that every word of it reads zero
+    /// in both images.
+    fn carve(pool: &PmemPool, ssmem: &Ssmem, tid: usize) -> (u64, u64) {
+        let before = pool.stats();
+        let first = ssmem.alloc(tid).offset();
+        let cost = pool.stats() - before;
+        for off in (first..first + ssmem.config().area_size).step_by(8) {
+            assert_eq!(pool.load_u64(off), 0, "working word at {off}");
+            assert_eq!(pool.persistent_u64_at(off), 0, "persistent word at {off}");
+        }
+        (cost.flushes, cost.fences)
+    }
+
+    /// A simulated pool vouches for its fresh space, before a crash and
+    /// after one: carving an area costs the directory entry's one flush
+    /// and one fence, and the area reads zero.
+    #[test]
+    fn carving_on_a_fresh_or_recovered_simulated_pool_costs_one_flush_and_one_fence() {
+        let (pool, ssmem) = setup();
+        assert_eq!(carve(&pool, &ssmem, 0), (1, 1));
+        // Dirty 40 slots over three areas under the eviction adversary,
+        // half of them persisted explicitly, then crash with every line
+        // evicted.
+        let pool = Arc::new(PmemPool::new(
+            PoolConfig::small_test().with_evictions(1.0, 11),
+        ));
+        let ssmem = Ssmem::new(Arc::clone(&pool), *ssmem.config());
+        for i in 0..40u64 {
+            let obj = ssmem.alloc(0).offset();
+            pool.store_u64(obj, i + 1);
+            if i % 2 == 0 {
+                pool.flush(0, obj);
+                pool.sfence(0);
+            }
+        }
+        let crashed = Arc::new(pool.simulate_crash_with_evictions(1.0, 5));
+        let recovered = Ssmem::recover(Arc::clone(&crashed), *ssmem.config());
+        assert_eq!(carve(&crashed, &recovered, 1), (1, 1));
+        assert_eq!(carve(&crashed, &recovered, 0), (1, 1));
     }
 }
 

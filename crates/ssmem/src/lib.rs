@@ -11,11 +11,18 @@
 //!   offset), so a recovery procedure can enumerate every node slot that has
 //!   ever been handed out and decide, per slot, whether it belongs to the
 //!   resurrected data structure.
-//! * When a new area is carved out of the pool it is zeroed and persisted
-//!   with asynchronous flushes followed by a **single** SFENCE — this is what
-//!   lets UnlinkedQ/LinkedQ rely on freshly allocated nodes having a
-//!   persistently-zero `index`/`linked`/`initialized` field without paying a
-//!   fence per allocation.
+//! * A new area is carved out of the pool with
+//!   [`pmem::PmemPool::alloc_zeroed`], so it is durable zero before its
+//!   directory entry is published — this is what lets UnlinkedQ/LinkedQ
+//!   rely on freshly allocated nodes having a persistently-zero
+//!   `index`/`linked`/`initialized` field without paying a fence per
+//!   allocation. The vouching rule decides what that costs: a pool whose
+//!   never-allocated space already reads zero now and after any crash (a
+//!   simulated pool; a file pool created in this session, whose tail is a
+//!   hole) hands the area out as it is, and carving costs only the entry's
+//!   one flush and one fence. Any other pool (a reopened file pool, where
+//!   an earlier session's bytes may sit above the durable watermark) zeroes
+//!   the area, flushes each of its lines and fences once first.
 //! * Each thread has its own allocator (bump pointer into its current area
 //!   plus a local free list), avoiding synchronisation on the allocation fast
 //!   path.

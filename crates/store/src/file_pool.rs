@@ -482,6 +482,10 @@ pub struct FilePool {
     policy: SyncPolicy,
     grow_step: usize,
     was_clean: bool,
+    /// Created in this session: its tail above the watermark is the hole
+    /// `create` made, and nothing has written there (see
+    /// [`PoolBackend::vouches_zero_tail`]).
+    created: bool,
     /// Whether `Drop` may mark the header clean: set once `create`/`open`
     /// has finished, cleared for good by a [lost](Self::lost) sync.
     /// `Relaxed`: whatever ends the other threads' use of the pool (the
@@ -734,7 +738,7 @@ impl FilePool {
             .truncate(true)
             .open(&path)?;
         file.set_len((HEADER_LEN + size) as u64)?;
-        let pool = FilePool::from_file(file, path, size, config, true)?;
+        let pool = FilePool::from_file(file, path, size, config, None)?;
         pool.write_header(size);
         pool.msync(0, HEADER_LEN)?;
         Ok(pool.opened())
@@ -770,7 +774,13 @@ impl FilePool {
         let (geometry, journal_pending) = validate_header(&file, &path)?;
 
         let config = config.with_sync(geometry.sync);
-        let pool = FilePool::from_file(file, path, geometry.pool_size, config, geometry.was_clean)?;
+        let pool = FilePool::from_file(
+            file,
+            path,
+            geometry.pool_size,
+            config,
+            Some(geometry.was_clean),
+        )?;
         if journal_pending {
             pool.roll_forward_grow();
         }
@@ -781,13 +791,14 @@ impl FilePool {
 
     /// Maps `file`, which holds a pool of `size` bytes, for the session
     /// `config` describes: exactly `size` bytes on a fixed-size pool, the
-    /// whole offset space on an elastic one.
+    /// whole offset space on an elastic one. `reopened` carries the
+    /// previous session's clean flag, `None` for a pool `create` just made.
     fn from_file(
         file: File,
         path: PathBuf,
         size: usize,
         config: FileConfig,
-        was_clean: bool,
+        reopened: Option<bool>,
     ) -> io::Result<FilePool> {
         let reserve = if config.grow_step > 0 {
             MAX_POOL_SIZE.max(size)
@@ -812,7 +823,8 @@ impl FilePool {
             path,
             policy: config.sync,
             grow_step: config.grow_step,
-            was_clean,
+            was_clean: reopened.unwrap_or(true),
+            created: reopened.is_none(),
             closes_clean: AtomicBool::new(false),
             pending: new_pending(),
             group: GroupCommit::new(),
@@ -1445,6 +1457,17 @@ impl PoolBackend for FilePool {
         for i in 0..(len / 8) {
             self.word(off + i * 8).store(0, Ordering::Release);
         }
+    }
+
+    /// Only for a pool created in this session. `create` truncates the
+    /// file and extends it, so the tail is a hole, and the header `msync`
+    /// that ends `create` makes the file's length durable; a growth
+    /// extends the hole the same way before its commit. Nothing writes
+    /// above the watermark, so a crash can surface nothing there either.
+    /// A reopened pool cannot vouch: a page of an earlier session's area
+    /// may have reached the disk ahead of the watermark that covers it.
+    fn vouches_zero_tail(&self) -> bool {
+        self.created
     }
 
     fn watermark(&self) -> u32 {
@@ -2170,11 +2193,9 @@ mod tests {
         assert_eq!(p.cas_u64(off, 5, 6), Ok(5));
         assert_eq!(p.cas_u64(off, 5, 7), Err(6));
         assert_eq!(p.swap_u64(off, 100), 6);
-        p.zero_range(off, 64);
-        assert_eq!(p.load_u64(off), 0);
         p.set_root_u64(3, 0xBEEF);
         assert_eq!(p.root_u64(3), 0xBEEF);
-        assert_eq!(p.persistent_u64_at(off), 0);
+        assert_eq!(p.persistent_u64_at(off), 100);
         p.mark_line_cached(off); // no-op, must not panic
         drop(p);
         fs::remove_file(&path).unwrap();

@@ -25,7 +25,9 @@ Three kinds of bands:
   whatever the runner: fastpath's fixed and elastic `load_ns` and
   `counter_incr_ns` against its own `raw_load_ns`, what the simulator charges per event
   (`sim_spin`) against what its latency model requests, what creating a
-  256 MiB simulated pool costs (`sim_pool`) against a 1 MiB one, group
+  256 MiB simulated pool costs (`sim_pool`) against a 1 MiB one, what
+  setting up `paper-pairs`' queue flushes and costs (`sim_queue`) against
+  one designated area's lines and what flushing them charges, group
   commit's coalesced share at 8 producers against a floor.
 
 What fails: an experiment with no table entry, an artifact with no baseline
@@ -111,6 +113,14 @@ SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read"}
 # Recorded at ~1x; images zeroed up front cost hundreds of times more.
 SIM_POOL_SMALL, SIM_POOL_LARGE = 1 << 20, 256 << 20
 MAX_SIM_POOL_NEW_VS_SMALL = 4.0
+# Carving an area of a simulated pool, whose fresh space is durable zero
+# already, costs its directory entry's flush, not a flush per line: the
+# `sim_queue` set-up (pool, OptUnlinkedQ create, 10 enqueues; 12 flushes
+# recorded) within this share of one area's lines, and its `setup_us`
+# within this factor of what flushing one area at the run's `sim_spin`
+# flush charge costs (recorded at ~0.45x; flushing the area read ~2.8x).
+MAX_SIM_QUEUE_FLUSHES_VS_AREA_LINES = 0.25
+MAX_SIM_QUEUE_SETUP_VS_AREA_FLUSH = 1.0
 # Group commit must keep batching: at 8 producers the share of fences that
 # shared a batch with another. Recorded at 0.91-0.92; a
 # pipeline that never fills reads 0. A cliff detector, not a perf SLO.
@@ -162,6 +172,15 @@ def fastpath_within_run(obj, ctx, gate):
                       f"{SIM_POOL_LARGE}-byte pool, got {sorted(new_us)}")
     gate.check(f"{ctx}[sim_pool]", "new_us 256 MiB vs 1 MiB", new_us[SIM_POOL_SMALL],
                new_us[SIM_POOL_LARGE], "ceil", MAX_SIM_POOL_NEW_VS_SMALL)
+    queue = obj["sim_queue"]
+    require(queue, {"area_bytes": POSITIVE, "setup_us": POSITIVE, **nums("flushes", "fences")},
+            f"{ctx} sim_queue")
+    lines = queue["area_bytes"] / 64
+    flush_ns = next(spin["charged_ns"] for spin in obj["sim_spin"] if spin["event"] == "flush")
+    gate.check(f"{ctx}[sim_queue]", "flushes vs one area's lines", lines, queue["flushes"],
+               "ceil", MAX_SIM_QUEUE_FLUSHES_VS_AREA_LINES)
+    gate.check(f"{ctx}[sim_queue]", "setup_us vs flushing one area", lines * flush_ns / 1000,
+               queue["setup_us"], "ceil", MAX_SIM_QUEUE_SETUP_VS_AREA_FLUSH)
 
 
 def group_commit_coalesces(obj, ctx, gate):
@@ -218,7 +237,7 @@ EXPERIMENTS = {
     "fastpath": {
         "header": {**nums("ops", "trials"), "lock_free_fast_path": one_of(True),
                    "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE,
-                   "sim_spin": LIST, "sim_pool": LIST},
+                   "sim_spin": LIST, "sim_pool": LIST, "sim_queue": OBJECT},
         "row": {**strs("mode"), **nums("grow_step", "load_ns", "persist_ns", "map_ref_ns")},
         "identity": ("mode",),
         "bands": {"load_ns": CEIL, "persist_ns": CEIL, "map_ref_ns": CEIL},
@@ -453,6 +472,7 @@ def self_test():
                 {"size_bytes": 1048576, "new_us": 9.8},
                 {"size_bytes": 268435456, "new_us": 10.4},
             ],
+            "sim_queue": {"area_bytes": 131072, "setup_us": 41.0, "flushes": 12, "fences": 12},
         }],
         "metrics": [{
             "experiment": "metrics", "meta": meta(), "counters": 2, "histograms": 1,
@@ -510,6 +530,9 @@ def self_test():
         ("fastpath without sim_pool", *mutated("fastpath", lambda o: drop(o, "sim_pool"))),
         ("sim_pool without the 256 MiB pool",
          *mutated("fastpath", lambda o: o["sim_pool"].pop())),
+        ("fastpath without sim_queue", *mutated("fastpath", lambda o: drop(o, "sim_queue"))),
+        ("sim_queue without its flush count",
+         *mutated("fastpath", lambda o: drop(o["sim_queue"], "flushes"))),
         ("non-list document", "counts", {"experiment": "counts"}),
         # the compare half
         ("a baseline row missing from the current run",
@@ -535,6 +558,10 @@ def self_test():
          *mutated("fastpath", lambda o: o["sim_spin"][0].update(charged_ns=124.0))),
         ("a 256 MiB pool whose images are zeroed up front (45 ms vs 9.8 us)",
          *mutated("fastpath", lambda o: o["sim_pool"][1].update(new_us=45000.0))),
+        ("a queue set-up that flushes every line of its area",
+         *mutated("fastpath", lambda o: o["sim_queue"].update(flushes=2060))),
+        ("a queue set-up slower than flushing one area (280 us vs 76 us)",
+         *mutated("fastpath", lambda o: o["sim_queue"].update(setup_us=280.0))),
         ("a coalesced_share under the floor",
          *mutated("fsweep", lambda o: o["rows"][0].update(coalesced_share=0.49))),
     ]

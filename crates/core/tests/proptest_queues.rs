@@ -8,7 +8,13 @@
 //!    arbitrary crash point, the recovered queue contains exactly the items
 //!    that the completed operations left in the queue (all operations are
 //!    completed at the crash point in this single-threaded setting, so the
-//!    recovered state must equal the model exactly), in FIFO order.
+//!    recovered state must equal the model exactly), in FIFO order. The
+//!    crash is checked three ways: with only what was flushed and fenced
+//!    durable, under an eviction adversary that persists some other lines
+//!    too, and with every line durable as it lands (the adversary at
+//!    probability 1) — the machine a process-crash file pool runs on,
+//!    where the page cache keeps every retired store and a flush does
+//!    nothing.
 
 use durable_queues::{
     DurableMsQueue, LinkedQueue, OptLinkedQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue,
@@ -114,6 +120,14 @@ macro_rules! queue_properties {
                     evictions in 0.0f64..0.3,
                 ) {
                     run_crash_point::<$queue>(&ops, crash_at, evictions)?;
+                }
+
+                #[test]
+                fn crash_with_every_store_durable_recovers_the_completed_state(
+                    ops in ops_strategy(80),
+                    crash_at in 0usize..80,
+                ) {
+                    run_crash_point::<$queue>(&ops, crash_at, 1.0)?;
                 }
             }
         }

@@ -34,6 +34,17 @@
 //! directory entry's one flush and one fence: the gate holds the set-up's
 //! flushes below one area's lines and its time below what flushing one
 //! area would charge.
+//!
+//! `hw` keeps the price of the real persist instructions on record, on a
+//! heap buffer of the host's DRAM: a store, `CLFLUSH` and `SFENCE` on one
+//! line (`flush_fence_ns`), and a dependent load of a line flushed before
+//! it (`post_flush_load_ns`) against the same load of a cached line
+//! (`cached_load_ns`) — the paper's second amendment, priced. The file
+//! pool executes none of these instructions (its stores are in the page
+//! cache already), so this module is their only caller and a process-crash
+//! row's `persist_ns` is a word store and two counted no-ops; the gate
+//! holds it to ten times `load_ns`, and the post-flush load to at least
+//! twice the cached one.
 
 use std::time::Instant;
 
@@ -268,6 +279,123 @@ fn measure_sim_queue(cfg: &FastpathConfig) -> SimQueueRow {
     }
 }
 
+/// The real persist instructions. Nothing else in the workspace executes
+/// them; off x86-64 a flush is a no-op and a fence a full memory fence.
+mod hw {
+    /// `CLFLUSH` of the line holding `addr`: written back and invalidated.
+    #[inline]
+    pub(super) fn clflush(addr: *const u8) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CLFLUSH faults only on an unmapped address; every caller
+        // passes a pointer into a live buffer.
+        unsafe {
+            core::arch::x86_64::_mm_clflush(addr)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = addr;
+    }
+
+    /// `SFENCE`: waits for the flushes issued before it.
+    #[inline]
+    pub(super) fn sfence() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SFENCE has no preconditions.
+        unsafe {
+            core::arch::x86_64::_mm_sfence()
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+/// Lines of the buffer [`HwRow`]'s loads chase through: 256 KiB, which
+/// stays in a server core's L2 between passes unless it is flushed.
+const HW_CHASE_LINES: usize = 4096;
+
+/// One cache line of the chase: the index of the next line to load.
+#[repr(C, align(64))]
+struct ChaseLine {
+    next: usize,
+}
+
+/// What the real persist instructions cost on a heap buffer, ns.
+pub struct HwRow {
+    /// A store, `CLFLUSH` and `SFENCE` on one line, per op.
+    pub flush_fence_ns: f64,
+    /// A dependent load of a line flushed and fenced before the chase.
+    pub post_flush_load_ns: f64,
+    /// The same dependent load of a line left in the cache.
+    pub cached_load_ns: f64,
+}
+
+/// [`HW_CHASE_LINES`] lines linked into one cycle in a shuffled order, so
+/// no prefetcher can run ahead of the chase.
+fn chase_buffer() -> Vec<ChaseLine> {
+    let mut order: Vec<usize> = (0..HW_CHASE_LINES).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..order.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        order.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    let mut lines: Vec<ChaseLine> = (0..HW_CHASE_LINES).map(|_| ChaseLine { next: 0 }).collect();
+    for (i, &line) in order.iter().enumerate() {
+        lines[line].next = order[(i + 1) % order.len()];
+    }
+    lines
+}
+
+/// Per-load time of one lap of the chase, best over the trials, with
+/// `prepare` run untimed before every lap.
+fn chase_ns(cfg: &FastpathConfig, lines: &[ChaseLine], mut prepare: impl FnMut()) -> f64 {
+    let laps = (cfg.ops as usize / lines.len()).max(1);
+    let mut best = f64::INFINITY;
+    for _ in 0..cfg.trials {
+        let mut total = 0.0;
+        for _ in 0..laps {
+            prepare();
+            let mut at = 0;
+            let start = Instant::now();
+            for _ in 0..lines.len() {
+                // SAFETY: a reference to a live line; volatile, so every
+                // lap loads.
+                at = unsafe { std::ptr::read_volatile(&lines[at].next) };
+            }
+            total += start.elapsed().as_secs_f64();
+            std::hint::black_box(at);
+        }
+        best = best.min(total * 1e9 / (laps * lines.len()) as f64);
+    }
+    best
+}
+
+/// Times [`HwRow`]'s three figures.
+fn measure_hw(cfg: &FastpathConfig) -> HwRow {
+    let mut line = Box::new(ChaseLine { next: 0 });
+    let flush_fence_ns = time_ns(cfg, |i| {
+        // SAFETY: a live, aligned, exclusively borrowed word; volatile, so
+        // every op stores.
+        unsafe { std::ptr::write_volatile(&mut line.next, i as usize) };
+        hw::clflush(&line.next as *const usize as *const u8);
+        hw::sfence();
+    });
+    let lines = chase_buffer();
+    let post_flush_load_ns = chase_ns(cfg, &lines, || {
+        for line in &lines {
+            hw::clflush(line as *const ChaseLine as *const u8);
+        }
+        hw::sfence();
+    });
+    chase_ns(cfg, &lines, || {}); // warm every line
+    let cached_load_ns = chase_ns(cfg, &lines, || {});
+    HwRow {
+        flush_fence_ns,
+        post_flush_load_ns,
+        cached_load_ns,
+    }
+}
+
 /// The measured rows plus the floor they are judged against.
 pub struct FastpathReport {
     /// The `load_ns` loop on bare `AtomicU64`s (acquire loads), ns/op.
@@ -282,6 +410,8 @@ pub struct FastpathReport {
     pub sim_pool: Vec<SimPoolRow>,
     /// What setting up `paper-pairs`' queue costs.
     pub sim_queue: SimQueueRow,
+    /// What the real persist instructions cost.
+    pub hw: HwRow,
 }
 
 /// Times a fixed and an elastic pool over identical workloads, and the
@@ -310,6 +440,7 @@ pub fn run_fastpath(cfg: &FastpathConfig) -> FastpathReport {
         sim_spin: measure_sim_spin(cfg),
         sim_pool: measure_sim_pool(cfg),
         sim_queue: measure_sim_queue(cfg),
+        hw: measure_hw(cfg),
     }
 }
 
@@ -367,6 +498,12 @@ pub fn render_fastpath(cfg: &FastpathConfig, report: &FastpathReport) -> String 
         queue.flushes,
         queue.fences
     ));
+    let hw = &report.hw;
+    out.push_str(&format!(
+        "real instructions on a heap line: store+clflush+sfence {:.1} ns; \
+         dependent load {:.1} ns after a flush vs {:.1} ns cached\n",
+        hw.flush_fence_ns, hw.post_flush_load_ns, hw.cached_load_ns
+    ));
     out
 }
 
@@ -416,6 +553,15 @@ pub fn fastpath_json(cfg: &FastpathConfig, report: &FastpathReport) -> String {
         format!(
             "{{\"area_bytes\": {}, \"setup_us\": {:.3}, \"flushes\": {}, \"fences\": {}}}",
             queue.area_bytes, queue.setup_us, queue.flushes, queue.fences
+        ),
+    );
+    let hw = &report.hw;
+    obj.section(
+        "hw",
+        format!(
+            "{{\"flush_fence_ns\": {:.3}, \"post_flush_load_ns\": {:.3}, \
+             \"cached_load_ns\": {:.3}}}",
+            hw.flush_fence_ns, hw.post_flush_load_ns, hw.cached_load_ns
         ),
     );
     obj.finish()
@@ -497,6 +643,31 @@ mod tests {
         assert!(queue.flushes < (SIM_QUEUE_AREA_BYTES / 64) as u64 / 16);
         assert!(queue.fences >= SIM_QUEUE_PREFILL);
         assert!(rendered.contains("simulated queue set-up (128 KiB areas, 10 enqueues)"));
+        let hw = &report.hw;
+        for ns in [hw.flush_fence_ns, hw.post_flush_load_ns, hw.cached_load_ns] {
+            assert!(ns > 0.0 && ns.is_finite());
+        }
+        assert!(rendered.contains("dependent load "));
+    }
+
+    #[test]
+    fn intrinsics_do_not_corrupt_data() {
+        let mut lines = chase_buffer();
+        let before: Vec<usize> = lines.iter().map(|l| l.next).collect();
+        lines[0].next = 999;
+        for line in &lines {
+            hw::clflush(line as *const ChaseLine as *const u8);
+        }
+        hw::sfence();
+        assert_eq!(lines[0].next, 999);
+        assert!(lines.iter().zip(&before).skip(1).all(|(l, &b)| l.next == b));
+        // One cycle through every line.
+        let mut seen = vec![false; HW_CHASE_LINES];
+        let mut at = 0;
+        for _ in 0..HW_CHASE_LINES {
+            at = before[at];
+            assert!(!std::mem::replace(&mut seen[at], true));
+        }
     }
 
     #[test]
@@ -517,6 +688,7 @@ mod tests {
         assert!(json.contains("\"sim_pool\": [{\"size_bytes\": 1048576, \"new_us\": "));
         assert_eq!(json.matches("\"new_us\"").count(), 2);
         assert!(json.contains("\"sim_queue\": {\"area_bytes\": 131072, \"setup_us\": "));
+        assert!(json.contains("\"hw\": {\"flush_fence_ns\": "));
     }
 
     #[test]

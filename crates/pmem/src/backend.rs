@@ -20,8 +20,8 @@
 //! Hot-path dispatch: the simulated backend is a dedicated enum arm inside
 //! `PmemPool` (static dispatch, so the paper-facing benchmarks are
 //! unaffected). An external backend pays one virtual call per operation
-//! for flushes, fences and everything rarer — noise next to a real `CLWB`
-//! or `msync` — but **not** per word access when it can avoid it: the queue
+//! for flushes, fences and everything rarer — noise next to an `msync` —
+//! but **not** per word access when it can avoid it: the queue
 //! algorithms touch ~16 words per message, and a virtual call costs several
 //! times the cached load or CAS the paper's model charges for each. A
 //! backend whose mapping never moves says so by returning a view from
@@ -141,7 +141,11 @@ impl<'p> MapRef<'p> {
 /// pool: loads are `Acquire`, stores `Release`, RMW ops `AcqRel`. The
 /// persistence contract is: data reaches stable storage once it has been
 /// covered by [`flush`](Self::flush) (or [`nt_store_u64`](Self::nt_store_u64))
-/// followed by [`sfence`](Self::sfence) *on the issuing thread*.
+/// followed by [`sfence`](Self::sfence) *on the issuing thread*. How a
+/// backend keeps it is its own: the simulator models the paper's
+/// `CLWB`/`SFENCE` with per-line state, the file pool executes no
+/// cache-line instruction (its stores are in the page cache already; a
+/// power-fail pool's fence `msync`s the pages flushed before it).
 ///
 /// The `tid`-taking methods follow the pool-wide single-owner discipline:
 /// only the thread owning logical id `tid` may pass it.
@@ -174,7 +178,8 @@ pub trait PoolBackend: Send + Sync {
     fn swap_u64(&self, off: u32, val: u64) -> u64;
 
     /// Issues an asynchronous flush of the cache line containing `off` on
-    /// behalf of thread `tid` (CLWB/CLFLUSHOPT).
+    /// behalf of thread `tid` (CLWB/CLFLUSHOPT on NVRAM; see the trait docs
+    /// for what a file pool does instead).
     fn flush(&self, tid: usize, off: u32);
 
     /// Flushes every cache line overlapping `[off, off + len)`.

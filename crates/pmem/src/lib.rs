@@ -31,16 +31,16 @@
 //! different virtual address after a restart. Offset `0` is reserved and acts
 //! as the null reference.
 //!
-//! The [`hw`] module additionally exposes the real x86-64 intrinsics
-//! (`clflush`, `sfence`, `_mm_stream_si64`) used by the production path on
-//! actual hardware, so the flush/fence cost microbenchmarks can be run
-//! against DRAM-backed memory as well as against the simulator.
-//!
 //! The simulator is one of two backends behind the [`PoolBackend`]
 //! abstraction ([`backend`]): [`PmemPool::from_backend`] accepts an external
 //! implementation — the `store` crate's memory-mapped, file-backed pool —
 //! so the same queue code runs on storage that survives a real process
 //! restart. The simulated arm stays statically dispatched; see [`pool`].
+//! No backend executes a cache-line instruction: the file pool's flushes
+//! and fences are page bookkeeping and `msync`s over the page cache, and
+//! the flush/fence discipline, with its post-flush penalty, is the
+//! simulator's model of NVRAM. (`harness fastpath` prices the real
+//! `CLFLUSH`/`SFENCE` on the host's DRAM beside it.)
 //!
 //! ## Example
 //!
@@ -68,7 +68,6 @@
 
 pub mod backend;
 pub(crate) mod ext;
-pub mod hw;
 pub mod latency;
 pub mod layout;
 pub mod pool;

@@ -1257,7 +1257,6 @@ mod tests {
     /// a pool has owned statistics rows, run a fixed mix of operations;
     /// after the joins the counters equal the arithmetic.
     fn assert_counts_are_exact_under_thread_churn(p: PmemPool) {
-        let _alone = crate::latency::burst_lock();
         const WAVES: u64 = 3;
         const THREADS: u64 = MAX_THREADS as u64 + 8;
         const ROUNDS: u64 = 300;

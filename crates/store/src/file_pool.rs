@@ -52,10 +52,10 @@
 //! [`MapRef`](pmem::MapRef) once, at `into_pool`, and `PmemPool` performs
 //! loads, stores and CASes inline on the mapping behind its own
 //! release-mode bounds check — the reason the file backend's steady-state
-//! cost is just the flushes the algorithm itself issues. The backend's own
-//! operations check their bounds against the published size in release
-//! builds too: an out-of-range offset panics rather than touching a page
-//! the file does not hold.
+//! cost is the word accesses themselves. The backend's own operations
+//! check their bounds against the published size in release builds too:
+//! an out-of-range offset panics rather than touching a page the file
+//! does not hold.
 //!
 //! ## Elastic growth
 //!
@@ -82,17 +82,19 @@
 //!
 //! ## Durability model
 //!
-//! Stores go straight into the shared mapping, i.e. the OS page cache.
-//! Against a **process crash** (`kill -9` included) everything already
-//! stored is therefore durable — the page cache outlives the process — and
-//! the flush/fence discipline costs only the real `CLWB`/`SFENCE`
-//! instructions ([`SyncPolicy::ProcessCrash`], the default). Against
-//! **power failure** the pool must reach the medium:
-//! [`SyncPolicy::PowerFail`] additionally `msync`s, at every fence, the
-//! pages the fencing thread flushed since its previous fence — the
-//! file-system analogue of the paper's flush+SFENCE discipline. On DAX
-//! mounts (real NVRAM mapped cache-coherently) the `CLWB`+`SFENCE` path
-//! alone is the durability barrier, and `ProcessCrash` is the right mode.
+//! Stores go straight into the shared mapping, i.e. the OS page cache,
+//! which is coherent DRAM: the pool executes no `CLFLUSH`, `SFENCE` or
+//! `MOVNTI` on either tier, which would buy nothing and make the next
+//! access to a flushed line miss. Against a **process crash** (`kill -9`
+//! included) every retired store is durable — the page cache outlives the
+//! process — so under [`SyncPolicy::ProcessCrash`] (the default) a flush
+//! does nothing, a non-temporal store is a `Release` store and a fence is
+//! a compiler fence. Against **power failure** the pool must reach the
+//! medium: under [`SyncPolicy::PowerFail`] a flush or non-temporal store
+//! notes its page and every fence `msync`s the pages its thread noted
+//! since its previous fence (the disk reads them by cache-coherent DMA).
+//! A tier that executes flushes would serve DAX-mapped NVRAM, which is not
+//! supported; the paper's flush/fence discipline is the simulator's model.
 //! The policy is chosen once, at [`FilePool::create`], and recorded in the
 //! header's flags word; every open runs the pool under the recorded one.
 //! Either way [`PmemPool::sync`] performs a full `msync` + `fsync`
@@ -150,7 +152,7 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 // Named instruments (see docs/OBSERVABILITY.md for the catalogue). The map
@@ -232,9 +234,9 @@ const MAX_POOL_SIZE: usize = u32::MAX as usize - CACHE_LINE;
 /// What a fence must guarantee. See the [module docs](self#durability-model).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Durable against process crashes (and against any crash on DAX-mapped
-    /// NVRAM): flush/fence execute the real `CLWB`/`SFENCE` instructions
-    /// only; stores are already in the OS page cache.
+    /// Durable against process crashes (`SIGKILL` included), on any mount:
+    /// stores are already in the OS page cache, so flush and fence execute
+    /// nothing (a fence is a compiler fence).
     #[default]
     ProcessCrash,
     /// Durable against power failure on ordinary storage: every fence also
@@ -1098,9 +1100,6 @@ impl FilePool {
         };
         let flags = tier | if clean { FLAG_CLEAN } else { 0 };
         self.header_u32(H_FLAGS).store(flags, Ordering::Release);
-        // SAFETY: the header page is valid readable memory.
-        unsafe { pmem::hw::clflush(self.map.as_ptr().add(H_FLAGS)) };
-        pmem::hw::sfence();
     }
 
     /// The mapped address of pool offset `off`, for an access of `bytes`
@@ -1165,8 +1164,6 @@ impl FilePool {
     /// callers promise durability by returning, so a failed power-fail
     /// `msync` is [lost](Self::lost), as a fence's is.
     fn persist_header(&self) {
-        // SAFETY: the header page is valid readable memory.
-        unsafe { pmem::hw::persist_range(self.map.as_ptr(), HEADER_LEN) };
         if self.policy == SyncPolicy::PowerFail {
             if let Err(e) = self.msync(0, HEADER_LEN) {
                 self.lost("header msync", e);
@@ -1190,6 +1187,21 @@ impl FilePool {
         self.header_u32(H_WATERMARK)
             .store(layout::HEAP_START, Ordering::Release);
         self.set_flags(false);
+    }
+
+    /// A power-fail pool notes the file page of `off` for `tid`'s next
+    /// fence; a process-crash pool has nothing to note.
+    #[inline]
+    fn note_page(&self, tid: usize, off: u32) {
+        if self.policy != SyncPolicy::PowerFail {
+            return;
+        }
+        let page = (HEADER_LEN + off as usize) / page_size();
+        self.with_pending(tid, |pending| {
+            if pending.last() != Some(&page) {
+                pending.push(page);
+            }
+        });
     }
 
     fn with_pending<R>(&self, tid: usize, f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
@@ -1407,21 +1419,12 @@ impl PoolBackend for FilePool {
 
     #[inline]
     fn flush(&self, tid: usize, off: u32) {
-        // SAFETY: the line containing `off` is inside the mapping.
-        unsafe { pmem::hw::clflush(self.addr(off, 8)) };
-        if self.policy == SyncPolicy::PowerFail {
-            let page = (HEADER_LEN + off as usize) / page_size();
-            self.with_pending(tid, |pending| {
-                if pending.last() != Some(&page) {
-                    pending.push(page);
-                }
-            });
-        }
+        self.note_page(tid, off);
     }
 
     fn sfence(&self, tid: usize) {
         FENCES.incr();
-        pmem::hw::sfence();
+        compiler_fence(Ordering::SeqCst);
         if self.policy == SyncPolicy::PowerFail {
             // Sorted and deduped with the rest of the batch by its leader.
             let pages = self.with_pending(tid, std::mem::take);
@@ -1433,19 +1436,11 @@ impl PoolBackend for FilePool {
 
     #[inline]
     fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
-        // SAFETY: in bounds, 8-byte aligned; concurrent access to pool words
-        // is atomic by contract (a racing movnti would be the caller's
-        // single-writer-per-word violation, same as on real hardware).
-        unsafe { pmem::hw::nt_store_u64(self.word(off).as_ptr(), val) };
-        if self.policy == SyncPolicy::PowerFail {
-            let page = (HEADER_LEN + off as usize) / page_size();
-            self.with_pending(tid, |pending| pending.push(page));
-        }
+        self.word(off).store(val, Ordering::Release);
+        self.note_page(tid, off);
     }
 
     fn persist_now(&self, off: u32) {
-        // SAFETY: the line containing `off` is inside the mapping.
-        unsafe { pmem::hw::persist_range(self.addr(off, 8), 8) };
         if self.policy == SyncPolicy::PowerFail {
             self.sync_or_die(&[(HEADER_LEN + off as usize) / page_size()]);
         }
@@ -1485,9 +1480,6 @@ impl PoolBackend for FilePool {
             // Allocations are rare (the ssmem layer carves whole designated
             // areas); persist the moved watermark eagerly so a reopened pool
             // never re-hands-out reserved space.
-            // SAFETY: the header page is valid readable memory.
-            unsafe { pmem::hw::clflush(self.map.as_ptr().add(H_WATERMARK)) };
-            pmem::hw::sfence();
             if self.policy == SyncPolicy::PowerFail {
                 self.sync_or_die(&[0]); // the header's page
             }

@@ -11,10 +11,10 @@
 //!   clean/dirty flag, the durability tier it was created under,
 //!   CRC-checked geometry, persistent watermark, root slots) lets a fresh
 //!   process validate and reopen a pool with nothing but the file,
-//! * flush/fence map to the **real x86-64 persistence instructions**
-//!   (`CLWB`/`CLFLUSHOPT`-style flushes and `SFENCE` via [`pmem::hw`]), and
-//!   the [`SyncPolicy`] decides whether fences additionally `msync` for
-//!   power-fail durability on non-DAX storage,
+//! * flush/fence execute **no cache-line instruction** (stores land in the
+//!   page cache); the [`SyncPolicy`] decides whether fences `msync` the
+//!   flushed pages for power-fail durability (see
+//!   [`file_pool`](self::file_pool#durability-model)),
 //! * a `kill -9` mid-traffic is recoverable: the page cache preserves every
 //!   retired store, the header's dirty flag records the unclean shutdown,
 //!   and the queue's ordinary `RecoverableQueue::recover` procedure

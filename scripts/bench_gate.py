@@ -27,8 +27,10 @@ Three kinds of bands:
   (`sim_spin`) against what its latency model requests, what creating a
   256 MiB simulated pool costs (`sim_pool`) against a 1 MiB one, what
   setting up `paper-pairs`' queue flushes and costs (`sim_queue`) against
-  one designated area's lines and what flushing them charges, group
-  commit's coalesced share at 8 producers against a floor.
+  one designated area's lines and what flushing them charges, a dependent
+  load after a real `CLFLUSH` against a cached one (`hw`), a process-crash
+  file pool's persist round trip against its load, group commit's
+  coalesced share at 8 producers against a floor.
 
 What fails: an experiment with no table entry, an artifact with no baseline
 file, a baseline experiment or row missing from the current run (silently
@@ -121,6 +123,16 @@ MAX_SIM_POOL_NEW_VS_SMALL = 4.0
 # flush charge costs (recorded at ~0.45x; flushing the area read ~2.8x).
 MAX_SIM_QUEUE_FLUSHES_VS_AREA_LINES = 0.25
 MAX_SIM_QUEUE_SETUP_VS_AREA_FLUSH = 1.0
+# The price the file pool stopped paying stays on record: a dependent load
+# of a line just written back by a real `CLFLUSH` at least this factor over
+# the same load of a cached line (`hw`; 59-68 ns against 7 ns measured on
+# a Xeon). Under this bound the flush no longer evicts, and the record
+# means nothing.
+MIN_POST_FLUSH_VS_CACHED_LOAD = 2.0
+# A process-crash file pool executes no flush or fence: each row's
+# `persist_ns` (store, flush, fence) within this factor of its `load_ns`.
+# Recorded at ~1x; executing CLFLUSH + SFENCE read ~170x (425 ns vs 2.5).
+MAX_PROCESS_CRASH_PERSIST_VS_LOAD = 10.0
 # Group commit must keep batching: at 8 producers the share of fences that
 # shared a batch with another. Recorded at 0.91-0.92; a
 # pipeline that never fills reads 0. A cliff detector, not a perf SLO.
@@ -181,6 +193,15 @@ def fastpath_within_run(obj, ctx, gate):
                "ceil", MAX_SIM_QUEUE_FLUSHES_VS_AREA_LINES)
     gate.check(f"{ctx}[sim_queue]", "setup_us vs flushing one area", lines * flush_ns / 1000,
                queue["setup_us"], "ceil", MAX_SIM_QUEUE_SETUP_VS_AREA_FLUSH)
+    hw = obj["hw"]
+    require(hw, {key: POSITIVE for key in
+                 ("flush_fence_ns", "post_flush_load_ns", "cached_load_ns")}, f"{ctx} hw")
+    gate.check(f"{ctx}[hw]", "post_flush_load_ns vs cached_load_ns", hw["cached_load_ns"],
+               hw["post_flush_load_ns"], "floor", MIN_POST_FLUSH_VS_CACHED_LOAD)
+    if obj["meta"]["sync"] == "process-crash":
+        for mode in FASTPATH_MODES:
+            gate.check(f"{ctx}[{mode}]", "persist_ns vs load_ns", rows[mode]["load_ns"],
+                       rows[mode]["persist_ns"], "ceil", MAX_PROCESS_CRASH_PERSIST_VS_LOAD)
 
 
 def group_commit_coalesces(obj, ctx, gate):
@@ -237,7 +258,7 @@ EXPERIMENTS = {
     "fastpath": {
         "header": {**nums("ops", "trials"), "lock_free_fast_path": one_of(True),
                    "raw_load_ns": POSITIVE, "counter_incr_ns": NON_NEGATIVE,
-                   "sim_spin": LIST, "sim_pool": LIST, "sim_queue": OBJECT},
+                   "sim_spin": LIST, "sim_pool": LIST, "sim_queue": OBJECT, "hw": OBJECT},
         "row": {**strs("mode"), **nums("grow_step", "load_ns", "persist_ns", "map_ref_ns")},
         "identity": ("mode",),
         "bands": {"load_ns": CEIL, "persist_ns": CEIL, "map_ref_ns": CEIL},
@@ -422,9 +443,9 @@ def self_test():
     baseline set — must be rejected, so a refactor that silently stops
     checking anything fails the build."""
 
-    def meta():
+    def meta(sync="power-fail"):
         return {
-            "schema": META_SCHEMA, "backend": "file", "sync": "power-fail",
+            "schema": META_SCHEMA, "backend": "file", "sync": sync,
             "metrics": {
                 "counters": {"store.fence": 12},
                 "histograms": {"store.msync_batch_pages": {
@@ -454,13 +475,14 @@ def self_test():
             ],
         }],
         "fastpath": [{
-            "experiment": "fastpath", "meta": meta(), "ops": 20000, "trials": 3,
-            "lock_free_fast_path": True, "raw_load_ns": 1.7, "counter_incr_ns": 2.4,
+            "experiment": "fastpath", "meta": meta("process-crash"), "ops": 20000,
+            "trials": 3, "lock_free_fast_path": True, "raw_load_ns": 1.7,
+            "counter_incr_ns": 2.4,
             "rows": [
                 {"mode": "fixed", "grow_step": 0, "load_ns": 2.6,
-                 "persist_ns": 300.0, "map_ref_ns": 2.5},
+                 "persist_ns": 3.0, "map_ref_ns": 2.5},
                 {"mode": "elastic", "grow_step": 1048576, "load_ns": 2.7,
-                 "persist_ns": 330.0, "map_ref_ns": 2.5},
+                 "persist_ns": 3.3, "map_ref_ns": 2.5},
             ],
             "sim_spin": [
                 {"event": "flush", "requested_ns": 40, "charged_ns": 37.1},
@@ -473,6 +495,7 @@ def self_test():
                 {"size_bytes": 268435456, "new_us": 10.4},
             ],
             "sim_queue": {"area_bytes": 131072, "setup_us": 41.0, "flushes": 12, "fences": 12},
+            "hw": {"flush_fence_ns": 425.0, "post_flush_load_ns": 61.0, "cached_load_ns": 7.0},
         }],
         "metrics": [{
             "experiment": "metrics", "meta": meta(), "counters": 2, "histograms": 1,
@@ -533,6 +556,7 @@ def self_test():
         ("fastpath without sim_queue", *mutated("fastpath", lambda o: drop(o, "sim_queue"))),
         ("sim_queue without its flush count",
          *mutated("fastpath", lambda o: drop(o["sim_queue"], "flushes"))),
+        ("fastpath without hw", *mutated("fastpath", lambda o: drop(o, "hw"))),
         ("non-list document", "counts", {"experiment": "counts"}),
         # the compare half
         ("a baseline row missing from the current run",
@@ -547,7 +571,7 @@ def self_test():
         ("a throughput under its floor",
          *mutated("fsweep", lambda o: o["rows"][1].update(fences_per_sec=1200.0))),
         ("a latency over its ceiling",
-         *mutated("fastpath", lambda o: o["rows"][1].update(persist_ns=1400.0))),
+         *mutated("fastpath", lambda o: o["rows"][1].update(persist_ns=14.0))),
         ("a fixed load_ns over 2x raw_load_ns",
          *mutated("fastpath", lambda o: o["rows"][0].update(load_ns=3.5))),
         ("an elastic load_ns over 2x raw_load_ns",
@@ -562,6 +586,8 @@ def self_test():
          *mutated("fastpath", lambda o: o["sim_queue"].update(flushes=2060))),
         ("a queue set-up slower than flushing one area (280 us vs 76 us)",
          *mutated("fastpath", lambda o: o["sim_queue"].update(setup_us=280.0))),
+        ("a post-flush load under 2x a cached one (a flush that no longer evicts)",
+         *mutated("fastpath", lambda o: o["hw"].update(post_flush_load_ns=13.0))),
         ("a coalesced_share under the floor",
          *mutated("fsweep", lambda o: o["rows"][0].update(coalesced_share=0.49))),
     ]
@@ -575,8 +601,18 @@ def self_test():
         raise SystemExit("self-test: --schema-only asked for a baseline")
     if not failures(*mutated("counts", lambda o: drop(o, "ops")), schema_only=True):
         raise SystemExit("self-test: --schema-only accepted a missing header key")
+    # Within the run, with no baseline to catch it: a process-crash persist
+    # that still flushes fails, the same figure on a power-fail artifact
+    # (whose fence msyncs) does not.
+    flushing = lambda o: o["rows"][0].update(persist_ns=425.0)
+    if not failures(*mutated("fastpath", flushing), schema_only=True):
+        raise SystemExit("self-test: gate accepted a process-crash persist that "
+                         "still flushes (425 ns vs a 2.6 ns load)")
+    if failures(*mutated("fastpath", lambda o: (flushing(o), o.update(meta=meta()))),
+                schema_only=True):
+        raise SystemExit("self-test: gate held a power-fail persist to a load")
     print(f"self-test: {len(good)} good documents accepted, "
-          f"{len(rejects) + 2} mutations rejected")
+          f"{len(rejects) + 3} mutations rejected")
 
 
 def main(argv):

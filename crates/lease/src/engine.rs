@@ -22,11 +22,12 @@
 //! # Append under the lock, force outside it
 //!
 //! Making a record durable is two steps. [`Journal::append`] only
-//! `write(2)`s, under the state lock, so the records of one journal are
-//! totally ordered and the in-memory state always matches the bytes
-//! written. Every transition then releases the lock, forces what it wrote
-//! through a [`Force`] handle on the journal's file (`fdatasync` under
-//! [`SyncPolicy::PowerFail`], nothing under `ProcessCrash`), and only then
+//! `pwrite(2)`s, under the state lock, at the logical end its
+//! [`JournalFile`] tracks, so the records of one journal are totally
+//! ordered and the in-memory state always matches the bytes written.
+//! Every transition then releases the lock, forces what it wrote through
+//! a [`Force`] handle on that file (`fdatasync` under
+//! `SyncPolicy::PowerFail`, nothing under `ProcessCrash`), and only then
 //! returns: no lock is held across a force, and competing consumers'
 //! forces overlap instead of queueing. A thread may act on a transition
 //! whose force is still running — grant an item whose `PEND` another
@@ -45,6 +46,7 @@
 //! [`Consumer::recover`] returns `io::Result` instead, since nothing is in
 //! flight yet.
 
+use crate::file::{Force, JournalFile};
 use crate::log::{Record, RecordKind, Replay};
 use crate::queue::{Lease, LeaseError, Redelivery};
 use crate::tx::ExactlyOnce;
@@ -55,105 +57,16 @@ use obs::LazyCounter;
 use shard::LeaseRecovery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek};
-use std::path::{Path, PathBuf};
+use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use store::SyncPolicy;
-
-static FORCES: LazyCounter = LazyCounter::new("lease.force");
-
-/// `fdatasync`s the journal file at `path`, whose contents end at byte
-/// `end` — its logical end, short of the file's length when a zero reserve
-/// follows (see [`segments`](crate::segments)). Every force of a journal
-/// file, on the operation path or in maintenance, goes through here.
-pub(crate) fn sync_file(
-    file: &File,
-    path: &Path,
-    #[cfg_attr(not(test), allow(unused_variables))] end: u64,
-) -> io::Result<()> {
-    durable::fdatasync(file, path)?;
-    #[cfg(test)]
-    crate::powerfail::forced(path, end);
-    Ok(())
-}
-
-/// Atomically replaces `dir/name` with `bytes` (a new journal file,
-/// `GROUP.meta`, a compacted `LEASES.log`): forced under
-/// [`SyncPolicy::PowerFail`], trusted to the page cache under
-/// `ProcessCrash`.
-pub(crate) fn replace_file(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-    sync: SyncPolicy,
-) -> io::Result<()> {
-    let forced = sync == SyncPolicy::PowerFail;
-    durable::replace_file(dir, name, bytes, forced)?;
-    #[cfg(test)]
-    if forced {
-        crate::powerfail::replaced(&dir.join(name), bytes.len() as u64);
-    }
-    Ok(())
-}
-
-/// A journal's append target and where it lives: shared with the
-/// [`Force`]s handed out, which outlive the lock hold that appended.
-#[derive(Debug)]
-pub(crate) struct JournalFile {
-    pub(crate) file: File,
-    pub(crate) path: PathBuf,
-}
-
-impl JournalFile {
-    /// Creates the journal file `dir/name` holding `header` — whole, through
-    /// [`replace_file`] — and opens it, positioned at its end.
-    pub(crate) fn create(
-        dir: &Path,
-        name: &str,
-        header: &[u8],
-        sync: SyncPolicy,
-    ) -> io::Result<Arc<Self>> {
-        replace_file(dir, name, header, sync)?;
-        let path = dir.join(name);
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.seek(io::SeekFrom::End(0))?;
-        Ok(Arc::new(JournalFile { file, path }))
-    }
-}
-
-/// The second step of making appended records durable: a handle on the
-/// file a [`Journal`] appended to, to be [`run`](Force::run) once the state
-/// lock is released. Forcing a file covers every byte written to it
-/// before the force began, whoever wrote it; the handle promises the
-/// bytes up to the journal's logical end when it was taken.
-pub(crate) struct Force(Option<(Arc<JournalFile>, u64)>);
-
-impl Force {
-    /// A force of `file` up to `end` under [`SyncPolicy::PowerFail`];
-    /// nothing under `ProcessCrash`, where the page cache is the
-    /// durability domain.
-    pub(crate) fn of(file: &Arc<JournalFile>, sync: SyncPolicy, end: u64) -> Force {
-        Force((sync == SyncPolicy::PowerFail).then(|| (Arc::clone(file), end)))
-    }
-
-    /// Forces the file; counted as `lease.force`.
-    pub(crate) fn run(&self) -> io::Result<()> {
-        if let Some((file, end)) = &self.0 {
-            sync_file(&file.file, &file.path, *end)?;
-            FORCES.incr();
-        }
-        Ok(())
-    }
-}
 
 /// The durable record of lease transitions, as the engine sees it: an
 /// append-only log with an identity. Single-writer — every call happens
 /// under the owning [`Consumer`]'s lock.
 pub(crate) trait Journal {
-    /// Writes one record at the tail. It is durable once a
-    /// [`force`](Self::force) taken after this call has run.
+    /// Writes one record at the tail. It is durable once a force of the
+    /// [`file`](Self::file) taken after this call has run.
     /// `next_lease_id` is the engine's id high-water mark, for journals
     /// that persist it on the append path.
     fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()>;
@@ -165,16 +78,13 @@ pub(crate) trait Journal {
         self.append(second.0, second.1)
     }
 
-    /// The force covering everything appended so far.
-    fn force(&self) -> Force;
+    /// The file appends go to: its force covers everything appended so
+    /// far, and its path names the log in the failure panics.
+    fn file(&self) -> &JournalFile;
 
     /// The log's identity, stamped into the exactly-once cursor so a stale
     /// cursor can never repair a recreated log's leases.
     fn generation(&self) -> u64;
-
-    /// Where the log lives, for the append- and maintenance-failure panic
-    /// messages.
-    fn location(&self) -> &Path;
 
     /// Maintenance after a terminal record (`ACK`/`DEAD`) — the moment the
     /// retired share of the log can have grown. `live` yields the
@@ -286,7 +196,7 @@ impl<J: Journal> State<J> {
 
     fn appended(&mut self, result: io::Result<()>) {
         if let Err(e) = result {
-            durable::durability_lost(self.log.location(), "journal append", e);
+            durable::durability_lost(self.log.file().path(), "journal append", e);
         }
         self.unforced = true;
     }
@@ -295,9 +205,9 @@ impl<J: Journal> State<J> {
     /// nothing, unless this lock hold appended.
     fn take_force(&mut self) -> Force {
         if std::mem::take(&mut self.unforced) {
-            self.log.force()
+            self.log.file().force()
         } else {
-            Force(None)
+            Force::default()
         }
     }
 
@@ -313,7 +223,7 @@ impl<J: Journal> State<J> {
                     .map(|p| Record::pend(p.prev, p.item, p.delivery_count)),
             );
         if let Err(e) = self.log.after_terminal(self.next_id, live_len, live) {
-            durable::durability_lost(self.log.location(), "journal maintenance", e);
+            durable::durability_lost(self.log.file().path(), "journal maintenance", e);
         }
     }
 }
@@ -389,7 +299,7 @@ impl<J: Journal> Consumer<J> {
             }
         }
         if repaired {
-            log.force().run()?;
+            log.file().force().run()?;
         }
         Ok((Self::assemble(log, dlq, settings, pending, next_id), report))
     }
@@ -425,8 +335,8 @@ impl<J: Journal> Consumer<J> {
             let out = apply(&mut st);
             (out, st.take_force())
         };
-        if let (Err(e), Some((file, _))) = (force.run(), &force.0) {
-            durable::durability_lost(&file.path, "journal force", e);
+        if let (Err(e), Some(path)) = (force.run(), force.path()) {
+            durable::durability_lost(path, "journal force", e);
         }
         out
     }

@@ -71,6 +71,7 @@
 
 pub mod dir;
 mod engine;
+mod file;
 pub mod group;
 pub mod log;
 #[cfg(test)]

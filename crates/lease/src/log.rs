@@ -40,34 +40,31 @@
 //!
 //! # Durability
 //!
-//! An append is a single `write` syscall. Under
-//! [`SyncPolicy::PowerFail`] it is made durable by a second step, an
-//! `fdatasync` of the file, before the operation that appended returns
-//! (the fsync'd tier of the acceptance contract); the default
-//! process-crash tier relies on the page cache surviving the process —
-//! the same two-tier contract as the pool files. [`AckLog::append`] does
-//! both steps. The lease engine appends under its state lock and forces
-//! after releasing it, through a handle on the file, so that concurrent
-//! operations' forces overlap; a record another thread appended earlier
-//! is covered by any later force of the same file. [`AckLog::compact`] is
-//! the one place where two files are in play: it forces the snapshot
-//! before the rename, under the lock, and from then on hands out handles
-//! on the new file — a force still running on the old one covers only
-//! records whose effect the snapshot already holds.
+//! The file is written and forced through the crate's one journal-file
+//! writer, as every journal file is: one `pwrite` per append, made durable
+//! under [`SyncPolicy::PowerFail`] by an `fdatasync` before the operation
+//! returns (the engine forces outside its lock), into a zero reserve
+//! written one 4 KiB page ahead so that the force flushes data only
+//! (docs/FORMATS.md); the default process-crash tier trusts the page
+//! cache, as the pool files do, and its file is exactly header and
+//! records.
+//! [`AckLog::compact`] is the one place where two files are in play: it
+//! forces the snapshot before the rename, under the lock, and from then on
+//! hands out forces of the new file — one still running on the old file
+//! covers only records whose effect the snapshot already holds.
 //!
-//! Replay tolerates a torn final record (the tail is dropped, never
-//! trusted) but refuses a corrupt header or a CRC mismatch in the
-//! *interior* of the file, which indicate real damage rather than a
-//! mid-append crash.
+//! Replay tolerates a torn final record (the tail, and any reserve after
+//! it, is chopped, never trusted) but refuses a corrupt header or a CRC
+//! mismatch in the *interior* of the file, which indicate real damage
+//! rather than a mid-append crash.
 
-use crate::engine::{replace_file, sync_file, Force, Journal, JournalFile};
+use crate::engine::Journal;
+use crate::file::JournalFile;
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, Write};
+use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use store::{crc32, SyncPolicy};
 
 static COMPACTIONS: LazyCounter = LazyCounter::new("lease.compaction");
@@ -265,8 +262,8 @@ pub struct Replay {
     /// Terminal `DEAD` records seen.
     pub dead: u64,
     /// Bytes dropped at the tail as a torn final append (0 or a partial /
-    /// corrupt record's worth). A segment's zero reserve, chopped with it,
-    /// is not counted.
+    /// corrupt record's worth), up to the record's last non-zero byte: the
+    /// zero reserve, chopped with it, is not counted.
     pub torn_bytes: u64,
 }
 
@@ -337,65 +334,11 @@ pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
     )
 }
 
-/// Decodes the run of records in `body` — the bytes of `path` past its
-/// `header_len`-byte header — handing each to `each`, and returns how many
-/// bytes held valid records. The records end at the first slot that does
-/// not decode. In an unsealed file everything from there on is the crash
-/// tail, which the caller chops: that slot (a torn record) and nothing but
-/// zeros after it (a segment's unwritten reserve). A non-zero byte past the
-/// slot would mean the chop silently drops a record, and a `sealed` file
-/// was complete when its successor's header committed, so both are refused
-/// as real damage with an error naming the file.
-pub(crate) fn scan_records(
-    path: &Path,
-    header_len: usize,
-    body: &[u8],
-    sealed: bool,
-    mut each: impl FnMut(&Record),
-) -> io::Result<usize> {
-    let mut consumed = 0usize;
-    while let Some(rec) = body
-        .get(consumed..consumed + RECORD_LEN)
-        .and_then(Record::decode)
-    {
-        consumed += RECORD_LEN;
-        each(&rec);
-    }
-    let tail = body.len() - consumed;
-    if sealed && tail > 0 {
-        let what = if tail < RECORD_LEN {
-            format!("torn record of {tail} bytes")
-        } else {
-            format!("corrupt record at byte {}", header_len + consumed)
-        };
-        return Err(bad_data(path, format!("{what} inside a sealed segment")));
-    }
-    let past_slot = (consumed + RECORD_LEN).min(body.len());
-    if let Some(at) = body[past_slot..].iter().position(|&b| b != 0) {
-        return Err(bad_data(
-            path,
-            format!(
-                "corrupt record at byte {} (not at the tail: byte {} after it is not zero; \
-                 refusing to drop {tail} trailing bytes)",
-                header_len + consumed,
-                header_len + past_slot + at,
-            ),
-        ));
-    }
-    Ok(consumed)
-}
-
 /// The append-only ack log. All mutation goes through the owning
 /// `LeasedQueue`'s lock, so the log itself is single-writer.
 #[derive(Debug)]
 pub struct AckLog {
-    /// Shared with the [`Force`]s handed out, which outlive the lock hold
-    /// that appended (and, harmlessly, a compaction away from this file).
-    file: Arc<JournalFile>,
-    sync: SyncPolicy,
-    /// Records in the file since the last create/compaction (valid tail
-    /// drops excluded).
-    records: u64,
+    file: JournalFile,
     /// The log's identity, fixed at create time and preserved by
     /// compaction (see the [module docs](self)).
     generation: u64,
@@ -418,9 +361,7 @@ impl AckLog {
         // fresh log's high-water mark is 1.
         let header = header_bytes(1, generation);
         Ok(AckLog {
-            file: JournalFile::create(dir, LEASE_LOG_FILE, &header, sync)?,
-            sync,
-            records: 0,
+            file: JournalFile::create(dir, LEASE_LOG_FILE, &header, sync, u64::MAX)?,
             generation,
             compact_after: 0,
             compactions: 0,
@@ -434,9 +375,8 @@ impl AckLog {
     /// cleanly. A torn final record is dropped; a corrupt header or an
     /// interior CRC mismatch is refused with an error naming the file.
     pub fn replay(dir: &Path, sync: SyncPolicy) -> io::Result<(AckLog, Replay)> {
-        let path = dir.join(LEASE_LOG_FILE);
-        let mut file = match OpenOptions::new().read(true).write(true).open(&path) {
-            Ok(f) => f,
+        let (mut file, bytes) = match JournalFile::open(dir.join(LEASE_LOG_FILE), sync, u64::MAX) {
+            Ok(opened) => opened,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 let log = AckLog::create(dir, sync)?;
                 let replay = Replay {
@@ -448,16 +388,15 @@ impl AckLog {
             }
             Err(e) => return Err(e),
         };
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let path = file.path();
         if bytes.len() < HEADER_LEN {
             return Err(bad_data(
-                &path,
+                path,
                 format!("truncated header ({} of {HEADER_LEN} bytes)", bytes.len()),
             ));
         }
         if bytes[0..8] != LOG_MAGIC {
-            return Err(bad_data(&path, format!("bad magic {:?}", &bytes[0..8])));
+            return Err(bad_data(path, format!("bad magic {:?}", &bytes[0..8])));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let header_next_id = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
@@ -465,7 +404,7 @@ impl AckLog {
         let stored = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
         if crc32(&bytes[0..28]) != stored {
             return Err(bad_data(
-                &path,
+                path,
                 format!(
                     "header CRC mismatch (expected {:08x}, found {stored:08x})",
                     crc32(&bytes[0..28])
@@ -474,60 +413,32 @@ impl AckLog {
         }
         if version != LOG_VERSION {
             return Err(bad_data(
-                &path,
+                path,
                 format!("unsupported version {version} (this build reads {LOG_VERSION})"),
             ));
         }
-
         let mut replay = Replay {
             next_lease_id: header_next_id,
             generation,
             ..Replay::default()
         };
-        let body = &bytes[HEADER_LEN..];
-        let consumed = scan_records(&path, HEADER_LEN, body, false, |rec| {
+        replay.torn_bytes = file.replay(&bytes, HEADER_LEN, false, |rec| {
             replay.apply(rec);
         })?;
-        replay.torn_bytes = (body.len() - consumed) as u64;
-        if replay.torn_bytes > 0 {
-            // Chop the torn tail so the next append starts on a record
-            // boundary instead of extending garbage. `read_to_end` left the
-            // cursor past the new EOF, so reposition it too — `set_len`
-            // never moves the cursor, and appending through a stale one
-            // would punch a zero-filled hole where a record should be.
-            file.set_len((HEADER_LEN + consumed) as u64)?;
-            file.seek(io::SeekFrom::Start((HEADER_LEN + consumed) as u64))?;
-            if sync == SyncPolicy::PowerFail {
-                sync_file(&file, &path, (HEADER_LEN + consumed) as u64)?;
-            }
-        }
-        let records = replay.records;
-        Ok((
-            AckLog {
-                file: Arc::new(JournalFile { file, path }),
-                sync,
-                records,
-                generation,
-                compact_after: 0,
-                compactions: 0,
-            },
-            replay,
-        ))
+        let log = AckLog {
+            file,
+            generation,
+            compact_after: 0,
+            compactions: 0,
+        };
+        Ok((log, replay))
     }
 
-    /// Appends one record (a single `write` syscall; `fdatasync`'d under
+    /// Appends one record (a single `pwrite`; `fdatasync`'d under
     /// [`SyncPolicy::PowerFail`]).
     pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        self.write(rec)?;
-        Journal::force(self).run()
-    }
-
-    /// The write half of [`append`](Self::append): the record is in the
-    /// page cache, not yet forced.
-    fn write(&mut self, rec: &Record) -> io::Result<()> {
-        (&self.file.file).write_all(&rec.encode())?;
-        self.records += 1;
-        Ok(())
+        Journal::append(self, rec, 0)?;
+        self.file.force().run()
     }
 
     /// Atomically rewrites the log to contain exactly `live` (the snapshot
@@ -549,26 +460,15 @@ impl AckLog {
         live: impl IntoIterator<Item = Record>,
     ) -> io::Result<()> {
         let mut buf: Vec<u8> = header_bytes(next_lease_id, self.generation).to_vec();
-        let mut n = 0u64;
         for rec in live {
             buf.extend_from_slice(&rec.encode());
-            n += 1;
         }
-        let path = self.file.path.clone();
-        let dir = path.parent().expect("a journal lives in a directory");
-        replace_file(dir, LEASE_LOG_FILE, &buf, self.sync)?;
-        // From here a force must reach the new file: one still running on
-        // the old file covers records whose effect the snapshot, forced
-        // above, already holds.
-        let file = OpenOptions::new().read(true).append(true).open(&path)?;
-        self.file = Arc::new(JournalFile { file, path });
-        self.records = n;
-        Ok(())
+        self.file.rewrite(&buf)
     }
 
     /// Records in the file since the last create/compaction.
     pub fn records(&self) -> u64 {
-        self.records
+        (self.file.end() - HEADER_LEN as u64) / RECORD_LEN as u64
     }
 
     /// The log's generation: its identity, fixed at create time and
@@ -579,7 +479,7 @@ impl AckLog {
 
     /// The log file's path.
     pub fn path(&self) -> &Path {
-        &self.file.path
+        self.file.path()
     }
 
     /// Arms compaction on the settlement path (`0` = never, the default).
@@ -597,20 +497,15 @@ impl Journal for AckLog {
     fn append(&mut self, rec: &Record, _next_lease_id: u64) -> io::Result<()> {
         // The header's id mark is only rewritten by compaction; between
         // compactions the GRANT records themselves witness it.
-        self.write(rec)
+        self.file.append(&rec.encode())
     }
 
-    fn force(&self) -> Force {
-        let end = HEADER_LEN as u64 + self.records * RECORD_LEN as u64;
-        Force::of(&self.file, self.sync, end)
+    fn file(&self) -> &JournalFile {
+        &self.file
     }
 
     fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn location(&self) -> &Path {
-        &self.file.path
     }
 
     /// Compacts when retired records dominate the live set 4:1 past the
@@ -624,16 +519,17 @@ impl Journal for AckLog {
         live_len: usize,
         live: impl Iterator<Item = Record>,
     ) -> io::Result<()> {
+        let records = self.records();
         if self.compact_after == 0
-            || self.records <= self.compact_after
-            || self.records <= live_len as u64 * 4
+            || records <= self.compact_after
+            || records <= live_len as u64 * 4
         {
             return Ok(());
         }
         self.compact(next_lease_id, live)?;
         self.compactions += 1;
         COMPACTIONS.incr();
-        obs::flight::record(EventKind::LeaseCompaction, self.records, 0);
+        obs::flight::record(EventKind::LeaseCompaction, self.records(), 0);
         Ok(())
     }
 }
@@ -641,6 +537,8 @@ impl Journal for AckLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -734,6 +632,57 @@ mod tests {
         let (_, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
         assert_eq!(replay.records, 3);
         assert_eq!(replay.live.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join(LEASE_LOG_FILE)).unwrap().len()
+    }
+
+    /// Under power-fail the file's length — the metadata a force must
+    /// commit — moves once per reserved page, not once per append.
+    #[test]
+    fn power_fail_appends_grow_the_file_a_page_at_a_time() {
+        let dir = tmp("reserve");
+        let mut log = AckLog::create(&dir, SyncPolicy::PowerFail).unwrap();
+        let mut lengths = vec![file_len(&dir)];
+        for i in 1..=300u64 {
+            log.append(&grant(i, i, 1, 0)).unwrap();
+            if file_len(&dir) != *lengths.last().unwrap() {
+                lengths.push(file_len(&dir));
+            }
+        }
+        assert_eq!(log.file.end(), 32 + 300 * 40);
+        assert_eq!(lengths, [32, 4096, 8192, 12288]);
+        let bytes = std::fs::read(dir.join(LEASE_LOG_FILE)).unwrap();
+        assert!(bytes[12032..].iter().all(|&b| b == 0));
+        drop(log);
+        let (_, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
+        assert_eq!((replay.records, replay.torn_bytes), (300, 0));
+        assert_eq!(file_len(&dir), 12032, "replay left the reserve on disk");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file written before the reserve — records, then EOF — is a prefix
+    /// of the reserved layout: it replays, and appends reserve after it.
+    #[test]
+    fn a_log_without_a_reserve_replays_and_takes_appends() {
+        let dir = tmp("no-reserve");
+        let mut bytes = header_bytes(1, 7).to_vec();
+        for i in 1..=3u64 {
+            bytes.extend_from_slice(&grant(i, i * 10, 1, 0).encode());
+        }
+        std::fs::write(dir.join(LEASE_LOG_FILE), &bytes).unwrap();
+
+        let (mut log, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
+        assert_eq!((replay.records, replay.torn_bytes), (3, 0));
+        assert_eq!((replay.generation, replay.next_lease_id), (7, 4));
+        log.append(&terminal(RecordKind::Ack, 1)).unwrap();
+        assert_eq!(file_len(&dir), 4096);
+        drop(log);
+        let (_, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
+        assert_eq!(replay.records, 4);
+        assert_eq!(replay.live.keys().copied().collect::<Vec<_>>(), [2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,17 +2,18 @@
 //! file's forced length, and the tests that read it.
 //!
 //! The SIGKILL suites cannot see a missing force — the page cache survives
-//! the process — so [`sync_file`](crate::engine::sync_file) reports every
-//! `fdatasync` of a journal file here, with the logical end the journal
-//! promised it, [`replace_file`](crate::engine::replace_file) every forced
-//! replacement, and the journals the two moments at which an unforced tail
-//! becomes fatal: a segment was unlinked, or a new segment's header exists. An
-//! *image* is a copy of a group's directory with every file cut back to
-//! its forced length plus a torn half record, and zeros for the rest of
-//! its length — the worst a power failure at that moment could leave of a
-//! segment written into its zero reserve, directory operations being
-//! forced as they happen. The shadow records the promised end, not the
-//! file's length: a reserve makes the file longer than what was forced.
+//! the process — so [`crate::file`] reports every `fdatasync` of a journal
+//! file here, with the logical end the journal promised it, and every
+//! forced replacement. The moments at which an unforced tail can be cut
+//! are crash points: every force, before it runs, and the two moments at
+//! which an unforced tail becomes fatal to a group: a segment was
+//! unlinked, or a new segment's header exists. An *image* is a copy of a
+//! journal's directory with every file cut back to its forced length plus
+//! a torn half record, and zeros for the rest of its length — the worst a
+//! power failure at that moment could leave of a file written into its
+//! zero reserve, directory operations being forced as they happen. The
+//! shadow records the promised end, not the file's length: a reserve makes
+//! the file longer than what was forced.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -47,9 +48,9 @@ thread_local! {
     static CRASH_HOOK: RefCell<Option<CrashHook>> = const { RefCell::new(None) };
 }
 
-/// The journal in `dir` just unlinked a segment or created one. Runs the
-/// calling thread's hook, if it set one; journal operations the hook
-/// itself performs do not re-enter it.
+/// The journal in `dir` is about to force a file, or just unlinked a
+/// segment or created one. Runs the calling thread's hook, if it set one;
+/// journal operations the hook itself performs do not re-enter it.
 pub(crate) fn crash_point(dir: &Path) {
     let Some(mut hook) = CRASH_HOOK.with(|h| h.borrow_mut().take()) else {
         return;
@@ -61,12 +62,14 @@ pub(crate) fn crash_point(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scan_records, RECORD_LEN};
+    use crate::log::{AckLog, Record, Replay, HEADER_LEN, LEASE_LOG_FILE, RECORD_LEN};
     use crate::segments::{SegmentedLog, GROUP_META_FILE, SEGMENT_HEADER_LEN};
     use crate::{ConsumerGroup, GroupConfig, GroupedQueue, Redelivery, GROUPS_DIR};
+    use crate::{LeaseConfig, LeasedQueue};
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
     use std::collections::{BTreeSet, HashMap, HashSet};
+    use std::io;
     use std::rc::Rc;
     use std::sync::Arc;
     use std::time::Duration;
@@ -82,9 +85,13 @@ mod tests {
         dir
     }
 
-    fn grouped(dir: &Path) -> Arc<GroupedQueue<OptUnlinkedQueue>> {
+    fn base() -> OptUnlinkedQueue {
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
-        let base = OptUnlinkedQueue::create(pool, QueueConfig::small_test());
+        OptUnlinkedQueue::create(pool, QueueConfig::small_test())
+    }
+
+    fn grouped(dir: &Path) -> Arc<GroupedQueue<OptUnlinkedQueue>> {
+        let base = base();
         let config = GroupConfig::new(dir, GROUPS)
             .with_sync(SyncPolicy::PowerFail)
             .with_rotate_records(ROTATE)
@@ -99,21 +106,23 @@ mod tests {
             .collect()
     }
 
-    /// Where a file's contents end: `GROUP.meta` at its length, a segment
-    /// past its last record, its zero reserve following.
+    /// Where a file's contents end: `GROUP.meta` at its length, a journal
+    /// file past its last record, its zero reserve following.
     fn logical_end(path: &Path, bytes: &[u8]) -> usize {
-        if path.file_name() == Some(GROUP_META_FILE.as_ref()) {
-            return bytes.len();
-        }
-        let body = &bytes[SEGMENT_HEADER_LEN..];
-        SEGMENT_HEADER_LEN + scan_records(path, SEGMENT_HEADER_LEN, body, false, |_| ()).unwrap()
+        let header_len = match path.file_name().and_then(|n| n.to_str()) {
+            Some(GROUP_META_FILE) => return bytes.len(),
+            Some(LEASE_LOG_FILE) => HEADER_LEN,
+            _ => SEGMENT_HEADER_LEN,
+        };
+        let records = bytes[header_len..].chunks_exact(RECORD_LEN);
+        header_len + records.take_while(|r| Record::decode(r).is_some()).count() * RECORD_LEN
     }
 
-    /// Invariant (a): nothing in the group's directory has an unforced
+    /// Invariant (a): nothing in the journal's directory has an unforced
     /// tail — every file was forced up to its logical end, and holds only
     /// zeros past it.
-    fn assert_all_forced(group_dir: &Path, when: &str) {
-        for path in files_of(group_dir) {
+    fn assert_all_forced(journal_dir: &Path, when: &str) {
+        for path in files_of(journal_dir) {
             let bytes = std::fs::read(&path).unwrap();
             let end = logical_end(&path, &bytes);
             assert_eq!(
@@ -130,23 +139,27 @@ mod tests {
         }
     }
 
-    /// Copies `group_dir` as a power failure now would leave it — of every
-    /// unforced tail only a torn half record, then the zero reserve — and
-    /// replays the copy; returns the items of the leases that survive.
-    fn survivors_of_image(group_dir: &Path) -> BTreeSet<u64> {
-        let image = group_dir.with_extension("image");
+    /// Copies `journal_dir` as a power failure now would leave it — of
+    /// every unforced tail only a torn half record, then the zero reserve —
+    /// and replays the copy with `replay`; returns the items of the leases
+    /// that survive.
+    fn survivors_of_image(
+        journal_dir: &Path,
+        replay: impl FnOnce(&Path) -> io::Result<Replay>,
+    ) -> BTreeSet<u64> {
+        let image = journal_dir.with_extension("image");
         let _ = std::fs::remove_dir_all(&image);
         std::fs::create_dir_all(&image).unwrap();
-        for path in files_of(group_dir) {
+        for path in files_of(journal_dir) {
             let mut bytes = std::fs::read(&path).unwrap();
             let torn = (forced_len(&path) as usize + RECORD_LEN / 2).min(bytes.len());
             bytes[torn..].fill(0);
             std::fs::write(image.join(path.file_name().unwrap()), bytes).unwrap();
         }
-        let (_, replayed) = SegmentedLog::replay(&image, SyncPolicy::ProcessCrash, ROTATE)
-            .unwrap_or_else(|e| panic!("the image of {} is damaged: {e}", group_dir.display()));
+        let replayed = replay(&image)
+            .unwrap_or_else(|e| panic!("the image of {} is damaged: {e}", journal_dir.display()));
         std::fs::remove_dir_all(&image).unwrap();
-        replayed.replay.live.values().map(|l| l.item).collect()
+        replayed.live.values().map(|l| l.item).collect()
     }
 
     /// What the script knows of one group between operations, and what the
@@ -171,25 +184,35 @@ mod tests {
         let Some(model) = models.get_mut(name) else {
             return;
         };
-        let survivors = survivors_of_image(group_dir);
-        let must: BTreeSet<u64> = model
-            .live
-            .iter()
-            .copied()
-            .filter(|i| Some(*i) != model.settling)
-            .collect();
-        let lost: Vec<_> = must.difference(&survivors).collect();
-        assert!(
-            lost.is_empty(),
-            "group {name}: a power failure loses {lost:?}"
-        );
-        let may: BTreeSet<u64> = model.live.iter().copied().chain(model.arriving).collect();
-        let risen: Vec<_> = survivors.difference(&may).collect();
-        assert!(
-            risen.is_empty(),
-            "group {name}: a power failure resurrects {risen:?}"
-        );
-        model.images += 1;
+        let survivors = survivors_of_image(group_dir, |image| {
+            SegmentedLog::replay(image, SyncPolicy::ProcessCrash, ROTATE).map(|(_, r)| r.replay)
+        });
+        model.check(&survivors, &format!("group {name}"));
+    }
+
+    impl Model {
+        /// Invariant (b) for the leases of `whose` that a power failure
+        /// would leave: every live lease the running operation does not
+        /// settle survives, and nothing survives but the live leases and
+        /// the item the operation may deliver.
+        fn check(&mut self, survivors: &BTreeSet<u64>, whose: &str) {
+            let settling = self.settling;
+            let must: BTreeSet<u64> = self
+                .live
+                .iter()
+                .copied()
+                .filter(|&i| Some(i) != settling)
+                .collect();
+            let lost: Vec<_> = must.difference(survivors).collect();
+            assert!(lost.is_empty(), "{whose}: a power failure loses {lost:?}");
+            let may: BTreeSet<u64> = self.live.iter().copied().chain(self.arriving).collect();
+            let risen: Vec<_> = survivors.difference(&may).collect();
+            assert!(
+                risen.is_empty(),
+                "{whose}: a power failure resurrects {risen:?}"
+            );
+            self.images += 1;
+        }
     }
 
     struct Script {
@@ -320,6 +343,81 @@ mod tests {
             assert!(script.models.borrow()[name].live.is_empty());
         }
         drop((a, b, script, q));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The single-file log under the same rules: a power-fail
+    /// `LeasedQueue` compacting every few records, its `LEASES.log` cut
+    /// at every force — the forced bytes, a torn half record, then zeros.
+    ///
+    /// The test is only worth its images if it fails without the forces it
+    /// guards: making `AckLog`'s force a no-op must make it fail.
+    #[test]
+    fn a_power_failure_image_at_any_force_of_the_ack_log_loses_no_live_lease() {
+        let dir = tmp("leased");
+        let config = LeaseConfig::new(&dir)
+            .with_sync(SyncPolicy::PowerFail)
+            .with_compact_after(16)
+            .with_timeout(Duration::from_secs(3600));
+        let q = LeasedQueue::create(base(), None, config).unwrap();
+        for item in 1..=100u64 {
+            q.enqueue(0, item);
+        }
+        let model = Rc::new(RefCell::new(Model::default()));
+        let (hook_model, hook_dir) = (Rc::clone(&model), dir.clone());
+        CRASH_HOOK.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move |at: &Path| {
+                if at == hook_dir {
+                    let survivors = survivors_of_image(at, |image| {
+                        AckLog::replay(image, SyncPolicy::ProcessCrash).map(|(_, r)| r)
+                    });
+                    hook_model.borrow_mut().check(&survivors, LEASE_LOG_FILE);
+                }
+            }))
+        });
+        let returned = |what: &str| {
+            let mut m = model.borrow_mut();
+            (m.settling, m.arriving) = (None, None);
+            drop(m);
+            assert_all_forced(&dir, what);
+        };
+        let mut next_fresh = 1;
+        let mut dequeue = || {
+            model.borrow_mut().arriving = Some(next_fresh);
+            let lease = q.dequeue(0).expect("the script never drains the base");
+            if lease.delivery_count == 1 {
+                assert_eq!(lease.item, next_fresh);
+                model.borrow_mut().live.insert(lease.item);
+                next_fresh += 1;
+            }
+            returned("after dequeue");
+            lease
+        };
+        for round in 0..60u64 {
+            let lease = dequeue();
+            let lease = if round % 5 == 4 {
+                assert!(matches!(
+                    q.nack(0, &lease).unwrap(),
+                    Redelivery::Requeued { .. }
+                ));
+                returned("after nack");
+                let again = dequeue();
+                assert_eq!((again.item, again.delivery_count), (lease.item, 2));
+                again
+            } else {
+                lease
+            };
+            model.borrow_mut().settling = Some(lease.item);
+            q.ack(&lease).unwrap();
+            model.borrow_mut().live.remove(&lease.item);
+            returned("after ack");
+        }
+        CRASH_HOOK.with(|h| h.borrow_mut().take());
+        let images = model.borrow().images;
+        assert!(images >= 120, "only {images} crash points");
+        assert!(q.stats().compactions >= 5);
+        assert!(model.borrow().live.is_empty());
+        drop(q);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -39,15 +39,12 @@
 //!
 //! # Durability
 //!
-//! As in the single-file log, an append is one write — a `pwrite` at the
-//! active segment's logical end — and, under
-//! [`SyncPolicy::PowerFail`], an `fdatasync` of the active segment before
-//! the operation that appended returns: [`SegmentedLog::append`] does
-//! both, the lease engine appends under its state lock and forces after
-//! releasing it. Within one segment a later force covers every earlier
-//! record, so nothing more is needed. Across segments it is not so, and
-//! the two maintenance steps force the active segment themselves, under
-//! the lock, once per `rotate_records` records:
+//! The active segment is written and forced as the single-file log is,
+//! through the crate's one journal-file writer.
+//! Within one segment a later force covers every earlier record, so
+//! nothing more is needed. Across segments it is not so, and the two
+//! maintenance steps force the active segment themselves, under the lock,
+//! once per `rotate_records` records:
 //!
 //! * **rotation** forces the old segment before the new header commits — a
 //!   sealed segment must be complete, since replay refuses a torn one;
@@ -56,22 +53,9 @@
 //!   `GRANT` superseding a `PEND`), and a power failure must not find the
 //!   `PEND` unlinked and the `GRANT` missing.
 //!
-//! # The zero reserve
-//!
-//! An `fdatasync` after an append that grew the file must also commit the
-//! inode's new size through the file system's journal; one after a write
-//! inside the file's existing, written blocks flushes data alone. So under
-//! [`SyncPolicy::PowerFail`] the active segment's logical end lies inside a
-//! reserve of zeros, written ahead of the records one 4 KiB page at a
-//! time: only the force right after an extension commits metadata. The
-//! zeros are plainly written: `fallocate` is not in `std`, and an
-//! unwritten extent (or a hole) would only move each page's metadata
-//! commit to the first record written into it (docs/PERFORMANCE.md
-//! measures all three). The last extension is clipped so that a full
-//! segment ends exactly at `SEGMENT_HEADER_LEN + rotate_records ×
-//! RECORD_LEN`, and a sealed segment carries no reserve. Under
-//! `ProcessCrash` nothing is forced and there is no reserve: every file is
-//! exactly its header and records.
+//! The power-fail zero reserve (docs/FORMATS.md) is capped at the sealed
+//! size, `SEGMENT_HEADER_LEN + rotate_records × RECORD_LEN`, so a sealed
+//! segment carries none.
 //!
 //! # High-water mark and generation
 //!
@@ -90,16 +74,14 @@
 //! corrupt record in a sealed segment is real damage and is refused with an
 //! error naming the file.
 
-use crate::engine::{replace_file, sync_file, Force, Journal, JournalFile};
-use crate::log::{bad_data, fresh_generation, scan_records, Record, Replay, RECORD_LEN};
+use crate::engine::Journal;
+use crate::file::{replace_file, JournalFile};
+use crate::log::{bad_data, fresh_generation, Record, Replay, RECORD_LEN};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::OpenOptions;
-use std::io::{self, Read};
-use std::os::unix::fs::FileExt;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use store::{crc32, SyncPolicy};
 
 static ROTATIONS: LazyCounter = LazyCounter::new("lease.group.rotation");
@@ -128,12 +110,6 @@ pub const GROUP_META_LEN: usize = 32;
 /// Default rotation threshold (records per segment).
 pub const DEFAULT_ROTATE_RECORDS: u64 = 4096;
 
-/// How far ahead of its records a power-fail active segment is filled with
-/// zeros: one page (see [the zero reserve](self#the-zero-reserve)).
-const RESERVE_STEP: u64 = 4096;
-
-static ZEROS: [u8; RESERVE_STEP as usize] = [0; RESERVE_STEP as usize];
-
 fn segment_name(seq: u32) -> String {
     format!("segment-{seq:04}.log")
 }
@@ -150,6 +126,15 @@ fn segment_seq(name: &str) -> Option<u32> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// The length of a full segment, which rotation seals (unbounded when
+/// the log never rotates).
+fn sealed_len(rotate_records: u64) -> u64 {
+    match rotate_records {
+        0 => u64::MAX,
+        n => SEGMENT_HEADER_LEN as u64 + n * RECORD_LEN as u64,
+    }
 }
 
 fn segment_header(seq: u32, next_lease_id: u64, generation: u64) -> [u8; SEGMENT_HEADER_LEN] {
@@ -267,13 +252,9 @@ pub struct SegmentedLog {
     generation: u64,
     retired_below: u32,
     active_seq: u32,
-    /// Shared with the [`Force`]s handed out, which outlive the lock hold
-    /// that appended (and, harmlessly, a rotation away from this file).
-    active: Arc<JournalFile>,
-    active_records: u64,
-    /// The active segment's length on disk: its records, plus the zero
-    /// reserve under [`SyncPolicy::PowerFail`].
-    active_len: u64,
+    /// Its forces outlive the lock hold that appended (and, harmlessly, a
+    /// rotation away from this file).
+    active: JournalFile,
     /// Total valid records across all surviving segments (replayed +
     /// appended, minus retired files' contributions — recomputed only at
     /// replay, so between opens this only grows).
@@ -317,9 +298,7 @@ impl SegmentedLog {
             generation,
             retired_below: 0,
             active_seq: 0,
-            active: Self::new_segment(dir, 0, 1, generation, sync)?,
-            active_records: 0,
-            active_len: SEGMENT_HEADER_LEN as u64,
+            active: Self::new_segment(dir, 0, 1, generation, sync, sealed_len(rotate_records))?,
             records: 0,
             resident: HashMap::new(),
             seg_live: BTreeMap::from([(0, 0)]),
@@ -335,10 +314,11 @@ impl SegmentedLog {
         next_lease_id: u64,
         generation: u64,
         sync: SyncPolicy,
-    ) -> io::Result<Arc<JournalFile>> {
+        cap: u64,
+    ) -> io::Result<JournalFile> {
         // The durable header *is* the rotation commit point.
         let header = segment_header(seq, next_lease_id, generation);
-        let active = JournalFile::create(dir, &segment_name(seq), &header, sync)?;
+        let active = JournalFile::create(dir, &segment_name(seq), &header, sync, cap)?;
         #[cfg(test)]
         crate::powerfail::crash_point(dir);
         Ok(active)
@@ -441,14 +421,12 @@ impl SegmentedLog {
         let mut resident: HashMap<u64, u32> = HashMap::new();
         let last_seq = *seqs.last().unwrap();
         let mut rolled_back_last = false;
-        // Where the records of the last segment scanned end: the active
-        // segment's, once the loop is done.
-        let mut active_len = 0u64;
+        // The last segment replayed: the active one, once the loop is done.
+        let mut active = None;
+        let cap = sealed_len(rotate_records);
         for &seq in &seqs {
-            let path = segment_path(dir, seq);
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
+            let (mut file, bytes) = JournalFile::open(segment_path(dir, seq), sync, cap)?;
+            let path = file.path();
             let header_ok = bytes.len() >= SEGMENT_HEADER_LEN && {
                 let stored = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
                 bytes[0..8] == SEGMENT_MAGIC && crc32(&bytes[0..32]) == stored
@@ -462,27 +440,26 @@ impl SegmentedLog {
                     // never-rotated log has no predecessor to fall back
                     // to, so damage there is refused like any sealed
                     // segment.)
-                    drop(file);
-                    std::fs::remove_file(&path)?;
+                    std::fs::remove_file(path)?;
                     rolled_back_last = true;
                     break;
                 }
                 return Err(bad_data(
-                    &path,
+                    path,
                     "corrupt segment header (not the newest segment; refusing)".into(),
                 ));
             }
             let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
             if version != SEGMENT_VERSION {
                 return Err(bad_data(
-                    &path,
+                    path,
                     format!("unsupported version {version} (this build reads {SEGMENT_VERSION})"),
                 ));
             }
             let header_seq = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
             if header_seq != seq {
                 return Err(bad_data(
-                    &path,
+                    path,
                     format!("header seq {header_seq} does not match the file name"),
                 ));
             }
@@ -490,7 +467,7 @@ impl SegmentedLog {
             let header_generation = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
             if header_generation != meta.generation {
                 return Err(bad_data(
-                    &path,
+                    path,
                     format!(
                         "generation {header_generation:#x} does not match GROUP.meta \
                          ({:#x}); this segment belongs to another log",
@@ -500,9 +477,8 @@ impl SegmentedLog {
             }
             replay.next_lease_id = replay.next_lease_id.max(header_next_id);
 
-            let body = &bytes[SEGMENT_HEADER_LEN..];
             let sealed = seq != last_seq;
-            let consumed = scan_records(&path, SEGMENT_HEADER_LEN, body, sealed, |rec| {
+            replay.torn_bytes += file.replay(&bytes, SEGMENT_HEADER_LEN, sealed, |rec| {
                 // A lease resides in the segment holding its latest live
                 // record.
                 let effect = replay.apply(rec);
@@ -513,18 +489,7 @@ impl SegmentedLog {
                     resident.insert(id, seq);
                 }
             })?;
-            active_len = (SEGMENT_HEADER_LEN + consumed) as u64;
-            let tail = &body[consumed..];
-            if !tail.is_empty() {
-                // A torn record and the zero reserve: only the record's
-                // bytes count as torn.
-                let torn = tail.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-                replay.torn_bytes += torn as u64;
-                file.set_len(active_len)?;
-                if sync == SyncPolicy::PowerFail {
-                    sync_file(&file, &path, active_len)?;
-                }
-            }
+            active = Some(file);
         }
 
         let active_seq = if rolled_back_last {
@@ -536,12 +501,7 @@ impl SegmentedLog {
         for &seq in resident.values() {
             *seg_live.get_mut(&seq).expect("resident seq exists") += 1;
         }
-        let path = segment_path(dir, active_seq);
-        let active = JournalFile {
-            file: OpenOptions::new().read(true).write(true).open(&path)?,
-            path,
-        };
-        let active_records = (active_len - SEGMENT_HEADER_LEN as u64) / RECORD_LEN as u64;
+        let active = active.expect("only a segment above the watermark rolls back");
 
         let records = replay.records;
         let mut log = SegmentedLog {
@@ -551,9 +511,7 @@ impl SegmentedLog {
             generation: meta.generation,
             retired_below: meta.retired_below,
             active_seq,
-            active: Arc::new(active),
-            active_records,
-            active_len,
+            active,
             records,
             resident,
             seg_live,
@@ -585,73 +543,17 @@ impl SegmentedLog {
     /// record arrives, not when the last one lands, so an idle log never
     /// carries an empty trailing segment.
     pub fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        self.write(rec, next_lease_id)?;
-        Journal::force(self).run()
+        Journal::append(self, rec, next_lease_id)?;
+        self.active.force().run()
     }
 
-    /// The write half of [`append`](Self::append): the record is in the
-    /// active segment's page cache, not yet forced.
-    fn write(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        self.rotate_if_full(next_lease_id)?;
-        self.put(&rec.encode())?;
-        self.wrote(rec);
-        self.maintain()
-    }
-
-    /// Two records in one `write` — unless the second would open the next
-    /// segment, when they go down one by one as they always did.
-    fn write_pair(&mut self, first: (&Record, u64), second: (&Record, u64)) -> io::Result<()> {
-        self.rotate_if_full(first.1)?;
-        if self.rotate_records > 0 && self.active_records + 2 > self.rotate_records {
-            self.write(first.0, first.1)?;
-            return self.write(second.0, second.1);
-        }
-        let mut both = [0u8; 2 * RECORD_LEN];
-        both[..RECORD_LEN].copy_from_slice(&first.0.encode());
-        both[RECORD_LEN..].copy_from_slice(&second.0.encode());
-        self.put(&both)?;
-        self.wrote(first.0);
-        self.wrote(second.0);
-        self.maintain()
-    }
-
-    /// Writes whole records at the active segment's logical end — under
-    /// [`SyncPolicy::PowerFail`], into the zero reserve, extended first
-    /// when they would not fit (see [the zero reserve](self#the-zero-reserve)).
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let at = self.end();
-        let end = at + bytes.len() as u64;
-        if self.sync == SyncPolicy::PowerFail && end > self.active_len {
-            let reserve = end.next_multiple_of(RESERVE_STEP).min(self.sealed_len());
-            while self.active_len < reserve {
-                let n = (reserve - self.active_len).min(RESERVE_STEP);
-                self.active
-                    .file
-                    .write_all_at(&ZEROS[..n as usize], self.active_len)?;
-                self.active_len += n;
-            }
-        }
-        self.active.file.write_all_at(bytes, at)?;
-        self.active_len = self.active_len.max(end);
-        Ok(())
-    }
-
-    /// Where the active segment's records end.
-    fn end(&self) -> u64 {
-        SEGMENT_HEADER_LEN as u64 + self.active_records * RECORD_LEN as u64
-    }
-
-    /// The length of a full segment, which rotation seals (unbounded when
-    /// the log never rotates).
-    fn sealed_len(&self) -> u64 {
-        match self.rotate_records {
-            0 => u64::MAX,
-            n => SEGMENT_HEADER_LEN as u64 + n * RECORD_LEN as u64,
-        }
+    /// Records in the active segment.
+    fn active_records(&self) -> u64 {
+        (self.active.end() - SEGMENT_HEADER_LEN as u64) / RECORD_LEN as u64
     }
 
     fn rotate_if_full(&mut self, next_lease_id: u64) -> io::Result<()> {
-        if self.rotate_records > 0 && self.active_records >= self.rotate_records {
+        if self.rotate_records > 0 && self.active_records() >= self.rotate_records {
             self.rotate(next_lease_id)?;
         }
         Ok(())
@@ -659,7 +561,6 @@ impl SegmentedLog {
 
     /// Accounts for one record written to the active segment.
     fn wrote(&mut self, rec: &Record) {
-        self.active_records += 1;
         self.records += 1;
 
         // Residency bookkeeping mirrors replay: a lease lives in the
@@ -704,9 +605,7 @@ impl SegmentedLog {
     /// segment may still be unforced here: it is forced first, or a power
     /// failure could keep the new header and tear the segment it seals.
     fn rotate(&mut self, next_lease_id: u64) -> io::Result<()> {
-        if self.sync == SyncPolicy::PowerFail {
-            sync_file(&self.active.file, &self.active.path, self.end())?;
-        }
+        self.active.sync()?;
         let new_seq = self.active_seq + 1;
         self.active = Self::new_segment(
             &self.dir,
@@ -714,10 +613,9 @@ impl SegmentedLog {
             next_lease_id,
             self.generation,
             self.sync,
+            sealed_len(self.rotate_records),
         )?;
         self.active_seq = new_seq;
-        self.active_records = 0;
-        self.active_len = SEGMENT_HEADER_LEN as u64;
         self.seg_live.insert(new_seq, 0);
         self.rotations += 1;
         ROTATIONS.incr();
@@ -741,13 +639,13 @@ impl SegmentedLog {
     /// active segment is forced before the first watermark moves: a power
     /// failure must never find the `PEND` unlinked and the `GRANT` missing.
     fn retire_prefix(&mut self) -> io::Result<()> {
-        let mut forced = self.sync != SyncPolicy::PowerFail;
+        let mut forced = false;
         while let Some((&seq, &live)) = self.seg_live.first_key_value() {
             if seq >= self.active_seq || live != 0 {
                 break;
             }
             if !forced {
-                sync_file(&self.active.file, &self.active.path, self.end())?;
+                self.active.sync()?;
                 forced = true;
             }
             let meta = meta_bytes(seq + 1, self.generation);
@@ -812,23 +710,35 @@ impl SegmentedLog {
 
 impl Journal for SegmentedLog {
     fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        self.write(rec, next_lease_id)
+        self.rotate_if_full(next_lease_id)?;
+        self.active.append(&rec.encode())?;
+        self.wrote(rec);
+        self.maintain()
     }
 
+    /// Two records in one `write` — unless the second would open the next
+    /// segment, when they go down one by one as they always did.
     fn append_pair(&mut self, first: (&Record, u64), second: (&Record, u64)) -> io::Result<()> {
-        self.write_pair(first, second)
+        self.rotate_if_full(first.1)?;
+        if self.rotate_records > 0 && self.active_records() + 2 > self.rotate_records {
+            Journal::append(self, first.0, first.1)?;
+            return Journal::append(self, second.0, second.1);
+        }
+        let mut both = [0u8; 2 * RECORD_LEN];
+        both[..RECORD_LEN].copy_from_slice(&first.0.encode());
+        both[RECORD_LEN..].copy_from_slice(&second.0.encode());
+        self.active.append(&both)?;
+        self.wrote(first.0);
+        self.wrote(second.0);
+        self.maintain()
     }
 
-    fn force(&self) -> Force {
-        Force::of(&self.active, self.sync, self.end())
+    fn file(&self) -> &JournalFile {
+        &self.active
     }
 
     fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn location(&self) -> &Path {
-        &self.dir
     }
 
     // `after_terminal` keeps its no-op default: rotation and retirement
@@ -838,8 +748,11 @@ impl Journal for SegmentedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::RESERVE_STEP;
     use crate::log::RecordKind;
+    use std::fs::OpenOptions;
     use std::io::Write;
+    use std::os::unix::fs::FileExt;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-seg-{tag}-{}", std::process::id()));
@@ -1199,7 +1112,7 @@ mod tests {
         for i in 1..=3u64 {
             log.append(&grant(i, i * 10, 1, 0), i + 1).unwrap();
         }
-        let end = log.end();
+        let end = log.active.end();
         drop(log);
         assert_eq!(file_len(&dir, 0), RESERVE_STEP);
         // [records][torn half record][zeros]
@@ -1268,13 +1181,13 @@ mod tests {
         const ROTATE: u64 = 300;
         let dir = tmp("reserve-growth");
         let mut log = SegmentedLog::create(&dir, SyncPolicy::PowerFail, ROTATE).unwrap();
-        let sealed_len = log.sealed_len();
+        let sealed_len = sealed_len(ROTATE);
         assert_eq!(sealed_len, 40 + ROTATE * 40);
         let mut last = (0, SEGMENT_HEADER_LEN as u64);
         let mut changes = 0u64;
         append_grants(&mut log, 3 * ROTATE, |log| {
             let bytes = std::fs::read(segment_path(&dir, log.active_seq())).unwrap();
-            let (len, end) = (bytes.len() as u64, log.end());
+            let (len, end) = (bytes.len() as u64, log.active.end());
             assert!(
                 (end..end + RESERVE_STEP).contains(&len),
                 "{len} bytes for records ending at {end}"
@@ -1305,10 +1218,18 @@ mod tests {
         let dir = tmp("no-reserve");
         let mut log = SegmentedLog::create(&dir, SyncPolicy::ProcessCrash, 5).unwrap();
         append_grants(&mut log, 20, |log| {
-            let n = log.active_records;
+            let n = log.active_records();
             assert_eq!(file_len(&dir, log.active_seq()), 40 + n * 40);
         });
         assert!(log.rotations() >= 3);
+        // And `LEASES.log`: exactly its 32-byte header and records.
+        let leased = dir.join("leased");
+        let path = leased.join(crate::log::LEASE_LOG_FILE);
+        let mut log = crate::log::AckLog::create(&leased, SyncPolicy::ProcessCrash).unwrap();
+        for i in 1..=20u64 {
+            log.append(&grant(i, i, 1, 0)).unwrap();
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 32 + i * 40);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -186,22 +186,6 @@ impl Algorithm {
     pub fn create_sharded(&self, config: ShardConfig) -> Arc<dyn DurableQueue> {
         with_recoverable!(*self, Q => Arc::new(ShardedQueue::<Q>::create(config)))
     }
-
-    /// Builds a fresh **file-backed** [`ShardedQueue`] of this algorithm in
-    /// `dir`: one pool file per shard plus the shard-map manifest (see
-    /// `shard::RecoveryOrchestrator::create_dir`).
-    pub fn create_sharded_dir(
-        &self,
-        dir: &std::path::Path,
-        config: ShardConfig,
-        file: store::FileConfig,
-    ) -> Arc<dyn DurableQueue> {
-        let orch = shard::RecoveryOrchestrator::new(config.shards);
-        with_recoverable!(*self, Q => Arc::new(
-            orch.create_dir::<Q>(dir, config, file)
-                .expect("create file-backed shard directory")
-        ))
-    }
 }
 
 #[cfg(test)]

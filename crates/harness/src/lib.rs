@@ -23,7 +23,6 @@ pub mod jsonio;
 pub mod obs_verbs;
 pub mod reshard;
 pub mod runner;
-pub mod shard_sweep;
 pub mod workloads;
 
 pub use algorithms::Algorithm;

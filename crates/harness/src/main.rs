@@ -4,15 +4,17 @@
 //! harness fig2 [--workload random|pairs|enqueues|dequeues|prodcons|all]
 //!              [--threads 1,2,4,8,12,16] [--ops N] [--initial-size N]
 //!              [--prefill N] [--algorithms OptUnlinkedQ,DurableMSQ,...]
-//!              [--shards N] [--policy rr|keyhash|load]
-//!              [--nvram-read-ns N] [--quick]
-//! harness counts [--ops N] [--shards N]
+//!              [--shards 1,2,4,8] [--policy rr|keyhash|load] [--pool-bytes N]
+//!              [--nvram-read-ns N] [--no-latency] [--quick]
+//! harness counts [--ops N] [--shards 1,4] [--policy P] [--json PATH]
+//! harness crashtest [--threads N] [--ops N] [--rounds N]
+//! harness reshard --dir D --to N' [--create N --items M] [--verify] ...
 //! harness fastpath [--ops N] [--trials N] [--pool-bytes N] [--grow-step N]
 //!                  [--quick] [--json PATH]
-//! harness crashtest [--threads N] [--ops N] [--rounds N]
-//! harness shards [--shards 1,2,4,8] [--workload W] [--algorithm A]
-//!                [--threads N] [--ops N] [--policy rr|keyhash|load]
-//!                [--recovery-threads N] [--quick]
+//! harness fsweep [--producers 1,2,4,8] [--fences N] [--pages K]
+//!                [--pool-bytes N] [--quick] [--json PATH]
+//! harness metrics [--ops N] [--dir D] [--sync S] [--json PATH]
+//! harness blackbox DIR [--json PATH]
 //! harness all [--quick]
 //! ```
 
@@ -29,10 +31,7 @@ use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
 };
 use harness::reshard::{run_reshard, ReshardVerbConfig};
-use harness::runner::{render_panel, run_panel, BackendChoice, SweepConfig};
-use harness::shard_sweep::{
-    render_shard_sweep, run_shard_sweep, shard_sweep_json, ShardSweepConfig,
-};
+use harness::runner::{render_panel, run_panel, SweepConfig};
 use harness::workloads::Workload;
 use pmem::LatencyModel;
 use shard::RoutePolicy;
@@ -42,12 +41,9 @@ use std::process::exit;
 use store::SyncPolicy;
 
 /// The flags `fig2` reads (`sweep_from_flags`, its shard counts and
-/// workloads); `all` forwards its one flag map to fig2, counts and shards.
+/// workloads); `all` forwards its one flag map to counts and fig2.
 const FIG2_FLAGS: &[&str] = &[
     "algorithms",
-    "backend",
-    "dir",
-    "grow-step",
     "initial-size",
     "no-latency",
     "nvram-read-ns",
@@ -57,23 +53,10 @@ const FIG2_FLAGS: &[&str] = &[
     "prefill",
     "quick",
     "shards",
-    "sync",
     "threads",
     "workload",
 ];
 const COUNTS_FLAGS: &[&str] = &["json", "ops", "policy", "shards"];
-const SHARDS_FLAGS: &[&str] = &[
-    "algorithm",
-    "json",
-    "no-latency",
-    "ops",
-    "policy",
-    "quick",
-    "recovery-threads",
-    "shards",
-    "threads",
-    "workload",
-];
 
 /// Each verb and every flag it reads, the hidden `crash-child`'s included.
 /// Any other flag is refused: a misspelt, retired or other verb's flag
@@ -82,7 +65,6 @@ const VERBS: &[(&str, &[&str])] = &[
     ("fig2", FIG2_FLAGS),
     ("counts", COUNTS_FLAGS),
     ("crashtest", &["ops", "rounds", "threads"]),
-    ("shards", SHARDS_FLAGS),
     (
         "reshard",
         &[
@@ -134,15 +116,15 @@ const VERBS: &[(&str, &[&str])] = &[
             "sync",
         ],
     ),
-    // Everything fig2, counts and shards read but `--json`: the three
-    // sweeps would race for one file.
+    // Everything fig2 and counts read but `--json`, which fig2 has no
+    // artifact for.
     ("all", &[]),
 ];
 
 /// Whether `verb` reads `--name`.
 fn reads(verb: &str, name: &str) -> bool {
     if verb == "all" {
-        return name != "json" && ["fig2", "counts", "shards"].iter().any(|v| reads(v, name));
+        return name != "json" && ["fig2", "counts"].iter().any(|v| reads(v, name));
     }
     VERBS
         .iter()
@@ -222,10 +204,6 @@ fn sweep_from_flags(flags: &HashMap<String, String>) -> SweepConfig {
     if let Some(p) = flags.get("pool-bytes") {
         sweep.pool_bytes = p.parse().expect("bad --pool-bytes");
     }
-    if let Some(g) = flags.get("grow-step") {
-        sweep.grow_step = g.parse().expect("bad --grow-step");
-    }
-    sweep.backend = backend_from_flags(flags);
     sweep
 }
 
@@ -239,24 +217,6 @@ fn parse_sync(flags: &HashMap<String, String>) -> SyncPolicy {
     }
 }
 
-/// `--backend {sim,file}` plus the file backend's `--dir PATH` and
-/// `--sync process-crash|power-fail` companions.
-fn backend_from_flags(flags: &HashMap<String, String>) -> BackendChoice {
-    match flags.get("backend").map(|s| s.as_str()) {
-        None | Some("sim") => BackendChoice::Sim,
-        Some("file") => BackendChoice::File {
-            dir: flags.get("dir").map(PathBuf::from).unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("harness-pools-{}", std::process::id()))
-            }),
-            sync: parse_sync(flags),
-        },
-        Some(other) => {
-            eprintln!("unknown backend '{other}' (expected sim|file)");
-            exit(2);
-        }
-    }
-}
-
 fn parse_policy(s: &str) -> RoutePolicy {
     RoutePolicy::parse(s).unwrap_or_else(|| {
         eprintln!("unknown routing policy '{s}' (expected rr|keyhash|load)");
@@ -266,7 +226,7 @@ fn parse_policy(s: &str) -> RoutePolicy {
 
 /// Parses `--shards` as a comma-separated list of counts ≥ 1, so the same
 /// flag value works for every subcommand (and for `all`, which forwards one
-/// flag map to counts, fig2 and the shard sweep). Absent: `[1]`.
+/// flag map to counts and fig2). Absent: `[1]`.
 fn shards_from_flags(flags: &HashMap<String, String>) -> Vec<usize> {
     let Some(s) = flags.get("shards") else {
         return vec![1];
@@ -329,60 +289,6 @@ fn cmd_counts(flags: &HashMap<String, String>) {
         };
         print!("{}", render_counts(&rows));
         json.push(counts_json(&rows, ops, shards, policy));
-    }
-    json.write();
-}
-
-fn cmd_shards(flags: &HashMap<String, String>) {
-    let mut cfg = if flags.contains_key("quick") {
-        ShardSweepConfig::quick()
-    } else {
-        ShardSweepConfig::paper_like()
-    };
-    if flags.contains_key("shards") {
-        cfg.shard_counts = shards_from_flags(flags);
-    }
-    // `--threads` and `--workload` accept the same forms fig2 does (comma
-    // lists, `all`) — one sweep table is printed per combination. This also
-    // keeps `harness all <fig2 flags>` working end to end.
-    let thread_counts: Vec<usize> = match flags.get("threads") {
-        None => vec![cfg.threads],
-        Some(t) => t
-            .split(',')
-            .map(|s| s.trim().parse().expect("bad --threads"))
-            .collect(),
-    };
-    let workloads = match flags.get("workload").map(|s| s.as_str()) {
-        None => vec![cfg.workload],
-        Some(_) => workloads_from_flags(flags),
-    };
-    if let Some(o) = flags.get("ops") {
-        cfg.ops_per_thread = o.parse().expect("bad --ops");
-    }
-    if let Some(a) = flags.get("algorithm") {
-        cfg.algorithm = Algorithm::parse(a).unwrap_or_else(|| panic!("unknown algorithm {a}"));
-    }
-    if let Some(p) = flags.get("policy") {
-        cfg.policy = parse_policy(p);
-    }
-    if let Some(r) = flags.get("recovery-threads") {
-        cfg.recovery_threads = r.parse().expect("bad --recovery-threads");
-    }
-    if flags.contains_key("no-latency") {
-        cfg.latency = LatencyModel::ZERO;
-    }
-    let mut json = JsonSink::from_flags(flags);
-    for workload in workloads {
-        for &threads in &thread_counts {
-            let cfg = ShardSweepConfig {
-                threads,
-                workload,
-                ..cfg.clone()
-            };
-            let rows = run_shard_sweep(&cfg);
-            print!("{}", render_shard_sweep(&cfg, &rows));
-            json.push(shard_sweep_json(&cfg, &rows));
-        }
     }
     json.write();
 }
@@ -504,13 +410,11 @@ fn cmd_crashtest(flags: &HashMap<String, String>) {
 /// Prints the usage text and exits 2.
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <fig2|counts|crashtest|shards|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
+        "usage: harness <fig2|counts|crashtest|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
          \n\
          fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
          counts     per-operation persistence counts (experiments E7/E8)\n\
          crashtest  durable-linearizability crash checks for every queue\n\
-         shards     shard-scaling sweep: aggregate throughput, per-shard\n\
-                    persist counts and parallel crash-recovery latency\n\
          reshard    split/merge a file-backed shard directory to --to N'\n\
                     (crash-safe two-phase manifest protocol)\n\
          fastpath   time a fixed and an elastic file pool's per-op\n\
@@ -523,17 +427,16 @@ fn usage() -> ! {
                     metrics experiment object with --json)\n\
          blackbox   replay a crash-surviving BLACKBOX.ring and\n\
                     pretty-print the lifecycle events that survived\n\
-         all        counts, every fig2 panel, then the shard sweep\n\
+         all        counts, then every fig2 panel\n\
          \n\
          common flags: --quick --workload W --threads 1,2,4 --ops N\n\
                        --initial-size N --prefill N --algorithms A,B\n\
                        --shards 1,2,4,8 --policy rr|keyhash|load\n\
-                       --recovery-threads N --nvram-read-ns N --no-latency\n\
-         backends:     --backend sim|file --dir PATH\n\
-                       --sync process-crash|power-fail   (file backend)\n\
-                       --pool-bytes N --grow-step N   (file pools grow by\n\
-                       >= N bytes on exhaustion; 0 = fixed size)\n\
-         output:       --json PATH   (counts, shards, fastpath,\n\
+                       --pool-bytes N --nvram-read-ns N --no-latency\n\
+                       (fig2 runs on the simulated pool only)\n\
+         file pools:   --sync process-crash|power-fail --dir PATH\n\
+                       (reshard, metrics); --grow-step N (fastpath)\n\
+         output:       --json PATH   (counts, fastpath,\n\
                        fsweep, metrics, blackbox: JSON array of\n\
                        experiment objects; schema in README)\n\
          reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\
@@ -557,7 +460,6 @@ fn main() {
         "fig2" => cmd_fig2(&flags),
         "counts" => cmd_counts(&flags),
         "crashtest" => cmd_crashtest(&flags),
-        "shards" => cmd_shards(&flags),
         "reshard" => cmd_reshard(&flags),
         "fastpath" => cmd_fastpath(&flags),
         "fsweep" => cmd_fsweep(&flags),
@@ -573,7 +475,6 @@ fn main() {
         "all" => {
             cmd_counts(&flags);
             cmd_fig2(&flags);
-            cmd_shards(&flags);
         }
         _ => unreachable!("every verb of VERBS has an arm"),
     }
@@ -610,7 +511,14 @@ mod tests {
     /// Retired flags would otherwise run at their old default silently.
     #[test]
     fn a_flag_no_verb_reads_is_refused_by_name() {
-        for flag in ["fence-window", "windows", "group-commit", "min-acks"] {
+        for flag in [
+            "fence-window",
+            "windows",
+            "group-commit",
+            "min-acks",
+            "backend",
+            "recovery-threads",
+        ] {
             let bare = format!("--{flag}");
             for (verb, _) in VERBS {
                 let err = parse(verb, &[bare.as_str(), "50"]).unwrap_err();
@@ -657,10 +565,10 @@ mod tests {
                 "{err}"
             );
         }
-        // `all` reads whatever fig2, counts or shards reads, but `--json`.
+        // `all` reads whatever fig2 or counts reads, but `--json`.
         let flags = parse(
             "all",
-            &["--quick", "--backend", "file", "--recovery-threads", "2"],
+            &["--quick", "--nvram-read-ns", "0", "--policy", "keyhash"],
         );
         assert_eq!(flags.unwrap().len(), 3);
     }

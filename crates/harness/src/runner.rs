@@ -6,30 +6,10 @@ use crate::workloads::{run_workload, RunConfig, Workload};
 use durable_queues::QueueConfig;
 use pmem::{LatencyModel, PmemPool, PoolConfig};
 use shard::{RoutePolicy, ShardConfig};
-use std::path::PathBuf;
 use std::sync::Arc;
-use store::{FileConfig, FilePool, SyncPolicy};
 
-/// Which pool backend a sweep runs on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// The simulated in-DRAM pool with the configured latency model (the
-    /// paper's setup).
-    #[default]
-    Sim,
-    /// Memory-mapped pool files under `dir` (one file per measured point,
-    /// one file per shard for sharded points; removed after each point).
-    /// The simulated latency model is ignored: file pools pay their real
-    /// flush/fence/`msync` costs.
-    File {
-        /// Directory the per-point pool files are created in.
-        dir: PathBuf,
-        /// Fence durability policy of the pool files.
-        sync: SyncPolicy,
-    },
-}
-
-/// Configuration of a full panel sweep.
+/// Configuration of a full panel sweep. Every point runs on a fresh
+/// simulated pool with the configured latency model (the paper's setup).
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// Thread counts to sweep (the x axis).
@@ -45,11 +25,6 @@ pub struct SweepConfig {
     /// Pool size in bytes for every run (split across shards when
     /// `shards > 1`).
     pub pool_bytes: usize,
-    /// Growth step in bytes for file-backed pools (`0` = fixed-size, the
-    /// default). Lets a deliberately undersized `--pool-bytes` panel run to
-    /// completion through elastic growth; ignored by the simulated backend,
-    /// which is always fixed-size.
-    pub grow_step: usize,
     /// Latency model of the simulated NVRAM.
     pub latency: LatencyModel,
     /// Designated-area size for the node allocator.
@@ -61,8 +36,6 @@ pub struct SweepConfig {
     pub shards: usize,
     /// Routing policy used when `shards > 1`.
     pub policy: RoutePolicy,
-    /// Pool backend every point runs on (simulated or file-backed).
-    pub backend: BackendChoice,
     /// Seed for the workload mixes.
     pub seed: u64,
 }
@@ -78,13 +51,11 @@ impl SweepConfig {
             initial_size: None,
             prefill: None,
             pool_bytes: 256 << 20,
-            grow_step: 0,
             latency: LatencyModel::optane_like(),
             area_size: 4 << 20,
             algorithms: Algorithm::figure2_set(),
             shards: 1,
             policy: RoutePolicy::RoundRobin,
-            backend: BackendChoice::Sim,
             seed: 0xF162,
         }
     }
@@ -97,13 +68,11 @@ impl SweepConfig {
             initial_size: None,
             prefill: None,
             pool_bytes: 64 << 20,
-            grow_step: 0,
             latency: LatencyModel::optane_like(),
             area_size: 1 << 20,
             algorithms: Algorithm::figure2_set(),
             shards: 1,
             policy: RoutePolicy::RoundRobin,
-            backend: BackendChoice::Sim,
             seed: 0xF162,
         }
     }
@@ -185,54 +154,16 @@ pub fn measure_point(
         eviction_probability: 0.0,
         eviction_seed: sweep.seed,
     };
-    // Path of this point's file-backed pool (file backend only), removed
-    // after the measurement so a sweep does not accumulate pool files.
-    let mut cleanup: Option<(PathBuf, bool)> = None;
-    let point_tag = || {
-        format!(
-            "{}-{}-{}t",
-            workload.key(),
-            alg.name().replace([' ', '(', ')'], ""),
-            threads
-        )
-    };
     let queue = if sweep.shards > 1 {
-        let shard_cfg = ShardConfig::balanced(
+        alg.create_sharded(ShardConfig::balanced(
             sweep.shards,
             queue_cfg,
             sweep.pool_bytes,
             pool_cfg,
             sweep.policy,
-        );
-        match &sweep.backend {
-            BackendChoice::Sim => alg.create_sharded(shard_cfg),
-            BackendChoice::File { dir, sync } => {
-                let subdir = dir.join(format!("{}-{}shards", point_tag(), sweep.shards));
-                cleanup = Some((subdir.clone(), true));
-                let file_cfg = FileConfig::with_size(shard_cfg.pool.size)
-                    .with_sync(*sync)
-                    .with_growth(sweep.grow_step);
-                alg.create_sharded_dir(&subdir, shard_cfg, file_cfg)
-            }
-        }
+        ))
     } else {
-        let pool = match &sweep.backend {
-            BackendChoice::Sim => Arc::new(PmemPool::new(pool_cfg)),
-            BackendChoice::File { dir, sync } => {
-                std::fs::create_dir_all(dir).expect("create --dir");
-                let path = dir.join(format!("{}.pool", point_tag()));
-                cleanup = Some((path.clone(), false));
-                FilePool::create(
-                    &path,
-                    FileConfig::with_size(sweep.pool_bytes)
-                        .with_sync(*sync)
-                        .with_growth(sweep.grow_step),
-                )
-                .expect("create pool file")
-                .into_pool()
-            }
-        };
-        alg.create(pool, queue_cfg)
+        alg.create(Arc::new(PmemPool::new(pool_cfg)), queue_cfg)
     };
     let run_cfg = RunConfig {
         threads,
@@ -242,14 +173,6 @@ pub fn measure_point(
     };
     let result = run_workload(&queue, workload, &run_cfg);
     let per_op = result.stats.per_op(result.total_ops);
-    drop(queue); // close file pools before deleting their backing files
-    if let Some((path, is_dir)) = cleanup {
-        let _ = if is_dir {
-            std::fs::remove_dir_all(&path)
-        } else {
-            std::fs::remove_file(&path)
-        };
-    }
     PanelCell {
         algorithm: alg,
         mops: result.mops(),
@@ -280,14 +203,11 @@ pub fn run_panel(workload: Workload, sweep: &SweepConfig) -> Vec<PanelRow> {
 pub fn render_panel(workload: Workload, sweep: &SweepConfig, rows: &[PanelRow]) -> String {
     let mut out = String::new();
     let algs: Vec<Algorithm> = sweep.algorithms.clone();
-    let mut sharding = if sweep.shards > 1 {
+    let sharding = if sweep.shards > 1 {
         format!(" [{} shards, {} routing]", sweep.shards, sweep.policy.key())
     } else {
         String::new()
     };
-    if let BackendChoice::File { sync, .. } = &sweep.backend {
-        sharding.push_str(&format!(" [file backend, {}]", sync.key()));
-    }
     let header = |title: &str| {
         let mut s = format!("\n=== {}{} — {} ===\n", workload.name(), sharding, title);
         s.push_str(&format!("{:>8}", "threads"));
@@ -335,7 +255,6 @@ mod tests {
             initial_size: None,
             prefill: None,
             pool_bytes: 32 << 20,
-            grow_step: 0,
             latency: LatencyModel::ZERO,
             area_size: 256 * 1024,
             algorithms: vec![
@@ -345,7 +264,6 @@ mod tests {
             ],
             shards: 1,
             policy: RoutePolicy::RoundRobin,
-            backend: BackendChoice::Sim,
             seed: 11,
         }
     }
@@ -408,54 +326,6 @@ mod tests {
         sweep.initial_size = Some(77);
         assert_eq!(sweep.initial_size_for(Workload::DequeueOnly, 2), 77);
         assert_eq!(sweep.initial_size_for(Workload::Pairs, 2), 77);
-    }
-
-    #[test]
-    fn file_backend_points_run_and_clean_up_after_themselves() {
-        let dir = std::env::temp_dir().join(format!("runner-file-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sweep = tiny_sweep();
-        sweep.backend = BackendChoice::File {
-            dir: dir.clone(),
-            sync: SyncPolicy::ProcessCrash,
-        };
-        // Single pool file per point.
-        let cell = measure_point(Algorithm::DurableMsq, Workload::Pairs, 1, &sweep);
-        assert!(cell.mops > 0.0);
-        assert!(
-            (cell.fences_per_op - 2.0).abs() < 1.0,
-            "real fences counted"
-        );
-        // Sharded: a manifest directory per point.
-        sweep.shards = 2;
-        let cell = measure_point(Algorithm::OptUnlinked, Workload::Pairs, 2, &sweep);
-        assert!(cell.mops > 0.0);
-        // Every per-point file/directory was removed after its measurement.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .map(|rd| rd.map(|e| e.unwrap().path()).collect())
-            .unwrap_or_default();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let rendered = render_panel(Workload::Pairs, &sweep, &[]);
-        assert!(rendered.contains("[file backend, process-crash]"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn undersized_file_pools_grow_instead_of_exhausting() {
-        let dir = std::env::temp_dir().join(format!("runner-grow-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sweep = tiny_sweep();
-        // Far below a single designated area: without growth the very first
-        // allocation would abort the run with PoolExhausted.
-        sweep.pool_bytes = 1 << 16;
-        sweep.grow_step = 4 << 20;
-        sweep.backend = BackendChoice::File {
-            dir: dir.clone(),
-            sync: SyncPolicy::ProcessCrash,
-        };
-        let cell = measure_point(Algorithm::OptUnlinked, Workload::Pairs, 2, &sweep);
-        assert!(cell.mops > 0.0, "the point must complete via growth");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

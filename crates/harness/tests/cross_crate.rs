@@ -17,13 +17,11 @@ fn tiny_sweep(algorithms: Vec<Algorithm>) -> SweepConfig {
         initial_size: None,
         prefill: None,
         pool_bytes: 32 << 20,
-        grow_step: 0,
         latency: LatencyModel::ZERO,
         area_size: 256 * 1024,
         algorithms,
         shards: 1,
         policy: shard::RoutePolicy::RoundRobin,
-        backend: harness::runner::BackendChoice::Sim,
         seed: 99,
     }
 }
@@ -185,31 +183,5 @@ fn sharded_queues_run_every_workload_through_the_harness() {
         );
         assert_eq!(result.total_ops, 1200, "{}", workload.name());
         assert!(result.stats.fences > 0, "{}", workload.name());
-    }
-}
-
-#[test]
-fn shard_sweep_reports_recovery_for_every_required_shard_count() {
-    use harness::shard_sweep::{run_shard_sweep, ShardSweepConfig};
-    let cfg = ShardSweepConfig {
-        shard_counts: vec![1, 2, 4, 8],
-        threads: 2,
-        ops_per_thread: 200,
-        pool_bytes: 64 << 20,
-        latency: LatencyModel::ZERO,
-        area_size: 256 * 1024,
-        algorithm: Algorithm::OptUnlinked,
-        workload: Workload::Pairs,
-        policy: shard::RoutePolicy::RoundRobin,
-        recovery_threads: 4,
-        seed: 9,
-    };
-    let rows = run_shard_sweep(&cfg);
-    assert_eq!(rows.len(), 4);
-    for (row, expect) in rows.iter().zip([1usize, 2, 4, 8]) {
-        assert_eq!(row.shards, expect);
-        assert_eq!(row.per_shard.len(), expect);
-        assert_eq!(row.recovery.per_shard.len(), expect);
-        assert!(row.mops > 0.0);
     }
 }

@@ -18,9 +18,10 @@
 //! measures all three). An extension stops at the file's cap, so a full
 //! segment ends exactly at its sealed size. Under `ProcessCrash` nothing
 //! is forced and there is no reserve: every file is exactly its header
-//! and records. Replay chops the reserve with the crash tail (see
-//! [`JournalFile::replay`]), so a file written without one is a prefix of
-//! the layout and opens the same way.
+//! and records. Replay keeps a clean reserve for the next appends and
+//! chops it only behind a torn record (see [`JournalFile::replay`]); a
+//! file written without one is a prefix of the layout and opens the same
+//! way.
 
 use crate::log::{bad_data, Record, RECORD_LEN};
 use obs::sys::durable;
@@ -128,11 +129,13 @@ impl JournalFile {
     }
 
     /// Hands every record of `bytes` (the file as [`open`](Self::open) read
-    /// it) past the `header_len`-byte header to `each`, then chops the
-    /// crash tail — forced under [`SyncPolicy::PowerFail`] — so that
-    /// appends start where the records end. The records end at the first
-    /// slot that does not decode; the tail is that slot (a torn record) and
-    /// nothing but zeros (the reserve). A non-zero byte past the slot would
+    /// it) past the `header_len`-byte header to `each`; appends start
+    /// where the records end. The records end at the first slot that does
+    /// not decode; the tail is that slot (a torn record) and nothing but
+    /// zeros (the reserve). A slot holding a non-zero byte is a torn record:
+    /// the tail is chopped, forced under [`SyncPolicy::PowerFail`]. A tail
+    /// of zeros alone is the reserve and stays, unforced, for the next
+    /// appends to write into. A non-zero byte past the slot would
     /// mean the chop silently drops a record, and a `sealed` file was
     /// complete when its successor's header committed, so both are refused
     /// as real damage with an error naming the file. Returns the torn
@@ -177,15 +180,16 @@ impl JournalFile {
             ));
         }
         self.end = (header_len + consumed) as u64;
-        if !tail.is_empty() {
+        let torn = tail[..slot]
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |i| i + 1);
+        if torn > 0 {
             self.target.file.set_len(self.end)?;
             self.len = self.end;
             self.sync()?;
         }
-        Ok(tail[..slot]
-            .iter()
-            .rposition(|&b| b != 0)
-            .map_or(0, |i| i + 1) as u64)
+        Ok(torn as u64)
     }
 
     /// Atomically rewrites the file to hold exactly `contents` (a

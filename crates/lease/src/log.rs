@@ -53,10 +53,10 @@
 //! hands out forces of the new file — one still running on the old file
 //! covers only records whose effect the snapshot already holds.
 //!
-//! Replay tolerates a torn final record (the tail, and any reserve after
-//! it, is chopped, never trusted) but refuses a corrupt header or a CRC
-//! mismatch in the *interior* of the file, which indicate real damage
-//! rather than a mid-append crash.
+//! Replay tolerates a torn final record (it, and any reserve after it, is
+//! chopped, never trusted; a clean reserve stays) but refuses a corrupt
+//! header or a CRC mismatch in the *interior* of the file, which indicate
+//! real damage rather than a mid-append crash.
 
 use crate::engine::Journal;
 use crate::file::JournalFile;
@@ -263,7 +263,7 @@ pub struct Replay {
     pub dead: u64,
     /// Bytes dropped at the tail as a torn final append (0 or a partial /
     /// corrupt record's worth), up to the record's last non-zero byte: the
-    /// zero reserve, chopped with it, is not counted.
+    /// zero reserve is not counted.
     pub torn_bytes: u64,
 }
 
@@ -657,9 +657,11 @@ mod tests {
         let bytes = std::fs::read(dir.join(LEASE_LOG_FILE)).unwrap();
         assert!(bytes[12032..].iter().all(|&b| b == 0));
         drop(log);
-        let (_, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
+        let (mut log, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
         assert_eq!((replay.records, replay.torn_bytes), (300, 0));
-        assert_eq!(file_len(&dir), 12032, "replay left the reserve on disk");
+        assert_eq!(file_len(&dir), 12288, "replay chopped a clean reserve");
+        log.append(&grant(301, 301, 1, 0)).unwrap();
+        assert_eq!(file_len(&dir), 12288, "append 301 grew the file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -577,22 +577,24 @@ mod tests {
 
     #[test]
     fn crash_and_recover_preserves_every_item_per_shard() {
-        let q = ShardedQueue::<OptUnlinkedQueue>::create(
-            ShardConfig::small_test(4).with_policy(RoutePolicy::RoundRobin),
-        );
-        for i in 1..=100u64 {
-            q.enqueue(0, i);
+        for shards in [1, 2, 4, 8] {
+            let q = ShardedQueue::<OptUnlinkedQueue>::create(
+                ShardConfig::small_test(shards).with_policy(RoutePolicy::RoundRobin),
+            );
+            for i in 1..=100u64 {
+                q.enqueue(0, i);
+            }
+            for _ in 0..20 {
+                assert!(q.dequeue(0).is_some());
+            }
+            let orch = RecoveryOrchestrator::new(4);
+            let (recovered, report) = orch.crash_and_recover(&q);
+            assert_eq!(report.per_shard.len(), shards);
+            assert!(report.speedup() > 0.0, "{shards} shards");
+            let mut rest: Vec<u64> = std::iter::from_fn(|| recovered.dequeue(0)).collect();
+            rest.sort_unstable();
+            assert_eq!(rest, (21..=100).collect::<Vec<_>>(), "{shards} shards");
         }
-        for _ in 0..20 {
-            assert!(q.dequeue(0).is_some());
-        }
-        let orch = RecoveryOrchestrator::new(4);
-        let (recovered, report) = orch.crash_and_recover(&q);
-        assert_eq!(report.per_shard.len(), 4);
-        assert!(report.speedup() > 0.0);
-        let mut rest: Vec<u64> = std::iter::from_fn(|| recovered.dequeue(0)).collect();
-        rest.sort_unstable();
-        assert_eq!(rest, (21..=100).collect::<Vec<_>>());
     }
 
     #[test]

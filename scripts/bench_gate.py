@@ -148,13 +148,6 @@ META = {"schema": one_of(META_SCHEMA), "backend": one_of("sim", "file"),
 # Shape violations raise Invalid; measured ratios go through gate.check so
 # they land in the trajectory table.
 
-def shards_per_shard(obj, ctx, gate):
-    for i, row in enumerate(obj["rows"]):
-        for j, shard in enumerate(row["per_shard"]):
-            require(shard, nums("shard", "fences", "flushes", "recovery_ms"),
-                    f"{ctx} rows[{i}].per_shard[{j}]")
-
-
 def fastpath_within_run(obj, ctx, gate):
     rows = {row["mode"]: row for row in obj["rows"]}
     if not all(mode in rows for mode in FASTPATH_MODES):
@@ -239,19 +232,6 @@ EXPERIMENTS = {
         "identity": ("algorithm",),
         "bands": {"enq_fences": TIGHT, "deq_fences": TIGHT, "enq_flushes": TIGHT,
                   "nt_stores_per_op": TIGHT, "post_flush_per_op": TIGHT},
-    },
-    # harness shards: shard-scaling sweep with parallel recovery timing.
-    "shards": {
-        "header": {**strs("algorithm", "workload", "policy"),
-                   **nums("threads", "ops_per_thread", "recovery_threads")},
-        "row": {**nums("shards", "mops", "scaling", "fences_per_op",
-                       "recovered_items", "recovery_wall_ms",
-                       "recovery_critical_path_ms", "recovery_sequential_ms",
-                       "recovery_speedup"),
-                "per_shard": LIST},
-        "identity": ("shards",),
-        "bands": {"mops": FLOOR, "fences_per_op": TIGHT},
-        "invariant": shards_per_shard,
     },
     # harness fastpath: per-op cost of a fixed and an elastic file pool,
     # with its own floor (raw_load_ns) in the artifact.
@@ -437,6 +417,21 @@ def load(path):
         return json.load(fh)
 
 
+def gate_file(gate, path, baseline_dir, schema_only=False):
+    """One artifact file through the gate, held to the baseline of the same
+    basename. A missing file fails by name: the step that writes it did not
+    run."""
+    name = os.path.basename(path)
+    if not os.path.exists(path):
+        gate.fail(f"{name}: no such artifact (the step that writes it did not run)")
+        return
+    baseline_path = os.path.join(baseline_dir, name)
+    baseline = None
+    if not schema_only and os.path.exists(baseline_path):
+        baseline = load(baseline_path)
+    gate_document(gate, name, load(path), baseline, schema_only=schema_only)
+
+
 def self_test():
     """Gates the gate: known-good artifacts must pass against themselves and
     each targeted mutation — of the schema, of a measured value, of the
@@ -611,8 +606,12 @@ def self_test():
     if failures(*mutated("fastpath", lambda o: (flushing(o), o.update(meta=meta()))),
                 schema_only=True):
         raise SystemExit("self-test: gate held a power-fail persist to a load")
+    gate = Gate()
+    gate_file(gate, os.path.join(os.devnull, "BENCH_gone.json"), os.devnull)
+    if not any("BENCH_gone.json" in message for message in gate.failures):
+        raise SystemExit("self-test: gate did not name a missing artifact")
     print(f"self-test: {len(good)} good documents accepted, "
-          f"{len(rejects) + 3} mutations rejected")
+          f"{len(rejects) + 4} mutations rejected")
 
 
 def main(argv):
@@ -631,12 +630,7 @@ def main(argv):
 
     gate = Gate()
     for path in args.files:
-        name = os.path.basename(path)
-        baseline_path = os.path.join(args.baseline_dir, name)
-        baseline = None
-        if not args.schema_only and os.path.exists(baseline_path):
-            baseline = load(baseline_path)
-        gate_document(gate, name, load(path), baseline, schema_only=args.schema_only)
+        gate_file(gate, path, args.baseline_dir, schema_only=args.schema_only)
     gate.render()
     if gate.failures:
         raise SystemExit(1)

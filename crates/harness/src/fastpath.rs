@@ -21,7 +21,9 @@
 //! access and the mapping.
 //!
 //! Beside the file pool it prices the simulated one: `sim_spin` holds, for
-//! each event [`LatencyModel::optane_like`] charges, the delay requested and
+//! each event [`LatencyModel::optane_like`] charges and for the two spins a
+//! fence pays in a pair (`flush+fence`, `nt_store+fence`: a pool charges a
+//! flush or nt-store at its thread's next fence), the delay requested and
 //! what one [`pmem::latency::spin_delay`] of it costs (`charged_ns`), which
 //! the gate holds to the request within the run. `sim_pool` times creating
 //! a 1 MiB and a 256 MiB simulated pool (`new_us`): their images are zeroed
@@ -172,9 +174,11 @@ fn measure(mode: &'static str, grow_step: usize, cfg: &FastpathConfig) -> Fastpa
     }
 }
 
-/// What the simulator charges for one `optane_like` event.
+/// What the simulator charges for one `optane_like` event, or for the one
+/// spin a fence pays for itself and the flush or nt-store before it.
 pub struct SpinRow {
-    /// `"flush"`, `"nt_store"`, `"fence"` or `"nvram_read"`.
+    /// `"flush"`, `"nt_store"`, `"fence"`, `"nvram_read"`, `"flush+fence"`
+    /// or `"nt_store+fence"`.
     pub event: &'static str,
     /// The model's delay for the event, ns.
     pub requested_ns: u32,
@@ -182,7 +186,9 @@ pub struct SpinRow {
     pub charged_ns: f64,
 }
 
-/// Times `spin_delay` at each delay of [`LatencyModel::optane_like`].
+/// Times `spin_delay` at each delay of [`LatencyModel::optane_like`], and
+/// at the two a fence spins in a pair: an enqueue's flush and fence, a
+/// dequeue's nt-store and fence.
 fn measure_sim_spin(cfg: &FastpathConfig) -> Vec<SpinRow> {
     let model = LatencyModel::optane_like();
     [
@@ -190,6 +196,8 @@ fn measure_sim_spin(cfg: &FastpathConfig) -> Vec<SpinRow> {
         ("nt_store", model.nt_store_ns),
         ("fence", model.fence_ns),
         ("nvram_read", model.nvram_read_ns),
+        ("flush+fence", model.flush_ns + model.fence_ns),
+        ("nt_store+fence", model.nt_store_ns + model.fence_ns),
     ]
     .into_iter()
     .map(|(event, requested_ns)| SpinRow {
@@ -624,12 +632,23 @@ mod tests {
         assert!(rendered.contains("elastic"));
         assert!(rendered.contains("raw atomic load"));
         let events: Vec<_> = report.sim_spin.iter().map(|s| s.event).collect();
-        assert_eq!(events, ["flush", "nt_store", "fence", "nvram_read"]);
+        assert_eq!(
+            events,
+            [
+                "flush",
+                "nt_store",
+                "fence",
+                "nvram_read",
+                "flush+fence",
+                "nt_store+fence"
+            ]
+        );
         for spin in &report.sim_spin {
             assert!(spin.requested_ns > 0);
             assert!(spin.charged_ns > 0.0 && spin.charged_ns.is_finite());
         }
         assert!(rendered.contains("nvram_read 300 -> "));
+        assert!(rendered.contains("nt_store+fence 160 -> "));
         let sizes: Vec<_> = report.sim_pool.iter().map(|p| p.size_bytes).collect();
         assert_eq!(sizes, SIM_POOL_BYTES);
         for pool in &report.sim_pool {
@@ -684,7 +703,7 @@ mod tests {
         assert!(json.contains("\"mode\": \"elastic\""));
         assert_eq!(json.matches("\"mode\"").count(), 2);
         assert!(json.contains("\"sim_spin\": [{\"event\": \"flush\", \"requested_ns\": 40, "));
-        assert_eq!(json.matches("\"charged_ns\"").count(), 4);
+        assert_eq!(json.matches("\"charged_ns\"").count(), 6);
         assert!(json.contains("\"sim_pool\": [{\"size_bytes\": 1048576, \"new_us\": "));
         assert_eq!(json.matches("\"new_us\"").count(), 2);
         assert!(json.contains("\"sim_queue\": {\"area_bytes\": 131072, \"setup_us\": "));

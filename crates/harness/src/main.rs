@@ -407,42 +407,47 @@ fn cmd_crashtest(flags: &HashMap<String, String>) {
     check_all(&cfg);
 }
 
+/// The help text: a verb or flag group, then its description in a
+/// second column.
+fn usage_text() -> &'static str {
+    "\
+usage: harness <fig2|counts|crashtest|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]
+
+fig2       regenerate the Figure 2 panels (throughput + ratio tables)
+counts     per-operation persistence counts (experiments E7/E8)
+crashtest  durable-linearizability crash checks for every queue
+reshard    split/merge a file-backed shard directory to --to N'
+           (crash-safe two-phase manifest protocol)
+fastpath   time a fixed and an elastic file pool's per-op
+           load / persist / map_ref costs
+fsweep     power-fail fence throughput sweep: group commit
+           across producer counts
+           (--producers 1,2,4,8 --fences N --pages K)
+metrics    drive a short leased workload, then dump the
+           process-global instruments (Prometheus text, or a
+           metrics experiment object with --json)
+blackbox   replay a crash-surviving BLACKBOX.ring and
+           pretty-print the lifecycle events that survived
+all        counts, then every fig2 panel
+
+common flags: --quick --workload W --threads 1,2,4 --ops N
+              --initial-size N --prefill N --algorithms A,B
+              --shards 1,2,4,8 --policy rr|keyhash|load
+              --pool-bytes N --nvram-read-ns N --no-latency
+              (fig2 runs on the simulated pool only)
+file pools:   --sync process-crash|power-fail --dir PATH
+              (reshard, metrics); --grow-step N (fastpath)
+output:       --json PATH   (counts, fastpath,
+              fsweep, metrics, blackbox: JSON array of
+              experiment objects; schema in README)
+reshard:      --dir D --to N' [--algo A] [--create N --items M]
+              [--verify] [--expect M] [--key-shift B]
+              [--policy P] [--sync S]"
+}
+
 /// Prints the usage text and exits 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: harness <fig2|counts|crashtest|reshard|fastpath|fsweep|metrics|blackbox|all> [flags]\n\
-         \n\
-         fig2       regenerate the Figure 2 panels (throughput + ratio tables)\n\
-         counts     per-operation persistence counts (experiments E7/E8)\n\
-         crashtest  durable-linearizability crash checks for every queue\n\
-         reshard    split/merge a file-backed shard directory to --to N'\n\
-                    (crash-safe two-phase manifest protocol)\n\
-         fastpath   time a fixed and an elastic file pool's per-op\n\
-                    load / persist / map_ref costs\n\
-         fsweep     power-fail fence throughput sweep: group commit\n\
-                    across producer counts\n\
-                    (--producers 1,2,4,8 --fences N --pages K)\n\
-         metrics    drive a short leased workload, then dump the\n\
-                    process-global instruments (Prometheus text, or a\n\
-                    metrics experiment object with --json)\n\
-         blackbox   replay a crash-surviving BLACKBOX.ring and\n\
-                    pretty-print the lifecycle events that survived\n\
-         all        counts, then every fig2 panel\n\
-         \n\
-         common flags: --quick --workload W --threads 1,2,4 --ops N\n\
-                       --initial-size N --prefill N --algorithms A,B\n\
-                       --shards 1,2,4,8 --policy rr|keyhash|load\n\
-                       --pool-bytes N --nvram-read-ns N --no-latency\n\
-                       (fig2 runs on the simulated pool only)\n\
-         file pools:   --sync process-crash|power-fail --dir PATH\n\
-                       (reshard, metrics); --grow-step N (fastpath)\n\
-         output:       --json PATH   (counts, fastpath,\n\
-                       fsweep, metrics, blackbox: JSON array of\n\
-                       experiment objects; schema in README)\n\
-         reshard:      --dir D --to N' [--algo A] [--create N --items M]\n\
-                       [--verify] [--expect M] [--key-shift B]\n\
-                       [--policy P] [--sync S]"
-    );
+    eprintln!("{}", usage_text());
     exit(2);
 }
 
@@ -506,6 +511,23 @@ mod tests {
         assert_eq!(flags["json"], "out.json");
         assert_eq!(flags["dir"], "d");
         assert_eq!(flags["ops"], "true");
+    }
+
+    /// The two-column layout survives: a description's continuation line
+    /// is indented under the first, not flush left.
+    #[test]
+    fn usage_keeps_its_continuation_lines_indented() {
+        let text = usage_text();
+        for continuation in ["(crash-safe two-phase", "--initial-size N", "[--verify]"] {
+            let line = text
+                .lines()
+                .find(|line| line.contains(continuation))
+                .unwrap_or_else(|| panic!("no line holds {continuation:?}"));
+            assert!(line.starts_with("   "), "{line:?} lost its indentation");
+        }
+        assert!(text
+            .lines()
+            .any(|line| line.starts_with("fig2       regenerate")));
     }
 
     /// Retired flags would otherwise run at their old default silently.

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: pmem + ssmem + durable_queues + ptm driven
 //! through the harness, exactly as the benchmarks drive them.
 
-use durable_queues::QueueConfig;
+use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};
 use harness::algorithms::Algorithm;
 use harness::checker::{check_algorithm, CrashCheckConfig};
 use harness::counts::persist_counts_table;
@@ -9,6 +9,7 @@ use harness::runner::{measure_point, run_panel, SweepConfig};
 use harness::workloads::{run_workload, RunConfig, Workload};
 use pmem::{LatencyModel, PmemPool, PoolConfig};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn tiny_sweep(algorithms: Vec<Algorithm>) -> SweepConfig {
     SweepConfig {
@@ -77,6 +78,54 @@ fn second_amendment_outperforms_the_baseline_under_the_latency_model() {
         best > 1.1,
         "OptUnlinkedQ should outperform DurableMSQ (best of three ratios {best:.2})"
     );
+}
+
+/// A hot one-thread OptUnlinkedQ pair is charged its model in full: an
+/// enqueue's flush and fence, a dequeue's nt-store and fence, 300 ns on
+/// `optane_like`. A floor, so a slow box cannot fail it. On `optane_like`
+/// the simulator's own cost, in this unoptimised build, is larger than
+/// any one charge, so the same floor also runs on `optane_like` scaled
+/// ×1000: there a fence that pays only its own delay (two thirds of the
+/// charge) falls well under 0.9× of it.
+#[test]
+fn a_hot_pair_pays_at_least_its_flush_nt_store_and_two_fences() {
+    let optane = LatencyModel::optane_like();
+    for (scale, pairs) in [(1, 2_000), (1_000, 100)] {
+        let model = LatencyModel {
+            flush_ns: scale * optane.flush_ns,
+            fence_ns: scale * optane.fence_ns,
+            nvram_read_ns: scale * optane.nvram_read_ns,
+            nt_store_ns: scale * optane.nt_store_ns,
+        };
+        let pool = Arc::new(PmemPool::new(PoolConfig {
+            latency: model,
+            ..PoolConfig::test_with_size(8 << 20)
+        }));
+        let q = OptUnlinkedQueue::create(pool, QueueConfig::small_test());
+        for item in 1..=10 {
+            q.enqueue(0, item);
+        }
+        // Warm: the spin's clock is calibrated and the node is recycled.
+        for item in 11..=20 {
+            q.enqueue(0, item);
+            q.dequeue(0);
+        }
+        let before = q.stats();
+        let start = Instant::now();
+        for item in 0..pairs {
+            q.enqueue(0, 100 + item);
+            q.dequeue(0);
+        }
+        let pair_ns = start.elapsed().as_nanos() as f64 / pairs as f64;
+        let stats = q.stats() - before;
+        assert_eq!(stats.post_flush_accesses, 0);
+        assert_eq!(stats.fences, 2 * pairs);
+        let charge = model.flush_ns + model.nt_store_ns + 2 * model.fence_ns;
+        assert!(
+            pair_ns >= 0.9 * f64::from(charge),
+            "a pair cost {pair_ns:.0} ns, under 0.9x the {charge} ns its model charges"
+        );
+    }
 }
 
 #[test]

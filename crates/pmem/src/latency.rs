@@ -23,6 +23,13 @@
 //! fixed cost reads the clock once and returns. A zero delay returns at
 //! once and never calibrates, so pools with [`LatencyModel::ZERO`] never
 //! pay for the calibration.
+//!
+//! A simulated pool does not spin once per event. A flush's and a
+//! non-temporal store's delays accrue to the issuing thread and are paid
+//! at its next fence, in one spin with the fence's own: an enqueue that
+//! flushes one line and fences pays `flush_ns + fence_ns` in one spin, so
+//! the overshoot of at most one turn is per fence, not per event. A
+//! post-flush access pays `nvram_read_ns` at the access.
 
 use std::sync::OnceLock;
 use std::time::Instant;

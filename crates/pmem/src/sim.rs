@@ -21,6 +21,15 @@
 //! counts as a [post-flush access](crate::StatsSnapshot::post_flush_accesses)
 //! and pays the configured NVRAM read latency.
 //!
+//! A thread's charges accrue where they are issued and are paid in as few
+//! spins as the model allows: a flush or a non-temporal store adds its
+//! delay to the thread's debt, and the thread's next fence spins once for
+//! that debt plus its own delay. A post-flush access pays at the access.
+//! So each fence carries one spin's overshoot (at most one turn of
+//! [`spin_delay`]'s loop), not each event. The checks every access makes —
+//! is the line flushed, is the eviction adversary on — stay inline, and
+//! what runs when one fires is out of line.
+//!
 //! What the simulator itself costs stays outside that model. Both images
 //! and the per-line state bytes are private anonymous mappings
 //! ([`obs::sys::MmapRegion::anonymous`]) that the kernel zeroes page by page
@@ -57,12 +66,14 @@ fn zeroed(len: usize) -> MmapRegion {
 }
 
 /// Per-thread record of persistence work that has been issued but not yet
-/// ordered by a fence: lines with outstanding asynchronous flushes, and the
-/// (offset, value) pairs of outstanding non-temporal stores.
+/// ordered by a fence: lines with outstanding asynchronous flushes, the
+/// (offset, value) pairs of outstanding non-temporal stores, and the delay
+/// they charged, which the fence pays.
 #[derive(Default)]
 struct PendingPersists {
     flushed_lines: Vec<u32>,
     nt_writes: Vec<(u32, u64)>,
+    owed_ns: u32,
 }
 
 /// Interior-mutability wrapper for the per-thread pending-persist slots.
@@ -182,17 +193,35 @@ impl SimPool {
     fn touch(&self, off: u32) {
         let state = self.line_state(off);
         if state.load(Ordering::Relaxed) == LINE_FLUSHED {
-            state.store(LINE_CACHED, Ordering::Relaxed);
-            self.stats.add(Counter::PostFlushAccesses, 1);
-            spin_delay(self.config.latency.nvram_read_ns);
+            self.touch_flushed(state);
         }
+    }
+
+    /// The rare half of [`SimPool::touch`], out of line so that the check
+    /// inlined into every access does not carry the spin's frame.
+    #[cold]
+    #[inline(never)]
+    fn touch_flushed(&self, state: &AtomicU8) {
+        state.store(LINE_CACHED, Ordering::Relaxed);
+        self.stats.add(Counter::PostFlushAccesses, 1);
+        spin_delay(self.config.latency.nvram_read_ns);
     }
 
     /// Possibly persists the line containing `off`, simulating an implicit
     /// cache eviction, when the adversary is enabled.
     #[inline]
     fn maybe_evict(&self, off: u32) {
-        if self.eviction_threshold != 0 && self.next_rand() < self.eviction_threshold {
+        if self.eviction_threshold != 0 {
+            self.draw_eviction(off);
+        }
+    }
+
+    /// The adversary's draw for [`SimPool::maybe_evict`], out of line: only
+    /// crash tests enable it.
+    #[cold]
+    #[inline(never)]
+    fn draw_eviction(&self, off: u32) {
+        if self.next_rand() < self.eviction_threshold {
             self.persist_line(layout::line_of(off));
             self.stats.add(Counter::ImplicitEvictions, 1);
         }
@@ -288,36 +317,55 @@ impl SimPool {
         }
     }
 
+    /// Charges `tid` a flush: paid at its next fence.
     #[inline]
     pub(crate) fn flush(&self, tid: usize, off: u32) {
         let line = layout::line_of(off);
         self.line_state(off).store(LINE_FLUSHED, Ordering::Relaxed);
         self.stats.add(Counter::Flushes, 1);
-        self.with_pending(tid, |pending| pending.flushed_lines.push(line));
-        spin_delay(self.config.latency.flush_ns);
+        let ns = self.config.latency.flush_ns;
+        self.with_pending(tid, |pending| {
+            pending.flushed_lines.push(line);
+            pending.owed_ns = pending.owed_ns.saturating_add(ns);
+        });
     }
 
+    /// Persists what `tid` issued since its last fence and pays, in one
+    /// spin, the fence's delay and what those flushes and non-temporal
+    /// stores charged.
     pub(crate) fn sfence(&self, tid: usize) {
         self.stats.add(Counter::Fences, 1);
         // Drained in place: the lists keep their capacity for the next
         // epoch's flushes instead of being freed and reallocated per fence.
-        self.with_pending(tid, |pending| {
+        let owed = self.with_pending(tid, |pending| {
             for line in pending.flushed_lines.drain(..) {
                 self.persist_line(line);
             }
             for (off, val) in pending.nt_writes.drain(..) {
                 self.persistent_u64(off).store(val, Ordering::Release);
             }
+            std::mem::take(&mut pending.owed_ns)
         });
-        spin_delay(self.config.latency.fence_ns);
+        spin_delay(owed.saturating_add(self.config.latency.fence_ns));
     }
 
+    /// Charges `tid` a non-temporal store: paid at its next fence.
     #[inline]
     pub(crate) fn nt_store_u64(&self, tid: usize, off: u32, val: u64) {
         self.stats.add(Counter::NtStores, 1);
         self.working_u64(off).store(val, Ordering::Release);
-        self.with_pending(tid, |pending| pending.nt_writes.push((off, val)));
-        spin_delay(self.config.latency.nt_store_ns);
+        let ns = self.config.latency.nt_store_ns;
+        self.with_pending(tid, |pending| {
+            pending.nt_writes.push((off, val));
+            pending.owed_ns = pending.owed_ns.saturating_add(ns);
+        });
+    }
+
+    /// What `tid`'s flushes and non-temporal stores since its last fence
+    /// charged, not yet paid.
+    #[cfg(test)]
+    fn owed_ns(&self, tid: usize) -> u32 {
+        self.with_pending(tid, |pending| pending.owed_ns)
     }
 
     pub(crate) fn persist_now(&self, off: u32) {
@@ -445,5 +493,40 @@ pub(crate) fn probability_to_threshold(probability: f64) -> u64 {
         u64::MAX
     } else {
         (probability * u64::MAX as f64) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LatencyModel;
+
+    /// A flush and a non-temporal store are paid at their own thread's
+    /// next fence, and that fence pays nothing another thread owes.
+    #[test]
+    fn flushes_and_nt_stores_are_owed_to_their_threads_next_fence() {
+        let model = LatencyModel::optane_like();
+        let pool = SimPool::new(PoolConfig {
+            latency: model,
+            ..PoolConfig::small_test()
+        });
+        let (a, b) = (layout::HEAP_START, layout::HEAP_START + CACHE_LINE as u32);
+        pool.flush(0, a);
+        pool.nt_store_u64(0, b, 7);
+        assert_eq!(pool.owed_ns(0), model.flush_ns + model.nt_store_ns);
+        assert_eq!(pool.owed_ns(1), 0, "tid 0's charges are not tid 1's");
+        pool.flush(1, b);
+        assert_eq!(pool.owed_ns(1), model.flush_ns);
+        pool.sfence(0);
+        assert_eq!(pool.owed_ns(0), 0, "the fence pays what its thread owed");
+        assert_eq!(pool.owed_ns(1), model.flush_ns, "and nothing of another's");
+        pool.sfence(1);
+        assert_eq!(pool.owed_ns(1), 0);
+        pool.sfence(1);
+        assert_eq!(
+            pool.owed_ns(1),
+            0,
+            "a fence with nothing pending owes nothing"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! blocking persist operations (fences) and the number of accesses to
 //! previously flushed content. The pool counts both — plus flushes,
 //! non-temporal stores and plain accesses — so that experiment E7/E8
-//! (see DESIGN.md) can verify the analytic claims directly:
+//! (the `harness counts` verb) can verify the analytic claims directly:
 //! one fence per update operation for the four new queues, and zero
 //! post-flush accesses for OptUnlinkedQ and OptLinkedQ.
 

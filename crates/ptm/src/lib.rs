@@ -4,7 +4,7 @@
 //! sequential queue in a persistent transactional memory: `OneFileQ`
 //! (OneFile, a wait-free PTM) and `RedoOptQ` (the RedoOpt universal
 //! construction). This crate provides the substitution described in
-//! DESIGN.md: a [`redo::Ptm`] engine with a redo log and two flush policies,
+//! docs/ARCHITECTURE.md's crate table: a [`redo::Ptm`] engine with a redo log and two flush policies,
 //! and [`queue::PtmQueue`] — a sequential linked queue whose every operation
 //! is one durable transaction. The resulting [`OneFileLiteQueue`] and
 //! [`RedoOptLiteQueue`] reproduce the property the comparison relies on:

@@ -1,7 +1,7 @@
 //! A redo-log persistent transactional memory.
 //!
 //! This is the substitution substrate for the paper's PTM baselines (see
-//! DESIGN.md §2): `OneFileQ` and `RedoOptQ` in the paper wrap a sequential
+//! docs/ARCHITECTURE.md's crate table): `OneFileQ` and `RedoOptQ` in the paper wrap a sequential
 //! queue in the OneFile wait-free PTM and the RedoOpt universal construction
 //! respectively. Re-implementing those systems in full is out of scope for a
 //! queue reproduction; what the comparison needs is their *cost model* — a

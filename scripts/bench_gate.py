@@ -24,7 +24,7 @@ Three kinds of bands:
 * within-run — both sides come from the current run, so the band is tight
   whatever the runner: fastpath's fixed and elastic `load_ns` and
   `counter_incr_ns` against its own `raw_load_ns`, what the simulator charges per event
-  (`sim_spin`) against what its latency model requests, what creating a
+  and per fence's one spin (`sim_spin`) against what its latency model requests, what creating a
   256 MiB simulated pool costs (`sim_pool`) against a 1 MiB one, what
   setting up `paper-pairs`' queue flushes and costs (`sim_queue`) against
   one designated area's lines and what flushing them charges, a dependent
@@ -106,10 +106,12 @@ FASTPATH_MODES = ("fixed", "elastic")
 # `lock`-prefixed add measures past 5x).
 MAX_COUNTER_INCR_VS_RAW = 3.0
 # The simulated pool must charge its latency model, not its clock: each
-# `sim_spin` event's `charged_ns` within requested + max(25 ns, 25 %).
+# `sim_spin` event's `charged_ns` within requested + max(25 ns, 25 %). A
+# pool pays a flush or nt-store in its thread's next fence's one spin, so
+# the two spins of a pair are priced too.
 SPIN_SLACK_NS = 25.0
 SPIN_SLACK_SHARE = 0.25
-SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read"}
+SPIN_EVENTS = {"flush", "nt_store", "fence", "nvram_read", "flush+fence", "nt_store+fence"}
 # A simulated pool must cost what a run touches, not its size: creating the
 # 256 MiB pool within this factor of the 1 MiB one (`sim_pool` `new_us`).
 # Recorded at ~1x; images zeroed up front cost hundreds of times more.
@@ -484,6 +486,8 @@ def self_test():
                 {"event": "nt_store", "requested_ns": 60, "charged_ns": 68.4},
                 {"event": "fence", "requested_ns": 100, "charged_ns": 100.2},
                 {"event": "nvram_read", "requested_ns": 300, "charged_ns": 304.8},
+                {"event": "flush+fence", "requested_ns": 140, "charged_ns": 143.5},
+                {"event": "nt_store+fence", "requested_ns": 160, "charged_ns": 161.9},
             ],
             "sim_pool": [
                 {"size_bytes": 1048576, "new_us": 9.8},
@@ -545,6 +549,8 @@ def self_test():
         ("fastpath without an elastic row", *mutated("fastpath", lambda o: o["rows"].pop())),
         ("fastpath without sim_spin", *mutated("fastpath", lambda o: drop(o, "sim_spin"))),
         ("sim_spin without the fence", *mutated("fastpath", lambda o: o["sim_spin"].pop(2))),
+        ("sim_spin without the flush+fence spin",
+         *mutated("fastpath", lambda o: o["sim_spin"].pop(4))),
         ("fastpath without sim_pool", *mutated("fastpath", lambda o: drop(o, "sim_pool"))),
         ("sim_pool without the 256 MiB pool",
          *mutated("fastpath", lambda o: o["sim_pool"].pop())),
@@ -575,6 +581,8 @@ def self_test():
          *mutated("fastpath", lambda o: o.update(counter_incr_ns=5.2))),
         ("a flush charged at the clock's 124 ns, not the model's 40",
          *mutated("fastpath", lambda o: o["sim_spin"][0].update(charged_ns=124.0))),
+        ("an nt_store+fence spin charged as two spins' overshoot (210 ns for 160)",
+         *mutated("fastpath", lambda o: o["sim_spin"][5].update(charged_ns=210.0))),
         ("a 256 MiB pool whose images are zeroed up front (45 ms vs 9.8 us)",
          *mutated("fastpath", lambda o: o["sim_pool"][1].update(new_us=45000.0))),
         ("a queue set-up that flushes every line of its area",

@@ -6,8 +6,8 @@ use obs::rows::CachePadded;
 use pmem::{PRef, PmemPool};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Configuration of a [`Ssmem`] allocator.
 #[derive(Clone, Copy, Debug)]
@@ -54,16 +54,20 @@ struct PerThread {
     free: Vec<PRef>,
     limbo: VecDeque<(u64, PRef)>,
     retires_since_advance: u32,
+    /// Per thread, the slots borrowed from its spare list and not yet given
+    /// back.
+    owed: Box<[usize]>,
 }
 
 impl PerThread {
-    fn new() -> Self {
+    fn new(max_threads: usize) -> Self {
         PerThread {
             bump: 0,
             area_end: 0,
             free: Vec::new(),
             limbo: VecDeque::new(),
             retires_since_advance: 0,
+            owed: vec![0; max_threads].into_boxed_slice(),
         }
     }
 }
@@ -84,6 +88,13 @@ pub struct Ssmem {
     epoch: Arc<EpochManager>,
     per_thread: Box<[CachePadded<PerThreadCell>]>,
     next_dir_slot: AtomicU32,
+    /// Per thread, the slots it set aside: the oldest end of its free list,
+    /// once that grew past `2 * LOCAL_FREE`. An empty free list takes its
+    /// own back; another thread's only while borrowing (`STALLED_LIMBO`).
+    spare: Box<[CachePadded<Mutex<Vec<PRef>>>]>,
+    /// The length of all spare lists together, changed under their locks,
+    /// so that a free list bumping through a fresh area takes no lock.
+    spared: AtomicUsize,
     /// When `false`, the allocator manages *volatile* objects: areas are not
     /// zero-persisted and not published in the persistent directory, so the
     /// recovery procedures never scan them. Used for the `Volatile` halves of
@@ -93,6 +104,26 @@ pub struct Ssmem {
 
 /// How many retires between attempts to advance the global epoch.
 const ADVANCE_PERIOD: u32 = 64;
+
+/// Slots a thread keeps on its own free list. Past twice this many, the
+/// oldest go to its spare list, and an empty free list takes up to this
+/// many back.
+const LOCAL_FREE: usize = 256;
+
+/// Retired slots a thread holds that the epoch does not yet let it reuse,
+/// past which it moves the epoch on or borrows another thread's spare
+/// slots before it carves.
+///
+/// Without a stall a thread holds a few epochs' worth of retires, a few
+/// hundred at most. A thread preempted inside an operation holds the epoch
+/// back for as long as it is off the processor, and no retired slot comes
+/// back to the threads still running: in a few milliseconds one of them
+/// retires thousands. Its own slots spent, it would carve areas that nobody
+/// needs once the stalled thread resumes; it borrows that thread's spare
+/// slots instead and gives as many back to that thread's spare list once
+/// its own come back. The one-thread and stall-free paths never get here,
+/// so they carve exactly what per-thread free lists carve.
+const STALLED_LIMBO: usize = 4 * LOCAL_FREE;
 
 impl Ssmem {
     /// Creates a fresh allocator on a fresh pool.
@@ -142,7 +173,11 @@ impl Ssmem {
         );
         assert!(config.max_threads <= pmem::MAX_THREADS);
         let per_thread = (0..config.max_threads)
-            .map(|_| CachePadded::new(PerThreadCell(UnsafeCell::new(PerThread::new()))))
+            .map(|_| {
+                CachePadded::new(PerThreadCell(UnsafeCell::new(PerThread::new(
+                    config.max_threads,
+                ))))
+            })
             .collect();
         Ssmem {
             pool,
@@ -150,6 +185,10 @@ impl Ssmem {
             epoch: Arc::new(EpochManager::new(config.max_threads)),
             per_thread,
             next_dir_slot: AtomicU32::new(next_slot),
+            spare: (0..config.max_threads)
+                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
+                .collect(),
+            spared: AtomicUsize::new(0),
             durable,
         }
     }
@@ -201,17 +240,30 @@ impl Ssmem {
     /// as in the paper.
     pub fn alloc(&self, tid: usize) -> PRef {
         let obj = self.with_per_thread(tid, |inner| {
-            self.collect(inner);
+            self.collect(tid, inner);
             if let Some(p) = inner.free.pop() {
-                p
-            } else {
-                if inner.bump + self.config.obj_size > inner.area_end || inner.area_end == 0 {
-                    self.new_area(tid, inner);
-                }
-                let off = inner.bump;
-                inner.bump += self.config.obj_size;
-                PRef::from_offset(off)
+                return p;
             }
+            let exhausted =
+                inner.bump + self.config.obj_size > inner.area_end || inner.area_end == 0;
+            // Before the pool grows, the spare list is read under its lock
+            // even if `spared` read zero a moment ago.
+            if exhausted || self.spared.load(Ordering::Acquire) != 0 {
+                if let Some(p) = self.take_spare(tid, inner) {
+                    return p;
+                }
+            }
+            if exhausted {
+                if inner.limbo.len() >= STALLED_LIMBO {
+                    if let Some(p) = self.unstall(tid, inner) {
+                        return p;
+                    }
+                }
+                self.new_area(tid, inner);
+            }
+            let off = inner.bump;
+            inner.bump += self.config.obj_size;
+            PRef::from_offset(off)
         });
         // A slot handed to a new object starts its life "in cache": its
         // previous life's flush must not be billed to the new object's first
@@ -258,8 +310,9 @@ impl Ssmem {
     }
 
     /// Moves limbo objects whose retirement epoch is old enough to the free
-    /// list.
-    fn collect(&self, inner: &mut PerThread) {
+    /// list, and sets aside the oldest end of a list that grew past
+    /// `2 * LOCAL_FREE`.
+    fn collect(&self, tid: usize, inner: &mut PerThread) {
         while let Some(&(epoch, obj)) = inner.limbo.front() {
             if self.epoch.is_safe_to_reuse(epoch) {
                 inner.free.push(obj);
@@ -268,6 +321,89 @@ impl Ssmem {
                 break;
             }
         }
+        if inner.free.len() > 2 * LOCAL_FREE {
+            self.set_aside(tid, inner);
+        }
+    }
+
+    /// Moves all but `LOCAL_FREE` of `tid`'s free list, the oldest end, to
+    /// the spare lists: what it owes to the threads it borrowed from, the
+    /// rest to its own.
+    #[cold]
+    #[inline(never)]
+    fn set_aside(&self, tid: usize, inner: &mut PerThread) {
+        let mut excess = inner.free.len() - LOCAL_FREE;
+        for owner in 0..inner.owed.len() {
+            let owed = inner.owed[owner].min(excess);
+            if owed == 0 {
+                continue;
+            }
+            // Never wait on another thread's lock: what cannot be given
+            // back now is given back at the next set-aside.
+            let Some(mut spare) = try_locked(&self.spare[owner]) else {
+                continue;
+            };
+            spare.extend(inner.free.drain(..owed));
+            self.spared.fetch_add(owed, Ordering::Release);
+            inner.owed[owner] -= owed;
+            excess -= owed;
+        }
+        let mut spare = obs::locked(&self.spare[tid]);
+        spare.extend(inner.free.drain(..excess));
+        self.spared.fetch_add(excess, Ordering::Release);
+    }
+
+    /// Refills `tid`'s empty free list with up to `LOCAL_FREE` of the slots
+    /// it set aside last, and pops one. A spare list below its thread's
+    /// free list reads as one stack, so a thread is handed its slots in
+    /// exactly the order one unbounded free list would hand them out.
+    #[inline(never)]
+    fn take_spare(&self, tid: usize, inner: &mut PerThread) -> Option<PRef> {
+        let mut spare = obs::locked(&self.spare[tid]);
+        let keep = spare.len().saturating_sub(LOCAL_FREE);
+        inner.free.extend(spare.drain(keep..));
+        self.spared.fetch_sub(inner.free.len(), Ordering::Release);
+        drop(spare);
+        inner.free.pop()
+    }
+
+    /// Refills `tid`'s empty free list while it holds `STALLED_LIMBO`
+    /// retired slots, and pops one. First the epoch is moved on: the thread
+    /// that held it back may be done, and a thread that only allocates
+    /// never moves it itself. Failing that, up to `LOCAL_FREE` of another
+    /// thread's spare slots are borrowed, leaving that thread `2 *
+    /// LOCAL_FREE` to go on with when it resumes; the next call tries the
+    /// epoch again.
+    #[cold]
+    #[inline(never)]
+    fn unstall(&self, tid: usize, inner: &mut PerThread) -> Option<PRef> {
+        self.epoch.try_advance();
+        self.epoch.try_advance();
+        self.collect(tid, inner);
+        if let Some(p) = inner.free.pop() {
+            return Some(p);
+        }
+        let n = self.spare.len();
+        for owner in (1..n).map(|i| (tid + i) % n) {
+            let Some(mut spare) = try_locked(&self.spare[owner]) else {
+                continue;
+            };
+            let take = spare.len().saturating_sub(2 * LOCAL_FREE).min(LOCAL_FREE);
+            if take == 0 {
+                continue;
+            }
+            let keep = spare.len() - take;
+            inner.free.extend(spare.drain(keep..));
+            self.spared.fetch_sub(take, Ordering::Release);
+            inner.owed[owner] += take;
+            break;
+        }
+        inner.free.pop()
+    }
+
+    /// Slots thread `tid` set aside. Exposed for tests.
+    pub fn spare_len(&self, tid: usize) -> usize {
+        obs::locked(&self.spare[tid]).len()
     }
 
     /// Carves a new designated area out of the pool for thread `tid` and
@@ -312,6 +448,16 @@ impl Ssmem {
                 f(obj);
             }
         }
+    }
+}
+
+/// `mutex`'s guard if nobody holds it, through poisoning like
+/// [`obs::locked`].
+fn try_locked<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -403,6 +549,121 @@ mod tests {
         ssmem.epoch().try_advance();
         let allocated: Vec<_> = (0..64).map(|_| ssmem.alloc(0)).collect();
         assert!(allocated.contains(&p), "retired slot never reused");
+    }
+
+    /// 64-byte objects in 64 KiB areas: 1 024 slots per area, enough for
+    /// free lists past `2 * LOCAL_FREE` without running out of directory.
+    fn setup_wide() -> (Arc<PmemPool>, Ssmem) {
+        let pool = Arc::new(PmemPool::new(PoolConfig::small_test()));
+        let cfg = SsmemConfig {
+            obj_size: 64,
+            area_size: 64 << 10,
+            max_threads: 2,
+        };
+        let ssmem = Ssmem::new(Arc::clone(&pool), cfg);
+        (pool, ssmem)
+    }
+
+    /// Allocates and retires `n` slots on `tid` and advances the epoch past
+    /// them; returns them in retirement order.
+    fn retire_fresh(ssmem: &Ssmem, tid: usize, n: usize) -> Vec<PRef> {
+        let slots: Vec<_> = (0..n).map(|_| ssmem.alloc(tid)).collect();
+        for &p in &slots {
+            ssmem.retire(tid, p);
+        }
+        ssmem.epoch().try_advance();
+        ssmem.epoch().try_advance();
+        slots
+    }
+
+    #[test]
+    fn one_thread_gets_its_slots_back_in_free_list_order_through_the_spare_list() {
+        let (_pool, ssmem) = setup_wide();
+        let retired = retire_fresh(&ssmem, 0, 4 * LOCAL_FREE);
+        let again: Vec<_> = (0..retired.len()).map(|_| ssmem.alloc(0)).collect();
+        assert_eq!(ssmem.spare_len(0), 0, "every set-aside slot came back");
+        let lifo: Vec<_> = retired.iter().rev().copied().collect();
+        assert_eq!(again, lifo, "the last slot retired is the first reused");
+    }
+
+    /// Thread 1 retires `4 * LOCAL_FREE` slots and, at its next allocation,
+    /// sets aside all but `LOCAL_FREE` of them. Returns them.
+    fn thread_1_sets_aside(ssmem: &Ssmem) -> HashSet<PRef> {
+        let retired = retire_fresh(ssmem, 1, 4 * LOCAL_FREE).into_iter().collect();
+        ssmem.alloc(1);
+        assert_eq!(ssmem.spare_len(1), 3 * LOCAL_FREE);
+        retired
+    }
+
+    #[test]
+    fn without_a_stall_a_thread_carves_rather_than_borrow() {
+        let (_pool, ssmem) = setup_wide();
+        thread_1_sets_aside(&ssmem);
+        let areas = ssmem.areas().len();
+        let per_area = ssmem.config().objects_per_area() as usize;
+        for _ in 0..=per_area {
+            ssmem.alloc(0);
+        }
+        assert_eq!(ssmem.areas().len(), areas + 2);
+        assert_eq!(
+            ssmem.spare_len(1),
+            3 * LOCAL_FREE,
+            "thread 1's spares untouched"
+        );
+    }
+
+    #[test]
+    fn a_thread_that_only_allocates_moves_the_epoch_on_before_it_borrows() {
+        let (_pool, ssmem) = setup_wide();
+        thread_1_sets_aside(&ssmem);
+        let per_area = ssmem.config().objects_per_area() as usize;
+        // Thread 1 stalls while thread 0 retires a whole area's worth, then
+        // finishes its operation; thread 0 goes on allocating only.
+        ssmem.pin(1);
+        for _ in 0..per_area {
+            let p = ssmem.alloc(0);
+            ssmem.retire(0, p);
+        }
+        assert!(ssmem.limbo_len(0) >= STALLED_LIMBO);
+        ssmem.unpin(1);
+        let areas = ssmem.areas().len();
+        ssmem.alloc(0);
+        assert_eq!(ssmem.areas().len(), areas, "its own slots came back");
+        assert_eq!(ssmem.spare_len(1), 3 * LOCAL_FREE, "nothing borrowed");
+    }
+
+    #[test]
+    fn a_thread_borrows_a_stalled_threads_spare_slots_and_gives_them_back() {
+        let (_pool, ssmem) = setup_wide();
+        let theirs = thread_1_sets_aside(&ssmem);
+        ssmem.pin(1); // thread 1 stalls inside an operation
+        let areas = ssmem.areas().len();
+        let per_area = ssmem.config().objects_per_area() as usize;
+        // Thread 0 bumps through one area of its own; every slot it retires
+        // stays in limbo behind thread 1's pin, so then it borrows all but
+        // the `2 * LOCAL_FREE` thread 1 keeps to resume with.
+        let mut borrowed = 0;
+        for _ in 0..per_area + LOCAL_FREE {
+            let p = ssmem.alloc(0);
+            borrowed += theirs.contains(&p) as usize;
+            ssmem.retire(0, p);
+        }
+        assert_eq!(
+            ssmem.areas().len(),
+            areas + 1,
+            "one area, then borrowed slots"
+        );
+        assert_eq!(borrowed, LOCAL_FREE);
+        assert_eq!(ssmem.spare_len(1), 2 * LOCAL_FREE);
+        ssmem.alloc(0);
+        assert_eq!(ssmem.areas().len(), areas + 2, "nothing more to borrow");
+        // Thread 1 resumes: thread 0's slots come back, and it gives back
+        // what it borrowed.
+        ssmem.unpin(1);
+        ssmem.epoch().try_advance();
+        ssmem.epoch().try_advance();
+        ssmem.alloc(0);
+        assert_eq!(ssmem.spare_len(1), 3 * LOCAL_FREE);
     }
 
     #[test]

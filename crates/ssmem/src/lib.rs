@@ -25,7 +25,13 @@
 //!   the area, flushes each of its lines and fences once first.
 //! * Each thread has its own allocator (bump pointer into its current area
 //!   plus a local free list), avoiding synchronisation on the allocation fast
-//!   path.
+//!   path. A free list longer than a few hundred slots keeps its newest end
+//!   and sets the rest aside under a lock of its own, to take back when it
+//!   runs empty, so on its own a thread reuses slots in exactly the order of
+//!   one unbounded list. Set-aside slots are what a thread borrows, before
+//!   it carves an area, while another thread stalled inside an operation
+//!   holds the epoch back; it gives as many back once its own retired slots
+//!   come back.
 //! * Freed nodes go through **epoch-based reclamation** ([`EpochManager`]):
 //!   a retired node returns to a free list only after every thread has passed
 //!   through a quiescent state, which is what makes reading a node after
